@@ -12,52 +12,30 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-# Kernel sanitizer + hot-path lint (warnings fail too: --strict).
-python -m repro.analysis --strict
-
-# Static verifier: abstract interpretation of every registered kernel
-# plus the Theorem 1-3 search-invariant proofs.
-python -m repro.analysis --verify --strict
-
-# Array-program verifier: shape/dtype/overflow abstract interpretation
-# of every @array_kernel host kernel + the nondeterminism sweep, against
-# the committed findings baseline (currently empty).  The text report
-# prints per-engine wall times and any engine over 60 s warns on stderr.
-python -m repro.analysis --engines arrays --strict \
+# All six analysis engines in one launch, warnings failing too
+# (--strict), against the committed findings baseline (currently empty):
+# kernel sanitizer, hot-path lint, static verifier (abstract
+# interpretation of every registered kernel + the Theorem 1-3
+# search-invariant proofs), stream-hazard checker, array-program
+# verifier (shape/dtype/overflow + nondeterminism sweep) and the
+# async-concurrency analyzer over the serving layer (DESIGN.md Sec. 15).
+# The text report prints per-engine wall times; any engine over 60 s
+# warns on stderr.
+python -m repro.analysis \
+    --engines sanitizer,lint,verifier,streams,arrays,aio --strict \
     --baseline scripts/analysis_baseline.json
 
-# Async-concurrency analyzer over the serving layer: atomicity across
-# await, lock-order inversion, virtual-time determinism, task hygiene
-# (DESIGN.md Sec. 15), against the same consolidated baseline.
-python -m repro.analysis --engines aio --strict \
-    --baseline scripts/analysis_baseline.json
-
-# Negative control: the verify gate must FAIL on the known-bad fixture
-# kernels and the known-bad stream program (missing event deps), or the
-# proof obligations are not actually being checked.
-if python -m repro.analysis --verify-only --strict --include-known-bad \
-        >/dev/null 2>&1; then
-    echo "ci: verifier accepted the known-bad kernels — gate is broken" >&2
-    exit 1
-fi
-
-# Same negative control for the array verifier: the known-bad array
-# fixtures (packed-key overflow, aliased scatter, unstable tie-break,
-# broadcast mismatch, OOB gather) must each fail the strict gate.
-if python -m repro.analysis --arrays-only --strict --include-known-bad \
-        >/dev/null 2>&1; then
-    echo "ci: array verifier accepted the known-bad kernels — gate is broken" >&2
-    exit 1
-fi
-
-# Same negative control for the aio engine: the known-bad coroutine
-# fixtures (lost update across await, ABBA lock cycle, wall-clock read,
-# rw writer-upgrade, dropped task, ...) must each fail the strict gate.
-if python -m repro.analysis --aio-only --strict --include-known-bad \
-        >/dev/null 2>&1; then
-    echo "ci: aio analyzer accepted the known-bad coroutines — gate is broken" >&2
-    exit 1
-fi
+# Negative controls: every engine that ships known-bad fixtures (broken
+# kernels, a stream program missing its event deps, overflowing/aliased
+# array kernels, racy coroutines) must FAIL the strict gate on them, or
+# its proof obligations are not actually being checked.
+for engine in verifier streams arrays aio; do
+    if python -m repro.analysis --engines "$engine" --strict --include-known-bad \
+            >/dev/null 2>&1; then
+        echo "ci: $engine accepted its known-bad fixtures — gate is broken" >&2
+        exit 1
+    fi
+done
 
 # ruff is a pinned dev dependency (pyproject.toml extra `dev`); the gate
 # is unconditional — a missing install fails CI instead of skipping.

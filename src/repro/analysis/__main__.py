@@ -15,11 +15,8 @@ Six engines share this entry point:
   (atomicity across await, lock-order inversion, virtual-time
   determinism, task hygiene; DESIGN.md Sec. 15).
 
-``--engines NAME[,NAME...]`` selects exactly the engines to run; the
-older flags remain as aliases (``--sanitize-only``, ``--lint-only``,
-``--verify-only`` = verifier+streams, ``--arrays-only``, ``--aio-only``,
-and the additive ``--verify`` / ``--arrays`` / ``--aio``).  With no
-selector the default set is sanitizer+lint.
+``--engines NAME[,NAME...]`` selects exactly the engines to run; without
+it the default set is sanitizer+lint.
 
 Exit status: 1 if any ``error``-severity finding is present; with
 ``--strict``, ``warning`` findings also fail (the CI setting).
@@ -173,44 +170,6 @@ def run_engines(
     return findings, 1 if failed else 0
 
 
-def run_analysis(
-    strict: bool = False,
-    sanitize: bool = True,
-    lint: bool = True,
-    verify: bool = False,
-    arrays: bool = False,
-    aio: bool = False,
-    include_known_bad: bool = False,
-    lint_root: Optional[Path] = None,
-    baseline: Optional[Path] = None,
-    timings: Optional[Dict[str, float]] = None,
-) -> "tuple[List[Finding], int]":
-    """Back-compat wrapper: boolean engine toggles over :func:`run_engines`.
-
-    ``verify=True`` selects both the static verifier and the
-    stream-hazard checker, matching the historical ``--verify`` flag.
-    """
-    engines: List[str] = []
-    if sanitize:
-        engines.append("sanitizer")
-    if lint:
-        engines.append("lint")
-    if verify:
-        engines.extend(["verifier", "streams"])
-    if arrays:
-        engines.append("arrays")
-    if aio:
-        engines.append("aio")
-    return run_engines(
-        engines,
-        strict=strict,
-        include_known_bad=include_known_bad,
-        lint_root=lint_root,
-        baseline=baseline,
-        timings=timings,
-    )
-
-
 def _parse_engines(spec: str) -> List[str]:
     names = [part.strip() for part in spec.split(",") if part.strip()]
     if not names:
@@ -244,31 +203,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--engines",
         type=_parse_engines,
-        default=None,
+        default=["sanitizer", "lint"],
         metavar="NAME[,NAME...]",
         help="run exactly these engines "
-        f"({','.join(ENGINE_NAMES)}); overrides the default "
-        "sanitizer+lint set and the additive flags",
-    )
-    parser.add_argument(
-        "--verify",
-        action="store_true",
-        help="also run the static verifier + stream-hazard checker "
-        "(abstract interpretation of every registered kernel + Theorem "
-        "1-3 invariant checks)",
-    )
-    parser.add_argument(
-        "--arrays",
-        action="store_true",
-        help="also run the array-program verifier (shape/dtype/overflow "
-        "abstract interpretation of @array_kernel hosts + nondet sweep)",
-    )
-    parser.add_argument(
-        "--aio",
-        action="store_true",
-        help="also run the async-concurrency analyzer over the serving "
-        "layer (atomicity across await, lock order, determinism, task "
-        "hygiene)",
+        f"({','.join(ENGINE_NAMES)}); default sanitizer,lint",
     )
     parser.add_argument(
         "--baseline",
@@ -284,34 +222,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="run each engine's known-bad fixtures too (negative CI "
         "control; implies a failing exit)",
     )
-    engine = parser.add_mutually_exclusive_group()
-    engine.add_argument(
-        "--sanitize-only",
-        action="store_true",
-        help="run only the kernel sanitizer (alias of --engines sanitizer)",
-    )
-    engine.add_argument(
-        "--lint-only",
-        action="store_true",
-        help="run only the hot-path linter (alias of --engines lint)",
-    )
-    engine.add_argument(
-        "--verify-only",
-        action="store_true",
-        help="run only the static verifier + stream checker "
-        "(alias of --engines verifier,streams)",
-    )
-    engine.add_argument(
-        "--arrays-only",
-        action="store_true",
-        help="run only the array-program verifier (alias of --engines arrays)",
-    )
-    engine.add_argument(
-        "--aio-only",
-        action="store_true",
-        help="run only the async-concurrency analyzer "
-        "(alias of --engines aio)",
-    )
     parser.add_argument(
         "--lint-root",
         type=Path,
@@ -320,30 +230,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.engines is not None:
-        engines = args.engines
-    elif args.sanitize_only:
-        engines = ["sanitizer"]
-    elif args.lint_only:
-        engines = ["lint"]
-    elif args.verify_only:
-        engines = ["verifier", "streams"]
-    elif args.arrays_only:
-        engines = ["arrays"]
-    elif args.aio_only:
-        engines = ["aio"]
-    else:
-        engines = ["sanitizer", "lint"]
-        if args.verify:
-            engines.extend(["verifier", "streams"])
-        if args.arrays:
-            engines.append("arrays")
-        if args.aio:
-            engines.append("aio")
-
     timings: Dict[str, float] = {}
     findings, code = run_engines(
-        engines,
+        args.engines,
         strict=args.strict,
         include_known_bad=args.include_known_bad,
         lint_root=args.lint_root,

@@ -10,10 +10,6 @@ accepted findings for all engines, one section per engine::
       }
     }
 
-The legacy flat schema (``{"suppress": [...]}`` with no engine keys,
-what the array verifier shipped with) is still read and applies to
-every engine, so older baseline files keep working.
-
 Matching is by exact ``rule`` and *suffix* on ``location`` (absorbing
 absolute vs. relative path spellings only — entries do not survive line
 drift and must be re-baselined when code moves).  A baseline entry that
@@ -31,10 +27,6 @@ from repro.analysis.findings import Finding, Severity
 
 __all__ = ["load_baseline_sections", "apply_baseline"]
 
-#: Section key that applies to every engine (legacy flat schema).
-ALL_ENGINES = "*"
-
-
 def _check_entries(entries: object, where: str) -> List[Dict[str, str]]:
     if not isinstance(entries, list):
         raise ValueError(f"baseline {where}: 'suppress' must be a list")
@@ -45,16 +37,14 @@ def _check_entries(entries: object, where: str) -> List[Dict[str, str]]:
 
 
 def load_baseline_sections(path: Path) -> Dict[str, List[Dict[str, str]]]:
-    """Parse a baseline file into ``{engine: [entries]}``.
-
-    Entries under the legacy top-level ``suppress`` key are returned
-    under the :data:`ALL_ENGINES` section and apply to every engine.
-    """
+    """Parse a baseline file into ``{engine: [entries]}``."""
     data = json.loads(Path(path).read_text())
+    if "suppress" in data:
+        raise ValueError(
+            "baseline has a top-level 'suppress' list; entries belong "
+            "under engines.<name>.suppress"
+        )
     sections: Dict[str, List[Dict[str, str]]] = {}
-    flat = data.get("suppress", [])
-    if flat:
-        sections[ALL_ENGINES] = _check_entries(flat, "top level")
     engines = data.get("engines", {})
     if not isinstance(engines, dict):
         raise ValueError("baseline 'engines' must be an object")
@@ -74,14 +64,11 @@ def apply_baseline(
 ) -> List[Finding]:
     """Drop findings baselined for ``engine``; flag stale entries.
 
-    Only the entries in the engine's own section (plus the legacy
-    :data:`ALL_ENGINES` section) are consulted; stale-entry warnings are
-    raised per engine so a leftover suppression is attributed to the
-    section that holds it.
+    Only the entries in the engine's own section are consulted;
+    stale-entry warnings are raised per engine so a leftover suppression
+    is attributed to the section that holds it.
     """
-    entries = list(sections.get(engine, ())) + list(
-        sections.get(ALL_ENGINES, ())
-    )
+    entries = sections.get(engine, ())
     if not entries:
         return findings
     used = [False] * len(entries)

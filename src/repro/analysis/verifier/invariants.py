@@ -225,18 +225,18 @@ def _monitored(searcher_cls: type) -> type:
             self._recorder.frontier = frontier
             return frontier
 
-        def _frontier_push(self, frontier, dist, vertex, topk, visited, config, meter):
+        def _frontier_push(self, frontier, dist, vertex, topk, visited, config, meter, stats):
             self._recorder.topk = topk
             self._recorder.visited = visited
             self._recorder.push_events.append(
                 (dist, topk.is_full(), topk.worst_distance() if len(topk) else float("inf"))
             )
-            super()._frontier_push(frontier, dist, vertex, topk, visited, config, meter)
+            super()._frontier_push(frontier, dist, vertex, topk, visited, config, meter, stats)
 
-        def _topk_push(self, topk, dist, vertex, visited, config, meter):
+        def _topk_push(self, topk, dist, vertex, visited, config, meter, stats):
             self._recorder.topk = topk
             self._recorder.visited = visited
-            super()._topk_push(topk, dist, vertex, visited, config, meter)
+            super()._topk_push(topk, dist, vertex, visited, config, meter, stats)
 
     return _Monitored
 

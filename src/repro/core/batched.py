@@ -154,9 +154,9 @@ class BatchedSongSearcher:
     ) -> Tuple[List[List[Tuple[float, int]]], List[SearchStats]]:
         """Batch search returning ``(results, per-lane stats)``.
 
-        Convenience for callers that always want the counters — the
-        serving layer prices batches on the simulated GPU by replaying
-        these per-lane stats through the warp cost model.
+        Convenience for callers that always want the records — the
+        serving layer prices batches on the simulated GPU from these
+        per-lane stats (:meth:`repro.core.gpu_kernel.GpuSongIndex.price`).
         """
         queries = np.atleast_2d(np.asarray(queries))
         stats = [SearchStats() for _ in range(len(queries))]
@@ -269,11 +269,15 @@ class _LockstepState:
         self.visited = np.zeros((b, n), dtype=bool)
         self.visited_len = np.zeros(b, dtype=np.int64)
         self.active = np.ones(b, dtype=bool)
-        # Per-lane statistics (mirrors SearchStats fields).
+        # Per-lane operation record (fill_stats maps it onto SearchStats).
         self.iterations = np.zeros(b, dtype=np.int64)
         self.distance_computations = np.zeros(b, dtype=np.int64)
         self.visited_inserts = np.zeros(b, dtype=np.int64)
         self.visited_peak = np.zeros(b, dtype=np.int64)
+        self.pops = np.zeros(b, dtype=np.int64)  # surviving pops only
+        self.stop_pops = np.zeros(b, dtype=np.int64)
+        self.visited_tests = np.zeros(b, dtype=np.int64)
+        self.visited_deletes = np.zeros(b, dtype=np.int64)
 
         # Seed every lane with its entry point, like the serial searcher.
         if entry_points is None:
@@ -321,7 +325,10 @@ class _LockstepState:
         # failing entry, finishes this round, then goes inactive.
         stop = self.active & (n_pop < avail)
         process = self.active & (n_pop > 0)
-        meter.pop_frontier(int(n_pop.sum() + stop.sum()))
+        total_pops = int(n_pop.sum())
+        meter.pop_frontier(total_pops + int(stop.sum()))
+        self.pops += n_pop
+        self.stop_pops += stop
         if not process.any():
             self.active = process
             return False
@@ -331,8 +338,10 @@ class _LockstepState:
         neighbors = self.adj[popped_ids]  # (B, ws, degree)
         valid = (pop_mask[:, :, None] & (neighbors != PAD)).reshape(self.b, -1)
         cand = neighbors.reshape(self.b, -1)
-        meter.read_graph_row(int(pop_mask.sum()) * self.degree)
-        meter.visited_test(int(valid.sum()))
+        meter.read_graph_row(total_pops * self.degree)
+        n_tests = valid.sum(axis=1)
+        meter.visited_test(int(n_tests.sum()))
+        self.visited_tests += n_tests
         cand_safe = np.where(valid, cand, 0)
         valid &= ~self.visited[self._rows, cand_safe]
         valid = _first_occurrence_mask(cand, valid)
@@ -351,7 +360,7 @@ class _LockstepState:
         meter.stage("maintain")
         popped_keys = np.where(pop_mask, window, PAD_KEY)
         topk_evicted = self.topk.merge(popped_keys)
-        meter.topk_update(int(pop_mask.sum()))
+        meter.topk_update(total_pops)
         if config.visited_deletion:
             self._delete_evicted(topk_evicted)
         full, worst = self.topk.full_and_worst()
@@ -367,7 +376,9 @@ class _LockstepState:
         self.visited_len += n_accepted
         self.visited_inserts += n_accepted
         cand_keys = np.where(accepted, pack_keys(dists, cand_safe), PAD_KEY)
-        frontier_evicted = self.frontier.merge(n_pop, cand_keys, n_accepted)
+        # The discarded stop pop left the queue too: its slot is free
+        # for this round's candidates, exactly as in the serial loop.
+        frontier_evicted = self.frontier.merge(n_pop + stop, cand_keys, n_accepted)
         meter.push_frontier(int(n_accepted.sum()))
         if config.visited_deletion and frontier_evicted.shape[1]:
             self._delete_evicted(frontier_evicted)
@@ -384,7 +395,9 @@ class _LockstepState:
         lane_idx, slot_idx = np.nonzero(real)
         ids = unpack_ids(evicted_keys[lane_idx, slot_idx])
         self.visited[lane_idx, ids] = False
-        self.visited_len -= real.sum(axis=1)
+        n_deleted = real.sum(axis=1)
+        self.visited_len -= n_deleted
+        self.visited_deletes += n_deleted
         self.meter.visited_delete(len(lane_idx))
 
     # -- result extraction ----------------------------------------------------
@@ -414,9 +427,32 @@ class _LockstepState:
         return out
 
     def fill_stats(self, stats: Sequence[SearchStats]) -> None:  # lint: allow(hot-loop)
-        """Accumulate per-lane counters into caller-provided stats (O(B))."""
-        for b, entry in enumerate(stats):
-            entry.iterations += int(self.iterations[b])
-            entry.distance_computations += int(self.distance_computations[b])
-            entry.visited_inserts += int(self.visited_inserts[b])
-            entry.visited_peak = max(entry.visited_peak, int(self.visited_peak[b]))
+        """Accumulate per-lane counters into caller-provided stats (O(B)).
+
+        Every surviving pop fetches one adjacency row and updates the
+        result pool once; every visited insert, and the seed, is one
+        frontier push.
+        """
+        columns = zip(
+            stats,
+            self.iterations.tolist(),
+            self.distance_computations.tolist(),
+            self.visited_inserts.tolist(),
+            self.visited_peak.tolist(),
+            self.pops.tolist(),
+            self.stop_pops.tolist(),
+            self.visited_tests.tolist(),
+            self.visited_deletes.tolist(),
+        )
+        for entry, iters, dists, inserts, peak, pops, stops, tests, deletes in columns:
+            entry.iterations += iters
+            entry.distance_computations += dists
+            entry.visited_inserts += inserts
+            entry.visited_peak = max(entry.visited_peak, peak)
+            entry.searches += 1
+            entry.frontier_pops += pops + stops
+            entry.rows_fetched += pops
+            entry.visited_tests += tests
+            entry.visited_deletes += deletes
+            entry.topk_updates += pops
+            entry.frontier_pushes += inserts + 1

@@ -1,17 +1,25 @@
-"""SONG on the simulated GPU: the warp meter and the batch index.
+"""SONG on the simulated GPU: one pricing path from operation records.
 
-:class:`WarpMeter` translates the algorithm's primitive events into SIMT
-warp costs (Section II/III of the paper):
+A search is priced from its lanes' operation records
+(:class:`~repro.core.song.SearchStats`), never from a live event stream:
+:func:`meter_lane` charges one record onto a
+:class:`~repro.simt.warp.Warp` under a :class:`DistanceProfile`, and
+:meth:`GpuSongIndex.price` launches it over a batch of records.  The
+metered index, the serving engines and both stages of the out-of-core
+tier all go through these two, so their times agree by construction.
+
+:class:`WarpMeter` is the event → warp-primitive table
+:func:`meter_lane` reads (Section II/III of the paper):
 
 - bulk distance → lock-step SIMD lanes + ``shfl_down`` warp reduction,
   coalesced vector reads;
-- adjacency fetch → one coalesced fixed-degree row read (scattered when
-  several queries share the warp and pull different rows);
+- adjacency fetch → one coalesced read per fixed-degree row (scattered
+  when several queries share the warp and pull different rows);
 - queue/visited maintenance → single-lane sequential work, priced higher
   when the structure spilled to global memory.
 
 :class:`GpuSongIndex` owns placement decisions (what fits in shared
-memory), launches the metered search over a query batch, and converts the
+memory), searches a query batch, prices its records, and converts the
 result into QPS via the cost model.
 """
 
@@ -19,13 +27,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, SongSearcher
-from repro.core.stages import NullMeter
+from repro.core.stages import (
+    STAGE_DISTANCE,
+    STAGE_LOCATE,
+    STAGE_MAINTAIN,
+    NullMeter,
+)
 from repro.distances import get_metric
 from repro.graphs.storage import FixedDegreeGraph
 from repro.simt.device import DeviceSpec, get_device
@@ -57,6 +70,27 @@ class Placement:
     topk_in_shared: bool
     visited_in_shared: bool
     shared_bytes_per_warp: int
+
+
+@dataclass(frozen=True)
+class DistanceProfile:
+    """What one distance costs the device, whatever the points are stored as.
+
+    The compressed stores of :mod:`repro.tiered.codes` carry the same
+    three attributes and are passed as profiles themselves.
+    """
+
+    #: ``f(cost_dim) -> scalar operations`` for one distance.
+    flops_per_distance: Callable[[int], int]
+    #: 4-byte words read per point (and staged per query).
+    cost_dim: int
+    #: Bytes uploaded host → device per query.
+    query_device_bytes: int
+
+    @classmethod
+    def for_metric(cls, metric: str, dim: int) -> "DistanceProfile":
+        """Full-precision points: ``dim`` float32 words under ``metric``."""
+        return cls(get_metric(metric).flops_per_distance, dim, 4 * dim)
 
 
 class WarpMeter(NullMeter):
@@ -98,12 +132,12 @@ class WarpMeter(NullMeter):
 
     # -- graph / visited -------------------------------------------------------
 
-    def read_graph_row(self, degree_slots: int) -> None:
+    def read_graph_row(self, degree_slots: int, rows: int = 1) -> None:
         if self.config.multi_query > 1:
             # Several queries pull unrelated rows at once: no coalescing.
-            self.warp.global_read_scattered(degree_slots)
+            self.warp.global_read_scattered(rows * degree_slots)
         else:
-            self.warp.global_read_coalesced(4 * degree_slots)
+            self.warp.global_read_coalesced(4 * degree_slots, count=rows)
 
     def visited_test(self, n: int = 1) -> None:
         self.warp.sequential(
@@ -149,6 +183,40 @@ class WarpMeter(NullMeter):
             warp.shared_access(num_candidates * warps_per_block)
             warp.sequential(num_candidates * (warps_per_block - 1))
         warp.shared_access(num_candidates)  # dist buffer writes
+
+
+def meter_lane(
+    warp: Warp,
+    record: SearchStats,
+    config: SearchConfig,
+    placement: Placement,
+    profile,
+    degree: int,
+) -> None:
+    """Charge one lane's operation record onto ``warp``.
+
+    The one function from operation counts to cycles: every count is
+    charged through :class:`WarpMeter` in the paper's three stages
+    (Fig. 10).  Adjacency fetches are charged per row; the vector reads
+    of the bulk-distance stage coalesce over the lane's total bytes.
+    ``profile`` is a :class:`DistanceProfile` or a compressed store.
+    """
+    meter = WarpMeter(warp, config, placement, profile.flops_per_distance)
+    words = profile.cost_dim
+    meter.stage(STAGE_LOCATE)
+    # Each search stages its query into shared memory once.
+    warp.global_read_coalesced(4 * words, count=record.searches)
+    warp.shared_access(words * record.searches)
+    meter.pop_frontier(record.frontier_pops)
+    meter.read_graph_row(degree, rows=record.rows_fetched)
+    meter.visited_test(record.visited_tests)
+    meter.stage(STAGE_DISTANCE)
+    meter.bulk_distance(record.distance_computations + record.searches, words)
+    meter.stage(STAGE_MAINTAIN)
+    meter.topk_update(record.topk_updates)
+    meter.visited_insert(record.visited_inserts + record.searches)
+    meter.push_frontier(record.frontier_pushes)
+    meter.visited_delete(record.visited_deletes)
 
 
 class GpuSongIndex:
@@ -278,6 +346,38 @@ class GpuSongIndex:
 
     # -- search --------------------------------------------------------------
 
+    def price(
+        self,
+        records: Sequence[SearchStats],
+        config: SearchConfig,
+        profile,
+        profiler: Optional[StageProfiler] = None,
+    ) -> KernelResult:
+        """Launch timing of a batch whose lanes did ``records``' work.
+
+        One :func:`meter_lane` per record, ``config.multi_query`` lanes
+        to a warp; the query upload is ``profile.query_device_bytes``
+        per lane, the download ``config.k`` 8-byte results per lane.
+        """
+        if not len(records):  # an empty batch launches nothing
+            return KernelResult([], 0.0, 0.0, 0.0, {}, 0, 0)
+        placement = self.placement(config)
+        degree = self.graph.degree
+
+        def kernel(lane: int, warp: Warp) -> None:
+            meter_lane(warp, records[lane], config, placement, profile, degree)
+
+        return self.launcher.launch(
+            kernel,
+            num_queries=len(records),
+            htod_bytes=len(records) * profile.query_device_bytes,
+            dtoh_bytes=len(records) * config.k * 8,
+            shared_bytes_per_warp=placement.shared_bytes_per_warp,
+            queries_per_warp=config.multi_query,
+            warps_per_query=max(1, config.block_size // self.device.warp_size),
+            profiler=profiler,
+        )
+
     def search_batch(
         self,
         queries: np.ndarray,
@@ -289,43 +389,21 @@ class GpuSongIndex:
         """Run the batch and return ``(results, kernel_result)``.
 
         ``kernel_result`` carries the estimated timing; use
-        ``kernel_result.qps(len(queries))`` for throughput.
+        ``kernel_result.qps(len(queries))`` for throughput.  With
+        ``collect_stats`` the lanes' records are attached as
+        ``kernel_result.stats``.
         """
         queries = np.asarray(queries, dtype=self.data.dtype)
         if queries.ndim == 1:
             queries = queries[None, :]
-        placement = self.placement(config)
-        metric = get_metric(config.metric)
-        stats_list: List[SearchStats] = []
-
-        def kernel(q_index: int, warp: Warp):
-            meter = WarpMeter(warp, config, placement, metric.flops_per_distance)
-            # The query vector is staged into shared memory once.
-            warp.set_stage("locate")
-            warp.global_read_coalesced(queries.shape[1] * 4)
-            warp.shared_access(queries.shape[1])
-            stats = SearchStats() if collect_stats else None
-            out = self.searcher.search(
-                queries[q_index],
-                config,
-                meter=meter,
-                stats=stats,
-                distance_fn=distance_fn,
-            )
-            if stats is not None:
-                stats_list.append(stats)
-            return out
-
-        result = self.launcher.launch(
-            kernel,
-            num_queries=len(queries),
-            htod_bytes=int(queries.nbytes),
-            dtoh_bytes=len(queries) * config.k * 8,
-            shared_bytes_per_warp=placement.shared_bytes_per_warp,
-            queries_per_warp=config.multi_query,
-            warps_per_query=max(1, config.block_size // self.device.warp_size),
-            profiler=profiler,
-        )
+        records = [SearchStats() for _ in range(len(queries))]
+        outputs = [
+            self.searcher.search(q, config, stats=record, distance_fn=distance_fn)
+            for q, record in zip(queries, records)
+        ]
+        profile = DistanceProfile.for_metric(config.metric, queries.shape[1])
+        result = self.price(records, config, profile, profiler=profiler)
+        result.outputs = outputs
         if collect_stats:
-            result.stats = stats_list  # type: ignore[attr-defined]
-        return result.outputs, result
+            result.stats = records  # type: ignore[attr-defined]
+        return outputs, result

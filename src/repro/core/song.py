@@ -56,15 +56,34 @@ def coerce_float32(arr: np.ndarray, label: str = "array") -> np.ndarray:
 
 
 class SearchStats:
-    """Per-query statistics the experiments report."""
+    """One lane's operation record: what the experiments report, and all
+    that :func:`repro.core.gpu_kernel.meter_lane` prices a search from.
 
-    __slots__ = ("iterations", "distance_computations", "visited_peak", "visited_inserts")
+    Counts accumulate over the searches a record is handed to.
+    ``distance_computations`` and ``visited_inserts`` leave out each
+    search's entry-point seed (one distance, one insert — ``searches``
+    counts those); every other count is the number of meter events of its
+    kind, so ``frontier_pops`` includes the discarded stop pop and
+    ``frontier_pushes`` the seed push.
+    """
+
+    __slots__ = (
+        "iterations",
+        "distance_computations",
+        "visited_peak",
+        "visited_inserts",
+        "searches",
+        "frontier_pops",
+        "rows_fetched",
+        "visited_tests",
+        "visited_deletes",
+        "topk_updates",
+        "frontier_pushes",
+    )
 
     def __init__(self) -> None:
-        self.iterations = 0
-        self.distance_computations = 0
-        self.visited_peak = 0
-        self.visited_inserts = 0
+        for name in self.__slots__:
+            setattr(self, name, 0)
 
 
 class SongSearcher:
@@ -129,6 +148,7 @@ class SongSearcher:
             Used by the Hamming-space search over hashed datasets.
         """
         meter = meter if meter is not None else NullMeter()
+        stats = stats if stats is not None else SearchStats()
         metric = get_metric(config.metric)
         graph = self.graph
         data = self.data
@@ -170,7 +190,8 @@ class SongSearcher:
         meter.stage("maintain")
         visited.insert(start)
         meter.visited_insert()
-        self._frontier_push(frontier, d0, start, topk, visited, config, meter)
+        stats.searches += 1
+        self._frontier_push(frontier, d0, start, topk, visited, config, meter, stats)
 
         while len(frontier):
             # ---- Stage 1: candidate locating -------------------------------
@@ -182,6 +203,7 @@ class SongSearcher:
                     break
                 d, v = self._frontier_pop(frontier)
                 meter.pop_frontier()
+                stats.frontier_pops += 1
                 if topk.is_full() and topk.worst_distance() < d:
                     stop = True
                     break
@@ -193,7 +215,10 @@ class SongSearcher:
             seen_this_round = set()
             for _, v in popped:
                 meter.read_graph_row(graph.degree)
-                for u in graph.neighbors(v):
+                row = graph.neighbors(v)
+                stats.rows_fetched += 1
+                stats.visited_tests += len(row)
+                for u in row:
                     u = int(u)
                     meter.visited_test()
                     if u in seen_this_round or visited.contains(u):
@@ -208,14 +233,13 @@ class SongSearcher:
                 meter.bulk_distance(len(candidates), dim)
             else:
                 dists = ()
-            if stats is not None:
-                stats.iterations += 1
-                stats.distance_computations += len(candidates)
+            stats.iterations += 1
+            stats.distance_computations += len(candidates)
 
             # ---- Stage 3: data-structure maintenance ------------------------
             meter.stage("maintain")
             for d, v in popped:
-                self._topk_push(topk, d, v, visited, config, meter)
+                self._topk_push(topk, d, v, visited, config, meter, stats)
             for u, d in zip(candidates, np.asarray(dists, dtype=float).tolist()):
                 if (
                     config.selected_insertion
@@ -225,11 +249,9 @@ class SongSearcher:
                     continue  # filtered out: not marked visited, not enqueued
                 visited.insert(u)
                 meter.visited_insert()
-                if stats is not None:
-                    stats.visited_inserts += 1
-                self._frontier_push(frontier, d, u, topk, visited, config, meter)
-            if stats is not None:
-                stats.visited_peak = max(stats.visited_peak, len(visited))
+                stats.visited_inserts += 1
+                self._frontier_push(frontier, d, u, topk, visited, config, meter, stats)
+            stats.visited_peak = max(stats.visited_peak, len(visited))
             if stop:
                 break
 
@@ -269,8 +291,10 @@ class SongSearcher:
         visited: VisitedSet,
         config: SearchConfig,
         meter,
+        stats: SearchStats,
     ) -> None:
         meter.push_frontier()
+        stats.frontier_pushes += 1
         if isinstance(frontier, BoundedPriorityQueue):
             evicted = frontier.push(dist, vertex)
             if evicted is not None and config.visited_deletion:
@@ -278,6 +302,7 @@ class SongSearcher:
                 # safely re-marked unvisited (it is outside the top-K radius).
                 visited.delete(evicted[1])
                 meter.visited_delete()
+                stats.visited_deletes += 1
         else:
             frontier.push(dist, vertex)
 
@@ -289,14 +314,17 @@ class SongSearcher:
         visited: VisitedSet,
         config: SearchConfig,
         meter,
+        stats: SearchStats,
     ) -> None:
         evicted = topk.push_bounded(dist, vertex)
         meter.topk_update()
+        stats.topk_updates += 1
         if evicted is not None and config.visited_deletion:
             # Either the candidate itself failed to enter topk, or a previous
             # result was displaced; both are now outside q ∪ topk.
             visited.delete(evicted[1])
             meter.visited_delete()
+            stats.visited_deletes += 1
 
     # -- conveniences ------------------------------------------------------------
 

@@ -9,7 +9,9 @@ exist:
 - :class:`CountingMeter` — fills an :class:`~repro.distances.OpCounter`
   (used for CPU work-unit timing of HNSW-style searches).
 - ``WarpMeter`` (in :mod:`repro.core.gpu_kernel`) — maps each event onto
-  SIMT warp primitives, producing GPU cycle estimates.
+  SIMT warp primitives.  It is never attached to a running search:
+  ``meter_lane`` feeds it a lane's finished operation record
+  (:class:`~repro.core.song.SearchStats`) to produce GPU cycle estimates.
 
 Stage names follow the paper: ``locate`` (candidate locating), ``distance``
 (bulk distance computation), ``maintain`` (data-structure maintenance).

@@ -2,27 +2,22 @@
 
 The serving layer needs two things from an index: *results* for a batch
 of queries, and a *service time* to charge against the simulated clock.
-Running the fully metered :class:`~repro.core.gpu_kernel.GpuSongIndex`
-gives exact timing but executes the serial Python searcher per query —
-far too slow for loadtests with thousands of requests.  The engines here
-split the two concerns:
+:class:`~repro.core.gpu_kernel.GpuSongIndex` gives both but runs the
+serial Python searcher per query — far too slow for loadtests with
+thousands of requests.  The engines here keep its pricing and replace
+its searcher:
 
 - results come from the vectorized lockstep engine
   (:class:`~repro.core.batched.BatchedSongSearcher`), bit-identical to
   the serial searcher and ~10x faster in wall time;
-- service time comes from **counter replay**: the per-lane
-  :class:`~repro.core.song.SearchStats` the lockstep engine fills
-  (iterations, distance computations, structure inserts) are replayed
-  through the same :class:`~repro.core.gpu_kernel.WarpMeter` /
-  :class:`~repro.simt.cost.CostModel` stack the metered index uses, so a
-  batch is priced with the paper's cost model without per-event
-  metering.  The replay aggregates events per lane (one ``pop_frontier``
-  call for all iterations instead of one per iteration), which is exact
-  for every cost primitive because they are all linear in their count
-  argument; the residual drift against full metering comes only from
-  counts not tracked in ``SearchStats`` (frontier pops beyond one per
-  iteration, visited tests on duplicate candidates) and is bounded by a
-  drift test.
+- service time comes from the per-lane operation records
+  (:class:`~repro.core.song.SearchStats`) the lockstep engine fills —
+  the same counts, lane for lane, as the serial searcher's — handed to
+  :meth:`GpuSongIndex.price <repro.core.gpu_kernel.GpuSongIndex.price>`,
+  the one launch ``GpuSongIndex.search_batch`` itself is priced by.  A
+  served batch therefore costs exactly what the metered index reports
+  for the same queries: same warp grouping, same kernel and transfer
+  times, same stage cycles.
 
 Three engines cover the index zoo:
 
@@ -46,15 +41,13 @@ import numpy as np
 
 from repro.core.batched import BatchedSongSearcher
 from repro.core.config import SearchConfig
-from repro.core.gpu_kernel import GpuSongIndex, WarpMeter
+from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex
 from repro.core.online import OnlineSongIndex
 from repro.core.sharding import ShardedSongIndex
 from repro.core.song import SearchStats
-from repro.distances import get_metric
 from repro.graphs.storage import FixedDegreeGraph
 from repro.simt.pipeline import split_counts
 from repro.simt.streams import ChunkWork
-from repro.simt.warp import Warp
 
 __all__ = [
     "BatchServiceResult",
@@ -96,6 +89,11 @@ class SimulatedGpuEngine:
         over-budget resident footprint raises
         :class:`~repro.simt.memory.DeviceMemoryExceeded` unless
         oversubscription is explicitly allowed.
+    profile:
+        Distance profile the lanes are priced under.  Defaults to the
+        search metric over full-precision rows; the out-of-core tier
+        passes its compressed store, whose ``data`` is only a float
+        proxy for the codes the device holds.
     """
 
     def __init__(
@@ -106,7 +104,9 @@ class SimulatedGpuEngine:
         name: str = "gpu0",
         resident_bytes: Optional[int] = None,
         allow_oversubscription: bool = False,
+        profile=None,
     ) -> None:
+        self.profile = profile
         self.index = GpuSongIndex(
             graph,
             data,
@@ -134,52 +134,6 @@ class SimulatedGpuEngine:
 
     # -- pricing ---------------------------------------------------------
 
-    def _distance_profile(self, config: SearchConfig, dim: int):
-        """``(flops_per_distance_fn, cost_dim)`` used to price distances.
-
-        ``cost_dim`` is the per-point size in 4-byte words the meter
-        charges bandwidth for.  The default full-precision profile is
-        the metric's flop count over the true dimension; the tiered
-        engine overrides this with the compressed store's profile (e.g.
-        XOR+popcount over packed signature words).
-        """
-        metric = get_metric(config.metric)
-        return metric.flops_per_distance, dim
-
-    def _chunk_htod_bytes(self, chunk_queries: np.ndarray) -> int:
-        """HtoD bytes for one chunk's query upload (hook for subclasses)."""
-        return int(chunk_queries.nbytes)
-
-    def _replay_lane(
-        self, config: SearchConfig, placement, stats: SearchStats, dim: int
-    ) -> Warp:
-        """Meter one lane's aggregate counters onto a fresh warp."""
-        flops_fn, cost_dim = self._distance_profile(config, dim)
-        warp = Warp(self.index.device)
-        meter = WarpMeter(warp, config, placement, flops_fn)
-        degree = self.index.graph.degree
-        # Query staging (mirrors GpuSongIndex.search_batch's kernel).
-        # Charged at cost_dim words: the device stages what it stores,
-        # which for a compressed tier is the packed code, not the proxy.
-        warp.set_stage("locate")
-        warp.global_read_coalesced(cost_dim * 4)
-        warp.shared_access(cost_dim)
-        # Stage 1 aggregate: one pop per iteration plus the adjacency
-        # rows and visited probes those pops trigger.
-        row_slots = stats.iterations * config.probe_steps * degree
-        meter.pop_frontier(stats.iterations)
-        meter.read_graph_row(row_slots)
-        meter.visited_test(row_slots)
-        # Stage 2: every distance this lane computed, plus the seed.
-        meter.stage("distance")
-        meter.bulk_distance(stats.distance_computations + 1, cost_dim)
-        # Stage 3: structure maintenance proportional to accepted work.
-        meter.stage("maintain")
-        meter.topk_update(stats.iterations)
-        meter.push_frontier(stats.visited_inserts + 1)
-        meter.visited_insert(stats.visited_inserts + 1)
-        return warp
-
     def chunk_work(
         self,
         queries: np.ndarray,
@@ -189,57 +143,34 @@ class SimulatedGpuEngine:
     ) -> Tuple[List[ChunkWork], Dict[str, object]]:
         """Price a batch as ``num_chunks`` double-buffer chunks.
 
-        Each chunk's kernel is metered over its own lanes through the
-        same counter replay as the whole-batch path, its transfers priced
-        from its own byte counts, and its SM demand reported as resident
-        warps — the inputs :class:`~repro.simt.streams.DeviceTimeline`
-        schedules.  With ``num_chunks=1`` the single chunk carries
-        exactly the legacy serial accounting (same lane order, same cost
-        calls), which is what keeps the streams=1 serving path
-        bit-identical to the pre-stream model.
+        Each chunk is one :meth:`GpuSongIndex.price` launch over its own
+        lanes' records — kernel, transfers from its own byte counts — plus
+        its SM demand as resident warps: the inputs
+        :class:`~repro.simt.streams.DeviceTimeline` schedules.  With
+        ``num_chunks=1`` the single chunk is the whole-batch launch.
         """
-        placement = self.index.placement(config)
-        dim = int(queries.shape[1])
-        cost = self.index.launcher.cost_model
-        warps_per_group = max(1, config.block_size // self.device.warp_size)
+        profile = self.profile
+        if profile is None:
+            profile = DistanceProfile.for_metric(config.metric, int(queries.shape[1]))
         counts = split_counts(len(stats), num_chunks) if len(stats) else [0]
         chunks: List[ChunkWork] = []
-        kernel_total = htod_total = dtoh_total = 0.0
         start = 0
         for i, count in enumerate(counts):  # lint: allow(hot-loop) — O(chunks), not O(lanes)
-            lanes = stats[start : start + count]
-            chunk_queries = queries[start : start + count]
+            priced = self.index.price(stats[start : start + count], config, profile)
             start += count
-            cycles: List[float] = []
-            total_bytes = 0
-            for lane in lanes:
-                warp = self._replay_lane(config, placement, lane, dim)
-                cycles.append(warp.cycles)
-                total_bytes += warp.memory.total_global_bytes
-            kernel = cost.kernel_time(
-                cycles,
-                total_bytes,
-                placement.shared_bytes_per_warp,
-                warps_per_group=warps_per_group,
-            )
-            htod = cost.transfer_time(self._chunk_htod_bytes(chunk_queries))
-            dtoh = cost.transfer_time(len(lanes) * config.k * 8)
             chunks.append(
                 ChunkWork(
-                    htod=htod,
-                    kernel=kernel,
-                    dtoh=dtoh,
-                    warps=max(1, self.index.warp_demand(config, len(lanes))),
+                    htod=priced.htod_seconds,
+                    kernel=priced.kernel_seconds,
+                    dtoh=priced.dtoh_seconds,
+                    warps=max(1, self.index.warp_demand(config, count)),
                     label=f"chunk{i}",
                 )
             )
-            kernel_total += kernel
-            htod_total += htod
-            dtoh_total += dtoh
         detail = {
-            "kernel_seconds": kernel_total,
-            "htod_seconds": htod_total,
-            "dtoh_seconds": dtoh_total,
+            "kernel_seconds": sum(c.kernel for c in chunks),
+            "htod_seconds": sum(c.htod for c in chunks),
+            "dtoh_seconds": sum(c.dtoh for c in chunks),
             "device": self.device.name,
             "num_chunks": len(chunks),
         }
@@ -334,7 +265,7 @@ class OnlineServeEngine:
     the search device, and the stream model charges that once per
     refresh as a transfer contending with search traffic
     (:meth:`consume_snapshot_dtoh_seconds`).  Inserts are priced as one
-    ``ef_construction`` greedy search via the same counter replay (the
+    ``ef_construction`` greedy search, a hand-written operation record (the
     insertion search dominates an insert's cost; the bidirectional
     connect is a few degree-bounded updates).
     """
@@ -416,9 +347,15 @@ class OnlineServeEngine:
             engine = self._engine()
             ef = self.index.ef_construction
             synthetic = SearchStats()
+            synthetic.searches = 1
             synthetic.iterations = ef
+            synthetic.frontier_pops = ef
+            synthetic.rows_fetched = ef
+            synthetic.visited_tests = ef * self.index.max_degree
             synthetic.distance_computations = ef * self.index.max_degree
+            synthetic.topk_updates = ef
             synthetic.visited_inserts = ef
+            synthetic.frontier_pushes = ef + 1
             seconds, _ = engine.estimate_batch_seconds(
                 vectors,
                 SearchConfig(k=min(ef, size_before), queue_size=ef),

@@ -1,9 +1,9 @@
 """Construction-side SIMT cost accounting.
 
-Search time already flows through :class:`~repro.simt.cost.CostModel` (the
-serving layer replays per-lane counters onto fresh
-:class:`~repro.simt.warp.Warp` meters — see
-``SimulatedGpuEngine._replay_lane``).  Construction, until now, only
+Search time already flows through :class:`~repro.simt.cost.CostModel`
+(every lane's operation record is charged onto a
+:class:`~repro.simt.warp.Warp` by
+:func:`repro.core.gpu_kernel.meter_lane`).  Construction, until now, only
 reported wall clock, which measures the Python interpreter rather than the
 algorithm.  This module closes that gap: builders record the *bulk
 operations* their batched kernels would launch on a GPU — pair-distance

@@ -111,12 +111,16 @@ class MemorySpace:
     scattered_accesses: int = 0
     shared_accesses: int = 0
 
-    def read_coalesced(self, num_bytes: int) -> int:
-        """A warp-wide sequential read; returns transactions generated."""
-        if num_bytes < 0:
-            raise ValueError("num_bytes must be non-negative")
-        self.coalesced_bytes += num_bytes
-        return -(-num_bytes // COALESCED_TRANSACTION_BYTES)
+    def read_coalesced(self, num_bytes: int, count: int = 1) -> int:
+        """``count`` warp-wide sequential reads of ``num_bytes`` each.
+
+        Returns the transactions generated: separate reads do not share
+        a cache line, so each rounds up on its own.
+        """
+        if num_bytes < 0 or count < 0:
+            raise ValueError("num_bytes and count must be non-negative")
+        self.coalesced_bytes += count * num_bytes
+        return count * -(-num_bytes // COALESCED_TRANSACTION_BYTES)
 
     def read_scattered(self, num_accesses: int) -> int:
         """Independent 4-byte reads from random addresses."""

@@ -66,14 +66,14 @@ class Warp:
         steps = int(math.log2(self.device.warp_size))
         self._charge(count * steps)
 
-    def global_read_coalesced(self, num_bytes: int) -> None:
-        """Warp-wide read of consecutive addresses.
+    def global_read_coalesced(self, num_bytes: int, count: int = 1) -> None:
+        """``count`` warp-wide reads of ``num_bytes`` consecutive addresses.
 
         Latency per transaction is charged at a small overlapped fraction:
         with enough resident warps the scheduler hides most of it, and the
         bandwidth term of the cost model captures the rest.
         """
-        transactions = self.memory.read_coalesced(num_bytes)
+        transactions = self.memory.read_coalesced(num_bytes, count)
         self._charge(transactions * self._overlapped_latency())
 
     def global_read_scattered(self, num_accesses: int) -> None:

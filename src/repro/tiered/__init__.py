@@ -11,7 +11,7 @@ fetches.  See ``DESIGN.md`` Sec. 16.
 from repro.tiered.cache import PageCache, rowids_to_pages
 from repro.tiered.codes import BitCodeStore, PQCodeStore, make_store
 from repro.tiered.config import TIER_CODECS, TieredConfig
-from repro.tiered.engine import CompressedTraversalEngine, TieredServeEngine
+from repro.tiered.engine import TieredServeEngine, rerank_record
 from repro.tiered.index import RerankPlan, TieredIndex
 
 __all__ = [
@@ -24,6 +24,6 @@ __all__ = [
     "rowids_to_pages",
     "RerankPlan",
     "TieredIndex",
-    "CompressedTraversalEngine",
     "TieredServeEngine",
+    "rerank_record",
 ]

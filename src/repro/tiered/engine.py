@@ -1,24 +1,24 @@
 """Serving engine for the out-of-core tier.
 
-Two classes split the work the same way
-:class:`~repro.serve.engine.SimulatedGpuEngine` does:
-
-- :class:`CompressedTraversalEngine` is a ``SimulatedGpuEngine`` whose
-  pricing hooks charge *compressed* rates — the warp meter sees the
-  store's flops-per-distance (XOR+popcount for signatures, table
-  lookups for PQ) and per-point byte size, and query uploads are billed
-  at packed-code width, not the float proxy's.
-- :class:`TieredServeEngine` is the replica-facing engine: results come
-  from the :class:`~repro.tiered.index.TieredIndex` pipeline, pricing
-  composes the compressed traversal chunks with the re-rank stage's
-  page fetches (coalesced per chunk into one staged PCIe transfer,
-  filtered through the LRU :class:`~repro.tiered.cache.PageCache`) and
-  the exact-distance re-rank kernel.  With ``prefetch=True`` a batch is
-  split into pipeline chunks scheduled on two streams, so chunk ``i+1``'s
-  page fetches overlap chunk ``i``'s traversal+re-rank kernel; with
-  ``prefetch=False`` everything is one serial chunk — the baseline the
-  overlap benchmark gates against.  Results are identical either way;
-  only the clock differs.
+:class:`TieredServeEngine` is the replica-facing engine: results come
+from the :class:`~repro.tiered.index.TieredIndex` pipeline, and both
+kernels of a chunk are priced from operation records by the one launch
+every engine uses (:meth:`GpuSongIndex.price
+<repro.core.gpu_kernel.GpuSongIndex.price>`); only the distance profile
+differs.  Traversal is a :class:`~repro.serve.engine.SimulatedGpuEngine`
+whose profile is the compressed store itself — its flops per distance
+(XOR+popcount for signatures, table lookups for PQ), words per point
+and packed query upload width, not the float proxy's.  The exact
+re-rank is one record per lane (a bulk distance over the fetched panel,
+``k`` result-heap updates) under the full-precision metric profile.
+Around the kernels go the re-rank's page fetches, coalesced per chunk
+into one staged PCIe transfer and filtered through the LRU
+:class:`~repro.tiered.cache.PageCache`.  With ``prefetch=True`` a batch
+is split into pipeline chunks scheduled on two streams, so chunk
+``i+1``'s page fetches overlap chunk ``i``'s traversal+re-rank kernel;
+with ``prefetch=False`` everything is one serial chunk — the baseline
+the overlap benchmark gates against.  Results are identical either way;
+only the clock differs.
 """
 
 from __future__ import annotations
@@ -28,43 +28,32 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import SearchConfig
-from repro.core.gpu_kernel import WarpMeter
-from repro.distances import get_metric
+from repro.core.gpu_kernel import DistanceProfile
+from repro.core.song import SearchStats
 from repro.graphs.storage import FixedDegreeGraph
 from repro.serve.engine import BatchServiceResult, SimulatedGpuEngine
 from repro.simt.pipeline import split_counts
 from repro.simt.streams import ChunkWork, StreamScheduler
-from repro.simt.warp import Warp
 from repro.tiered.cache import PageCache
 from repro.tiered.config import TieredConfig
 from repro.tiered.index import TieredIndex
 
-__all__ = ["CompressedTraversalEngine", "TieredServeEngine"]
+__all__ = ["TieredServeEngine", "rerank_record"]
 
 #: Pipeline chunks a prefetching ``run_batch`` splits a batch into.
 PREFETCH_CHUNKS = 4
 
 
-class CompressedTraversalEngine(SimulatedGpuEngine):
-    """Counter-replay pricing at the compressed store's rates."""
+def rerank_record(cand_count: int, k: int) -> SearchStats:
+    """One lane's exact re-rank as an operation record.
 
-    def __init__(self, tiered: TieredIndex, name: str = "tier0") -> None:
-        super().__init__(
-            tiered.graph,
-            tiered.store.traversal_data,
-            device=tiered.device,
-            name=name,
-            resident_bytes=tiered.resident_bytes,
-        )
-        self.store = tiered.store
-        # Share the tiered searcher: one lockstep engine, one proxy array.
-        self.batched = tiered.searcher
-
-    def _distance_profile(self, config: SearchConfig, dim: int):
-        return self.store.flops_per_distance, self.store.cost_dim
-
-    def _chunk_htod_bytes(self, chunk_queries: np.ndarray) -> int:
-        return len(chunk_queries) * self.store.query_device_bytes
+    A bulk distance over the lane's fetched candidates and ``k`` pushes
+    into the result heap; no search, so nothing is staged or seeded.
+    """
+    record = SearchStats()
+    record.distance_computations = max(1, cand_count)
+    record.topk_updates = k
+    return record
 
 
 class TieredServeEngine:
@@ -88,7 +77,14 @@ class TieredServeEngine:
         prefetch: bool = True,
     ) -> None:
         self.tiered = TieredIndex(graph, data, tier, device=device)
-        self.traversal = CompressedTraversalEngine(self.tiered, name=name)
+        self.traversal = SimulatedGpuEngine(
+            graph,
+            self.tiered.store.traversal_data,
+            device=self.tiered.device,
+            name=name,
+            resident_bytes=self.tiered.resident_bytes,
+            profile=self.tiered.store,
+        )
         self.cache = PageCache(min(tier.cache_pages, self.tiered.num_pages))
         self.name = name
         self.prefetch = prefetch
@@ -98,18 +94,6 @@ class TieredServeEngine:
         return self.traversal.device
 
     # -- pricing ---------------------------------------------------------
-
-    def _rerank_lane_warp(
-        self, config: SearchConfig, placement, cand_count: int, dim: int
-    ) -> Warp:
-        """Meter one lane's exact re-rank: full-dim distances + top-k."""
-        metric = get_metric(config.metric)
-        warp = Warp(self.device)
-        meter = WarpMeter(warp, config, placement, metric.flops_per_distance)
-        meter.stage("rerank")
-        meter.bulk_distance(max(1, cand_count), dim)
-        meter.topk_update(config.k)
-        return warp
 
     def chunked_batch(
         self,
@@ -138,16 +122,17 @@ class TieredServeEngine:
             num_chunks = 1
         elif num_chunks is None:
             est_htod = (
-                len(queries) * self.traversal.store.query_device_bytes
+                len(queries) * self.tiered.store.query_device_bytes
                 + plan.total_page_touches * self.tiered.page_bytes
             )
             num_chunks = self.traversal.auto_num_chunks(est_htod, max_chunks)
-        proxy = self.tiered.encode_queries(queries)
-        chunks, detail = self.traversal.chunk_work(proxy, tcfg, stats, num_chunks)
+        # Priced under the store's own profile: nothing is read from the
+        # queries, so they need no second encoding here.
+        chunks, detail = self.traversal.chunk_work(queries, tcfg, stats, num_chunks)
         cost = self.traversal.index.launcher.cost_model
-        placement = self.traversal.index.placement(tcfg)
-        warps_per_group = max(1, config.block_size // self.device.warp_size)
-        metric_dim = int(self.tiered.data.shape[1])
+        exact = DistanceProfile.for_metric(
+            config.metric, int(self.tiered.data.shape[1])
+        )
         counts = split_counts(len(stats), len(chunks)) if len(stats) else [0]
         out_chunks: List[ChunkWork] = []
         kernel_total = htod_total = dtoh_total = 0.0
@@ -179,35 +164,26 @@ class TieredServeEngine:
                     htod += chunk_missed * cost.transfer_time(
                         self.tiered.page_bytes
                     )
-            rerank_cycles: List[float] = []
-            rerank_bytes = 0
-            for cand_count in lane_counts:
-                warp = self._rerank_lane_warp(
-                    config, placement, int(cand_count), metric_dim
-                )
-                rerank_cycles.append(warp.cycles)
-                rerank_bytes += warp.memory.total_global_bytes
-            rerank_kernel = 0.0
-            if rerank_cycles:
-                rerank_kernel = cost.kernel_time(
-                    rerank_cycles,
-                    rerank_bytes,
-                    placement.shared_bytes_per_warp,
-                    warps_per_group=warps_per_group,
-                )
-            dtoh = cost.transfer_time(count * config.k * 8)
+            # The re-rank launch downloads the final ``k`` results; the
+            # traversal's own k' candidates never leave the device.
+            rerank = self.traversal.index.price(
+                [rerank_record(int(c), config.k) for c in lane_counts],
+                config,
+                exact,
+            )
+            kernel = chunk.kernel + rerank.kernel_seconds
             out_chunks.append(
                 ChunkWork(
                     htod=htod,
-                    kernel=chunk.kernel + rerank_kernel,
-                    dtoh=dtoh,
+                    kernel=kernel,
+                    dtoh=rerank.dtoh_seconds,
                     warps=chunk.warps,
                     label=chunk.label,
                 )
             )
-            kernel_total += chunk.kernel + rerank_kernel
+            kernel_total += kernel
             htod_total += htod
-            dtoh_total += dtoh
+            dtoh_total += rerank.dtoh_seconds
             fetch_bytes_total += fetch_bytes
             hits_total += chunk_hits
             misses_total += chunk_missed

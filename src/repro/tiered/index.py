@@ -156,8 +156,8 @@ class TieredIndex:
     ) -> Tuple[List[List[Tuple[float, int]]], List[SearchStats], RerankPlan]:
         """Full tier pipeline: ``(results, traversal stats, rerank plan)``.
 
-        ``stats`` are the per-lane counters of the *compressed*
-        traversal (what the warp replay prices at compressed rates);
+        ``stats`` are the per-lane operation records of the *compressed*
+        traversal (what the engine prices under the store's profile);
         the plan carries the re-rank stage's fetch/compute demand.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))

@@ -44,10 +44,10 @@ class TestAioEngine:
         assert any(f.severity is Severity.ERROR for f in findings)
 
     def test_aio_only_flag_exits_zero(self):
-        assert main(["--aio-only", "--strict"]) == 0
+        assert main(["--engines", "aio", "--strict"]) == 0
 
     def test_aio_only_known_bad_exits_one(self, capsys):
-        assert main(["--aio-only", "--strict", "--include-known-bad"]) == 1
+        assert main(["--engines", "aio", "--strict", "--include-known-bad"]) == 1
         out = capsys.readouterr().out
         assert "[aio-atomicity]" in out
         assert "[aio-lock-order]" in out
@@ -55,17 +55,13 @@ class TestAioEngine:
 
 
 class TestEnginesSelector:
-    def test_engines_aio_equals_aio_only(self, capsys):
-        assert main(["--engines", "aio", "--strict"]) == 0
-        capsys.readouterr()
-
     def test_engines_rejects_unknown_name(self, capsys):
         with pytest.raises(SystemExit):
             main(["--engines", "nonsense"])
         capsys.readouterr()
 
     def test_engines_overrides_only_flags_conflict(self):
-        # --engines composes with --strict; the --*-only group is separate.
+        # Several engines in one launch, composed with --strict.
         proc = run_cli("--engines", "sanitizer,aio", "--strict")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
@@ -97,13 +93,11 @@ class TestEnginesSelector:
 
 
 class TestConsolidatedBaseline:
-    def test_legacy_flat_schema_applies_to_all_engines(self, tmp_path):
+    def test_flat_schema_is_rejected(self, tmp_path):
         path = tmp_path / "base.json"
         path.write_text(json.dumps({"suppress": [{"rule": "r", "location": "x.py:1"}]}))
-        sections = load_baseline_sections(path)
-        f = Finding("r", Severity.ERROR, "src/x.py:1", "m")
-        assert apply_baseline([f], sections, "aio") == []
-        assert apply_baseline([f], sections, "arrays") == []
+        with pytest.raises(ValueError, match="engines"):
+            load_baseline_sections(path)
 
     def test_per_engine_sections_scope(self, tmp_path):
         path = tmp_path / "base.json"
@@ -179,20 +173,21 @@ class TestConsolidatedBaseline:
 class TestCiWiring:
     def test_ci_gates_aio_strict_with_baseline(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
-        assert "--engines aio --strict" in ci
+        assert "--engines sanitizer,lint,verifier,streams,arrays,aio --strict" in ci
         assert "scripts/analysis_baseline.json" in ci
 
     def test_ci_has_aio_negative_control(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
-        assert "--aio-only --strict --include-known-bad" in ci
+        assert "for engine in verifier streams arrays aio" in ci
+        assert '--engines "$engine" --strict --include-known-bad' in ci
 
     def test_exact_ci_aio_gate_command_passes(self):
         proc = run_cli(
-            "--engines", "aio", "--strict",
+            "--engines", "sanitizer,lint,verifier,streams,arrays,aio", "--strict",
             "--baseline", "scripts/analysis_baseline.json",
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_exact_ci_negative_control_fails(self):
-        proc = run_cli("--aio-only", "--strict", "--include-known-bad")
+        proc = run_cli("--engines", "aio", "--strict", "--include-known-bad")
         assert proc.returncode == 1

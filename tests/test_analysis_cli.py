@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.__main__ import main, run_analysis
+from repro.analysis.__main__ import main, run_engines
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,19 +36,19 @@ def run_cli(*args):
 
 class TestRunAnalysis:
     def test_repo_is_clean_under_strict(self):
-        findings, code = run_analysis(strict=True)
+        findings, code = run_engines(["sanitizer", "lint"], strict=True)
         assert code == 0, [f.format() for f in findings]
 
     def test_seeded_lint_error_fails(self, tmp_path):
         (tmp_path / "bad.py").write_text(BAD_HOT_MODULE)
-        findings, code = run_analysis(sanitize=False, lint_root=tmp_path)
+        findings, code = run_engines(["lint"], lint_root=tmp_path)
         assert code == 1
         assert any(f.rule == "hot-loop" for f in findings)
 
     def test_warnings_fail_only_under_strict(self, tmp_path):
         (tmp_path / "warn.py").write_text("# lint: hot-path\n__all__ = []\n")
-        _, lax = run_analysis(sanitize=False, lint_root=tmp_path)
-        _, strict = run_analysis(strict=True, sanitize=False, lint_root=tmp_path)
+        _, lax = run_engines(["lint"], lint_root=tmp_path)
+        _, strict = run_engines(["lint"], strict=True, lint_root=tmp_path)
         assert (lax, strict) == (0, 1)
 
 
@@ -60,17 +60,17 @@ class TestMainEntryPoint:
 
     def test_lint_only_on_seeded_tree(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(BAD_HOT_MODULE)
-        assert main(["--lint-only", "--lint-root", str(tmp_path)]) == 1
+        assert main(["--engines", "lint", "--lint-root", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "[hot-loop]" in out and "FAIL" in out
 
     def test_sanitize_only_ignores_lint_tree(self, tmp_path):
         (tmp_path / "bad.py").write_text(BAD_HOT_MODULE)
-        assert main(["--sanitize-only", "--lint-root", str(tmp_path)]) == 0
+        assert main(["--engines", "sanitizer", "--lint-root", str(tmp_path)]) == 0
 
     def test_json_output_is_parseable(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(BAD_HOT_MODULE)
-        main(["--json", "--lint-only", "--lint-root", str(tmp_path)])
+        main(["--json", "--engines", "lint", "--lint-root", str(tmp_path)])
         lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
         records = [json.loads(line) for line in lines]
         assert records and records[0]["rule"] == "hot-loop"
@@ -82,29 +82,20 @@ class TestMainEntryPoint:
 
 class TestVerifyEngine:
     def test_verify_strict_on_registry_is_clean(self):
-        findings, code = run_analysis(
-            sanitize=False, lint=False, verify=True, strict=True
-        )
+        findings, code = run_engines(["verifier", "streams"], strict=True)
         assert code == 0, [f.format() for f in findings]
 
     def test_known_bad_kernels_fail_the_gate(self):
-        findings, code = run_analysis(
-            sanitize=False,
-            lint=False,
-            verify=True,
-            strict=True,
-            include_known_bad=True,
+        findings, code = run_engines(
+            ["verifier", "streams"], strict=True, include_known_bad=True
         )
         assert code == 1
         got = {f.rule for f in findings}
         assert {"static-oob-shared", "static-divergent-shuffle"} <= got
 
     def test_findings_are_sorted_deterministically(self):
-        findings, _ = run_analysis(
-            sanitize=False,
-            lint=False,
-            verify=True,
-            include_known_bad=True,
+        findings, _ = run_engines(
+            ["verifier", "streams"], include_known_bad=True
         )
         keys = [
             (f.severity.value != "error", f.location, f.rule, f.message)
@@ -113,7 +104,7 @@ class TestVerifyEngine:
         assert keys == sorted(keys)
 
     def test_verify_json_schema_round_trips(self):
-        proc = run_cli("--verify-only", "--include-known-bad", "--json")
+        proc = run_cli("--engines", "verifier,streams", "--include-known-bad", "--json")
         assert proc.returncode == 1
         records = [
             json.loads(line) for line in proc.stdout.splitlines() if line.strip()
@@ -127,25 +118,19 @@ class TestVerifyEngine:
         assert locations == sorted(locations)  # all error-severity here
 
     def test_verify_json_is_byte_stable(self):
-        first = run_cli("--verify-only", "--include-known-bad", "--json")
-        second = run_cli("--verify-only", "--include-known-bad", "--json")
+        first = run_cli("--engines", "verifier,streams", "--include-known-bad", "--json")
+        second = run_cli("--engines", "verifier,streams", "--include-known-bad", "--json")
         assert first.stdout == second.stdout
 
 
 class TestArraysEngine:
     def test_arrays_strict_on_registry_is_clean(self):
-        findings, code = run_analysis(
-            sanitize=False, lint=False, arrays=True, strict=True
-        )
+        findings, code = run_engines(["arrays"], strict=True)
         assert code == 0, [f.format() for f in findings]
 
     def test_known_bad_array_kernels_fail_the_gate(self):
-        findings, code = run_analysis(
-            sanitize=False,
-            lint=False,
-            arrays=True,
-            strict=True,
-            include_known_bad=True,
+        findings, code = run_engines(
+            ["arrays"], strict=True, include_known_bad=True
         )
         assert code == 1
         got = {f.rule for f in findings}
@@ -158,12 +143,13 @@ class TestArraysEngine:
         } <= got
 
     def test_arrays_only_cli_flag(self):
-        proc = run_cli("--arrays-only", "--strict")
+        proc = run_cli("--engines", "arrays", "--strict")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_arrays_baseline_flag(self):
         proc = run_cli(
-            "--arrays-only",
+            "--engines",
+            "arrays",
             "--strict",
             "--baseline",
             "scripts/analysis_baseline.json",
@@ -205,9 +191,8 @@ class TestGoldenJson:
         proc = run_cli(
             "--json",
             "--strict",
-            "--verify",
-            "--arrays",
-            "--aio",
+            "--engines",
+            "sanitizer,lint,verifier,streams,arrays,aio",
             "--include-known-bad",
             "--lint-root",
             str(lint_root),
@@ -250,7 +235,7 @@ class TestGoldenJson:
             assert rule in seen, (engine, sorted(seen))
 
     def test_sanitizer_golden_run_is_clean(self):
-        proc = run_cli("--sanitize-only", "--strict", "--json")
+        proc = run_cli("--engines", "sanitizer", "--strict", "--json")
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.strip() == ""
 
@@ -289,17 +274,19 @@ class TestModuleInvocation:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_verify_strict_exits_zero(self):
-        proc = run_cli("--verify-only", "--strict")
+        proc = run_cli("--engines", "verifier,streams", "--strict")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_ci_script_invokes_strict_analysis(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
-        assert "python -m repro.analysis --strict" in ci
+        assert "python -m repro.analysis" in ci
+        assert "--engines sanitizer,lint,verifier,streams,arrays,aio --strict" in ci
         assert "ruff check" in ci
 
     def test_ci_script_gates_the_verifier(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
-        assert "--verify --strict" in ci
+        assert "verifier,streams" in ci
         # Negative control: CI runs the known-bad fixtures and requires
         # the gate to reject them, so a silently broken verifier fails CI.
-        assert "--include-known-bad" in ci
+        assert "for engine in verifier streams arrays aio" in ci
+        assert '--engines "$engine" --strict --include-known-bad' in ci

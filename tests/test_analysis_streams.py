@@ -1,7 +1,7 @@
 """Stream-hazard static analysis tests (repro.analysis.streams)."""
 
 from repro.analysis import check_stream_ops, check_stream_programs, iter_stream_programs
-from repro.analysis.__main__ import run_analysis
+from repro.analysis.__main__ import run_engines
 from repro.analysis.findings import Severity
 from repro.simt.streams import HTOD, KERNEL, ChunkWork, StreamOp, copy_stream_ops
 
@@ -93,16 +93,12 @@ class TestProgramRegistry:
 
 class TestCliGate:
     def test_verify_passes_clean(self):
-        _, code = run_analysis(strict=True, sanitize=False, lint=False, verify=True)
+        _, code = run_engines(["verifier", "streams"], strict=True)
         assert code == 0
 
     def test_known_bad_fails_verify(self):
-        findings, code = run_analysis(
-            strict=True,
-            sanitize=False,
-            lint=False,
-            verify=True,
-            include_known_bad=True,
+        findings, code = run_engines(
+            ["verifier", "streams"], strict=True, include_known_bad=True
         )
         assert code == 1
         assert any(f.rule == "stream-hazard" for f in findings)
@@ -110,7 +106,7 @@ class TestCliGate:
     def test_cli_verify_only_reports_stream_findings(self, capsys):
         from repro.analysis.__main__ import main
 
-        code = main(["--verify-only", "--strict", "--include-known-bad", "--json"])
+        code = main(["--engines", "verifier,streams", "--strict", "--include-known-bad", "--json"])
         out = capsys.readouterr().out
         assert code == 1
         assert "stream-hazard" in out

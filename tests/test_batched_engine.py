@@ -17,7 +17,7 @@ import pytest
 from repro.core.batched import BatchedSongSearcher
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, SongSearcher
-from repro.core.stages import CountingMeter
+from repro.core.stages import CountingMeter, NullMeter
 from repro.distances import OpCounter, get_metric
 from repro.graphs import build_nsg, build_nsw
 from repro.structures.soa import (
@@ -245,16 +245,81 @@ def test_probabilistic_backends_fall_back_to_serial(parity_data, parity_graphs):
 def test_stats_match_serial(parity_data, parity_graphs):
     data, queries = parity_data
     searcher = SongSearcher(parity_graphs["nsw"], data)
-    config = SearchConfig(k=10, queue_size=30, probe_steps=2)
-    serial_stats = [SearchStats() for _ in queries]
-    batched_stats = [SearchStats() for _ in queries]
-    searcher.search_batch(queries, config, engine="serial", stats=serial_stats)
-    searcher.search_batch(queries, config, engine="batched", stats=batched_stats)
-    for ser, bat in zip(serial_stats, batched_stats):
-        assert ser.iterations == bat.iterations
-        assert ser.distance_computations == bat.distance_computations
-        assert ser.visited_inserts == bat.visited_inserts
-        assert ser.visited_peak == bat.visited_peak
+    for options in (
+        dict(probe_steps=2),
+        dict(visited_deletion=True),
+        dict(probe_steps=2, visited_deletion=True, selected_insertion=False),
+        dict(probe_steps=4, selected_insertion=True, visited_deletion=True),
+    ):
+        config = SearchConfig(k=10, queue_size=30, **options)
+        serial_stats = [SearchStats() for _ in queries]
+        batched_stats = [SearchStats() for _ in queries]
+        searcher.search_batch(queries, config, engine="serial", stats=serial_stats)
+        searcher.search_batch(queries, config, engine="batched", stats=batched_stats)
+        for ser, bat in zip(serial_stats, batched_stats):
+            for name in SearchStats.__slots__:
+                assert getattr(ser, name) == getattr(bat, name), (options, name)
+        if config.visited_deletion:
+            assert any(s.visited_deletes for s in serial_stats)
+
+
+class _TallyMeter(NullMeter):
+    """Counts every event the searcher reports, by kind."""
+
+    def __init__(self):
+        self.counts = dict.fromkeys(
+            (
+                "pop_frontier", "push_frontier", "read_graph_row", "visited_test",
+                "visited_insert", "visited_delete", "bulk_distance", "topk_update",
+            ),
+            0,
+        )
+
+    def pop_frontier(self, n=1):
+        self.counts["pop_frontier"] += n
+
+    def push_frontier(self, n=1):
+        self.counts["push_frontier"] += n
+
+    def read_graph_row(self, degree_slots):
+        self.counts["read_graph_row"] += 1
+
+    def visited_test(self, n=1):
+        self.counts["visited_test"] += n
+
+    def visited_insert(self, n=1):
+        self.counts["visited_insert"] += n
+
+    def visited_delete(self, n=1):
+        self.counts["visited_delete"] += n
+
+    def bulk_distance(self, num_candidates, dim):
+        self.counts["bulk_distance"] += num_candidates
+
+    def topk_update(self, n=1):
+        self.counts["topk_update"] += n
+
+
+def test_record_counts_are_the_meter_event_counts(parity_data, parity_graphs):
+    """The operation record is what pricing reads instead of the event
+    stream, so it has to say exactly what the stream says."""
+    data, queries = parity_data
+    searcher = SongSearcher(parity_graphs["nsw"], data)
+    config = SearchConfig(k=10, queue_size=30, probe_steps=2, visited_deletion=True)
+    for query in queries:
+        meter, stats = _TallyMeter(), SearchStats()
+        searcher.search(query, config, meter=meter, stats=stats)
+        assert meter.counts == {
+            "pop_frontier": stats.frontier_pops,
+            "push_frontier": stats.frontier_pushes,
+            "read_graph_row": stats.rows_fetched,
+            "visited_test": stats.visited_tests,
+            "visited_insert": stats.visited_inserts + stats.searches,
+            "visited_delete": stats.visited_deletes,
+            "bulk_distance": stats.distance_computations + stats.searches,
+            "topk_update": stats.topk_updates,
+        }
+        assert stats.searches == 1 and stats.visited_deletes > 0
 
 
 def test_meter_totals_match_serial(parity_data, parity_graphs):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.gpu_kernel import GpuSongIndex
+from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex, meter_lane
 from repro.data import make_dataset
 from repro.eval.recall import batch_recall
 from repro.graphs import build_nsw
 from repro.simt.device import get_device
+from repro.serve.engine import SimulatedGpuEngine
 from repro.simt.memory import CapacityLedger, DeviceMemoryExceeded
+from repro.simt.pipeline import split_counts
+from repro.simt.warp import Warp
 from repro.structures.soa import PAD_KEY
 from repro.tiered import (
     BitCodeStore,
@@ -20,6 +23,7 @@ from repro.tiered import (
     TieredConfig,
     TieredIndex,
     TieredServeEngine,
+    rerank_record,
 )
 from repro.tiered.cache import rowids_to_pages
 from repro.tiered.codes import _unpack_bits, make_store
@@ -304,6 +308,90 @@ class TestTieredIndex:
             # Ordered-unique: no duplicates, all within range.
             assert len(set(pages.tolist())) == len(pages)
             assert all(0 <= p < idx.num_pages for p in pages.tolist())
+
+
+class TestOnePricingPath:
+    """Both kernels of a tiered chunk come out of the launch every other
+    engine is priced by; the tier only swaps the distance profile."""
+
+    CONFIG = SearchConfig(k=10, queue_size=100)
+
+    @pytest.mark.parametrize(
+        "tier",
+        [
+            TieredConfig(num_bits=128, overfetch=8, page_rows=16, cache_pages=4),
+            TieredConfig(codec="pq", pq_m=16, pq_ksub=16, overfetch=8, page_rows=16),
+        ],
+        ids=["bits", "pq"],
+    )
+    def test_chunk_kernel_is_traversal_plus_rerank_launch(self, small, tier):
+        ds, graph = small
+        config = self.CONFIG
+        engine = TieredServeEngine(graph, ds.data, tier)
+        _, chunks, _ = engine.chunked_batch(ds.queries, config, num_chunks=3)
+        tiered = engine.tiered
+        _, stats, plan = tiered.search_batch_with_stats(ds.queries, config)
+        tcfg = config.with_options(k=tiered.overfetch_k(config), metric="l2")
+        reference = SimulatedGpuEngine(
+            graph,
+            tiered.store.traversal_data,
+            resident_bytes=tiered.resident_bytes,
+            profile=tiered.store,
+        )
+        traversal, _ = reference.chunk_work(
+            tiered.encode_queries(ds.queries), tcfg, stats, num_chunks=3
+        )
+        exact = DistanceProfile.for_metric(config.metric, ds.data.shape[1])
+        start = 0
+        counts = split_counts(len(ds.queries), 3)
+        for chunk, trav, count in zip(chunks, traversal, counts):
+            records = [
+                rerank_record(int(c), config.k)
+                for c in plan.candidate_counts[start : start + count]
+            ]
+            start += count
+            rerank = reference.index.price(records, config, exact)
+            assert chunk.kernel == trav.kernel + rerank.kernel_seconds
+            assert chunk.dtoh == rerank.dtoh_seconds
+            assert chunk.htod >= trav.htod  # plus the chunk's page fetches
+
+    def test_compressed_profile_is_cheaper_than_the_float_proxy(self, small):
+        ds, graph = small
+        tier = TieredConfig(num_bits=128, overfetch=8, page_rows=16, cache_pages=4)
+        tiered = TieredIndex(graph, ds.data, tier)
+        _, stats, _ = tiered.search_batch_with_stats(ds.queries, self.CONFIG)
+        proxy = tiered.encode_queries(ds.queries)
+        seconds = {}
+        for name, profile in (("store", tiered.store), ("proxy", None)):
+            engine = SimulatedGpuEngine(
+                graph,
+                tiered.store.traversal_data,
+                resident_bytes=tiered.resident_bytes,
+                profile=profile,
+            )
+            seconds[name], _ = engine.estimate_batch_seconds(
+                proxy, self.CONFIG.with_options(metric="l2"), stats
+            )
+        assert seconds["store"] < seconds["proxy"]
+
+    def test_rerank_lane_is_priced_by_meter_lane(self, small):
+        ds, graph = small
+        config = self.CONFIG
+        gpu = GpuSongIndex(graph, ds.data)
+        exact = DistanceProfile.for_metric(config.metric, ds.data.shape[1])
+        records = [rerank_record(c, config.k) for c in (0, 7, 80)]
+        priced = gpu.price(records, config, exact)
+        for record, cycles in zip(records, priced.warp_cycles):
+            warp = Warp(gpu.device)
+            meter_lane(
+                warp, record, config, gpu.placement(config), exact, graph.degree
+            )
+            assert warp.cycles == cycles
+            # A re-rank is no search: nothing staged, seeded or probed.
+            assert warp.stage_cycles.get("locate", 0.0) == 0.0
+            assert warp.memory.coalesced_bytes == (
+                4 * ds.data.shape[1] * record.distance_computations
+            )
 
 
 class TestPrefetchIdentity:
