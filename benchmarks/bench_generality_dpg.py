@@ -29,12 +29,15 @@ def _run(assets):
         "HNSW-L0": assets.hnsw("sift").base_layer_graph(),
         "NSG": cached_graph(
             "nsg", ds.data,
-            lambda: build_nsg(ds.data, degree=16, knn=16, search_len=40),
+            lambda: build_nsg(
+                ds.data, degree=16, knn=16, search_len=40, build_engine="serial"
+            ),
             graph_type="nsg", build_engine="serial",
             degree=16, knn=16, search_len=40,
         ),
         "DPG": cached_graph(
-            "dpg", ds.data, lambda: build_dpg(ds.data, degree=16),
+            "dpg", ds.data,
+            lambda: build_dpg(ds.data, degree=16, build_engine="serial"),
             graph_type="dpg", build_engine="serial", degree=16, knn=32,
         ),
         "kNN": cached_graph(

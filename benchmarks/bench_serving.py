@@ -86,7 +86,9 @@ def run_serving_bench(
     graph = cached_graph(
         "nsw-serving",
         dataset.data,
-        lambda: build_nsw(dataset.data, m=8, ef_construction=48, seed=7),
+        lambda: build_nsw(
+            dataset.data, m=8, ef_construction=48, seed=7, build_engine="serial"
+        ),
         graph_type="nsw",
         build_engine="serial",
         m=8,
@@ -160,7 +162,9 @@ def run_streams_bench(
     graph = cached_graph(
         "nsw-serving",
         dataset.data,
-        lambda: build_nsw(dataset.data, m=8, ef_construction=48, seed=7),
+        lambda: build_nsw(
+            dataset.data, m=8, ef_construction=48, seed=7, build_engine="serial"
+        ),
         graph_type="nsw",
         build_engine="serial",
         m=8,

@@ -54,7 +54,9 @@ class BenchAssets:
             self._cache[key] = cached_graph(
                 "nsw",
                 ds.data,
-                lambda: build_nsw(ds.data, m=8, ef_construction=48, seed=7),
+                lambda: build_nsw(
+                    ds.data, m=8, ef_construction=48, seed=7, build_engine="serial"
+                ),
                 graph_type="nsw",
                 build_engine="serial",
                 m=8,
@@ -82,7 +84,7 @@ class BenchAssets:
         if key not in self._cache:
             ds = self.dataset(name)
             self._cache[key] = HNSWIndex(
-                ds.data, m=8, ef_construction=48, seed=1
+                ds.data, m=8, ef_construction=48, seed=1, build_engine="serial"
             ).build()
         return self._cache[key]
 

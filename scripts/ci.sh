@@ -46,6 +46,14 @@ else
 fi
 
 python -m pytest -x -q
+
+# The repository's benchmark (BENCHMARK.json) at smoke scale, untraced and
+# traced: it calls or wraps a dozen src/ signatures (trace.py forwards
+# meter=, stats=, entry_points= ...), so one that drifts breaks here and
+# not in the pipeline.  About 16 s each.
+python3 benchmarks/e2e/run.py --smoke --trace 0
+python3 benchmarks/e2e/run.py --smoke --trace 1
+
 python -m benchmarks.bench_batched_engine --smoke
 python -m benchmarks.bench_build_speed --smoke
 python -m benchmarks.bench_serving --smoke

@@ -27,9 +27,8 @@ domains, transfer functions and soundness caveats.
 from __future__ import annotations
 
 import importlib
-import json
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from repro.analysis.arrays.interp import analyze_kernel, find_counterexample
 from repro.analysis.arrays.nondet import (
@@ -38,7 +37,7 @@ from repro.analysis.arrays.nondet import (
     scan_paths,
     scan_source,
 )
-from repro.analysis.findings import Finding, Severity
+from repro.analysis.findings import Finding
 from repro.annotations import iter_array_annotations
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "find_counterexample",
     "check_arrays",
     "verify_array_kernels",
-    "load_baseline",
     "scan_source",
     "scan_paths",
     "kernel_spans",
@@ -88,56 +86,8 @@ def _import_annotated(include_known_bad: bool = False) -> None:
         importlib.import_module("repro.analysis.arrays.fixtures")
 
 
-def load_baseline(path: Path) -> List[Dict[str, str]]:
-    """Parse a findings-baseline file: ``{"suppress": [{rule, location}]}``.
-
-    Baseline entries match by exact rule and *prefix* on location (so a
-    committed ``src/repro/graphs/foo.py:42`` entry survives line drift
-    within the same statement is NOT attempted — the location must be
-    re-baselined when lines move; prefix matching only absorbs absolute
-    vs. relative path spellings).
-    """
-    data = json.loads(Path(path).read_text())
-    entries = data.get("suppress", [])
-    for e in entries:
-        if not isinstance(e, dict) or "rule" not in e or "location" not in e:
-            raise ValueError(f"malformed baseline entry: {e!r}")
-    return entries
-
-
-def _apply_baseline(
-    findings: List[Finding], entries: List[Dict[str, str]]
-) -> List[Finding]:
-    """Drop baselined findings; surface stale entries as warnings."""
-    used = [False] * len(entries)
-
-    def suppressed(f: Finding) -> bool:
-        for i, e in enumerate(entries):
-            if f.rule == e["rule"] and f.location.endswith(e["location"]):
-                used[i] = True
-                return True
-        return False
-
-    kept = [f for f in findings if not suppressed(f)]
-    for i, e in enumerate(entries):
-        if not used[i]:
-            kept.append(
-                Finding(
-                    rule="stale-baseline",
-                    severity=Severity.WARNING,
-                    location=e["location"],
-                    message=(
-                        f"baseline entry for [{e['rule']}] matched no "
-                        "finding; remove it from the baseline file"
-                    ),
-                )
-            )
-    return kept
-
-
 def check_arrays(
     include_known_bad: bool = False,
-    baseline: Optional[Path] = None,
     nondet_paths: Optional[Iterable[Path]] = None,
 ) -> List[Finding]:
     """Run the array verifier: abstract interpretation + nondet sweep.
@@ -145,12 +95,10 @@ def check_arrays(
     Imports :data:`ANNOTATED_MODULES` (plus the known-bad fixtures when
     requested), analyzes every registered kernel, then syntactically
     sweeps the hot-marked modules and ``serve/`` for nondeterminism
-    outside kernel spans.  ``baseline`` suppresses accepted findings and
-    flags stale suppressions.
+    outside kernel spans.  Accepted findings are suppressed by the
+    caller through :mod:`repro.analysis.baseline`.
     """
     findings, _ = _run(include_known_bad, nondet_paths)
-    if baseline is not None:
-        findings = _apply_baseline(findings, load_baseline(baseline))
     return findings
 
 

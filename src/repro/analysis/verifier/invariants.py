@@ -22,8 +22,9 @@ reference model (including the min-max heap's structural level
 property).  :func:`check_search_invariants` proves Theorems 1–3 over
 the *actual stage loop*: it instruments :class:`~repro.core.song.
 SongSearcher` (the production descendant of ``core/algorithm1.py``)
-with a recording subclass and a stage-boundary meter, runs real
-searches, and validates every recorded state.  Both checkers accept
+with a recording subclass that snapshots the structures at every
+iteration boundary, runs real searches, and validates every recorded
+state.  Both checkers accept
 injectable structure/searcher classes so the refutation tests can prove
 they fire on deliberately broken variants.
 
@@ -41,7 +42,6 @@ import numpy as np
 from repro.analysis.findings import Finding, Severity
 from repro.core.config import SearchConfig
 from repro.core.song import SongSearcher
-from repro.core.stages import NullMeter
 from repro.graphs.bruteforce_knn import build_knn_graph
 from repro.structures.minmax_heap import BoundedPriorityQueue, _is_min_level
 from repro.structures.visited import VisitedBackend
@@ -180,7 +180,7 @@ def check_bounded_queue(
 
 
 class _Recorder:
-    """Shared mutable record the monitored searcher and meter fill in."""
+    """Mutable record the monitored searcher fills in."""
 
     def __init__(self) -> None:
         self.frontier = None
@@ -203,40 +203,40 @@ class _Recorder:
         self._iteration += 1
 
 
-class _StageMeter(NullMeter):
-    """Fires an invariant snapshot at the start of every search iteration."""
-
-    def __init__(self, recorder: _Recorder) -> None:
-        self._recorder = recorder
-
-    def stage(self, name: str) -> None:
-        if name == "locate":
-            self._recorder.snapshot()
-
-
 def _monitored(searcher_cls: type) -> type:
     """A subclass of ``searcher_cls`` that records structure states."""
 
     class _Monitored(searcher_cls):  # type: ignore[misc, valid-type]
         _recorder: _Recorder
+        #: Set by every maintenance push, cleared by the next pop: the
+        #: first pop after maintenance opens a new iteration.
+        _maintained = False
 
         def _make_frontier(self, config):
             frontier = searcher_cls._make_frontier(config)
             self._recorder.frontier = frontier
             return frontier
 
-        def _frontier_push(self, frontier, dist, vertex, topk, visited, config, meter, stats):
+        def _frontier_pop(self, frontier):
+            if self._maintained:
+                self._recorder.snapshot()
+                self._maintained = False
+            return searcher_cls._frontier_pop(frontier)
+
+        def _frontier_push(self, frontier, dist, vertex, topk, visited, config, stats):
+            self._maintained = True
             self._recorder.topk = topk
             self._recorder.visited = visited
             self._recorder.push_events.append(
                 (dist, topk.is_full(), topk.worst_distance() if len(topk) else float("inf"))
             )
-            super()._frontier_push(frontier, dist, vertex, topk, visited, config, meter, stats)
+            super()._frontier_push(frontier, dist, vertex, topk, visited, config, stats)
 
-        def _topk_push(self, topk, dist, vertex, visited, config, meter, stats):
+        def _topk_push(self, topk, dist, vertex, visited, config, stats):
+            self._maintained = True
             self._recorder.topk = topk
             self._recorder.visited = visited
-            super()._topk_push(topk, dist, vertex, visited, config, meter, stats)
+            super()._topk_push(topk, dist, vertex, visited, config, stats)
 
     return _Monitored
 
@@ -285,7 +285,7 @@ def check_search_invariants(
         recorder = _Recorder()
         searcher = _monitored(searcher_cls)(graph, data)
         searcher._recorder = recorder
-        searcher.search(query, config, meter=_StageMeter(recorder))
+        searcher.search(query, config)
         # Snapshots are taken only at locate boundaries: after the final
         # iteration's stop-break the discarded vertex legitimately lingers
         # in visited (the search is over, nothing reads the filter again).

@@ -420,7 +420,7 @@ def _add_serving_args(parser: argparse.ArgumentParser) -> None:
         help="graph family the replicas search",
     )
     parser.add_argument(
-        "--build-engine", choices=["serial", "batched"], default="serial",
+        "--build-engine", choices=["serial", "batched"], default="batched",
         help="construction engine for the served graph",
     )
     parser.add_argument("--k", type=int, default=10)
@@ -468,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("--ef-construction", type=int, default=48)
     p_build.add_argument(
-        "--build-engine", choices=["serial", "batched"], default="serial",
+        "--build-engine", choices=["serial", "batched"], default="batched",
         help="construction engine (batched = vectorized generation inserts)",
     )
     p_build.add_argument("--out", required=True, help="output .npz path")
@@ -506,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph family searched by the song/batched methods",
     )
     p_sweep.add_argument(
-        "--build-engine", choices=["serial", "batched"], default="serial",
+        "--build-engine", choices=["serial", "batched"], default="batched",
         help="construction engine for the swept indexes",
     )
     p_sweep.add_argument("--plot", action="store_true", help="render an ASCII plot")

@@ -8,7 +8,8 @@ Public entry points:
 - :func:`~repro.core.algorithm1.algorithm1_search` — the reference CPU
   best-first search, exactly Algorithm 1 of the paper.
 - :class:`~repro.core.song.SongSearcher` — the decoupled searcher
-  (functional result + operation metering).
+  (functional result + one operation record, :class:`SearchStats`, that
+  the GPU and CPU machine models price afterwards).
 - :class:`~repro.core.batched.BatchedSongSearcher` — the vectorized
   lockstep engine advancing a whole query batch per round (warp-per-query
   execution in numpy); ``SongSearcher.search_batch`` auto-dispatches to it.

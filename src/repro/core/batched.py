@@ -51,7 +51,6 @@ from repro.core.song import (
     SongSearcher,
     coerce_float32,
 )
-from repro.core.stages import NullMeter
 from repro.distances import get_metric
 from repro.graphs.storage import PAD, FixedDegreeGraph
 from repro.structures.soa import (
@@ -136,20 +135,18 @@ class BatchedSongSearcher:
         self,
         query: np.ndarray,
         config: SearchConfig,
-        meter=None,
         stats: Optional[SearchStats] = None,
     ) -> List[Tuple[float, int]]:
         """Single-query convenience wrapper (a batch of one lane)."""
         batch_stats = None if stats is None else [stats]
         return self.search_batch(
-            np.asarray(query)[None, :], config, meter=meter, stats=batch_stats
+            np.asarray(query)[None, :], config, stats=batch_stats
         )[0]
 
     def search_batch_with_stats(
         self,
         queries: np.ndarray,
         config: SearchConfig,
-        meter=None,
         entry_points: Optional[np.ndarray] = None,
     ) -> Tuple[List[List[Tuple[float, int]]], List[SearchStats]]:
         """Batch search returning ``(results, per-lane stats)``.
@@ -161,7 +158,7 @@ class BatchedSongSearcher:
         queries = np.atleast_2d(np.asarray(queries))
         stats = [SearchStats() for _ in range(len(queries))]
         results = self.search_batch(
-            queries, config, meter=meter, stats=stats, entry_points=entry_points
+            queries, config, stats=stats, entry_points=entry_points
         )
         return results, stats
 
@@ -183,10 +180,9 @@ class BatchedSongSearcher:
             Search parameters; the visited backend must be exact
             (``hashtable`` or ``pyset``).
         meter:
-            Optional event meter.  Events are reported *aggregated per
-            round* (one ``bulk_distance`` for the whole batch, operation
-            counts summed over lanes) — totals match the serial engine,
-            per-event granularity does not.
+            Must stay ``None``: a search is accounted by its operation
+            record (``stats``), priced afterwards.  The keyword only
+            survives for callers that still forward it.
         stats:
             Optional sequence of ``B`` :class:`SearchStats`, filled with
             per-lane counts identical to the serial engine's.
@@ -196,6 +192,11 @@ class BatchedSongSearcher:
             construction uses this to resume each insertion's search from
             its upper-layer descent.
         """
+        if meter is not None:
+            raise TypeError(
+                "search_batch no longer takes an event meter: pass stats= and "
+                "price the SearchStats operation records afterwards"
+            )
         if VisitedBackend(config.visited_backend) not in EXACT_VISITED_BACKENDS:
             raise ValueError(
                 "the batched engine requires an exact visited backend "
@@ -223,8 +224,7 @@ class BatchedSongSearcher:
                 )
             if entry_points.min() < 0 or entry_points.max() >= self.graph.num_vertices:
                 raise ValueError("entry_points out of range")
-        meter = meter if meter is not None else NullMeter()
-        state = _LockstepState(self, queries, config, meter, entry_points)
+        state = _LockstepState(self, queries, config, entry_points)
         while state.round():
             pass
         results = state.results()
@@ -242,15 +242,12 @@ class _LockstepState:
     active lane and returns False once the batch has drained.
     """
 
-    def __init__(self, searcher, queries, config, meter, entry_points=None):
+    def __init__(self, searcher, queries, config, entry_points=None):
         graph = searcher.graph
         self.config = config
-        self.meter = meter
         self.data = searcher.data
         self.queries = queries
         self.adj = graph.adjacency_array
-        self.degree = graph.degree
-        self.dim = self.data.shape[1]
         self.metric = get_metric(config.metric)
         self.norms = (
             searcher.data_norms() if self.metric.name == "cosine" else None
@@ -284,17 +281,12 @@ class _LockstepState:
             start = np.full(b, graph.entry_point, dtype=np.int64)
         else:
             start = entry_points
-        meter.stage("distance")
         seed_rows = self.data[start][:, None, :]
         seed_norms = None if self.norms is None else self.norms[start][:, None]
         d0 = self.metric.batch_many(queries, seed_rows, seed_norms)[:, 0]
-        meter.bulk_distance(b, self.dim)
-        meter.stage("maintain")
         self.visited[np.arange(b), start] = True
         self.visited_len[:] = 1
-        meter.visited_insert(b)
         self.frontier.seed(pack_keys(d0, start))
-        meter.push_frontier(b)
 
     # -- one lockstep iteration ----------------------------------------------
 
@@ -305,11 +297,9 @@ class _LockstepState:
         self.active &= self.frontier.sizes > 0
         if not self.active.any():
             return False
-        meter = self.meter
         config = self.config
 
         # ---- Stage 1: candidate locating ---------------------------------
-        meter.stage("locate")
         window = self.frontier.window(self.steps)
         win_dists = unpack_distances(window)
         full, worst = self.topk.full_and_worst()
@@ -325,8 +315,6 @@ class _LockstepState:
         # failing entry, finishes this round, then goes inactive.
         stop = self.active & (n_pop < avail)
         process = self.active & (n_pop > 0)
-        total_pops = int(n_pop.sum())
-        meter.pop_frontier(total_pops + int(stop.sum()))
         self.pops += n_pop
         self.stop_pops += stop
         if not process.any():
@@ -338,9 +326,7 @@ class _LockstepState:
         neighbors = self.adj[popped_ids]  # (B, ws, degree)
         valid = (pop_mask[:, :, None] & (neighbors != PAD)).reshape(self.b, -1)
         cand = neighbors.reshape(self.b, -1)
-        meter.read_graph_row(total_pops * self.degree)
         n_tests = valid.sum(axis=1)
-        meter.visited_test(int(n_tests.sum()))
         self.visited_tests += n_tests
         cand_safe = np.where(valid, cand, 0)
         valid &= ~self.visited[self._rows, cand_safe]
@@ -348,19 +334,15 @@ class _LockstepState:
         n_cand = valid.sum(axis=1)
 
         # ---- Stage 2: one fused bulk distance computation ----------------
-        meter.stage("distance")
         gathered = self.data[cand_safe]  # (B, L, d)
         gathered_norms = None if self.norms is None else self.norms[cand_safe]
         dists = self.metric.batch_many(self.queries, gathered, gathered_norms)
-        meter.bulk_distance(int(n_cand.sum()), self.dim)
         self.iterations += process
         self.distance_computations += n_cand
 
         # ---- Stage 3: data-structure maintenance -------------------------
-        meter.stage("maintain")
         popped_keys = np.where(pop_mask, window, PAD_KEY)
         topk_evicted = self.topk.merge(popped_keys)
-        meter.topk_update(total_pops)
         if config.visited_deletion:
             self._delete_evicted(topk_evicted)
         full, worst = self.topk.full_and_worst()
@@ -372,14 +354,12 @@ class _LockstepState:
         n_accepted = accepted.sum(axis=1)
         lane_idx, slot_idx = np.nonzero(accepted)
         self.visited[lane_idx, cand[lane_idx, slot_idx]] = True
-        meter.visited_insert(len(lane_idx))
         self.visited_len += n_accepted
         self.visited_inserts += n_accepted
         cand_keys = np.where(accepted, pack_keys(dists, cand_safe), PAD_KEY)
         # The discarded stop pop left the queue too: its slot is free
         # for this round's candidates, exactly as in the serial loop.
         frontier_evicted = self.frontier.merge(n_pop + stop, cand_keys, n_accepted)
-        meter.push_frontier(int(n_accepted.sum()))
         if config.visited_deletion and frontier_evicted.shape[1]:
             self._delete_evicted(frontier_evicted)
         np.maximum(self.visited_peak, self.visited_len, out=self.visited_peak)
@@ -398,7 +378,6 @@ class _LockstepState:
         n_deleted = real.sum(axis=1)
         self.visited_len -= n_deleted
         self.visited_deletes += n_deleted
-        self.meter.visited_delete(len(lane_idx))
 
     # -- result extraction ----------------------------------------------------
 

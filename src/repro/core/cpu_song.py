@@ -1,9 +1,12 @@
 """SONG's CPU implementation (paper Section VIII-I, Fig. 15).
 
-The same 3-stage search as the GPU kernel, metered with a CPU machine
-model instead of warp costs.  Its edge over plain HNSW search comes from
-exactly what the paper engineered: batched distance evaluation (SIMD
-friendly) and the bounded data structures.
+The same 3-stage search as the GPU kernel, priced by a CPU machine model
+instead of warp costs: search with an operation record, then
+:func:`record_ops` turns the record into the work units
+:meth:`~repro.core.machine.CpuModel.seconds` prices — the mirror of
+``GpuSongIndex.search_batch``.  Its edge over plain HNSW search comes
+from exactly what the paper engineered: batched distance evaluation
+(SIMD friendly) and the bounded data structures.
 """
 
 from __future__ import annotations
@@ -15,10 +18,34 @@ import numpy as np
 
 from repro.core.config import SearchConfig
 from repro.core.machine import TUNED_CPU, CpuModel
-from repro.core.song import SongSearcher
-from repro.core.stages import CountingMeter
+from repro.core.song import SearchStats, SongSearcher
 from repro.distances import OpCounter, get_metric
 from repro.graphs.storage import FixedDegreeGraph
+
+
+def record_ops(record: SearchStats, degree: int, flops_per_distance: int) -> OpCounter:
+    """CPU work units of the searches accumulated in ``record``.
+
+    Every frontier pop/push and top-k update is a queue op (a pop is also
+    a hop), a fetched adjacency row reads ``degree`` slots, every visited
+    test/insert/delete is a hash op, and each distance — the entry-point
+    seeds included — reads one vector.
+    """
+    distances = record.distance_computations + record.searches
+    return OpCounter(
+        distance_calls=distances,
+        distance_flops=distances * flops_per_distance,
+        vector_reads=distances,
+        graph_reads=record.rows_fetched * degree,
+        queue_ops=record.frontier_pops + record.frontier_pushes + record.topk_updates,
+        hash_ops=(
+            record.visited_tests
+            + record.visited_inserts
+            + record.searches
+            + record.visited_deletes
+        ),
+        hops=record.frontier_pops,
+    )
 
 
 @dataclass
@@ -53,25 +80,25 @@ class CpuSongIndex:
         self, query: np.ndarray, config: SearchConfig
     ) -> Tuple[List[Tuple[float, int]], float]:
         """One query; returns ``(results, modelled_seconds)``."""
-        metric = get_metric(config.metric)
-        counter = OpCounter()
-        dim = self.data.shape[1]
-        meter = CountingMeter(counter, dim, metric.flops_per_distance(dim))
-        out = self.searcher.search(query, config, meter=meter)
-        seconds = self.model.seconds(counter, bytes_read=4 * dim * counter.vector_reads)
-        return out, seconds
+        record = SearchStats()
+        out = self.searcher.search(query, config, stats=record)
+        return out, self._price(record, config)[1]
 
     def search_batch(self, queries: np.ndarray, config: SearchConfig) -> CpuBatchResult:
         """Search every query; seconds accumulate (single thread)."""
         queries = np.asarray(queries, dtype=self.data.dtype)
         if queries.ndim == 1:
             queries = queries[None, :]
-        metric = get_metric(config.metric)
-        counter = OpCounter()
-        dim = self.data.shape[1]
-        meter = CountingMeter(counter, dim, metric.flops_per_distance(dim))
-        results = [
-            self.searcher.search(q, config, meter=meter) for q in queries
-        ]
-        seconds = self.model.seconds(counter, bytes_read=4 * dim * counter.vector_reads)
+        record = SearchStats()
+        results = [self.searcher.search(q, config, stats=record) for q in queries]
+        counter, seconds = self._price(record, config)
         return CpuBatchResult(results=results, seconds=seconds, counter=counter)
+
+    def _price(self, record: SearchStats, config: SearchConfig) -> Tuple[OpCounter, float]:
+        """Work units and modelled seconds of a finished operation record."""
+        dim = self.data.shape[1]
+        counter = record_ops(
+            record, self.graph.degree, get_metric(config.metric).flops_per_distance(dim)
+        )
+        seconds = self.model.seconds(counter, bytes_read=4 * dim * counter.vector_reads)
+        return counter, seconds

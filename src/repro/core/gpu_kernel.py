@@ -33,18 +33,17 @@ import numpy as np
 
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, SongSearcher
-from repro.core.stages import (
-    STAGE_DISTANCE,
-    STAGE_LOCATE,
-    STAGE_MAINTAIN,
-    NullMeter,
-)
 from repro.distances import get_metric
 from repro.graphs.storage import FixedDegreeGraph
 from repro.simt.device import DeviceSpec, get_device
 from repro.simt.kernel import KernelLauncher, KernelResult
 from repro.simt.memory import CapacityLedger, SharedMemoryBudget
-from repro.simt.profiler import StageProfiler
+from repro.simt.profiler import (
+    STAGE_DISTANCE,
+    STAGE_LOCATE,
+    STAGE_MAINTAIN,
+    StageProfiler,
+)
 from repro.simt.warp import Warp
 from repro.structures.visited import VisitedBackend, VisitedSet
 
@@ -93,8 +92,13 @@ class DistanceProfile:
         return cls(get_metric(metric).flops_per_distance, dim, 4 * dim)
 
 
-class WarpMeter(NullMeter):
-    """Maps search events onto a :class:`~repro.simt.warp.Warp`."""
+class WarpMeter:
+    """The event → warp-primitive table: what each kind of search
+    operation costs a :class:`~repro.simt.warp.Warp`.
+
+    Never attached to a running search — :func:`meter_lane` charges a
+    finished operation record through it, one call per count.
+    """
 
     def __init__(
         self,

@@ -11,8 +11,10 @@ Each iteration:
    insertion, push survivors into the frontier, and apply visited
    deletion.
 
-The implementation is functional and machine-agnostic: plug in a meter
-(:mod:`repro.core.stages`) to obtain CPU work units or GPU cycles.
+The implementation is functional and machine-agnostic: it fills one
+operation record (:class:`SearchStats`), which a machine model prices
+afterwards — :func:`repro.core.gpu_kernel.meter_lane` into GPU cycles,
+:func:`repro.core.cpu_song.record_ops` into CPU work units.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import SearchConfig
-from repro.core.stages import NullMeter
 from repro.distances import get_metric
 from repro.graphs.storage import FixedDegreeGraph
 from repro.structures.heap import MinHeap, TopKMaxHeap
@@ -57,14 +58,16 @@ def coerce_float32(arr: np.ndarray, label: str = "array") -> np.ndarray:
 
 class SearchStats:
     """One lane's operation record: what the experiments report, and all
-    that :func:`repro.core.gpu_kernel.meter_lane` prices a search from.
+    that a machine model prices a search from
+    (:func:`repro.core.gpu_kernel.meter_lane` on the GPU,
+    :func:`repro.core.cpu_song.record_ops` on the CPU).
 
     Counts accumulate over the searches a record is handed to.
     ``distance_computations`` and ``visited_inserts`` leave out each
     search's entry-point seed (one distance, one insert — ``searches``
-    counts those); every other count is the number of meter events of its
-    kind, so ``frontier_pops`` includes the discarded stop pop and
-    ``frontier_pushes`` the seed push.
+    counts those); every other count is the number of operations of its
+    kind the search's structures performed, so ``frontier_pops`` includes
+    the discarded stop pop and ``frontier_pushes`` the seed push.
     """
 
     __slots__ = (
@@ -127,7 +130,6 @@ class SongSearcher:
         self,
         query: np.ndarray,
         config: SearchConfig,
-        meter=None,
         stats: Optional[SearchStats] = None,
         distance_fn=None,
     ) -> List[Tuple[float, int]]:
@@ -139,15 +141,12 @@ class SongSearcher:
             Query vector (same dimensionality as the dataset).
         config:
             Search parameters and optimization switches.
-        meter:
-            Event meter (defaults to a no-op :class:`NullMeter`).
         stats:
             Optional :class:`SearchStats` to fill.
         distance_fn:
             Override for the batch distance: ``f(query, rows) -> array``.
             Used by the Hamming-space search over hashed datasets.
         """
-        meter = meter if meter is not None else NullMeter()
         stats = stats if stats is not None else SearchStats()
         metric = get_metric(config.metric)
         graph = self.graph
@@ -171,7 +170,6 @@ class SongSearcher:
                 def bulk(q, rows, idx):
                     return metric.batch(q, rows)
 
-        dim = data.shape[1]
         pool = config.queue_size
 
         frontier = self._make_frontier(config)
@@ -184,25 +182,19 @@ class SongSearcher:
 
         # Seed with the entry point.
         start = graph.entry_point
-        meter.stage("distance")
         d0 = float(bulk(query, data[start : start + 1], slice(start, start + 1))[0])
-        meter.bulk_distance(1, dim)
-        meter.stage("maintain")
         visited.insert(start)
-        meter.visited_insert()
         stats.searches += 1
-        self._frontier_push(frontier, d0, start, topk, visited, config, meter, stats)
+        self._frontier_push(frontier, d0, start, topk, visited, config, stats)
 
         while len(frontier):
             # ---- Stage 1: candidate locating -------------------------------
-            meter.stage("locate")
             popped: List[Tuple[float, int]] = []
             stop = False
             for _ in range(config.probe_steps):
                 if not len(frontier):
                     break
                 d, v = self._frontier_pop(frontier)
-                meter.pop_frontier()
                 stats.frontier_pops += 1
                 if topk.is_full() and topk.worst_distance() < d:
                     stop = True
@@ -214,32 +206,27 @@ class SongSearcher:
             candidates: List[int] = []
             seen_this_round = set()
             for _, v in popped:
-                meter.read_graph_row(graph.degree)
                 row = graph.neighbors(v)
                 stats.rows_fetched += 1
                 stats.visited_tests += len(row)
                 for u in row:
                     u = int(u)
-                    meter.visited_test()
                     if u in seen_this_round or visited.contains(u):
                         continue
                     seen_this_round.add(u)
                     candidates.append(u)
 
             # ---- Stage 2: bulk distance computation -------------------------
-            meter.stage("distance")
             if candidates:
                 dists = bulk(query, data[candidates], candidates)
-                meter.bulk_distance(len(candidates), dim)
             else:
                 dists = ()
             stats.iterations += 1
             stats.distance_computations += len(candidates)
 
             # ---- Stage 3: data-structure maintenance ------------------------
-            meter.stage("maintain")
             for d, v in popped:
-                self._topk_push(topk, d, v, visited, config, meter, stats)
+                self._topk_push(topk, d, v, visited, config, stats)
             for u, d in zip(candidates, np.asarray(dists, dtype=float).tolist()):
                 if (
                     config.selected_insertion
@@ -248,9 +235,8 @@ class SongSearcher:
                 ):
                     continue  # filtered out: not marked visited, not enqueued
                 visited.insert(u)
-                meter.visited_insert()
                 stats.visited_inserts += 1
-                self._frontier_push(frontier, d, u, topk, visited, config, meter, stats)
+                self._frontier_push(frontier, d, u, topk, visited, config, stats)
             stats.visited_peak = max(stats.visited_peak, len(visited))
             if stop:
                 break
@@ -290,10 +276,8 @@ class SongSearcher:
         topk: TopKMaxHeap,
         visited: VisitedSet,
         config: SearchConfig,
-        meter,
         stats: SearchStats,
     ) -> None:
-        meter.push_frontier()
         stats.frontier_pushes += 1
         if isinstance(frontier, BoundedPriorityQueue):
             evicted = frontier.push(dist, vertex)
@@ -301,7 +285,6 @@ class SongSearcher:
                 # The evicted vertex left q and was never in topk: it can be
                 # safely re-marked unvisited (it is outside the top-K radius).
                 visited.delete(evicted[1])
-                meter.visited_delete()
                 stats.visited_deletes += 1
         else:
             frontier.push(dist, vertex)
@@ -313,17 +296,14 @@ class SongSearcher:
         vertex: int,
         visited: VisitedSet,
         config: SearchConfig,
-        meter,
         stats: SearchStats,
     ) -> None:
         evicted = topk.push_bounded(dist, vertex)
-        meter.topk_update()
         stats.topk_updates += 1
         if evicted is not None and config.visited_deletion:
             # Either the candidate itself failed to enter topk, or a previous
             # result was displaced; both are now outside q ∪ topk.
             visited.delete(evicted[1])
-            meter.visited_delete()
             stats.visited_deletes += 1
 
     # -- conveniences ------------------------------------------------------------
@@ -345,7 +325,6 @@ class SongSearcher:
         self,
         queries: np.ndarray,
         config: SearchConfig,
-        meter=None,
         stats: Optional[Sequence[SearchStats]] = None,
         engine: str = "auto",
     ) -> List[List[Tuple[float, int]]]:
@@ -357,10 +336,6 @@ class SongSearcher:
             ``(B, d)`` query matrix.
         config:
             Search parameters, shared by all queries.
-        meter:
-            Optional shared event meter; the serial engine replays every
-            per-query event through it, the batched engine reports
-            aggregated per-round events.
         stats:
             Optional sequence of ``B`` :class:`SearchStats`, filled
             per-query by either engine.
@@ -382,13 +357,9 @@ class SongSearcher:
             engine == "auto" and len(queries) > 1 and self.supports_batched(config)
         )
         if use_batched:
-            return self.batched().search_batch(
-                queries, config, meter=meter, stats=stats
-            )
+            return self.batched().search_batch(queries, config, stats=stats)
         return [
-            self.search(
-                q, config, meter=meter, stats=None if stats is None else stats[i]
-            )
+            self.search(q, config, stats=None if stats is None else stats[i])
             for i, q in enumerate(queries)
         ]
 

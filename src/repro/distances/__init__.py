@@ -3,8 +3,8 @@
 The paper's bulk-distance-computation stage supports the common ANN
 measures: p-norm (we implement squared L2), inner product, and cosine
 similarity.  :mod:`repro.distances.metrics` provides batched numpy
-implementations; :mod:`repro.distances.counted` wraps them with operation
-accounting used by the SIMT cost model and the CPU work-unit timer.
+implementations; :mod:`repro.distances.counted` holds the operation
+tally (:class:`OpCounter`) the CPU work-unit timer prices.
 """
 
 from repro.distances.metrics import (
@@ -15,7 +15,7 @@ from repro.distances.metrics import (
     pairwise_distance,
     single_distance,
 )
-from repro.distances.counted import CountedDistance, OpCounter
+from repro.distances.counted import OpCounter
 
 __all__ = [
     "METRICS",
@@ -24,6 +24,5 @@ __all__ = [
     "get_metric",
     "pairwise_distance",
     "single_distance",
-    "CountedDistance",
     "OpCounter",
 ]

@@ -1,20 +1,15 @@
-"""Operation accounting for distance evaluation.
+"""Operation accounting for CPU work-unit timing.
 
 Throughput comparisons in the paper hinge on *how much work* each method
-does, not on wall-clock noise of a Python prototype.  Every searcher in
-this library therefore routes its distance evaluations through a
-:class:`CountedDistance`, and the evaluation harness converts the recorded
-counts into time through a machine model (CPU work units or the SIMT cost
-model).
+does, not on wall-clock noise of a Python prototype.  The CPU searchers
+(HNSW, Algorithm 1, CPU SONG) therefore report their work as an
+:class:`OpCounter`, which :class:`~repro.core.machine.CpuModel` converts
+into single-thread time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.distances.metrics import Metric
+from dataclasses import dataclass
 
 
 @dataclass
@@ -78,31 +73,3 @@ class OpCounter:
             "hash_ops": self.hash_ops,
             "hops": self.hops,
         }
-
-
-@dataclass
-class CountedDistance:
-    """A :class:`~repro.distances.metrics.Metric` that meters its own use."""
-
-    metric: Metric
-    counter: OpCounter = field(default_factory=OpCounter)
-
-    @property
-    def name(self) -> str:
-        return self.metric.name
-
-    def single(self, u: np.ndarray, v: np.ndarray) -> float:
-        self.counter.distance_calls += 1
-        self.counter.distance_flops += self.metric.flops_per_distance(len(u))
-        self.counter.vector_reads += 1
-        return self.metric.single(u, v)
-
-    def batch(self, query: np.ndarray, points: np.ndarray) -> np.ndarray:
-        n = len(points)
-        self.counter.distance_calls += n
-        if n:
-            self.counter.distance_flops += n * self.metric.flops_per_distance(
-                points.shape[1]
-            )
-        self.counter.vector_reads += n
-        return self.metric.batch(query, points)

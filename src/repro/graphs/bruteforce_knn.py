@@ -1,40 +1,27 @@
 """Exact kNN-graph construction by blocked brute force.
 
 Used as the ground-truth graph for small datasets and as the base graph
-NSG refines.  Distances are computed in row blocks so memory stays
-bounded for larger datasets.
+NSG refines.  The neighbors are :func:`repro.data.ground_truth` of the
+dataset against itself, so memory stays bounded for larger datasets.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
+from repro.data.ground_truth import ground_truth
 from repro.distances import get_metric
 from repro.graphs.storage import FixedDegreeGraph
 
 
 def knn_neighbors(
-    data: np.ndarray, k: int, metric: str = "l2", block: int = 1024
+    data: np.ndarray, k: int, metric: str = "l2", block: Optional[int] = None
 ) -> np.ndarray:
     """Return an ``(n, k)`` array of each point's k nearest other points."""
-    n = len(data)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k >= n:
-        raise ValueError(f"k={k} must be smaller than the dataset size {n}")
-    m = get_metric(metric)
-    out = np.empty((n, k), dtype=np.int32)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dists = m.pairwise(data[start:stop], data)
-        rows = np.arange(start, stop)
-        dists[np.arange(stop - start), rows] = np.inf  # exclude self
-        idx = np.argpartition(dists, k, axis=1)[:, :k]
-        # order the k winners by distance for determinism
-        part = np.take_along_axis(dists, idx, axis=1)
-        order = np.argsort(part, axis=1, kind="stable")
-        out[start:stop] = np.take_along_axis(idx, order, axis=1)
-    return out
+    nbrs = ground_truth(data, data, k, metric, block=block, exclude_self=True)
+    return nbrs.astype(np.int32)
 
 
 def build_knn_graph(

@@ -191,7 +191,7 @@ def build_dpg(
     knn: int = None,
     metric: str = "l2",
     knn_table: np.ndarray = None,
-    build_engine: str = "serial",
+    build_engine: str = "batched",
     cost: Optional[object] = None,
 ) -> FixedDegreeGraph:
     """Build a DPG: angular diversification of a kNN graph + undirection.
@@ -208,10 +208,10 @@ def build_dpg(
     knn_table:
         Optional precomputed neighbor table.
     build_engine:
-        ``"serial"`` (default) runs the reference per-vertex loops over
-        an exact brute-force table; ``"batched"`` bootstraps with
-        vectorized NN-descent and runs diversification and undirection
-        as batch kernels.
+        ``"batched"`` (default) bootstraps with vectorized NN-descent
+        and runs diversification and undirection as batch kernels;
+        ``"serial"`` runs the reference per-vertex loops over an exact
+        brute-force table.
     cost:
         Optional :class:`~repro.simt.build_cost.BuildCostRecorder`; the
         batched engine records every bulk kernel on it.

@@ -56,9 +56,9 @@ class HNSWIndex:
     seed:
         RNG seed for level assignment.
     build_engine:
-        ``"serial"`` (default) inserts one point at a time;
-        ``"batched"`` runs layer-0 insertions in lockstep generation
-        batches (see module docstring).
+        ``"batched"`` (default) runs layer-0 insertions in lockstep
+        generation batches (see module docstring); ``"serial"`` inserts
+        one point at a time.
     insert_batch:
         Batched engine only: hard cap on one generation's size.
     """
@@ -70,7 +70,7 @@ class HNSWIndex:
         ef_construction: int = 64,
         metric: str = "l2",
         seed: int = 0,
-        build_engine: str = "serial",
+        build_engine: str = "batched",
         insert_batch: int = 512,
     ) -> None:
         if m <= 1:

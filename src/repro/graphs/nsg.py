@@ -113,10 +113,10 @@ class NSGBuilder:
         Optional precomputed ``(n, knn)`` neighbor table (e.g. from
         NN-descent); overrides the bootstrap stage when given.
     build_engine:
-        ``"serial"`` (default) runs the reference per-vertex
-        search-and-prune loops over an exact brute-force table;
-        ``"batched"`` bootstraps with vectorized NN-descent and runs
-        pool gathering and occlusion pruning as batch kernels.
+        ``"batched"`` (default) bootstraps with vectorized NN-descent
+        and runs pool gathering and occlusion pruning as batch kernels;
+        ``"serial"`` runs the reference per-vertex search-and-prune
+        loops over an exact brute-force table.
     cost:
         Optional :class:`~repro.simt.build_cost.BuildCostRecorder`; the
         batched engine records every bulk kernel of the build on it.
@@ -130,7 +130,7 @@ class NSGBuilder:
         search_len: int = 48,
         metric: str = "l2",
         knn_table: np.ndarray = None,
-        build_engine: str = "serial",
+        build_engine: str = "batched",
         cost: Optional[object] = None,
     ) -> None:
         from repro.graphs.nn_descent import BUILD_ENGINES
@@ -430,7 +430,7 @@ def build_nsg(
     search_len: int = 48,
     metric: str = "l2",
     knn_table: np.ndarray = None,
-    build_engine: str = "serial",
+    build_engine: str = "batched",
     cost: Optional[object] = None,
 ) -> FixedDegreeGraph:
     """One-call NSG construction (see :class:`NSGBuilder`)."""

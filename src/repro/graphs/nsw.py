@@ -6,8 +6,8 @@ its ``m`` nearest neighbors and connects to them bidirectionally.  Early
 insertions create the long-range "highway" links that make the graph
 navigable.  The final graph is exported as a fixed-degree adjacency array.
 
-Two insertion engines are available.  ``build_engine="serial"`` (default)
-is the reference one-point-at-a-time loop.  ``build_engine="batched"``
+Two insertion engines are available.  ``build_engine="serial"`` is the
+reference one-point-at-a-time loop.  ``build_engine="batched"`` (default)
 inserts points in *generation batches*: each generation snapshots the
 graph built so far, runs every pending point's entry search through the
 lockstep :class:`~repro.core.batched.BatchedSongSearcher` in one shot, and
@@ -51,9 +51,9 @@ class NSWBuilder:
     seed:
         Insertion order shuffle seed (``None`` keeps dataset order).
     build_engine:
-        ``"serial"`` (default) inserts one point at a time;
-        ``"batched"`` inserts generation batches through the lockstep
-        search engine.
+        ``"batched"`` (default) inserts generation batches through the
+        lockstep search engine; ``"serial"`` inserts one point at a
+        time.
     insert_batch:
         Batched engine only: hard cap on one generation's size.
     """
@@ -66,7 +66,7 @@ class NSWBuilder:
         max_degree: int = None,
         metric: str = "l2",
         seed: int = None,
-        build_engine: str = "serial",
+        build_engine: str = "batched",
         insert_batch: int = 512,
     ) -> None:
         from repro.graphs.nn_descent import BUILD_ENGINES
@@ -218,7 +218,7 @@ def build_nsw(
     max_degree: int = None,
     metric: str = "l2",
     seed: int = None,
-    build_engine: str = "serial",
+    build_engine: str = "batched",
     insert_batch: int = 512,
 ) -> FixedDegreeGraph:
     """One-call NSW construction (see :class:`NSWBuilder`)."""

@@ -15,9 +15,9 @@ import pytest
 from repro.analysis.arrays import (
     ANNOTATED_MODULES,
     check_arrays,
-    load_baseline,
     verify_array_kernels,
 )
+from repro.analysis.baseline import apply_baseline, load_baseline_sections
 from repro.annotations import iter_array_annotations
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -96,39 +96,32 @@ class TestKnownBadFixtures:
         assert "error" in severities
 
 
+def _arrays_baseline(tmp_path, entries):
+    """Sections of a baseline file whose arrays section holds ``entries``."""
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"engines": {"arrays": {"suppress": entries}}}))
+    return load_baseline_sections(path)
+
+
 class TestBaseline:
     def test_committed_baseline_is_empty_and_valid(self):
         path = REPO_ROOT / "scripts" / "analysis_baseline.json"
-        assert load_baseline(path) == []
+        assert load_baseline_sections(path)["arrays"] == []
 
     def test_stale_entry_warns(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "suppress": [
-                        {"rule": "packed-key-overflow", "location": "gone.py:1"}
-                    ]
-                }
-            )
+        sections = _arrays_baseline(
+            tmp_path, [{"rule": "packed-key-overflow", "location": "gone.py:1"}]
         )
-        findings = check_arrays(baseline=baseline)
+        findings = apply_baseline(check_arrays(), sections, "arrays")
         assert [f.rule for f in findings] == ["stale-baseline"]
 
     def test_baseline_suppresses_matching_finding(self, tmp_path):
         dirty = check_arrays(include_known_bad=True)
         target = next(f for f in dirty if f.rule == "broadcast-mismatch")
-        baseline = tmp_path / "base.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "suppress": [
-                        {"rule": target.rule, "location": target.location}
-                    ]
-                }
-            )
+        sections = _arrays_baseline(
+            tmp_path, [{"rule": target.rule, "location": target.location}]
         )
-        suppressed = check_arrays(include_known_bad=True, baseline=baseline)
+        suppressed = apply_baseline(dirty, sections, "arrays")
         assert not any(
             f.rule == "broadcast-mismatch" and f.location == target.location
             for f in suppressed
@@ -136,10 +129,8 @@ class TestBaseline:
         assert not any(f.rule == "stale-baseline" for f in suppressed)
 
     def test_malformed_baseline_rejected(self, tmp_path):
-        baseline = tmp_path / "base.json"
-        baseline.write_text(json.dumps({"suppress": [{"rule": "x"}]}))
         with pytest.raises(ValueError):
-            load_baseline(baseline)
+            _arrays_baseline(tmp_path, [{"rule": "x"}])
 
 
 class TestCIGate:

@@ -10,6 +10,7 @@ packed-key machinery the structure-of-arrays state rests on.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ import pytest
 from repro.core.batched import BatchedSongSearcher
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, SongSearcher
-from repro.core.stages import CountingMeter, NullMeter
-from repro.distances import OpCounter, get_metric
+from repro.distances import get_metric
 from repro.graphs import build_nsg, build_nsw
 from repro.structures.soa import (
     PAD_KEY,
@@ -217,7 +217,7 @@ def test_empty_batch():
     assert searcher.search_batch(np.zeros((0, 4), dtype=np.float32), config) == []
 
 
-# -- dispatch, stats and meters ----------------------------------------------
+# -- dispatch and operation records ------------------------------------------
 
 
 def test_auto_dispatch_uses_batched_engine(parity_data, parity_graphs):
@@ -263,79 +263,131 @@ def test_stats_match_serial(parity_data, parity_graphs):
             assert any(s.visited_deletes for s in serial_stats)
 
 
-class _TallyMeter(NullMeter):
-    """Counts every event the searcher reports, by kind."""
+class _StructureTally:
+    """What the serial searcher's structures actually saw, in order."""
 
     def __init__(self):
-        self.counts = dict.fromkeys(
-            (
-                "pop_frontier", "push_frontier", "read_graph_row", "visited_test",
-                "visited_insert", "visited_delete", "bulk_distance", "topk_update",
-            ),
-            0,
-        )
+        self.events = []
+        self.row_slots = 0
+        self.distance_rows = 0
+        self.visited_sets = []
+        self.visited_lens = []
 
-    def pop_frontier(self, n=1):
-        self.counts["pop_frontier"] += n
+    def saw(self, event):
+        self.events.append(event)
+        if event == "pop":
+            # Nothing touches ``visited`` between the end of one iteration
+            # and the next one's first pop.
+            self.visited_lens.append(len(self.visited_sets[-1]))
 
-    def push_frontier(self, n=1):
-        self.counts["push_frontier"] += n
+    def counting(self, cls, **events):
+        """Subclass of ``cls`` whose named methods report their event first."""
 
-    def read_graph_row(self, degree_slots):
-        self.counts["read_graph_row"] += 1
+        def reporting(name, event):
+            def method(structure, *args):
+                self.saw(event)
+                return getattr(cls, name)(structure, *args)
 
-    def visited_test(self, n=1):
-        self.counts["visited_test"] += n
+            return method
 
-    def visited_insert(self, n=1):
-        self.counts["visited_insert"] += n
-
-    def visited_delete(self, n=1):
-        self.counts["visited_delete"] += n
-
-    def bulk_distance(self, num_candidates, dim):
-        self.counts["bulk_distance"] += num_candidates
-
-    def topk_update(self, n=1):
-        self.counts["topk_update"] += n
+        return type(cls.__name__, (cls,), {n: reporting(n, e) for n, e in events.items()})
 
 
-def test_record_counts_are_the_meter_event_counts(parity_data, parity_graphs):
-    """The operation record is what pricing reads instead of the event
-    stream, so it has to say exactly what the stream says."""
+@pytest.mark.parametrize(
+    "options",
+    [
+        dict(),
+        dict(selected_insertion=True, visited_deletion=True),
+        dict(probe_steps=2, visited_deletion=True),
+        dict(bounded_queue=False, probe_steps=3),
+    ],
+    ids=lambda options: "-".join(options) or "plain",
+)
+def test_record_counts_are_what_the_structures_saw(
+    parity_data, parity_graphs, monkeypatch, options
+):
+    """The operation record is all that pricing reads, so every field has
+    to say what the frontier, the result pool, the visited set, the graph
+    and the distance kernel were really asked to do."""
+    from repro.core import song
+
     data, queries = parity_data
-    searcher = SongSearcher(parity_graphs["nsw"], data)
-    config = SearchConfig(k=10, queue_size=30, probe_steps=2, visited_deletion=True)
-    for query in queries:
-        meter, stats = _TallyMeter(), SearchStats()
-        searcher.search(query, config, meter=meter, stats=stats)
-        assert meter.counts == {
-            "pop_frontier": stats.frontier_pops,
-            "push_frontier": stats.frontier_pushes,
-            "read_graph_row": stats.rows_fetched,
-            "visited_test": stats.visited_tests,
-            "visited_insert": stats.visited_inserts + stats.searches,
-            "visited_delete": stats.visited_deletes,
-            "bulk_distance": stats.distance_computations + stats.searches,
-            "topk_update": stats.topk_updates,
-        }
-        assert stats.searches == 1 and stats.visited_deletes > 0
+    graph = parity_graphs["nsw"]
+    config = SearchConfig(k=10, queue_size=30, **options)
+    tally = _StructureTally()
+
+    counted = tally.counting(song.VisitedSet, contains="test", insert="insert", delete="delete")
+
+    class Visited(counted):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            tally.visited_sets.append(self)
+
+    monkeypatch.setattr(song, "VisitedSet", Visited)
+    monkeypatch.setattr(song, "TopKMaxHeap", tally.counting(song.TopKMaxHeap, push_bounded="topk"))
+    if config.bounded_queue:
+        frontier = tally.counting(song.BoundedPriorityQueue, push="push", pop_min="pop")
+        monkeypatch.setattr(song, "BoundedPriorityQueue", frontier)
+    else:
+        monkeypatch.setattr(song, "MinHeap", tally.counting(song.MinHeap, push="push", pop="pop"))
+
+    def neighbors(vertex, fetch=graph.neighbors):
+        row = fetch(vertex)
+        tally.saw("row")
+        tally.row_slots += len(row)
+        return row
+
+    monkeypatch.setattr(graph, "neighbors", neighbors)
+
+    def distance(query, rows, l2=get_metric("l2").batch):
+        tally.distance_rows += len(rows)
+        return l2(query, rows)
+
+    searcher = SongSearcher(graph, data)
+    stats = SearchStats()
+    searches = 6
+    for query in queries[:searches]:
+        searcher.search(query, config, stats=stats, distance_fn=distance)
+
+    seen = Counter(tally.events)
+    boundaries = [e for e in tally.events if e in ("pop", "topk")]
+    saw = {
+        # an iteration is a run of pops that reaches the result pool
+        "iterations": sum(
+            a == "pop" and b == "topk" for a, b in zip(boundaries, boundaries[1:])
+        ),
+        "distance_computations": tally.distance_rows - searches,
+        "visited_peak": max(tally.visited_lens + [len(v) for v in tally.visited_sets]),
+        "visited_inserts": seen["insert"] - searches,
+        "searches": searches,
+        "frontier_pops": seen["pop"],
+        "rows_fetched": seen["row"],
+        "visited_tests": tally.row_slots,
+        "visited_deletes": seen["delete"],
+        "topk_updates": seen["topk"],
+        "frontier_pushes": seen["push"],
+    }
+    assert {name: getattr(stats, name) for name in saw} == saw
+    # One visited test per adjacency slot; the filter itself is asked
+    # unless an earlier row of the same round already claimed the vertex.
+    if config.probe_steps == 1:
+        assert seen["test"] == stats.visited_tests
+    else:
+        assert seen["test"] <= stats.visited_tests
+    assert bool(stats.visited_deletes) == config.visited_deletion
 
 
-def test_meter_totals_match_serial(parity_data, parity_graphs):
+def test_event_meter_is_refused(parity_data, parity_graphs):
+    """``meter=`` survives on the lockstep engine only for callers that
+    forward ``None``; anything else is pointed at the operation record."""
     data, queries = parity_data
-    dim = data.shape[1]
-    flops = get_metric("l2").flops_per_distance(dim)
-    searcher = SongSearcher(parity_graphs["nsw"], data)
-    config = SearchConfig(k=10, queue_size=30, visited_deletion=True)
-    serial_ops, batched_ops = OpCounter(), OpCounter()
-    searcher.search_batch(
-        queries, config, engine="serial", meter=CountingMeter(serial_ops, dim, flops)
+    searcher = BatchedSongSearcher(parity_graphs["nsw"], data)
+    config = SearchConfig(k=5, queue_size=20)
+    assert searcher.search_batch(queries, config, meter=None) == searcher.search_batch(
+        queries, config
     )
-    searcher.search_batch(
-        queries, config, engine="batched", meter=CountingMeter(batched_ops, dim, flops)
-    )
-    assert vars(serial_ops) == vars(batched_ops)
+    with pytest.raises(TypeError, match="SearchStats"):
+        searcher.search_batch(queries, config, meter=object())
 
 
 def test_stats_length_mismatch_rejected(parity_data, parity_graphs):

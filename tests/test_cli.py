@@ -20,7 +20,7 @@ class TestParser:
         args = build_parser().parse_args(["sweep", "--dataset", "sift"])
         assert args.methods == ["song"]
         assert args.k == 10
-        assert args.build_engine == "serial"
+        assert args.build_engine == "batched"
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--dataset", "sift"])

@@ -1,12 +1,15 @@
 """CPU SONG variant and CPU machine model tests."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.cpu_song import CpuSongIndex
+from repro.core.cpu_song import CpuSongIndex, record_ops
 from repro.core.machine import DEFAULT_CPU, TUNED_CPU, CpuModel
+from repro.core.song import SearchStats
 from repro.distances import OpCounter
 from repro.eval.recall import batch_recall
+from repro.graphs.bruteforce_knn import build_knn_graph
 
 
 class TestCpuModel:
@@ -31,6 +34,80 @@ class TestCpuModel:
         t0 = DEFAULT_CPU.seconds(c, bytes_read=0)
         t1 = DEFAULT_CPU.seconds(c, bytes_read=10**9)
         assert t1 > t0
+
+
+class TestRecordOps:
+    """Operation record → CPU work units (what ``CpuModel`` prices)."""
+
+    def test_distance_accounting(self):
+        record = SearchStats()
+        record.searches = 2
+        record.distance_computations = 8
+        c = record_ops(record, degree=16, flops_per_distance=48)
+        assert c.distance_calls == 10  # the two entry-point seeds included
+        assert c.distance_flops == 480
+        assert c.vector_reads == 10
+
+    def test_queue_and_hash_accounting(self):
+        record = SearchStats()
+        record.searches = 1
+        record.frontier_pops = 1
+        record.frontier_pushes = 3
+        record.topk_updates = 2
+        record.visited_tests = 4
+        record.visited_inserts = 2
+        record.visited_deletes = 1
+        record.rows_fetched = 1
+        c = record_ops(record, degree=16, flops_per_distance=48)
+        assert c.queue_ops == 6
+        assert c.hash_ops == 8  # tests + inserts + the seed's insert + deletes
+        assert c.graph_reads == 16
+        assert c.hops == 1
+
+
+#: ``CpuSongIndex`` on 300 seeded Gaussian points (d=16, exact 8-NN graph,
+#: 12 queries, k=10, queue 40), captured while a live ``CountingMeter``
+#: still fed the counter: (counter snapshot, batch seconds, seconds of
+#: query 0 alone).  Fig. 15 reads these numbers; they must not move.
+CPU_GOLDENS = {
+    ("l2", False): (
+        dict(distance_calls=1503, distance_flops=72144, vector_reads=1503,
+             graph_reads=3976, queue_ops=2509, hash_ops=5479, hops=509),
+        0.000118197, 1.0138e-05,
+    ),
+    ("l2", True): (
+        dict(distance_calls=1728, distance_flops=82944, vector_reads=1728,
+             graph_reads=3976, queue_ops=2665, hash_ops=6356, hops=509),
+        0.000129069, 1.1149e-05,
+    ),
+    ("cosine", False): (
+        dict(distance_calls=1906, distance_flops=182976, vector_reads=1906,
+             graph_reads=4024, queue_ops=2924, hash_ops=5930, hops=515),
+        0.00013496199999999997, 1.1349e-05,
+    ),
+    ("cosine", True): (
+        dict(distance_calls=2298, distance_flops=220608, vector_reads=2298,
+             graph_reads=4024, queue_ops=3214, hash_ops=7474, hops=515),
+        0.00015538799999999998, 1.2828e-05,
+    ),
+}
+
+
+@pytest.mark.parametrize("metric, optimized", sorted(CPU_GOLDENS))
+def test_cpu_pricing_matches_the_metered_goldens(metric, optimized):
+    rng = np.random.default_rng(2020)
+    data = rng.standard_normal((300, 16)).astype(np.float32)
+    queries = rng.standard_normal((12, 16)).astype(np.float32)
+    index = CpuSongIndex(build_knn_graph(data, 8, metric), data)
+    config = SearchConfig(
+        k=10, queue_size=40, metric=metric,
+        selected_insertion=optimized, visited_deletion=optimized,
+    )
+    snapshot, batch_seconds, first_seconds = CPU_GOLDENS[metric, optimized]
+    batch = index.search_batch(queries, config)
+    assert batch.counter.snapshot() == snapshot
+    assert batch.seconds == batch_seconds
+    assert index.search(queries[0], config)[1] == first_seconds
 
 
 class TestCpuSongIndex:

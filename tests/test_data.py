@@ -92,9 +92,11 @@ class TestGroundTruth:
         rng = np.random.default_rng(9)
         data = rng.normal(size=(60, 4)).astype(np.float32)
         queries = rng.normal(size=(11, 4)).astype(np.float32)
-        a = ground_truth(data, queries, 3, block=2)
-        b = ground_truth(data, queries, 3, block=100)
-        np.testing.assert_array_equal(a, b)
+        for k in (1, 3, len(data) - 1, len(data)):
+            a = ground_truth(data, queries, k, block=2)
+            b = ground_truth(data, queries, k, block=100)
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, ground_truth(data, queries, k))
 
     def test_validation(self):
         data = np.zeros((5, 2), np.float32)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.distances import (
-    CountedDistance,
     OpCounter,
     batch_distance,
     get_metric,
@@ -118,20 +117,7 @@ class TestMetricObject:
 
 
 class TestCountedDistance:
-    def test_counts_single_calls(self, rng):
-        counted = CountedDistance(get_metric("l2"))
-        u, v = rng.normal(size=4), rng.normal(size=4)
-        counted.single(u, v)
-        counted.single(u, v)
-        assert counted.counter.distance_calls == 2
-        assert counted.counter.distance_flops == 2 * 12
-        assert counted.counter.vector_reads == 2
-
-    def test_counts_batch(self, rng):
-        counted = CountedDistance(get_metric("ip"))
-        counted.batch(rng.normal(size=4), rng.normal(size=(7, 4)))
-        assert counted.counter.distance_calls == 7
-        assert counted.counter.distance_flops == 7 * 8
+    """``repro.distances.counted``: the :class:`OpCounter` tally."""
 
     def test_counter_reset_and_merge(self):
         a, b = OpCounter(), OpCounter()

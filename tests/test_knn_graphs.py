@@ -35,9 +35,27 @@ class TestExactKnn:
             assert v not in nbrs[v]
 
     def test_blocked_matches_unblocked(self, points):
-        a = knn_neighbors(points, 4, block=32)
-        b = knn_neighbors(points, 4, block=10_000)
-        np.testing.assert_array_equal(a, b)
+        for k in (1, 4, len(points) - 1):
+            a = knn_neighbors(points, k, block=32)
+            b = knn_neighbors(points, k, block=10_000)
+            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, knn_neighbors(points, k))
+
+    def test_tile_memory_is_bounded(self):
+        """The tile height follows from n under a byte budget: at n = 8192
+        a 4 MiB float32 tile and its 8 MiB int64 partition index, where
+        fixed 1024-row tiles traced 192 MiB."""
+        import tracemalloc
+
+        data = np.random.default_rng(4).normal(size=(8192, 16)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            nbrs = knn_neighbors(data, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nbrs.shape == (8192, 10)
+        assert peak < 64 * 2**20
 
     def test_invalid_k(self, points):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Meter-layer tests: event → cost mapping for each machine model."""
+"""Warp-cost tests: the event → warp-primitive table and the counters under it."""
 
 from dataclasses import fields
 
@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import Placement, WarpMeter
-from repro.core.stages import CountingMeter, NullMeter
-from repro.distances import OpCounter, get_metric
+from repro.distances import get_metric
 from repro.simt.device import get_device
 from repro.simt.memory import MemorySpace
 from repro.simt.warp import Warp
@@ -29,45 +28,6 @@ def _meter(warp, config, shared=True):
     return WarpMeter(
         warp, config, _placement(shared), get_metric("l2").flops_per_distance
     )
-
-
-class TestNullMeter:
-    def test_all_events_are_noops(self):
-        m = NullMeter()
-        m.stage("locate")
-        m.pop_frontier()
-        m.push_frontier(2)
-        m.read_graph_row(16)
-        m.visited_test(3)
-        m.visited_insert()
-        m.visited_delete()
-        m.bulk_distance(5, 32)
-        m.topk_update()  # nothing raised, nothing recorded
-
-
-class TestCountingMeter:
-    def test_distance_accounting(self):
-        c = OpCounter()
-        m = CountingMeter(c, dim=16, flops_per_distance=48)
-        m.bulk_distance(10, 16)
-        assert c.distance_calls == 10
-        assert c.distance_flops == 480
-        assert c.vector_reads == 10
-
-    def test_queue_and_hash_accounting(self):
-        c = OpCounter()
-        m = CountingMeter(c, dim=16, flops_per_distance=48)
-        m.pop_frontier()
-        m.push_frontier(3)
-        m.topk_update(2)
-        m.visited_test(4)
-        m.visited_insert(2)
-        m.visited_delete(1)
-        m.read_graph_row(16)
-        assert c.queue_ops == 6
-        assert c.hash_ops == 7
-        assert c.graph_reads == 16
-        assert c.hops == 1
 
 
 class TestWarpMeter:
