@@ -51,26 +51,26 @@ def cached_graph(
     data: np.ndarray,
     build_fn: Callable[[], FixedDegreeGraph],
     graph_type: str = None,
-    build_engine: str = "serial",
     **params,
 ) -> FixedDegreeGraph:
     """Build-artifact cache: load a graph from disk or build and persist it.
 
-    The cache key is ``(graph type, build engine, dataset fingerprint,
-    params)``, so any change to the data, the graph family, the
-    construction engine, or the pruning parameters produces a fresh
-    artifact while re-runs of the same benchmark skip construction
-    entirely.  ``builder`` is the human-readable file-name prefix;
-    ``graph_type`` defaults to it but should be the canonical
+    The cache key is ``(graph type, dataset fingerprint, params)``, so
+    any change to the data, the graph family or the pruning parameters
+    produces a fresh artifact while re-runs of the same benchmark skip
+    construction entirely.  ``builder`` is the human-readable file-name
+    prefix; ``graph_type`` defaults to it but should be the canonical
     :data:`~repro.core.config.GRAPH_TYPES` name when the label differs,
     so a benchmark-specific label never aliases a differently-built
     artifact of the same family.  A corrupt or stale-format file is
-    discarded and rebuilt.
+    discarded and rebuilt.  Keys once carried a construction-engine
+    component; artifacts cached under those keys are never looked up
+    again and are simply rebuilt (the directory is git-ignored).
     """
     graph_type = graph_type or builder
     spec = json.dumps(params, sort_keys=True, default=str)
     key = hashlib.sha1(
-        f"{graph_type}|{build_engine}|{dataset_fingerprint(data)}|{spec}".encode()
+        f"{graph_type}|{dataset_fingerprint(data)}|{spec}".encode()
     ).hexdigest()[:20]
     path = os.path.join(CACHE_DIR, f"{builder}-{key}.npz")
     if os.path.exists(path):

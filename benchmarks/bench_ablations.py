@@ -89,9 +89,8 @@ def test_ablation_graph_degree(benchmark, assets):
                 lambda: build_nsw(
                     ds.data, m=m, ef_construction=48,
                     max_degree=degree, seed=7,
-                    build_engine="serial",
                 ),
-                graph_type="nsw", build_engine="serial",
+                graph_type="nsw",
                 m=m, ef_construction=48, max_degree=degree, seed=7,
             )
             gpu = GpuSongIndex(graph, ds.data)

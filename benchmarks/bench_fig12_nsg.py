@@ -18,11 +18,8 @@ def _run(assets):
     ds = assets.dataset("sift")
     nsg = cached_graph(
         "nsg", ds.data,
-        lambda: build_nsg(
-            ds.data, degree=16, knn=16, search_len=40, build_engine="serial"
-        ),
-        graph_type="nsg", build_engine="serial",
-        degree=16, knn=16, search_len=40,
+        lambda: build_nsg(ds.data, degree=16, knn=16, search_len=40),
+        graph_type="nsg", degree=16, knn=16, search_len=40,
     )
     sat = with_saturated_queries(ds)
     gpu = GpuSongIndex(nsg, ds.data)

@@ -52,7 +52,7 @@ def _run(assets):
     # Full-precision arm.
     graph = cached_graph(
         "knn", ds.data, lambda: build_knn_graph(ds.data, DEGREE),
-        graph_type="knn", build_engine="serial", degree=DEGREE,
+        graph_type="knn", degree=DEGREE,
     )
     gpu = GpuSongIndex(graph, ds.data, device="titanx")
     results, timing = gpu.search_batch(sat_queries, cfg)

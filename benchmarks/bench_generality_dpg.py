@@ -29,20 +29,17 @@ def _run(assets):
         "HNSW-L0": assets.hnsw("sift").base_layer_graph(),
         "NSG": cached_graph(
             "nsg", ds.data,
-            lambda: build_nsg(
-                ds.data, degree=16, knn=16, search_len=40, build_engine="serial"
-            ),
-            graph_type="nsg", build_engine="serial",
-            degree=16, knn=16, search_len=40,
+            lambda: build_nsg(ds.data, degree=16, knn=16, search_len=40),
+            graph_type="nsg", degree=16, knn=16, search_len=40,
         ),
         "DPG": cached_graph(
             "dpg", ds.data,
-            lambda: build_dpg(ds.data, degree=16, build_engine="serial"),
-            graph_type="dpg", build_engine="serial", degree=16, knn=32,
+            lambda: build_dpg(ds.data, degree=16),
+            graph_type="dpg", degree=16, knn=32,
         ),
         "kNN": cached_graph(
             "knn", ds.data, lambda: build_knn_graph(ds.data, 16),
-            graph_type="knn", build_engine="serial", degree=16,
+            graph_type="knn", degree=16,
         ),
     }
     rows, out = [], {}

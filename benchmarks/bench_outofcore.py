@@ -104,7 +104,6 @@ def _assets(n: int, num_queries: int):
         dataset.data,
         lambda: build_nsw_cached(dataset.data),
         graph_type="nsw",
-        build_engine="serial",
         m=8,
         ef_construction=48,
         seed=7,
@@ -115,7 +114,7 @@ def _assets(n: int, num_queries: int):
 def build_nsw_cached(data: np.ndarray):
     from repro.graphs import build_nsw
 
-    return build_nsw(data, m=8, ef_construction=48, seed=7, build_engine="serial")
+    return build_nsw(data, m=8, ef_construction=48, seed=7)
 
 
 def _budget_device(tiered: TieredIndex):

@@ -86,11 +86,8 @@ def run_serving_bench(
     graph = cached_graph(
         "nsw-serving",
         dataset.data,
-        lambda: build_nsw(
-            dataset.data, m=8, ef_construction=48, seed=7, build_engine="serial"
-        ),
+        lambda: build_nsw(dataset.data, m=8, ef_construction=48, seed=7),
         graph_type="nsw",
-        build_engine="serial",
         m=8,
         ef_construction=48,
         seed=7,
@@ -162,11 +159,8 @@ def run_streams_bench(
     graph = cached_graph(
         "nsw-serving",
         dataset.data,
-        lambda: build_nsw(
-            dataset.data, m=8, ef_construction=48, seed=7, build_engine="serial"
-        ),
+        lambda: build_nsw(dataset.data, m=8, ef_construction=48, seed=7),
         graph_type="nsw",
-        build_engine="serial",
         m=8,
         ef_construction=48,
         seed=7,

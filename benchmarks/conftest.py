@@ -54,11 +54,8 @@ class BenchAssets:
             self._cache[key] = cached_graph(
                 "nsw",
                 ds.data,
-                lambda: build_nsw(
-                    ds.data, m=8, ef_construction=48, seed=7, build_engine="serial"
-                ),
+                lambda: build_nsw(ds.data, m=8, ef_construction=48, seed=7),
                 graph_type="nsw",
-                build_engine="serial",
                 m=8,
                 ef_construction=48,
                 seed=7,
@@ -84,7 +81,7 @@ class BenchAssets:
         if key not in self._cache:
             ds = self.dataset(name)
             self._cache[key] = HNSWIndex(
-                ds.data, m=8, ef_construction=48, seed=1, build_engine="serial"
+                ds.data, m=8, ef_construction=48, seed=1
             ).build()
         return self._cache[key]
 

@@ -21,7 +21,6 @@ Quickstart::
 from repro.core import (
     GRAPH_TYPES,
     BatchedSongSearcher,
-    BuildConfig,
     CpuSongIndex,
     GpuSongIndex,
     OnlineSongIndex,
@@ -48,7 +47,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "SearchConfig",
-    "BuildConfig",
     "SearchStats",
     "OptimizationLevel",
     "SongSearcher",

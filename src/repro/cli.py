@@ -78,14 +78,13 @@ def cmd_build(args) -> int:
         dataset.data,
         args.graph,
         degree=degree,
-        build_engine=args.build_engine,
         seed=7,
         **kwargs,
     )
     elapsed = time.time() - start
     save_graph(graph, args.out)
     print(
-        f"built {args.graph} ({args.build_engine}) over "
+        f"built {args.graph} over "
         f"{dataset.num_data} points in {elapsed:.1f}s"
     )
     print(f"  {graph}")
@@ -190,7 +189,6 @@ def cmd_sweep(args) -> int:
             dataset.data,
             args.graph,
             degree=16,
-            build_engine=args.build_engine,
             seed=7,
             **kwargs,
         )
@@ -208,7 +206,6 @@ def cmd_sweep(args) -> int:
             m=8,
             ef_construction=48,
             seed=1,
-            build_engine=args.build_engine,
         ).build()
         series["HNSW"] = sweep_hnsw(dataset, hnsw, queues, k=args.k)
     if "ivfpq" in args.methods:
@@ -237,7 +234,6 @@ def _build_serving_graph(args, data):
         data,
         args.graph,
         degree=16,
-        build_engine=args.build_engine,
         seed=7,
         **kwargs,
     )
@@ -419,10 +415,6 @@ def _add_serving_args(parser: argparse.ArgumentParser) -> None:
         "--graph", choices=list(GRAPH_TYPES), default="nsw",
         help="graph family the replicas search",
     )
-    parser.add_argument(
-        "--build-engine", choices=["serial", "batched"], default="batched",
-        help="construction engine for the served graph",
-    )
     parser.add_argument("--k", type=int, default=10)
     parser.add_argument("--queue", type=int, default=64, help="tier-0 ef")
     parser.add_argument("--slo-ms", type=float, default=2.0, help="p99 SLO")
@@ -467,10 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="out-degree bound of the built graph (default 2*m)",
     )
     p_build.add_argument("--ef-construction", type=int, default=48)
-    p_build.add_argument(
-        "--build-engine", choices=["serial", "batched"], default="batched",
-        help="construction engine (batched = vectorized generation inserts)",
-    )
     p_build.add_argument("--out", required=True, help="output .npz path")
     p_build.set_defaults(func=cmd_build)
 
@@ -504,10 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--graph", choices=list(GRAPH_TYPES), default="nsw",
         help="graph family searched by the song/batched methods",
-    )
-    p_sweep.add_argument(
-        "--build-engine", choices=["serial", "batched"], default="batched",
-        help="construction engine for the swept indexes",
     )
     p_sweep.add_argument("--plot", action="store_true", help="render an ASCII plot")
     p_sweep.set_defaults(func=cmd_sweep)

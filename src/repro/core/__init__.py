@@ -20,9 +20,7 @@ Public entry points:
 """
 
 from repro.core.config import (
-    BUILD_ENGINES,
     GRAPH_TYPES,
-    BuildConfig,
     OptimizationLevel,
     SearchConfig,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "ShardedSongIndex",
     "OnlineSongIndex",
     "SearchConfig",
-    "BuildConfig",
-    "BUILD_ENGINES",
     "GRAPH_TYPES",
     "SearchStats",
     "OptimizationLevel",

@@ -1,4 +1,4 @@
-"""Search and build configuration: every knob the paper evaluates."""
+"""Search configuration: every knob the paper evaluates."""
 
 from __future__ import annotations
 
@@ -6,9 +6,6 @@ import enum
 from dataclasses import dataclass, replace
 
 from repro.structures.visited import VisitedBackend
-
-#: Valid graph-construction engines (mirrored by every graph builder).
-BUILD_ENGINES = ("serial", "batched")
 
 #: Graph families the repo can build and serve (see ``repro.graphs``).
 GRAPH_TYPES = ("nsw", "hnsw", "nsg", "dpg", "cagra", "knn")
@@ -138,57 +135,3 @@ class SearchConfig:
             opts = dict(visited_backend=VisitedBackend.CUCKOO)
         opts.update(kwargs)
         return cls(**opts)
-
-
-@dataclass(frozen=True)
-class BuildConfig:
-    """Parameters of graph construction (the build-side twin of
-    :class:`SearchConfig`).
-
-    Attributes
-    ----------
-    graph_type:
-        Graph family to build — one of :data:`GRAPH_TYPES`
-        (``nsw`` / ``hnsw`` / ``nsg`` / ``dpg`` / ``cagra`` / ``knn``).
-    engine:
-        ``"serial"`` runs the reference per-point/per-pair build loops;
-        ``"batched"`` runs the vectorized construction layer (NN-descent
-        local joins as fused pair tiles, NSW/HNSW insertion in lockstep
-        generation batches, CAGRA/NSG/DPG pruning as flat array kernels).
-    insert_batch:
-        Cap on one insertion generation's size for the batched NSW/HNSW
-        engines.
-    max_candidates:
-        Per-vertex join-list cap for batched NN-descent.  ``None``
-        (default) adapts the cap per round to the observed list-length
-        tail (``max(32, 4 * p99)``), so it binds only on genuine hub
-        vertices; pass an int for a fixed cap.
-    seed:
-        Construction seed forwarded to the builders.
-    """
-
-    graph_type: str = "nsw"
-    engine: str = "batched"
-    insert_batch: int = 512
-    max_candidates: int = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.graph_type not in GRAPH_TYPES:
-            raise ValueError(
-                f"unknown graph type {self.graph_type!r}; "
-                f"expected one of {GRAPH_TYPES}"
-            )
-        if self.engine not in BUILD_ENGINES:
-            raise ValueError(
-                f"unknown build engine {self.engine!r}; "
-                f"expected one of {BUILD_ENGINES}"
-            )
-        if self.insert_batch <= 0:
-            raise ValueError("insert_batch must be positive")
-        if self.max_candidates is not None and self.max_candidates <= 0:
-            raise ValueError("max_candidates must be positive")
-
-    def with_options(self, **kwargs) -> "BuildConfig":
-        """A copy with selected fields replaced."""
-        return replace(self, **kwargs)

@@ -11,7 +11,6 @@ from repro.eval.sweep import (
     SweepPoint,
     qps_at_recall,
     sweep_batched_song,
-    sweep_build_engines,
     sweep_gpu_song,
     sweep_cpu_song,
     sweep_hnsw,
@@ -31,7 +30,6 @@ __all__ = [
     "format_serving_table",
     "serving_policy_config",
     "sweep_batched_song",
-    "sweep_build_engines",
     "sweep_gpu_song",
     "sweep_cpu_song",
     "sweep_hnsw",

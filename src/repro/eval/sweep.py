@@ -193,78 +193,6 @@ def sweep_ivfpq(
     return points
 
 
-def sweep_build_engines(
-    data: np.ndarray,
-    k: int = 10,
-    engines: Sequence[str] = ("serial", "batched"),
-    metric: str = "l2",
-    seed: int = 0,
-    exact: Optional[np.ndarray] = None,
-    graph_type: Optional[str] = None,
-) -> Dict[str, SweepPoint]:
-    """Build-side sweep: graph construction under each engine.
-
-    For every engine, builds the index over ``data`` and reports one
-    point whose ``qps`` is build throughput (points per second) and whose
-    ``recall`` is graph recall against the exact kNN table (computed by
-    brute force when ``exact`` is omitted).  ``graph_type=None``
-    (default) sweeps the raw NN-descent kNN table; any name from
-    :data:`~repro.core.config.GRAPH_TYPES` sweeps that builder through
-    :func:`repro.graphs.build_graph` at ``degree=k`` instead.  Each
-    point's ``extra`` carries the build time plus degree-distribution
-    and reverse-edge-coverage summaries of the resulting graph.
-    """
-    from repro.graphs import FixedDegreeGraph, build_graph
-    from repro.graphs.bruteforce_knn import knn_neighbors
-    from repro.graphs.nn_descent import graph_recall, nn_descent
-    from repro.graphs.stats import degree_distribution, reverse_edge_coverage
-    from repro.graphs.storage import PAD
-
-    if exact is None:
-        exact = knn_neighbors(data, k, metric)
-    points: Dict[str, SweepPoint] = {}
-    for engine in engines:
-        start = time.perf_counter()
-        if graph_type is None:
-            table = nn_descent(
-                data, k, metric=metric, seed=seed, build_engine=engine
-            )
-            seconds = time.perf_counter() - start
-            graph = FixedDegreeGraph.from_neighbor_array(
-                table.astype(np.int64), validate=False
-            )
-            approx = table.astype(np.int64)
-        else:
-            graph = build_graph(
-                data,
-                graph_type,
-                degree=k,
-                metric=metric,
-                build_engine=engine,
-                seed=seed,
-            )
-            seconds = time.perf_counter() - start
-            approx = graph.adjacency_array.astype(np.int64)[:, :k]
-            # padded slots count as misses: replace PAD with the row's
-            # own id, which the exact table never contains
-            rows = np.arange(len(approx), dtype=np.int64)[:, None]
-            approx = np.where(approx == PAD, rows, approx)
-        degrees = degree_distribution(graph)
-        points[engine] = SweepPoint(
-            param=len(data),
-            recall=graph_recall(approx, exact),
-            qps=len(data) / seconds if seconds > 0 else float("inf"),
-            extra={
-                "build_seconds": seconds,
-                "degree_mean": degrees["mean"],
-                "degree_p50": degrees["p50"],
-                "degree_saturated": degrees["saturated"],
-                "reverse_edge_coverage": reverse_edge_coverage(graph),
-            },
-        )
-    return points
-
-
 def qps_at_recall(points: List[SweepPoint], target_recall: float) -> Optional[float]:
     """QPS a method achieves at a recall level (log-linear interpolation).
 

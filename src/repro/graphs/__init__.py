@@ -8,22 +8,28 @@ This package implements all of them from scratch:
   adjacency array SONG keeps in GPU global memory.
 - :func:`~repro.graphs.bruteforce_knn.build_knn_graph` — exact kNN graph.
 - :func:`~repro.graphs.nn_descent.nn_descent` — approximate kNN graph.
-- :class:`~repro.graphs.nsw.NSWBuilder` — navigable small-world graph.
+- :class:`~repro.graphs.nsw.NSWBuilder` — navigable small-world graph
+  (sequential insertion).
 - :class:`~repro.graphs.hnsw.HNSWIndex` — hierarchical NSW with heuristic
-  neighbor selection (the CPU comparator).
+  neighbor selection (the CPU comparator; generation-batched insertion).
 - :class:`~repro.graphs.nsg.NSGBuilder` — navigating spreading-out graph.
 - :func:`~repro.graphs.dpg.build_dpg` — diversified proximity graph.
 - :class:`~repro.graphs.cagra.CagraBuilder` — fully-batched CAGRA-style
   construction (detour-count reordering + reverse-edge merge).
 - :func:`build_graph` — one dispatcher over every family above, keyed by
   :data:`~repro.core.config.GRAPH_TYPES` names.
+
+Each family has exactly one construction path, the one that won when
+the alternatives were raced (see each module's docstring); NSG, DPG and
+CAGRA share one kNN-table source,
+:func:`~repro.graphs.bruteforce_knn.bootstrap_table`.
 """
 
 import numpy as np
 
 from repro.graphs.storage import FixedDegreeGraph
 from repro.graphs.bruteforce_knn import build_knn_graph
-from repro.graphs.nn_descent import BUILD_ENGINES, graph_recall, nn_descent
+from repro.graphs.nn_descent import graph_recall, nn_descent
 from repro.graphs.nsw import NSWBuilder, build_nsw
 from repro.graphs.hnsw import HNSWIndex
 from repro.graphs.nsg import NSGBuilder, build_nsg
@@ -42,7 +48,6 @@ __all__ = [
     "build_knn_graph",
     "nn_descent",
     "graph_recall",
-    "BUILD_ENGINES",
     "NSWBuilder",
     "build_nsw",
     "HNSWIndex",
@@ -56,9 +61,7 @@ def build_graph(
     graph_type: str = "nsw",
     degree: int = 16,
     metric: str = "l2",
-    build_engine: str = "batched",
     seed: int = 0,
-    insert_batch: int = 512,
     cost=None,
     **kwargs,
 ) -> FixedDegreeGraph:
@@ -87,8 +90,6 @@ def build_graph(
             max_degree=degree,
             metric=metric,
             seed=seed,
-            build_engine=build_engine,
-            insert_batch=insert_batch,
             **kwargs,
         )
     if graph_type == "hnsw":
@@ -98,8 +99,6 @@ def build_graph(
             ef_construction=kwargs.pop("ef_construction", 4 * degree),
             metric=metric,
             seed=seed,
-            build_engine=build_engine,
-            insert_batch=insert_batch,
             **kwargs,
         ).build()
         return index.base_layer_graph()
@@ -110,7 +109,6 @@ def build_graph(
             knn=kwargs.pop("knn", 2 * degree),
             search_len=kwargs.pop("search_len", 3 * degree),
             metric=metric,
-            build_engine=build_engine,
             cost=cost,
             **kwargs,
         )
@@ -119,7 +117,6 @@ def build_graph(
             data,
             degree=degree,
             metric=metric,
-            build_engine=build_engine,
             cost=cost,
             **kwargs,
         )
@@ -128,9 +125,8 @@ def build_graph(
             data,
             degree=degree,
             metric=metric,
-            build_engine=build_engine,
             seed=seed,
             cost=cost,
             **kwargs,
         )
-    return build_knn_graph(data, degree, metric=metric)
+    return build_knn_graph(data, degree, metric=metric, **kwargs)

@@ -3,8 +3,9 @@
 CAGRA (PAPERS.md) showed that a high-recall search graph can be built
 entirely from batch operations — no per-vertex search-and-prune loop:
 
-1. **Bootstrap** an intermediate kNN table (here: the vectorized
-   NN-descent engine, or exact brute force under the serial engine).
+1. **Bootstrap** an intermediate kNN table
+   (:func:`~repro.graphs.bruteforce_knn.bootstrap_table`: the caller's,
+   else exact blocked top-k up to 2^15 points, else NN-descent).
 2. **Rank-based reordering**: for every directed edge ``(u, t)`` at rank
    ``j`` of u's list, count its *detours* — vertices ``m`` earlier in the
    list (rank ``i < j``) whose own list reaches ``t`` at a rank below
@@ -39,12 +40,8 @@ import numpy as np
 from repro.annotations import arr, array_kernel, scalar
 from repro.distances import get_metric
 from repro.graphs._repair import attach_orphans
-from repro.graphs.bruteforce_knn import knn_neighbors, medoid
-from repro.graphs.nn_descent import (
-    BUILD_ENGINES,
-    _ragged_arange,
-    _rank_within_groups,
-)
+from repro.graphs.bruteforce_knn import bootstrap_table, medoid
+from repro.graphs.nn_descent import _ragged_arange, _rank_within_groups
 from repro.graphs.storage import PAD, FixedDegreeGraph
 from repro.simt.build_cost import KEY_BYTES, BuildCostRecorder, maybe_recorder
 from repro.structures.soa import pack_rowid, unpack_rowid
@@ -54,18 +51,6 @@ __all__ = ["CagraBuilder", "build_cagra"]
 #: Detour-count pair budget per vertex block (bounds peak memory of the
 #: rank-lookup panels: a block holds ~6 int64 arrays of this many pairs).
 _DETOUR_PAIR_BUDGET = 1 << 21
-
-#: NN-descent join sample rate for the wide bootstrap table.  Join cost
-#: grows with the square of the list length, so at ``2 * degree`` the
-#: default 0.6 wastes most of its pairs: 0.3 converges to the same
-#: recall (within 1e-4 on uniform data) in a third of the time.
-_BOOTSTRAP_SAMPLE_RATE = 0.3
-
-#: Below this many points the batched engine bootstraps by blocked
-#: exact kNN instead of NN-descent: the O(n^2 d) GEMM tiles beat the
-#: round-structured descent until the quadratic term dominates (well
-#: above every bench size here), and they are just as batch-shaped.
-_EXACT_BOOTSTRAP_MAX = 1 << 15
 
 
 @array_kernel(
@@ -217,17 +202,11 @@ class CagraBuilder:
         Distance measure name.
     knn_table:
         Optional precomputed ``(n, k0)`` bootstrap table whose rows are
-        sorted ascending by distance (position = rank); overrides
-        ``build_engine``.
-    build_engine:
-        Bootstrap source when ``knn_table`` is omitted: ``"batched"``
-        (default) picks blocked exact kNN below ``_EXACT_BOOTSTRAP_MAX``
-        points (GEMM tiles win at that scale) and vectorized NN-descent
-        above it; ``"serial"`` always computes the exact table by brute
-        force.  The optimization passes are batched either way — that is
-        the point of this builder.
+        sorted ascending by distance (position = rank).  When omitted
+        :func:`~repro.graphs.bruteforce_knn.bootstrap_table` picks the
+        source from the dataset size.
     seed:
-        Seed forwarded to NN-descent.
+        Seed forwarded to NN-descent (large datasets only).
     cost:
         Optional :class:`~repro.simt.build_cost.BuildCostRecorder`; every
         bulk kernel of the build is recorded on it.
@@ -240,17 +219,11 @@ class CagraBuilder:
         intermediate_degree: Optional[int] = None,
         metric: str = "l2",
         knn_table: Optional[np.ndarray] = None,
-        build_engine: str = "batched",
         seed: int = 0,
         cost: Optional[BuildCostRecorder] = None,
     ) -> None:
         if degree <= 1:
             raise ValueError("degree must be at least 2")
-        if build_engine not in BUILD_ENGINES:
-            raise ValueError(
-                f"unknown build_engine {build_engine!r}; "
-                f"expected one of {BUILD_ENGINES}"
-            )
         self.data = np.asarray(data)
         self.degree = degree
         self.intermediate_degree = intermediate_degree or 2 * degree
@@ -258,7 +231,6 @@ class CagraBuilder:
             raise ValueError("intermediate_degree must be at least degree")
         self.metric = get_metric(metric)
         self._knn_table = knn_table
-        self.build_engine = build_engine
         self.seed = seed
         self.cost = cost
 
@@ -268,7 +240,9 @@ class CagraBuilder:
         k0 = self.intermediate_degree
         if n <= k0:
             raise ValueError("dataset too small for the intermediate degree")
-        table = self._bootstrap(n, k0)
+        table = bootstrap_table(
+            self.data, k0, self.metric.name, self._knn_table, self.seed, self.cost
+        )
         counts = self._detour_counts(table)
         fwd_full = self._reorder(table, counts)
         adjacency = self._merge_reverse(fwd_full)
@@ -281,38 +255,6 @@ class CagraBuilder:
         )
 
     # -- stages ----------------------------------------------------------------
-
-    def _bootstrap(self, n: int, k0: int) -> np.ndarray:
-        """The ``(n, k0)`` rank table: rows sorted ascending by distance."""
-        rec = maybe_recorder(self.cost)
-        if self._knn_table is not None:
-            table = np.asarray(self._knn_table)
-            if table.shape != (n, k0):
-                raise ValueError(
-                    f"knn_table must have shape ({n}, {k0}), got {table.shape}"
-                )
-            return table.astype(np.int64)
-        if self.build_engine == "batched" and n > _EXACT_BOOTSTRAP_MAX:
-            from repro.graphs.nn_descent import nn_descent
-
-            table = nn_descent(
-                self.data,
-                k0,
-                metric=self.metric.name,
-                seed=self.seed,
-                sample_rate=_BOOTSTRAP_SAMPLE_RATE,
-                cost=self.cost,
-            )
-            return table.astype(np.int64)
-        table = knn_neighbors(self.data, k0, self.metric.name)
-        rec.record_distances(
-            n * n,
-            self.metric.flops_per_distance(self.data.shape[1]),
-            self.data.shape[1],
-            "bootstrap-exact",
-        )
-        rec.record_sort(n, min(n, 4 * k0), "bootstrap-topk")
-        return table.astype(np.int64)
 
     def _detour_counts(self, table: np.ndarray) -> np.ndarray:
         """Detours per edge: ``counts[u, j]`` over mids at rank ``i < j``.
@@ -360,13 +302,13 @@ class CagraBuilder:
         rec.record_flat_sort(n * k0 + n * self.degree, "reverse-merge")
         return _merge_reverse_rows(fwd_full, self.degree)
 
+
 def build_cagra(
     data: np.ndarray,
     degree: int = 16,
     intermediate_degree: Optional[int] = None,
     metric: str = "l2",
     knn_table: Optional[np.ndarray] = None,
-    build_engine: str = "batched",
     seed: int = 0,
     cost: Optional[BuildCostRecorder] = None,
 ) -> FixedDegreeGraph:
@@ -377,7 +319,6 @@ def build_cagra(
         intermediate_degree=intermediate_degree,
         metric=metric,
         knn_table=knn_table,
-        build_engine=build_engine,
         seed=seed,
         cost=cost,
     ).build()

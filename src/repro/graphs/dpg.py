@@ -6,38 +6,40 @@ max-min-angle selection) — then makes the graph undirected.  The paper
 lists DPG among the graph family SONG accelerates; building it here lets
 the generality experiment (Fig. 12) extend beyond NSG.
 
-Two engines produce the same graph shape:
+The whole build is batch kernels — no per-vertex Python loop anywhere.
+The kNN table comes from
+:func:`~repro.graphs.bruteforce_knn.bootstrap_table` (exact up to 2^15
+points).  Angular diversification runs the greedy rounds across a whole
+block of vertices at once — one ``einsum('bkd,bd->bk')`` per round
+updates every row's running max-cosine against its newest pick — and
+undirection/backfill is a flat priority-stream merge (forward band,
+reverse band in arrival order, kNN backfill band) resolved by two
+lexsorts, the same pattern as the CAGRA reverse merge.
+:func:`~repro.graphs._repair.attach_orphans` then restores reachability
+from the entry point: diversification plus a degree cap can leave a
+vertex with no in-path at all (2 of 1000 on the nytimes analogue and 15
+of 2000 on the glove200 analogue at degree 8), and a vertex no search can
+return is a silent recall loss.
 
-``serial``
-    The readable reference: a per-vertex greedy angular selection
-    followed by per-edge reverse insertion and kNN backfill.
-``batched``
-    The vectorized path.  Angular diversification runs the same greedy
-    rounds across a whole block of vertices at once — one
-    ``einsum('bkd,bd->bk')`` per round updates every row's running
-    max-cosine against its newest pick — and undirection/backfill is a
-    flat priority-stream merge (forward band, reverse band in arrival
-    order, kNN backfill band) resolved by two lexsorts, the same pattern
-    as the CAGRA reverse merge.  No per-vertex Python loop anywhere.
-
-The engines agree up to floating-point reduction order in the cosine
-updates (``matmul`` vs incremental ``einsum`` maxima) and up to the
-serial path's order-dependent reverse-edge cascade (a reverse edge
-appended early can itself spawn reverse edges later); equivalence is
-validated at recall level, not bit level.
+Search recall is held to brute-force ground truth in
+``tests/test_graph_quality.py``; the adjacency is pinned by digest in
+``tests/test_build_paths.py``.
 """
 
 from __future__ import annotations
 
 # lint: hot-path
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.annotations import arr, array_kernel, opaque, scalar
-from repro.graphs.bruteforce_knn import knn_neighbors, medoid
+from repro.distances import get_metric
+from repro.graphs._repair import attach_orphans
+from repro.graphs.bruteforce_knn import bootstrap_table, medoid
 from repro.graphs.storage import PAD, FixedDegreeGraph
+from repro.simt.build_cost import maybe_recorder
 from repro.structures.soa import pack_rowid, unpack_rowid
 
 __all__ = ["build_dpg"]
@@ -47,34 +49,12 @@ __all__ = ["build_dpg"]
 _DIVERSIFY_BLOCK = 1024
 
 
-def _angular_diversify(
-    data: np.ndarray, v: int, candidates: np.ndarray, keep: int
-) -> List[int]:
-    """Greedy max-min-angle subset of ``candidates`` around vertex ``v``."""
-    directions = data[candidates] - data[v]
-    norms = np.linalg.norm(directions, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    directions = directions / norms
-    chosen: List[int] = [0]  # nearest neighbor always kept
-    while len(chosen) < min(keep, len(candidates)):
-        chosen_dirs = directions[chosen]
-        # cosine of the closest chosen direction, per remaining candidate
-        cos = directions @ chosen_dirs.T
-        worst = cos.max(axis=1)
-        worst[chosen] = np.inf  # never re-pick
-        pick = int(np.argmin(worst))
-        if not np.isfinite(worst[pick]):
-            break
-        chosen.append(pick)
-    return [int(candidates[i]) for i in chosen]
-
-
-def _diversify_batched(
+def _diversify(
     data: np.ndarray, table: np.ndarray, keep: int, rec
 ) -> np.ndarray:
     """Greedy max-min-angle selection for every vertex at once.
 
-    Runs the serial greedy's rounds in lockstep over vertex blocks: the
+    Runs the greedy's rounds in lockstep over vertex blocks: the
     running "worst" (max cosine against any chosen direction) updates
     incrementally with one fused ``einsum`` per round instead of
     rebuilding the chosen-matrix product.  Returns ``(n, keep)`` selected
@@ -125,14 +105,14 @@ def _diversify_batched(
     },
     returns=[arr("n", "degree", dtype="int64", lo=-1, hi="n-1")],
 )
-def _undirect_batched(
+def _undirect(
     fwd: np.ndarray, table: np.ndarray, degree: int, rec
 ) -> np.ndarray:
     """Forward + reverse + backfill bands merged into ``(n, degree)`` rows.
 
     Every stream entry carries a priority: diversified forward edges
-    first (their pick order), then reverse edges in the serial path's
-    arrival order (source vertex, then source slot), then each vertex's
+    first (their pick order), then reverse edges in arrival order
+    (source vertex, then source slot), then each vertex's
     remaining kNN candidates in rank order.  One lexsort dedups each
     ``(vertex, candidate)`` to its strongest band, a second ranks each
     vertex's survivors, and a scatter writes the rows.
@@ -147,7 +127,7 @@ def _undirect_batched(
     c_f = fwd.ravel()
     p_f = np.tile(np.arange(keep, dtype=np.int64), n)
 
-    # reverse band: forward edges enumerated row-major *are* the serial
+    # reverse band: forward edges enumerated row-major *are* the
     # arrival order, so ranking each target's in-edges by that flat index
     # reproduces it
     comp = pack_rowid(c_f, np.arange(n * keep, dtype=np.int64), n * keep)
@@ -191,7 +171,6 @@ def build_dpg(
     knn: int = None,
     metric: str = "l2",
     knn_table: np.ndarray = None,
-    build_engine: str = "batched",
     cost: Optional[object] = None,
 ) -> FixedDegreeGraph:
     """Build a DPG: angular diversification of a kNN graph + undirection.
@@ -206,87 +185,24 @@ def build_dpg(
     knn:
         Candidate-pool size (default ``2 * degree``).
     knn_table:
-        Optional precomputed neighbor table.
-    build_engine:
-        ``"batched"`` (default) bootstraps with vectorized NN-descent
-        and runs diversification and undirection as batch kernels;
-        ``"serial"`` runs the reference per-vertex loops over an exact
-        brute-force table.
+        Optional precomputed ``(n, knn)`` neighbor table.
     cost:
-        Optional :class:`~repro.simt.build_cost.BuildCostRecorder`; the
-        batched engine records every bulk kernel on it.
+        Optional :class:`~repro.simt.build_cost.BuildCostRecorder`;
+        every bulk kernel of the build is recorded on it.
     """
-    from repro.graphs.nn_descent import BUILD_ENGINES
-
     data = np.asarray(data)
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    if build_engine not in BUILD_ENGINES:
-        raise ValueError(
-            f"unknown build_engine {build_engine!r}; "
-            f"expected one of {BUILD_ENGINES}"
-        )
     knn = knn or 2 * degree
-    if knn_table is not None:
-        table = np.asarray(knn_table)
-    elif build_engine == "batched":
-        from repro.graphs.nn_descent import nn_descent
-
-        table = nn_descent(data, knn, metric=metric, seed=0, cost=cost)
-    else:
-        table = knn_neighbors(data, knn, metric)
-    n = len(data)
-    half = max(1, degree // 2)
-
-    if build_engine == "batched":
-        from repro.simt.build_cost import maybe_recorder
-
-        rec = maybe_recorder(cost)
-        fwd = _diversify_batched(
-            np.ascontiguousarray(data, dtype=np.float32), table, half, rec
-        )
-        adjacency = _undirect_batched(fwd, table, degree, rec)
-        rec.record_graph_write(adjacency.size)
-        return FixedDegreeGraph.from_neighbor_array(
-            adjacency, entry_point=medoid(data, metric), validate=False
-        )
-
-    return _build_serial(data, table, degree, half, metric)
-
-
-def _build_serial(
-    data: np.ndarray,
-    table: np.ndarray,
-    degree: int,
-    half: int,
-    metric: str,
-) -> FixedDegreeGraph:
-    """The reference per-vertex DPG pipeline."""
-    n = len(data)
-    adjacency: List[List[int]] = []
-    for v in range(n):  # lint: allow(hot-loop) — serial reference engine
-        adjacency.append(_angular_diversify(data, v, table[v], half))
-
-    # Undirect: add reverse edges while slots remain.
-    for v in range(n):  # lint: allow(hot-loop) — serial reference engine
-        for u in adjacency[v]:
-            row = adjacency[u]
-            if v in row or len(row) >= degree:
-                continue
-            row.append(v)
-    # Fill any remaining slack with the next-nearest unused kNN candidates.
-    for v in range(n):  # lint: allow(hot-loop) — serial reference engine
-        row = adjacency[v]
-        if len(row) >= degree:
-            continue
-        for u in table[v]:
-            u = int(u)
-            if u != v and u not in row:
-                row.append(u)
-                if len(row) >= degree:
-                    break
-
-    graph = FixedDegreeGraph(n, degree, entry_point=medoid(data, metric))
-    for v in range(n):  # lint: allow(hot-loop) — serial reference engine
-        graph.set_neighbors(v, adjacency[v][:degree])
-    return graph
+    table = bootstrap_table(data, knn, metric, knn_table, cost=cost)
+    rec = maybe_recorder(cost)
+    fwd = _diversify(
+        np.ascontiguousarray(data, dtype=np.float32), table, max(1, degree // 2), rec
+    )
+    adjacency = _undirect(fwd, table, degree, rec)
+    entry = medoid(data, metric)
+    attach_orphans(adjacency, table, entry, data, get_metric(metric))
+    rec.record_graph_write(adjacency.size)
+    return FixedDegreeGraph.from_neighbor_array(
+        adjacency, entry_point=entry, validate=False
+    )

@@ -6,18 +6,26 @@ search at layer 0, and the heuristic neighbor-selection rule (keep a
 candidate only if it is closer to the inserted point than to every
 already-kept neighbor) that gives HNSW its pruned, diverse edges.
 
-``build_engine="batched"`` inserts points in generation batches, batched
-per (layer, generation): levels are pre-drawn (same RNG draw order as
-the serial build), every lane descends the upper hierarchy in a
-vectorized lockstep hill-climb, and each layer's insertions — upper
-layers now included, not just layer 0 — run as one lockstep
-:class:`~repro.core.batched.BatchedSongSearcher` sweep seeded per-lane
-from the descent.  Neighbor selection and back-link pruning use a
-precomputed pairwise-distance matrix instead of per-pair
-``metric.single`` calls.  Points within a generation search
-pre-generation snapshots and do not see each other, so the batched graph
-is recall-equivalent, not identical, to the serial one (tested in
-``tests/test_graph_quality.py``); level assignment is bit-identical.
+Construction inserts points in generation batches, batched per (layer,
+generation): levels are pre-drawn (one RNG draw per point, in insertion
+order), every lane descends the upper hierarchy in a vectorized lockstep
+hill-climb, and each layer's insertions — upper layers included — run
+as one lockstep :class:`~repro.core.batched.BatchedSongSearcher` sweep
+seeded per-lane from the descent.  Neighbor selection and back-link
+pruning use a precomputed pairwise-distance matrix instead of per-pair
+``metric.single`` calls.  Generations are capped at the inserted prefix
+(doubling schedule) and at ``_INSERT_BATCH``.
+
+Points within a generation search pre-generation snapshots and do not
+see each other.  That costs recall at small ``ef`` — layer-0 recall@10 at
+queue 64 reads 0.90–0.97 on the sift analogue (n = 500–4000) where
+one-point-at-a-time insertion reads 0.93–0.99 — and buys build time:
+0.52 / 1.0 / 2.1 / 4.2 s against 0.63 / 1.3 / 3.0 / 6.7 s at those
+sizes.  Unlike NSW (:mod:`repro.graphs.nsw`), HNSW rows are
+degree-capped as they grow, so a generation's fixed-degree snapshot
+carries almost no padding and the lockstep engine is not wasted on it.
+Search recall is held to brute-force ground truth in
+``tests/test_graph_quality.py``.
 """
 
 from __future__ import annotations
@@ -31,13 +39,16 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distances import OpCounter, get_metric
-from repro.graphs.nn_descent import BUILD_ENGINES
 from repro.graphs.storage import FixedDegreeGraph
 
 __all__ = ["HNSWIndex"]
 
-#: Smallest generation the batched scheduler will emit.
+#: Smallest generation the scheduler will emit.
 _MIN_GENERATION = 8
+
+#: Hard cap on one generation's size (bounds the lockstep searcher's
+#: per-batch frontier/visited state).
+_INSERT_BATCH = 512
 
 
 class HNSWIndex:
@@ -55,12 +66,6 @@ class HNSWIndex:
         Distance measure name.
     seed:
         RNG seed for level assignment.
-    build_engine:
-        ``"batched"`` (default) runs layer-0 insertions in lockstep
-        generation batches (see module docstring); ``"serial"`` inserts
-        one point at a time.
-    insert_batch:
-        Batched engine only: hard cap on one generation's size.
     """
 
     def __init__(
@@ -70,20 +75,9 @@ class HNSWIndex:
         ef_construction: int = 64,
         metric: str = "l2",
         seed: int = 0,
-        build_engine: str = "batched",
-        insert_batch: int = 512,
     ) -> None:
         if m <= 1:
             raise ValueError("m must be at least 2")
-        if build_engine not in BUILD_ENGINES:
-            raise ValueError(
-                f"unknown build_engine {build_engine!r}; "
-                f"expected one of {BUILD_ENGINES}"
-            )
-        if insert_batch <= 0:
-            raise ValueError("insert_batch must be positive")
-        self.build_engine = build_engine
-        self.insert_batch = insert_batch
         self.data = np.asarray(data)
         self.m = m
         self.m0 = 2 * m
@@ -100,79 +94,28 @@ class HNSWIndex:
     # -- construction ----------------------------------------------------
 
     def build(self) -> "HNSWIndex":
-        """Insert every data point."""
+        """Insert every data point, one generation batch at a time."""
         n = len(self.data)
-        # one draw per point, in insertion order — identical level
-        # assignment for both engines given the same seed
+        # one draw per point, in insertion order
         levels = [self._random_level() for _ in range(n)]
         self._levels = levels
-        if self.build_engine == "batched":
-            self._build_batched(levels)
-        else:
-            # serial reference engine: one insert per point by design
-            for v in range(n):  # lint: allow(hot-loop)
-                self._insert(v, levels[v])
+        if n:
+            # the first point founds every layer up to its level
+            self._layers = [{0: []} for _ in range(levels[0] + 1)]
+            self.entry_point = 0
+            data32 = np.ascontiguousarray(self.data, dtype=np.float32)
+            lvl_arr = np.asarray(levels, dtype=np.int64)
+            pos = 1
+            while pos < n:
+                size = min(n - pos, max(_MIN_GENERATION, pos), _INSERT_BATCH)
+                batch = np.arange(pos, pos + size, dtype=np.int64)
+                self._insert_generation(batch, lvl_arr[batch], data32)
+                pos += size
         self.built = True
         return self
 
     def _random_level(self) -> int:
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._mult)
-
-    def _insert(self, v: int, level: int) -> None:
-        while len(self._layers) <= level:
-            self._layers.append({})
-        # layer-count loops are O(log n), not dataset-sized
-        for l in range(level + 1):  # lint: allow(hot-loop)
-            self._layers[l][v] = []
-
-        if self.entry_point is None:
-            self.entry_point = v
-            return
-
-        ep = self.entry_point
-        top = self._levels[self.entry_point]  # highest layer ep exists on
-        query = self.data[v]
-        # descend greedily through layers above the insertion level
-        for l in range(top, level, -1):  # lint: allow(hot-loop)
-            ep = self._greedy_closest(query, ep, l)
-        # insert with ef search on each layer from min(level, old top) down
-        for l in range(min(level, top), -1, -1):  # lint: allow(hot-loop)
-            cands = self._search_layer(query, [ep], self.ef_construction, l)
-            max_deg = self.m0 if l == 0 else self.m
-            chosen = self._select_heuristic(query, cands, self.m)
-            self._layers[l][v] = [u for _, u in chosen]
-            for du, u in chosen:
-                row = self._layers[l][u]
-                row.append(v)
-                if len(row) > max_deg:
-                    # re-select u's neighbors with the same heuristic
-                    pairs = [
-                        (self.metric.single(self.data[u], self.data[w]), w)
-                        for w in row
-                    ]
-                    pairs.sort()
-                    kept = self._select_heuristic(self.data[u], pairs, max_deg)
-                    self._layers[l][u] = [w for _, w in kept]
-            ep = cands[0][1]
-        if level > self._levels[self.entry_point]:
-            self.entry_point = v
-
-    # -- batched construction ---------------------------------------------
-
-    def _build_batched(self, levels: List[int]) -> None:
-        """Generation-batch insertion (see module docstring)."""
-        n = len(self.data)
-        if n == 0:
-            return
-        data32 = np.ascontiguousarray(self.data, dtype=np.float32)
-        lvl_arr = np.asarray(levels, dtype=np.int64)
-        self._insert(0, levels[0])
-        pos = 1
-        while pos < n:
-            size = min(n - pos, max(_MIN_GENERATION, pos), self.insert_batch)
-            batch = np.arange(pos, pos + size, dtype=np.int64)
-            self._insert_generation(batch, lvl_arr[batch], data32)
-            pos += size
 
     def _insert_generation(
         self, batch: np.ndarray, lvls: np.ndarray, data32: np.ndarray
@@ -185,7 +128,7 @@ class HNSWIndex:
         :class:`~repro.core.batched.BatchedSongSearcher` sweep and links
         from its results.  Lanes within a generation search pre-generation
         snapshots, so they do not see each other; the entry point updates
-        after the generation with the serial running-max rule.
+        after the generation with the running-max rule.
         """
         from repro.core.batched import BatchedSongSearcher
         from repro.core.config import SearchConfig
@@ -196,8 +139,8 @@ class HNSWIndex:
         while len(self._layers) <= top_new:
             self._layers.append({})
         # register membership for every (vertex, layer) pair up front;
-        # layers above the current top stay empty rows, like the serial
-        # path, because no search runs there yet
+        # layers above the current top stay empty rows because no search
+        # runs there yet
         l = top_new
         while l >= 0:
             self._layers[l].update({int(v): [] for v in batch[lvls >= l]})
@@ -235,7 +178,7 @@ class HNSWIndex:
                     if cands:
                         eps[lane] = cands[0][1]
             l -= 1
-        # serial running-max entry update: the last point whose level
+        # running-max entry update: the last point whose level
         # strictly beats every earlier level (and the old top) wins
         prefix = np.maximum.accumulate(np.concatenate(([old_top], lvls)))[:-1]
         winners = np.nonzero(lvls > prefix)[0]
@@ -315,8 +258,10 @@ class HNSWIndex:
 
     @staticmethod
     def _select_indices(dists, pair, m) -> List[int]:  # lint: allow(hot-loop)
-        """Index-space twin of :meth:`_select_heuristic` over a
-        precomputed pairwise matrix (``dists`` must be ascending).
+        """HNSW's diverse-neighbor selection (Algorithm 4 of the paper)
+        in index space, over a precomputed pairwise matrix (``dists``
+        must be ascending): keep a candidate only if it is closer to the
+        point than to every already-kept neighbor.
 
         The chosen set grows one candidate at a time and every test
         depends on what was already kept, so the ef-bounded loop stays
@@ -337,20 +282,6 @@ class HNSWIndex:
                 if i not in picked:
                     chosen.append(i)
         return chosen
-
-    def _greedy_closest(self, query: np.ndarray, ep: int, layer: int) -> int:
-        """Hill-climb to the local minimum on one layer."""
-        cur = ep
-        cur_d = self.metric.single(query, self.data[cur])
-        improved = True
-        while improved:
-            improved = False
-            for u in self._layers[layer].get(cur, []):
-                d = self.metric.single(query, self.data[u])
-                if d < cur_d:
-                    cur, cur_d = u, d
-                    improved = True
-        return cur
 
     def _search_layer(
         self,
@@ -404,30 +335,6 @@ class HNSWIndex:
                         heapq.heappop(results)
         return sorted((-nd, v) for nd, v in results)
 
-    def _select_heuristic(
-        self, point: np.ndarray, candidates: List[Tuple[float, int]], m: int
-    ) -> List[Tuple[float, int]]:
-        """HNSW's diverse-neighbor selection (Algorithm 4 of the paper)."""
-        chosen: List[Tuple[float, int]] = []
-        for d, u in candidates:
-            if len(chosen) >= m:
-                break
-            ok = True
-            for _, w in chosen:
-                if self.metric.single(self.data[u], self.data[w]) < d:
-                    ok = False
-                    break
-            if ok:
-                chosen.append((d, u))
-        if len(chosen) < m:  # backfill with nearest rejected candidates
-            picked = {u for _, u in chosen}
-            for d, u in candidates:
-                if len(chosen) >= m:
-                    break
-                if u not in picked:
-                    chosen.append((d, u))
-        return chosen
-
     # -- queries -----------------------------------------------------------
 
     def search(
@@ -446,13 +353,14 @@ class HNSWIndex:
         ep = self.entry_point
         q = np.asarray(query)
         for l in range(len(self._layers) - 1, 0, -1):  # lint: allow(hot-loop)
-            ep = self._greedy_closest_counted(q, ep, l, counter)
+            ep = self._greedy_closest(q, ep, l, counter)
         cands = self._search_layer(q, [ep], ef, 0, counter)
         return cands[:k]
 
-    def _greedy_closest_counted(
+    def _greedy_closest(
         self, query: np.ndarray, ep: int, layer: int, counter: Optional[OpCounter]
     ) -> int:
+        """Hill-climb to the local minimum on one layer."""
         cur = ep
         dim = self.data.shape[1]
         cur_d = self.metric.single(query, self.data[cur])

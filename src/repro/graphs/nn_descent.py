@@ -5,36 +5,34 @@ is quadratic, so this module provides the standard local-join refinement:
 start from random neighbor lists and repeatedly try "my neighbor's neighbor
 is probably my neighbor".
 
-Two engines implement the same sampled local join:
+The local join is vectorized end to end (the construction analogue of
+the lockstep search engine in :mod:`repro.core.batched`): neighbor pools
+are structure-of-arrays matrices of packed ``(dist, id)`` keys
+(:mod:`repro.structures.soa`), each round's join is flattened into one
+candidate-pair list evaluated through blocked
+:meth:`~repro.distances.metrics.Metric.pair_many` tiles, and pool updates
+happen as sorted row merges.  It keeps the sampled-join semantics of the
+paper (per-entry ``sample_rate`` coin flip, new/old split, new×new and
+new×old joins) and the early-exit rule (stop when a round changes at
+most ``delta * n * k`` pool entries).
 
-- ``build_engine="batched"`` (default) — the vectorized construction
-  layer.  Neighbor pools are structure-of-arrays matrices of packed
-  ``(dist, id)`` keys (:mod:`repro.structures.soa`), each round's local
-  join is flattened into one candidate-pair list evaluated through blocked
-  :meth:`~repro.distances.metrics.Metric.batch_many` tiles, and pool
-  updates happen as sorted row merges — the construction analogue of the
-  lockstep search engine in :mod:`repro.core.batched`.
-- ``build_engine="serial"`` — the original per-pair Python loop, kept as
-  the semantic reference for parity testing.
-
-Both keep the sampled-join semantics (per-entry ``sample_rate`` coin flip,
-new/old split, new×new and new×old joins) and the early-exit rule
-(stop when a round changes at most ``delta * n * k`` pool entries).  The
-engines consume randomness differently, so they produce different — but
-recall-equivalent — graphs for the same seed.
+The table is held to the exact one
+(:func:`~repro.graphs.bruteforce_knn.knn_neighbors`) by graph recall in
+``tests/test_graph_quality.py``.
 """
 
 from __future__ import annotations
 
 # lint: hot-path
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.annotations import arr, array_kernel, opaque, scalar
 from repro.distances import get_metric
 from repro.distances.metrics import Metric
+from repro.simt.build_cost import maybe_recorder
 from repro.structures.soa import (
     PAD_KEY,
     pack_keys,
@@ -44,10 +42,7 @@ from repro.structures.soa import (
     unpack_rowid,
 )
 
-__all__ = ["BUILD_ENGINES", "nn_descent", "graph_recall"]
-
-#: Valid construction engines, shared by every graph builder.
-BUILD_ENGINES = ("serial", "batched")
+__all__ = ["nn_descent", "graph_recall"]
 
 #: Candidate-pair tile fed to one ``pair_many`` call in the local join.
 #: Sized so the two gathered ``(tile, d)`` float32 panels stay cache
@@ -87,7 +82,6 @@ def nn_descent(
     sample_rate: float = 0.6,
     delta: float = 0.001,
     seed: int = 0,
-    build_engine: str = "batched",
     max_candidates: Optional[int] = None,
     stats: Optional[dict] = None,
     cost=None,
@@ -107,67 +101,25 @@ def nn_descent(
     delta:
         Early-exit threshold: stop when fewer than ``delta * n * k``
         updates happened in a round.
-    build_engine:
-        ``"batched"`` (default) runs the vectorized local join;
-        ``"serial"`` runs the reference per-pair loop.
     max_candidates:
-        Batched engine only: cap on the per-vertex new/old join lists.
-        Over-long lists keep a uniform random sample, so this only guards
-        against pathological hubs blowing up the pair count.  ``None``
+        Cap on the per-vertex new/old join lists.  Over-long lists keep
+        a uniform random sample, so this only guards against
+        pathological hubs blowing up the pair count.  ``None``
         (default) adapts the cap per round to the observed list-length
         tail — ``max(32, 4 * p99)`` — so it stays slack on typical
         degree distributions and only binds on genuine hubs; pass an int
-        for a fixed cap.  The serial engine is uncapped.
+        for a fixed cap.
     stats:
-        Batched engine only: pass a dict to receive per-round
-        diagnostics (``caps``, ``max_list_len``, ``capped_vertices``).
+        Pass a dict to receive per-round diagnostics (``caps``,
+        ``max_list_len``, ``capped_vertices``).
     cost:
-        Batched engine only: optional
-        :class:`~repro.simt.build_cost.BuildCostRecorder` capturing the
-        construction kernels for the SIMT cost model.
+        Optional :class:`~repro.simt.build_cost.BuildCostRecorder`
+        capturing the construction kernels for the SIMT cost model.
     """
     n = len(data)
     if k >= n:
         raise ValueError(f"k={k} must be smaller than the dataset size {n}")
-    if build_engine not in BUILD_ENGINES:
-        raise ValueError(
-            f"unknown build_engine {build_engine!r}; expected one of {BUILD_ENGINES}"
-        )
-    if build_engine == "serial":
-        return _nn_descent_serial(data, k, metric, max_iters, sample_rate, delta, seed)
-    return _nn_descent_batched(
-        data,
-        k,
-        metric,
-        max_iters,
-        sample_rate,
-        delta,
-        seed,
-        max_candidates,
-        stats,
-        cost,
-    )
-
-
-# -- batched engine -----------------------------------------------------------
-
-
-def _nn_descent_batched(
-    data: np.ndarray,
-    k: int,
-    metric: str,
-    max_iters: int,
-    sample_rate: float,
-    delta: float,
-    seed: int,
-    max_candidates: Optional[int],
-    stats: Optional[dict],
-    cost=None,
-) -> np.ndarray:
-    from repro.simt.build_cost import maybe_recorder
-
     rec = maybe_recorder(cost)
-    n = len(data)
     data = np.ascontiguousarray(np.asarray(data), dtype=np.float32)
     rng = np.random.default_rng(seed)
     m = get_metric(metric)
@@ -190,7 +142,7 @@ def _nn_descent_batched(
     for _ in range(max_iters):  # lint: allow(hot-loop) — bounded round loop
         ids = unpack_ids(keys)
         # Per-entry sample_rate coin flip: sampled new entries join this
-        # round and turn old, exactly like the serial loop.
+        # round and turn old.
         sampled = flags & (rng.random((n, k)) < sample_rate)
         flags &= ~sampled
 
@@ -222,15 +174,15 @@ def _nn_descent_batched(
         if len(p1) == 0:
             break
         # The same pair can be generated by several vertices whose
-        # candidate sets share both endpoints (like the serial loop, which
-        # re-evaluates it per vertex).  Duplicates are a small fraction of
-        # the stream and carry identical keys, so `_best_candidates`'
-        # dedup absorbs them — cheaper than a global sort-unique here.
+        # candidate sets share both endpoints.  Duplicates are a small
+        # fraction of the stream and carry identical keys, so
+        # `_best_candidates`' dedup absorbs them — cheaper than a global
+        # sort-unique here.
         dists = _pair_distances(data, p1, p2, m, pair_cache)
         rec.record_distances(len(p1), m.flops_per_distance(dim), dim, "join-dist")
 
         # Every pair tries to enter both endpoints' pools.  Apply the
-        # serial reject rule (``dist >= heap[-1][0]``) against the
+        # reject rule (``dist >= worst pool entry``) against the
         # round-start pool tails up front: the merge re-checks against the
         # (only tighter) final tails, so this drops no real insert.
         worst = unpack_distances(keys[:, -1])
@@ -307,12 +259,10 @@ def _merge_rows(
     markers, ``new_keys`` a ``(n, c)`` candidate matrix (``PAD_KEY`` where
     empty; candidates enter with the new flag set).  Returns the updated
     ``(pool, flags, inserted)`` triple where ``inserted`` marks pool slots
-    now holding a candidate that displaced or extended the old content —
-    the batch analogue of counting successful ``try_insert`` calls.
+    now holding a candidate that displaced or extended the old content.
 
     Duplicate ids keep their best copy; on exact key ties the pool copy
-    wins (matching the serial rule that re-offering a present neighbor is
-    a no-op).
+    wins (re-offering a present neighbor is a no-op).
     """
     pool = keys.shape[1]
     combined = np.concatenate([keys, new_keys], axis=1)
@@ -557,91 +507,6 @@ def _best_candidates(
     out = np.full((n, k), PAD_KEY, dtype=np.uint64)
     out[t_s[sel], rank[sel]] = k_s[sel]
     return out
-
-
-# -- serial engine (semantic reference) ---------------------------------------
-
-
-def _nn_descent_serial(  # lint: allow(hot-loop) — per-pair semantic reference
-    data: np.ndarray,
-    k: int,
-    metric: str,
-    max_iters: int,
-    sample_rate: float,
-    delta: float,
-    seed: int,
-) -> np.ndarray:
-    n = len(data)
-    rng = np.random.default_rng(seed)
-    m = get_metric(metric)
-
-    # neighbor lists: per vertex a list of (dist, id, is_new) kept sorted
-    heaps: List[List[Tuple[float, int, bool]]] = []
-    for v in range(n):
-        cand = rng.choice(n - 1, size=k, replace=False)
-        cand[cand >= v] += 1  # skip self
-        dists = m.batch(data[v], data[cand])
-        entries = sorted(zip(dists.tolist(), cand.tolist(), [True] * k))
-        heaps.append(entries)
-
-    def try_insert(v: int, u: int, dist: float) -> int:
-        """Insert u into v's list if it improves it; returns 1 on change."""
-        heap = heaps[v]
-        if dist >= heap[-1][0]:
-            return 0
-        if any(e[1] == u for e in heap):
-            return 0
-        heap.pop()
-        lo, hi = 0, len(heap)
-        key = (dist, u, True)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if heap[mid][0] < dist:
-                lo = mid + 1
-            else:
-                hi = mid
-        heap.insert(lo, key)
-        return 1
-
-    for _ in range(max_iters):
-        new_lists: List[List[int]] = [[] for _ in range(n)]
-        old_lists: List[List[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            for i, (d, u, is_new) in enumerate(heaps[v]):
-                if is_new and rng.random() < sample_rate:
-                    new_lists[v].append(u)
-                    heaps[v][i] = (d, u, False)
-                else:
-                    old_lists[v].append(u)
-        # reverse lists
-        rev_new: List[Set[int]] = [set() for _ in range(n)]
-        rev_old: List[Set[int]] = [set() for _ in range(n)]
-        for v in range(n):
-            for u in new_lists[v]:
-                rev_new[u].add(v)
-            for u in old_lists[v]:
-                rev_old[u].add(v)
-
-        updates = 0
-        for v in range(n):
-            new_set = list(set(new_lists[v]) | rev_new[v])
-            old_set = list(set(old_lists[v]) | rev_old[v])
-            # local join: new x new, and new x old
-            for i, u1 in enumerate(new_set):
-                for u2 in new_set[i + 1 :]:
-                    d = m.single(data[u1], data[u2])
-                    updates += try_insert(u1, u2, d)
-                    updates += try_insert(u2, u1, d)
-                for u2 in old_set:
-                    if u1 == u2:
-                        continue
-                    d = m.single(data[u1], data[u2])
-                    updates += try_insert(u1, u2, d)
-                    updates += try_insert(u2, u1, d)
-        if updates <= delta * n * k:
-            break
-
-    return np.array([[u for (_, u, _) in heap] for heap in heaps], dtype=np.int32)
 
 
 def graph_recall(approx: np.ndarray, exact: np.ndarray) -> float:

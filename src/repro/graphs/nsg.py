@@ -7,44 +7,39 @@ by the monotonic-RNG rule ("keep an edge unless a kept neighbor is closer
 to the candidate than the vertex is"), and a spanning tree from the
 navigating node is patched in so every vertex stays reachable.
 
-Two engines build the same graph shape:
+The whole build is batch kernels — no per-vertex Python loop anywhere.
+The bootstrap table comes from
+:func:`~repro.graphs.bruteforce_knn.bootstrap_table` (exact up to 2^15
+points).  Candidate pools for *every* vertex come from lockstep
+:class:`~repro.core.batched.BatchedSongSearcher` sweeps over the
+table-as-graph; pools are merged, deduplicated and distance-sorted with
+flat lexsorts; the monotonic-RNG prune runs as a generation-batched
+occlusion fixpoint — each round every still-active vertex accepts its
+first unresolved candidate, then one fused
+:meth:`~repro.distances.metrics.Metric.pair_many` tile occludes the
+dominated remainder — the accept/occlude decisions of NSG Algorithm 2,
+taken for all rows at once; and
+:func:`~repro.graphs._repair.attach_orphans` restores reachability.
 
-``serial``
-    The readable reference — a per-vertex greedy search feeds a
-    per-candidate occlusion loop, exactly Algorithm 2 of the NSG paper.
-``batched``
-    The vectorized path.  Candidate pools for *every* vertex come from
-    lockstep :class:`~repro.core.batched.BatchedSongSearcher` sweeps over
-    the bootstrap kNN table-as-graph; pools are merged, deduplicated and
-    distance-sorted with flat lexsorts; and the monotonic-RNG prune runs
-    as a generation-batched occlusion fixpoint — each round every
-    still-active vertex accepts its first unresolved candidate, then one
-    fused :meth:`~repro.distances.metrics.Metric.pair_many` tile occludes
-    the dominated remainder.  No per-vertex Python loop anywhere.
-
-The engines make identical accept/occlude decisions up to floating-point
-noise: the batched path evaluates L2 via the norm identity
-(``pair_many``) while the serial path subtracts coordinates
-(``Metric.single``), so candidates at near-exact occlusion ties can
-resolve differently.  Equivalence is therefore validated at recall level
-(see ``tests/test_graph_quality.py``), not bit level.
+Search recall is held to brute-force ground truth in
+``tests/test_graph_quality.py``; the adjacency is pinned by digest in
+``tests/test_build_paths.py``.
 """
 
 from __future__ import annotations
 
 # lint: hot-path
 
-from collections import deque
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.annotations import arr, array_kernel, scalar
 from repro.distances import get_metric
 from repro.graphs._repair import attach_orphans
-from repro.graphs._search import greedy_search
-from repro.graphs.bruteforce_knn import knn_neighbors, medoid
+from repro.graphs.bruteforce_knn import bootstrap_table, medoid
 from repro.graphs.storage import PAD, FixedDegreeGraph
+from repro.simt.build_cost import maybe_recorder
 from repro.structures.soa import pack_rowid, unpack_rowid
 
 __all__ = ["NSGBuilder", "build_nsg"]
@@ -112,14 +107,9 @@ class NSGBuilder:
     knn_table:
         Optional precomputed ``(n, knn)`` neighbor table (e.g. from
         NN-descent); overrides the bootstrap stage when given.
-    build_engine:
-        ``"batched"`` (default) bootstraps with vectorized NN-descent
-        and runs pool gathering and occlusion pruning as batch kernels;
-        ``"serial"`` runs the reference per-vertex search-and-prune
-        loops over an exact brute-force table.
     cost:
-        Optional :class:`~repro.simt.build_cost.BuildCostRecorder`; the
-        batched engine records every bulk kernel of the build on it.
+        Optional :class:`~repro.simt.build_cost.BuildCostRecorder`;
+        every bulk kernel of the build is recorded on it.
     """
 
     def __init__(
@@ -130,25 +120,16 @@ class NSGBuilder:
         search_len: int = 48,
         metric: str = "l2",
         knn_table: np.ndarray = None,
-        build_engine: str = "batched",
         cost: Optional[object] = None,
     ) -> None:
-        from repro.graphs.nn_descent import BUILD_ENGINES
-
         if degree <= 0:
             raise ValueError("degree must be positive")
-        if build_engine not in BUILD_ENGINES:
-            raise ValueError(
-                f"unknown build_engine {build_engine!r}; "
-                f"expected one of {BUILD_ENGINES}"
-            )
         self.data = np.asarray(data)
         self.degree = degree
         self.knn = knn
         self.search_len = max(search_len, degree)
         self.metric = get_metric(metric)
         self._knn_table = knn_table
-        self.build_engine = build_engine
         self.cost = cost
 
     def build(self) -> FixedDegreeGraph:
@@ -156,43 +137,25 @@ class NSGBuilder:
         n = len(self.data)
         if n <= self.knn:
             raise ValueError("dataset too small for the requested knn")
-        if self._knn_table is not None:
-            table = np.asarray(self._knn_table)
-        elif self.build_engine == "batched":
-            from repro.graphs.nn_descent import nn_descent
-
-            table = nn_descent(
-                self.data, self.knn, metric=self.metric.name, seed=0,
-                cost=self.cost,
-            )
-        else:
-            table = knn_neighbors(self.data, self.knn, self.metric.name)
+        table = bootstrap_table(
+            self.data, self.knn, self.metric.name, self._knn_table, cost=self.cost
+        )
         nav = medoid(self.data, self.metric.name)
-        if self.build_engine == "batched":
-            return self._build_batched(table, nav)
-        return self._build_serial(table, nav)
-
-    # -- batched engine --------------------------------------------------------
-
-    def _build_batched(self, table: np.ndarray, nav: int) -> FixedDegreeGraph:
-        """Pool sweep → flat dedup/sort → occlusion fixpoint → repair."""
-        ci, cd = self._batched_pools(table, nav)
-        adjacency = self._batched_prune(ci, cd)
-        attach_orphans(adjacency, table.astype(np.int64), nav, self.data, self.metric)
-        from repro.simt.build_cost import maybe_recorder
-
+        ci, cd = self._gather_pools(table, nav)
+        adjacency = self._occlusion_prune(ci, cd)
+        attach_orphans(adjacency, table, nav, self.data, self.metric)
         maybe_recorder(self.cost).record_graph_write(adjacency.size)
         return FixedDegreeGraph.from_neighbor_array(
             adjacency, entry_point=nav, validate=False
         )
 
-    def _batched_pools(
+    def _gather_pools(
         self, table: np.ndarray, nav: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Distance-sorted candidate pools for every vertex at once.
 
         Lockstep searches over the kNN table-as-graph (every lane starts
-        at the navigating node, like the serial path) produce up to
+        at the navigating node) produce up to
         ``search_len`` candidates per vertex; each vertex's own kNN row
         joins the pool, and one flat lexsort dedups and orders the union
         by ``(distance, id)``.  Returns ``(ids, dists)`` as ``(n, P)``
@@ -201,8 +164,6 @@ class NSGBuilder:
         from repro.core.batched import BatchedSongSearcher
         from repro.core.config import SearchConfig
         from repro.graphs.nn_descent import _pair_distances, _ragged_arange
-        from repro.simt.build_cost import maybe_recorder
-
         rec = maybe_recorder(self.cost)
         n, knn = table.shape
         dim = self.data.shape[1]
@@ -273,21 +234,19 @@ class NSGBuilder:
         cd[owner_k, rank] = dist_s
         return ci, cd
 
-    def _batched_prune(self, ci: np.ndarray, cd: np.ndarray) -> np.ndarray:
+    def _occlusion_prune(self, ci: np.ndarray, cd: np.ndarray) -> np.ndarray:
         """Monotonic-RNG selection as a generation-batched fixpoint.
 
         Invariant per round: in every active row all undecided
         candidates sit *after* the first one (pools are distance-sorted
         and earlier slots are already chosen or occluded), so accepting
-        the first undecided candidate is exactly the serial scan's next
+        the first undecided candidate is exactly a sequential scan's next
         accept.  The new pick then occludes every remaining undecided
         candidate it dominates — one fused ``pair_many`` tile for the
         whole generation, the batched twin of NSG Algorithm 2's inner
         loop.
         """
         from repro.graphs.nn_descent import _pair_distances
-        from repro.simt.build_cost import maybe_recorder
-
         rec = maybe_recorder(self.cost)
         n, width = ci.shape
         dim = self.data.shape[1]
@@ -329,99 +288,6 @@ class NSGBuilder:
         rec.record_sort(n, width, "prune-rank")
         return out
 
-    # -- serial engine ---------------------------------------------------------
-
-    def _build_serial(self, table: np.ndarray, nav: int) -> FixedDegreeGraph:
-        """The reference per-vertex pipeline (NSG Algorithm 2)."""
-        n = len(self.data)
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for v in range(n):  # lint: allow(hot-loop) — serial reference engine
-            pool = self._candidate_pool(v, nav, table)
-            adj[v] = self._prune(v, pool)
-
-        self._fix_connectivity(adj, nav)
-        graph = FixedDegreeGraph(n, self.degree, entry_point=nav)
-        for v in range(n):  # lint: allow(hot-loop) — serial reference engine
-            graph.set_neighbors(v, adj[v][: self.degree])
-        return graph
-
-    def _candidate_pool(
-        self, v: int, nav: int, table: np.ndarray
-    ) -> List[Tuple[float, int]]:
-        """Candidates for v: search path from the navigating node + kNN row."""
-        found = greedy_search(
-            self.data,
-            lambda u: table[u],
-            self.data[v],
-            ef=self.search_len,
-            entry_points=[nav],
-            metric=self.metric,
-        )
-        pool = {u: d for d, u in found if u != v}
-        for u in table[v]:
-            u = int(u)
-            if u != v and u not in pool:
-                pool[u] = self.metric.single(self.data[v], self.data[u])
-        return sorted((d, u) for u, d in pool.items())
-
-    def _prune(self, v: int, pool: List[Tuple[float, int]]) -> List[int]:
-        """Monotonic-RNG edge selection (NSG Algorithm 2)."""
-        chosen: List[Tuple[float, int]] = []
-        for d, u in pool:
-            if len(chosen) >= self.degree:
-                break
-            ok = True
-            for _, w in chosen:
-                if self.metric.single(self.data[u], self.data[w]) < d:
-                    ok = False
-                    break
-            if ok:
-                chosen.append((d, u))
-        return [u for _, u in chosen]
-
-    def _fix_connectivity(self, adj: List[List[int]], nav: int) -> None:
-        """Attach unreachable vertices so a DFS tree from ``nav`` spans all."""
-        n = len(adj)
-        while True:
-            seen = self._reachable(adj, nav)
-            missing = [v for v in range(n) if v not in seen]
-            if not missing:
-                return
-            v = missing[0]
-            # link v from its nearest reachable vertex with slack; if none has
-            # slack, replace the farthest edge of the nearest reachable vertex.
-            reachable = sorted(seen)
-            dists = self.metric.batch(self.data[v], self.data[reachable])
-            order = np.argsort(dists, kind="stable")
-            attached = False
-            for idx in order:  # lint: allow(hot-loop) — serial reference engine
-                u = reachable[int(idx)]
-                if len(adj[u]) < self.degree:
-                    adj[u].append(v)
-                    attached = True
-                    break
-            if not attached:
-                u = reachable[int(order[0])]
-                drop = max(
-                    range(len(adj[u])),
-                    key=lambda i: self.metric.single(
-                        self.data[u], self.data[adj[u][i]]
-                    ),
-                )
-                adj[u][drop] = v
-
-    @staticmethod
-    def _reachable(adj: List[List[int]], start: int) -> set:
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        return seen
-
 
 def build_nsg(
     data: np.ndarray,
@@ -430,7 +296,6 @@ def build_nsg(
     search_len: int = 48,
     metric: str = "l2",
     knn_table: np.ndarray = None,
-    build_engine: str = "batched",
     cost: Optional[object] = None,
 ) -> FixedDegreeGraph:
     """One-call NSG construction (see :class:`NSGBuilder`)."""
@@ -441,6 +306,5 @@ def build_nsg(
         search_len=search_len,
         metric=metric,
         knn_table=knn_table,
-        build_engine=build_engine,
         cost=cost,
     ).build()

@@ -6,16 +6,28 @@ its ``m`` nearest neighbors and connects to them bidirectionally.  Early
 insertions create the long-range "highway" links that make the graph
 navigable.  The final graph is exported as a fixed-degree adjacency array.
 
-Two insertion engines are available.  ``build_engine="serial"`` is the
-reference one-point-at-a-time loop.  ``build_engine="batched"`` (default)
-inserts points in *generation batches*: each generation snapshots the
-graph built so far, runs every pending point's entry search through the
-lockstep :class:`~repro.core.batched.BatchedSongSearcher` in one shot, and
-then applies the bidirectional links.  Points inside one generation do not
-see each other — with the generation size capped at the inserted prefix
-(doubling schedule) and by ``insert_batch``, the resulting graph is not
-identical to the serial one but is recall-equivalent (tested; see
-``tests/test_graph_quality.py``).
+Insertion is sequential on purpose: generation batching (snapshot the
+graph, run every pending point's entry search through the lockstep
+:class:`~repro.core.batched.BatchedSongSearcher`, link afterwards) is
+3–22× slower on this family.  NSW adjacency is unbounded until the final
+prune, so each snapshot's fixed-degree rows are as wide as the biggest
+hub — about 350 slots at n=2000, where the mean filled degree is 15.9 —
+and the lockstep engine gathers and scores ~95 % PAD slots.  Measured on
+the sift analogue (d=128, m=8, ef_construction=48, one BLAS thread,
+median of three, wall seconds; the 72 is a single run):
+
+    ========  ==========  ================
+    n         sequential  generation batch
+    ========  ==========  ================
+    500       0.24        0.83
+    1000      0.58        3.6
+    2000      1.3         18.5
+    4000      3.2         72
+    ========  ==========  ================
+
+Generation batching needs the ragged row compaction of ROADMAP item 1(a)
+before it can win here; HNSW, whose rows are degree-capped as they grow,
+does batch (see :mod:`repro.graphs.hnsw`).
 """
 
 from __future__ import annotations
@@ -27,9 +39,6 @@ import numpy as np
 from repro.distances import get_metric
 from repro.graphs._search import greedy_search
 from repro.graphs.storage import FixedDegreeGraph
-
-#: Smallest generation the batched scheduler will emit.
-_MIN_GENERATION = 8
 
 
 class NSWBuilder:
@@ -50,12 +59,6 @@ class NSWBuilder:
         Distance measure name.
     seed:
         Insertion order shuffle seed (``None`` keeps dataset order).
-    build_engine:
-        ``"batched"`` (default) inserts generation batches through the
-        lockstep search engine; ``"serial"`` inserts one point at a
-        time.
-    insert_batch:
-        Batched engine only: hard cap on one generation's size.
     """
 
     def __init__(
@@ -66,30 +69,17 @@ class NSWBuilder:
         max_degree: int = None,
         metric: str = "l2",
         seed: int = None,
-        build_engine: str = "batched",
-        insert_batch: int = 512,
     ) -> None:
-        from repro.graphs.nn_descent import BUILD_ENGINES
-
         if m <= 0:
             raise ValueError("m must be positive")
         if ef_construction < m:
             raise ValueError("ef_construction must be at least m")
-        if build_engine not in BUILD_ENGINES:
-            raise ValueError(
-                f"unknown build_engine {build_engine!r}; "
-                f"expected one of {BUILD_ENGINES}"
-            )
-        if insert_batch <= 0:
-            raise ValueError("insert_batch must be positive")
         self.data = np.asarray(data)
         self.m = m
         self.ef_construction = ef_construction
         self.max_degree = max_degree if max_degree is not None else 2 * m
         self.metric = get_metric(metric)
         self.seed = seed
-        self.build_engine = build_engine
-        self.insert_batch = insert_batch
         self._adj: List[List[int]] = []
         self._order: List[int] = []
 
@@ -104,11 +94,8 @@ class NSWBuilder:
             rng.shuffle(order)
         self._adj = [[] for _ in range(n)]
         self._order = order
-        if self.build_engine == "batched":
-            self._insert_batched(order)
-        else:
-            for rank, v in enumerate(order):
-                self._insert(v, order[0], inserted=rank)
+        for rank, v in enumerate(order):
+            self._insert(v, order[0], inserted=rank)
         self._prune()
         entry = order[0]
         self._repair_connectivity(entry)
@@ -133,32 +120,6 @@ class NSWBuilder:
         for _, u in found[: self.m]:
             self._adj[v].append(u)
             self._adj[u].append(v)
-
-    def _insert_batched(self, order: List[int]) -> None:
-        """Generation-batch insertion through the lockstep search engine."""
-        from repro.core.batched import BatchedSongSearcher
-        from repro.core.config import SearchConfig
-
-        n = len(order)
-        data32 = np.ascontiguousarray(np.asarray(self.data), dtype=np.float32)
-        entry = order[0]
-        pos = 1  # order[0] is in the graph with no edges yet
-        while pos < n:
-            inserted = pos
-            size = min(n - pos, max(_MIN_GENERATION, inserted), self.insert_batch)
-            batch = order[pos : pos + size]
-            ef = self.ef_construction
-            snapshot = FixedDegreeGraph.from_adjacency(
-                self._adj, entry_point=entry, validate=False
-            )
-            searcher = BatchedSongSearcher(snapshot, data32)
-            config = SearchConfig(k=ef, queue_size=ef, metric=self.metric.name)
-            results = searcher.search_batch(data32[batch], config)
-            for v, found in zip(batch, results):
-                for _, u in found[: self.m]:
-                    self._adj[v].append(u)
-                    self._adj[u].append(v)
-            pos += size
 
     def _prune(self) -> None:
         """Cut overfull adjacency lists down to the closest neighbors."""
@@ -218,8 +179,6 @@ def build_nsw(
     max_degree: int = None,
     metric: str = "l2",
     seed: int = None,
-    build_engine: str = "batched",
-    insert_batch: int = 512,
 ) -> FixedDegreeGraph:
     """One-call NSW construction (see :class:`NSWBuilder`)."""
     return NSWBuilder(
@@ -229,6 +188,4 @@ def build_nsw(
         max_degree=max_degree,
         metric=metric,
         seed=seed,
-        build_engine=build_engine,
-        insert_batch=insert_batch,
     ).build()

@@ -47,12 +47,7 @@ from repro.serve.loadgen import (
 from repro.serve.metrics import LatencyHistogram, ServeMetrics
 from repro.serve.request import ServeRequest, ServeResponse
 from repro.serve.router import AsyncRWLock, Replica, Router
-from repro.serve.server import (
-    ServerConfig,
-    SongServer,
-    build_server,
-    build_server_from_data,
-)
+from repro.serve.server import ServerConfig, SongServer, build_server
 
 __all__ = [
     "ADMISSION_POLICIES",
@@ -78,7 +73,6 @@ __all__ = [
     "SongServer",
     "VirtualTimeEventLoop",
     "default_tiers",
-    "build_server_from_data",
     "drive_poisson",
     "poisson_arrivals",
     "run_loadtest",

@@ -44,7 +44,7 @@ from repro.serve.metrics import ServeMetrics
 from repro.serve.request import INSERT, SEARCH, ServeRequest, ServeResponse
 from repro.serve.router import Replica, Router
 
-__all__ = ["ServerConfig", "SongServer", "build_server", "build_server_from_data"]
+__all__ = ["ServerConfig", "SongServer", "build_server"]
 
 
 @dataclass
@@ -383,46 +383,3 @@ def build_server(
             for i in range(num_replicas)
         ]
     return SongServer(replicas, config)
-
-
-def build_server_from_data(
-    data: np.ndarray,
-    config: Optional[ServerConfig] = None,
-    build=None,
-    degree: int = 16,
-    metric: str = "l2",
-    num_replicas: int = 1,
-    device: str = "v100",
-    streams: int = 1,
-    tier=None,
-    prefetch: bool = True,
-) -> SongServer:
-    """Build the index from raw vectors, then serve it.
-
-    ``build`` is a :class:`~repro.core.config.BuildConfig` selecting the
-    graph family (``graph_type``) and construction engine; the default
-    builds a batched NSW.  Everything else matches :func:`build_server`.
-    """
-    from repro.core.config import BuildConfig
-    from repro.graphs import build_graph
-
-    build = build or BuildConfig()
-    graph = build_graph(
-        data,
-        build.graph_type,
-        degree=degree,
-        metric=metric,
-        build_engine=build.engine,
-        seed=build.seed,
-        insert_batch=build.insert_batch,
-    )
-    return build_server(
-        graph,
-        data,
-        config,
-        num_replicas=num_replicas,
-        device=device,
-        streams=streams,
-        tier=tier,
-        prefetch=prefetch,
-    )

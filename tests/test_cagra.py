@@ -66,14 +66,6 @@ class TestStructure:
         adj = cagra_graph.adjacency_array.astype(np.int64)
         assert reachable_mask(adj, cagra_graph.entry_point).all()
 
-    def test_engines_identical_below_exact_threshold(self, cagra_data):
-        # below _EXACT_BOOTSTRAP_MAX both engines bootstrap by exact
-        # kNN, and every optimization pass is deterministic
-        data, _, _ = cagra_data
-        a = build_cagra(data, degree=DEGREE, build_engine="batched")
-        b = build_cagra(data, degree=DEGREE, build_engine="serial")
-        np.testing.assert_array_equal(a.adjacency_array, b.adjacency_array)
-
 
 class TestQuality:
     def test_recall_at_least_nsg(self, cagra_data, cagra_graph):
@@ -98,11 +90,6 @@ class TestValidation:
         data, _, _ = cagra_data
         with pytest.raises(ValueError, match="intermediate_degree"):
             CagraBuilder(data, degree=16, intermediate_degree=8)
-
-    def test_unknown_engine(self, cagra_data):
-        data, _, _ = cagra_data
-        with pytest.raises(ValueError, match="build_engine"):
-            CagraBuilder(data, build_engine="gpu")
 
     def test_knn_table_shape_checked(self, cagra_data):
         data, _, _ = cagra_data

@@ -20,7 +20,6 @@ class TestParser:
         args = build_parser().parse_args(["sweep", "--dataset", "sift"])
         assert args.methods == ["song"]
         assert args.k == 10
-        assert args.build_engine == "batched"
 
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "--dataset", "sift"])
@@ -35,18 +34,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["loadtest", "--dataset", "sift", "--policy", "bogus"]
-            )
-
-    def test_build_engine_flag(self):
-        args = build_parser().parse_args(
-            ["build", "--dataset", "sift", "--out", "x.npz",
-             "--build-engine", "batched"]
-        )
-        assert args.build_engine == "batched"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["build", "--dataset", "sift", "--out", "x.npz",
-                 "--build-engine", "gpu"]
             )
 
     def test_graph_flag_accepts_every_family(self):
@@ -66,11 +53,9 @@ class TestParser:
 
     def test_serving_graph_flag(self):
         args = build_parser().parse_args(
-            ["serve", "--dataset", "sift", "--graph", "cagra",
-             "--build-engine", "batched"]
+            ["serve", "--dataset", "sift", "--graph", "cagra"]
         )
         assert args.graph == "cagra"
-        assert args.build_engine == "batched"
         args = build_parser().parse_args(["loadtest", "--dataset", "sift"])
         assert args.graph == "nsw"
 
@@ -127,27 +112,11 @@ class TestCommands:
         assert "recall@5" in out
         assert "QPS" in out
 
-    def test_build_batched_engine_roundtrip(self, tmp_path, capsys):
-        index_path = str(tmp_path / "idx.npz")
-        rc = main(
-            ["build", "--dataset", "sift", "--n", "300", "--queries", "10",
-             "--out", index_path, "--build-engine", "batched"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "(batched)" in out
-        rc = main(
-            ["search", "--dataset", "sift", "--n", "300", "--queries", "10",
-             "--index", index_path, "--k", "5", "--queue", "30"]
-        )
-        assert rc == 0
-
     def test_build_cagra_roundtrip(self, tmp_path, capsys):
         index_path = str(tmp_path / "idx.npz")
         rc = main(
             ["build", "--dataset", "sift", "--n", "300", "--queries", "10",
-             "--out", index_path, "--graph", "cagra",
-             "--build-engine", "batched", "--degree", "8"]
+             "--out", index_path, "--graph", "cagra", "--degree", "8"]
         )
         assert rc == 0
         out = capsys.readouterr().out

@@ -82,52 +82,3 @@ class TestLevels:
         assert a.queue_size == 40
         assert b.queue_size == 100
         assert b.k == 10
-
-
-class TestBuildConfig:
-    def test_defaults_valid(self):
-        from repro.core.config import BuildConfig
-
-        cfg = BuildConfig()
-        assert cfg.engine == "batched"
-        assert cfg.insert_batch == 512
-        assert cfg.max_candidates is None
-
-    def test_engine_whitelist(self):
-        from repro.core.config import BUILD_ENGINES, BuildConfig
-
-        for engine in BUILD_ENGINES:
-            BuildConfig(engine=engine)  # ok
-        with pytest.raises(ValueError):
-            BuildConfig(engine="gpu")
-
-    def test_graph_type_whitelist(self):
-        from repro.core.config import GRAPH_TYPES, BuildConfig
-
-        assert "cagra" in GRAPH_TYPES
-        for graph_type in GRAPH_TYPES:
-            BuildConfig(graph_type=graph_type)  # ok
-        with pytest.raises(ValueError):
-            BuildConfig(graph_type="voronoi")
-
-    def test_insert_batch_positive(self):
-        from repro.core.config import BuildConfig
-
-        with pytest.raises(ValueError):
-            BuildConfig(insert_batch=0)
-
-    def test_max_candidates_positive_or_none(self):
-        from repro.core.config import BuildConfig
-
-        BuildConfig(max_candidates=None)  # ok
-        BuildConfig(max_candidates=64)  # ok
-        with pytest.raises(ValueError):
-            BuildConfig(max_candidates=0)
-
-    def test_with_options_copy(self):
-        from repro.core.config import BuildConfig
-
-        a = BuildConfig()
-        b = a.with_options(engine="serial", insert_batch=64)
-        assert a.engine == "batched" and a.insert_batch == 512
-        assert b.engine == "serial" and b.insert_batch == 64

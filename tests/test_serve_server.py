@@ -328,14 +328,13 @@ class TestShardedServing:
 
 class TestBuildFromData:
     def test_serves_any_graph_family(self, served):
-        from repro.core.config import BuildConfig
-        from repro.serve import build_server_from_data
+        from repro.graphs import build_graph
 
         ds, _ = served
         cfg = make_config()
-        build = BuildConfig(graph_type="cagra", engine="batched")
+        graph = build_graph(ds.data, "cagra", degree=8)
         report = run_loadtest(
-            lambda: build_server_from_data(ds.data, cfg, build=build, degree=8),
+            lambda: build_server(graph, ds.data, cfg),
             ds.queries,
             rate_qps=50_000,
             num_requests=60,
