@@ -16,11 +16,12 @@ import numpy as np
 from _common import cached_graph, emit_report
 from repro import GpuSongIndex
 from repro.core.config import SearchConfig
+from repro.distances import get_metric
 from repro.eval import batch_recall
 from repro.eval.report import format_table
 from repro.graphs.bruteforce_knn import build_knn_graph
 from repro.graphs.storage import FixedDegreeGraph
-from repro.hashing import HammingSpace, SignRandomProjection
+from repro.hashing import SignRandomProjection
 
 BITS = (32, 64, 128, 256, 512)
 K = 10
@@ -28,12 +29,12 @@ DEGREE = 16
 QUEUE = 150
 
 
-def _hamming_knn_graph(space: HammingSpace, degree: int) -> FixedDegreeGraph:
-    sigs = space.signatures
+def _hamming_knn_graph(sigs: np.ndarray, degree: int) -> FixedDegreeGraph:
+    hamming = get_metric("hamming")
     n = len(sigs)
     adjacency = []
     for v in range(n):
-        d = space.batch_distance(sigs[v], sigs)
+        d = hamming.batch(sigs[v], sigs)
         d[v] = np.inf
         adjacency.append(np.argsort(d, kind="stable")[:degree].tolist())
     return FixedDegreeGraph.from_adjacency(adjacency, degree=degree)
@@ -66,15 +67,14 @@ def _run(assets):
         rp = SignRandomProjection(ds.dim, num_bits=bits, seed=0)
         sig_data = rp.transform(ds.data)
         sig_queries = rp.transform(sat_queries)
-        space = HammingSpace(sig_data)
-        hgraph = _hamming_knn_graph(space, DEGREE)
+        hgraph = _hamming_knn_graph(sig_data, DEGREE)
         hgpu = GpuSongIndex(hgraph, sig_data, device="titanx")
         results, timing = hgpu.search_batch(
-            sig_queries, cfg, distance_fn=space.batch_distance
+            sig_queries, cfg.with_options(metric="hamming")
         )
         recall = batch_recall(results, sat_gt)
         qps = timing.qps(len(sig_queries))
-        size = space.memory_bytes()
+        size = hgpu.dataset_memory_bytes()
         curves[bits] = (recall, qps, size)
         rows.append(
             [f"Hash-{bits}", f"{bits} bits", f"{recall:.3f}", f"{qps:,.0f}",

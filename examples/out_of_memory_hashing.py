@@ -14,17 +14,18 @@ import numpy as np
 
 from repro import GpuSongIndex, SearchConfig
 from repro.data import make_dataset
+from repro.distances import get_metric
 from repro.eval import batch_recall
 from repro.graphs.storage import FixedDegreeGraph
-from repro.hashing import HammingSpace, SignRandomProjection
+from repro.hashing import SignRandomProjection
 
 
-def hamming_knn_graph(space: HammingSpace, degree: int) -> FixedDegreeGraph:
+def hamming_knn_graph(sigs: np.ndarray, degree: int) -> FixedDegreeGraph:
     """Exact kNN graph under Hamming distance."""
-    sigs = space.signatures
+    hamming = get_metric("hamming")
     adjacency = []
     for v in range(len(sigs)):
-        d = space.batch_distance(sigs[v], sigs)
+        d = hamming.batch(sigs[v], sigs)
         d[v] = np.inf
         adjacency.append(np.argsort(d, kind="stable")[:degree].tolist())
     return FixedDegreeGraph.from_adjacency(adjacency, degree=degree)
@@ -34,7 +35,11 @@ def main() -> None:
     dataset = make_dataset("mnist8m", n=2000, num_queries=100, seed=0)
     gt = dataset.ground_truth(10)
     config = SearchConfig(
-        k=10, queue_size=150, selected_insertion=True, visited_deletion=True
+        k=10,
+        queue_size=150,
+        metric="hamming",
+        selected_insertion=True,
+        visited_deletion=True,
     )
 
     print(f"original dataset: {dataset.size_bytes() / 1024:.0f} KB "
@@ -46,17 +51,14 @@ def main() -> None:
         projector = SignRandomProjection(dataset.dim, num_bits=bits, seed=0)
         signatures = projector.transform(dataset.data)
         query_sigs = projector.transform(dataset.queries)
-        space = HammingSpace(signatures)
 
-        graph = hamming_knn_graph(space, degree=16)
+        graph = hamming_knn_graph(signatures, degree=16)
         index = GpuSongIndex(graph, signatures, device="titanx")
-        results, timing = index.search_batch(
-            query_sigs, config, distance_fn=space.batch_distance
-        )
+        results, timing = index.search_batch(query_sigs, config)
         recall = batch_recall(results, gt)
-        ratio = dataset.size_bytes() / space.memory_bytes()
+        ratio = dataset.size_bytes() / signatures.nbytes
         print(
-            f"{bits:>6} {space.memory_bytes() / 1024:>9.0f}K {ratio:>8.0f}x "
+            f"{bits:>6} {signatures.nbytes / 1024:>9.0f}K {ratio:>8.0f}x "
             f"{recall:>10.3f} {timing.qps(dataset.num_queries):>12,.0f}"
         )
 

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Minimal CI gate: static analysis, the tier-1 test suite, and the smoke
-# benchmarks — batched search engine (parity + speedup >= 1x at B=64),
-# the serving layer (fixed batching misses the p99 SLO at overload while
-# the SLO-aware policy holds it; the multi-stream sweep must scale QPS
-# within its pinned band and keep recall bit-identical), and the
-# out-of-core tier (a 10x-over-budget dataset served under SLO, with
-# prefetch beating serial demand fetches inside a pinned band).  Each
-# smoke runs in well under 60 s.
+# benchmarks — the serving layer (fixed batching misses the p99 SLO at
+# overload while the SLO-aware policy holds it; the multi-stream sweep
+# must scale QPS within its pinned band and keep recall bit-identical),
+# and the out-of-core tier (a 10x-over-budget dataset served under SLO,
+# with prefetch beating serial demand fetches inside a pinned band).
+# Each smoke runs in well under 60 s.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
@@ -53,7 +52,6 @@ python -m pytest -x -q
 python3 benchmarks/e2e/run.py --smoke --trace 0
 python3 benchmarks/e2e/run.py --smoke --trace 1
 
-python -m benchmarks.bench_batched_engine --smoke
 python -m benchmarks.bench_serving --smoke
 python -m benchmarks.bench_outofcore --smoke
 

@@ -32,7 +32,11 @@ equivalence rests on two facts:
 
 Probabilistic visited backends (Bloom/Cuckoo) are sequence-dependent and
 are therefore routed to the serial engine by
-:meth:`SongSearcher.search_batch`'s auto-dispatch.
+:meth:`SongSearcher.search_batch`'s auto-dispatch — the visited backend
+is all that dispatch looks at.  The engine itself is metric-agnostic:
+whatever rows the dataset holds (float32 vectors, or packed uint32
+signatures under ``"hamming"``) are gathered into the panel and scored
+by ``config.metric``'s ``batch_many``.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ from repro.core.song import (
     EXACT_VISITED_BACKENDS,
     SearchStats,
     SongSearcher,
-    coerce_float32,
+    checked_queries,
+    searchable_data,
 )
 from repro.distances import get_metric
 from repro.graphs.storage import PAD, FixedDegreeGraph
@@ -95,7 +100,8 @@ class BatchedSongSearcher:
     graph:
         The proximity graph (NSW, HNSW layer 0, NSG, ...).
     data:
-        ``(n, d)`` float32 dataset the graph indexes.
+        ``(n, d)`` float32 dataset the graph indexes, or ``(n, w)`` packed
+        uint32 signatures searched under ``metric="hamming"``.
     parent:
         Optional :class:`SongSearcher` to share cached dataset norms with.
     """
@@ -106,18 +112,8 @@ class BatchedSongSearcher:
         data: np.ndarray,
         parent: Optional[SongSearcher] = None,
     ) -> None:
-        if graph.num_vertices != len(data):
-            raise ValueError(
-                f"graph has {graph.num_vertices} vertices but data has "
-                f"{len(data)} rows"
-            )
         self.graph = graph
-        self.data = coerce_float32(data, "BatchedSongSearcher data")
-        if self.data.ndim != 2 or self.data.dtype != np.float32:
-            raise ValueError(
-                "the batched engine requires a 2-d float32 dataset; use "
-                "SongSearcher for hashed/bit-packed data"
-            )
+        self.data = searchable_data(graph, data, "BatchedSongSearcher")
         self._parent = parent
         self._data_norms: Optional[np.ndarray] = None
 
@@ -175,7 +171,7 @@ class BatchedSongSearcher:
         Parameters
         ----------
         queries:
-            ``(B, d)`` query matrix (coerced to float32).
+            ``(B, d)`` query matrix (floats are coerced to float32).
         config:
             Search parameters; the visited backend must be exact
             (``hashtable`` or ``pyset``).
@@ -202,12 +198,7 @@ class BatchedSongSearcher:
                 "the batched engine requires an exact visited backend "
                 f"(hashtable/pyset), not {config.visited_backend!r}"
             )
-        queries = coerce_float32(np.atleast_2d(np.asarray(queries)), "queries")
-        if queries.shape[1] != self.data.shape[1]:
-            raise ValueError(
-                f"queries have dim {queries.shape[1]} but data has dim "
-                f"{self.data.shape[1]}"
-            )
+        queries = checked_queries(self.data, queries, config.metric)
         if stats is not None and len(stats) != len(queries):
             raise ValueError(
                 f"stats has {len(stats)} entries for {len(queries)} queries"

@@ -1,10 +1,11 @@
 """SONG's CPU implementation (paper Section VIII-I, Fig. 15).
 
 The same 3-stage search as the GPU kernel, priced by a CPU machine model
-instead of warp costs: search with an operation record, then
-:func:`record_ops` turns the record into the work units
-:meth:`~repro.core.machine.CpuModel.seconds` prices — the mirror of
-``GpuSongIndex.search_batch``.  Its edge over plain HNSW search comes
+instead of warp costs: search (through the searcher's one dispatch,
+:meth:`SongSearcher.search_batch <repro.core.song.SongSearcher.search_batch>`)
+with an operation record, then :func:`record_ops` turns the record into
+the work units :meth:`~repro.core.machine.CpuModel.seconds` prices — the
+mirror of ``GpuSongIndex.search_batch``.  Its edge over plain HNSW search comes
 from exactly what the paper engineered: batched distance evaluation
 (SIMD friendly) and the bounded data structures.
 """
@@ -86,11 +87,12 @@ class CpuSongIndex:
 
     def search_batch(self, queries: np.ndarray, config: SearchConfig) -> CpuBatchResult:
         """Search every query; seconds accumulate (single thread)."""
-        queries = np.asarray(queries, dtype=self.data.dtype)
-        if queries.ndim == 1:
-            queries = queries[None, :]
+        queries = np.atleast_2d(np.asarray(queries))
+        # One record for the whole batch: every lane accumulates into it.
         record = SearchStats()
-        results = [self.searcher.search(q, config, stats=record) for q in queries]
+        results = self.searcher.search_batch(
+            queries, config, stats=[record] * len(queries)
+        )
         counter, seconds = self._price(record, config)
         return CpuBatchResult(results=results, seconds=seconds, counter=counter)
 

@@ -19,8 +19,10 @@ tier all go through these two, so their times agree by construction.
   when the structure spilled to global memory.
 
 :class:`GpuSongIndex` owns placement decisions (what fits in shared
-memory), searches a query batch, prices its records, and converts the
-result into QPS via the cost model.
+memory), searches a query batch through its searcher's one dispatch
+(:meth:`SongSearcher.search_batch <repro.core.song.SongSearcher.search_batch>`
+— it has no search loop of its own), prices the records, and converts
+the result into QPS via the cost model.
 """
 
 from __future__ import annotations
@@ -105,12 +107,12 @@ class WarpMeter:
         warp: Warp,
         config: SearchConfig,
         placement: Placement,
-        flops_per_distance_fn,
+        flops_per_distance: Callable[[int], int],
     ) -> None:
         self.warp = warp
         self.config = config
         self.placement = placement
-        self._flops = flops_per_distance_fn
+        self._flops = flops_per_distance
         self._queue_depth = max(2, int(math.log2(config.queue_size)) + 1)
         self._visited_steps = _VISITED_OP_STEPS[config.visited_backend]
 
@@ -231,14 +233,17 @@ class GpuSongIndex:
     graph:
         Fixed-degree proximity graph (NSW in the paper's experiments).
     data:
-        ``(n, d)`` dataset, resident in simulated global memory.
+        ``(n, d)`` dataset, resident in simulated global memory: float
+        vectors, or packed uint32 signatures searched under
+        ``metric="hamming"`` (:mod:`repro.hashing`).
     device:
         Device preset name or :class:`DeviceSpec`.
     resident_bytes:
         Bytes this index keeps in device global memory.  Defaults to
-        graph + dataset; the tiered index passes the *compressed* store
-        footprint instead, because its traversal array is a host-side
-        proxy for codes that live packed on the device.
+        graph + dataset; the tiered index passes its whole resident tier
+        (graph + codes + hot-page cache) instead — and for PQ the
+        traversal array is decoded rows standing in for the codes the
+        device holds.
     allow_oversubscription:
         When the resident footprint exceeds the device budget, warn
         (``ResourceWarning``) instead of raising
@@ -388,7 +393,6 @@ class GpuSongIndex:
         config: SearchConfig,
         profiler: Optional[StageProfiler] = None,
         collect_stats: bool = False,
-        distance_fn=None,
     ) -> Tuple[List[List[Tuple[float, int]]], KernelResult]:
         """Run the batch and return ``(results, kernel_result)``.
 
@@ -397,15 +401,10 @@ class GpuSongIndex:
         ``collect_stats`` the lanes' records are attached as
         ``kernel_result.stats``.
         """
-        queries = np.asarray(queries, dtype=self.data.dtype)
-        if queries.ndim == 1:
-            queries = queries[None, :]
+        queries = np.atleast_2d(np.asarray(queries))
         records = [SearchStats() for _ in range(len(queries))]
-        outputs = [
-            self.searcher.search(q, config, stats=record, distance_fn=distance_fn)
-            for q, record in zip(queries, records)
-        ]
-        profile = DistanceProfile.for_metric(config.metric, queries.shape[1])
+        outputs = self.searcher.search_batch(queries, config, stats=records)
+        profile = DistanceProfile.for_metric(config.metric, self.data.shape[1])
         result = self.price(records, config, profile, profiler=profiler)
         result.outputs = outputs
         if collect_stats:

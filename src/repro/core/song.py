@@ -15,6 +15,14 @@ The implementation is functional and machine-agnostic: it fills one
 operation record (:class:`SearchStats`), which a machine model prices
 afterwards — :func:`repro.core.gpu_kernel.meter_lane` into GPU cycles,
 :func:`repro.core.cpu_song.record_ops` into CPU work units.
+
+:meth:`SongSearcher.search_batch` is the one place a batch search picks
+its engine — this module's per-query loop or the bit-identical lockstep
+engine of :mod:`repro.core.batched` — for every index built on a
+searcher; ``config.metric`` is the one place it picks its distance
+(a :class:`~repro.distances.Metric`, ``"hamming"`` over packed
+signatures included); and :func:`checked_queries` is the one validation
+both engines apply.
 """
 
 from __future__ import annotations
@@ -39,21 +47,67 @@ EXACT_VISITED_BACKENDS = (VisitedBackend.HASH_TABLE, VisitedBackend.PYSET)
 def coerce_float32(arr: np.ndarray, label: str = "array") -> np.ndarray:
     """Return ``arr`` as contiguous float32, warning when a copy is forced.
 
-    Non-floating inputs (e.g. bit-packed Hamming datasets) pass through
-    untouched apart from a contiguity fix-up, so the hashed search path
-    keeps its integer storage.
+    Packed ``uint32`` signatures (the ``"hamming"`` search space) pass
+    through untouched apart from a contiguity fix-up.
     """
     a = np.asarray(arr)
     if np.issubdtype(a.dtype, np.floating) and a.dtype != np.float32:
         warnings.warn(
             f"{label}: converting {a.dtype} to float32 (silent copy); pass "
             f"float32 data to avoid the conversion",
-            stacklevel=3,
+            stacklevel=4,  # the caller of the constructor / search method
         )
         return np.ascontiguousarray(a, dtype=np.float32)
     if not a.flags["C_CONTIGUOUS"]:
         return np.ascontiguousarray(a)
     return a
+
+
+def searchable_data(graph: FixedDegreeGraph, data: np.ndarray, label: str) -> np.ndarray:
+    """``data`` as either engine stores it: one 2-d float32 or packed
+    uint32 row per vertex of ``graph``."""
+    if graph.num_vertices != len(data):
+        raise ValueError(
+            f"graph has {graph.num_vertices} vertices but data has "
+            f"{len(data)} rows"
+        )
+    data = coerce_float32(data, f"{label} data")
+    if data.ndim != 2 or data.dtype not in (np.float32, np.uint32):
+        raise ValueError(
+            f"{label} data must be a 2-d float array, or packed uint32 "
+            f"signatures for metric='hamming'; got {data.dtype} with "
+            f"{data.ndim} dimension(s)"
+        )
+    return data
+
+
+def checked_queries(data: np.ndarray, queries: np.ndarray, metric: str) -> np.ndarray:
+    """``queries`` as the ``(B, d)`` batch ``data`` can be searched with.
+
+    The one validation behind both engines and every index wrapper:
+    packed uint32 data is searched under ``"hamming"`` and nothing else,
+    by packed uint32 queries; float data by float queries (coerced to
+    float32); and a query is as wide as a data row.  Anything else would
+    compute *something* — wraparound subtraction over signature words, a
+    narrow query broadcast across the row — so it raises instead.
+    """
+    packed = data.dtype == np.uint32
+    if packed != (get_metric(metric).name == "hamming"):
+        raise ValueError(
+            f"metric {metric!r} cannot search {data.dtype} data: packed uint32 "
+            f"signatures go with metric='hamming', float vectors with the others"
+        )
+    queries = np.atleast_2d(np.asarray(queries))
+    same_kind = (queries.dtype == np.uint32) if packed else (queries.dtype.kind == "f")
+    if not same_kind:
+        raise ValueError(
+            f"queries are {queries.dtype} but the index holds {data.dtype} rows"
+        )
+    if queries.ndim != 2 or queries.shape[1] != data.shape[1]:
+        raise ValueError(
+            f"queries have dim {queries.shape[-1]} but data has dim {data.shape[1]}"
+        )
+    return coerce_float32(queries, "queries")
 
 
 class SearchStats:
@@ -97,20 +151,14 @@ class SongSearcher:
     graph:
         The proximity graph (NSW, HNSW layer 0, NSG, ...).
     data:
-        ``(n, d)`` dataset the graph indexes.  For hashed (bit-packed)
-        datasets pass the packed array and ``metric="hamming"`` via a
-        :class:`~repro.hashing.hamming.HammingSpace` — see
-        :mod:`repro.hashing`.
+        ``(n, d)`` float dataset the graph indexes, or the ``(n, w)``
+        packed uint32 signatures of a hashed one (:mod:`repro.hashing`),
+        searched with ``config.metric == "hamming"``.
     """
 
     def __init__(self, graph: FixedDegreeGraph, data: np.ndarray) -> None:
-        if graph.num_vertices != len(data):
-            raise ValueError(
-                f"graph has {graph.num_vertices} vertices but data has "
-                f"{len(data)} rows"
-            )
         self.graph = graph
-        self.data = coerce_float32(data, "SongSearcher data")
+        self.data = searchable_data(graph, data, "SongSearcher")
         self._data_norms: Optional[np.ndarray] = None
         self._batched = None
 
@@ -131,7 +179,6 @@ class SongSearcher:
         query: np.ndarray,
         config: SearchConfig,
         stats: Optional[SearchStats] = None,
-        distance_fn=None,
     ) -> List[Tuple[float, int]]:
         """Top-``config.k`` neighbors of ``query`` (ascending distance).
 
@@ -143,32 +190,25 @@ class SongSearcher:
             Search parameters and optimization switches.
         stats:
             Optional :class:`SearchStats` to fill.
-        distance_fn:
-            Override for the batch distance: ``f(query, rows) -> array``.
-            Used by the Hamming-space search over hashed datasets.
         """
         stats = stats if stats is not None else SearchStats()
         metric = get_metric(config.metric)
         graph = self.graph
         data = self.data
-        if distance_fn is not None:
+        queries = checked_queries(data, query, config.metric)
+        if len(queries) != 1:
+            raise ValueError(f"search takes one query, got {len(queries)}")
+        query = queries[0]
+        if metric.name == "cosine":
+            norms = self.data_norms()
 
             def bulk(q, rows, idx):
-                return distance_fn(q, rows)
+                return metric.batch(q, rows, norms=norms[idx])
 
         else:
-            if data.dtype == np.float32:
-                query = coerce_float32(query, "query")
-            if metric.name == "cosine":
-                norms = self.data_norms()
 
-                def bulk(q, rows, idx):
-                    return metric.batch(q, rows, norms=norms[idx])
-
-            else:
-
-                def bulk(q, rows, idx):
-                    return metric.batch(q, rows)
+            def bulk(q, rows, idx):
+                return metric.batch(q, rows)
 
         pool = config.queue_size
 
@@ -311,15 +351,11 @@ class SongSearcher:
     def supports_batched(self, config: SearchConfig) -> bool:
         """Whether ``config`` permits the vectorized lockstep engine.
 
-        The batched engine needs a metric-space float32 dataset and an
-        exact visited backend (its lane-visited bitmap cannot reproduce
-        Bloom/Cuckoo false positives); anything else runs serially.
+        The batched engine needs an exact visited backend (its
+        lane-visited bitmap cannot reproduce Bloom/Cuckoo false
+        positives); anything else runs serially.
         """
-        return (
-            self.data.dtype == np.float32
-            and self.data.ndim == 2
-            and VisitedBackend(config.visited_backend) in EXACT_VISITED_BACKENDS
-        )
+        return VisitedBackend(config.visited_backend) in EXACT_VISITED_BACKENDS
 
     def search_batch(
         self,
@@ -348,7 +384,7 @@ class SongSearcher:
         """
         if engine not in ("auto", "serial", "batched"):
             raise ValueError(f"unknown engine {engine!r}")
-        queries = np.asarray(queries)
+        queries = checked_queries(self.data, queries, config.metric)
         if stats is not None and len(stats) != len(queries):
             raise ValueError(
                 f"stats has {len(stats)} entries for {len(queries)} queries"

@@ -1,9 +1,11 @@
 """Batched distance metrics.
 
-All functions take ``float32``/``float64`` numpy arrays.  Distances are
-returned so that *smaller is better* — inner product and cosine similarity
-are negated, which lets every search structure in the library order
-candidates with a single convention.
+The vector-space metrics take ``float32``/``float64`` numpy arrays;
+``"hamming"`` takes packed ``uint32`` signature words
+(:mod:`repro.hashing`).  Distances are returned so that *smaller is
+better* — inner product and cosine similarity are negated, which lets
+every search structure in the library order candidates with a single
+convention.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ __all__ = [
 ]
 
 #: Registered metric names.
-METRICS = ("l2", "ip", "cosine")
+METRICS = ("l2", "ip", "cosine", "hamming")
 
 
 class Metric:
@@ -34,7 +36,11 @@ class Metric:
     ----------
     name:
         One of ``"l2"`` (squared Euclidean), ``"ip"`` (negative inner
-        product) or ``"cosine"`` (negative cosine similarity).
+        product), ``"cosine"`` (negative cosine similarity) or
+        ``"hamming"`` (differing bits of packed ``uint32`` signatures —
+        a search metric only: the construction-side evaluators
+        :meth:`pair_many`, :meth:`pairwise`, :meth:`point_norms` and
+        :meth:`point_sq_norms` raise for it).
     """
 
     def __init__(self, name: str):
@@ -55,6 +61,8 @@ class Metric:
 
     def single(self, u: np.ndarray, v: np.ndarray) -> float:
         """Distance between two vectors."""
+        if self.name == "hamming":
+            return float(self.batch(u, np.asarray(v)[None, :])[0])
         if self.name == "l2":
             diff = u - v
             return float(np.dot(diff, diff))
@@ -101,12 +109,17 @@ class Metric:
         Every formula reduces each ``(b, c)`` row independently through the
         same flattened ``einsum``, so slice ``b`` of the result is bitwise
         identical to a ``batch`` call on that slice alone — the property the
-        serial/batched parity guarantee rests on.
+        serial/batched parity guarantee rests on.  Hamming panels are
+        ``(B, C, w)`` packed words, XOR-ed and popcounted; the counts come
+        back as float32, which holds them exactly (≤ 32·w ≪ 2²⁴).
         """
         points = np.asarray(points)
         if points.ndim != 3:
             raise ValueError("points must be a 3-d (B, C, d) array")
         queries = np.asarray(queries)
+        if self.name == "hamming":
+            differing = np.bitwise_count(points ^ queries[:, None, :])
+            return differing.sum(axis=2, dtype=np.float32)
         b, c, dim = points.shape
         if self.name == "l2":
             diff = np.ascontiguousarray(points - queries[:, None, :])
@@ -147,6 +160,7 @@ class Metric:
         to — not bitwise identical with — the subtract-square form, and is
         clamped at zero.
         """
+        self._vector_space_only("pair_many")
         dots = np.einsum("ij,ij->i", left, right)
         if self.name == "l2":
             lsq = (
@@ -182,6 +196,7 @@ class Metric:
 
     def point_sq_norms(self, points: np.ndarray) -> np.ndarray:
         """Row squared L2 norms, for caching ahead of :meth:`pair_many`."""
+        self._vector_space_only("point_sq_norms")
         points = np.asarray(points)
         return np.einsum("ij,ij->i", points, points)
 
@@ -191,10 +206,12 @@ class Metric:
         Row-wise reduction is independent per row, so gathering cached
         norms is bitwise identical to recomputing them on gathered rows.
         """
+        self._vector_space_only("point_norms")
         return np.linalg.norm(np.asarray(points), axis=1)
 
     def pairwise(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
         """All-pairs distance matrix of shape ``(len(queries), len(points))``."""
+        self._vector_space_only("pairwise")
         if self.name == "l2":
             q_sq = np.einsum("ij,ij->i", queries, queries)[:, None]
             p_sq = np.einsum("ij,ij->i", points, points)[None, :]
@@ -213,15 +230,24 @@ class Metric:
         out[nz] = -dots[nz] / denom[nz]
         return out
 
+    def _vector_space_only(self, evaluator: str) -> None:
+        """Graph construction works on float vectors, not on signatures."""
+        if self.name == "hamming":
+            raise ValueError(
+                f"Metric('hamming').{evaluator} is undefined: the metric "
+                f"scores packed signatures through single/batch/batch_many only"
+            )
+
     # -- cost accounting ----------------------------------------------------
 
     def flops_per_distance(self, dim: int) -> int:
-        """Floating-point operations to evaluate one distance.
+        """Scalar operations to evaluate one distance over ``dim`` words.
 
         Used by the SIMT cost model to charge the bulk-distance stage.
         """
-        if self.name == "l2":
-            return 3 * dim  # sub, mul, add per dimension
+        if self.name in ("l2", "hamming"):
+            # sub, mul, add per dimension / xor, popcount, add per packed word
+            return 3 * dim
         if self.name == "ip":
             return 2 * dim  # mul, add
         return 6 * dim  # dot + two norms

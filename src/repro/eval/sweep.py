@@ -56,7 +56,6 @@ def sweep_gpu_song(
     queue_sizes: Sequence[int],
     k: int = 10,
     config: Optional[SearchConfig] = None,
-    distance_fn=None,
     ground_truth: Optional[np.ndarray] = None,
 ) -> List[SweepPoint]:
     """SONG on the simulated GPU across frontier queue sizes."""
@@ -65,9 +64,7 @@ def sweep_gpu_song(
     points = []
     for qs in _effective_queue_sizes(queue_sizes, k):
         cfg = base.with_options(k=k, queue_size=qs)
-        results, timing = index.search_batch(
-            dataset.queries, cfg, distance_fn=distance_fn
-        )
+        results, timing = index.search_batch(dataset.queries, cfg)
         points.append(
             SweepPoint(
                 param=qs,

@@ -4,21 +4,11 @@ High-dimensional float datasets that exceed device memory are compressed
 to packed bit vectors: ``h`` signed random projections per point, stored
 as ``h/32`` uint32 words.  Hamming distance between bit vectors estimates
 the angle between the original vectors, so graph search runs unchanged on
-the compressed data.
+the compressed data: hand the packed array to any searcher or index and
+search with ``SearchConfig(metric="hamming")``
+(:class:`repro.distances.Metric` scores XOR + popcount over the words).
 """
 
 from repro.hashing.random_projection import SignRandomProjection
-from repro.hashing.hamming import (
-    HammingSpace,
-    hamming_batch,
-    hamming_single,
-    packed_bits,
-)
 
-__all__ = [
-    "SignRandomProjection",
-    "HammingSpace",
-    "hamming_batch",
-    "hamming_single",
-    "packed_bits",
-]
+__all__ = ["SignRandomProjection"]

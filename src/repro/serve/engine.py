@@ -2,22 +2,22 @@
 
 The serving layer needs two things from an index: *results* for a batch
 of queries, and a *service time* to charge against the simulated clock.
-:class:`~repro.core.gpu_kernel.GpuSongIndex` gives both but runs the
-serial Python searcher per query — far too slow for loadtests with
-thousands of requests.  The engines here keep its pricing and replace
-its searcher:
+Both come from the :class:`~repro.core.gpu_kernel.GpuSongIndex` an
+engine wraps:
 
-- results come from the vectorized lockstep engine
-  (:class:`~repro.core.batched.BatchedSongSearcher`), bit-identical to
-  the serial searcher and ~10x faster in wall time;
+- results come from the index searcher's lockstep engine
+  (:meth:`SongSearcher.batched <repro.core.song.SongSearcher.batched>`)
+  at every batch size, so a serving config needs an exact visited
+  backend;
 - service time comes from the per-lane operation records
-  (:class:`~repro.core.song.SearchStats`) the lockstep engine fills —
-  the same counts, lane for lane, as the serial searcher's — handed to
+  (:class:`~repro.core.song.SearchStats`) that engine fills, handed to
   :meth:`GpuSongIndex.price <repro.core.gpu_kernel.GpuSongIndex.price>`,
   the one launch ``GpuSongIndex.search_batch`` itself is priced by.  A
   served batch therefore costs exactly what the metered index reports
   for the same queries: same warp grouping, same kernel and transfer
-  times, same stage cycles.
+  times, same stage cycles.  What the engines add is chunked pricing
+  for the stream model and a distance profile other than the search
+  metric's (the out-of-core tier's PQ store).
 
 Three engines cover the index zoo:
 
@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batched import BatchedSongSearcher
 from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex
 from repro.core.online import OnlineSongIndex
@@ -79,7 +78,9 @@ class SimulatedGpuEngine:
     graph:
         Fixed-degree proximity graph.
     data:
-        ``(n, d)`` float32 dataset.
+        ``(n, d)`` float32 dataset — what :meth:`run_batch` searches.
+        The out-of-core tier hands over its store's traversal array
+        (packed signatures or decoded PQ rows) and only prices with it.
     device:
         Simulated device preset name.
     name:
@@ -91,9 +92,9 @@ class SimulatedGpuEngine:
         oversubscription is explicitly allowed.
     profile:
         Distance profile the lanes are priced under.  Defaults to the
-        search metric over full-precision rows; the out-of-core tier
-        passes its compressed store, whose ``data`` is only a float
-        proxy for the codes the device holds.
+        search metric over ``data``'s rows; the out-of-core tier passes
+        its compressed store (for PQ, ``data`` is decoded rows standing
+        in for the codes the device holds).
     """
 
     def __init__(
@@ -114,9 +115,7 @@ class SimulatedGpuEngine:
             resident_bytes=resident_bytes,
             allow_oversubscription=allow_oversubscription,
         )
-        self.batched = BatchedSongSearcher(
-            graph, self.index.data, parent=self.index.searcher
-        )
+        self.batched = self.index.searcher.batched()
         self.name = name
 
     @property

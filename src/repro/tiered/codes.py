@@ -1,23 +1,22 @@
 """Device-resident compressed stores for the out-of-core tier.
 
 Both stores expose the same contract: a packed code matrix whose bytes
-are what the capacity ledger charges for, a float32 **proxy** array whose
-squared-L2 distances equal the codec's native distance — so the lockstep
-:class:`~repro.core.batched.BatchedSongSearcher` traverses codes without
-a single change — and a cost profile (flops + words per distance) that
-prices traversal at the *compressed* rates on the warp meter.
+are what the capacity ledger charges for, the array and metric the
+lockstep :class:`~repro.core.batched.BatchedSongSearcher` traverses
+(``traversal_data`` / ``traversal_metric`` — the engine itself knows
+nothing of codecs), and a cost profile (flops + words per distance)
+that prices traversal at the *compressed* rates on the warp meter.
 
-Proxy equivalences (both exact, not approximations of the codec):
-
-- **bits**: unpacked 0/1 signature bits as float32.  For bit rows
-  ``u, v`` the squared L2 distance ``Σ (u_i − v_i)²`` counts exactly the
-  differing bits — the Hamming distance of the packed signatures.  The
-  counts are integers ≤ ``num_bits`` ≤ 2048, exactly representable in
-  float32, so traversal order is bit-identical to integer Hamming.
-- **pq**: decoded (reconstructed) vectors.  ADC's distance of query
-  ``q`` to code ``c`` is ``Σ_j |q_j − codebook_j[c_j]|²`` which *is* the
-  squared L2 from ``q`` to the decoded vector — the classic ADC
-  identity — so L2 traversal over decoded rows computes ADC.
+- **bits**: the packed signatures themselves, under ``"hamming"`` —
+  XOR + popcount over ``num_bits / 32`` uint32 words, the paper's
+  Sec. VII search space.
+- **pq**: decoded (reconstructed) float32 rows under ``"l2"``.  ADC's
+  distance of query ``q`` to code ``c`` is
+  ``Σ_j |q_j − codebook_j[c_j]|²`` which *is* the squared L2 from ``q``
+  to the decoded vector — the classic ADC identity — so L2 traversal
+  over decoded rows computes ADC exactly.  The decoded array is a
+  host-side stand-in for codes that live packed on the device;
+  per-query ADC lookup tables would traverse the codes themselves.
 """
 
 from __future__ import annotations
@@ -31,46 +30,32 @@ from repro.tiered.config import TieredConfig
 __all__ = ["BitCodeStore", "PQCodeStore", "make_store"]
 
 
-def _unpack_bits(codes: np.ndarray, num_bits: int) -> np.ndarray:
-    """Unpack ``(n, w)`` uint32 signatures to ``(n, num_bits)`` float32.
-
-    Little-endian bit order, inverting
-    :func:`~repro.hashing.random_projection.pack_sign_bits`.
-    """
-    bits = np.unpackbits(
-        codes.view(np.uint8), axis=1, bitorder="little", count=num_bits
-    )
-    return np.ascontiguousarray(bits.astype(np.float32))
-
-
 class BitCodeStore:
     """Sign-projection signatures resident on device; Hamming traversal."""
 
     codec = "bits"
+    traversal_metric = "hamming"
 
     def __init__(self, data: np.ndarray, tier: TieredConfig) -> None:
         data = np.atleast_2d(np.asarray(data, dtype=np.float32))
         self.dim = data.shape[1]
-        self.num_bits = tier.num_bits
         self.projector = SignRandomProjection(
             self.dim,
             num_bits=tier.num_bits,
             distribution=tier.distribution,
             seed=tier.seed,
         )
-        #: Packed ``(n, w)`` uint32 signatures — the device-resident form.
-        self.codes = self.projector.transform(data)
-        #: Float proxy whose squared L2 equals Hamming over ``codes``.
-        self.traversal_data = _unpack_bits(self.codes, self.num_bits)
+        #: Packed ``(n, w)`` uint32 signatures — the device-resident form,
+        #: and what the engine traverses.
+        self.codes = self.traversal_data = self.projector.transform(data)
 
     @property
     def num_words(self) -> int:
         return self.projector.num_words
 
-    #: Words of 4 bytes the warp meter charges per point — the packed
-    #: signature size, not the proxy's.
     @property
     def cost_dim(self) -> int:
+        """Words of 4 bytes the warp meter charges per point."""
         return self.num_words
 
     @property
@@ -83,9 +68,8 @@ class BitCodeStore:
         return 3 * self.num_words
 
     def encode_queries(self, queries: np.ndarray) -> np.ndarray:
-        """Queries into proxy space (unpacked signature bits)."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        return _unpack_bits(self.projector.transform(queries), self.num_bits)
+        """Queries as packed signatures under the store's projection."""
+        return self.projector.transform(queries)
 
     def device_code_bytes(self) -> int:
         """Resident bytes: the packed signature matrix."""
@@ -96,6 +80,7 @@ class PQCodeStore:
     """Product-quantization codes resident on device; ADC traversal."""
 
     codec = "pq"
+    traversal_metric = "l2"
 
     def __init__(self, data: np.ndarray, tier: TieredConfig) -> None:
         data = np.atleast_2d(np.asarray(data, dtype=np.float32))

@@ -8,7 +8,7 @@ every engine uses (:meth:`GpuSongIndex.price
 differs.  Traversal is a :class:`~repro.serve.engine.SimulatedGpuEngine`
 whose profile is the compressed store itself — its flops per distance
 (XOR+popcount for signatures, table lookups for PQ), words per point
-and packed query upload width, not the float proxy's.  The exact
+and query upload width, not those of PQ's decoded rows.  The exact
 re-rank is one record per lane (a bulk distance over the fetched panel,
 ``k`` result-heap updates) under the full-precision metric profile.
 Around the kernels go the re-rank's page fetches, coalesced per chunk
@@ -116,8 +116,8 @@ class TieredServeEngine:
         results, stats, plan = self.tiered.search_batch_with_stats(
             queries, config
         )
-        kprime = self.tiered.overfetch_k(config)
-        tcfg = config.with_options(k=kprime, metric="l2")
+        tcfg = self.tiered.traversal_config(config)
+        kprime = tcfg.k
         if not self.prefetch:
             num_chunks = 1
         elif num_chunks is None:

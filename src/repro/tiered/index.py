@@ -1,8 +1,9 @@
 """Two-tier index: compressed traversal + exact over-fetch re-rank.
 
 :class:`TieredIndex` is the algorithmic core of the out-of-core tier.
-Stage one runs SONG's graph traversal over the compressed store's proxy
-array through the lockstep batched engine, over-fetching
+Stage one runs SONG's graph traversal over the compressed store's
+traversal array, under the store's metric, through the lockstep batched
+engine, over-fetching
 ``min(queue_size, overfetch·k)`` candidates per query.  Stage two scores
 those candidates against the *full-precision* host array in the true
 metric, sorts them with the SoA packed-key trick (deterministic
@@ -151,6 +152,13 @@ class TieredIndex:
     def encode_queries(self, queries: np.ndarray) -> np.ndarray:
         return self.store.encode_queries(queries)
 
+    def traversal_config(self, config: SearchConfig) -> SearchConfig:
+        """Stage one's config: over-fetch under the store's own metric,
+        whatever metric the re-rank scores in."""
+        return config.with_options(
+            k=self.overfetch_k(config), metric=self.store.traversal_metric
+        )
+
     def search_batch_with_stats(
         self, queries: np.ndarray, config: SearchConfig
     ) -> Tuple[List[List[Tuple[float, int]]], List[SearchStats], RerankPlan]:
@@ -161,13 +169,11 @@ class TieredIndex:
         the plan carries the re-rank stage's fetch/compute demand.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-        proxy = self.store.encode_queries(queries)
-        kprime = self.overfetch_k(config)
-        # The proxy arrays are exact L2 carriers for both codecs, so the
-        # traversal metric is always L2 regardless of the re-rank metric.
-        tcfg = config.with_options(k=kprime, metric="l2")
-        candidates, stats = self.searcher.search_batch_with_stats(proxy, tcfg)
-        results, plan = self._rerank(queries, candidates, config, kprime)
+        tcfg = self.traversal_config(config)
+        candidates, stats = self.searcher.search_batch_with_stats(
+            self.store.encode_queries(queries), tcfg
+        )
+        results, plan = self._rerank(queries, candidates, config, tcfg.k)
         return results, stats, plan
 
     def search_batch(

@@ -18,8 +18,10 @@ import pytest
 from repro.core.batched import BatchedSongSearcher
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, SongSearcher
-from repro.distances import get_metric
+from repro.distances import Metric, get_metric
 from repro.graphs import build_nsg, build_nsw
+from repro.graphs.storage import FixedDegreeGraph
+from repro.hashing import SignRandomProjection
 from repro.structures.soa import (
     PAD_KEY,
     BatchedFrontier,
@@ -242,20 +244,44 @@ def test_probabilistic_backends_fall_back_to_serial(parity_data, parity_graphs):
         searcher.search_batch(queries[:4], config, engine="batched")
 
 
-def test_stats_match_serial(parity_data, parity_graphs):
+@pytest.fixture(scope="module")
+def packed_search(parity_data):
+    """The parity data hashed to 64-bit signatures, an exact Hamming kNN
+    graph over them, and the queries' signatures."""
     data, queries = parity_data
-    searcher = SongSearcher(parity_graphs["nsw"], data)
-    for options in (
-        dict(probe_steps=2),
-        dict(visited_deletion=True),
-        dict(probe_steps=2, visited_deletion=True, selected_insertion=False),
-        dict(probe_steps=4, selected_insertion=True, visited_deletion=True),
+    projector = SignRandomProjection(data.shape[1], num_bits=64, seed=0)
+    signatures = projector.transform(data)
+    hamming = get_metric("hamming")
+    adjacency = []
+    for v in range(len(signatures)):
+        d = hamming.batch(signatures[v], signatures)
+        d[v] = np.inf
+        adjacency.append(np.argsort(d, kind="stable")[:8].tolist())
+    graph = FixedDegreeGraph.from_adjacency(adjacency, degree=8)
+    return SongSearcher(graph, signatures), projector.transform(queries)
+
+
+def test_stats_match_serial(parity_data, parity_graphs, packed_search):
+    data, queries = parity_data
+    floats = SongSearcher(parity_graphs["nsw"], data)
+    hashed, query_signatures = packed_search
+    for searcher, batch, options in (
+        (floats, queries, dict(probe_steps=2)),
+        (floats, queries, dict(visited_deletion=True)),
+        (floats, queries, dict(probe_steps=2, visited_deletion=True, selected_insertion=False)),
+        (floats, queries, dict(probe_steps=4, selected_insertion=True, visited_deletion=True)),
+        (
+            hashed,
+            query_signatures,
+            dict(metric="hamming", probe_steps=2, selected_insertion=True, visited_deletion=True),
+        ),
     ):
         config = SearchConfig(k=10, queue_size=30, **options)
-        serial_stats = [SearchStats() for _ in queries]
-        batched_stats = [SearchStats() for _ in queries]
-        searcher.search_batch(queries, config, engine="serial", stats=serial_stats)
-        searcher.search_batch(queries, config, engine="batched", stats=batched_stats)
+        serial_stats = [SearchStats() for _ in batch]
+        batched_stats = [SearchStats() for _ in batch]
+        serial = searcher.search_batch(batch, config, engine="serial", stats=serial_stats)
+        batched = searcher.search_batch(batch, config, engine="batched", stats=batched_stats)
+        assert serial == batched, options
         for ser, bat in zip(serial_stats, batched_stats):
             for name in SearchStats.__slots__:
                 assert getattr(ser, name) == getattr(bat, name), (options, name)
@@ -339,15 +365,17 @@ def test_record_counts_are_what_the_structures_saw(
 
     monkeypatch.setattr(graph, "neighbors", neighbors)
 
-    def distance(query, rows, l2=get_metric("l2").batch):
+    def batch(metric, query, rows, norms=None, score=Metric.batch):
         tally.distance_rows += len(rows)
-        return l2(query, rows)
+        return score(metric, query, rows, norms)
+
+    monkeypatch.setattr(Metric, "batch", batch)
 
     searcher = SongSearcher(graph, data)
     stats = SearchStats()
     searches = 6
     for query in queries[:searches]:
-        searcher.search(query, config, stats=stats, distance_fn=distance)
+        searcher.search(query, config, stats=stats)
 
     seen = Counter(tally.events)
     boundaries = [e for e in tally.events if e in ("pop", "topk")]
@@ -388,6 +416,58 @@ def test_event_meter_is_refused(parity_data, parity_graphs):
     )
     with pytest.raises(TypeError, match="SearchStats"):
         searcher.search_batch(queries, config, meter=object())
+
+
+# -- one query/config validation under both engines ---------------------------
+
+
+@pytest.mark.parametrize("engine", ["serial", "batched", "auto"])
+def test_data_and_metric_must_agree(parity_data, parity_graphs, packed_search, engine):
+    """Packed signatures under a float metric subtract with wraparound and
+    float rows under Hamming XOR garbage: both used to return neighbours."""
+    data, queries = parity_data
+    hashed, query_signatures = packed_search
+    with pytest.raises(ValueError, match="hamming"):
+        hashed.search_batch(query_signatures, SearchConfig(k=5, queue_size=20), engine=engine)
+    floats = SongSearcher(parity_graphs["nsw"], data)
+    config = SearchConfig(k=5, queue_size=20, metric="hamming")
+    with pytest.raises(ValueError, match="hamming"):
+        floats.search_batch(queries, config, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["serial", "batched", "auto"])
+def test_float_queries_to_a_packed_index_are_refused(parity_data, packed_search, engine):
+    _, queries = parity_data
+    hashed, _ = packed_search
+    config = SearchConfig(k=5, queue_size=20, metric="hamming")
+    with pytest.raises(ValueError, match="uint32"):
+        hashed.search_batch(queries[:, :2], config, engine=engine)
+    with pytest.raises(ValueError, match="uint32"):
+        hashed.search(queries[0, :2], config)
+
+
+def test_narrow_query_is_refused_at_every_batch_size(parity_data, parity_graphs):
+    """A dim-1 query used to broadcast through the serial engine (which
+    ``B = 1`` dispatches to) and raise only from the lockstep one."""
+    data, _ = parity_data
+    searcher = SongSearcher(parity_graphs["nsw"], data)
+    config = SearchConfig(k=5, queue_size=20)
+    narrow = np.array([[0.3]], dtype=np.float32)
+    with pytest.raises(ValueError, match="dim 1 but data has dim 16"):
+        searcher.search(narrow[0], config)
+    for batch in (narrow, np.repeat(narrow, 2, axis=0)):
+        for engine in ("auto", "serial", "batched"):
+            with pytest.raises(ValueError, match="dim 1 but data has dim 16"):
+                searcher.search_batch(batch, config, engine=engine)
+
+
+def test_no_distance_override(parity_data, parity_graphs):
+    data, queries = parity_data
+    searcher = SongSearcher(parity_graphs["nsw"], data)
+    with pytest.raises(TypeError):
+        searcher.search(
+            queries[0], SearchConfig(k=5, queue_size=20), distance_fn=get_metric("l2").batch
+        )
 
 
 def test_stats_length_mismatch_rejected(parity_data, parity_graphs):

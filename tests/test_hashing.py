@@ -1,15 +1,15 @@
-"""1-bit random projection and Hamming space tests."""
+"""1-bit random projection and Hamming metric tests."""
 
 import numpy as np
 import pytest
 
-from repro.hashing.hamming import (
-    HammingSpace,
-    hamming_batch,
-    hamming_single,
-    packed_bits,
-)
+from repro.core.config import SearchConfig
+from repro.core.song import SongSearcher
+from repro.distances import get_metric
+from repro.graphs.storage import FixedDegreeGraph
 from repro.hashing.random_projection import SignRandomProjection
+
+hamming = get_metric("hamming")
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +49,13 @@ class TestProjection:
         rng = np.random.default_rng(2)
         x = rng.normal(size=32)
         sigs = rp.transform(np.vstack([x, x]))
-        assert hamming_single(sigs[0], sigs[1]) == 0
+        assert hamming.single(sigs[0], sigs[1]) == 0
 
     def test_opposite_vectors_max_hamming(self, rp):
         rng = np.random.default_rng(3)
         x = rng.normal(size=32)
         sigs = rp.transform(np.vstack([x, -x]))
-        assert hamming_single(sigs[0], sigs[1]) == 128
+        assert hamming.single(sigs[0], sigs[1]) == 128
 
     def test_collision_probability_estimator(self):
         """Normalized Hamming ≈ θ/π within a few percentage points."""
@@ -64,7 +64,7 @@ class TestProjection:
         for _ in range(5):
             u, v = rng.normal(size=24), rng.normal(size=24)
             sigs = rp.transform(np.vstack([u, v]))
-            observed = hamming_single(sigs[0], sigs[1]) / 2048
+            observed = hamming.single(sigs[0], sigs[1]) / 2048
             expected = 1.0 - rp.collision_probability(u, v)
             assert observed == pytest.approx(expected, abs=0.05)
 
@@ -89,31 +89,39 @@ class TestHamming:
     def test_single_known_value(self):
         a = np.array([0b1011], dtype=np.uint32)
         b = np.array([0b0001], dtype=np.uint32)
-        assert hamming_single(a, b) == 2
+        assert hamming.single(a, b) == 2
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
         sigs = rng.integers(0, 2**32, size=(20, 4), dtype=np.uint32)
         q = sigs[0]
-        batch = hamming_batch(q, sigs)
+        batch = hamming.batch(q, sigs)
+        assert batch.dtype == np.float32
         for i in range(20):
-            assert batch[i] == hamming_single(q, sigs[i])
+            assert batch[i] == hamming.single(q, sigs[i])
 
-    def test_packed_bits(self):
-        assert packed_bits(np.zeros((3, 4), dtype=np.uint32)) == 128
-        with pytest.raises(ValueError):
-            packed_bits(np.zeros((3, 4), dtype=np.int64))
-
-    def test_hamming_space_adapter(self):
+    def test_metric_cost_and_self_distance(self):
         rng = np.random.default_rng(6)
         sigs = rng.integers(0, 2**32, size=(10, 2), dtype=np.uint32)
-        space = HammingSpace(sigs)
-        assert len(space) == 10
-        assert space.num_bits == 64
-        assert space.flops_per_distance() == 6
-        d = space.batch_distance(sigs[0], sigs)
-        assert d[0] == 0
+        # XOR + popcount + add per packed word.
+        assert hamming.flops_per_distance(sigs.shape[1]) == 6
+        assert hamming.batch(sigs[0], sigs)[0] == 0
 
-    def test_hamming_space_requires_uint32(self):
-        with pytest.raises(ValueError):
-            HammingSpace(np.zeros((4, 2), dtype=np.int32))
+    def test_packed_data_must_be_uint32(self):
+        graph = FixedDegreeGraph.from_adjacency([[1], [0], [0], [0]])
+        with pytest.raises(ValueError, match="uint32"):
+            SongSearcher(graph, np.zeros((4, 2), dtype=np.int32))
+        searcher = SongSearcher(graph, np.zeros((4, 2), dtype=np.uint32))
+        config = SearchConfig(k=1, queue_size=2, metric="hamming")
+        with pytest.raises(ValueError, match="uint32"):
+            searcher.search(np.zeros(2, dtype=np.uint64), config)
+
+    @pytest.mark.parametrize(
+        "evaluator", ["pairwise", "pair_many", "point_norms", "point_sq_norms"]
+    )
+    def test_construction_evaluators_refuse_signatures(self, evaluator):
+        """They used to fall through to their cosine branch."""
+        sigs = np.arange(12, dtype=np.uint32).reshape(6, 2)
+        args = (sigs,) if evaluator.startswith("point") else (sigs, sigs)
+        with pytest.raises(ValueError, match="hamming"):
+            getattr(hamming, evaluator)(*args)

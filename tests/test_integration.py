@@ -1,6 +1,9 @@
 """End-to-end integration tests across the whole stack."""
 
+import hashlib
+
 import numpy as np
+import pytest
 
 from repro import (
     GpuSongIndex,
@@ -14,7 +17,10 @@ from repro.core.cpu_song import CpuSongIndex
 from repro.data import make_dataset
 from repro.eval import batch_recall, sweep_gpu_song, sweep_hnsw, sweep_ivfpq
 from repro.eval.sweep import qps_at_recall
-from repro.hashing import HammingSpace, SignRandomProjection
+from repro.core.song import SearchStats
+from repro.distances import get_metric
+from repro.graphs.storage import FixedDegreeGraph
+from repro.hashing import SignRandomProjection
 
 
 class TestFullPipeline:
@@ -78,6 +84,21 @@ class TestFullPipeline:
             assert [v for _, v in g] == [v for _, v in c]
 
 
+def hamming_knn_graph(signatures: np.ndarray, degree: int) -> FixedDegreeGraph:
+    """Exact kNN graph over packed signatures (ties by vertex id)."""
+    hamming = get_metric("hamming")
+    adjacency = []
+    for v in range(len(signatures)):
+        d = hamming.batch(signatures[v], signatures)
+        d[v] = np.inf
+        adjacency.append(np.argsort(d, kind="stable")[:degree].tolist())
+    return FixedDegreeGraph.from_adjacency(adjacency, degree=degree)
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
 class TestHashedPipeline:
     def test_search_on_hashed_dataset(self):
         """Fig. 14 pipeline: hash to bits, build a graph over Hamming
@@ -86,27 +107,65 @@ class TestHashedPipeline:
         rp = SignRandomProjection(ds.dim, num_bits=256, seed=0)
         sig_data = rp.transform(ds.data)
         sig_queries = rp.transform(ds.queries)
-        space = HammingSpace(sig_data)
-
-        # Graph built over hashed distances via exact kNN on signatures.
-        from repro.graphs.storage import FixedDegreeGraph
-
-        n = len(sig_data)
-        adjacency = []
-        for v in range(n):
-            d = space.batch_distance(sig_data[v], sig_data)
-            d[v] = np.inf
-            adjacency.append(np.argsort(d, kind="stable")[:10].tolist())
-        graph = FixedDegreeGraph.from_adjacency(adjacency)
+        graph = hamming_knn_graph(sig_data, degree=10)
 
         idx = GpuSongIndex(graph, sig_data)
-        cfg = SearchConfig(k=10, queue_size=80)
-        results, timing = idx.search_batch(
-            sig_queries, cfg, distance_fn=space.batch_distance
-        )
+        cfg = SearchConfig(k=10, queue_size=80, metric="hamming")
+        results, timing = idx.search_batch(sig_queries, cfg)
         recall = batch_recall(results, ds.ground_truth(10))
         assert recall > 0.5  # hashed search approximates float-space truth
         assert timing.kernel_seconds > 0
+
+    @pytest.fixture(scope="class")
+    def hashed_128(self):
+        ds = make_dataset("mnist8m", n=600, num_queries=40, seed=0)
+        rp = SignRandomProjection(ds.dim, num_bits=128, seed=0)
+        signatures = rp.transform(ds.data)
+        graph = hamming_knn_graph(signatures, degree=16)
+        return ds, GpuSongIndex(graph, signatures, device="titanx"), rp.transform(ds.queries)
+
+    def test_metered_hashed_search_golden(self, hashed_128):
+        """Captured at 6739d5b through ``search_batch(..., distance_fn=
+        HammingSpace(signatures).batch_distance)``: the per-query serial
+        searcher, byte-table popcounts in float64, priced as "l2" over
+        four words.  Digests are sha256[:16] of ``repr``."""
+        _, index, query_signatures = hashed_128
+        assert _digest(index.graph.adjacency_array.tolist()) == "7aa7b089125e669d"
+        cfg = SearchConfig(
+            k=10,
+            queue_size=100,
+            metric="hamming",
+            selected_insertion=True,
+            visited_deletion=True,
+        )
+        results, timing = index.search_batch(query_signatures, cfg, collect_stats=True)
+        assert results[0] == [
+            (16.0, 181), (16.0, 547), (19.0, 540), (20.0, 34), (22.0, 533),
+            (23.0, 359), (25.0, 383), (26.0, 287), (26.0, 354), (27.0, 459),
+        ]
+        assert _digest(results) == "b724b68f774551dd"
+        records = [tuple(getattr(s, f) for f in SearchStats.__slots__) for s in timing.stats]
+        assert _digest(records) == "62c9037656245e50"
+        assert timing.total_seconds == 0.00013795239436619717
+        assert timing.stage_cycles == {
+            "locate": 2056370.0,
+            "distance": 96632.0,
+            "maintain": 2135860.0,
+        }
+
+    def test_packed_index_refuses_a_float_metric(self, hashed_128):
+        """Without ``metric="hamming"`` this search used to run squared L2
+        over the uint32 words with wraparound subtraction: no error, and
+        recall@10 of 0.02 where Hamming gives 0.62."""
+        ds, index, query_signatures = hashed_128
+        with pytest.raises(ValueError, match="hamming"):
+            index.search_batch(query_signatures, SearchConfig(k=10, queue_size=100))
+        # Float queries were truncated to the data's integer dtype as quietly.
+        hamming = SearchConfig(k=10, queue_size=100, metric="hamming")
+        with pytest.raises(ValueError, match="uint32"):
+            index.search_batch(ds.queries[:, :4], hamming)
+        results, _ = index.search_batch(query_signatures, hamming)
+        assert batch_recall(results, ds.ground_truth(10)) > 0.5
 
     def test_hashed_dataset_preserved_dtype(self):
         sigs = np.zeros((10, 4), dtype=np.uint32)

@@ -8,6 +8,7 @@ import pytest
 from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex
 from repro.core.sharding import ShardedSongIndex
+from repro.core.song import SearchStats, SongSearcher
 from repro.graphs import build_graph
 from repro.graphs.storage import PAD
 from repro.simt.profiler import StageProfiler
@@ -190,8 +191,21 @@ def pricing_bed():
     return data, queries, graphs
 
 
+def serial_metered(graph, data, queries, cfg, profiler=None):
+    """The serial arm: one ``SongSearcher.search`` per query, its records
+    priced by the launch every engine shares.  (``GpuSongIndex.search_batch``
+    dispatches batches to the lockstep engine itself, so it cannot stand in
+    for a second implementation.)"""
+    searcher = SongSearcher(graph, data)
+    records = [SearchStats() for _ in queries]
+    results = [searcher.search(q, cfg, stats=r) for q, r in zip(queries, records)]
+    profile = DistanceProfile.for_metric(cfg.metric, data.shape[1])
+    return results, GpuSongIndex(graph, data).price(records, cfg, profile, profiler=profiler)
+
+
 class TestEnginePricing:
-    """A served batch costs exactly what the metered index reports."""
+    """A served batch costs exactly what the per-query serial searcher's
+    records do, and what the metered index reports."""
 
     @pytest.mark.parametrize("degree", [16, 32])
     @pytest.mark.parametrize("metric", ["l2", "cosine"])
@@ -204,7 +218,6 @@ class TestEnginePricing:
     ):
         data, queries, graphs = pricing_bed
         engine = SimulatedGpuEngine(graphs[degree], data)
-        gpu = GpuSongIndex(graphs[degree], data)
         profile = DistanceProfile.for_metric(metric, data.shape[1])
         # multi_query applies to single-warp blocks only.
         launches = ((1, 32), (2, 32), (4, 32), (1, 64))
@@ -221,9 +234,14 @@ class TestEnginePricing:
             )
             q = queries[:batch]
             metered_split = StageProfiler()
-            results, metered = gpu.search_batch(q, cfg, profiler=metered_split)
+            results, metered = serial_metered(
+                graphs[degree], data, q, cfg, profiler=metered_split
+            )
             served, stats = engine.batched.search_batch_with_stats(q, cfg)
             assert served == results
+            by_index, index_metered = engine.index.search_batch(q, cfg)
+            assert by_index == results
+            assert index_metered.total_seconds == metered.total_seconds
             seconds, detail = engine.estimate_batch_seconds(q, cfg, stats)
             assert seconds == metered.total_seconds
             assert detail["kernel_seconds"] == metered.kernel_seconds
@@ -244,7 +262,7 @@ class TestEnginePricing:
         ds, graph = served
         cfg = SearchConfig(k=10, queue_size=40, multi_query=multi_query)
         outcome = SimulatedGpuEngine(graph, ds.data).run_batch(ds.queries, cfg)
-        _, metered = GpuSongIndex(graph, ds.data).search_batch(ds.queries, cfg)
+        _, metered = serial_metered(graph, ds.data, ds.queries, cfg)
         assert len(metered.warp_cycles) == -(-len(ds.queries) // multi_query)
         assert outcome.service_seconds == metered.total_seconds
 
@@ -259,7 +277,7 @@ class TestEnginePricing:
         assert sum(s.visited_tests for s in stats) < graph.degree * sum(
             s.rows_fetched for s in stats
         )
-        _, metered = GpuSongIndex(graph, ds.data).search_batch(ds.queries, cfg)
+        _, metered = serial_metered(graph, ds.data, ds.queries, cfg)
         seconds, _ = engine.estimate_batch_seconds(ds.queries, cfg, stats)
         assert seconds == metered.total_seconds
 

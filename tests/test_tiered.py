@@ -1,5 +1,6 @@
 """Out-of-core tier: stores, capacity ledger, cache, and the index."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex, meter_lane
+from repro.core.song import SearchStats
 from repro.data import make_dataset
+from repro.distances import get_metric
 from repro.eval.recall import batch_recall
 from repro.graphs import build_nsw
 from repro.simt.device import get_device
@@ -26,7 +29,7 @@ from repro.tiered import (
     rerank_record,
 )
 from repro.tiered.cache import rowids_to_pages
-from repro.tiered.codes import _unpack_bits, make_store
+from repro.tiered.codes import make_store
 from repro.tiered.index import rerank_sort_keys
 
 
@@ -65,36 +68,25 @@ class TestConfig:
 
 
 class TestStores:
-    def test_bits_proxy_squared_l2_is_hamming(self, small):
+    def test_bits_hamming_over_codes_is_a_bit_by_bit_count(self, small):
         ds, _ = small
         store = BitCodeStore(ds.data[:50], TieredConfig(num_bits=64))
-        proxy = store.traversal_data
-        assert proxy.shape == (50, 64) and proxy.dtype == np.float32
-        # Exact identity: squared L2 over 0/1 rows counts differing bits.
+        # The engine traverses the device-resident form itself.
+        assert store.traversal_data is store.codes
+        assert store.codes.shape == (50, 2) and store.codes.dtype == np.uint32
+        metric = get_metric(store.traversal_metric)
+        bits = np.unpackbits(store.codes.view(np.uint8), axis=1, bitorder="little")
         for i, j in [(0, 1), (3, 17), (20, 49)]:
-            sq_l2 = float(((proxy[i] - proxy[j]) ** 2).sum())
-            hamming = sum(
-                int(a ^ b).bit_count()
-                for a, b in zip(store.codes[i].tolist(), store.codes[j].tolist())
-            )
-            assert sq_l2 == hamming
+            reference = sum(int(a != b) for a, b in zip(bits[i], bits[j]))
+            assert metric.single(store.codes[i], store.codes[j]) == reference
 
     def test_bits_query_encoding_matches_data_encoding(self, small):
         ds, _ = small
         store = BitCodeStore(ds.data[:50], TieredConfig(num_bits=64))
-        # Encoding a data row as a query gives the same proxy row.
+        # Encoding a data row as a query gives the row's own signature.
         np.testing.assert_array_equal(
             store.encode_queries(ds.data[:5]), store.traversal_data[:5]
         )
-
-    def test_unpack_roundtrip(self):
-        rng = np.random.default_rng(0)
-        codes = rng.integers(0, 2**32, size=(7, 2), dtype=np.uint32)
-        bits = _unpack_bits(codes, 64)
-        packed = np.packbits(
-            bits.astype(np.uint8), axis=1, bitorder="little"
-        ).view(np.uint32)
-        np.testing.assert_array_equal(packed, codes)
 
     def test_pq_proxy_is_decoded_rows(self, small):
         ds, _ = small
@@ -331,7 +323,7 @@ class TestOnePricingPath:
         _, chunks, _ = engine.chunked_batch(ds.queries, config, num_chunks=3)
         tiered = engine.tiered
         _, stats, plan = tiered.search_batch_with_stats(ds.queries, config)
-        tcfg = config.with_options(k=tiered.overfetch_k(config), metric="l2")
+        tcfg = tiered.traversal_config(config)
         reference = SimulatedGpuEngine(
             graph,
             tiered.store.traversal_data,
@@ -356,8 +348,11 @@ class TestOnePricingPath:
             assert chunk.htod >= trav.htod  # plus the chunk's page fetches
 
     def test_compressed_profile_is_cheaper_than_the_float_proxy(self, small):
+        """PQ traverses decoded float rows; it is priced as the codes."""
         ds, graph = small
-        tier = TieredConfig(num_bits=128, overfetch=8, page_rows=16, cache_pages=4)
+        tier = TieredConfig(
+            codec="pq", pq_m=8, pq_ksub=16, overfetch=8, page_rows=16, cache_pages=4
+        )
         tiered = TieredIndex(graph, ds.data, tier)
         _, stats, _ = tiered.search_batch_with_stats(ds.queries, self.CONFIG)
         proxy = tiered.encode_queries(ds.queries)
@@ -370,7 +365,7 @@ class TestOnePricingPath:
                 profile=profile,
             )
             seconds[name], _ = engine.estimate_batch_seconds(
-                proxy, self.CONFIG.with_options(metric="l2"), stats
+                proxy, tiered.traversal_config(self.CONFIG), stats
             )
         assert seconds["store"] < seconds["proxy"]
 
@@ -392,6 +387,58 @@ class TestOnePricingPath:
             assert warp.memory.coalesced_bytes == (
                 4 * ds.data.shape[1] * record.distance_computations
             )
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+class TestBitsTraversalGolden:
+    """Captured at 6739d5b, where the lockstep engine walked 0/1 float32
+    proxy rows under squared L2; packed words under Hamming must give the
+    same lanes, records and clock (digests are sha256[:16] of ``repr``)."""
+
+    TIER = TieredConfig(codec="bits", num_bits=64, overfetch=4, page_rows=8, cache_pages=8)
+    CONFIG = SearchConfig(k=5, queue_size=32)
+    FIRST_LANE = [
+        (379.4015808105469, 123),
+        (382.12408447265625, 186),
+        (393.586669921875, 314),
+        (407.7272033691406, 84),
+        (409.54345703125, 315),
+    ]
+    #: ``SearchStats.__slots__`` order.
+    FIRST_RECORD = (39, 180, 181, 180, 1, 40, 39, 365, 0, 39, 181)
+
+    @pytest.mark.parametrize(
+        "prefetch,service_seconds,num_chunks",
+        [(True, 0.00028668946405228756, 3), (False, 0.002009778823529411, 1)],
+    )
+    def test_results_records_and_clock(self, small, prefetch, service_seconds, num_chunks):
+        ds, graph = small
+        engine = TieredServeEngine(graph, ds.data, self.TIER, prefetch=prefetch)
+        results, stats, _ = engine.tiered.search_batch_with_stats(ds.queries, self.CONFIG)
+        records = [tuple(getattr(s, f) for f in SearchStats.__slots__) for s in stats]
+        assert len(SearchStats.__slots__) == 11
+        assert results[0] == self.FIRST_LANE
+        assert _digest(results) == "c29ccb53c654e5d4"
+        assert records[0] == self.FIRST_RECORD
+        assert _digest(records) == "c63e0ccc4083cf09"
+        served = engine.run_batch(ds.queries, self.CONFIG)
+        assert served.results == results
+        assert served.service_seconds == service_seconds
+        assert served.detail["num_chunks"] == num_chunks
+        assert served.detail["tier"] == {
+            "codec": "bits",
+            "overfetch_k": 20,
+            "rerank_rows": 240,
+            "page_hits": 9,
+            "page_misses": 184,
+            "fetch_bytes": 753664,
+            "resident_bytes": 55168,
+            "compression_ratio": 4.060324825986079,
+            "prefetch": prefetch,
+        }
 
 
 class TestPrefetchIdentity:
