@@ -48,9 +48,10 @@ python -m pytest -x -q
 # The repository's benchmark (BENCHMARK.json) at smoke scale, untraced and
 # traced: it calls or wraps a dozen src/ signatures (trace.py forwards
 # meter=, stats=, entry_points= ...), so one that drifts breaks here and
-# not in the pipeline.  About 16 s each.
-python3 benchmarks/e2e/run.py --smoke --trace 0
-python3 benchmarks/e2e/run.py --smoke --trace 1
+# not in the pipeline.  About 16 s each; the timeout turns a lockstep loop
+# that stopped terminating into a failure within minutes, not a stall.
+timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 0
+timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 1
 
 python -m benchmarks.bench_serving --smoke
 python -m benchmarks.bench_outofcore --smoke

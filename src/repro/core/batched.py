@@ -14,11 +14,17 @@ over structure-of-arrays state —
 - a dense ``(B, n)`` lane-visited bitmap —
 
 so candidate locating yields one ``(B, probe_steps * degree)`` candidate
-matrix per round, and stage 2 is a **single fused distance call**
-(``(B, C, d)`` gather → :meth:`~repro.distances.metrics.Metric.batch_many`)
-instead of ``B`` tiny per-iteration numpy calls.  Queries that converge
-early are masked out like inactive SIMT lanes until the whole batch
-drains.
+matrix per round.  Like the serial engine (and SONG's stage 1, and
+CAGRA's visited test), the round filters *before* it scores: PAD slots,
+already-visited neighbours, in-round repeats and retired lanes are
+dropped first, the survivors are compacted into one ragged
+``(lane, vertex)`` list of length ``R``, and stage 2 is a **single fused
+distance call** over exactly those rows (one ``(R, 1, d)`` gather →
+:meth:`~repro.distances.metrics.Metric.batch_many`) instead of ``B``
+tiny per-iteration numpy calls.  Stage 3 filters, marks and packs the
+flat list and scatters the keys back into a ``(B, L)`` block for the
+frontier merge.  Queries that converge early are masked out like
+inactive SIMT lanes until the whole batch drains.
 
 Correctness bar: under an exact visited backend the engine returns results
 **bit-identical** to :meth:`repro.core.song.SongSearcher.search`.  The
@@ -26,17 +32,19 @@ equivalence rests on two facts:
 
 1. every bounded structure's *content* is insertion-order independent (a
    sorted merge per round equals the serial per-entry push sequence), and
-2. the fused evaluator reduces each ``(b, c)`` row through the same
-   flattened ``einsum`` as the serial ``Metric.batch``, so every distance
-   value matches bitwise.
+2. the fused evaluator reduces every row of its panel independently
+   through the same flattened ``einsum`` as the serial ``Metric.batch``,
+   so a ``(query, row)`` pair's value does not depend on how many other
+   rows share the call (``tests/test_distances.py`` pins that) and every
+   distance value matches bitwise.
 
 Probabilistic visited backends (Bloom/Cuckoo) are sequence-dependent and
 are therefore routed to the serial engine by
 :meth:`SongSearcher.search_batch`'s auto-dispatch — the visited backend
 is all that dispatch looks at.  The engine itself is metric-agnostic:
 whatever rows the dataset holds (float32 vectors, or packed uint32
-signatures under ``"hamming"``) are gathered into the panel and scored
-by ``config.metric``'s ``batch_many``.
+signatures under ``"hamming"``) are gathered into the survivor panel and
+scored by ``config.metric``'s ``batch_many``.
 """
 
 from __future__ import annotations
@@ -84,12 +92,23 @@ def _first_occurrence_mask(cand: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
     The batched twin of the serial ``seen_this_round`` set: slot ``j``
     is dropped when any earlier valid slot ``i`` holds the same vertex.
-    O(L^2) bitmask over the round's candidate window, ``L`` = slots.
+    One plain row sort of the valid ids settles the common case — no
+    repeat anywhere, the mask is ``valid`` itself; only a round that
+    does hold one pays for the stable argsort, in which the first slot
+    of every run of equal ids is the earliest.  O(L log L) per lane,
+    ``L`` = slots of the round's candidate window.
     """
-    num_slots = cand.shape[1]
-    same = cand[:, :, None] == cand[:, None, :]
-    earlier = np.tri(num_slots, num_slots, -1, dtype=bool)
-    return valid & ~(same & valid[:, None, :] & earlier[None]).any(axis=2)
+    keyed = np.where(valid, cand, PAD)
+    ordered = np.sort(keyed, axis=1)
+    if not ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != PAD)).any():
+        return valid
+    order = np.argsort(keyed, axis=1, kind="stable")
+    ordered = np.take_along_axis(keyed, order, axis=1)
+    first = np.ones(cand.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    mask = np.empty(cand.shape, dtype=bool)
+    np.put_along_axis(mask, order, first, axis=1)
+    return mask & valid
 
 
 class BatchedSongSearcher:
@@ -317,37 +336,40 @@ class _LockstepState:
         neighbors = self.adj[popped_ids]  # (B, ws, degree)
         valid = (pop_mask[:, :, None] & (neighbors != PAD)).reshape(self.b, -1)
         cand = neighbors.reshape(self.b, -1)
-        n_tests = valid.sum(axis=1)
-        self.visited_tests += n_tests
-        cand_safe = np.where(valid, cand, 0)
-        valid &= ~self.visited[self._rows, cand_safe]
+        self.visited_tests += valid.sum(axis=1)
+        valid &= ~self.visited[self._rows, np.where(valid, cand, 0)]
         valid = _first_occurrence_mask(cand, valid)
-        n_cand = valid.sum(axis=1)
+        # The survivors, as one ragged (lane, slot) list in lane order.
+        lane_idx, slot_idx = np.nonzero(valid)
+        ids = cand[lane_idx, slot_idx]
 
         # ---- Stage 2: one fused bulk distance computation ----------------
-        gathered = self.data[cand_safe]  # (B, L, d)
-        gathered_norms = None if self.norms is None else self.norms[cand_safe]
-        dists = self.metric.batch_many(self.queries, gathered, gathered_norms)
+        rows = self.data[ids][:, None, :]  # (R, 1, d): survivors only
+        row_norms = None if self.norms is None else self.norms[ids][:, None]
+        dists = self.metric.batch_many(self.queries[lane_idx], rows, row_norms)[:, 0]
+        n_scored = np.bincount(lane_idx, minlength=self.b)
         self.iterations += process
-        self.distance_computations += n_cand
+        self.distance_computations += n_scored
 
         # ---- Stage 3: data-structure maintenance -------------------------
         popped_keys = np.where(pop_mask, window, PAD_KEY)
         topk_evicted = self.topk.merge(popped_keys)
         if config.visited_deletion:
             self._delete_evicted(topk_evicted)
-        full, worst = self.topk.full_and_worst()
-        accepted = valid
+        n_accepted = n_scored
         if config.selected_insertion:
             # Skip candidates outside the top-K radius: not marked
             # visited, not enqueued (the computation-for-memory trade).
-            accepted = valid & ((~full[:, None]) | (dists < worst[:, None]))
-        n_accepted = accepted.sum(axis=1)
-        lane_idx, slot_idx = np.nonzero(accepted)
-        self.visited[lane_idx, cand[lane_idx, slot_idx]] = True
+            full, worst = self.topk.full_and_worst()
+            inside = ~full[lane_idx] | (dists < worst[lane_idx])
+            lane_idx, slot_idx = lane_idx[inside], slot_idx[inside]
+            ids, dists = ids[inside], dists[inside]
+            n_accepted = np.bincount(lane_idx, minlength=self.b)
+        self.visited[lane_idx, ids] = True
         self.visited_len += n_accepted
         self.visited_inserts += n_accepted
-        cand_keys = np.where(accepted, pack_keys(dists, cand_safe), PAD_KEY)
+        cand_keys = np.full(cand.shape, PAD_KEY, dtype=np.uint64)
+        cand_keys[lane_idx, slot_idx] = pack_keys(dists, ids)
         # The discarded stop pop left the queue too: its slot is free
         # for this round's candidates, exactly as in the serial loop.
         frontier_evicted = self.frontier.merge(n_pop + stop, cand_keys, n_accepted)
@@ -378,19 +400,17 @@ class _LockstepState:
         O(B·k) assembly of the Python return shape, not dataset-sized.
         """
         keys = self.topk.keys
-        ids = unpack_ids(keys)
-        dists = unpack_distances(keys)
-        sizes = self.topk.sizes()
+        ids = unpack_ids(keys).tolist()
+        dists = unpack_distances(keys).tolist()
         out: List[List[Tuple[float, int]]] = []
-        for b in range(self.b):
+        for lane_ids, lane_dists, size in zip(ids, dists, self.topk.sizes().tolist()):
             lane: List[Tuple[float, int]] = []
             seen = set()
-            for j in range(int(sizes[b])):
-                vertex = int(ids[b, j])
+            for vertex, dist in zip(lane_ids[:size], lane_dists[:size]):
                 if vertex in seen:
                     continue
                 seen.add(vertex)
-                lane.append((float(dists[b, j]), vertex))
+                lane.append((dist, vertex))
                 if len(lane) == self.k:
                     break
             out.append(lane)

@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core.batched import BatchedSongSearcher
+from repro.core.batched import BatchedSongSearcher, _first_occurrence_mask
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, SongSearcher
 from repro.distances import Metric, get_metric
@@ -403,6 +403,141 @@ def test_record_counts_are_what_the_structures_saw(
     else:
         assert seen["test"] <= stats.visited_tests
     assert bool(stats.visited_deletes) == config.visited_deletion
+
+
+# -- hostile adjacency: repeats, overlaps, PAD rows, zero-survivor rounds ------
+
+
+def assert_results_and_records_match(searcher, queries, config):
+    """Serial ⇔ lockstep on the result lists and all eleven record fields."""
+    serial_stats = [SearchStats() for _ in queries]
+    batched_stats = [SearchStats() for _ in queries]
+    serial = searcher.search_batch(queries, config, engine="serial", stats=serial_stats)
+    batched = searcher.search_batch(queries, config, engine="batched", stats=batched_stats)
+    assert serial == batched
+    for lane, (ser, bat) in enumerate(zip(serial_stats, batched_stats)):
+        for name in SearchStats.__slots__:
+            assert getattr(ser, name) == getattr(bat, name), (lane, name)
+    return batched_stats
+
+
+def _cube_first_occurrence(cand, valid):
+    """The O(L^2) ``(B, L, L)`` formula the engine used to run: the oracle."""
+    num_slots = cand.shape[1]
+    same = cand[:, :, None] == cand[:, None, :]
+    earlier = np.tri(num_slots, num_slots, -1, dtype=bool)
+    return valid & ~(same & valid[:, None, :] & earlier[None]).any(axis=2)
+
+
+def test_first_occurrence_mask_equals_the_cube_formula():
+    rng = np.random.default_rng(7)
+    for batch, slots, num_ids in ((1, 1, 1), (1, 8, 3), (5, 32, 6), (33, 128, 40), (7, 24, 10**6)):
+        for _ in range(20):
+            cand = rng.integers(-1, num_ids, size=(batch, slots))
+            valid = (cand != -1) & (rng.random((batch, slots)) < 0.7)
+            got = _first_occurrence_mask(cand, valid)
+            assert got.dtype == np.bool_
+            assert np.array_equal(got, _cube_first_occurrence(cand, valid))
+
+
+HOSTILE_N = 90
+
+
+@pytest.fixture(scope="module")
+def hostile_graph():
+    """Adjacency no builder would emit but ``set_neighbors`` accepts.
+
+    Every row repeats ids and draws on a handful of vertices, so rows
+    popped in one multi-step round overlap; vertices 6 and 7 hold the same
+    row; vertex 4 has no neighbours at all; and the entry's neighbours 1
+    and 2 see only each other, the entry and 3, so a lane that pops one of
+    them in round 2 finds every neighbour already visited.
+    """
+    rng = np.random.default_rng(11)
+    degree = 8
+    graph = FixedDegreeGraph(HOSTILE_N, degree, entry_point=0)
+    for v in range(HOSTILE_N):
+        pool = rng.choice(np.delete(np.arange(HOSTILE_N), v), size=4, replace=False)
+        graph.set_neighbors(v, rng.choice(pool, size=rng.integers(3, degree + 1)).tolist())
+    graph.set_neighbors(0, [1, 2, 3, 2, 1])
+    graph.set_neighbors(1, [0, 2, 3, 3])
+    graph.set_neighbors(2, [3, 0, 1, 0])
+    graph.set_neighbors(3, [0, 1, 2, 4, 5, 4, 6, 7])
+    graph.set_neighbors(4, [])
+    graph.set_neighbors(6, [8, 9, 8, 10, 11, 9])
+    graph.set_neighbors(7, [8, 9, 8, 10, 11, 9])
+    return graph
+
+
+@pytest.fixture(scope="module")
+def hostile_searchers(hostile_graph):
+    """``metric -> (searcher, 33 queries)``; query 0 sits on vertex 1."""
+    rng = np.random.default_rng(12)
+    data = rng.standard_normal((HOSTILE_N, 12)).astype(np.float32)
+    queries = rng.standard_normal((33, 12)).astype(np.float32)
+    queries[0] = data[1]
+    projector = SignRandomProjection(12, num_bits=64, seed=0)
+    floats = SongSearcher(hostile_graph, data)
+    hashed = SongSearcher(hostile_graph, projector.transform(data))
+    return {
+        "l2": (floats, queries),
+        "cosine": (floats, queries),
+        "hamming": (hashed, projector.transform(queries)),
+    }
+
+
+@pytest.mark.parametrize("metric", ["l2", "cosine", "hamming"])
+@pytest.mark.parametrize(
+    "options",
+    [dict(), dict(selected_insertion=True, visited_deletion=True)],
+    ids=["plain", "selected-deletion"],
+)
+@pytest.mark.parametrize("probe_steps", [1, 2, 4])
+@pytest.mark.parametrize("lanes", [1, 33])
+def test_hostile_adjacency_parity(hostile_searchers, lanes, probe_steps, options, metric):
+    searcher, queries = hostile_searchers[metric]
+    config = SearchConfig(
+        k=5, queue_size=12, metric=metric, probe_steps=probe_steps, **options
+    )
+    assert_results_and_records_match(searcher, queries[:lanes], config)
+
+
+@pytest.mark.parametrize("metric", ["l2", "cosine", "hamming"])
+def test_zero_survivor_round_scores_an_empty_panel(hostile_searchers, monkeypatch, metric):
+    """Lane 0 pops vertex 1 in round 2 and every neighbour is visited: at
+    B = 1 that round has no survivor at all, and is still one round."""
+    searcher, queries = hostile_searchers[metric]
+    panel_rows = []
+
+    def batch_many(self, queries, points, norms=None, score=Metric.batch_many):
+        panel_rows.append(points.shape[0] * points.shape[1])
+        return score(self, queries, points, norms)
+
+    config = SearchConfig(k=5, queue_size=12, metric=metric)
+    monkeypatch.setattr(Metric, "batch_many", batch_many)
+    stats = [SearchStats()]
+    searcher.search_batch(queries[:1], config, engine="batched", stats=stats)
+    # seed, round 1 (the entry's three distinct neighbours), round 2 (nothing)
+    assert panel_rows[:3] == [1, 3, 0]
+    assert len(panel_rows) == 1 + stats[0].iterations
+    assert sum(panel_rows) == 1 + stats[0].distance_computations
+
+
+@pytest.mark.parametrize("deletion", [False, True])
+def test_lane_retiring_in_round_one_beside_long_lanes(parity_data, parity_graphs, deletion):
+    """With a one-slot pool the entry fills the top-k in round 1, so a
+    query sitting on the entry has every neighbour refused by selected
+    insertion and retires there while the other lanes descend for rounds."""
+    data, queries = parity_data
+    graph = parity_graphs["nsw"]
+    batch = np.concatenate([data[graph.entry_point][None, :], 3.0 * queries, queries[:8]])
+    assert len(batch) == 33
+    config = SearchConfig(
+        k=1, queue_size=1, selected_insertion=True, visited_deletion=deletion
+    )
+    stats = assert_results_and_records_match(SongSearcher(graph, data), batch, config)
+    assert stats[0].iterations == 1 and stats[0].visited_inserts == 0
+    assert max(s.iterations for s in stats) >= 4
 
 
 def test_event_meter_is_refused(parity_data, parity_graphs):

@@ -77,6 +77,97 @@ class TestBatchConsistency:
             batch_distance(np.ones(3), np.ones(3))
 
 
+def _bits(values):
+    assert values.dtype == np.float32
+    return np.ascontiguousarray(values).view(np.uint32)
+
+
+ROW_COUNT_CASES = [
+    ("l2", False),
+    ("ip", False),
+    ("cosine", True),
+    ("cosine", False),
+    ("hamming", False),
+]
+
+
+class TestRowCountInvariance:
+    """A ``(query, row)`` pair's value may not depend on how many other
+    rows share its ``batch_many`` call: the lockstep engine scores a
+    ragged ``(R, 1, d)`` survivor panel, the serial engine one query's
+    candidates through ``batch``, and their results must agree bitwise."""
+
+    B, C, DIM = 8, 28, 200  # B * C = 224 pairs
+
+    def panel(self, metric_name, layout):
+        """``(rows, queries, ids)``: ``rows(index)`` gathers dataset rows.
+
+        ``"gathered"`` hands the metric fresh contiguous copies (what a
+        fancy-indexed gather produces); ``"sliced"`` hands it every other
+        column of a wider gather, so neither rows nor queries are
+        contiguous.
+        """
+        rng = np.random.default_rng(20)
+        if metric_name == "hamming":
+            wide_data = rng.integers(0, 2**32, size=(300, 8), dtype=np.uint32)
+            wide_queries = rng.integers(0, 2**32, size=(self.B, 8), dtype=np.uint32)
+        else:
+            wide_data = rng.standard_normal((300, 2 * self.DIM)).astype(np.float32)
+            wide_queries = rng.standard_normal((self.B, 2 * self.DIM)).astype(np.float32)
+        ids = rng.integers(0, 300, size=(self.B, self.C))
+        if layout == "gathered":
+            data = np.ascontiguousarray(wide_data[:, ::2])
+            return (lambda index: data[index]), np.ascontiguousarray(wide_queries[:, ::2]), ids
+        return (lambda index: wide_data[index][..., ::2]), wide_queries[:, ::2], ids
+
+    @pytest.mark.parametrize("layout", ["gathered", "sliced"])
+    @pytest.mark.parametrize("metric_name,cached_norms", ROW_COUNT_CASES)
+    def test_value_is_independent_of_panel_shape(self, metric_name, cached_norms, layout):
+        metric = get_metric(metric_name)
+        rows, queries, ids = self.panel(metric_name, layout)
+        assert rows(ids).flags["C_CONTIGUOUS"] == (layout == "gathered")
+        norms = np.linalg.norm(rows(np.arange(300)), axis=1) if cached_norms else None
+
+        def gathered_norms(index):
+            return None if norms is None else norms[index]
+
+        serial = np.stack(
+            [
+                metric.batch(queries[b], rows(ids[b]), gathered_norms(ids[b]))
+                for b in range(self.B)
+            ]
+        )
+        dense = metric.batch_many(queries, rows(ids), gathered_norms(ids))
+        assert np.array_equal(_bits(dense), _bits(serial))
+
+        lanes = np.repeat(np.arange(self.B), self.C)
+        flat_ids = ids.reshape(-1)
+        order = np.random.default_rng(21).permutation(len(flat_ids))
+        for count in (1, 3, 17, 224):
+            pick = np.sort(order[:count])
+            lane_idx, row_ids = lanes[pick], flat_ids[pick]
+            row_norms = gathered_norms(row_ids)
+            ragged = metric.batch_many(
+                queries[lane_idx],
+                rows(row_ids)[:, None, :],
+                None if row_norms is None else row_norms[:, None],
+            )
+            assert ragged.shape == (count, 1)
+            assert np.array_equal(
+                _bits(ragged[:, 0]), _bits(serial.reshape(-1)[pick])
+            ), (metric_name, layout, count)
+
+    @pytest.mark.parametrize("metric_name,cached_norms", ROW_COUNT_CASES)
+    def test_zero_row_panel(self, metric_name, cached_norms):
+        rows, queries, _ = self.panel(metric_name, "gathered")
+        none = np.zeros(0, dtype=np.int64)
+        norms = np.zeros((0, 1), dtype=np.float32) if cached_norms else None
+        out = get_metric(metric_name).batch_many(
+            queries[none], rows(none)[:, None, :], norms
+        )
+        assert out.shape == (0, 1)
+
+
 class TestProperties:
     @settings(max_examples=50, deadline=None)
     @given(u=vec(6), v=vec(6))
