@@ -53,8 +53,9 @@ python -m pytest -x -q
 timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 0
 timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 1
 
-python -m benchmarks.bench_serving --smoke
-python -m benchmarks.bench_outofcore --smoke
+# Same lockstep loop underneath, same guard.
+timeout 300 python -m benchmarks.bench_serving --smoke
+timeout 300 python -m benchmarks.bench_outofcore --smoke
 
 # The serving and out-of-core smokes must have produced every gated
 # artifact (bench_outofcore pins the prefetch-vs-serial overlap band in

@@ -18,13 +18,21 @@ matrix per round.  Like the serial engine (and SONG's stage 1, and
 CAGRA's visited test), the round filters *before* it scores: PAD slots,
 already-visited neighbours, in-round repeats and retired lanes are
 dropped first, the survivors are compacted into one ragged
-``(lane, vertex)`` list of length ``R``, and stage 2 is a **single fused
-distance call** over exactly those rows (one ``(R, 1, d)`` gather →
-:meth:`~repro.distances.metrics.Metric.batch_many`) instead of ``B``
-tiny per-iteration numpy calls.  Stage 3 filters, marks and packs the
-flat list and scatters the keys back into a ``(B, L)`` block for the
-frontier merge.  Queries that converge early are masked out like
-inactive SIMT lanes until the whole batch drains.
+``(lane, vertex)`` list of length ``R``, and stage 2 scores exactly
+those rows with one
+:meth:`~repro.distances.metrics.Metric.gather_many` call instead of ``B``
+tiny per-iteration numpy calls.  That primitive keeps the stage in
+cache the way SONG keeps it on chip: it walks the list in L2-sized
+tiles and, per tile, gathers rows and queries and reduces them as an
+``(r, 1, d)`` panel through
+:meth:`~repro.distances.metrics.Metric.batch_many`, so no ``R``-row
+operand makes a round trip through main memory (at B=256, d=200 a round
+has R ≈ 5,100 survivors: four 4 MB arrays if scored as one panel).  A
+round whose survivors fit one tile — every B ≤ 32 batch, the
+zero-survivor round — is one ``batch_many`` call.  Stage 3 filters,
+marks and packs the flat list and scatters the keys back into a
+``(B, L)`` block for the frontier merge.  Queries that converge early
+are masked out like inactive SIMT lanes until the whole batch drains.
 
 Correctness bar: under an exact visited backend the engine returns results
 **bit-identical** to :meth:`repro.core.song.SongSearcher.search`.  The
@@ -32,10 +40,11 @@ equivalence rests on two facts:
 
 1. every bounded structure's *content* is insertion-order independent (a
    sorted merge per round equals the serial per-entry push sequence), and
-2. the fused evaluator reduces every row of its panel independently
-   through the same flattened ``einsum`` as the serial ``Metric.batch``,
-   so a ``(query, row)`` pair's value does not depend on how many other
-   rows share the call (``tests/test_distances.py`` pins that) and every
+2. ``batch_many`` reduces every row of its panel independently through
+   the same flattened ``einsum`` as the serial ``Metric.batch``, so a
+   ``(query, row)`` pair's value does not depend on how many other rows
+   share the call — nor, therefore, on where ``gather_many``'s tile
+   boundaries fall (``tests/test_distances.py`` pins both) — and every
    distance value matches bitwise.
 
 Probabilistic visited backends (Bloom/Cuckoo) are sequence-dependent and
@@ -43,8 +52,8 @@ are therefore routed to the serial engine by
 :meth:`SongSearcher.search_batch`'s auto-dispatch — the visited backend
 is all that dispatch looks at.  The engine itself is metric-agnostic:
 whatever rows the dataset holds (float32 vectors, or packed uint32
-signatures under ``"hamming"``) are gathered into the survivor panel and
-scored by ``config.metric``'s ``batch_many``.
+signatures under ``"hamming"``) are gathered and scored by
+``config.metric``'s ``gather_many``.
 """
 
 from __future__ import annotations
@@ -269,7 +278,8 @@ class _LockstepState:
         b = len(queries)
         n = graph.num_vertices
         self.b = b
-        self._rows = np.arange(b)[:, None]
+        lanes = np.arange(b)
+        self._rows = lanes[:, None]
         capacity = config.queue_size if config.bounded_queue else None
         self.frontier = BatchedFrontier(b, capacity)
         self.topk = BatchedTopK(b, self.pool)
@@ -291,10 +301,8 @@ class _LockstepState:
             start = np.full(b, graph.entry_point, dtype=np.int64)
         else:
             start = entry_points
-        seed_rows = self.data[start][:, None, :]
-        seed_norms = None if self.norms is None else self.norms[start][:, None]
-        d0 = self.metric.batch_many(queries, seed_rows, seed_norms)[:, 0]
-        self.visited[np.arange(b), start] = True
+        d0 = self.metric.gather_many(queries, lanes, self.data, start, self.norms)
+        self.visited[lanes, start] = True
         self.visited_len[:] = 1
         self.frontier.seed(pack_keys(d0, start))
 
@@ -343,10 +351,10 @@ class _LockstepState:
         lane_idx, slot_idx = np.nonzero(valid)
         ids = cand[lane_idx, slot_idx]
 
-        # ---- Stage 2: one fused bulk distance computation ----------------
-        rows = self.data[ids][:, None, :]  # (R, 1, d): survivors only
-        row_norms = None if self.norms is None else self.norms[ids][:, None]
-        dists = self.metric.batch_many(self.queries[lane_idx], rows, row_norms)[:, 0]
+        # ---- Stage 2: bulk distance computation, survivors only -----------
+        dists = self.metric.gather_many(
+            self.queries, lane_idx, self.data, ids, self.norms
+        )
         n_scored = np.bincount(lane_idx, minlength=self.b)
         self.iterations += process
         self.distance_computations += n_scored

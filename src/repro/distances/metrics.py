@@ -28,6 +28,25 @@ __all__ = [
 #: Registered metric names.
 METRICS = ("l2", "ip", "cosine", "hamming")
 
+#: Bytes of gathered dataset rows one :meth:`Metric.gather_many` tile holds.
+#: A formula keeps three tile-sized arrays live (rows, queries, their
+#: difference or product), and they must sit in L2 together.  Measured on
+#: the benchmark VM (4 MiB L2 per core), ms per B=256 lockstep batch at
+#: n=8000, k=10, queue 64, best of 7 interleaved repeats, untiled then
+#: 64 / 128 / 160 / 200 / 256 / 320 / 400 / 800 KiB tiles:
+#:
+#:   glove200 d=200 l2      182 -> 159 / 136 / 132 / 138 / 142 / 148 / 153 / 179
+#:   gist     d=480 l2      311 -> 209 / 184 / 180 / 191 / 179 / 198 / 218 / 262
+#:   sift     d=128 l2      137 -> 118 / 109 / 105 / 107 / 110 / 111 / 114 / 124
+#:   glove200 d=200 cosine  215 -> 242 / 202 / 197 / 192 / 201 / 211 / 217 / 241
+#:
+#: 128-256 KiB is a plateau on all four (an 11-repeat pass over 128 / 160 /
+#: 192 / 224 / 256 / 320 put every row's spread inside its noise up to 256
+#: and 5-10 % worse at 320); half the gain is gone by 400 KiB and all of it
+#: by 800.  Sized for that machine, deliberately not a setting: a host with
+#: a smaller L2 wants a smaller constant, not a knob per search.
+PANEL_BYTES = 192 * 1024
+
 
 class Metric:
     """A distance measure with single, batch and pairwise evaluators.
@@ -109,9 +128,16 @@ class Metric:
         Every formula reduces each ``(b, c)`` row independently through the
         same flattened ``einsum``, so slice ``b`` of the result is bitwise
         identical to a ``batch`` call on that slice alone — the property the
-        serial/batched parity guarantee rests on.  Hamming panels are
-        ``(B, C, w)`` packed words, XOR-ed and popcounted; the counts come
-        back as float32, which holds them exactly (≤ 32·w ≪ 2²⁴).
+        serial/batched parity guarantee rests on, and what lets
+        :meth:`gather_many` cut a flat pair list into tiles wherever it
+        likes.  Hamming panels are ``(B, C, w)`` packed words, XOR-ed and
+        popcounted; the counts come back as float32, which holds them
+        exactly (≤ 32·w ≪ 2²⁴).
+
+        Every operand here is panel-sized and is written and read back
+        once per pass, so a caller holding more rows than fit in cache
+        should come through :meth:`gather_many` rather than build one
+        large panel.
         """
         points = np.asarray(points)
         if points.ndim != 3:
@@ -140,6 +166,50 @@ class Metric:
         nz = denom > 0
         out[nz] = -dots[nz] / denom[nz]
         return out
+
+    def gather_many(
+        self,
+        queries: np.ndarray,
+        lanes: np.ndarray,
+        data: np.ndarray,
+        ids: np.ndarray,
+        norms: np.ndarray = None,
+    ) -> np.ndarray:
+        """Distances of ``queries[lanes[r]]`` to ``data[ids[r]]`` for every ``r``.
+
+        The gather-and-score primitive of the lockstep round, its seed
+        scoring and the tier's re-rank: ``lanes`` and ``ids`` are one flat
+        ``(R,)`` list of (query row, dataset row) pairs, ``norms`` is the
+        dataset-wide ``(n,)`` cache of :meth:`point_norms` (cosine only)
+        and the result is ``(R,)``.
+
+        The list is walked in tiles of at most ``PANEL_BYTES // row_bytes``
+        rows — ``ceil(R / tile)`` near-equal parts, never a full tile plus
+        a sliver, so a list that fits one tile (an empty one included) is
+        exactly one :meth:`batch_many` call.  Each tile gathers its rows,
+        queries and norms and scores them as an ``(r, 1, d)`` panel, so a
+        formula's tile-sized operands are still in L2 when the reduction
+        reads them; one ``R``-row panel sends each operand through main
+        memory once per pass.  A row's value does not depend on which rows
+        share its :meth:`batch_many` call, so tiling changes no bit of the
+        result: every value equals the serial :meth:`batch`'s.
+        """
+        total = len(ids)
+        tile = max(1, PANEL_BYTES // (data.shape[1] * data.itemsize))
+        parts = max(1, -(-total // tile))
+        scores = []
+        # lint: allow(hot-loop) — iterates tiles (R / tile of them), not rows
+        for part in range(parts):
+            lo, hi = part * total // parts, (part + 1) * total // parts
+            rows = ids[lo:hi]
+            scores.append(
+                self.batch_many(
+                    queries[lanes[lo:hi]],
+                    data[rows][:, None, :],
+                    None if norms is None else norms[rows][:, None],
+                )[:, 0]
+            )
+        return np.concatenate(scores)
 
     def pair_many(
         self,

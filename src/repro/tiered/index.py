@@ -197,9 +197,11 @@ class TieredIndex:
             if count:
                 ids[lane, :count] = [vertex for _, vertex in found]
                 valid[lane, :count] = True
-        metric = get_metric(config.metric)
-        panel = self.data[ids]  # (B, k', d) full-precision gather
-        dists = metric.batch_many(queries, panel).astype(np.float32)
+        # Full-precision gather and exact score of the (B, k') panel.
+        lanes = np.repeat(np.arange(num_lanes), kprime)
+        dists = get_metric(config.metric).gather_many(
+            queries, lanes, self.data, ids.reshape(-1)
+        ).reshape(num_lanes, kprime)
         keys = rerank_sort_keys(dists, ids, valid)
         top = keys[:, : config.k]
         top_dists = unpack_distances(top)

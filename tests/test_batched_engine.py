@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.distances.metrics as metrics_module
 from repro.core.batched import BatchedSongSearcher, _first_occurrence_mask
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, SongSearcher
@@ -46,6 +47,17 @@ def parity_graphs(parity_data):
         "nsw": build_nsw(data, m=8, ef_construction=32, seed=3),
         "nsg": build_nsg(data, degree=10, knn=10),
     }
+
+
+#: Rows per ``Metric.gather_many`` tile in the ``*_across_tile_boundaries``
+#: re-runs: every round then crosses tile boundaries inside a lane.
+tiled = pytest.mark.parametrize("tile_rows", [1, 3, 7])
+
+
+def force_tile(monkeypatch, data, tile_rows):
+    """Make ``Metric.gather_many`` walk ``data``'s rows ``tile_rows`` at a time."""
+    row_bytes = data.shape[1] * data.itemsize
+    monkeypatch.setattr(metrics_module, "PANEL_BYTES", tile_rows * row_bytes)
 
 
 def assert_exact_parity(searcher, queries, config):
@@ -261,7 +273,9 @@ def packed_search(parity_data):
     return SongSearcher(graph, signatures), projector.transform(queries)
 
 
-def test_stats_match_serial(parity_data, parity_graphs, packed_search):
+def test_stats_match_serial(
+    parity_data, parity_graphs, packed_search, before_case=lambda searcher: None
+):
     data, queries = parity_data
     floats = SongSearcher(parity_graphs["nsw"], data)
     hashed, query_signatures = packed_search
@@ -277,6 +291,7 @@ def test_stats_match_serial(parity_data, parity_graphs, packed_search):
         ),
     ):
         config = SearchConfig(k=10, queue_size=30, **options)
+        before_case(searcher)
         serial_stats = [SearchStats() for _ in batch]
         batched_stats = [SearchStats() for _ in batch]
         serial = searcher.search_batch(batch, config, engine="serial", stats=serial_stats)
@@ -287,6 +302,18 @@ def test_stats_match_serial(parity_data, parity_graphs, packed_search):
                 assert getattr(ser, name) == getattr(bat, name), (options, name)
         if config.visited_deletion:
             assert any(s.visited_deletes for s in serial_stats)
+
+
+@tiled
+def test_stats_match_serial_across_tile_boundaries(
+    parity_data, parity_graphs, packed_search, monkeypatch, tile_rows
+):
+    test_stats_match_serial(
+        parity_data,
+        parity_graphs,
+        packed_search,
+        before_case=lambda searcher: force_tile(monkeypatch, searcher.data, tile_rows),
+    )
 
 
 class _StructureTally:
@@ -503,6 +530,22 @@ def test_hostile_adjacency_parity(hostile_searchers, lanes, probe_steps, options
 
 
 @pytest.mark.parametrize("metric", ["l2", "cosine", "hamming"])
+@pytest.mark.parametrize(
+    "options",
+    [dict(), dict(selected_insertion=True, visited_deletion=True)],
+    ids=["plain", "selected-deletion"],
+)
+@pytest.mark.parametrize("probe_steps", [1, 2, 4])
+@pytest.mark.parametrize("lanes", [1, 33])
+@tiled
+def test_hostile_adjacency_parity_across_tile_boundaries(
+    hostile_searchers, monkeypatch, tile_rows, lanes, probe_steps, options, metric
+):
+    force_tile(monkeypatch, hostile_searchers[metric][0].data, tile_rows)
+    test_hostile_adjacency_parity(hostile_searchers, lanes, probe_steps, options, metric)
+
+
+@pytest.mark.parametrize("metric", ["l2", "cosine", "hamming"])
 def test_zero_survivor_round_scores_an_empty_panel(hostile_searchers, monkeypatch, metric):
     """Lane 0 pops vertex 1 in round 2 and every neighbour is visited: at
     B = 1 that round has no survivor at all, and is still one round."""
@@ -538,6 +581,15 @@ def test_lane_retiring_in_round_one_beside_long_lanes(parity_data, parity_graphs
     stats = assert_results_and_records_match(SongSearcher(graph, data), batch, config)
     assert stats[0].iterations == 1 and stats[0].visited_inserts == 0
     assert max(s.iterations for s in stats) >= 4
+
+
+@pytest.mark.parametrize("deletion", [False, True])
+@tiled
+def test_lane_retiring_in_round_one_across_tile_boundaries(
+    parity_data, parity_graphs, monkeypatch, tile_rows, deletion
+):
+    force_tile(monkeypatch, parity_data[0], tile_rows)
+    test_lane_retiring_in_round_one_beside_long_lanes(parity_data, parity_graphs, deletion)
 
 
 def test_event_meter_is_refused(parity_data, parity_graphs):

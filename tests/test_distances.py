@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import repro.distances.metrics as metrics_module
 from repro.distances import (
+    Metric,
     OpCounter,
     batch_distance,
     get_metric,
@@ -166,6 +168,88 @@ class TestRowCountInvariance:
             queries[none], rows(none)[:, None, :], norms
         )
         assert out.shape == (0, 1)
+
+
+class TestGatherMany:
+    """``gather_many`` walks a flat ``(lane, vertex)`` list in tiles of
+    ``PANEL_BYTES // row_bytes`` rows; wherever the tile boundaries fall,
+    every value must stay bitwise what the serial ``Metric.batch`` gives
+    that lane, and a list that fits one tile is one ``batch_many`` call."""
+
+    B, N = 6, 40
+
+    def case(self, metric_name, cached_norms):
+        rng = np.random.default_rng(30)
+        if metric_name == "hamming":
+            data = rng.integers(0, 2**32, size=(self.N, 3), dtype=np.uint32)
+            queries = rng.integers(0, 2**32, size=(self.B, 3), dtype=np.uint32)
+        else:
+            data = rng.standard_normal((self.N, 24)).astype(np.float32)
+            queries = rng.standard_normal((self.B, 24)).astype(np.float32)
+        norms = np.linalg.norm(data, axis=1) if cached_norms else None
+        return get_metric(metric_name), queries, data, norms
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Panel shapes of every ``batch_many`` call from here on."""
+        panels = []
+
+        def batch_many(self, queries, points, norms=None, score=Metric.batch_many):
+            panels.append(points.shape)
+            return score(self, queries, points, norms)
+
+        monkeypatch.setattr(Metric, "batch_many", batch_many)
+        return panels
+
+    @pytest.mark.parametrize("ordered", [True, False], ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("tile", [1, 4, 7])
+    @pytest.mark.parametrize("metric_name,cached_norms", ROW_COUNT_CASES)
+    def test_bitwise_equal_to_serial_batch_at_every_tile_boundary(
+        self, monkeypatch, metric_name, cached_norms, tile, ordered
+    ):
+        metric, queries, data, norms = self.case(metric_name, cached_norms)
+        row_bytes = data.shape[1] * data.itemsize
+        # A few spare bytes: a tile is whole rows, PANEL_BYTES need not be.
+        monkeypatch.setattr(metrics_module, "PANEL_BYTES", tile * row_bytes + row_bytes // 2)
+        panels = self.count_calls(monkeypatch)
+        rng = np.random.default_rng(31)
+        for total in (0, 1, tile - 1, tile, tile + 1, 3 * tile + 5):
+            lanes = rng.integers(0, self.B, size=total)
+            if ordered:
+                lanes = np.sort(lanes)  # what np.nonzero yields
+            ids = rng.integers(0, self.N, size=total)
+            serial = np.array(
+                [
+                    metric.batch(
+                        queries[lane],
+                        data[vertex : vertex + 1],
+                        None if norms is None else norms[vertex : vertex + 1],
+                    )[0]
+                    for lane, vertex in zip(lanes, ids)
+                ],
+                dtype=np.float32,
+            )
+            panels.clear()
+            got = metric.gather_many(queries, lanes, data, ids, norms)
+            assert got.shape == (total,)
+            assert np.array_equal(_bits(got), _bits(serial)), (total, tile)
+            assert len(panels) == max(1, -(-total // tile))
+            assert sum(shape[0] for shape in panels) == total
+            assert all(shape[0] <= tile and shape[1:] == (1, data.shape[1]) for shape in panels)
+            # Balanced: never a full tile plus a sliver.
+            sizes = [shape[0] for shape in panels]
+            assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("metric_name,cached_norms", ROW_COUNT_CASES)
+    def test_empty_list_is_one_call_on_an_empty_panel(
+        self, monkeypatch, metric_name, cached_norms
+    ):
+        metric, queries, data, norms = self.case(metric_name, cached_norms)
+        none = np.zeros(0, dtype=np.int64)
+        panels = self.count_calls(monkeypatch)
+        out = metric.gather_many(queries, none, data, none, norms)
+        assert out.shape == (0,) and out.dtype == np.float32
+        assert panels == [(0, 1, data.shape[1])]
 
 
 class TestProperties:
