@@ -52,21 +52,28 @@ def bootstrap_table(
     """The ``(n, k)`` int64 kNN table NSG, DPG and CAGRA refine.
 
     Rows are sorted ascending by distance (position = rank).  The
-    caller's ``knn_table`` wins when given (its shape is checked);
-    otherwise the source follows the input size: blocked exact top-k up
-    to ``_EXACT_BOOTSTRAP_MAX`` points, NN-descent (seeded by ``seed``)
-    above it.  ``cost`` (a
+    caller's ``knn_table`` wins when given; otherwise the source follows
+    the input size: blocked exact top-k up to ``_EXACT_BOOTSTRAP_MAX``
+    points, NN-descent (seeded by ``seed``) above it.  ``cost`` (a
     :class:`~repro.simt.build_cost.BuildCostRecorder`) receives the
     bootstrap's kernels either way.
+
+    Whatever the source, the table returned has shape ``(n, k)``, every
+    id in ``[0, n)`` and no id twice in a row (a row may hold its own
+    index) — checked here once, so the refinement kernels index with it
+    unchecked; a table that breaks this raises ``ValueError`` naming its
+    source.
     """
     n = len(data)
     if knn_table is not None:
+        source = "knn_table"
         table = np.asarray(knn_table)
         if table.shape != (n, k):
             raise ValueError(
                 f"knn_table must have shape ({n}, {k}), got {table.shape}"
             )
     elif n > _EXACT_BOOTSTRAP_MAX:
+        source = "nn_descent table"
         table = nn_descent(
             data,
             k,
@@ -76,13 +83,20 @@ def bootstrap_table(
             cost=cost,
         )
     else:
+        source = "exact top-k table"
         table = knn_neighbors(data, k, metric)
         rec = maybe_recorder(cost)
         dim = data.shape[1]
         flops = get_metric(metric).flops_per_distance(dim)
         rec.record_distances(n * n, flops, dim, "bootstrap-exact")
         rec.record_sort(n, min(n, 4 * k), "bootstrap-topk")
-    return table.astype(np.int64)
+    table = table.astype(np.int64)
+    by_id = np.sort(table, axis=1)
+    if by_id[:, 0].min() < 0 or by_id[:, -1].max() >= n:
+        raise ValueError(f"{source}: ids must lie in [0, {n})")
+    if (by_id[:, 1:] == by_id[:, :-1]).any():
+        raise ValueError(f"{source}: a row holds the same id twice")
+    return table
 
 
 def build_knn_graph(

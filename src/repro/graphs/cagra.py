@@ -18,12 +18,14 @@ entirely from batch operations — no per-vertex search-and-prune loop:
    connectivity a plain kNN graph lacks.
 
 Every step here is expressed over ``(n, k)`` id matrices and flat edge
-arrays — sorts, ``searchsorted`` rank lookups, segmented cumulative sums —
-so there is no per-vertex Python loop anywhere in the build.  The key
-trick: with each row of the bootstrap table sorted by neighbor id, the
-composite array ``row * n + id`` is *globally* sorted, so a single
-``np.searchsorted`` resolves "what rank does ``t`` hold in ``m``'s list"
-for millions of ``(m, t)`` pairs at once.
+arrays — gathers, sorts, histograms — so there is no per-vertex Python
+loop anywhere in the build.  The detour count is CAGRA's own kernel
+(Ootomo et al., Sec. III-B "rank-based reordering"): each source row
+``u`` walks its 2-hop neighbourhood ``table[table[u, i], r]`` and looks
+every id it meets up in a map of *its own* list (id → rank, held on chip
+there, in an L1-sized stripe of a small-int scratch here).  A hit at rank
+``j > max(i, r)`` is one detour of edge ``(u, j)``; nothing is searched
+in a global index.
 
 A :class:`~repro.simt.build_cost.BuildCostRecorder` can be attached to
 meter the construction kernels through the SIMT cost model.
@@ -41,77 +43,64 @@ from repro.annotations import arr, array_kernel, scalar
 from repro.distances import get_metric
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
-from repro.graphs.nn_descent import _ragged_arange, _rank_within_groups
+from repro.graphs.nn_descent import _rank_within_groups
 from repro.graphs.storage import PAD, FixedDegreeGraph
 from repro.simt.build_cost import KEY_BYTES, BuildCostRecorder, maybe_recorder
 from repro.structures.soa import pack_rowid, unpack_rowid
 
 __all__ = ["CagraBuilder", "build_cagra"]
 
-#: Detour-count pair budget per vertex block (bounds peak memory of the
-#: rank-lookup panels: a block holds ~6 int64 arrays of this many pairs).
-_DETOUR_PAIR_BUDGET = 1 << 21
+#: Bytes one block of source rows may hold in the detour walk: per row,
+#: its ``2 n``-byte stripe of the int16 rank scratch plus ``11 k0^2`` of
+#: panels (int64 2-hop ids, int16 ranks, bool hits) — looked up at random
+#: and streamed once, so they must sit in L2 together.  Benchmark VM
+#: (4 MiB L2 per core), ms for the stage at ``k0 = 64``, best of 5, at
+#: 128 / 256 / 384 / 512 / 768 KiB / 1 / 2 / 4 MiB:
+#:
+#:   glove200 n=4000    113 /   92 /  82 /  82 /  91 /  85 /  87 /  86
+#:   sift     n=8000    265 /  184 / 173 / 163 / 206 / 182 / 182 / 199
+#:   gist     n=8000    194 /  162 / 161 / 161 / 164 / 183 / 177 / 171
+#:   sift     n=30000  1454 / 1155 / 902 / 726 / 780 / 772 / 806 / 838
+#:
+#: Sized for that machine, deliberately not a setting.
+_WALK_BYTES = 512 * 1024
+
+#: Ranks live in the scratch as int16 (``-1`` = not in the row).
+_MAX_INTERMEDIATE_DEGREE = 2**15 - 1
 
 
 @array_kernel(
-    params={"n": (2, 2**28), "k0": (2, 512)},
-    args={"table": arr("n", "k0", lo=0, hi="n-1")},
-    returns=[
-        arr(dtype="int64", lo=0, hi="n*n-1", sorted_=True),
-        arr(dtype="int64", lo=0, hi="k0-1"),
-    ],
-)
-def _global_rank_index(table: np.ndarray):
-    """Globally-sorted ``row * n + id`` keys plus the matching ranks.
-
-    With each row re-sorted by neighbor id, the composite keys are
-    sorted across the whole flat array, so one ``np.searchsorted``
-    resolves millions of "what rank does ``t`` hold in ``m``'s list"
-    queries at once (the trick the module docstring describes).
-    """
-    n, k0 = table.shape
-    id_order = np.argsort(table, axis=1, kind="stable")
-    ids_by_id = np.take_along_axis(table, id_order, axis=1)
-    rows = np.arange(n, dtype=np.int64)[:, None]
-    flat_sorted = pack_rowid(rows, ids_by_id, n).ravel()
-    return flat_sorted, id_order.ravel()
-
-
-@array_kernel(
-    params={"n": (2, 2**28), "k0": (2, 512), "B": (1, 2**28), "P": (1, 2**18)},
+    params={"n": (3, 2**28), "k0": (2, 512), "b": (1, 2**28)},
     args={
-        "rows": arr("B", "k0", lo=0, hi="n-1"),
-        "flat_sorted": arr("n*k0", lo=0, hi="n*n-1", sorted_=True),
-        "flat_rank": arr("n*k0", lo=0, hi="k0-1"),
-        "tri_i": arr("P", lo=0, hi="k0-1"),
-        "tri_j": arr("P", lo=0, hi="k0-1"),
-        "ends": arr("k0", lo=0, hi="P"),
-        "starts": arr("k0", lo=0, hi="P"),
-        "n": scalar("n"),
+        "table": arr("n", "k0", lo=0, hi="n-1"),
+        "rows": arr("b", "k0", lo=0, hi="n-1"),
+        "pos": arr("b", "n", dtype="int16", lo=-1, hi=-1),
+        "later": arr("k0", "k0", dtype="int16", lo=0, hi="k0-1"),
     },
-    returns=[arr("B", "k0", dtype="int64", lo=0, hi="P")],
+    returns=[arr("b", "k0", dtype="int64", lo=0, hi="k0*k0")],
 )
-def _detour_block_counts(
-    rows: np.ndarray,
-    flat_sorted: np.ndarray,
-    flat_rank: np.ndarray,
-    tri_i: np.ndarray,
-    tri_j: np.ndarray,
-    ends: np.ndarray,
-    starts: np.ndarray,
-    n: int,
+def _detour_walk(
+    table: np.ndarray, rows: np.ndarray, pos: np.ndarray, later: np.ndarray
 ) -> np.ndarray:
-    """Detour counts for one vertex block (see ``_detour_counts``)."""
-    mid = rows[:, tri_i]
-    tgt = rows[:, tri_j]
-    query = pack_rowid(mid, tgt, n)
-    pos = np.searchsorted(flat_sorted, query)
-    np.minimum(pos, flat_sorted.size - 1, out=pos)
-    found = flat_sorted[pos] == query
-    cond = found & (flat_rank[pos] < tri_j[None, :])
-    padded = np.zeros((len(rows), len(tri_j) + 1), dtype=np.int64)
-    np.cumsum(cond, axis=1, dtype=np.int64, out=padded[:, 1:])
-    return padded[:, ends] - padded[:, starts]
+    """Detour counts of one block of source rows (see ``_detour_counts``).
+
+    ``rows`` is the block's slice of ``table``, ``pos`` its C-contiguous
+    ``(b, n)`` scratch — all ``-1`` on entry and again on return — and
+    ``later[i, r] = max(i, r)``.
+    """
+    b, k0 = rows.shape
+    n = len(table)
+    u = np.arange(b, dtype=np.int64)[:, None]
+    pos[u, rows] = np.arange(k0, dtype=np.int16)
+    # two[u, i, r] = table[table[u, i], r], shifted into row u's stripe
+    two = table[rows]
+    two += (u * n)[:, :, None]
+    j = pos.ravel()[two]
+    # an id the row does not hold reads -1 and fails the test by itself
+    hits = np.flatnonzero(j > later)
+    key = hits // (k0 * k0) * k0 + j.ravel()[hits]
+    pos[u, rows] = -1
+    return np.bincount(key, minlength=b * k0).reshape(b, k0)
 
 
 @array_kernel(
@@ -229,6 +218,10 @@ class CagraBuilder:
         self.intermediate_degree = intermediate_degree or 2 * degree
         if self.intermediate_degree < degree:
             raise ValueError("intermediate_degree must be at least degree")
+        if self.intermediate_degree > _MAX_INTERMEDIATE_DEGREE:
+            raise ValueError(
+                f"intermediate_degree must be at most {_MAX_INTERMEDIATE_DEGREE}"
+            )
         self.metric = get_metric(metric)
         self._knn_table = knn_table
         self.seed = seed
@@ -259,30 +252,32 @@ class CagraBuilder:
     def _detour_counts(self, table: np.ndarray) -> np.ndarray:
         """Detours per edge: ``counts[u, j]`` over mids at rank ``i < j``.
 
-        Pairs are laid out ``j``-major (for each rank ``j``, all mids
-        ``i < j``), so per-edge totals fall out of one segmented
-        cumulative sum over the pair axis.
+        ``counts[u, j]`` is the number of ranks ``i < j`` whose vertex
+        ``table[u, i]`` holds ``table[u, j]`` at a rank below ``j`` in its
+        own row, counted by the 2-hop walk of the module docstring a
+        block of source rows at a time (:func:`_detour_walk`, block
+        height from ``_WALK_BYTES``): O(rows * k0^2) a block whatever
+        ``n`` is, because only the marks a row wrote are cleared.
+
+        Precondition (what :func:`bootstrap_table` guarantees): ids lie
+        in ``[0, n)`` and no row holds an id twice — a row's map has one
+        rank per id.  A row may hold its own index.
         """
         n, k0 = table.shape
         rec = maybe_recorder(self.cost)
-        # rank lookup: rows re-sorted by id make row*n + id globally sorted
-        flat_sorted, flat_rank = _global_rank_index(table)
+        # the modeled device builds each row's id -> rank map by sorting it
         rec.record_sort(n, k0, "rank-index")
 
-        tri_j = np.repeat(np.arange(k0), np.arange(k0))
-        tri_i = _ragged_arange(np.arange(k0, dtype=np.int64))
-        num_pairs = len(tri_j)
-        ends = np.cumsum(np.arange(k0))
-        starts = ends - np.arange(k0)
-
-        counts = np.zeros((n, k0), dtype=np.int64)
-        block = max(1, _DETOUR_PAIR_BUDGET // max(1, num_pairs))
+        num_pairs = k0 * (k0 - 1) // 2
+        block = min(n, max(1, _WALK_BYTES // (2 * n + 11 * k0 * k0)))
+        pos = np.full((block, n), -1, dtype=np.int16)
+        ranks = np.arange(k0, dtype=np.int16)
+        later = np.maximum(ranks[:, None], ranks)
+        counts = np.empty((n, k0), dtype=np.int64)
         a = 0
         while a < n:
             b = min(n, a + block)
-            counts[a:b] = _detour_block_counts(
-                table[a:b], flat_sorted, flat_rank, tri_i, tri_j, ends, starts, n
-            )
+            counts[a:b] = _detour_walk(table, table[a:b], pos[: b - a], later)
             a = b
         rec.record_gather(n * num_pairs, KEY_BYTES, "detour-rank")
         return counts

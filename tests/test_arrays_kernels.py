@@ -7,6 +7,7 @@ un-flagged), and each known-bad fixture still trips its rule — the
 negative control that keeps the gate honest.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -17,8 +18,9 @@ from repro.analysis.arrays import (
     check_arrays,
     verify_array_kernels,
 )
+from repro.analysis.arrays.interp import analyze_kernel
 from repro.analysis.baseline import apply_baseline, load_baseline_sections
-from repro.annotations import iter_array_annotations
+from repro.annotations import arr, get_annotation, iter_array_annotations
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,9 +46,12 @@ class TestDefaultRegistry:
         assert findings == [], [f.format() for f in findings]
         assert kernels >= 15
         # Every migrated pack_rowid/pack_keys site discharges its int64
-        # obligation as a *proof*, not an absence of findings.
+        # obligation as a *proof*, not an absence of findings.  (9, not
+        # 10: CAGRA's two rank-lookup kernels and their pack_rowid sites
+        # are gone, and the walk that replaced them packs no composite key
+        # — a pack_rowid around its histogram key cost 3-8 % of the stage.)
         pack_proofs = [p for p in proven if "int64" in p]
-        assert len(pack_proofs) >= 10, proven
+        assert len(pack_proofs) >= 9, proven
 
     def test_bare_argsort_in_dpg_is_proven_deterministic(self):
         _, proven, _ = verify_array_kernels()
@@ -54,6 +59,24 @@ class TestDefaultRegistry:
             "dpg.py" in p and "argsort" in p and "duplicate-free" in p
             for p in proven
         ), proven
+
+    @pytest.mark.parametrize(
+        "arg,spec,rule",
+        [
+            # ranks up to k0 - 1 = 511 do not fit an int8 scratch
+            ("pos", arr("b", "n", dtype="int8", lo=-1, hi=-1), "packed-key-overflow"),
+            # a PAD in the table would index the scratch from the end
+            ("table", arr("n", "k0", lo=-1, hi="n-1"), "fancy-index-oob"),
+            ("rows", arr("b", "k0", lo=0, hi="n"), "fancy-index-oob"),
+        ],
+    )
+    def test_detour_walk_contract_is_live(self, arg, spec, rule):
+        check_arrays()  # imports ANNOTATED_MODULES
+        ann = get_annotation("repro.graphs.cagra._detour_walk")
+        assert analyze_kernel(ann) == ([], [])
+        weakened = dataclasses.replace(ann, args={**ann.args, arg: spec})
+        findings, _ = analyze_kernel(weakened)
+        assert rule in {f.rule for f in findings}, [f.format() for f in findings]
 
     def test_every_annotated_module_registers_kernels(self):
         check_arrays()  # imports ANNOTATED_MODULES

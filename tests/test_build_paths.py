@@ -28,6 +28,7 @@ from repro.graphs import (
 from repro.graphs import bruteforce_knn
 from repro.graphs._repair import reachable_mask
 from repro.graphs.bruteforce_knn import bootstrap_table, knn_neighbors
+from repro.graphs.storage import PAD
 from repro.simt.build_cost import BuildCostRecorder
 
 #: sha256[:16] of the int64 adjacency bytes at 4197dc3.
@@ -117,6 +118,39 @@ class TestBootstrapTable:
         assert table.dtype == np.int64 and np.array_equal(table, mine)
         with pytest.raises(ValueError, match="knn_table"):
             bootstrap_table(data, 9, knn_table=mine)
+
+    @pytest.mark.parametrize("bad_id", [PAD, 600])
+    def test_out_of_range_id_rejected(self, data, bad_id):
+        mine = knn_neighbors(data, 8).astype(np.int64)
+        mine[17, 3] = bad_id
+        with pytest.raises(ValueError, match=r"knn_table: ids must lie in \[0, 600\)"):
+            bootstrap_table(data, 8, knn_table=mine)
+        # the refinement builders meet the same guard, not an index error
+        for build in (build_cagra, build_dpg):
+            with pytest.raises(ValueError, match="knn_table"):
+                build(data, degree=4, knn_table=mine)
+
+    def test_repeated_id_rejected_but_self_is_not_a_repeat(self, data):
+        mine = knn_neighbors(data, 8).astype(np.int64)
+        mine[17, 3] = 17
+        assert np.array_equal(bootstrap_table(data, 8, knn_table=mine), mine)
+        mine[17, 5] = mine[17, 0]
+        with pytest.raises(ValueError, match="knn_table: a row holds the same id twice"):
+            bootstrap_table(data, 8, knn_table=mine)
+
+    def test_generated_tables_are_checked_too(self, data, monkeypatch):
+        def broken(data, k, metric="l2", **kwargs):
+            table = knn_neighbors(data, k, metric)
+            table[0, 0] = table[0, 1]
+            return table
+
+        monkeypatch.setattr(bruteforce_knn, "knn_neighbors", broken)
+        with pytest.raises(ValueError, match="exact top-k table"):
+            bootstrap_table(data, 8)
+        monkeypatch.setattr(bruteforce_knn, "nn_descent", broken)
+        monkeypatch.setattr(bruteforce_knn, "_EXACT_BOOTSTRAP_MAX", len(data) - 1)
+        with pytest.raises(ValueError, match="nn_descent table"):
+            bootstrap_table(data, 8)
 
     def test_exact_up_to_threshold(self, data):
         n, dim = data.shape
