@@ -57,6 +57,12 @@ timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 1
 timeout 300 python -m benchmarks.bench_serving --smoke
 timeout 300 python -m benchmarks.bench_outofcore --smoke
 
+# The examples are promised to run as shipped (5-40 s each; none writes
+# files), and scripts/reachability.py counts them as callers.
+for example in examples/*.py; do
+    timeout 300 python "$example" >/dev/null
+done
+
 # The serving and out-of-core smokes must have produced every gated
 # artifact (bench_outofcore pins the prefetch-vs-serial overlap band in
 # BENCH_outofcore.json).  Construction has no smoke of its own: the

@@ -66,7 +66,6 @@ ARRAY_RULES = (
 ANNOTATED_MODULES = (
     "repro.structures.soa",
     "repro.graphs.storage",
-    "repro.graphs.stats",
     "repro.graphs.nn_descent",
     "repro.graphs.cagra",
     "repro.graphs.nsg",

@@ -13,7 +13,6 @@
 from repro.baselines.kmeans import kmeans
 from repro.baselines.pq import ProductQuantizer
 from repro.baselines.ivfpq import IVFPQIndex
-from repro.baselines.ivfflat import IVFFlatIndex
 from repro.baselines.flat import FlatIndex
 from repro.baselines.kdtree import KDTreeIndex
 from repro.baselines.rp_forest import RPForestIndex
@@ -23,7 +22,6 @@ __all__ = [
     "kmeans",
     "ProductQuantizer",
     "IVFPQIndex",
-    "IVFFlatIndex",
     "FlatIndex",
     "KDTreeIndex",
     "RPForestIndex",

@@ -25,11 +25,3 @@ class FlatIndex:
         idx = np.argpartition(d, k - 1)[:k]
         order = np.lexsort((idx, d[idx]))
         return [(float(d[idx[i]]), int(idx[i])) for i in order]
-
-    def search_batch(
-        self, queries: np.ndarray, k: int
-    ) -> List[List[Tuple[float, int]]]:
-        return [self.search(q, k) for q in np.atleast_2d(queries)]
-
-    def memory_bytes(self) -> int:
-        return int(self.data.nbytes)

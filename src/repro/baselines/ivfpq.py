@@ -142,11 +142,6 @@ class IVFPQIndex:
         order = np.argsort(dists[top], kind="stable")
         return [(float(dists[top[i]]), int(ids[top[i]])) for i in order]
 
-    def search_batch(
-        self, queries: np.ndarray, k: int, nprobe: int = 1
-    ) -> List[List[Tuple[float, int]]]:
-        return [self.search(q, k, nprobe) for q in np.atleast_2d(queries)]
-
     # -- simulated-GPU search ------------------------------------------------
 
     def gpu_search_batch(

@@ -49,7 +49,6 @@ class KDTreeIndex:
         self.data = np.asarray(data, dtype=np.float64)
         self.leaf_size = leaf_size
         self.root = self._build(np.arange(len(self.data)))
-        self._num_nodes = self._count(self.root)
 
     def _build(self, indices: np.ndarray) -> _Node:
         if len(indices) <= self.leaf_size:
@@ -77,15 +76,6 @@ class KDTreeIndex:
             left=self._build(left_ids),
             right=self._build(right_ids),
         )
-
-    def _count(self, node: Optional[_Node]) -> int:
-        if node is None:
-            return 0
-        return 1 + self._count(node.left) + self._count(node.right)
-
-    @property
-    def num_nodes(self) -> int:
-        return self._num_nodes
 
     def search(
         self, query: np.ndarray, k: int, max_leaves: int = 32
@@ -126,7 +116,3 @@ class KDTreeIndex:
                 elif d < -best[0][0]:
                     heapq.heapreplace(best, (-d, int(idx)))
         return sorted((-nd, v) for nd, v in best)
-
-    def memory_bytes(self) -> int:
-        """Index structure: ~2 pointers + split data per node."""
-        return self._num_nodes * 24

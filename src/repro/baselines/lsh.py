@@ -100,9 +100,3 @@ class LSHIndex:
         top = np.argpartition(dists, take - 1)[:take]
         order = np.argsort(dists[top], kind="stable")
         return [(float(dists[top[i]]), candidates[top[i]]) for i in order]
-
-    def memory_bytes(self) -> int:
-        """Hyperplanes + one id slot per point per table."""
-        plane_bytes = int(self._planes.size * 4)
-        id_bytes = self.num_tables * len(self.data) * 4
-        return plane_bytes + id_bytes

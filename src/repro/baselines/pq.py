@@ -111,15 +111,6 @@ class ProductQuantizer:
             out += table[j, codes[:, j]]
         return out
 
-    def quantization_error(self, data: np.ndarray) -> float:
-        """Mean squared reconstruction error over ``data``."""
-        recon = self.decode(self.encode(data))
-        return float(((np.asarray(data, dtype=np.float64) - recon) ** 2).sum(axis=1).mean())
-
-    def code_bytes(self, n: int) -> int:
-        """Storage for ``n`` encoded vectors."""
-        return n * self.m
-
     def memory_bytes(self) -> int:
         """Codebook storage (float32 on device)."""
         return int(self.m * self.ksub * self.dsub * 4)

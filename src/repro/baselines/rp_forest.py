@@ -133,13 +133,3 @@ class RPForestIndex:
         top = np.argpartition(dists, take - 1)[:take]
         order = np.argsort(dists[top], kind="stable")
         return [(float(dists[top[i]]), candidates[top[i]]) for i in order]
-
-    def memory_bytes(self) -> int:
-        """Split vectors dominate: d floats per internal node."""
-        def count_internal(node):
-            if node.is_leaf:
-                return 0
-            return 1 + count_internal(node.left) + count_internal(node.right)
-
-        internal = sum(count_internal(t) for t in self.trees)
-        return internal * (self.data.shape[1] * 4 + 8)

@@ -155,18 +155,6 @@ class BatchedSongSearcher:
 
     # -- public API -----------------------------------------------------------
 
-    def search(
-        self,
-        query: np.ndarray,
-        config: SearchConfig,
-        stats: Optional[SearchStats] = None,
-    ) -> List[Tuple[float, int]]:
-        """Single-query convenience wrapper (a batch of one lane)."""
-        batch_stats = None if stats is None else [stats]
-        return self.search_batch(
-            np.asarray(query)[None, :], config, stats=batch_stats
-        )[0]
-
     def search_batch_with_stats(
         self,
         queries: np.ndarray,

@@ -77,14 +77,6 @@ class CpuSongIndex:
         self.model = model
         self.searcher = SongSearcher(graph, self.data)
 
-    def search(
-        self, query: np.ndarray, config: SearchConfig
-    ) -> Tuple[List[Tuple[float, int]], float]:
-        """One query; returns ``(results, modelled_seconds)``."""
-        record = SearchStats()
-        out = self.searcher.search(query, config, stats=record)
-        return out, self._price(record, config)[1]
-
     def search_batch(self, queries: np.ndarray, config: SearchConfig) -> CpuBatchResult:
         """Search every query; seconds accumulate (single thread)."""
         queries = np.atleast_2d(np.asarray(queries))

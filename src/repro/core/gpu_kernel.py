@@ -287,9 +287,6 @@ class GpuSongIndex:
     def dataset_memory_bytes(self) -> int:
         return int(self.data.nbytes)
 
-    def fits_in_device_memory(self) -> bool:
-        return self.resident_bytes <= self.device.memory_bytes
-
     def placement(self, config: SearchConfig) -> Placement:
         """Decide which structures fit in shared memory (Sec. VIII)."""
         dim = self.data.shape[1]

@@ -69,9 +69,6 @@ class ShardedSongIndex:
             self._global_ids.append(ids)
             self.shards.append(GpuSongIndex(graph, shard_data, device=devices[s]))
 
-    def shard_sizes(self) -> List[int]:
-        return [len(ids) for ids in self._global_ids]
-
     def search_batch(
         self, queries: np.ndarray, config: SearchConfig
     ) -> Tuple[List[List[Tuple[float, int]]], dict]:
@@ -132,9 +129,6 @@ class ShardedSongIndex:
             "qps": len(queries) / wall if wall > 0 else float("inf"),
         }
         return merged, timing
-
-    def total_index_memory_bytes(self) -> int:
-        return sum(s.index_memory_bytes() for s in self.shards)
 
     def per_device_memory_bytes(self) -> List[int]:
         """Dataset + index bytes resident on each simulated GPU."""

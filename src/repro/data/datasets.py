@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -60,12 +59,3 @@ class Dataset:
                 self.data, self.queries, k, metric=self.metric
             )
         return self._gt_cache[k]
-
-    def subset(self, num_data: Optional[int] = None, num_queries: Optional[int] = None) -> "Dataset":
-        """A smaller view (fresh ground-truth cache)."""
-        return Dataset(
-            name=self.name,
-            data=self.data[: num_data or self.num_data],
-            queries=self.queries[: num_queries or self.num_queries],
-            metric=self.metric,
-        )

@@ -10,19 +10,13 @@ tally (:class:`OpCounter`) the CPU work-unit timer prices.
 from repro.distances.metrics import (
     METRICS,
     Metric,
-    batch_distance,
     get_metric,
-    pairwise_distance,
-    single_distance,
 )
 from repro.distances.counted import OpCounter
 
 __all__ = [
     "METRICS",
     "Metric",
-    "batch_distance",
     "get_metric",
-    "pairwise_distance",
-    "single_distance",
     "OpCounter",
 ]

@@ -41,35 +41,3 @@ class OpCounter:
     queue_ops: int = 0
     hash_ops: int = 0
     hops: int = 0
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.distance_calls = 0
-        self.distance_flops = 0
-        self.vector_reads = 0
-        self.graph_reads = 0
-        self.queue_ops = 0
-        self.hash_ops = 0
-        self.hops = 0
-
-    def merge(self, other: "OpCounter") -> None:
-        """Accumulate ``other`` into this counter."""
-        self.distance_calls += other.distance_calls
-        self.distance_flops += other.distance_flops
-        self.vector_reads += other.vector_reads
-        self.graph_reads += other.graph_reads
-        self.queue_ops += other.queue_ops
-        self.hash_ops += other.hash_ops
-        self.hops += other.hops
-
-    def snapshot(self) -> dict:
-        """Return the counters as a plain dict (for reports)."""
-        return {
-            "distance_calls": self.distance_calls,
-            "distance_flops": self.distance_flops,
-            "vector_reads": self.vector_reads,
-            "graph_reads": self.graph_reads,
-            "queue_ops": self.queue_ops,
-            "hash_ops": self.hash_ops,
-            "hops": self.hops,
-        }

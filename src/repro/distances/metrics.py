@@ -20,9 +20,6 @@ __all__ = [
     "METRICS",
     "Metric",
     "get_metric",
-    "single_distance",
-    "batch_distance",
-    "pairwise_distance",
 ]
 
 #: Registered metric names.
@@ -66,15 +63,6 @@ class Metric:
         if name not in METRICS:
             raise ValueError(f"unknown metric {name!r}; expected one of {METRICS}")
         self.name = name
-
-    def __repr__(self) -> str:
-        return f"Metric({self.name!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Metric) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return hash(("Metric", self.name))
 
     # -- evaluators ---------------------------------------------------------
 
@@ -335,20 +323,4 @@ def get_metric(name: str) -> Metric:
     return _METRIC_CACHE[name]
 
 
-def single_distance(u: np.ndarray, v: np.ndarray, metric: str = "l2") -> float:
-    """Convenience wrapper: distance between two vectors."""
-    return get_metric(metric).single(u, v)
 
-
-def batch_distance(
-    query: np.ndarray, points: np.ndarray, metric: str = "l2"
-) -> np.ndarray:
-    """Convenience wrapper: one query vs. many points."""
-    return get_metric(metric).batch(query, points)
-
-
-def pairwise_distance(
-    queries: np.ndarray, points: np.ndarray, metric: str = "l2"
-) -> np.ndarray:
-    """Convenience wrapper: all-pairs distance matrix."""
-    return get_metric(metric).pairwise(queries, points)

@@ -17,13 +17,9 @@ from repro.eval.sweep import (
     sweep_ivfpq,
 )
 from repro.eval.report import format_curve, format_table
-from repro.eval.stats import bootstrap_ci, paired_bootstrap_pvalue, per_query_recall
 
 __all__ = [
     "SERVING_POLICIES",
-    "bootstrap_ci",
-    "paired_bootstrap_pvalue",
-    "per_query_recall",
     "recall_at_k",
     "batch_recall",
     "SweepPoint",

@@ -34,11 +34,6 @@ class SweepPoint:
     qps: float
     extra: Dict[str, float] = field(default_factory=dict)
 
-    def as_row(self) -> Dict[str, float]:
-        row = {"param": self.param, "recall": self.recall, "qps": self.qps}
-        row.update(self.extra)
-        return row
-
 
 def _effective_queue_sizes(queue_sizes: Sequence[int], k: int) -> List[int]:
     """Clamp the grid at ``k`` and drop the resulting duplicates."""

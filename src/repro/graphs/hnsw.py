@@ -396,11 +396,3 @@ class HNSWIndex:
             entry_point=self.entry_point,
             validate=False,
         )
-
-    def num_layers(self) -> int:
-        return len(self._layers)
-
-    def memory_bytes(self) -> int:
-        """Index size: 4 bytes per stored edge across all layers."""
-        edges = sum(len(row) for layer in self._layers for row in layer.values())
-        return 4 * edges

@@ -8,7 +8,7 @@ same amount of memory, which is what makes coalesced GPU reads possible.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -153,34 +153,11 @@ class FixedDegreeGraph:
             self._adj[vertex, : len(row)] = row
         self._counts[vertex] = len(row)
 
-    def add_edge(self, u: int, v: int) -> bool:
-        """Append ``v`` to u's row if there is a free slot and no duplicate.
-
-        Returns True if the edge was added.
-        """
-        if u == v:
-            raise ValueError("self-loops are not allowed")
-        c = int(self._counts[u])
-        if c >= self.degree:
-            return False
-        if v in self._adj[u, :c]:
-            return False
-        self._adj[u, c] = v
-        self._counts[u] = c + 1
-        return True
-
     # -- queries --------------------------------------------------------------
 
     def neighbors(self, vertex: int) -> np.ndarray:
         """Valid neighbor ids of ``vertex`` (a view, do not mutate)."""
         return self._adj[vertex, : self._counts[vertex]]
-
-    def out_degree(self, vertex: int) -> int:
-        return int(self._counts[vertex])
-
-    def row(self, vertex: int) -> np.ndarray:
-        """The full padded row, as the GPU kernel would read it."""
-        return self._adj[vertex]
 
     @property
     def adjacency_array(self) -> np.ndarray:
@@ -194,14 +171,6 @@ class FixedDegreeGraph:
     def memory_bytes(self) -> int:
         """Index size: the flat adjacency array (int32 per slot)."""
         return int(self._adj.nbytes)
-
-    def reverse_adjacency(self) -> List[List[int]]:
-        """In-neighbors of each vertex (used by NSG's tree-fixing step)."""
-        rev: List[List[int]] = [[] for _ in range(self.num_vertices)]
-        for v in range(self.num_vertices):
-            for u in self.neighbors(v):
-                rev[int(u)].append(v)
-        return rev
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation."""

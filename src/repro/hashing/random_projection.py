@@ -86,11 +86,6 @@ class SignRandomProjection:
         return n * self.num_words * 4
 
     @staticmethod
-    def estimated_angle(hamming: np.ndarray, num_bits: int) -> np.ndarray:
-        """Angle estimate (radians) from Hamming distances."""
-        return np.asarray(hamming, dtype=np.float64) / num_bits * np.pi
-
-    @staticmethod
     def collision_probability(u: np.ndarray, v: np.ndarray) -> float:
         """Theoretical per-bit agreement probability ``1 − θ/π``."""
         nu = np.linalg.norm(u)

@@ -163,11 +163,6 @@ class DynamicBatcher:
     def queue_depth(self) -> int:
         return len(self.pending)
 
-    @property
-    def inflight(self) -> int:
-        """Batches currently dispatched and not yet completed."""
-        return len(self._inflight)
-
     def stop(self) -> None:
         """Ask the run loop to drain the queue and exit."""
         self._stopping = True

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.simt.cost import CostModel
 from repro.simt.device import DeviceSpec, get_device
@@ -53,10 +53,6 @@ class BuildPhaseCost:
     global_bytes: int
     flops: float = 0.0
     seq_ops: float = 0.0
-
-    @property
-    def total_cycles(self) -> float:
-        return self.per_warp_cycles * self.num_warps
 
 
 @dataclass
@@ -242,54 +238,6 @@ class BuildCostRecorder:
             )
             for p in self.phases
         )
-
-    def device_cycles(self) -> float:
-        """Total warp-cycles across every recorded phase."""
-        return sum(p.total_cycles for p in self.phases)
-
-    def cpu_seconds(self) -> float:
-        """Single-core seconds for the same counted work.
-
-        Prices flops at the CPU's sustained throughput, per-element
-        shuffle/sort work as sequential ops, and the global traffic at
-        single-core memory bandwidth — the construction twin of
-        :meth:`CpuModel.seconds`.
-        """
-        flops = sum(p.flops for p in self.phases)
-        seq = sum(p.seq_ops for p in self.phases)
-        bytes_moved = sum(p.global_bytes for p in self.phases)
-        return (
-            flops / self.cpu.flops_per_second
-            + seq * self.cpu.seq_op_seconds
-            + bytes_moved / self.cpu.bytes_per_second
-        )
-
-    def phase_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-phase-name totals (cycles, bytes, launches)."""
-        out: Dict[str, Dict[str, float]] = {}
-        for p in self.phases:
-            agg = out.setdefault(
-                p.name, {"cycles": 0.0, "bytes": 0.0, "launches": 0.0}
-            )
-            agg["cycles"] += p.total_cycles
-            agg["bytes"] += p.global_bytes
-            agg["launches"] += 1.0
-        return out
-
-    def summary(self) -> Dict[str, object]:
-        """Headline numbers for benchmark artifacts."""
-        return {
-            "device": self.spec.name,
-            "device_seconds": self.device_seconds(),
-            "device_cycles": self.device_cycles(),
-            "cpu_seconds": self.cpu_seconds(),
-            "gpu_speedup_modeled": (
-                self.cpu_seconds() / self.device_seconds()
-                if self.device_seconds() > 0
-                else float("inf")
-            ),
-            "phases": self.phase_summary(),
-        }
 
 
 def maybe_recorder(cost: Optional[BuildCostRecorder]) -> "_NullRecorder":

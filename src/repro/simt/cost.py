@@ -130,7 +130,3 @@ class CostModel:
         return device.pcie_latency_us * 1e-6 + num_bytes / (
             device.pcie_bandwidth_gbs * 1e9
         )
-
-    def fits_in_memory(self, num_bytes: int) -> bool:
-        """Whether a dataset + index of ``num_bytes`` fits global memory."""
-        return num_bytes <= self.device.global_memory_gb * 1024**3

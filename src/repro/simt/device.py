@@ -91,11 +91,6 @@ class DeviceSpec:
         """Warp instructions an SM can issue per cycle."""
         return max(1, self.cores_per_sm // self.warp_size)
 
-    @property
-    def peak_warp_throughput(self) -> float:
-        """Warp-instructions per second across the whole device."""
-        return self.num_sms * self.warp_slots_per_sm * self.clock_hz
-
     def with_overrides(self, **kwargs) -> "DeviceSpec":
         """A copy with selected fields replaced (for ablations)."""
         return replace(self, **kwargs)

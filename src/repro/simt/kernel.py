@@ -57,22 +57,6 @@ class KernelResult:
             return float("inf")
         return num_queries / self.total_seconds
 
-    def latency_percentiles(self, device: DeviceSpec, percentiles=(50, 90, 99)):
-        """Per-query kernel latency percentiles in seconds.
-
-        Derived from each warp group's cycle count at device clock — the
-        time one query spends in its kernel, ignoring queueing.  Tail
-        latency is a first-class serving metric the mean QPS hides.
-        """
-        if not self.warp_cycles:
-            return [0.0 for _ in percentiles]
-        cycles = sorted(self.warp_cycles)
-        out = []
-        for p in percentiles:
-            idx = min(len(cycles) - 1, int(round(p / 100 * (len(cycles) - 1))))
-            out.append(cycles[idx] / device.clock_hz)
-        return out
-
 
 class KernelLauncher:
     """Runs a metered kernel over a query batch on a simulated device."""

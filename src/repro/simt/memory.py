@@ -26,7 +26,7 @@ Two concerns live here:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.simt.device import DeviceSpec
@@ -61,9 +61,6 @@ class CapacityLedger:
     def headroom_bytes(self) -> int:
         return self.budget_bytes - self.reserved_bytes
 
-    def would_fit(self, num_bytes: int) -> bool:
-        return num_bytes <= self.headroom_bytes
-
     def reserve(
         self, name: str, num_bytes: int, allow_oversubscription: bool = False
     ) -> int:
@@ -92,9 +89,6 @@ class CapacityLedger:
                 raise DeviceMemoryExceeded(msg)
             warnings.warn(msg, ResourceWarning, stacklevel=2)
         return self.headroom_bytes
-
-    def release(self, name: str) -> None:
-        self.reservations.pop(name, None)
 
 
 #: Bytes served per coalesced transaction (cache line).
@@ -137,21 +131,6 @@ class MemorySpace:
     def total_global_bytes(self) -> int:
         """Bus traffic including the waste of scattered sectors."""
         return self.coalesced_bytes + self.scattered_accesses * SCATTERED_SECTOR_BYTES
-
-    def merge(self, other: "MemorySpace") -> None:
-        """Fold another meter's counters into this one.
-
-        Generic over ``dataclasses.fields`` so a counter added later is
-        conserved automatically instead of silently dropped (the hazard
-        ``shared_accesses`` originally hit: it postdates ``merge``).
-        """
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    def reset(self) -> None:
-        """Zero every counter (field-generic, like :meth:`merge`)."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
 
 
 @dataclass
@@ -204,6 +183,3 @@ class SharedMemoryBudget:
             topk_queue=8 * topk * multi_query,
             visited_table=visited_bytes * multi_query,
         )
-
-    def fits(self, limit_bytes: int) -> bool:
-        return self.total <= limit_bytes

@@ -64,9 +64,3 @@ class StageProfiler:
         if total == 0:
             return {s: 0.0 for s in KERNEL_STAGES}
         return {s: c / total for s, c in known.items()}
-
-    def reset(self) -> None:
-        self.htod_seconds = 0.0
-        self.dtoh_seconds = 0.0
-        self.kernel_seconds = 0.0
-        self.stage_cycles.clear()

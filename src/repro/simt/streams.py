@@ -142,27 +142,6 @@ class StreamTimeline:
             return 1.0
         return self.serial_seconds / self.makespan
 
-    def overlap_efficiency(self) -> float:
-        """Busy engine-seconds per makespan second (1 = no overlap, 3 = all
-        three engines saturated)."""
-        if self.makespan <= 0.0:
-            return 0.0
-        return self.serial_seconds / self.makespan
-
-    def transfer_hidden_fraction(self) -> float:
-        """Fraction of transfer time hidden behind other engines' work."""
-        transfers = self.engine_busy.get(HTOD, 0.0) + self.engine_busy.get(DTOH, 0.0)
-        if transfers <= 0.0 or self.makespan <= 0.0:
-            return 0.0
-        hidden = self.serial_seconds - self.makespan
-        return min(1.0, max(0.0, hidden / transfers))
-
-    def stream_occupancy(self) -> Dict[int, float]:
-        """Per-stream busy fraction of the makespan."""
-        if self.makespan <= 0.0:
-            return {s: 0.0 for s in self.stream_busy}
-        return {s: b / self.makespan for s, b in sorted(self.stream_busy.items())}
-
 
 def double_buffer_ops(
     chunks: Sequence, num_streams: int, base_op_id: int = 0

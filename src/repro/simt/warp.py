@@ -106,19 +106,6 @@ class Warp:
 
     # -- aggregation ----------------------------------------------------------
 
-    def merge(self, other: "Warp") -> None:
-        """Fold another warp's meters into this one.
-
-        Conserves every counter: total cycles, the full memory tally
-        (field-generic :meth:`MemorySpace.merge`) and per-stage
-        attribution, preserving the invariant that ``cycles`` equals the
-        sum of ``stage_cycles`` values when both operands satisfy it.
-        """
-        self.cycles += other.cycles
-        self.memory.merge(other.memory)
-        for stage, c in other.stage_cycles.items():
-            self.stage_cycles[stage] = self.stage_cycles.get(stage, 0.0) + c
-
     # -- internals ------------------------------------------------------------
 
     def _overlapped_latency(self, spilled: bool = False) -> float:
@@ -130,8 +117,3 @@ class Warp:
         """
         hide = 16.0 if not spilled else 4.0
         return self.device.global_latency_cycles / hide
-
-    @property
-    def seconds(self) -> float:
-        """Wall time this warp's work takes at device clock, in isolation."""
-        return self.cycles / self.device.clock_hz

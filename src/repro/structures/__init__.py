@@ -23,7 +23,6 @@ from repro.structures.hash_table import OpenAddressingSet
 from repro.structures.bloom import BloomFilter
 from repro.structures.cuckoo import CuckooFilter
 from repro.structures.visited import VisitedBackend, VisitedSet
-from repro.structures.device_layout import FlatHashSet, FlatMinMaxHeap
 from repro.structures.soa import (
     PAD_KEY,
     BatchedFrontier,
@@ -40,8 +39,6 @@ __all__ = [
     "pack_keys",
     "unpack_distances",
     "unpack_ids",
-    "FlatMinMaxHeap",
-    "FlatHashSet",
     "MinHeap",
     "MaxHeap",
     "SymmetricMinMaxHeap",

@@ -62,9 +62,6 @@ class BloomFilter:
         """Number of *insert calls* for distinct-looking keys (approximate)."""
         return self._count
 
-    def __contains__(self, key: int) -> bool:
-        return self.contains(key)
-
     def _positions(self, key: int):
         # Double hashing: h1 + i*h2, the standard Kirsch–Mitzenmacher scheme.
         h1 = (key * 2654435761) & 0xFFFFFFFF
@@ -100,15 +97,6 @@ class BloomFilter:
             if not (words[w] & np.uint32(1 << b)):
                 return False
         return True
-
-    def delete(self, key: int) -> bool:
-        """Bloom filters cannot delete; always raises."""
-        raise NotImplementedError("Bloom filter does not support deletion")
-
-    def clear(self) -> None:
-        """Reset all bits."""
-        self._words[:] = 0
-        self._count = 0
 
     def expected_fp_rate(self) -> float:
         """Theoretical false-positive rate at the current fill level."""

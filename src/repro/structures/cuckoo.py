@@ -75,9 +75,6 @@ class CuckooFilter:
     def __len__(self) -> int:
         return self._size
 
-    def __contains__(self, key: int) -> bool:
-        return self.contains(key)
-
     # -- hashing ---------------------------------------------------------
 
     def _fingerprint(self, key: int) -> int:
@@ -162,16 +159,6 @@ class CuckooFilter:
                 self._size -= 1
                 return True
         return False
-
-    def clear(self) -> None:
-        """Remove every fingerprint, keeping the allocation."""
-        for bucket in self._buckets:
-            bucket.clear()
-        self._size = 0
-
-    def load_factor(self) -> float:
-        """Fraction of slots occupied."""
-        return self._size / (self.num_buckets * self.bucket_size)
 
     def memory_bytes(self) -> int:
         """Footprint assuming packed fingerprint slots."""

@@ -13,7 +13,7 @@ CUDA kernel would overflow its shared-memory allocation.
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import List
 
 _EMPTY = -1
 
@@ -49,12 +49,6 @@ class OpenAddressingSet:
 
     def __len__(self) -> int:
         return self._size
-
-    def __contains__(self, key: int) -> bool:
-        return self.contains(key)
-
-    def __iter__(self) -> Iterator[int]:
-        return (k for k in self._slots if k != _EMPTY)
 
     def _hash(self, key: int) -> int:
         # Fibonacci hashing: cheap, well-distributed for integer ids.
@@ -143,12 +137,6 @@ class OpenAddressingSet:
         if i < j:
             return i < home <= j
         return home > i or home <= j
-
-    def clear(self) -> None:
-        """Remove every key, keeping the allocation."""
-        for i in range(self._slots_len):
-            self._slots[i] = _EMPTY
-        self._size = 0
 
     def memory_bytes(self) -> int:
         """Footprint of the slot array assuming 32-bit keys (as on GPU)."""

@@ -7,7 +7,7 @@ distance break on vertex id so the search is fully deterministic.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 Entry = Tuple[float, int]
 
@@ -20,13 +20,6 @@ class MinHeap:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
-    def __iter__(self) -> Iterator[Entry]:
-        """Iterate entries in *storage* order (not sorted)."""
-        return iter(self._items)
 
     def _less(self, a: Entry, b: Entry) -> bool:
         return a < b

@@ -39,16 +39,7 @@ class SymmetricMinMaxHeap:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __bool__(self) -> bool:
-        return bool(self._items)
-
     # -- queries ------------------------------------------------------------
-
-    def peek_min(self) -> Entry:
-        """Smallest entry without removal."""
-        if not self._items:
-            raise IndexError("peek_min from empty heap")
-        return self._items[0]
 
     def peek_max(self) -> Entry:
         """Largest entry without removal."""
@@ -219,9 +210,6 @@ class BoundedPriorityQueue:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
     def push(self, dist: float, vertex: int) -> Optional[Entry]:
         """Insert; returns the evicted entry if the queue was full.
 
@@ -244,12 +232,6 @@ class BoundedPriorityQueue:
 
     def pop_max(self) -> Entry:
         return self._heap.pop_max()
-
-    def peek_min(self) -> Entry:
-        return self._heap.peek_min()
-
-    def peek_max(self) -> Entry:
-        return self._heap.peek_max()
 
     def to_sorted_list(self) -> List[Entry]:
         return self._heap.to_sorted_list()

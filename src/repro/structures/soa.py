@@ -156,10 +156,6 @@ class BatchedTopK:
         self.pool = pool
         self.keys = np.full((batch, pool), PAD_KEY, dtype=np.uint64)
 
-    @property
-    def batch(self) -> int:
-        return self.keys.shape[0]
-
     def merge(self, new_keys: np.ndarray) -> np.ndarray:
         """Push a ``(B, m)`` key matrix (PAD_KEY-masked) into every row.
 
@@ -212,10 +208,6 @@ class BatchedFrontier:
         width = capacity if capacity is not None else 1
         self.keys = np.full((batch, width), PAD_KEY, dtype=np.uint64)
         self.sizes = np.zeros(batch, dtype=np.int64)
-
-    @property
-    def batch(self) -> int:
-        return self.keys.shape[0]
 
     @property
     def width(self) -> int:

@@ -56,9 +56,6 @@ class _PySetBackend:
             return True
         return False
 
-    def clear(self) -> None:
-        self._set.clear()
-
     def memory_bytes(self) -> int:
         # CPython set entries are ~60 bytes each; we report the GPU-relevant
         # number: 4 bytes per stored 32-bit key.
@@ -115,9 +112,6 @@ class VisitedSet:
     def __len__(self) -> int:
         return len(self._impl)
 
-    def __contains__(self, key: int) -> bool:
-        return self.contains(key)
-
     def insert(self, key: int) -> bool:
         """Mark ``key`` visited.  Returns False if already marked."""
         self.ops += 1
@@ -157,18 +151,6 @@ class VisitedSet:
             self._shadow.discard(key)
         return removed
 
-    def supports_deletion(self) -> bool:
-        return self.backend.supports_deletion()
-
-    def clear(self) -> None:
-        self._impl.clear()
-        self._shadow.clear()
-
     def memory_bytes(self) -> int:
         """GPU memory footprint of the backing store."""
         return self._impl.memory_bytes()
-
-    @property
-    def probes(self) -> int:
-        """Memory probes issued by the backend (cost accounting)."""
-        return self._impl.probes

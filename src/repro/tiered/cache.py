@@ -76,8 +76,3 @@ class PageCache:
         self.hits += run_hits
         self.misses += len(missed)
         return run_hits, missed
-
-    def reset(self) -> None:
-        self._lru.clear()
-        self.hits = 0
-        self.misses = 0

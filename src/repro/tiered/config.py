@@ -9,7 +9,7 @@ candidates for the exact re-rank, and how host↔device paging is laid out
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 #: Supported compressed-store codecs.
 TIER_CODECS = ("bits", "pq")
@@ -75,7 +75,3 @@ class TieredConfig:
             raise ValueError("page_rows must be >= 1")
         if self.cache_pages < 0:
             raise ValueError("cache_pages must be >= 0")
-
-    def with_options(self, **kwargs) -> "TieredConfig":
-        """A copy with selected fields replaced."""
-        return replace(self, **kwargs)

@@ -149,9 +149,6 @@ class TieredIndex:
         """Candidates traversal returns for the re-rank stage."""
         return min(config.queue_size, max(config.k, config.k * self.tier.overfetch))
 
-    def encode_queries(self, queries: np.ndarray) -> np.ndarray:
-        return self.store.encode_queries(queries)
-
     def traversal_config(self, config: SearchConfig) -> SearchConfig:
         """Stage one's config: over-fetch under the store's own metric,
         whatever metric the re-rank scores in."""
@@ -175,11 +172,6 @@ class TieredIndex:
         )
         results, plan = self._rerank(queries, candidates, config, tcfg.k)
         return results, stats, plan
-
-    def search_batch(
-        self, queries: np.ndarray, config: SearchConfig
-    ) -> List[List[Tuple[float, int]]]:
-        return self.search_batch_with_stats(queries, config)[0]
 
     def _rerank(
         self,

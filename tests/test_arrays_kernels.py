@@ -46,12 +46,14 @@ class TestDefaultRegistry:
         assert findings == [], [f.format() for f in findings]
         assert kernels >= 15
         # Every migrated pack_rowid/pack_keys site discharges its int64
-        # obligation as a *proof*, not an absence of findings.  (9, not
-        # 10: CAGRA's two rank-lookup kernels and their pack_rowid sites
-        # are gone, and the walk that replaced them packs no composite key
-        # — a pack_rowid around its histogram key cost 3-8 % of the stage.)
+        # obligation as a *proof*, not an absence of findings.  The floor
+        # falls only when a proven site is deleted: CAGRA's detour walk
+        # packs no composite key (a pack_rowid around its histogram key
+        # cost 3-8 % of the stage), and the graph-statistics module's
+        # reverse-edge kernel, which carried two, went with that module
+        # because nothing but its own tests called it.
         pack_proofs = [p for p in proven if "int64" in p]
-        assert len(pack_proofs) >= 9, proven
+        assert len(pack_proofs) >= 7, proven
 
     def test_bare_argsort_in_dpg_is_proven_deterministic(self):
         _, proven, _ = verify_array_kernels()

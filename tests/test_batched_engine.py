@@ -198,7 +198,7 @@ def test_batch_of_one_matches_serial(parity_data, parity_graphs):
     searcher = SongSearcher(parity_graphs["nsw"], data)
     config = SearchConfig(k=10, queue_size=30)
     serial = searcher.search(queries[0], config)
-    batched = searcher.batched().search(queries[0], config)
+    batched = searcher.batched().search_batch(queries[:1], config)[0]
     assert serial == batched
 
 

@@ -61,23 +61,6 @@ class TestBlockSemantics:
 
 
 class TestLatencyPercentiles:
-    def test_percentiles_ordered(self, small_dataset, small_graph):
-        idx = GpuSongIndex(small_graph, small_dataset.data)
-        _, timing = idx.search_batch(
-            small_dataset.queries, SearchConfig(k=10, queue_size=40)
-        )
-        p50, p90, p99 = timing.latency_percentiles(idx.device)
-        assert 0 < p50 <= p90 <= p99
-
-    def test_empty_safe(self):
-        from repro.simt.kernel import KernelResult
-
-        kr = KernelResult(
-            outputs=[], kernel_seconds=0, htod_seconds=0, dtoh_seconds=0,
-            stage_cycles={}, total_global_bytes=0, occupancy_warps_per_sm=1,
-        )
-        assert kr.latency_percentiles(get_device("v100")) == [0.0, 0.0, 0.0]
-
     def test_warp_cycles_recorded_per_query(self, small_dataset, small_graph):
         idx = GpuSongIndex(small_graph, small_dataset.data)
         _, timing = idx.search_batch(

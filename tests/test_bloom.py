@@ -49,18 +49,6 @@ class TestSemantics:
         assert f.insert(42)
         assert not f.insert(42)
 
-    def test_delete_unsupported(self):
-        f = BloomFilter(64)
-        with pytest.raises(NotImplementedError):
-            f.delete(1)
-
-    def test_clear(self):
-        f = BloomFilter.for_items(100)
-        f.insert(5)
-        f.clear()
-        assert not f.contains(5)
-        assert len(f) == 0
-
     def test_negative_key_rejected(self):
         f = BloomFilter(64)
         with pytest.raises(ValueError):

@@ -118,17 +118,7 @@ class TestCostRecorder:
         assert len(rec.phases) > 0
         labels = {p.name for p in rec.phases}
         assert "reorder" in labels and "reverse-merge" in labels
-        assert rec.device_cycles() > 0
         assert rec.device_seconds() > 0
-        assert rec.cpu_seconds() > 0
-
-    def test_modeled_device_beats_modeled_cpu(self, cagra_data):
-        # the point of the cost model: the same counted work is orders
-        # of magnitude cheaper on the device than on one CPU core
-        data, _, _ = cagra_data
-        rec = BuildCostRecorder()
-        build_cagra(data, degree=DEGREE, cost=rec)
-        assert rec.device_seconds() < rec.cpu_seconds()
 
 
 class TestClusteredData:

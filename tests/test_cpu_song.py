@@ -1,5 +1,7 @@
 """CPU SONG variant and CPU machine model tests."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -105,9 +107,9 @@ def test_cpu_pricing_matches_the_metered_goldens(metric, optimized):
     )
     snapshot, batch_seconds, first_seconds = CPU_GOLDENS[metric, optimized]
     batch = index.search_batch(queries, config)
-    assert batch.counter.snapshot() == snapshot
+    assert asdict(batch.counter) == snapshot
     assert batch.seconds == batch_seconds
-    assert index.search(queries[0], config)[1] == first_seconds
+    assert index.search_batch(queries[:1], config).seconds == first_seconds
 
 
 class TestCpuSongIndex:
@@ -117,9 +119,9 @@ class TestCpuSongIndex:
 
     def test_single_query(self, index, small_dataset):
         cfg = SearchConfig(k=10, queue_size=40)
-        res, seconds = index.search(small_dataset.queries[0], cfg)
-        assert len(res) == 10
-        assert seconds > 0
+        batch = index.search_batch(small_dataset.queries[:1], cfg)
+        assert len(batch.results[0]) == 10
+        assert batch.seconds > 0
 
     def test_batch_recall(self, index, small_dataset):
         cfg = SearchConfig(k=10, queue_size=80)
@@ -144,6 +146,6 @@ class TestCpuSongIndex:
         fast_idx = CpuSongIndex(small_graph, small_dataset.data, model=TUNED_CPU)
         slow_idx = CpuSongIndex(small_graph, small_dataset.data, model=slow)
         cfg = SearchConfig(k=5, queue_size=20)
-        _, t_fast = fast_idx.search(small_dataset.queries[0], cfg)
-        _, t_slow = slow_idx.search(small_dataset.queries[0], cfg)
+        t_fast = fast_idx.search_batch(small_dataset.queries[:1], cfg).seconds
+        t_slow = slow_idx.search_batch(small_dataset.queries[:1], cfg).seconds
         assert t_slow > t_fast

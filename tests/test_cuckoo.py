@@ -41,14 +41,6 @@ class TestBasics:
         with pytest.raises(ValueError):
             CuckooFilter(8, bucket_size=0)
 
-    def test_clear(self):
-        f = CuckooFilter(64)
-        for i in range(30):
-            f.insert(i)
-        f.clear()
-        assert len(f) == 0
-        assert f.load_factor() == 0.0
-
     def test_overflow_raises_when_grossly_overfilled(self):
         f = CuckooFilter(8, max_kicks=50)
         with pytest.raises(OverflowError):

@@ -67,12 +67,6 @@ class TestDatasetContainer:
         assert gt1 is gt2
         assert gt1.shape == (5, 5)
 
-    def test_subset(self):
-        ds = make_dataset("sift", n=150, num_queries=10)
-        sub = ds.subset(num_data=50, num_queries=3)
-        assert sub.num_data == 50
-        assert sub.num_queries == 3
-
     def test_size_bytes(self):
         ds = make_dataset("sift", n=100, num_queries=5)
         assert ds.size_bytes() == 100 * 128 * 4

@@ -1,11 +1,8 @@
-"""DPG graph and IVF-Flat baseline tests."""
+"""DPG graph tests."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.flat import FlatIndex
-from repro.baselines.ivfflat import IVFFlatIndex
-from repro.baselines.ivfpq import IVFPQIndex
 from repro.core.algorithm1 import algorithm1_search
 from repro.graphs.dpg import build_dpg
 
@@ -68,68 +65,3 @@ class TestDPG:
         g = build_dpg(points, degree=12, knn_table=table)
         g.validate()
 
-
-class TestIVFFlat:
-    @pytest.fixture(scope="class")
-    def index(self, points):
-        idx = IVFFlatIndex(12, nlist=16, seed=0).train(points)
-        idx.add(points)
-        return idx
-
-    def test_lifecycle_validation(self, points):
-        with pytest.raises(ValueError):
-            IVFFlatIndex(8, nlist=0)
-        idx = IVFFlatIndex(12, nlist=8)
-        with pytest.raises(RuntimeError):
-            idx.add(points)
-        with pytest.raises(RuntimeError):
-            IVFFlatIndex(12, nlist=8).train(points).search(points[0], 5)
-
-    def test_full_probe_is_exact(self, index, points):
-        """With every list probed, IVF-Flat equals brute force."""
-        flat = FlatIndex(points)
-        for q in points[:10]:
-            got = [v for _, v in index.search(q, 5, nprobe=index.nlist)]
-            ref = [v for _, v in flat.search(q, 5)]
-            assert got == ref
-
-    def test_recall_monotone_in_nprobe(self, index, points):
-        flat = FlatIndex(points)
-        def recall(nprobe):
-            hits = 0
-            for q in points[:20]:
-                truth = {v for _, v in flat.search(q, 10)}
-                got = {v for _, v in index.search(q, 10, nprobe=nprobe)}
-                hits += len(truth & got)
-            return hits / 200
-
-        assert recall(16) >= recall(4) - 0.02 >= recall(1) - 0.04
-
-    def test_no_quantization_ceiling_vs_ivfpq(self, points):
-        """The IVF-Flat / IVFPQ contrast: same coarse structure, but only
-        PQ has a recall ceiling below exactness."""
-        flat_idx = IVFFlatIndex(12, nlist=8, seed=0).train(points)
-        flat_idx.add(points)
-        pq_idx = IVFPQIndex(12, nlist=8, m=4, ksub=16, seed=0).train(points)
-        pq_idx.add(points)
-        exact = FlatIndex(points)
-        f_hits = p_hits = 0
-        for q in points[:20]:
-            truth = {v for _, v in exact.search(q, 10)}
-            f_hits += len(truth & {v for _, v in flat_idx.search(q, 10, nprobe=8)})
-            p_hits += len(truth & {v for _, v in pq_idx.search(q, 10, nprobe=8)})
-        assert f_hits == 200  # exact with all lists probed
-        assert p_hits < f_hits
-
-    def test_gpu_search_and_memory(self, index, points):
-        results, timing = index.gpu_search_batch(points[:5], 5, nprobe=4)
-        assert len(results) == 5
-        assert timing.kernel_seconds > 0
-        # IVF-Flat stores raw vectors: far bigger than IVFPQ codes.
-        pq = IVFPQIndex(12, nlist=16, m=4, ksub=16, seed=0).train(points)
-        pq.add(points)
-        assert index.memory_bytes() > pq.memory_bytes()
-
-    def test_k_validation(self, index, points):
-        with pytest.raises(ValueError):
-            index.search(points[0], 0)

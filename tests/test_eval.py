@@ -81,10 +81,6 @@ class TestSweeps:
         assert pts[1].recall >= pts[0].recall
         assert all(p.qps > 0 for p in pts)
 
-    def test_sweep_point_row(self):
-        p = SweepPoint(param=1, recall=0.5, qps=2.0, extra={"x": 3})
-        assert p.as_row() == {"param": 1, "recall": 0.5, "qps": 2.0, "x": 3}
-
 
 class TestReports:
     def test_format_curve(self):

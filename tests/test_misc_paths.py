@@ -128,12 +128,3 @@ class TestProbeAccounting:
         s.insert(1)
         s.contains(1)
         assert s.probes > before
-
-    def test_cuckoo_load_factor_range(self):
-        from repro.structures.cuckoo import CuckooFilter
-
-        f = CuckooFilter(100)
-        assert f.load_factor() == 0.0
-        for i in range(50):
-            f.insert(i)
-        assert 0.0 < f.load_factor() <= 1.0

@@ -19,9 +19,8 @@ class TestSmallTrainingSets:
         codes = pq.encode(data)
         assert codes.shape == (10, 2)
         # reconstruction must still be sane
-        assert pq.quantization_error(data) < float(
-            ((data - data.mean(0)) ** 2).sum(axis=1).mean()
-        ) + 1e-9
+        recon_err = ((data - pq.decode(pq.encode(data))) ** 2).sum(axis=1).mean()
+        assert recon_err < ((data - data.mean(0)) ** 2).sum(axis=1).mean() + 1e-9
 
     def test_ivfpq_nlist_clamped_to_data(self):
         rng = np.random.default_rng(1)
@@ -58,7 +57,7 @@ class TestNSWEdges:
         data = np.zeros((1, 4), dtype=np.float32)
         g = build_nsw(data, m=2, ef_construction=4)
         assert g.num_vertices == 1
-        assert g.out_degree(0) == 0
+        assert len(g.neighbors(0)) == 0
 
     def test_m_larger_than_dataset(self):
         rng = np.random.default_rng(2)
@@ -66,4 +65,4 @@ class TestNSWEdges:
         g = build_nsw(data, m=8, ef_construction=8)
         g.validate()
         # with 5 points everyone can connect to everyone else
-        assert all(g.out_degree(v) <= 4 for v in range(5))
+        assert all(len(g.neighbors(v)) <= 4 for v in range(5))

@@ -23,7 +23,7 @@ class TestConstruction:
     def test_custom_max_degree(self, points):
         g = build_nsw(points, m=6, ef_construction=32, max_degree=8)
         assert g.degree == 8
-        assert all(g.out_degree(v) <= 8 for v in range(g.num_vertices))
+        assert all(len(g.neighbors(v)) <= 8 for v in range(g.num_vertices))
 
     def test_connectivity_from_entry(self, points):
         g = build_nsw(points, m=6, ef_construction=32)

@@ -15,7 +15,6 @@ def sharded(small_dataset):
 
 class TestConstruction:
     def test_shards_partition_data(self, sharded, small_dataset):
-        assert sum(sharded.shard_sizes()) == small_dataset.num_data
         all_ids = np.concatenate(sharded._global_ids)
         assert sorted(all_ids.tolist()) == list(range(small_dataset.num_data))
 
@@ -72,7 +71,7 @@ class TestSearch:
         assert len(per_shard) == 3
         for s, row in enumerate(per_shard):
             assert row["shard"] == s
-            assert row["size"] == sharded.shard_sizes()[s]
+            assert row["size"] == len(sharded._global_ids[s])
             assert row["total_seconds"] == pytest.approx(
                 timing["shard_timings"][s].total_seconds
             )

@@ -73,15 +73,6 @@ class TestMemorySpace:
         with pytest.raises(ValueError):
             mem.read_scattered(-1)
 
-    def test_merge_and_reset(self):
-        a, b = MemorySpace(), MemorySpace()
-        a.read_coalesced(128)
-        b.read_scattered(4)
-        a.merge(b)
-        assert a.scattered_accesses == 4
-        a.reset()
-        assert a.total_global_bytes == 0
-
 
 class TestSharedBudget:
     def test_for_search_totals(self):
@@ -98,11 +89,6 @@ class TestSharedBudget:
         b1 = SharedMemoryBudget.for_search(64, 16, 50, 50, 100, multi_query=1)
         b2 = SharedMemoryBudget.for_search(64, 16, 50, 50, 100, multi_query=2)
         assert b2.total == 2 * b1.total
-
-    def test_fits(self):
-        b = SharedMemoryBudget.for_search(64, 16, 50, 50, 100)
-        assert b.fits(96 * 1024)
-        assert not b.fits(100)
 
 
 class TestWarp:
@@ -142,14 +128,6 @@ class TestWarp:
         w.warp_reduce(0)
         w.shared_access(0)
         assert w.cycles == 0
-
-    def test_seconds_scale_with_clock(self):
-        slow = get_device("v100").with_overrides(clock_ghz=1.0)
-        fast = get_device("v100").with_overrides(clock_ghz=2.0)
-        ws, wf = Warp(slow), Warp(fast)
-        ws.simd_compute(3200)
-        wf.simd_compute(3200)
-        assert ws.seconds == pytest.approx(2 * wf.seconds)
 
 
 class TestCostModel:
@@ -204,8 +182,3 @@ class TestCostModel:
     def test_empty_batch(self):
         cm = CostModel(get_device("v100"))
         assert cm.kernel_time([], 0) == 0.0
-
-    def test_fits_in_memory(self):
-        cm = CostModel(get_device("titanx"))
-        assert cm.fits_in_memory(10 * 1024**3)
-        assert not cm.fits_in_memory(24 * 1024**3)

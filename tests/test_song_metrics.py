@@ -11,6 +11,7 @@ import pytest
 from repro.baselines.flat import FlatIndex
 from repro.core.config import SearchConfig
 from repro.core.song import SongSearcher
+from repro.distances import get_metric
 from repro.graphs.bruteforce_knn import build_knn_graph
 
 
@@ -40,12 +41,10 @@ class TestNonL2Metrics:
         graph = build_knn_graph(points, 8, metric=metric)
         searcher = SongSearcher(graph, points)
         cfg = SearchConfig(k=5, queue_size=30, metric=metric)
-        from repro.distances import single_distance
-
         q = points[0]
         for d, v in searcher.search(q, cfg):
             assert d == pytest.approx(
-                single_distance(q, points[v], metric), rel=1e-4, abs=1e-6
+                get_metric(metric).single(q, points[v]), rel=1e-4, abs=1e-6
             )
 
     def test_results_ascending(self, points, metric):

@@ -94,11 +94,8 @@ class TestSchedulerProperties:
         timeline = StreamScheduler(num_streams=4).schedule_chunks(chunks)
         assert timeline.engine_busy[KERNEL] == pytest.approx(4.0)
         assert timeline.overlap_gain() > 1.0
-        assert timeline.overlap_efficiency() > 1.0
-        assert 0.0 <= timeline.transfer_hidden_fraction() <= 1.0
-        occupancy = timeline.stream_occupancy()
-        assert set(occupancy) == {0, 1, 2, 3}
-        assert all(0.0 <= v <= 1.0 for v in occupancy.values())
+        assert set(timeline.stream_busy) == {0, 1, 2, 3}
+        assert all(0.0 < v <= timeline.makespan for v in timeline.stream_busy.values())
 
 
 class TestSchedulerValidation:

@@ -13,7 +13,6 @@ class TestBackendSelection:
         v = VisitedSet(backend=backend, capacity=128)
         assert v.insert(17)
         assert v.contains(17)
-        assert 17 in v
 
     def test_deletion_support_matrix(self):
         assert VisitedBackend.HASH_TABLE.supports_deletion()
@@ -46,11 +45,6 @@ class TestOpsAccounting:
         v.contains(2)
         v.delete(1)
         assert v.ops == 4
-
-    def test_probes_exposed(self):
-        v = VisitedSet(capacity=64)
-        v.insert(1)
-        assert v.probes >= 1
 
 
 class TestAutoGrow:
@@ -95,10 +89,3 @@ class TestMemoryOrdering:
         cuckoo = VisitedSet(backend=VisitedBackend.CUCKOO, capacity=cap)
         table = VisitedSet(backend=VisitedBackend.HASH_TABLE, capacity=cap)
         assert cuckoo.memory_bytes() < table.memory_bytes()
-
-    def test_clear_resets(self):
-        v = VisitedSet(capacity=32)
-        v.insert(1)
-        v.clear()
-        assert len(v) == 0
-        assert not v.contains(1)
