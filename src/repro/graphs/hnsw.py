@@ -11,21 +11,32 @@ generation): levels are pre-drawn (one RNG draw per point, in insertion
 order), every lane descends the upper hierarchy in a vectorized lockstep
 hill-climb, and each layer's insertions — upper layers included — run
 as one lockstep :class:`~repro.core.batched.BatchedSongSearcher` sweep
-seeded per-lane from the descent.  Neighbor selection and back-link
-pruning use a precomputed pairwise-distance matrix instead of per-pair
-``metric.single`` calls.  Generations are capped at the inserted prefix
-(doubling schedule) and at ``_INSERT_BATCH``.
+seeded per-lane from the descent.  Generations are capped at the
+inserted prefix (doubling schedule) and at ``_INSERT_BATCH``.
+
+Linking is batched the same way.  One :func:`_select_neighbors` call
+runs the heuristic for every new point of the (layer, generation) in
+lockstep over candidate columns, scoring only the candidate-to-kept
+pairs it reads.  The reverse edges then land in append waves: wave
+``t`` gives every row its ``t``-th new neighbor and re-selects, in one
+more lockstep call, every row that overflowed.  Both steps are exact:
+a new point's selection reads only its own search results, and an
+append or re-selection touches only its own row, so the graph is, bit
+for bit, the one that linking the generation's points one at a time
+builds.
 
 Points within a generation search pre-generation snapshots and do not
 see each other.  That costs recall at small ``ef`` — layer-0 recall@10 at
 queue 64 reads 0.90–0.97 on the sift analogue (n = 500–4000) where
 one-point-at-a-time insertion reads 0.93–0.99 — and buys build time:
-0.52 / 1.0 / 2.1 / 4.2 s against 0.63 / 1.3 / 3.0 / 6.7 s at those
-sizes.  Unlike NSW (:mod:`repro.graphs.nsw`), HNSW rows are
-degree-capped as they grow, so a generation's fixed-degree snapshot
-carries almost no padding and the lockstep engine is not wasted on it.
-Search recall is held to brute-force ground truth in
-``tests/test_graph_quality.py``.
+0.38 / 0.54 / 1.1 / 2.1 s at those sizes (m = 8, ef = 48, one BLAS
+thread, 2-core x86 VM, median of three alternating runs), where linking
+each point by itself read 0.53 / 1.0 / 2.4 / 4.3 s.  Unlike NSW
+(:mod:`repro.graphs.nsw`), HNSW rows are degree-capped as they grow, so
+a generation's fixed-degree snapshot carries almost no padding and the
+lockstep engine is not wasted on it.  Search recall is held to
+brute-force ground truth in ``tests/test_graph_quality.py``; the graph
+itself is pinned layer by layer in ``tests/test_build_paths.py``.
 """
 
 from __future__ import annotations
@@ -33,13 +44,14 @@ from __future__ import annotations
 # lint: hot-path
 
 import heapq
+import itertools
 import math
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.distances import OpCounter, get_metric
-from repro.graphs.storage import FixedDegreeGraph
+from repro.distances import Metric, OpCounter, get_metric
+from repro.graphs.storage import PAD, FixedDegreeGraph
 
 __all__ = ["HNSWIndex"]
 
@@ -49,6 +61,74 @@ _MIN_GENERATION = 8
 #: Hard cap on one generation's size (bounds the lockstep searcher's
 #: per-batch frontier/visited state).
 _INSERT_BATCH = 512
+
+
+def _select_neighbors(
+    metric: Metric, data: np.ndarray, ids: np.ndarray, dists: np.ndarray, m: int
+) -> np.ndarray:
+    """HNSW's diverse-neighbor selection (Algorithm 4) for ``R`` rows at once.
+
+    Row ``r`` of the ``(R, C)`` ``ids`` lists one point's candidates in
+    ascending ``dists`` order, ``PAD`` after the last.  A candidate is
+    kept when no already-kept neighbor is closer to it than the point
+    is; when the candidates run out before ``m`` are kept, the nearest
+    rejected ones backfill the row.  The result is ``(R, m)``: the kept
+    ids in candidate order, then the backfill, ``PAD`` after
+    ``min(m, candidates)`` entries.
+
+    Rows run in lockstep over candidate columns.  Step ``c`` scores every
+    live row's ``c``-th candidate against the at most ``m`` neighbors that
+    row has kept, in one :meth:`~repro.distances.metrics.Metric.gather_many`
+    call, so a row costs at most ``C·m`` pair distances, not the ``C²`` of
+    a full pairwise panel.  Pairs are scored candidate-as-query in the
+    subtract-and-square form, which is what makes every bit match the
+    one-row-at-a-time rule.
+    """
+    rows, width = ids.shape
+    kept = np.full((rows, m), PAD, dtype=np.int64)
+    count = np.zeros(rows, dtype=np.int64)
+    valid = ids != PAD
+    picked = np.zeros((rows, width), dtype=bool)
+    # lint: allow(hot-loop) — iterates candidate columns (≤ ef), all rows at once
+    for col in range(width):
+        live = np.nonzero(valid[:, col] & (count < m))[0]
+        if not len(live):
+            continue
+        win = live
+        chosen = kept[live, : count[live].max()]
+        if chosen.shape[1]:
+            real = chosen != PAD
+            lane = np.nonzero(real)[0]
+            cand = ids[live, col]
+            pair = metric.gather_many(data, cand[lane], data, chosen[real])
+            ok = np.ones(chosen.shape, dtype=bool)
+            ok[real] = pair >= dists[live, col][lane]
+            win = live[ok.all(axis=1)]
+        kept[win, count[win]] = ids[win, col]
+        picked[win, col] = True
+        count[win] += 1
+    # backfill: the nearest rejected candidates, in candidate order
+    spare = valid & ~picked
+    rank = np.cumsum(spare, axis=1) - 1
+    row, col = np.nonzero(spare & (rank < (m - count)[:, None]))
+    kept[row, count[row] + rank[row, col]] = ids[row, col]
+    return kept
+
+
+def _result_arrays(results: List[List[Tuple[float, int]]]):
+    """Search result lists as ``(R, C)`` id and distance arrays, ``PAD`` / inf padded."""
+    lengths = np.fromiter(map(len, results), dtype=np.int64, count=len(results))
+    pairs = itertools.chain.from_iterable(results)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(pairs), dtype=np.float64, count=2 * int(lengths.sum())
+    ).reshape(-1, 2)
+    width = max(1, int(lengths.max()))
+    filled = np.arange(width)[None, :] < lengths[:, None]
+    ids = np.full((len(results), width), PAD, dtype=np.int64)
+    dists = np.full((len(results), width), np.inf)
+    ids[filled] = flat[:, 1].astype(np.int64)
+    dists[filled] = flat[:, 0]
+    return ids, dists
 
 
 class HNSWIndex:
@@ -85,8 +165,9 @@ class HNSWIndex:
         self.metric = get_metric(metric)
         self._mult = 1.0 / math.log(m)
         self._rng = np.random.default_rng(seed)
-        # layers[l][v] -> neighbor list; vertex present iff v in layers[l]
-        self._layers: List[dict] = []
+        # layers[l] is an (n, cap) id array, PAD-tailed; a vertex whose
+        # level is below l keeps an empty row
+        self._layers: List[np.ndarray] = []
         self.entry_point: Optional[int] = None
         self._levels: List[int] = []
         self.built = False
@@ -100,8 +181,11 @@ class HNSWIndex:
         levels = [self._random_level() for _ in range(n)]
         self._levels = levels
         if n:
+            self._layers = [
+                np.full((n, self.m0 if l == 0 else self.m), PAD, dtype=np.int64)
+                for l in range(max(levels) + 1)
+            ]
             # the first point founds every layer up to its level
-            self._layers = [{0: []} for _ in range(levels[0] + 1)]
             self.entry_point = 0
             data32 = np.ascontiguousarray(self.data, dtype=np.float32)
             lvl_arr = np.asarray(levels, dtype=np.int64)
@@ -125,27 +209,17 @@ class HNSWIndex:
         Every lane descends the upper hierarchy in a lockstep vectorized
         hill-climb (:meth:`_greedy_batch`), then — per layer, from its
         insertion level down — joins that layer's lockstep
-        :class:`~repro.core.batched.BatchedSongSearcher` sweep and links
-        from its results.  Lanes within a generation search pre-generation
-        snapshots, so they do not see each other; the entry point updates
-        after the generation with the running-max rule.
+        :class:`~repro.core.batched.BatchedSongSearcher` sweep, and the
+        layer links every lane from its results in one
+        :meth:`_link_generation`.  Lanes within a generation search
+        pre-generation snapshots, so they do not see each other; the
+        entry point updates after the generation with the running-max
+        rule.
         """
         from repro.core.batched import BatchedSongSearcher
         from repro.core.config import SearchConfig
 
-        n = len(data32)
         old_top = self._levels[self.entry_point]
-        top_new = int(max(lvls.max(), old_top))
-        while len(self._layers) <= top_new:
-            self._layers.append({})
-        # register membership for every (vertex, layer) pair up front;
-        # layers above the current top stay empty rows because no search
-        # runs there yet
-        l = top_new
-        while l >= 0:
-            self._layers[l].update({int(v): [] for v in batch[lvls >= l]})
-            l -= 1
-
         eps = np.full(len(batch), self.entry_point, dtype=np.int64)
         queries = data32[batch]
         config = SearchConfig(
@@ -153,13 +227,16 @@ class HNSWIndex:
             queue_size=self.ef_construction,
             metric=self.metric.name,
         )
+        # layers above the old top get no edges from this generation:
+        # no search runs there yet
         l = old_top
         while l >= 0:
             inserting = lvls >= l
-            snapshot = FixedDegreeGraph.from_adjacency(
-                [self._layers[l].get(v, ()) for v in range(n)],
-                entry_point=self.entry_point,
-                validate=False,
+            adj = self._layers[l]
+            # as wide as the widest row, the degree the snapshot always had
+            width = max(1, int((adj != PAD).sum(axis=1).max()))
+            snapshot = FixedDegreeGraph.from_neighbor_array(
+                adj[:, :width], entry_point=self.entry_point, validate=False
             )
             if l > 0 and not inserting.all():
                 idx = np.nonzero(~inserting)[0]
@@ -169,14 +246,14 @@ class HNSWIndex:
             if inserting.any():
                 idx = np.nonzero(inserting)[0]
                 searcher = BatchedSongSearcher(snapshot, data32)
-                results = searcher.search_batch(
-                    queries[idx], config, entry_points=eps[idx]
+                ids, dists = _result_arrays(
+                    searcher.search_batch(queries[idx], config, entry_points=eps[idx])
                 )
-                max_deg = self.m0 if l == 0 else self.m
-                for lane, v, cands in zip(idx, batch[inserting], results):
-                    self._link(int(v), cands, l, max_deg)
-                    if cands:
-                        eps[lane] = cands[0][1]
+                self._link_generation(
+                    batch[inserting], ids, dists, l, self.m0 if l == 0 else self.m
+                )
+                found = ids[:, 0] != PAD
+                eps[idx[found]] = ids[found, 0]
             l -= 1
         # running-max entry update: the last point whose level
         # strictly beats every earlier level (and the old top) wins
@@ -221,67 +298,69 @@ class HNSWIndex:
             active[act_idx[~improved]] = False
         return cur
 
-    def _link(
-        self, v: int, cands: List[Tuple[float, int]], layer: int, max_deg: int
+    def _link_generation(
+        self,
+        vs: np.ndarray,
+        ids: np.ndarray,
+        dists: np.ndarray,
+        layer: int,
+        max_deg: int,
     ) -> None:
-        """Connect an inserted point on one layer from its batch results."""
-        if not cands:
-            self._layers[layer][v] = []
-            return
-        ids = [u for _, u in cands]
-        dists = np.array([d for d, _ in cands])
-        keep = self._select_indices(dists, self._pairwise(ids), self.m)
-        self._layers[layer][v] = [ids[i] for i in keep]
-        for i in keep:
-            row = self._layers[layer][ids[i]]
-            row.append(v)
-            if len(row) > max_deg:
-                self._reselect_row(ids[i], layer, max_deg)
+        """Link a generation's new points ``vs`` on one layer from their results.
 
-    def _reselect_row(self, u: int, layer: int, max_deg: int) -> None:
-        """Trim an overfull row with the heuristic, vectorized."""
-        row = self._layers[layer][u]
-        d = self.metric.batch(self.data[u], self.data[row])
-        order = np.lexsort((row, d))  # by distance, ties by id
-        ids = [row[int(i)] for i in order]
-        dists = d[order]
-        keep = self._select_indices(dists, self._pairwise(ids), max_deg)
-        self._layers[layer][u] = [ids[i] for i in keep]
+        ``ids`` / ``dists`` are the points' ascending search results
+        (:func:`_result_arrays`).  Every candidate is an old vertex, so
+        the forward selections are independent and run as one
+        :func:`_select_neighbors` call.  The reverse edges are then
+        appended in the order one-by-one insertion would make them: a
+        stable sort by row ranks each row's appends, and wave ``t``
+        appends every rank-``t`` edge and re-selects every row it pushed
+        past ``max_deg``.
+        """
+        adj = self._layers[layer]
+        forward = _select_neighbors(self.metric, self.data, ids, dists, self.m)
+        adj[vs, : self.m] = forward
+        owners = forward.ravel()
+        real = owners != PAD
+        sources = np.repeat(vs, self.m)[real]
+        owners = owners[real]
+        order = np.argsort(owners, kind="stable")
+        owners, sources = owners[order], sources[order]
+        rank = np.arange(len(owners)) - np.searchsorted(owners, owners)
+        waves = int(rank.max()) + 1 if len(rank) else 0
+        # lint: allow(hot-loop) — iterates append waves (the most appends one row takes)
+        for wave in range(waves):
+            now = rank == wave
+            rows, new = owners[now], sources[now]
+            deg = (adj[rows] != PAD).sum(axis=1)
+            room = deg < max_deg
+            adj[rows[room], deg[room]] = new[room]
+            full = rows[~room]
+            if len(full):
+                grown = np.concatenate([adj[full], new[~room, None]], axis=1)
+                adj[full] = self._reselect(full, grown, max_deg)
 
-    def _pairwise(self, ids: List[int]) -> np.ndarray:
-        """All-pairs distance matrix over the given vertex ids."""
-        vecs = np.ascontiguousarray(self.data[ids])
-        c, dim = vecs.shape
-        return self.metric.batch_many(
-            vecs, np.broadcast_to(vecs[None, :, :], (c, c, dim))
+    def _reselect(
+        self, owners: np.ndarray, rows: np.ndarray, max_deg: int
+    ) -> np.ndarray:
+        """Trim overfull rows (one per owner) with the heuristic, all at once."""
+        width = rows.shape[1]
+        d = self.metric.gather_many(
+            self.data, np.repeat(owners, width), self.data, rows.ravel()
+        ).reshape(rows.shape)
+        order = np.lexsort((rows, d))  # per row: by distance, ties by id
+        return _select_neighbors(
+            self.metric,
+            self.data,
+            np.take_along_axis(rows, order, axis=1),
+            np.take_along_axis(d, order, axis=1),
+            max_deg,
         )
 
-    @staticmethod
-    def _select_indices(dists, pair, m) -> List[int]:  # lint: allow(hot-loop)
-        """HNSW's diverse-neighbor selection (Algorithm 4 of the paper)
-        in index space, over a precomputed pairwise matrix (``dists``
-        must be ascending): keep a candidate only if it is closer to the
-        point than to every already-kept neighbor.
-
-        The chosen set grows one candidate at a time and every test
-        depends on what was already kept, so the ef-bounded loop stays
-        sequential (function-level lint waiver).
-        """
-        chosen: List[int] = []
-        for i in range(len(dists)):
-            if len(chosen) >= m:
-                break
-            d = dists[i]
-            if all(pair[i, j] >= d for j in chosen):
-                chosen.append(i)
-        if len(chosen) < m:  # backfill with nearest rejected candidates
-            picked = set(chosen)
-            for i in range(len(dists)):
-                if len(chosen) >= m:
-                    break
-                if i not in picked:
-                    chosen.append(i)
-        return chosen
+    def _neighbors(self, layer: int, v: int) -> List[int]:
+        """Vertex ``v``'s row on one layer (empty above its level)."""
+        row = self._layers[layer][v].tolist()
+        return row[: row.index(PAD)] if PAD in row else row
 
     def _search_layer(
         self,
@@ -314,7 +393,7 @@ class HNSWIndex:
                 counter.queue_ops += 1
             if len(results) >= ef and dist > -results[0][0]:
                 break
-            for u in self._layers[layer].get(v, []):
+            for u in self._neighbors(layer, v):
                 if counter is not None:
                     counter.graph_reads += 1
                     counter.hash_ops += 1
@@ -371,7 +450,7 @@ class HNSWIndex:
         improved = True
         while improved:
             improved = False
-            for u in self._layers[layer].get(cur, []):
+            for u in self._neighbors(layer, cur):
                 d = self.metric.single(query, self.data[u])
                 if counter is not None:
                     counter.distance_calls += 1
@@ -389,10 +468,6 @@ class HNSWIndex:
         """Layer-0 adjacency as a fixed-degree graph (what SONG searches)."""
         if not self.built:
             raise RuntimeError("index not built; call build() first")
-        layer0 = self._layers[0]
-        return FixedDegreeGraph.from_adjacency(
-            [layer0[v] for v in range(len(self.data))],
-            degree=self.m0,
-            entry_point=self.entry_point,
-            validate=False,
+        return FixedDegreeGraph.from_neighbor_array(
+            self._layers[0], entry_point=self.entry_point, validate=False
         )

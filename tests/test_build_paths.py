@@ -42,6 +42,47 @@ GOLDEN = {
     "dpg (build_engine='batched', exact table)": "c3b319234fdbd925",
 }
 
+#: Per-layer digests (layer 0 first) and entry point of whole HNSW
+#: indexes, captured before generation-wide linking replaced per-vertex
+#: linking.  "hub" is clustered data at m=4: within one generation a
+#: row receives more appends than its degree cap, so it is re-selected
+#: several times before the generation ends.  "ties" is small-integer
+#: data, where re-selection meets equal distances and the id tie-break
+#: decides.
+HNSW_LAYERS = {
+    "m=8 l2": (61, ["77f6ee8e1c759c0c", "d4621efcf61aa63c", "85052388b2afe353"]),
+    "hub m=4 l2": (
+        141,
+        [
+            "174da88d05845b33",
+            "e87ce97131aa58ec",
+            "23d86db5217ce3b8",
+            "da368b6acf1f7f78",
+            "251941c68a174d61",
+        ],
+    ),
+    "hub m=4 cosine": (
+        141,
+        [
+            "3e39d81fce8c94af",
+            "fc3126ce2c84979a",
+            "c69a302b5a287fbd",
+            "da368b6acf1f7f78",
+            "251941c68a174d61",
+        ],
+    ),
+    "ties m=4 l2": (
+        259,
+        [
+            "5340d7f1afe42fa5",
+            "47a2f716de772746",
+            "58a6064811a6eee8",
+            "0f9389cfa4aa59dd",
+            "bc85a63578de8af0",
+        ],
+    ),
+}
+
 #: ``(name, num_warps)`` of every phase ``build_cagra(data, degree=16)``
 #: recorded at 4197dc3; the first two are the bootstrap's.
 CAGRA_PHASES = [
@@ -60,6 +101,22 @@ def _digest(ids) -> str:
     return hashlib.sha256(raw).hexdigest()[:16]
 
 
+def _hnsw_layers(index):
+    """``(entry point, per-layer digests)`` of a built HNSW index.
+
+    A layer is its ``(n, cap)`` id array, ``PAD``-tailed, with empty rows
+    for points below the layer.
+    """
+    return index.entry_point, [_digest(layer) for layer in index._layers]
+
+
+def _hub_data():
+    rng = np.random.default_rng(5)
+    centers = rng.normal(size=(3, 8)) * 10
+    members = centers[rng.integers(0, 3, 400)]
+    return (members + rng.normal(size=(400, 8)) * 0.3).astype(np.float32)
+
+
 @pytest.fixture(scope="module")
 def data():
     return np.random.default_rng(0).standard_normal((600, 16)).astype(np.float32)
@@ -76,6 +133,17 @@ class TestGoldens:
         assert _digest(layer0) == GOLDEN["hnsw layer 0 (build_engine='batched')"]
         assert _digest(index._levels) == GOLDEN["hnsw levels"]
         assert index.entry_point == 61
+        assert _hnsw_layers(index) == HNSW_LAYERS["m=8 l2"]
+
+    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    def test_hnsw_hub(self, metric):
+        index = HNSWIndex(_hub_data(), m=4, ef_construction=32, metric=metric, seed=2)
+        assert _hnsw_layers(index.build()) == HNSW_LAYERS[f"hub m=4 {metric}"]
+
+    def test_hnsw_ties(self):
+        grid = np.random.default_rng(11).integers(0, 3, size=(500, 6)).astype(np.float32)
+        index = HNSWIndex(grid, m=4, ef_construction=32, seed=4).build()
+        assert _hnsw_layers(index) == HNSW_LAYERS["ties m=4 l2"]
 
     def test_cagra(self, data):
         graph = build_cagra(data, degree=16)
