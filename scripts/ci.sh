@@ -43,7 +43,8 @@ else
     python -m ruff check .
 fi
 
-python -m pytest -x -q
+# A serving test that parks forever fails CI here instead of stalling it.
+timeout 900 python -m pytest -x -q
 
 # The repository's benchmark (BENCHMARK.json) at smoke scale, untraced and
 # traced: it calls or wraps a dozen src/ signatures (trace.py forwards

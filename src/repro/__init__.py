@@ -23,7 +23,6 @@ from repro.core import (
     BatchedSongSearcher,
     CpuSongIndex,
     GpuSongIndex,
-    OnlineSongIndex,
     OptimizationLevel,
     SearchConfig,
     SearchStats,
@@ -54,7 +53,6 @@ __all__ = [
     "GpuSongIndex",
     "CpuSongIndex",
     "ShardedSongIndex",
-    "OnlineSongIndex",
     "algorithm1_search",
     "FixedDegreeGraph",
     "HNSWIndex",

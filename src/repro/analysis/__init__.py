@@ -27,9 +27,9 @@ Two engines, both runnable as ``python -m repro.analysis`` and gated in
   via ``--aio``) statically checks the coroutine code of the serving
   layer — atomicity of read-modify-writes across await points (with an
   inferred field→lock protection map and ``# aio: guarded-by``
-  annotations), lock-order-inversion cycles including ``AsyncRWLock``
-  writer upgrades, virtual-time determinism (wall-clock reads, seedless
-  RNG, set-ordered task spawns), and task hygiene (unawaited
+  annotations), lock-order-inversion cycles, virtual-time determinism
+  (wall-clock reads, seedless RNG, set-ordered task spawns), and task
+  hygiene (unawaited
   coroutines, dropped ``create_task`` handles, gather policy on
   shutdown paths).
 

@@ -4,8 +4,8 @@
 the stream-model integration points in ``repro.simt.streams``) the way
 the SIMT sanitizer checks kernels: await points are interleaving
 boundaries, lock/semaphore acquisition contexts are tracked (including
-the ``AsyncRWLock`` reader/writer split and lazily-constructed
-semaphores behind factory methods), and four checker families gate CI —
+lazily-constructed semaphores behind factory methods), and four checker
+families gate CI —
 atomicity-across-await, lock-order inversion, virtual-time determinism,
 and task hygiene.  See DESIGN.md Sec. 15 for semantics and soundness
 caveats.

@@ -15,9 +15,6 @@ lists (rule ids are stable and waivable via ``# aio: allow(<rule>)``):
     A cycle in the acquisition-order graph: function F acquires B while
     holding A, and (possibly through callees, via the call-graph
     may-acquire summaries) some coroutine acquires A while holding B.
-``aio-rw-upgrade`` (ERROR)
-    Writer acquisition of an ``AsyncRWLock`` while already holding its
-    read side — self-deadlock under the fair FIFO implementation.
 ``aio-sem-under-lock`` (WARNING)
     Semaphore slot acquisition while holding an exclusive lock: slot
     release may require the lock, deadlocking the pool.
@@ -54,7 +51,6 @@ AIO_RULES = (
     "aio-atomicity",
     "aio-guard",
     "aio-lock-order",
-    "aio-rw-upgrade",
     "aio-sem-under-lock",
     "aio-wall-clock",
     "aio-rng",
@@ -70,12 +66,8 @@ def _loc(module: ModuleModel, line: int) -> str:
 
 
 def _exclusive(locks: Iterable[Tuple]) -> Set[str]:
-    """Tokens held in an exclusive mode (plain lock, or rw writer)."""
-    out: Set[str] = set()
-    for token, kind, mode, *_ in locks:
-        if (kind == "lock" and mode == "x") or (kind == "rw" and mode == "w"):
-            out.add(token)
-    return out
+    """Tokens held exclusively (plain locks, not semaphore slots)."""
+    return {token for token, kind, *_ in locks if kind == "lock"}
 
 
 def _exclusive_spans(locks: Iterable[Tuple]) -> Set[Tuple[str, int]]:
@@ -85,11 +77,7 @@ def _exclusive_spans(locks: Iterable[Tuple]) -> Set[Tuple[str, int]]:
     acquisition* at both ends: a lock released and re-taken across the
     await gets a new seq and no longer counts as protection.
     """
-    out: Set[Tuple[str, int]] = set()
-    for token, kind, mode, seq in locks:
-        if (kind == "lock" and mode == "x") or (kind == "rw" and mode == "w"):
-            out.add((token, seq))
-    return out
+    return {(token, seq) for token, kind, _mode, seq in locks if kind == "lock"}
 
 
 # -- family 1: atomicity across await -----------------------------------
@@ -128,7 +116,7 @@ def _protection_map(modules: Sequence[ModuleModel]) -> Dict[Tuple[str, str], str
 
 
 def _canon_guard(cls_name: str, token: str) -> str:
-    """``self._lock`` / ``Replica._rw`` → canonical ``Class.attr``."""
+    """``self._lock`` / ``Replica._device_lock`` → canonical ``Class.attr``."""
     token = token.strip()
     if token.startswith("self."):
         return f"{cls_name}.{token[len('self.'):]}"
@@ -232,25 +220,6 @@ def check_lock_order(
     for module in modules:
         for fn in module.all_functions():
             for acq in fn.acquisitions:
-                # rw upgrade: write acquire while holding the read side.
-                if acq.kind == "rw" and acq.mode == "w":
-                    for t, k, m, _s in acq.held:
-                        if t == acq.token and k == "rw" and m == "r":
-                            if not module.allowed("aio-rw-upgrade", acq.line):
-                                findings.append(
-                                    Finding(
-                                        rule="aio-rw-upgrade",
-                                        severity=Severity.ERROR,
-                                        location=_loc(module, acq.line),
-                                        message=(
-                                            f"{fn.qualname}: writer acquire of "
-                                            f"{acq.token} while holding its read "
-                                            "side; the fair FIFO rw-lock queues "
-                                            "the writer behind itself — "
-                                            "self-deadlock"
-                                        ),
-                                    )
-                                )
                 # semaphore under an exclusive lock.
                 if acq.kind == "sem" and _exclusive(acq.held):
                     holder = sorted(_exclusive(acq.held))[0]

@@ -63,16 +63,6 @@ class Prober:
         return started
 '''
 
-_RW_UPGRADE = '''\
-class Store:
-    def __init__(self):
-        self._rw = AsyncRWLock()
-
-    async def reload(self):
-        await self._rw.acquire_read()
-        await self._rw.acquire_write()
-'''
-
 _UNAWAITED = '''\
 class Worker:
     async def step(self):
@@ -160,7 +150,6 @@ KNOWN_BAD: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "lost-update": (_LOST_UPDATE, ("aio-atomicity",)),
     "abba-deadlock": (_ABBA_DEADLOCK, ("aio-lock-order",)),
     "clock-leak": (_CLOCK_LEAK, ("aio-wall-clock",)),
-    "rw-upgrade": (_RW_UPGRADE, ("aio-rw-upgrade",)),
     "unawaited-coroutine": (_UNAWAITED, ("aio-unawaited",)),
     "dropped-task": (_DROPPED_TASK, ("aio-dropped-task",)),
     "unordered-spawn": (_UNORDERED_SPAWN, ("aio-unordered-spawn",)),

@@ -9,9 +9,7 @@ integration points) into a checkable model of its concurrency behaviour:
   free to change that; the analysis is conservative);
 * **lock contexts** — ``async with`` blocks and manual
   ``acquire``/``release`` pairs over fields constructed as
-  :class:`asyncio.Lock`, :class:`asyncio.Semaphore` or the serving
-  layer's ``AsyncRWLock`` (whose reader/writer split is modelled as two
-  modes of one token).  Factory methods that hand out a lazily created
+  :class:`asyncio.Lock` or :class:`asyncio.Semaphore`.  Factory methods that hand out a lazily created
   lock (``def _slots(self): ... return self._stream_slots``) canonicalise
   to the underlying field, so ``async with self._slots():`` and a direct
   field acquisition name the same token;
@@ -65,7 +63,6 @@ _LOCK_CTORS = {
     "Lock": "lock",
     "Semaphore": "sem",
     "BoundedSemaphore": "sem",
-    "AsyncRWLock": "rw",
 }
 
 #: Constructors/literals that type a field as a container.
@@ -144,8 +141,8 @@ class Acquisition:
     """One lock/semaphore acquisition with the context it happened in."""
 
     token: str
-    kind: str  # "lock" | "sem" | "rw"
-    mode: str  # "x" (exclusive), "r", "w", "s" (semaphore slot)
+    kind: str  # "lock" | "sem"
+    mode: str  # "x" (exclusive) | "s" (semaphore slot)
     line: int
     held: Tuple[HeldLock, ...]  # snapshot before this acquire
     via: str  # "with" | "manual"
@@ -427,10 +424,9 @@ class _FuncWalker:
         self.held.append((token, kind, mode, self._acq_seq))
         self._acq_seq += 1
 
-    def _release(self, token: str, mode: Optional[str]) -> None:
+    def _release(self, token: str) -> None:
         for i in range(len(self.held) - 1, -1, -1):
-            t, _k, m, _s = self.held[i]
-            if t == token and (mode is None or m == mode):
+            if self.held[i][0] == token:
                 del self.held[i]
                 return
 
@@ -588,17 +584,10 @@ class _FuncWalker:
     def _expr_stmt(self, e: ast.expr) -> None:
         if isinstance(e, ast.Call):
             func = e.func
-            if isinstance(func, ast.Attribute) and func.attr in (
-                "release",
-                "release_read",
-                "release_write",
-            ):
+            if isinstance(func, ast.Attribute) and func.attr == "release":
                 tok = self._token_of(func.value)
                 if tok is not None:
-                    mode = {"release_read": "r", "release_write": "w"}.get(
-                        func.attr
-                    )
-                    self._release(tok[0], mode)
+                    self._release(tok[0])
                     return
             if self._is_create_task(e):
                 self.model.events.append(
@@ -626,7 +615,7 @@ class _FuncWalker:
                 self.await_index += 1
             if tok is not None and is_async:
                 token, kind = tok
-                mode = "x" if kind == "lock" else ("s" if kind == "sem" else "w")
+                mode = "x" if kind == "lock" else "s"
                 self._acquire(token, kind, mode, ctx.lineno, "with")
             entered.append(tok if is_async else None)
         self.block(s.body)
@@ -634,7 +623,7 @@ class _FuncWalker:
             if is_async:
                 self.await_index += 1
             if tok is not None:
-                self._release(tok[0], None)
+                self._release(tok[0])
 
     def _for(self, s) -> None:
         self.expr(s.iter)
@@ -701,19 +690,12 @@ class _FuncWalker:
         inner = e.value
         if isinstance(inner, ast.Call):
             func = inner.func
-            # Manual lock acquisition: await <lockexpr>.acquire[_read|_write]()
-            if isinstance(func, ast.Attribute) and func.attr in (
-                "acquire",
-                "acquire_read",
-                "acquire_write",
-            ):
+            # Manual lock acquisition: await <lockexpr>.acquire()
+            if isinstance(func, ast.Attribute) and func.attr == "acquire":
                 tok = self._token_of(func.value)
                 if tok is not None:
                     token, kind = tok
-                    mode = {
-                        "acquire_read": "r",
-                        "acquire_write": "w",
-                    }.get(func.attr, "x" if kind == "lock" else "s")
+                    mode = "x" if kind == "lock" else "s"
                     self.await_index += 1
                     self._acquire(token, kind, mode, e.lineno, "manual")
                     return []

@@ -22,7 +22,7 @@ transitive closure of event deps) and flagging:
   no ordering between them (last-writer-wins races).
 
 Reads of buffers no op writes are treated as host/device-resident
-inputs (e.g. a snapshot already on the device) and are not flagged.
+inputs (e.g. the graph already on the device) and are not flagged.
 
 :func:`check_stream_programs` runs the check over a registry of
 representative programs from the serving stack — including, under
@@ -133,17 +133,12 @@ def check_stream_ops(
 
 def _serve_timeline_ops() -> List[StreamOp]:
     """Ops the serving replica actually emits: a short deterministic
-    DeviceTimeline history including a snapshot DtoH."""
+    DeviceTimeline history of overlapping batches."""
     timeline = DeviceTimeline("v100", num_streams=4)
     chunks = [ChunkWork(htod=1e-5, kernel=2e-4, dtoh=1e-5, warps=8)]
     ops: List[StreamOp] = []
     for i in range(3):
-        sched = timeline.submit_batch(
-            chunks,
-            now=i * 5e-5,
-            extra_dtoh_s=1e-4 if i == 1 else 0.0,
-            label=f"b{i}",
-        )
+        sched = timeline.submit_batch(chunks, now=i * 5e-5, label=f"b{i}")
         ops.extend(s.op for s in sched.ops)
     return ops
 

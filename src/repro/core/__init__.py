@@ -30,11 +30,9 @@ from repro.core.batched import BatchedSongSearcher
 from repro.core.gpu_kernel import GpuSongIndex
 from repro.core.cpu_song import CpuSongIndex
 from repro.core.sharding import ShardedSongIndex
-from repro.core.online import OnlineSongIndex
 
 __all__ = [
     "ShardedSongIndex",
-    "OnlineSongIndex",
     "SearchConfig",
     "GRAPH_TYPES",
     "SearchStats",

@@ -74,25 +74,20 @@ class ShardedSongIndex:
     ) -> Tuple[List[List[Tuple[float, int]]], dict]:
         """Search all shards and merge.
 
-        Returns ``(results, timing)`` where ``timing`` has the raw
-        per-shard kernel results (``shard_timings``), a ``per_shard``
-        attribution table (seconds, kernel/transfer split, occupancy and
-        shard size for each shard), the parallel wall time (max over
-        shards, with ``slowest_shard`` naming the straggler), the
-        ``shard_imbalance`` ratio (slowest / mean shard time) and the
-        merge-implied QPS — so serving routers and benchmarks can blame
-        latency on the straggling shard instead of recomputing it.
+        Returns ``(results, timing)`` where ``timing`` has the parallel
+        ``wall_seconds`` (the slowest shard's modelled time: every shard
+        searches at once) and the merge-implied ``qps``.
         """
         queries = np.atleast_2d(np.asarray(queries))
         shard_outputs = []
-        shard_timings = []
+        seconds = []
         for shard, ids in zip(self.shards, self._global_ids):
             results, timing = shard.search_batch(queries, config)
             remapped = [
                 [(d, int(ids[v])) for d, v in res] for res in results
             ]
             shard_outputs.append(remapped)
-            shard_timings.append(timing)
+            seconds.append(timing.total_seconds)
 
         merged: List[List[Tuple[float, int]]] = []
         for qi in range(len(queries)):
@@ -102,29 +97,8 @@ class ShardedSongIndex:
             pool.sort()
             merged.append(pool[: config.k])
 
-        seconds = [t.total_seconds for t in shard_timings]
         wall = max(seconds)
-        mean = sum(seconds) / len(seconds)
-        per_shard = [
-            {
-                "shard": s,
-                "size": len(self._global_ids[s]),
-                "device": self.shards[s].device.name,
-                "total_seconds": t.total_seconds,
-                "kernel_seconds": t.kernel_seconds,
-                "transfer_seconds": t.htod_seconds + t.dtoh_seconds,
-                "occupancy_warps_per_sm": t.occupancy_warps_per_sm,
-                "qps": len(queries) / t.total_seconds
-                if t.total_seconds > 0
-                else float("inf"),
-            }
-            for s, t in enumerate(shard_timings)
-        ]
         timing = {
-            "shard_timings": shard_timings,
-            "per_shard": per_shard,
-            "slowest_shard": int(np.argmax(seconds)),
-            "shard_imbalance": wall / mean if mean > 0 else 1.0,
             "wall_seconds": wall,
             "qps": len(queries) / wall if wall > 0 else float("inf"),
         }

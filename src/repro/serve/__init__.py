@@ -1,10 +1,10 @@
 """``repro.serve`` — the async serving layer over the batch engines.
 
-Turns the offline indexes (:class:`~repro.core.gpu_kernel.GpuSongIndex`,
-:class:`~repro.core.sharding.ShardedSongIndex`,
-:class:`~repro.core.online.OnlineSongIndex`) into a traffic-facing
-service: dynamic batching, admission control with SLO-aware degradation,
-replica/shard routing, and a metrics core — all runnable on a
+Turns an offline index (a graph plus its dataset, searched as by
+:class:`~repro.core.gpu_kernel.GpuSongIndex`, optionally through the
+out-of-core tier) into a read-only, traffic-facing service: dynamic
+batching, admission control with SLO-aware degradation, replica routing
+over device streams, and a metrics core — all runnable on a
 deterministic virtual-time event loop for paper-style QPS/latency/recall
 curves.
 
@@ -31,12 +31,7 @@ from repro.serve.admission import (
 )
 from repro.serve.batcher import BatchPolicy, BatchSizeController, DynamicBatcher
 from repro.serve.clock import VirtualTimeEventLoop, run_virtual
-from repro.serve.engine import (
-    BatchServiceResult,
-    OnlineServeEngine,
-    ShardedServeEngine,
-    SimulatedGpuEngine,
-)
+from repro.serve.engine import BatchServiceResult, SimulatedGpuEngine
 from repro.serve.loadgen import (
     LoadtestReport,
     drive_poisson,
@@ -46,14 +41,13 @@ from repro.serve.loadgen import (
 )
 from repro.serve.metrics import LatencyHistogram, ServeMetrics
 from repro.serve.request import ServeRequest, ServeResponse
-from repro.serve.router import AsyncRWLock, Replica, Router
+from repro.serve.router import Replica, Router
 from repro.serve.server import ServerConfig, SongServer, build_server
 
 __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionConfig",
     "AdmissionController",
-    "AsyncRWLock",
     "BatchObservation",
     "BatchPolicy",
     "BatchServiceResult",
@@ -61,14 +55,12 @@ __all__ = [
     "DynamicBatcher",
     "LatencyHistogram",
     "LoadtestReport",
-    "OnlineServeEngine",
     "Replica",
     "Router",
     "ServeMetrics",
     "ServeRequest",
     "ServeResponse",
     "ServerConfig",
-    "ShardedServeEngine",
     "SimulatedGpuEngine",
     "SongServer",
     "VirtualTimeEventLoop",

@@ -19,15 +19,10 @@ engine wraps:
   for the stream model and a distance profile other than the search
   metric's (the out-of-core tier's PQ store).
 
-Three engines cover the index zoo:
-
-- :class:`SimulatedGpuEngine` — one graph + dataset on one device;
-- :class:`ShardedServeEngine` — fan-out over a
-  :class:`~repro.core.sharding.ShardedSongIndex` (service time = slowest
-  shard, per-shard attribution in ``detail``);
-- :class:`OnlineServeEngine` — a growable
-  :class:`~repro.core.online.OnlineSongIndex` supporting mixed
-  search/insert traffic with snapshot caching.
+:class:`SimulatedGpuEngine` is that engine: one static graph + dataset
+on one device.  The out-of-core tier's
+:class:`~repro.tiered.engine.TieredServeEngine` is the other replica
+engine; the server only ever searches.
 """
 
 from __future__ import annotations
@@ -41,19 +36,12 @@ import numpy as np
 
 from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex
-from repro.core.online import OnlineSongIndex
-from repro.core.sharding import ShardedSongIndex
 from repro.core.song import SearchStats
 from repro.graphs.storage import FixedDegreeGraph
 from repro.simt.pipeline import split_counts
 from repro.simt.streams import ChunkWork
 
-__all__ = [
-    "BatchServiceResult",
-    "SimulatedGpuEngine",
-    "ShardedServeEngine",
-    "OnlineServeEngine",
-]
+__all__ = ["BatchServiceResult", "SimulatedGpuEngine"]
 
 
 @dataclass
@@ -62,7 +50,7 @@ class BatchServiceResult:
 
     ``service_seconds`` is what the device is busy for (the replica
     serializes batches on it); ``detail`` carries engine-specific
-    attribution (kernel/transfer split, per-shard stats).
+    attribution (kernel/transfer split, stream schedule, tier stats).
     """
 
     results: List[List[Tuple[float, int]]]
@@ -230,141 +218,3 @@ class SimulatedGpuEngine:
         chunks, detail = self.chunk_work(queries, config, stats, num_chunks=1)
         c = chunks[0]
         return c.kernel + c.htod + c.dtoh, detail
-
-
-class ShardedServeEngine:
-    """Scatter-gather over a sharded index; slowest shard sets the time."""
-
-    def __init__(self, index: ShardedSongIndex, name: str = "sharded0") -> None:
-        self.index = index
-        self.name = name
-
-    def run_batch(
-        self, queries: np.ndarray, config: SearchConfig
-    ) -> BatchServiceResult:
-        """Fan a batch across every shard and merge the top-k lists."""
-        results, timing = self.index.search_batch(queries, config)
-        per_shard = timing["per_shard"]
-        detail = {
-            "per_shard": per_shard,
-            "slowest_shard": timing["slowest_shard"],
-            "shard_imbalance": timing["shard_imbalance"],
-        }
-        return BatchServiceResult(results, timing["wall_seconds"], detail)
-
-
-class OnlineServeEngine:
-    """A growable index serving mixed search and insert traffic.
-
-    Searches run against a frozen snapshot of the current graph, priced
-    like :class:`SimulatedGpuEngine`; the snapshot engine is cached keyed
-    on the index's write ``generation`` (not size or object identity —
-    pruning rewires existing vertices without changing ``len``).
-    Refreshing a snapshot is not free: the new graph + data must reach
-    the search device, and the stream model charges that once per
-    refresh as a transfer contending with search traffic
-    (:meth:`consume_snapshot_dtoh_seconds`).  Inserts are priced as one
-    ``ef_construction`` greedy search, a hand-written operation record (the
-    insertion search dominates an insert's cost; the bidirectional
-    connect is a few degree-bounded updates).
-    """
-
-    def __init__(self, index: OnlineSongIndex, name: str = "online0") -> None:
-        self.index = index
-        self.name = name
-        # The snapshot cache is only touched while the owning Replica
-        # holds its rw-lock (read side for lazy rebuild during searches,
-        # write side for inserts); the aio analyzer enforces the declared
-        # guard on any future coroutine that mutates these directly.
-        self._snapshot_engine: Optional[SimulatedGpuEngine] = None  # aio: guarded-by(Replica._rw)
-        self._snapshot_generation = -1  # aio: guarded-by(Replica._rw)
-        self._snapshot_dtoh_owed = 0.0  # aio: guarded-by(Replica._rw)
-
-    @property
-    def device(self):
-        """Device preset the snapshots are priced on."""
-        return self.index.device
-
-    def _engine(self) -> SimulatedGpuEngine:
-        if (
-            self._snapshot_engine is None
-            or self._snapshot_generation != self.index.generation
-        ):
-            self._snapshot_engine = SimulatedGpuEngine(
-                self.index.snapshot_graph(),
-                self.index.data.copy(),
-                device=self.index.device,
-                name=self.name,
-            )
-            self._snapshot_generation = self.index.generation
-            gpu = self._snapshot_engine.index
-            self._snapshot_dtoh_owed = gpu.launcher.cost_model.transfer_time(
-                gpu.index_memory_bytes() + gpu.dataset_memory_bytes()
-            )
-        return self._snapshot_engine
-
-    def consume_snapshot_dtoh_seconds(self) -> float:
-        """Transfer seconds owed for a snapshot refreshed since last call.
-
-        Non-zero exactly once per rebuilt snapshot; the multi-stream
-        replica charges it on the DtoH copy engine ahead of the batch's
-        own transfers, so snapshot shipping contends with search streams
-        instead of being free.
-        """
-        owed = self._snapshot_dtoh_owed
-        self._snapshot_dtoh_owed = 0.0
-        return owed
-
-    def run_batch(
-        self, queries: np.ndarray, config: SearchConfig
-    ) -> BatchServiceResult:
-        """Search the current snapshot (built lazily, cached until write)."""
-        return self._engine().run_batch(queries, config)
-
-    def chunked_batch(
-        self,
-        queries: np.ndarray,
-        config: SearchConfig,
-        num_chunks: Optional[int] = None,
-        max_chunks: int = 1,
-    ):
-        """Chunked pricing against the current snapshot (streams path)."""
-        return self._engine().chunked_batch(
-            queries, config, num_chunks, max_chunks
-        )
-
-    def run_inserts(self, vectors: np.ndarray) -> BatchServiceResult:
-        """Ingest ``(B, d)`` vectors; returns assigned ids in ``detail``.
-
-        Service time models each insert as an ``ef_construction``-deep
-        greedy search on the pre-insert snapshot.
-        """
-        vectors = np.atleast_2d(np.asarray(vectors, dtype=np.float32))
-        size_before = len(self.index)
-        seconds = 0.0
-        if size_before > 0:
-            engine = self._engine()
-            ef = self.index.ef_construction
-            synthetic = SearchStats()
-            synthetic.searches = 1
-            synthetic.iterations = ef
-            synthetic.frontier_pops = ef
-            synthetic.rows_fetched = ef
-            synthetic.visited_tests = ef * self.index.max_degree
-            synthetic.distance_computations = ef * self.index.max_degree
-            synthetic.topk_updates = ef
-            synthetic.visited_inserts = ef
-            synthetic.frontier_pushes = ef + 1
-            seconds, _ = engine.estimate_batch_seconds(
-                vectors,
-                SearchConfig(k=min(ef, size_before), queue_size=ef),
-                [synthetic] * len(vectors),
-            )
-        ids = self.index.add(vectors)
-        # No manual invalidation: the next _engine() call sees a newer
-        # index generation and rebuilds (and re-prices) the snapshot.
-        return BatchServiceResult(
-            results=[],
-            service_seconds=seconds,
-            detail={"inserted_ids": ids, "size": len(self.index)},
-        )

@@ -53,40 +53,23 @@ async def drive_poisson(
     num_requests: int,
     seed: int = 0,
     ground_truth: Optional[np.ndarray] = None,
-    insert_every: int = 0,
-    insert_vectors: Optional[np.ndarray] = None,
 ) -> List[ServeResponse]:
     """Fire a Poisson request stream at a running server; gather responses.
 
     Queries are drawn round-robin from ``queries`` (and ground-truth rows
-    alongside, when given).  With ``insert_every = j > 0``, every ``j``-th
-    request is a vector insert drawn round-robin from ``insert_vectors``
-    — the mixed read/write workload for online indexes.
+    alongside, when given).
     """
     loop = asyncio.get_running_loop()
     arrivals = poisson_arrivals(rate_qps, num_requests, seed)
     start = loop.time()
     tasks: List[asyncio.Task] = []
-    num_inserts = 0
     for i in range(num_requests):
         gap = start + float(arrivals[i]) - loop.time()
         if gap > 0:
             await asyncio.sleep(gap)
-        is_insert = (
-            insert_every > 0
-            and insert_vectors is not None
-            and (i + 1) % insert_every == 0
-        )
-        if is_insert:
-            vec = insert_vectors[num_inserts % len(insert_vectors)]
-            num_inserts += 1
-            tasks.append(asyncio.create_task(server.submit_insert(vec)))
-        else:
-            qi = i % len(queries)
-            gt = None if ground_truth is None else ground_truth[qi]
-            tasks.append(
-                asyncio.create_task(server.submit(queries[qi], ground_truth=gt))
-            )
+        qi = i % len(queries)
+        gt = None if ground_truth is None else ground_truth[qi]
+        tasks.append(asyncio.create_task(server.submit(queries[qi], ground_truth=gt)))
     return list(await asyncio.gather(*tasks))
 
 
@@ -139,21 +122,12 @@ async def _loadtest_run(
     num_requests: int,
     seed: int,
     ground_truth: Optional[np.ndarray],
-    insert_every: int,
-    insert_vectors: Optional[np.ndarray],
 ) -> LoadtestReport:
     loop = asyncio.get_running_loop()
     start = loop.time()
     await server.start()
     responses = await drive_poisson(
-        server,
-        queries,
-        rate_qps,
-        num_requests,
-        seed=seed,
-        ground_truth=ground_truth,
-        insert_every=insert_every,
-        insert_vectors=insert_vectors,
+        server, queries, rate_qps, num_requests, seed=seed, ground_truth=ground_truth
     )
     await server.stop()
     duration = loop.time() - start
@@ -202,8 +176,6 @@ def run_loadtest(
     num_requests: int,
     seed: int = 0,
     ground_truth: Optional[np.ndarray] = None,
-    insert_every: int = 0,
-    insert_vectors: Optional[np.ndarray] = None,
 ) -> LoadtestReport:
     """One offered-load point on a fresh virtual-time loop.
 
@@ -214,14 +186,7 @@ def run_loadtest(
     async def main() -> LoadtestReport:
         server = make_server()
         return await _loadtest_run(
-            server,
-            queries,
-            rate_qps,
-            num_requests,
-            seed,
-            ground_truth,
-            insert_every,
-            insert_vectors,
+            server, queries, rate_qps, num_requests, seed, ground_truth
         )
 
     return run_virtual(main())

@@ -7,8 +7,8 @@ Every pipeline stage reports into one :class:`ServeMetrics` instance:
   memory, deterministic percentile extraction;
 - **queue depth** sampled at every admission and dispatch;
 - **batch-size distribution** of dispatched batches;
-- **counters** for arrivals, completions, sheds (by reason), inserts and
-  degraded requests (by tier);
+- **counters** for arrivals, completions, sheds (by reason), engine
+  errors and degraded requests (by tier);
 - **recall under load** per quality tier, when callers attach ground
   truth to their requests.
 
@@ -126,7 +126,7 @@ class ServeMetrics:
             "arrived": 0,
             "admitted": 0,
             "completed": 0,
-            "inserted": 0,
+            "errors": 0,
             "shed": 0,
             "degraded": 0,
             "batches": 0,
@@ -158,6 +158,10 @@ class ServeMetrics:
         self.counters["shed"] += 1
         self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
 
+    def on_error(self) -> None:
+        """A dispatched request's batch raised in its engine."""
+        self.counters["errors"] += 1
+
     def on_batch(self, size: int, queue_depth_after: int) -> None:
         """The batcher dispatched a batch of ``size`` requests."""
         self.counters["batches"] += 1
@@ -166,7 +170,6 @@ class ServeMetrics:
 
     def on_complete(
         self,
-        kind: str,
         tier: int,
         queue_wait_s: float,
         service_s: float,
@@ -174,8 +177,6 @@ class ServeMetrics:
     ) -> None:
         """A request finished service; record its latency breakdown."""
         self.counters["completed"] += 1
-        if kind == "insert":
-            self.counters["inserted"] += 1
         if tier > 0:
             self.counters["degraded"] += 1
         self.tier_counts[tier] = self.tier_counts.get(tier, 0) + 1

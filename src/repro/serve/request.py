@@ -1,11 +1,10 @@
 """Request and response records flowing through the serving pipeline.
 
-A :class:`ServeRequest` is one in-flight query (or vector insert): the
-payload plus the timestamps every pipeline stage stamps onto it, and the
-future its caller awaits.  A :class:`ServeResponse` is the terminal
-record handed back — search results (or the assigned id for inserts),
-the effective quality tier, and the per-stage latency breakdown the
-metrics core aggregates.
+A :class:`ServeRequest` is one in-flight query: the payload plus the
+timestamps every pipeline stage stamps onto it, and the future its
+caller awaits.  A :class:`ServeResponse` is the terminal record handed
+back — search results, the effective quality tier, and the per-stage
+latency breakdown the metrics core aggregates.
 """
 
 from __future__ import annotations
@@ -16,16 +15,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = [
-    "SEARCH",
-    "INSERT",
-    "ServeRequest",
-    "ServeResponse",
-]
-
-#: Request kinds.
-SEARCH = "search"
-INSERT = "insert"
+__all__ = ["ServeRequest", "ServeResponse"]
 
 
 @dataclass
@@ -36,23 +26,20 @@ class ServeRequest:
     ----------
     request_id:
         Monotone id assigned at submission.
-    kind:
-        ``"search"`` or ``"insert"``.
     payload:
-        The query vector (search) or the vector to ingest (insert).
+        The query vector.
     arrival_s:
         Loop time at submission.
     ground_truth:
         Optional exact top-k ids for recall-under-load accounting.
     future:
         Resolved with the :class:`ServeResponse` when the request leaves
-        the system (served or shed).
+        the system (served, shed or errored).
     dispatch_s:
         Loop time the batcher handed the request to an engine.
     """
 
     request_id: int
-    kind: str
     payload: np.ndarray
     arrival_s: float
     future: asyncio.Future = field(repr=False)
@@ -71,15 +58,14 @@ class ServeResponse:
 
     ``status`` is ``"ok"`` for served requests, ``"shed"`` for load
     shedding (with a ``shed_reason`` and no results), or ``"error"``
-    when the pipeline raised (with the exception text in ``error``).
+    when the request's batch raised in its engine (with the exception
+    text in ``error`` and no results).
     Latencies are in (simulated or wall) seconds.
     """
 
     request_id: int
-    kind: str
     status: str
     results: List[Tuple[float, int]] = field(default_factory=list)
-    inserted_id: Optional[int] = None
     tier: int = 0
     ef: int = 0
     queue_wait_s: float = 0.0

@@ -1,4 +1,4 @@
-"""Routing: replicas, stream-pool dispatch, and read/write discipline.
+"""Routing: replicas and stream-pool dispatch.
 
 A :class:`Replica` wraps one serving engine with a device occupancy
 model and in-flight accounting.  With ``streams=1`` (the default) the
@@ -16,98 +16,26 @@ engines.  The :class:`Router` spreads batches across replicas:
   batch count, ties broken by replica index (deterministic);
 - ``"round-robin"`` — strict rotation.
 
-Sharded indexes plug in transparently: a replica whose engine is a
-:class:`~repro.serve.engine.ShardedServeEngine` fans each batch over its
-shards internally and reports per-shard attribution, which the router
-folds into its per-replica stats (slowest-shard counts, imbalance).
-
-Mixed read/insert traffic against an
-:class:`~repro.serve.engine.OnlineServeEngine` goes through a fair
-:class:`AsyncRWLock`: searches share the lock (they read a frozen
-snapshot), inserts take it exclusively, and FIFO fairness means a
-waiting insert blocks later searches — so the insertion order equals
-the submission order, which is what makes concurrent histories
-reproducible against a serially built index.
+Every replica serves a static index and every batch is a search, so
+batches need no read/write discipline beyond the device lock or stream
+slot they occupy.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import SearchConfig
-from repro.serve.engine import BatchServiceResult, OnlineServeEngine
+from repro.serve.engine import BatchServiceResult
 from repro.simt.streams import DeviceTimeline
 
-__all__ = ["ROUTING_POLICIES", "AsyncRWLock", "Replica", "Router"]
+__all__ = ["ROUTING_POLICIES", "Replica", "Router"]
 
 #: Valid routing policies.
 ROUTING_POLICIES = ("least-loaded", "round-robin")
-
-
-class AsyncRWLock:
-    """A fair readers-writer lock for asyncio.
-
-    Readers share; writers are exclusive.  Arrivals are served FIFO: a
-    writer waiting behind active readers blocks readers that arrive
-    after it (no writer starvation), and queued waiters wake in order.
-    """
-
-    def __init__(self) -> None:
-        self._readers = 0
-        self._writer = False
-        self._waiters: Deque[Tuple[str, asyncio.Future]] = deque()
-
-    def _wake(self) -> None:
-        while self._waiters:
-            kind, fut = self._waiters[0]
-            if fut.cancelled():
-                self._waiters.popleft()
-                continue
-            if kind == "r" and not self._writer:
-                self._waiters.popleft()
-                self._readers += 1
-                fut.set_result(None)
-                continue  # adjacent readers enter together
-            if kind == "w" and not self._writer and self._readers == 0:
-                self._waiters.popleft()
-                self._writer = True
-                fut.set_result(None)
-            break
-
-    async def acquire_read(self) -> None:
-        """Take the lock shared; waits behind any queued writer."""
-        if not self._writer and not any(k == "w" for k, _ in self._waiters):
-            self._readers += 1
-            return
-        fut = asyncio.get_running_loop().create_future()
-        self._waiters.append(("r", fut))
-        await fut
-
-    def release_read(self) -> None:
-        if self._readers <= 0:
-            raise RuntimeError("release_read without acquire_read")
-        self._readers -= 1
-        if self._readers == 0:
-            self._wake()
-
-    async def acquire_write(self) -> None:
-        """Take the lock exclusively; waits for readers to drain."""
-        if not self._writer and self._readers == 0 and not self._waiters:
-            self._writer = True
-            return
-        fut = asyncio.get_running_loop().create_future()
-        self._waiters.append(("w", fut))
-        await fut
-
-    def release_write(self) -> None:
-        if not self._writer:
-            raise RuntimeError("release_write without acquire_write")
-        self._writer = False
-        self._wake()
 
 
 class Replica:
@@ -123,8 +51,7 @@ class Replica:
         Device streams.  ``1`` keeps the legacy exclusive-lock serial
         path; ``N > 1`` admits up to N concurrent batches, scheduled on
         a :class:`~repro.simt.streams.DeviceTimeline` (requires an
-        engine with ``chunked_batch`` — the sharded engine models its
-        own fan-out and stays at one stream).
+        engine with ``chunked_batch``).
     """
 
     def __init__(
@@ -145,16 +72,10 @@ class Replica:
                     "dispatch (needs chunked_batch)"
                 )
             self.timeline = DeviceTimeline(engine.device, self.streams)
-        self._rw = AsyncRWLock()
         self._submitted = 0
         self.pending_batches = 0
         self.batches_served = 0
         self.busy_seconds = 0.0
-        self.slowest_shard_counts: Dict[int, int] = {}
-
-    @property
-    def supports_inserts(self) -> bool:
-        return isinstance(self.engine, OnlineServeEngine)
 
     def _slots(self) -> asyncio.Semaphore:
         # Created lazily so the semaphore binds the loop it is used on.
@@ -168,19 +89,11 @@ class Replica:
         results, chunks, detail = self.engine.chunked_batch(
             queries, config, num_chunks=None, max_chunks=self.streams
         )
-        extra_dtoh = 0.0
-        consume = getattr(self.engine, "consume_snapshot_dtoh_seconds", None)
-        if consume is not None:
-            extra_dtoh = consume()
         now = asyncio.get_running_loop().time()
-        sched = self.timeline.submit_batch(
-            chunks, now, extra_dtoh_s=extra_dtoh, label=f"b{self._submitted}"
-        )
+        sched = self.timeline.submit_batch(chunks, now, label=f"b{self._submitted}")
         self._submitted += 1
         detail = dict(detail)
         detail["schedule"] = sched.to_dict()
-        if extra_dtoh > 0.0:
-            detail["snapshot_dtoh_seconds"] = extra_dtoh
         return BatchServiceResult(results, sched.finish_s - now, detail)
 
     async def run_batch(
@@ -188,7 +101,6 @@ class Replica:
     ) -> BatchServiceResult:
         """Run one search batch: compute, then occupy the device."""
         self.pending_batches += 1
-        await self._rw.acquire_read()
         try:
             if self.streams <= 1:
                 async with self._device_lock:
@@ -199,28 +111,6 @@ class Replica:
                     outcome = self._run_streamed(queries, config)
                     await asyncio.sleep(outcome.service_seconds)
         finally:
-            self._rw.release_read()
-            self.pending_batches -= 1
-        self.batches_served += 1
-        self.busy_seconds += outcome.service_seconds
-        shard = outcome.detail.get("slowest_shard")
-        if shard is not None:
-            self.slowest_shard_counts[shard] = (
-                self.slowest_shard_counts.get(shard, 0) + 1
-            )
-        return outcome
-
-    async def run_inserts(self, vectors: np.ndarray) -> BatchServiceResult:
-        """Run one insert batch under the exclusive write lock."""
-        if not self.supports_inserts:
-            raise RuntimeError(f"replica {self.name} does not accept inserts")
-        self.pending_batches += 1
-        await self._rw.acquire_write()
-        try:
-            outcome = self.engine.run_inserts(vectors)
-            await asyncio.sleep(outcome.service_seconds)
-        finally:
-            self._rw.release_write()
             self.pending_batches -= 1
         self.batches_served += 1
         self.busy_seconds += outcome.service_seconds
@@ -236,10 +126,6 @@ class Replica:
         }
         if self.timeline is not None:
             out["device_timeline"] = self.timeline.stats()
-        if self.slowest_shard_counts:
-            out["slowest_shard_counts"] = dict(
-                sorted(self.slowest_shard_counts.items())
-            )
         return out
 
 
@@ -266,14 +152,6 @@ class Router:
             return replica
         loads = [r.pending_batches for r in self.replicas]
         return self.replicas[loads.index(min(loads))]
-
-    def pick_writable(self) -> Replica:
-        """Choose a replica that accepts inserts (the online index)."""
-        writable = [r for r in self.replicas if r.supports_inserts]
-        if not writable:
-            raise RuntimeError("no replica accepts inserts")
-        loads = [r.pending_batches for r in writable]
-        return writable[loads.index(min(loads))]
 
     def stats(self) -> List[Dict[str, object]]:
         """Per-replica stats, in replica order."""

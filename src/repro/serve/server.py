@@ -1,18 +1,22 @@
 """The serving front end: admission → dynamic batcher → router → engine.
 
 :class:`SongServer` is the traffic-facing object.  Callers ``await
-submit(query)`` (or ``submit_insert(vector)``) and get a
-:class:`~repro.serve.request.ServeResponse`; internally the request
-flows through
+submit(query)`` and get a :class:`~repro.serve.request.ServeResponse`;
+internally the request flows through
 
 1. **admission** — bounded queue, shed/degrade/block policy
    (:mod:`repro.serve.admission`);
 2. **dynamic batching** — size-or-deadline batch formation with
    SLO-adaptive sizing (:mod:`repro.serve.batcher`);
-3. **routing** — least-loaded replica selection, sharded fan-out,
-   read/write locking for online indexes (:mod:`repro.serve.router`);
+3. **routing** — least-loaded replica selection over device streams
+   (:mod:`repro.serve.router`);
 4. **engine execution** — batch results plus simulated-GPU service time
    (:mod:`repro.serve.engine`), charged against the event-loop clock.
+
+Serving is read-only: the index a replica holds is built offline and
+never changes while it serves.  A batch whose engine raises resolves
+every one of its requests with ``status="error"``; the server keeps
+serving the batches after it.
 
 Every stage reports into a :class:`~repro.serve.metrics.ServeMetrics`
 instance exported as JSON via :meth:`SongServer.metrics_dict`.
@@ -38,10 +42,9 @@ from repro.serve.admission import (
     default_tiers,
 )
 from repro.serve.batcher import BatchPolicy, DynamicBatcher
-from repro.serve.clock import gather_all
 from repro.serve.engine import SimulatedGpuEngine
 from repro.serve.metrics import ServeMetrics
-from repro.serve.request import INSERT, SEARCH, ServeRequest, ServeResponse
+from repro.serve.request import ServeRequest, ServeResponse
 from repro.serve.router import Replica, Router
 
 __all__ = ["ServerConfig", "SongServer", "build_server"]
@@ -84,9 +87,6 @@ class SongServer:
         )
         self._run_task: Optional[asyncio.Task] = None
         self._next_id = 0
-        # Insertion-ordered (dict, not set): stop() awaits inserts in
-        # submission order, keeping virtual-clock shutdown deterministic.
-        self._insert_tasks: Dict[asyncio.Task, None] = {}
 
     # -- lifecycle -------------------------------------------------------
 
@@ -103,8 +103,6 @@ class SongServer:
         self.batcher.stop()
         await self._run_task
         self._run_task = None
-        while self._insert_tasks:
-            await gather_all(*tuple(self._insert_tasks))
         await self.batcher.drain()
 
     # -- client API ------------------------------------------------------
@@ -116,7 +114,6 @@ class SongServer:
         loop = asyncio.get_running_loop()
         request = ServeRequest(
             request_id=self._take_id(),
-            kind=SEARCH,
             payload=np.asarray(query, dtype=np.float32),
             arrival_s=loop.time(),
             future=loop.create_future(),
@@ -125,34 +122,10 @@ class SongServer:
         self.metrics.on_arrival(self.batcher.queue_depth)
         admitted, reason = await self.admission.try_admit(self.batcher.queue_depth)
         if not admitted:
-            response = ServeResponse(
-                request_id=request.request_id,
-                kind=SEARCH,
-                status="shed",
-                shed_reason=reason,
-            )
-            self.metrics.on_shed(reason)
-            request.resolve(response)
+            self._shed(request, reason)
             return await request.future
         self.metrics.on_admit()
         self.batcher.enqueue(request)
-        return await request.future
-
-    async def submit_insert(self, vector: np.ndarray) -> ServeResponse:
-        """Ingest one vector through the write path (online replicas)."""
-        loop = asyncio.get_running_loop()
-        request = ServeRequest(
-            request_id=self._take_id(),
-            kind=INSERT,
-            payload=np.asarray(vector, dtype=np.float32),
-            arrival_s=loop.time(),
-            future=loop.create_future(),
-        )
-        self.metrics.on_arrival(self.batcher.queue_depth)
-        self.metrics.on_admit()
-        task = asyncio.create_task(self._run_insert(request))
-        self._insert_tasks[task] = None
-        task.add_done_callback(lambda t: self._insert_tasks.pop(t, None))
         return await request.future
 
     # -- pipeline internals ----------------------------------------------
@@ -166,10 +139,7 @@ class SongServer:
         self.metrics.on_shed(reason)
         request.resolve(
             ServeResponse(
-                request_id=request.request_id,
-                kind=request.kind,
-                status="shed",
-                shed_reason=reason,
+                request_id=request.request_id, status="shed", shed_reason=reason
             )
         )
 
@@ -197,7 +167,24 @@ class SongServer:
         replica = self.router.pick()
         for request in batch:
             request.dispatch_s = now
-        outcome = await replica.run_batch(queries, cfg)
+        try:
+            outcome = await replica.run_batch(queries, cfg)
+        except Exception as exc:
+            # Resolve every caller: an unresolved future would park its
+            # submit() forever, and re-raising would only orphan the
+            # exception on a dispatch task nobody awaits for a result.
+            error = f"{type(exc).__name__}: {exc}"
+            for request in batch:
+                self.metrics.on_error()
+                request.resolve(
+                    ServeResponse(
+                        request_id=request.request_id,
+                        status="error",
+                        replica=replica.name,
+                        error=error,
+                    )
+                )
+            return
         done = loop.time()
         service = outcome.service_seconds
         self._observe_device(outcome)
@@ -207,11 +194,10 @@ class SongServer:
             recall = _recall_of(
                 outcome.results[i], request.ground_truth, self.config.base.k
             )
-            self.metrics.on_complete(SEARCH, tier, wait, service, recall)
+            self.metrics.on_complete(tier, wait, service, recall)
             request.resolve(
                 ServeResponse(
                     request_id=request.request_id,
-                    kind=SEARCH,
                     status="ok",
                     results=outcome.results[i],
                     tier=tier,
@@ -252,46 +238,6 @@ class SongServer:
                 detail["dtoh_seconds"],
                 outcome.service_seconds,
             )
-
-    async def _run_insert(self, request: ServeRequest) -> None:
-        try:
-            await self._run_insert_inner(request)
-        except Exception as exc:
-            # Resolve the caller's future even on failure: an unresolved
-            # future would park submit_insert() forever.  The response is
-            # the delivery path for the error — re-raising here would
-            # only orphan the exception on a task nobody retrieves (the
-            # done-callback pops finished tasks before stop() gathers).
-            request.resolve(
-                ServeResponse(
-                    request_id=request.request_id,
-                    kind=INSERT,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-
-    async def _run_insert_inner(self, request: ServeRequest) -> None:
-        loop = asyncio.get_running_loop()
-        replica = self.router.pick_writable()
-        outcome = await replica.run_inserts(request.payload[None, :])
-        done = loop.time()
-        total = done - request.arrival_s
-        service = outcome.service_seconds
-        self.metrics.on_complete(INSERT, 0, max(0.0, total - service), service)
-        request.resolve(
-            ServeResponse(
-                request_id=request.request_id,
-                kind=INSERT,
-                status="ok",
-                inserted_id=outcome.detail["inserted_ids"][0],
-                queue_wait_s=max(0.0, total - service),
-                service_s=service,
-                latency_s=total,
-                batch_size=1,
-                replica=replica.name,
-            )
-        )
 
     # -- observability ---------------------------------------------------
 

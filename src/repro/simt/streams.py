@@ -4,9 +4,9 @@
 closed-form recurrence (one copy engine per direction, one compute
 engine, chunks pipelined in order).  That form cannot express what the
 serving layer needs: several *batches* in flight on one device at once,
-kernels genuinely sharing SM capacity, and snapshot copies contending
-with search traffic on the DtoH engine.  This module generalizes it into
-an explicit stream model:
+with kernels genuinely sharing SM capacity and transfers contending for
+the copy engines.  This module generalizes it into an explicit stream
+model:
 
 - **Streams** are FIFO queues of operations: two ops on the same stream
   never overlap, exactly as on hardware.  Cross-stream ordering exists
@@ -445,16 +445,12 @@ class DeviceTimeline:
         self,
         chunks: Sequence,
         now: float,
-        extra_dtoh_s: float = 0.0,
         label: str = "batch",
     ) -> BatchSchedule:
         """Schedule one batch's chunk chains starting no earlier than ``now``.
 
         ``chunks`` carry ``htod``/``kernel``/``dtoh`` seconds and
-        ``warps`` demand.  ``extra_dtoh_s`` charges a snapshot/state copy
-        on the DtoH engine *before* the batch's own transfers — the
-        online-index snapshot cost contending with search streams.
-        Returns the committed :class:`BatchSchedule`; the caller sleeps
+        ``warps`` demand.  Returns the committed :class:`BatchSchedule`; the caller sleeps
         until ``finish_s``.
         """
         if now < 0.0:
@@ -468,22 +464,6 @@ class DeviceTimeline:
         htod_sum = kernel_sum = dtoh_sum = 0.0
         worst_slowdown = 1.0
         finish = now
-        if extra_dtoh_s > 0.0:
-            start = max(now, self._dtoh_free)
-            end = start + extra_dtoh_s
-            self._dtoh_free = end
-            self._busy[DTOH] += extra_dtoh_s
-            op = StreamOp(
-                self._op_id,
-                DTOH,
-                extra_dtoh_s,
-                -1,
-                reads=("snapshot",),
-                label=f"{label}.snapshot-dtoh",
-            )
-            self._op_id += 1
-            ops.append(OpSchedule(op, start, end))
-            finish = max(finish, end)
         for i, chunk in enumerate(chunks):
             warps = int(getattr(chunk, "warps", 1))
             stream = self._pick_stream()

@@ -76,40 +76,6 @@ class TestAtomicity:
         )
         assert "aio-atomicity" in rules_of(src)
 
-    def test_rw_read_side_does_not_protect_rmw(self):
-        src = (
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._rw = AsyncRWLock()\n"
-            "        self.n = 0\n"
-            "    async def bump(self):\n"
-            "        await self._rw.acquire_read()\n"
-            "        v = self.n\n"
-            "        await self.refresh()\n"
-            "        self.n = v + 1\n"
-            "        self._rw.release_read()\n"
-            "    async def refresh(self):\n"
-            "        pass\n"
-        )
-        assert "aio-atomicity" in rules_of(src)
-
-    def test_rw_write_side_protects_rmw(self):
-        src = (
-            "class C:\n"
-            "    def __init__(self):\n"
-            "        self._rw = AsyncRWLock()\n"
-            "        self.n = 0\n"
-            "    async def bump(self):\n"
-            "        await self._rw.acquire_write()\n"
-            "        v = self.n\n"
-            "        await self.refresh()\n"
-            "        self.n = v + 1\n"
-            "        self._rw.release_write()\n"
-            "    async def refresh(self):\n"
-            "        pass\n"
-        )
-        assert "aio-atomicity" not in rules_of(src)
-
     def test_inferred_protection_map_names_the_lock(self):
         src = (
             "import asyncio\n"
@@ -239,22 +205,6 @@ class TestLockOrder:
         )
         assert "aio-lock-order" not in rules_of(src)
 
-    def test_rw_upgrade_fires(self):
-        assert "aio-rw-upgrade" in rules_of(KNOWN_BAD["rw-upgrade"][0])
-
-    def test_rw_read_then_released_then_write_is_clean(self):
-        src = (
-            "class Store:\n"
-            "    def __init__(self):\n"
-            "        self._rw = AsyncRWLock()\n"
-            "    async def reload(self):\n"
-            "        await self._rw.acquire_read()\n"
-            "        self._rw.release_read()\n"
-            "        await self._rw.acquire_write()\n"
-            "        self._rw.release_write()\n"
-        )
-        assert "aio-rw-upgrade" not in rules_of(src)
-
     def test_sem_under_exclusive_lock_warns(self):
         findings = [
             f
@@ -263,21 +213,6 @@ class TestLockOrder:
         ]
         assert len(findings) == 1
         assert findings[0].severity is Severity.WARNING
-
-    def test_sem_under_rw_read_is_clean(self):
-        src = (
-            "import asyncio\n"
-            "class Slots:\n"
-            "    def __init__(self):\n"
-            "        self._rw = AsyncRWLock()\n"
-            "        self._slots = asyncio.Semaphore(2)\n"
-            "    async def grab(self):\n"
-            "        await self._rw.acquire_read()\n"
-            "        async with self._slots:\n"
-            "            pass\n"
-            "        self._rw.release_read()\n"
-        )
-        assert "aio-sem-under-lock" not in rules_of(src)
 
     def test_semaphore_self_reacquire_not_a_cycle(self):
         src = (

@@ -21,7 +21,6 @@ class C:
     def __init__(self):
         self._lock = asyncio.Lock()
         self._sem = asyncio.Semaphore(3)
-        self._rw = AsyncRWLock()
         self._lazy = None
         self.count = 0
 
@@ -43,14 +42,6 @@ class C:
         self.count = 1
         self._lock.release()
         self.count = 2
-
-    async def reader(self):
-        await self._rw.acquire_read()
-        self._rw.release_read()
-
-    async def writer(self):
-        await self._rw.acquire_write()
-        self._rw.release_write()
 """
 
 
@@ -58,7 +49,7 @@ class TestLockModel:
     def test_ctor_typing(self):
         module = extract_module(LOCKED)
         fields = module.classes["C"].lock_fields
-        assert fields == {"_lock": "lock", "_sem": "sem", "_lazy": "sem", "_rw": "rw"}
+        assert fields == {"_lock": "lock", "_sem": "sem", "_lazy": "sem"}
 
     def test_factory_method_resolves_to_field(self):
         module = extract_module(LOCKED)
@@ -81,12 +72,6 @@ class TestLockModel:
         free_lines = [line for line, locks in writes.items() if not locks]
         assert len(held_lines) == 1 and len(free_lines) == 1
         assert held_lines[0] < free_lines[0]
-
-    def test_rw_modes_split(self):
-        r = method(LOCKED, "C", "reader").acquisitions
-        w = method(LOCKED, "C", "writer").acquisitions
-        assert [(a.token, a.mode) for a in r] == [("C._rw", "r")]
-        assert [(a.token, a.mode) for a in w] == [("C._rw", "w")]
 
     def test_module_level_lock(self):
         src = "import asyncio\nGLOBAL = asyncio.Lock()\n"

@@ -67,7 +67,7 @@ class TestServeMetrics:
         m.on_arrival(0)
         m.on_admit()
         m.on_batch(1, 0)
-        m.on_complete("search", 0, 0.001, 0.002, recall=0.9)
+        m.on_complete(0, 0.001, 0.002, recall=0.9)
         m.on_arrival(5)
         m.on_shed("queue_full")
         assert m.counters["arrived"] == 2
@@ -77,9 +77,9 @@ class TestServeMetrics:
 
     def test_recall_by_tier(self):
         m = ServeMetrics()
-        m.on_complete("search", 0, 0.0, 0.0, recall=1.0)
-        m.on_complete("search", 0, 0.0, 0.0, recall=0.8)
-        m.on_complete("search", 2, 0.0, 0.0, recall=0.5)
+        m.on_complete(0, 0.0, 0.0, recall=1.0)
+        m.on_complete(0, 0.0, 0.0, recall=0.8)
+        m.on_complete(2, 0.0, 0.0, recall=0.5)
         assert m.recall_by_tier() == {0: pytest.approx(0.9), 2: pytest.approx(0.5)}
         assert m.overall_recall() == pytest.approx((1.0 + 0.8 + 0.5) / 3)
         assert m.counters["degraded"] == 1
@@ -89,7 +89,7 @@ class TestServeMetrics:
             m = ServeMetrics()
             m.on_arrival(3)
             m.on_batch(4, 1)
-            m.on_complete("search", 1, 0.001, 0.004, recall=0.7)
+            m.on_complete(1, 0.001, 0.004, recall=0.7)
             return m.to_dict()
 
         assert build() == build()

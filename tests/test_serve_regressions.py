@@ -1,6 +1,6 @@
-"""Regression tests for the serve-layer fixes surfaced by the aio
-analyzer: complete teardown via gather_all, error-resolved insert
-futures, and insertion-ordered task tracking."""
+"""Regression tests for the serve layer: complete teardown via
+gather_all, error-resolved search futures when an engine faults, and
+insertion-ordered task tracking."""
 
 import asyncio
 
@@ -8,25 +8,36 @@ import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.online import OnlineSongIndex
-from repro.serve import OnlineServeEngine, Replica
+from repro.serve import BatchServiceResult, Replica
 from repro.serve.batcher import BatchPolicy
 from repro.serve.clock import gather_all, run_virtual
-from repro.serve.request import INSERT, ServeResponse
 from repro.serve.server import ServerConfig, SongServer
 
 RNG = np.random.default_rng(7)
+QUERIES = RNG.standard_normal((8, 8)).astype(np.float32)
 
 
-def small_server():
-    """A one-replica server over an online index (insertable write path)."""
-    index = OnlineSongIndex(8, m=4, ef_construction=16)
-    index.add(RNG.standard_normal((32, 8)).astype(np.float32))
+class FlakyEngine:
+    """A stub engine whose ``run_batch`` raises while ``fail`` is set."""
+
+    name = "flaky0"
+
+    def __init__(self) -> None:
+        self.fail = True
+
+    def run_batch(self, queries, config):
+        if self.fail:
+            raise RuntimeError("device lost")
+        return BatchServiceResult([[(0.0, i)] for i in range(len(queries))], 1e-4)
+
+
+def small_server(engine):
+    """A one-replica server dispatching fixed batches of four."""
     cfg = ServerConfig(
         base=SearchConfig(k=5, queue_size=16),
         batch=BatchPolicy(mode="fixed", batch_size=4, max_wait_s=0.0005),
     )
-    return SongServer([Replica(OnlineServeEngine(index))], cfg)
+    return SongServer([Replica(engine)], cfg)
 
 
 class TestGatherAll:
@@ -74,93 +85,40 @@ class TestGatherAll:
         assert run_virtual(scenario()) == [1, 2, 3]
 
 
-class TestInsertErrorPath:
-    def test_failed_insert_resolves_caller_with_error_status(self):
+class TestEngineFault:
+    def test_faulted_batch_resolves_with_error_status(self):
+        """An engine that raises must not park its callers: every request
+        of the batch resolves as ``"error"``, is counted, and the server
+        goes on serving the next batch and stops cleanly."""
+        engine = FlakyEngine()
+
         async def scenario():
-            server = small_server()
+            server = small_server(engine)
             await server.start()
-
-            async def explode(payload):
-                raise RuntimeError("replica down")
-
-            # Break every replica's write path.
-            for replica in server.router.replicas:
-                replica.run_inserts = explode
-            response = await server.submit_insert(
-                RNG.standard_normal(8).astype(np.float32)
-            )
-            # stop() must not hang on (or re-raise from) the failed
-            # task: the error was already delivered via the response.
+            failed = await asyncio.gather(*(server.submit(q) for q in QUERIES[:4]))
+            engine.fail = False
+            served = await asyncio.gather(*(server.submit(q) for q in QUERIES[4:]))
             await server.stop()
-            return response
+            return failed, served, server.metrics.counters
 
-        response = run_virtual(scenario())
-        assert isinstance(response, ServeResponse)
-        assert response.kind == INSERT
-        assert response.status == "error"
-        assert "RuntimeError" in response.error
-        assert "replica down" in response.error
-
-    def test_successful_insert_unchanged(self):
-        async def scenario():
-            server = small_server()
-            await server.start()
-            response = await server.submit_insert(
-                RNG.standard_normal(8).astype(np.float32)
-            )
-            await server.stop()
-            return response
-
-        response = run_virtual(scenario())
-        assert response.status == "ok"
-        assert response.error == ""
+        # A parked future would otherwise hang the test; on the virtual
+        # clock this times out at t = 1.0 instead.
+        failed, served, counters = run_virtual(asyncio.wait_for(scenario(), 1.0))
+        assert [r.status for r in failed] == ["error"] * 4
+        assert all("RuntimeError: device lost" == r.error for r in failed)
+        assert all(r.results == [] for r in failed)
+        assert [r.status for r in served] == ["ok"] * 4
+        assert counters["errors"] == 4
+        assert counters["arrived"] == 8
+        assert counters["arrived"] == (
+            counters["completed"] + counters["shed"] + counters["errors"]
+        )
 
 
 class TestTaskTracking:
-    def test_insert_tasks_tracked_in_submission_order(self):
-        async def scenario():
-            server = small_server()
-            await server.start()
-            started = []
-            real_run = server._run_insert
-
-            async def spy(request):
-                started.append(request.request_id)
-                await real_run(request)
-
-            server._run_insert = spy
-            ids = []
-            pending = []
-            for _ in range(5):
-                vec = RNG.standard_normal(8).astype(np.float32)
-                pending.append(asyncio.ensure_future(server.submit_insert(vec)))
-                await asyncio.sleep(0)
-            responses = await asyncio.gather(*pending)
-            ids = [r.request_id for r in responses]
-            await server.stop()
-            return ids, started
-
-        ids, started = run_virtual(scenario())
-        # Dict-based tracking keeps submission order: tasks start FIFO.
-        assert started == sorted(started)
-        assert sorted(ids) == started
-
-    def test_insert_task_set_drains_after_stop(self):
-        async def scenario():
-            server = small_server()
-            await server.start()
-            for _ in range(3):
-                await server.submit_insert(
-                    RNG.standard_normal(8).astype(np.float32)
-                )
-            await server.stop()
-            return len(server._insert_tasks)
-
-        assert run_virtual(scenario()) == 0
-
     def test_batcher_inflight_is_dict(self):
         async def scenario():
-            server = small_server()
+            server = small_server(FlakyEngine())
             await server.start()
             kind = type(server.batcher._inflight)
             await server.stop()

@@ -1,4 +1,4 @@
-"""Router, replica, and readers-writer lock tests (virtual clock)."""
+"""Router and replica tests (virtual clock)."""
 
 import asyncio
 
@@ -8,7 +8,7 @@ import pytest
 from repro.core.config import SearchConfig
 from repro.serve.clock import run_virtual
 from repro.serve.engine import BatchServiceResult
-from repro.serve.router import AsyncRWLock, Replica, Router
+from repro.serve.router import Replica, Router
 
 
 class FakeEngine:
@@ -25,87 +25,6 @@ class FakeEngine:
             results=[[(0.0, 0)] for _ in range(len(queries))],
             service_seconds=self.service,
         )
-
-
-class TestAsyncRWLock:
-    def test_readers_share(self):
-        async def main():
-            lock = AsyncRWLock()
-            await lock.acquire_read()
-            await lock.acquire_read()  # must not block
-            lock.release_read()
-            lock.release_read()
-            return True
-
-        assert run_virtual(main())
-
-    def test_writer_excludes_and_fifo_order(self):
-        """r1 | w | r2 arrive in order: r2 waits behind the queued writer."""
-
-        async def main():
-            lock = AsyncRWLock()
-            log = []
-
-            async def reader(name, hold):
-                await lock.acquire_read()
-                log.append(("start", name))
-                await asyncio.sleep(hold)
-                log.append(("end", name))
-                lock.release_read()
-
-            async def writer(name, hold):
-                await lock.acquire_write()
-                log.append(("start", name))
-                await asyncio.sleep(hold)
-                log.append(("end", name))
-                lock.release_write()
-
-            t1 = asyncio.create_task(reader("r1", 0.2))
-            await asyncio.sleep(0.01)
-            t2 = asyncio.create_task(writer("w", 0.2))
-            await asyncio.sleep(0.01)
-            t3 = asyncio.create_task(reader("r2", 0.2))
-            await asyncio.gather(t1, t2, t3)
-            return log
-
-        log = run_virtual(main())
-        assert log == [
-            ("start", "r1"), ("end", "r1"),
-            ("start", "w"), ("end", "w"),
-            ("start", "r2"), ("end", "r2"),
-        ]
-
-    def test_adjacent_readers_wake_together(self):
-        async def main():
-            lock = AsyncRWLock()
-            concurrent = []
-
-            active = 0
-
-            async def reader():
-                nonlocal active
-                await lock.acquire_read()
-                active += 1
-                concurrent.append(active)
-                await asyncio.sleep(0.1)
-                active -= 1
-                lock.release_read()
-
-            await lock.acquire_write()
-            tasks = [asyncio.create_task(reader()) for _ in range(3)]
-            await asyncio.sleep(0.01)
-            lock.release_write()
-            await asyncio.gather(*tasks)
-            return max(concurrent)
-
-        assert run_virtual(main()) == 3
-
-    def test_release_without_acquire_raises(self):
-        lock = AsyncRWLock()
-        with pytest.raises(RuntimeError):
-            lock.release_read()
-        with pytest.raises(RuntimeError):
-            lock.release_write()
 
 
 class TestReplica:
@@ -126,16 +45,6 @@ class TestReplica:
         assert elapsed == pytest.approx(0.1, rel=1e-6)
         assert stats["batches"] == 2
         assert stats["busy_seconds"] == pytest.approx(0.1)
-
-    def test_non_online_replica_rejects_inserts(self):
-        async def main():
-            replica = Replica(FakeEngine())
-            with pytest.raises(RuntimeError):
-                await replica.run_inserts(np.zeros((1, 4), dtype=np.float32))
-            return True
-
-        assert run_virtual(main())
-
 
 class TestRouter:
     def make_replicas(self, n=3):
@@ -164,11 +73,6 @@ class TestRouter:
     def test_least_loaded_tie_breaks_by_index(self):
         router = Router(self.make_replicas())
         assert router.pick().name == "e0"
-
-    def test_pick_writable_requires_online_engine(self):
-        router = Router(self.make_replicas())
-        with pytest.raises(RuntimeError):
-            router.pick_writable()
 
     def test_two_replicas_double_throughput(self):
         """The router overlaps batches across devices."""

@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex
-from repro.core.sharding import ShardedSongIndex
 from repro.core.song import SearchStats, SongSearcher
 from repro.graphs import build_graph
 from repro.graphs.storage import PAD
@@ -15,11 +14,8 @@ from repro.simt.profiler import StageProfiler
 from repro.serve import (
     AdmissionConfig,
     BatchPolicy,
-    Replica,
     ServerConfig,
-    ShardedServeEngine,
     SimulatedGpuEngine,
-    SongServer,
     build_server,
     run_loadtest,
 )
@@ -306,42 +302,6 @@ class TestEnginePricing:
             ds.queries[:8], SearchConfig(k=10, queue_size=20)
         ).service_seconds
         assert degraded < full
-
-
-class TestShardedServing:
-    def test_sharded_engine_attributes_slowest_shard(self, served):
-        ds, _ = served
-        index = ShardedSongIndex(ds.data, num_shards=2)
-        engine = ShardedServeEngine(index)
-        cfg = SearchConfig(k=10, queue_size=40)
-        outcome = engine.run_batch(ds.queries[:4], cfg)
-        assert len(outcome.detail["per_shard"]) == 2
-        assert outcome.detail["slowest_shard"] in (0, 1)
-        assert outcome.detail["shard_imbalance"] >= 1.0
-        slowest = outcome.detail["per_shard"][outcome.detail["slowest_shard"]]
-        assert outcome.service_seconds == pytest.approx(slowest["total_seconds"])
-
-    def test_sharded_replica_in_server(self, served):
-        import asyncio
-
-        from repro.serve.clock import run_virtual
-
-        ds, _ = served
-        index = ShardedSongIndex(ds.data, num_shards=2)
-        cfg = make_config(policy="reject", mode="fixed", slo_ms=50.0)
-
-        async def main():
-            server = SongServer([Replica(ShardedServeEngine(index))], cfg)
-            await server.start()
-            responses = await asyncio.gather(
-                *(server.submit(q) for q in ds.queries[:6])
-            )
-            await server.stop()
-            return responses, server.metrics_dict()
-
-        responses, metrics = run_virtual(main())
-        assert all(r.ok for r in responses)
-        assert "slowest_shard_counts" in metrics["replicas"][0]
 
 
 class TestBuildFromData:

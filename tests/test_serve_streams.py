@@ -1,4 +1,4 @@
-"""Multi-stream serving tests: pins, determinism, scaling, snapshots.
+"""Multi-stream serving tests: pins, determinism, scaling, wiring.
 
 The three acceptance properties from the issue live here:
 
@@ -12,15 +12,11 @@ The three acceptance properties from the issue live here:
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.online import OnlineSongIndex
-from repro.core.sharding import ShardedSongIndex
 from repro.serve import (
     AdmissionConfig,
     BatchPolicy,
-    OnlineServeEngine,
     Replica,
     ServerConfig,
-    ShardedServeEngine,
     SimulatedGpuEngine,
     build_server,
     run_loadtest,
@@ -187,64 +183,22 @@ class TestStreamScaling:
         assert serial["overlap_efficiency"] == pytest.approx(1.0)
 
 
-class TestSnapshotGeneration:
-    def make_online(self, ds):
-        index = OnlineSongIndex(dim=ds.data.shape[1], m=8, ef_construction=40)
-        index.add(ds.data[:200])
-        return OnlineServeEngine(index)
-
-    def test_snapshot_cached_until_write(self, served):
-        ds, _ = served
-        engine = self.make_online(ds)
-        cfg = SearchConfig(k=5, queue_size=32)
-        engine.run_batch(ds.queries[:2], cfg)
-        first = engine._snapshot_engine
-        engine.run_batch(ds.queries[:2], cfg)
-        assert engine._snapshot_engine is first  # no rebuild on read
-        engine.index.add(ds.data[200:201])
-        engine.run_batch(ds.queries[:2], cfg)
-        assert engine._snapshot_engine is not first  # generation bumped
-
-    def test_snapshot_dtoh_owed_once_per_refresh(self, served):
-        ds, _ = served
-        engine = self.make_online(ds)
-        cfg = SearchConfig(k=5, queue_size=32)
-        engine.run_batch(ds.queries[:2], cfg)
-        owed = engine.consume_snapshot_dtoh_seconds()
-        assert owed > 0.0
-        assert engine.consume_snapshot_dtoh_seconds() == 0.0
-        engine.index.add(ds.data[200:201])
-        engine.run_batch(ds.queries[:2], cfg)
-        assert engine.consume_snapshot_dtoh_seconds() > 0.0
-
-    def test_streamed_replica_charges_snapshot_transfer(self, served):
-        from repro.serve.clock import run_virtual
-
-        ds, _ = served
-        engine = self.make_online(ds)
-        replica = Replica(engine, streams=2)
-
-        async def main():
-            return await replica.run_batch(
-                ds.queries[:4], SearchConfig(k=5, queue_size=32)
-            )
-
-        outcome = run_virtual(main())
-        snapshot_s = outcome.detail["snapshot_dtoh_seconds"]
-        assert snapshot_s > 0.0
-        # The snapshot copy delays the batch: it holds the DtoH engine
-        # before the batch's own transfers, so the makespan covers it.
-        assert outcome.service_seconds >= snapshot_s
-
-
 class TestWiring:
-    def test_sharded_engine_rejects_streams(self, served):
-        ds, _ = served
-        index = ShardedSongIndex(ds.data, num_shards=2)
+    def test_sharded_engine_rejects_streams(self):
+        """A caller-supplied engine without ``chunked_batch`` cannot be
+        priced on a stream timeline, so it stays at one stream."""
+
+        class WholeBatchEngine:
+            name = "whole0"
+
+            def run_batch(self, queries, config):
+                raise AssertionError("never dispatched")
+
+        with pytest.raises(ValueError, match="chunked_batch"):
+            Replica(WholeBatchEngine(), streams=4)
         with pytest.raises(ValueError):
-            Replica(ShardedServeEngine(index), streams=4)
-        with pytest.raises(ValueError):
-            Replica(ShardedServeEngine(index), streams=0)
+            Replica(WholeBatchEngine(), streams=0)
+        assert Replica(WholeBatchEngine()).streams == 1
 
     def test_batcher_inflight_tracks_stream_pool(self, served):
         ds, graph = served

@@ -204,21 +204,6 @@ class TestDeviceTimeline:
         assert a.ops[0].finish == pytest.approx(1.0)
         assert b.ops[0].start == pytest.approx(1.0)
 
-    def test_snapshot_dtoh_contends_with_results(self):
-        timeline = DeviceTimeline("v100", num_streams=2)
-        sched = timeline.submit_batch(
-            [ChunkWork(htod=0.0, kernel=0.1, dtoh=0.5)],
-            now=0.0,
-            extra_dtoh_s=1.0,
-        )
-        # The snapshot copy occupies the DtoH engine first; the batch's
-        # own result copy queues behind it.
-        snapshot, _, _, dtoh = sched.ops
-        assert snapshot.op.kind == DTOH
-        assert snapshot.finish == pytest.approx(1.0)
-        assert dtoh.start == pytest.approx(1.0)
-        assert sched.finish_s == pytest.approx(1.5)
-
     def test_deterministic_and_validates(self):
         def run():
             timeline = DeviceTimeline("v100", num_streams=3)
