@@ -598,6 +598,23 @@ class KernelAnalyzer:
         hi_ok = _le_end(idx.ival.hi, upper, self.env)
         if lo_ok and hi_ok:
             return
+        lo, hi = idx.ival.lo, idx.ival.hi
+        if (
+            hi_ok
+            and isinstance(lo, SymExpr)
+            and isinstance(hi, SymExpr)
+            and _le_end(zero - dim, lo, self.env)
+            and _le_end(hi, dim + lo - SymExpr.const(1), self.env)
+        ):
+            # Negative indices wrap to [dim + lo, dim - 1], slots no
+            # non-negative index reaches: sentinel columns (PAD = -1
+            # reading a bitmap's extra last column), not aliasing.
+            self.prove(
+                loc,
+                f"negative indices wrap to sentinel slots [{dim + lo}, {upper}], "
+                f"disjoint from [0, {hi}]",
+            )
+            return
         # Declared bounds are assumed tight, so an upper endpoint that is
         # >= dim for EVERY admitted assignment is a definite violation.
         # Negative endpoints stay warnings: numpy accepts [-dim, -1].

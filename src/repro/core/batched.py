@@ -11,15 +11,17 @@ over structure-of-arrays state —
   (:class:`~repro.structures.soa.BatchedFrontier`),
 - a ``(B, pool)`` packed-key result pool
   (:class:`~repro.structures.soa.BatchedTopK`),
-- a dense ``(B, n)`` lane-visited bitmap —
+- a ``(B, n + 1)`` lane-visited bitmap whose last column is a
+  permanently-True sentinel for PAD (-1) —
 
 so candidate locating yields one ``(B, probe_steps * degree)`` candidate
 matrix per round.  Like the serial engine (and SONG's stage 1, and
-CAGRA's visited test), the round filters *before* it scores: PAD slots,
-already-visited neighbours, in-round repeats and retired lanes are
-dropped first, the survivors are compacted into one ragged
-``(lane, vertex)`` list of length ``R``, and stage 2 scores exactly
-those rows with one
+CAGRA's visited test), the round filters *before* it scores: one gather
+of the bitmap rejects PAD slots (they address the sentinel column),
+slots of lanes that popped nothing (masked to PAD) and already-visited
+neighbours, then in-round repeats are dropped.  The survivors are
+compacted into one ragged ``(lane, vertex)`` list of length ``R``, and
+stage 2 scores exactly those rows with one
 :meth:`~repro.distances.metrics.Metric.gather_many` call instead of ``B``
 tiny per-iteration numpy calls.  That primitive keeps the stage in
 cache the way SONG keeps it on chip: it walks the list in L2-sized
@@ -91,6 +93,26 @@ __all__ = ["BatchedSongSearcher"]
 @array_kernel(
     params={"n": (1, 2**31), "B": (1, 2**20), "L": (1, 2**16)},
     args={
+        "visited": arr("B", "n+1", dtype="bool"),
+        "rows": arr("B", 1, lo=0, hi="B-1"),
+        "cand": arr("B", "L", lo=-1, hi="n-1"),
+    },
+    returns=[arr("B", "L", dtype="bool")],
+)
+def _unvisited(visited: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """True where ``cand[b, j]`` is a vertex lane ``b`` has not visited.
+
+    ``visited`` is the ``(B, n + 1)`` lane bitmap whose last column is the
+    PAD sentinel, permanently True: PAD (-1) addresses that column, so
+    this one gather rejects padding and visited vertices alike, and no
+    real id (< n) ever reads the sentinel.
+    """
+    return ~visited[rows, cand]
+
+
+@array_kernel(
+    params={"n": (1, 2**31), "B": (1, 2**20), "L": (1, 2**16)},
+    args={
         "cand": arr("B", "L", lo=-1, hi="n-1"),
         "valid": arr("B", "L", dtype="bool"),
     },
@@ -107,10 +129,11 @@ def _first_occurrence_mask(cand: np.ndarray, valid: np.ndarray) -> np.ndarray:
     of every run of equal ids is the earliest.  O(L log L) per lane,
     ``L`` = slots of the round's candidate window.
     """
-    keyed = np.where(valid, cand, PAD)
-    ordered = np.sort(keyed, axis=1)
+    ordered = np.where(valid, cand, PAD)
+    ordered.sort(axis=1)
     if not ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != PAD)).any():
         return valid
+    keyed = np.where(valid, cand, PAD)
     order = np.argsort(keyed, axis=1, kind="stable")
     ordered = np.take_along_axis(keyed, order, axis=1)
     first = np.ones(cand.shape, dtype=bool)
@@ -244,9 +267,12 @@ class _LockstepState:
     """All structure-of-arrays state of one batch search, plus the round loop.
 
     One instance is one "kernel launch": ``B`` lanes, each owning a row of
-    the frontier, the result pool, and the visited bitmap.  :meth:`round`
-    executes one lockstep iteration of the 3-stage loop across every
-    active lane and returns False once the batch has drained.
+    the frontier, the result pool, and the ``(B, n + 1)`` visited bitmap
+    (column ``n`` is the PAD sentinel).  :meth:`round` executes one
+    lockstep iteration of the 3-stage loop across every active lane and
+    returns False once the batch has drained; its fixed cost is what a
+    small served batch pays, so it decodes its keys once and gathers the
+    bitmap once.
     """
 
     def __init__(self, searcher, queries, config, entry_points=None):
@@ -271,7 +297,10 @@ class _LockstepState:
         capacity = config.queue_size if config.bounded_queue else None
         self.frontier = BatchedFrontier(b, capacity)
         self.topk = BatchedTopK(b, self.pool)
-        self.visited = np.zeros((b, n), dtype=bool)
+        # Column n is the PAD sentinel (see _unvisited): always "visited".
+        self.visited = np.zeros((b, n + 1), dtype=bool)
+        self.visited[:, n] = True
+        self.neighbor_counts = graph.neighbor_counts
         self.visited_len = np.zeros(b, dtype=np.int64)
         self.active = np.ones(b, dtype=bool)
         # Per-lane operation record (fill_stats maps it onto SearchStats).
@@ -297,47 +326,52 @@ class _LockstepState:
     # -- one lockstep iteration ----------------------------------------------
 
     def round(self) -> bool:
-        """Advance every active lane one iteration; False when drained."""
+        """Advance every active lane one iteration; False when drained.
+
+        The one drain test is ``process`` below: the round after the last
+        lane retires finds nothing to pop and returns False.
+        """
         # Lanes whose frontier drained stop exactly like the serial
-        # ``while len(frontier)`` check.
+        # ``while len(frontier)`` check (they pop nothing below).
         self.active &= self.frontier.sizes > 0
-        if not self.active.any():
-            return False
         config = self.config
 
         # ---- Stage 1: candidate locating ---------------------------------
         window = self.frontier.window(self.steps)
-        win_dists = unpack_distances(window)
-        full, worst = self.topk.full_and_worst()
-        avail = np.minimum(self.steps, self.frontier.sizes)
-        slot = np.arange(window.shape[1], dtype=np.int64)[None, :]
+        # The pop window and the pool's worst entry, decoded together.
+        head = np.concatenate((window, self.topk.keys[:, -1:]), axis=1)
+        head_dists = unpack_distances(head)
+        full = head[:, -1:] != PAD_KEY
         # A pop survives the serial check unless ``full and worst < d``;
-        # the frontier rows are sorted, so survivors form a prefix.
-        ok = (~full[:, None]) | (win_dists <= worst[:, None])
-        ok &= slot < avail[:, None]
+        # the frontier rows are sorted, so survivors form a prefix of the
+        # window's real (non-PAD) entries.
+        ok = ~full | (head_dists[:, :-1] <= head_dists[:, -1:])
+        ok &= window != PAD_KEY
         ok &= self.active[:, None]
-        n_pop = np.cumprod(ok, axis=1, dtype=np.int64).sum(axis=1)
+        pop_mask = ok if ok.shape[1] == 1 else np.logical_and.accumulate(ok, axis=1)
+        n_pop = pop_mask.sum(axis=1)
         # A lane that hit the stop condition consumes (and discards) the
         # failing entry, finishes this round, then goes inactive.
-        stop = self.active & (n_pop < avail)
-        process = self.active & (n_pop > 0)
+        stop = self.active & (n_pop < np.minimum(self.steps, self.frontier.sizes))
+        process = pop_mask[:, 0]
         self.pops += n_pop
         self.stop_pops += stop
         if not process.any():
             self.active = process
             return False
 
-        pop_mask = slot < n_pop[:, None]
-        popped_ids = np.where(pop_mask, unpack_ids(window), 0)
-        neighbors = self.adj[popped_ids]  # (B, ws, degree)
-        valid = (pop_mask[:, :, None] & (neighbors != PAD)).reshape(self.b, -1)
-        cand = neighbors.reshape(self.b, -1)
-        self.visited_tests += valid.sum(axis=1)
-        valid &= ~self.visited[self._rows, np.where(valid, cand, 0)]
+        # Slots that pop nothing fetch row 0, then are masked to PAD once;
+        # the sentinel column rejects every PAD with the visited test.
+        popped = unpack_ids(window) * pop_mask
+        self.visited_tests += (self.neighbor_counts[popped] * pop_mask).sum(axis=1)
+        cand = np.where(pop_mask[:, :, None], self.adj[popped], PAD).reshape(self.b, -1)
+        valid = _unvisited(self.visited, self._rows, cand)
         valid = _first_occurrence_mask(cand, valid)
-        # The survivors, as one ragged (lane, slot) list in lane order.
-        lane_idx, slot_idx = np.nonzero(valid)
-        ids = cand[lane_idx, slot_idx]
+        # The survivors, as one ragged list in lane order: flat (lane, slot)
+        # positions into the (B, L) candidate block.
+        flat = valid.ravel().nonzero()[0]
+        lane_idx = flat // cand.shape[1]
+        ids = cand.take(flat)
 
         # ---- Stage 2: bulk distance computation, survivors only -----------
         dists = self.metric.gather_many(
@@ -348,8 +382,7 @@ class _LockstepState:
         self.distance_computations += n_scored
 
         # ---- Stage 3: data-structure maintenance -------------------------
-        popped_keys = np.where(pop_mask, window, PAD_KEY)
-        topk_evicted = self.topk.merge(popped_keys)
+        topk_evicted = self.topk.merge(np.where(pop_mask, window, PAD_KEY))
         if config.visited_deletion:
             self._delete_evicted(topk_evicted)
         n_accepted = n_scored
@@ -358,23 +391,24 @@ class _LockstepState:
             # visited, not enqueued (the computation-for-memory trade).
             full, worst = self.topk.full_and_worst()
             inside = ~full[lane_idx] | (dists < worst[lane_idx])
-            lane_idx, slot_idx = lane_idx[inside], slot_idx[inside]
+            lane_idx, flat = lane_idx[inside], flat[inside]
             ids, dists = ids[inside], dists[inside]
             n_accepted = np.bincount(lane_idx, minlength=self.b)
         self.visited[lane_idx, ids] = True
         self.visited_len += n_accepted
         self.visited_inserts += n_accepted
         cand_keys = np.full(cand.shape, PAD_KEY, dtype=np.uint64)
-        cand_keys[lane_idx, slot_idx] = pack_keys(dists, ids)
+        cand_keys.ravel()[flat] = pack_keys(dists, ids)
         # The discarded stop pop left the queue too: its slot is free
         # for this round's candidates, exactly as in the serial loop.
         frontier_evicted = self.frontier.merge(n_pop + stop, cand_keys, n_accepted)
-        if config.visited_deletion and frontier_evicted.shape[1]:
-            self._delete_evicted(frontier_evicted)
-        np.maximum(self.visited_peak, self.visited_len, out=self.visited_peak)
+        if config.visited_deletion:
+            if frontier_evicted.shape[1]:
+                self._delete_evicted(frontier_evicted)
+            np.maximum(self.visited_peak, self.visited_len, out=self.visited_peak)
 
         self.active = process & ~stop
-        return self.active.any()
+        return True
 
     def _delete_evicted(self, evicted_keys: np.ndarray) -> None:
         """Unmark evicted vertices (the visited-deletion optimization)."""
@@ -419,12 +453,15 @@ class _LockstepState:
         result pool once; every visited insert, and the seed, is one
         frontier push.
         """
+        # Without deletion a lane's visited set never shrinks, so its
+        # peak is its final size; only deletion tracks it every round.
+        peak = self.visited_peak if self.config.visited_deletion else self.visited_len
         columns = zip(
             stats,
             self.iterations.tolist(),
             self.distance_computations.tolist(),
             self.visited_inserts.tolist(),
-            self.visited_peak.tolist(),
+            peak.tolist(),
             self.pops.tolist(),
             self.stop_pops.tolist(),
             self.visited_tests.tolist(),

@@ -40,7 +40,7 @@ from repro.structures.minmax_heap import BoundedPriorityQueue
 from repro.structures.visited import VisitedBackend, VisitedSet
 
 #: Visited backends with exact (set) semantics, required by the batched
-#: engine's dense lane-visited bitmap.
+#: engine's ``(B, n + 1)`` lane-visited bitmap (column n: the PAD sentinel).
 EXACT_VISITED_BACKENDS = (VisitedBackend.HASH_TABLE, VisitedBackend.PYSET)
 
 

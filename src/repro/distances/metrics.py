@@ -174,15 +174,16 @@ class Metric:
         The list is walked in tiles of at most ``PANEL_BYTES // row_bytes``
         rows — ``ceil(R / tile)`` near-equal parts, never a full tile plus
         a sliver, so a list that fits one tile (an empty one included) is
-        exactly one :meth:`batch_many` call.  Each tile gathers its rows,
-        queries and norms and scores them as an ``(r, 1, d)`` panel, so a
+        exactly one :meth:`batch_many` call and no concatenate.  Each tile
+        gathers its rows, queries and norms and scores them as an
+        ``(r, 1, d)`` panel, so a
         formula's tile-sized operands are still in L2 when the reduction
         reads them; one ``R``-row panel sends each operand through main
         memory once per pass.  A row's value does not depend on which rows
         share its :meth:`batch_many` call, so tiling changes no bit of the
         result: every value equals the serial :meth:`batch`'s.
         """
-        total = len(ids)
+        total = ids.size
         tile = max(1, PANEL_BYTES // (data.shape[1] * data.itemsize))
         parts = max(1, -(-total // tile))
         scores = []
@@ -192,12 +193,12 @@ class Metric:
             rows = ids[lo:hi]
             scores.append(
                 self.batch_many(
-                    queries[lanes[lo:hi]],
-                    data[rows][:, None, :],
-                    None if norms is None else norms[rows][:, None],
+                    queries.take(lanes[lo:hi], axis=0),
+                    data.take(rows, axis=0)[:, None, :],
+                    None if norms is None else norms.take(rows)[:, None],
                 )[:, 0]
             )
-        return np.concatenate(scores)
+        return scores[0] if parts == 1 else np.concatenate(scores)
 
     def pair_many(
         self,

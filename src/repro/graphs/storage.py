@@ -164,6 +164,11 @@ class FixedDegreeGraph:
         """The underlying ``(num_vertices, degree)`` int32 array."""
         return self._adj
 
+    @property
+    def neighbor_counts(self) -> np.ndarray:
+        """``(num_vertices,)`` int32 count of real (non-PAD) slots per row."""
+        return self._counts
+
     def num_edges(self) -> int:
         """Total directed edges stored."""
         return int(self._counts.sum())

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 # lint: hot-path
 
+from bisect import bisect_left
 from typing import Dict, Optional
 
 import numpy as np
@@ -35,6 +36,11 @@ _NUM_BUCKETS = 136
 
 def _bucket_edges() -> np.ndarray:
     return _EDGE_LO * _EDGE_RATIO ** np.arange(_NUM_BUCKETS, dtype=np.float64)
+
+
+#: The same float64 edges as a list, for :meth:`LatencyHistogram.observe`'s
+#: ``bisect_left`` (equal to ``searchsorted(side="left")`` on the array).
+_EDGE_LIST = _bucket_edges().tolist()
 
 
 class LatencyHistogram:
@@ -55,16 +61,25 @@ class LatencyHistogram:
         self.max = 0.0
 
     def observe(self, seconds: float) -> None:
-        """Record one duration."""
-        self.observe_many(np.asarray([seconds], dtype=np.float64))
+        """Record one duration: :meth:`observe_many` of one, in plain floats."""
+        seconds = float(seconds)
+        if not seconds >= 0:
+            raise ValueError("durations must be nonnegative numbers")
+        self._counts[bisect_left(_EDGE_LIST, seconds)] += 1
+        self.count += 1
+        self.total += seconds
+        if seconds < self.min:
+            self.min = seconds
+        if seconds > self.max:
+            self.max = seconds
 
     def observe_many(self, seconds: np.ndarray) -> None:
         """Record a vector of durations in one bucketing pass."""
         seconds = np.asarray(seconds, dtype=np.float64)
         if seconds.size == 0:
             return
-        if (seconds < 0).any():
-            raise ValueError("durations must be nonnegative")
+        if not (seconds >= 0).all():
+            raise ValueError("durations must be nonnegative numbers")
         idx = np.searchsorted(self._edges, seconds, side="left")
         np.add.at(self._counts, idx, 1)
         self.count += int(seconds.size)

@@ -220,7 +220,7 @@ class BatchedFrontier:
 
     def window(self, steps: int) -> np.ndarray:
         """The first ``min(steps, width)`` columns (this round's pop window)."""
-        return self.keys[:, : min(steps, self.width)]
+        return self.keys[:, :steps]
 
     def merge(
         self, n_pop: np.ndarray, new_keys: np.ndarray, n_new: np.ndarray
@@ -241,8 +241,9 @@ class BatchedFrontier:
         including candidates "evicted on arrival".  Unbounded frontiers
         never evict and return an empty ``(B, 0)`` array.
         """
-        cols = np.arange(self.width, dtype=np.int64)[None, :]
-        self.keys[cols < n_pop[:, None]] = PAD_KEY
+        # Clear the popped prefix inside its own width, not the whole row.
+        head = self.keys[:, : int(n_pop.max())]
+        head[np.arange(head.shape[1]) < n_pop[:, None]] = PAD_KEY
         combined = np.concatenate([self.keys, new_keys], axis=1)
         combined.sort(axis=1)
         self.sizes = self.sizes - n_pop + n_new

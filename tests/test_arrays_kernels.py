@@ -20,6 +20,7 @@ from repro.analysis.arrays import (
 )
 from repro.analysis.arrays.interp import analyze_kernel
 from repro.analysis.baseline import apply_baseline, load_baseline_sections
+from repro.analysis.findings import Severity
 from repro.annotations import arr, get_annotation, iter_array_annotations
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -79,6 +80,30 @@ class TestDefaultRegistry:
         weakened = dataclasses.replace(ann, args={**ann.args, arg: spec})
         findings, _ = analyze_kernel(weakened)
         assert rule in {f.rule for f in findings}, [f.format() for f in findings]
+
+    def test_sentinel_lookup_contract_is_live(self):
+        """PAD (-1) into the lockstep engine's ``(B, n + 1)`` bitmap is a
+        proven sentinel read; against a width-``n`` bitmap the same gather
+        would alias vertex ``n - 1`` and must not verify."""
+        check_arrays()  # imports ANNOTATED_MODULES
+        ann = get_annotation("repro.core.batched._unvisited")
+        findings, proven = analyze_kernel(ann)
+        assert findings == [] and any("sentinel" in p for p in proven), proven
+        aliased = dataclasses.replace(
+            ann, args={**ann.args, "visited": arr("B", "n", dtype="bool")}
+        )
+        findings, _ = analyze_kernel(aliased)
+        assert "fancy-index-oob" in {f.rule for f in findings}, findings
+        # An index in [1, n] against width n is an off-by-one, not a
+        # sentinel read: still a definite error.
+        off_by_one = dataclasses.replace(
+            aliased, args={**aliased.args, "cand": arr("B", "L", lo=1, hi="n")}
+        )
+        findings, proven = analyze_kernel(off_by_one)
+        assert not any("sentinel" in p for p in proven), proven
+        assert ("fancy-index-oob", Severity.ERROR) in {
+            (f.rule, f.severity) for f in findings
+        }, findings
 
     def test_every_annotated_module_registers_kernels(self):
         check_arrays()  # imports ANNOTATED_MODULES

@@ -566,6 +566,53 @@ def test_zero_survivor_round_scores_an_empty_panel(hostile_searchers, monkeypatc
     assert sum(panel_rows) == 1 + stats[0].distance_computations
 
 
+SENTINEL_ROWS = {0: [1, 5], 1: [], 2: [0, 5], 3: [5, 2, 4], 4: [3, 5], 5: [4, 3, 0]}
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        dict(),
+        dict(probe_steps=2),
+        dict(selected_insertion=True, visited_deletion=True),
+        dict(probe_steps=3, selected_insertion=True, visited_deletion=True),
+    ],
+    ids=["plain", "two-step", "selected-deletion", "three-step-selected-deletion"],
+)
+def test_pad_sentinel_never_aliases_the_last_vertex(options):
+    """PAD (-1) reads the visited bitmap's sentinel column n, never vertex
+    n - 1: rows end in PAD right after vertex 5 = n - 1, vertex 1's row is
+    all PAD and the degree (8) exceeds n (6).  Lanes start at vertex 0,
+    where 5 is still unvisited when the first such row is popped, and at
+    vertex 5 itself; each lane's results and eleven record fields must
+    equal a serial search from the same entry point."""
+    n, degree = 6, 8
+    rng = np.random.default_rng(21)
+    data = rng.standard_normal((n, 4)).astype(np.float32)
+    queries = np.concatenate([data + 0.01, data[::-1] - 0.02]).astype(np.float32)
+    entries = np.array([0, 5] * (len(queries) // 2))
+    config = SearchConfig(k=2, queue_size=3, **options)
+    graphs = {}
+    for entry in (0, 5):
+        graphs[entry] = FixedDegreeGraph(n, degree, entry_point=entry)
+        for vertex, row in SENTINEL_ROWS.items():
+            graphs[entry].set_neighbors(vertex, row)
+    serial_stats = [SearchStats() for _ in queries]
+    serial = [
+        SongSearcher(graphs[entry], data).search(q, config, stats=st)
+        for q, entry, st in zip(queries, entries.tolist(), serial_stats)
+    ]
+    batched_stats = [SearchStats() for _ in queries]
+    batched = BatchedSongSearcher(graphs[0], data).search_batch(
+        queries, config, stats=batched_stats, entry_points=entries
+    )
+    assert batched == serial
+    for lane, (ser, bat) in enumerate(zip(serial_stats, batched_stats)):
+        for name in SearchStats.__slots__:
+            assert getattr(ser, name) == getattr(bat, name), (lane, name)
+    assert any(5 in [v for _, v in lane] for lane in serial)
+
+
 @pytest.mark.parametrize("deletion", [False, True])
 def test_lane_retiring_in_round_one_beside_long_lanes(parity_data, parity_graphs, deletion):
     """With a one-slot pool the entry fills the top-k in round 1, so a

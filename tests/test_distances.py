@@ -232,6 +232,26 @@ class TestGatherMany:
             sizes = [shape[0] for shape in panels]
             assert max(sizes) - min(sizes) <= 1
 
+    @pytest.mark.parametrize("tile", [1, 5])
+    def test_batch_many_calls_are_one_per_tile(self, monkeypatch, tile):
+        """The count behind ``distances.batch_many_calls``: a list that fits
+        one tile (the empty one included) is exactly one call, a k-tile
+        list exactly k."""
+        metric, queries, data, norms = self.case("l2", False)
+        row_bytes = data.shape[1] * data.itemsize
+        monkeypatch.setattr(metrics_module, "PANEL_BYTES", tile * row_bytes)
+        panels = self.count_calls(monkeypatch)
+        rng = np.random.default_rng(32)
+        expected = {0: 1, 1: 1, tile: 1}
+        expected.update({k * tile: k for k in (2, 3, 4)})
+        expected.update({k * tile + 1: k + 1 for k in (1, 3)})
+        for total, calls in sorted(expected.items()):
+            lanes = np.sort(rng.integers(0, self.B, size=total))
+            ids = rng.integers(0, self.N, size=total)
+            panels.clear()
+            metric.gather_many(queries, lanes, data, ids, norms)
+            assert len(panels) == calls, (total, tile, panels)
+
     @pytest.mark.parametrize("metric_name,cached_norms", ROW_COUNT_CASES)
     def test_empty_list_is_one_call_on_an_empty_panel(
         self, monkeypatch, metric_name, cached_norms

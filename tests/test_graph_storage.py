@@ -72,6 +72,13 @@ class TestAccounting:
         with pytest.raises(ValueError, match="duplicate"):
             g.validate()
 
+    def test_neighbor_counts_track_set_neighbors(self):
+        g = FixedDegreeGraph(4, 5)
+        g.set_neighbors(0, [1, 2, 3])
+        g.set_neighbors(1, [0, 2, 0])  # set_neighbors accepts a repeat
+        g.set_neighbors(1, [0, 2])
+        assert g.neighbor_counts.tolist() == [3, 2, 0, 0]
+
     def test_adjacency_array_dtype(self):
         g = FixedDegreeGraph(3, 2)
         assert g.adjacency_array.dtype == np.int32

@@ -51,6 +51,43 @@ class TestLatencyHistogram:
             hist.percentile(0.0)
         assert hist.percentile(99) == 0.0  # empty histogram
 
+    def test_scalar_and_vector_paths_agree(self):
+        """``observe`` (bisect over float edges) and ``observe_many``
+        (``searchsorted``) bucket, count and summarize every value alike:
+        exact edges, zero, below the first and above the last edge, inf."""
+        edges = LatencyHistogram()._edges
+        grid = np.concatenate(
+            [
+                edges[::7],
+                np.nextafter(edges[::11], np.inf),
+                np.nextafter(edges[::13], 0.0),
+                [0.0, 1e-12, edges[0] / 2, edges[-1], edges[-1] * 3, 1e9, np.inf],
+            ]
+        )
+        rng = np.random.default_rng(5)
+        for values in (grid, rng.permutation(grid[:-1]), grid[:1], grid[-1:]):
+            scalar, vector, bulk = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
+            for v in values.tolist():
+                scalar.observe(v)
+                vector.observe_many(np.array([v]))
+            bulk.observe_many(values)
+            assert np.array_equal(scalar._counts, vector._counts)
+            assert np.array_equal(scalar._counts, bulk._counts)
+            # Summed one value at a time, as serving records them.
+            assert (scalar.count, scalar.total, scalar.min, scalar.max) == (
+                vector.count, vector.total, vector.min, vector.max
+            )
+            assert scalar.to_dict() == vector.to_dict()
+            for p in (0.1, 1, 25, 50, 90, 99, 100):
+                assert scalar.percentile(p) == vector.percentile(p) == bulk.percentile(p)
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan"), float("-inf")])
+    def test_both_paths_reject_negative_and_nan(self, bad):
+        with pytest.raises(ValueError):
+            LatencyHistogram().observe(bad)
+        with pytest.raises(ValueError):
+            LatencyHistogram().observe_many(np.array([0.5, bad]))
+
     def test_to_dict_is_json_shaped(self):
         hist = LatencyHistogram()
         hist.observe_many(np.array([1e-4, 2e-4, 3e-4]))
