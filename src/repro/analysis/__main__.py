@@ -5,8 +5,7 @@ Six engines share this entry point:
 * ``sanitizer`` — trace-based SIMT kernel sanitizer over every
   registered microkernel;
 * ``lint`` — hot-path linter over ``src/repro``;
-* ``verifier`` — static SIMT verifier (abstract interpretation of every
-  registered kernel plus the Theorem 1–3 search-invariant checks);
+* ``verifier`` — the Theorem 1–3 search-invariant checks;
 * ``streams`` — stream-program hazard checker over the device model;
 * ``arrays`` — array-program verifier (symbolic shapes, dtype lattice,
   value intervals, packed-key overflow proofs) plus the syntactic
@@ -45,7 +44,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.analysis.baseline import apply_baseline, load_baseline_sections
 from repro.analysis.findings import Finding, split_by_severity
 from repro.analysis.lint import lint_tree
-from repro.analysis.registry import iter_kernel_specs, sanitize_kernel, verify_kernel
+from repro.analysis.registry import (
+    iter_kernel_specs,
+    iter_known_bad_specs,
+    sanitize_kernel,
+)
 
 #: Engine names accepted by ``--engines``, in canonical run order.
 ENGINE_NAMES = ("sanitizer", "lint", "verifier", "streams", "arrays", "aio")
@@ -74,6 +77,9 @@ def _run_sanitizer(include_known_bad: bool, lint_root) -> List[Finding]:
     out: List[Finding] = []
     for spec in iter_kernel_specs():
         out.extend(sanitize_kernel(spec))
+    if include_known_bad:
+        for spec in iter_known_bad_specs():
+            out.extend(sanitize_kernel(spec))
     return out
 
 
@@ -82,17 +88,9 @@ def _run_lint(include_known_bad: bool, lint_root) -> List[Finding]:
 
 
 def _run_verifier(include_known_bad: bool, lint_root) -> List[Finding]:
-    from repro.analysis.verifier.fixtures import iter_known_bad_specs
     from repro.analysis.verifier.invariants import check_all_invariants
 
-    out: List[Finding] = []
-    for spec in iter_kernel_specs():
-        out.extend(verify_kernel(spec).findings)
-    if include_known_bad:
-        for spec in iter_known_bad_specs():
-            out.extend(verify_kernel(spec).findings)
-    out.extend(check_all_invariants())
-    return out
+    return check_all_invariants(include_known_bad=include_known_bad)
 
 
 def _run_streams(include_known_bad: bool, lint_root) -> List[Finding]:
@@ -187,9 +185,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "analysis engines: SIMT sanitizer, hot-path lint, static "
-            "verifier, stream hazards, array verifier, async-concurrency "
-            "(aio)"
+            "analysis engines: SIMT sanitizer, hot-path lint, Theorem 1-3 "
+            "invariant verifier, stream hazards, array verifier, "
+            "async-concurrency (aio)"
         ),
     )
     parser.add_argument(

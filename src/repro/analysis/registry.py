@@ -15,13 +15,16 @@ fires here before the cost model silently diverges.
 
 ``python -m repro.analysis`` sanitizes every registered spec;
 :func:`iter_kernel_specs` is the test suite's parametrization source.
+:func:`iter_known_bad_specs` is the negative control: deliberately
+broken kernels that ``--include-known-bad`` launches and the gate must
+reject.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, Iterator, List, Mapping, Tuple
+from typing import Callable, FrozenSet, Iterator, List
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from repro.analysis.sanitizer import (
     sanitize_trace,
 )
 from repro.analysis.trace import TraceRecorder
-from repro.simt import kernels
+from repro.simt import isa, kernels
 from repro.simt.memory import MemorySpace
 from repro.simt.simulator import WARP_SIZE, WarpSimulator
 
@@ -55,99 +58,40 @@ class KernelSpec:
     shared_words: int
     drift: DriftExpectation = field(default_factory=DriftExpectation)
     waive: FrozenSet[str] = frozenset()
-    #: Input registers whose *abstract* range is wider than the concrete
-    #: launch values ``make`` installs: the verifier proves the kernel for
-    #: every value in ``[lo, hi]`` (uniform across lanes), not just the
-    #: one the sanitizer traces.
-    verify_ranges: Mapping[str, Tuple[float, float]] = field(default_factory=dict)
 
 
 def sanitize_kernel(spec: KernelSpec) -> List[Finding]:
-    """Run one spec under tracing and return its (non-waived) findings."""
+    """Run one spec under tracing and return its (non-waived) findings.
+
+    A program the static pass rejects (a loop that cannot terminate) is
+    not launched.  A launch that faults inside the simulator — an index
+    past the allocation — becomes a ``simulator-fault`` finding, and the
+    events traced up to the fault are still sanitized, so the access
+    that caused it is reported as ``shared-oob`` / ``global-oob``.
+    """
     recorder = TraceRecorder()
     sim = spec.make(recorder)
-    stats = sim.run()
     findings = sanitize_program(sim.program, name=spec.name)
-    findings += sanitize_trace(
-        recorder,
-        shared_words=spec.shared_words,
-        global_words=len(sim.global_mem),
-        name=spec.name,
-    )
-    findings += check_drift(stats, recorder, spec.drift, name=spec.name)
+    if not findings:
+        stats = None
+        try:
+            stats = sim.run()
+        except Exception as exc:  # the kernel's fault, reported as a finding
+            findings.append(Finding(
+                rule="simulator-fault",
+                severity=Severity.ERROR,
+                location=f"kernel:{spec.name} pc={sim.pc}",
+                message=f"launch raised {type(exc).__name__}: {exc}",
+            ))
+        findings += sanitize_trace(
+            recorder,
+            shared_words=spec.shared_words,
+            global_words=len(sim.global_mem),
+            name=spec.name,
+        )
+        if stats is not None:
+            findings += check_drift(stats, recorder, spec.drift, name=spec.name)
     return [f for f in findings if f.rule not in spec.waive]
-
-
-def verify_kernel(spec: KernelSpec):
-    """Statically verify one spec; no instruction is ever executed.
-
-    Builds the simulator only to recover the launch configuration —
-    program, memory sizes, input registers — then hands everything to the
-    abstract interpreter.  Registers named in ``spec.verify_ranges``
-    are widened from their concrete launch values to the declared
-    abstract interval, so the proof covers the whole range.  On top of
-    the interpreter's findings this adds the ``static-bound-vs-model``
-    obligation: the static worst-case transaction/shuffle bounds must
-    dominate the analytic :class:`DriftExpectation` counts, otherwise
-    either the bound or the cost model is wrong.
-
-    Returns the :class:`~repro.analysis.verifier.absint.VerificationReport`
-    with waived rules filtered out.
-    """
-    from repro.analysis.verifier.absint import verify_program
-    from repro.analysis.verifier.domain import AbstractValue
-
-    sim = spec.make(TraceRecorder())
-    inputs = {
-        reg: AbstractValue.from_lanes(values) for reg, values in sim.regs.items()
-    }
-    for reg, (lo, hi) in spec.verify_ranges.items():
-        integral = float(lo).is_integer() and float(hi).is_integer()
-        inputs[reg] = AbstractValue.uniform_range(float(lo), float(hi), integral=integral)
-
-    report = verify_program(
-        sim.program,
-        shared_words=spec.shared_words,
-        global_words=len(sim.global_mem),
-        inputs=inputs,
-        name=spec.name,
-    )
-
-    location = f"kernel:{spec.name}"
-    checks = (
-        ("global transactions", spec.drift.global_transactions,
-         report.bounds.global_transactions),
-        ("shfl issues", spec.drift.shfl_count, report.bounds.shfl_count),
-    )
-    for label, analytic, static in checks:
-        if analytic is None:
-            continue
-        if static is None:
-            report.findings.append(Finding(
-                rule="static-bound-vs-model",
-                severity=Severity.ERROR,
-                location=location,
-                message=(
-                    f"no static bound on {label} but the analytic model "
-                    f"expects {analytic}"
-                ),
-            ))
-        elif static < analytic:
-            report.findings.append(Finding(
-                rule="static-bound-vs-model",
-                severity=Severity.ERROR,
-                location=location,
-                message=(
-                    f"static {label} bound {static} does not dominate the "
-                    f"analytic model's {analytic}"
-                ),
-            ))
-        else:
-            report.proven.append(
-                f"{label}: static bound {static} >= analytic {analytic}"
-            )
-    report.findings[:] = [f for f in report.findings if f.rule not in spec.waive]
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -253,8 +197,6 @@ def _heap_push_spec(name: str, size: int, capacity: int) -> KernelSpec:
         # Declared budget: the two parallel arrays, dists then ids.
         shared_words=2 * capacity,
         drift=DriftExpectation(global_transactions=0, shfl_count=0),
-        # The static proof covers every legal occupancy, not just `size`.
-        verify_ranges={"heap_size": (0.0, float(capacity))},
     )
 
 
@@ -274,7 +216,7 @@ def _single_lane_scan_spec(count: int) -> KernelSpec:
     )
 
 
-def _warp_probe_spec() -> KernelSpec:
+def _warp_probe_spec(name: str, home: int) -> KernelSpec:
     program = kernels.warp_parallel_probe_kernel()
 
     def make(tracer: TraceRecorder) -> WarpSimulator:
@@ -283,17 +225,15 @@ def _warp_probe_spec() -> KernelSpec:
         sim = WarpSimulator(program, global_mem=np.zeros(8), shared_mem=table, tracer=tracer)
         sim.set_register("table_base", 0.0)
         sim.set_register("table_mask", float(WARP_SIZE - 1))
-        sim.set_register("home", 3.0)
+        sim.set_register("home", float(home))
         sim.set_register("key", 42.0)
         return sim
 
     return KernelSpec(
-        name="warp_parallel_probe",
+        name=name,
         make=make,
         shared_words=WARP_SIZE,
         drift=DriftExpectation(global_transactions=0, shfl_count=0),
-        # Any home slot is safe: the table mask folds the probe window in.
-        verify_ranges={"home": (0.0, float(WARP_SIZE - 1))},
     )
 
 
@@ -333,9 +273,79 @@ def iter_kernel_specs() -> Iterator[KernelSpec]:
     yield _distance_spec("cosine_64", "cosine", 64)
     yield _hamming_spec(8)
     yield _warp_reduce_spec()
+    # Heap occupancy and probe home slot are launched at the edges of
+    # their legal ranges, [0, capacity] and [0, 31], plus one inside.
     yield _heap_push_spec("heap_push", size=5, capacity=16)
+    yield _heap_push_spec("heap_push_empty", size=0, capacity=16)
+    yield _heap_push_spec("heap_push_one_free", size=15, capacity=16)
     yield _heap_push_spec("heap_push_full", size=16, capacity=16)
     yield _single_lane_scan_spec(24)
-    yield _warp_probe_spec()
+    yield _warp_probe_spec("warp_parallel_probe", home=3)
+    yield _warp_probe_spec("warp_parallel_probe_home0", home=0)
+    yield _warp_probe_spec("warp_parallel_probe_home31", home=WARP_SIZE - 1)
     yield _strided_read_spec(1)
     yield _strided_read_spec(32)
+
+
+# --------------------------------------------------------------------------
+# known-bad launches (the negative control)
+# --------------------------------------------------------------------------
+
+
+def _known_bad_spec(
+    name: str, program: List[isa.Instruction], shared_words: int, **regs: float
+) -> KernelSpec:
+    def make(tracer: TraceRecorder) -> WarpSimulator:
+        shared = np.zeros(max(shared_words, 1))
+        sim = WarpSimulator(
+            program, global_mem=np.zeros(8), shared_mem=shared, tracer=tracer
+        )
+        for reg, value in regs.items():
+            sim.set_register(reg, value)
+        return sim
+
+    return KernelSpec(name=name, make=make, shared_words=shared_words)
+
+
+def iter_known_bad_specs() -> Iterator[KernelSpec]:
+    """Broken kernels the sanitizer must reject, each launched concretely.
+
+    * ``bad_heap_push_unguarded`` — :func:`~repro.simt.kernels.heap_push_kernel`
+      with the ``has_room`` guard dropped, pushed into a full heap whose
+      buffer is exactly the two-array budget: the id store lands one word
+      past it (``shared-oob``, then a simulator fault).
+    * ``bad_oob_unbounded_index`` — every lane walks its index from its
+      lane id to 100, storing ``shared[i]`` into a 32-word buffer.
+    * ``bad_divergent_shuffle`` — a ``ShflDown`` under a lane-varying
+      branch.
+    """
+    cap = 16
+    heap = kernels.heap_push_kernel()
+    guard = next(
+        pc for pc, ins in enumerate(heap)
+        if isinstance(ins, isa.If) and ins.pred == "do_push"
+    )
+    heap[guard] = isa.If(pred="is0")
+    yield _known_bad_spec(
+        "bad_heap_push_unguarded", heap, 2 * cap,
+        heap_base=0.0, heap_capacity=float(cap), heap_size=float(cap),
+        new_dist=0.25, new_id=99.0,
+    )
+    yield _known_bad_spec("bad_oob_unbounded_index", [
+        isa.LaneId(dst="i"),
+        isa.Cmp(rel="lt", dst="more", a="i", b=100.0),
+        isa.While(pred="more"),
+        isa.Sts(addr="i", src="i"),
+        isa.Binary(op="add", dst="i", a="i", b=1.0),
+        isa.Cmp(rel="lt", dst="more", a="i", b=100.0),
+        isa.EndWhile(),
+    ], WARP_SIZE)
+    yield _known_bad_spec("bad_divergent_shuffle", [
+        isa.LaneId(dst="lane"),
+        isa.Mov(dst="acc", src=1.0),
+        isa.Cmp(rel="lt", dst="low_half", a="lane", b=16.0),
+        isa.If(pred="low_half"),
+        isa.ShflDown(dst="other", src="acc", delta=8),
+        isa.Binary(op="add", dst="acc", a="acc", b="other"),
+        isa.EndIf(),
+    ], 0)

@@ -31,6 +31,10 @@ functional interpreter executes silently:
 ``stale-loop-predicate``
     Static check: a ``While`` whose predicate register no instruction in
     the loop body writes — the loop can never make progress.
+``simulator-fault``
+    The launch raised inside the simulator (an index past the buffer);
+    reported by :func:`repro.analysis.registry.sanitize_kernel`, which
+    still sanitizes the events traced before the fault.
 ``uncoalesced-global`` (warning)
     A wide global access whose transaction count approaches one per
     lane; kernels that measure scattering on purpose waive it.

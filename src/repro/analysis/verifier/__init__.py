@@ -1,37 +1,12 @@
-"""Static SIMT verifier: abstract interpretation + invariant proofs.
+"""The ``verifier`` engine: SONG's Theorem 1–3 invariant checks.
 
-Where PR 3's sanitizer replays one concrete trace, this package proves
-properties of :mod:`repro.simt.isa` programs for *all* inputs:
-
-* :mod:`~repro.analysis.verifier.domain` — the abstract value domain:
-  intervals, parity, integrality, and a lane-stride divergence lattice
-  (uniform / lane-affine / divergent);
-* :mod:`~repro.analysis.verifier.absint` — the structured abstract
-  interpreter with widening, predicate refinement, ranking-function
-  termination proofs, and static cycle/transaction upper bounds;
-* :mod:`~repro.analysis.verifier.invariants` — SONG Theorem 1–3
-  data-structure invariant checks over the real search loop;
-* :mod:`~repro.analysis.verifier.fixtures` — known-bad kernels the CI
-  gate must statically reject.
-
-Entry points: :func:`verify_program` for raw programs,
-:func:`repro.analysis.registry.verify_kernel` for registered specs, and
-``python -m repro.analysis --verify`` for the CLI/CI gate.  See
-DESIGN.md Section 10.
+:mod:`~repro.analysis.verifier.invariants` model-checks the bounded
+queue (Theorem 1) and replays the real search loop to check selected
+insertion (Theorem 2) and visited deletion (Theorem 3).  Run it with
+``python -m repro.analysis --engines verifier``; see DESIGN.md
+Section 10.
 """
 
-from repro.analysis.verifier.absint import (
-    StaticBounds,
-    VerificationReport,
-    verify_program,
-)
-from repro.analysis.verifier.domain import AbstractValue, Interval, Parity
-from repro.analysis.verifier.fixtures import (
-    divergent_shuffle_kernel,
-    iter_known_bad_specs,
-    oob_unbounded_index_kernel,
-    unguarded_heap_push_kernel,
-)
 from repro.analysis.verifier.invariants import (
     check_all_invariants,
     check_bounded_queue,
@@ -39,17 +14,7 @@ from repro.analysis.verifier.invariants import (
 )
 
 __all__ = [
-    "AbstractValue",
-    "Interval",
-    "Parity",
-    "StaticBounds",
-    "VerificationReport",
-    "verify_program",
     "check_all_invariants",
     "check_bounded_queue",
     "check_search_invariants",
-    "iter_known_bad_specs",
-    "unguarded_heap_push_kernel",
-    "oob_unbounded_index_kernel",
-    "divergent_shuffle_kernel",
 ]

@@ -328,6 +328,21 @@ def check_search_invariants(
     return findings
 
 
-def check_all_invariants() -> List[Finding]:
-    """The Theorem 1–3 pass ``python -m repro.analysis --verify`` runs."""
-    return check_bounded_queue() + check_search_invariants()
+class _NeverEvicts(BoundedPriorityQueue):
+    """Known-bad queue: ignores the capacity cap, so |q| grows unbounded."""
+
+    def push(self, dist, vertex):
+        self._heap.push(dist, vertex)
+        return None
+
+
+def check_all_invariants(include_known_bad: bool = False) -> List[Finding]:
+    """The Theorem 1–3 pass ``python -m repro.analysis --engines verifier`` runs.
+
+    ``include_known_bad`` adds the negative control: the Theorem 1 model
+    check over a queue that never evicts, which must produce findings.
+    """
+    findings = check_bounded_queue() + check_search_invariants()
+    if include_known_bad:
+        findings += check_bounded_queue(queue_factory=_NeverEvicts)
+    return findings

@@ -191,7 +191,13 @@ class DynamicBatcher:
                 oldest = self.pending[0]
                 deadline = oldest.arrival_s + self.policy.max_wait_s
                 timeout = deadline - loop.time()
-                if timeout > 0:
+                # The loop fires a timer that is within its clock resolution
+                # at once, without the clock reaching it: a wait that short
+                # would time out again at the same instant forever, so it
+                # counts as expired.  ``_clock_resolution`` is the value
+                # ``BaseEventLoop._run_once`` itself compares timers against;
+                # the virtual loop inherits it unchanged.
+                if timeout > loop._clock_resolution:
                     # Wait for more arrivals, but never past the deadline.
                     self._arrival.clear()
                     try:

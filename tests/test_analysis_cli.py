@@ -87,11 +87,14 @@ class TestVerifyEngine:
 
     def test_known_bad_kernels_fail_the_gate(self):
         findings, code = run_engines(
-            ["verifier", "streams"], strict=True, include_known_bad=True
+            ["sanitizer", "verifier", "streams"], strict=True,
+            include_known_bad=True,
         )
         assert code == 1
         got = {f.rule for f in findings}
-        assert {"static-oob-shared", "static-divergent-shuffle"} <= got
+        assert {
+            "shared-oob", "divergent-shuffle", "invariant-bounded-queue",
+        } <= got
 
     def test_findings_are_sorted_deterministically(self):
         findings, _ = run_engines(
@@ -104,7 +107,9 @@ class TestVerifyEngine:
         assert keys == sorted(keys)
 
     def test_verify_json_schema_round_trips(self):
-        proc = run_cli("--engines", "verifier,streams", "--include-known-bad", "--json")
+        proc = run_cli(
+            "--engines", "sanitizer,verifier,streams", "--include-known-bad", "--json"
+        )
         assert proc.returncode == 1
         records = [
             json.loads(line) for line in proc.stdout.splitlines() if line.strip()
@@ -118,8 +123,9 @@ class TestVerifyEngine:
         assert locations == sorted(locations)  # all error-severity here
 
     def test_verify_json_is_byte_stable(self):
-        first = run_cli("--engines", "verifier,streams", "--include-known-bad", "--json")
-        second = run_cli("--engines", "verifier,streams", "--include-known-bad", "--json")
+        args = ("--engines", "sanitizer,verifier,streams", "--include-known-bad", "--json")
+        first = run_cli(*args)
+        second = run_cli(*args)
         assert first.stdout == second.stdout
 
 
@@ -166,14 +172,14 @@ GOLDEN_SCHEMA = {
 }
 
 #: Rules every full --json run over the seeded inputs must mention, one
-#: per seedable engine: verifier/stream rules come from the known-bad
-#: fixtures, lint from a seeded tree, arrays from the known-bad array
-#: kernels, aio from the known-bad coroutine fixtures.  The sanitizer
-#: has no CLI-seedable bad input (its hazard traces live in
-#: test_analysis_sanitizer.py); its golden expectation is the clean
-#: empty run asserted separately below.
+#: per engine: sanitizer/verifier/stream rules come from the known-bad
+#: fixtures (broken kernels, a queue that never evicts, a stream program
+#: missing its deps), lint from a seeded tree, arrays from the known-bad
+#: array kernels, aio from the known-bad coroutine fixtures.  Without
+#: the known-bad inputs the sanitizer's run is clean, asserted below.
 ENGINE_SENTINEL_RULES = {
-    "verifier": "static-oob-shared",
+    "sanitizer": "shared-oob",
+    "verifier": "invariant-bounded-queue",
     "streams": "stream-hazard",
     "lint": "hot-loop",
     "arrays": "packed-key-overflow",
@@ -220,8 +226,7 @@ class TestGoldenJson:
         anchored = [
             r
             for r in records
-            if r["rule"] in {"hot-loop", *ENGINE_SENTINEL_RULES.values()}
-            and ".py:" in r["location"]
+            if r["engine"] in {"lint", "arrays"} and ".py:" in r["location"]
         ]
         assert anchored
         for r in anchored:
@@ -263,7 +268,9 @@ class TestGoldenJson:
         assert engines <= {
             "sanitizer", "lint", "verifier", "streams", "arrays", "aio",
         }
-        assert {"lint", "verifier", "streams", "arrays", "aio"} <= engines
+        assert {
+            "sanitizer", "lint", "verifier", "streams", "arrays", "aio",
+        } <= engines
 
 
 class TestModuleInvocation:
@@ -288,5 +295,5 @@ class TestModuleInvocation:
         assert "verifier,streams" in ci
         # Negative control: CI runs the known-bad fixtures and requires
         # the gate to reject them, so a silently broken verifier fails CI.
-        assert "for engine in verifier streams arrays aio" in ci
+        assert "for engine in verifier streams arrays aio sanitizer" in ci
         assert '--engines "$engine" --strict --include-known-bad' in ci
