@@ -11,17 +11,19 @@ over structure-of-arrays state —
   (:class:`~repro.structures.soa.BatchedFrontier`),
 - a ``(B, pool)`` packed-key result pool
   (:class:`~repro.structures.soa.BatchedTopK`),
-- a ``(B, n + 1)`` lane-visited bitmap whose last column is a
-  permanently-True sentinel for PAD (-1) —
+- a flat ``(B, n + 1)`` lane-visited bitmap whose rows each end in a
+  permanently-True sentinel column for PAD (-1) —
 
 so candidate locating yields one ``(B, probe_steps * degree)`` candidate
 matrix per round.  Like the serial engine (and SONG's stage 1, and
-CAGRA's visited test), the round filters *before* it scores: one gather
-of the bitmap rejects PAD slots (they address the sentinel column),
-slots of lanes that popped nothing (masked to PAD) and already-visited
-neighbours, then in-round repeats are dropped.  The survivors are
-compacted into one ragged ``(lane, vertex)`` list of length ``R``, and
-stage 2 scores exactly those rows with one
+CAGRA's visited test), the round filters *before* it scores: one flat
+gather of the bitmap rejects PAD slots (they address a sentinel
+column), slots of lanes that popped nothing (masked to PAD) and
+already-visited neighbours, then in-round repeats are dropped — unless
+none is possible: a one-row window (``probe_steps=1``) over a graph
+whose rows never repeat an id (``FixedDegreeGraph.repeat_free``) holds
+none.  The survivors are compacted into one ragged ``(lane, vertex)``
+list of length ``R``, and stage 2 scores exactly those rows with one
 :meth:`~repro.distances.metrics.Metric.gather_many` call instead of ``B``
 tiny per-iteration numpy calls.  That primitive keeps the stage in
 cache the way SONG keeps it on chip: it walks the list in L2-sized
@@ -35,6 +37,9 @@ zero-survivor round — is one ``batch_many`` call.  Stage 3 filters,
 marks and packs the flat list and scatters the keys back into a
 ``(B, L)`` block for the frontier merge.  Queries that converge early
 are masked out like inactive SIMT lanes until the whole batch drains.
+A round does only the search: the per-lane operation record is a log of
+the ``(B,)`` vectors each round computed anyway, reduced once when the
+batch has drained, and the results leave as arrays decoded once.
 
 Correctness bar: under an exact visited backend the engine returns results
 **bit-identical** to :meth:`repro.core.song.SongSearcher.search`.  The
@@ -62,6 +67,7 @@ from __future__ import annotations
 
 # lint: hot-path
 
+import itertools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,27 +93,56 @@ from repro.structures.soa import (
 )
 from repro.structures.visited import VisitedBackend
 
-__all__ = ["BatchedSongSearcher"]
+__all__ = ["BatchedSongSearcher", "result_arrays"]
+
+
+def result_arrays(
+    results: List[List[Tuple[float, int]]], width: Optional[int] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Search result lists as ``(R, width)`` id and distance arrays.
+
+    Ids are ``PAD`` and distances ``inf`` past each list's end; ``width``
+    defaults to the longest list (at least 1).  One conversion of the
+    engine's Python return shape for every caller that continues in
+    arrays (HNSW linking, the tier's re-rank).
+    """
+    lengths = np.fromiter(map(len, results), dtype=np.int64, count=len(results))
+    pairs = itertools.chain.from_iterable(results)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(pairs), dtype=np.float64, count=2 * int(lengths.sum())
+    ).reshape(-1, 2)
+    if width is None:
+        width = max(1, int(lengths.max()))
+    filled = np.arange(width)[None, :] < lengths[:, None]
+    ids = np.full((len(results), width), PAD, dtype=np.int64)
+    dists = np.full((len(results), width), np.inf)
+    ids[filled] = flat[:, 1].astype(np.int64)
+    dists[filled] = flat[:, 0]
+    return ids, dists
 
 
 @array_kernel(
     params={"n": (1, 2**31), "B": (1, 2**20), "L": (1, 2**16)},
     args={
-        "visited": arr("B", "n+1", dtype="bool"),
-        "rows": arr("B", 1, lo=0, hi="B-1"),
+        "visited": arr("B*(n+1)", dtype="bool"),
+        "base": arr("B", 1, lo=0, hi="(B-1)*(n+1)"),
         "cand": arr("B", "L", lo=-1, hi="n-1"),
     },
     returns=[arr("B", "L", dtype="bool")],
 )
-def _unvisited(visited: np.ndarray, rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+def _unvisited(visited: np.ndarray, base: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """True where ``cand[b, j]`` is a vertex lane ``b`` has not visited.
 
-    ``visited`` is the ``(B, n + 1)`` lane bitmap whose last column is the
-    PAD sentinel, permanently True: PAD (-1) addresses that column, so
-    this one gather rejects padding and visited vertices alike, and no
-    real id (< n) ever reads the sentinel.
+    ``visited`` is the flat ``(B, n + 1)`` lane bitmap, lane ``b``'s row
+    starting at ``base[b] = b * (n + 1)``, and every row's last column is
+    the PAD sentinel, permanently True.  A real id (< n) reads its own
+    lane's row; PAD (-1) reads the column just before it — lane
+    ``b - 1``'s sentinel, or for lane 0 (the one negative index) the last
+    lane's — so this one gather rejects padding and visited vertices
+    alike.  One flat gather instead of a ``(rows, cand)`` pair: numpy's
+    two-index path costs over twice as much at B = 256.
     """
-    return ~visited[rows, cand]
+    return ~visited[base + cand]
 
 
 @array_kernel(
@@ -267,12 +302,14 @@ class _LockstepState:
     """All structure-of-arrays state of one batch search, plus the round loop.
 
     One instance is one "kernel launch": ``B`` lanes, each owning a row of
-    the frontier, the result pool, and the ``(B, n + 1)`` visited bitmap
-    (column ``n`` is the PAD sentinel).  :meth:`round` executes one
-    lockstep iteration of the 3-stage loop across every active lane and
-    returns False once the batch has drained; its fixed cost is what a
-    small served batch pays, so it decodes its keys once and gathers the
-    bitmap once.
+    the frontier, the result pool, and the flat ``(B, n + 1)`` visited
+    bitmap (column ``n`` of every row is the PAD sentinel).  :meth:`round`
+    executes one lockstep iteration of the 3-stage loop across every
+    active lane and returns False once the batch has drained.  Its fixed
+    cost is what a small served batch pays, so a round does only the
+    search: it decodes its keys once, gathers the bitmap once, and appends
+    the ``(B,)`` vectors it computed anyway to the operation record, which
+    :meth:`fill_stats` reduces once, at the end.
     """
 
     def __init__(self, searcher, queries, config, entry_points=None):
@@ -286,32 +323,38 @@ class _LockstepState:
             searcher.data_norms() if self.metric.name == "cosine" else None
         )
         self.steps = config.probe_steps
-        self.pool = config.queue_size
         self.k = config.k
+        # A one-row window of a graph whose rows never repeat an id holds
+        # no in-round repeat, so the dedupe would return its input.
+        self.dedupe = self.steps > 1 or not graph.repeat_free
 
         b = len(queries)
         n = graph.num_vertices
         self.b = b
         lanes = np.arange(b)
-        self._rows = lanes[:, None]
         capacity = config.queue_size if config.bounded_queue else None
         self.frontier = BatchedFrontier(b, capacity)
-        self.topk = BatchedTopK(b, self.pool)
-        # Column n is the PAD sentinel (see _unvisited): always "visited".
-        self.visited = np.zeros((b, n + 1), dtype=bool)
-        self.visited[:, n] = True
+        self.topk = BatchedTopK(b, config.queue_size)
+        # Lane b's row starts at base[b]; its column n is the PAD sentinel
+        # (see _unvisited): always "visited".
+        self.stride = n + 1
+        self.base = lanes[:, None] * self.stride
+        self.visited = np.zeros(b * self.stride, dtype=bool)
+        self.visited[n :: self.stride] = True
         self.neighbor_counts = graph.neighbor_counts
-        self.visited_len = np.zeros(b, dtype=np.int64)
         self.active = np.ones(b, dtype=bool)
-        # Per-lane operation record (fill_stats maps it onto SearchStats).
-        self.iterations = np.zeros(b, dtype=np.int64)
-        self.distance_computations = np.zeros(b, dtype=np.int64)
-        self.visited_inserts = np.zeros(b, dtype=np.int64)
-        self.visited_peak = np.zeros(b, dtype=np.int64)
-        self.pops = np.zeros(b, dtype=np.int64)  # surviving pops only
-        self.stop_pops = np.zeros(b, dtype=np.int64)
-        self.visited_tests = np.zeros(b, dtype=np.int64)
-        self.visited_deletes = np.zeros(b, dtype=np.int64)
+        # The operation record, one entry per round (see fill_stats).
+        self.pop_masks: List[np.ndarray] = []
+        self.fetched: List[np.ndarray] = []
+        self.stops: List[np.ndarray] = []
+        self.scored: List[np.ndarray] = []
+        self.accepted: List[np.ndarray] = []
+        # Only visited deletion shrinks a lane's set: only it tracks the
+        # size, peak and deletes round by round.
+        if config.visited_deletion:
+            self.visited_len = np.ones(b, dtype=np.int64)
+            self.visited_peak = np.zeros(b, dtype=np.int64)
+            self.visited_deletes = np.zeros(b, dtype=np.int64)
 
         # Seed every lane with its entry point, like the serial searcher.
         if entry_points is None:
@@ -319,8 +362,7 @@ class _LockstepState:
         else:
             start = entry_points
         d0 = self.metric.gather_many(queries, lanes, self.data, start, self.norms)
-        self.visited[lanes, start] = True
-        self.visited_len[:] = 1
+        self.visited[self.base[:, 0] + start] = True
         self.frontier.seed(pack_keys(d0, start))
 
     # -- one lockstep iteration ----------------------------------------------
@@ -329,33 +371,33 @@ class _LockstepState:
         """Advance every active lane one iteration; False when drained.
 
         The one drain test is ``process`` below: the round after the last
-        lane retires finds nothing to pop and returns False.
+        lane retires finds nothing to pop and returns False.  A lane whose
+        frontier drained pops nothing, like the serial ``while
+        len(frontier)`` check.
         """
-        # Lanes whose frontier drained stop exactly like the serial
-        # ``while len(frontier)`` check (they pop nothing below).
-        self.active &= self.frontier.sizes > 0
         config = self.config
 
         # ---- Stage 1: candidate locating ---------------------------------
         window = self.frontier.window(self.steps)
         # The pop window and the pool's worst entry, decoded together.
-        head = np.concatenate((window, self.topk.keys[:, -1:]), axis=1)
-        head_dists = unpack_distances(head)
-        full = head[:, -1:] != PAD_KEY
+        pool_tail = self.topk.keys[:, -1:]
+        head_dists = unpack_distances(np.concatenate((window, pool_tail), axis=1))
+        real = window != PAD_KEY
         # A pop survives the serial check unless ``full and worst < d``;
         # the frontier rows are sorted, so survivors form a prefix of the
         # window's real (non-PAD) entries.
-        ok = ~full | (head_dists[:, :-1] <= head_dists[:, -1:])
-        ok &= window != PAD_KEY
+        ok = (pool_tail == PAD_KEY) | (head_dists[:, :-1] <= head_dists[:, -1:])
+        ok &= real
         ok &= self.active[:, None]
         pop_mask = ok if ok.shape[1] == 1 else np.logical_and.accumulate(ok, axis=1)
         n_pop = pop_mask.sum(axis=1)
         # A lane that hit the stop condition consumes (and discards) the
-        # failing entry, finishes this round, then goes inactive.
-        stop = self.active & (n_pop < np.minimum(self.steps, self.frontier.sizes))
+        # failing entry, finishes this round, then goes inactive.  The
+        # window's real entries number min(probe_steps, frontier size).
+        stop = self.active & (n_pop < real.sum(axis=1))
+        self.pop_masks.append(pop_mask)
+        self.stops.append(stop)
         process = pop_mask[:, 0]
-        self.pops += n_pop
-        self.stop_pops += stop
         if not process.any():
             self.active = process
             return False
@@ -363,10 +405,11 @@ class _LockstepState:
         # Slots that pop nothing fetch row 0, then are masked to PAD once;
         # the sentinel column rejects every PAD with the visited test.
         popped = unpack_ids(window) * pop_mask
-        self.visited_tests += (self.neighbor_counts[popped] * pop_mask).sum(axis=1)
+        self.fetched.append(self.neighbor_counts[popped])
         cand = np.where(pop_mask[:, :, None], self.adj[popped], PAD).reshape(self.b, -1)
-        valid = _unvisited(self.visited, self._rows, cand)
-        valid = _first_occurrence_mask(cand, valid)
+        valid = _unvisited(self.visited, self.base, cand)
+        if self.dedupe:
+            valid = _first_occurrence_mask(cand, valid)
         # The survivors, as one ragged list in lane order: flat (lane, slot)
         # positions into the (B, L) candidate block.
         flat = valid.ravel().nonzero()[0]
@@ -378,8 +421,7 @@ class _LockstepState:
             self.queries, lane_idx, self.data, ids, self.norms
         )
         n_scored = np.bincount(lane_idx, minlength=self.b)
-        self.iterations += process
-        self.distance_computations += n_scored
+        self.scored.append(n_scored)
 
         # ---- Stage 3: data-structure maintenance -------------------------
         topk_evicted = self.topk.merge(np.where(pop_mask, window, PAD_KEY))
@@ -394,15 +436,15 @@ class _LockstepState:
             lane_idx, flat = lane_idx[inside], flat[inside]
             ids, dists = ids[inside], dists[inside]
             n_accepted = np.bincount(lane_idx, minlength=self.b)
-        self.visited[lane_idx, ids] = True
-        self.visited_len += n_accepted
-        self.visited_inserts += n_accepted
+        self.accepted.append(n_accepted)
+        self.visited[lane_idx * self.stride + ids] = True
         cand_keys = np.full(cand.shape, PAD_KEY, dtype=np.uint64)
         cand_keys.ravel()[flat] = pack_keys(dists, ids)
         # The discarded stop pop left the queue too: its slot is free
         # for this round's candidates, exactly as in the serial loop.
-        frontier_evicted = self.frontier.merge(n_pop + stop, cand_keys, n_accepted)
+        frontier_evicted = self.frontier.merge(n_pop + stop, cand_keys)
         if config.visited_deletion:
+            self.visited_len += n_accepted
             if frontier_evicted.shape[1]:
                 self._delete_evicted(frontier_evicted)
             np.maximum(self.visited_peak, self.visited_len, out=self.visited_peak)
@@ -417,55 +459,63 @@ class _LockstepState:
             return
         lane_idx, slot_idx = np.nonzero(real)
         ids = unpack_ids(evicted_keys[lane_idx, slot_idx])
-        self.visited[lane_idx, ids] = False
+        self.visited[lane_idx * self.stride + ids] = False
         n_deleted = real.sum(axis=1)
         self.visited_len -= n_deleted
         self.visited_deletes += n_deleted
 
     # -- result extraction ----------------------------------------------------
 
-    def results(self) -> List[List[Tuple[float, int]]]:  # lint: allow(hot-loop)
+    def results(self) -> List[List[Tuple[float, int]]]:
         """Per-lane top-``k`` lists, ascending, deduplicated by id.
 
-        O(B·k) assembly of the Python return shape, not dataset-sized.
+        Visited deletion can bring a vertex back into a pool that still
+        holds it; the second copy is the same ``(distance, id)`` key, so it
+        sits next to the first in the sorted row and is dropped there.
+        O(B·pool) array work plus one ``tolist`` per decoded block.
         """
         keys = self.topk.keys
-        ids = unpack_ids(keys).tolist()
-        dists = unpack_distances(keys).tolist()
-        out: List[List[Tuple[float, int]]] = []
-        for lane_ids, lane_dists, size in zip(ids, dists, self.topk.sizes().tolist()):
-            lane: List[Tuple[float, int]] = []
-            seen = set()
-            for vertex, dist in zip(lane_ids[:size], lane_dists[:size]):
-                if vertex in seen:
-                    continue
-                seen.add(vertex)
-                lane.append((dist, vertex))
-                if len(lane) == self.k:
-                    break
-            out.append(lane)
-        return out
+        keep = keys != PAD_KEY
+        keep[:, 1:] &= keys[:, 1:] != keys[:, :-1]
+        # Kept slots first, in row order: the first k of them are the lane's.
+        order = np.argsort(~keep, axis=1, kind="stable")[:, : self.k]
+        top = np.take_along_axis(keys, order, axis=1)
+        counts = np.minimum(keep.sum(axis=1), self.k).tolist()
+        dists = unpack_distances(top).tolist()
+        ids = unpack_ids(top).tolist()
+        return [list(zip(d[:c], i[:c])) for d, i, c in zip(dists, ids, counts)]
 
     def fill_stats(self, stats: Sequence[SearchStats]) -> None:  # lint: allow(hot-loop)
-        """Accumulate per-lane counters into caller-provided stats (O(B)).
+        """Reduce the round log into caller-provided stats (O(rounds·B)).
 
         Every surviving pop fetches one adjacency row and updates the
         result pool once; every visited insert, and the seed, is one
-        frontier push.
+        frontier push.  The first round pops every lane's seed, so each
+        log has an entry.
         """
+        masks = np.stack(self.pop_masks)
+        pops = masks.sum(axis=(0, 2))
+        iterations = masks[:, :, 0].sum(axis=0)
+        # The drain round logs no row: its mask is all False.
+        fetched = np.stack(self.fetched) * masks[: len(self.fetched)]
+        tests = fetched.sum(axis=(0, 2))
+        inserts = np.sum(self.accepted, axis=0)
         # Without deletion a lane's visited set never shrinks, so its
-        # peak is its final size; only deletion tracks it every round.
-        peak = self.visited_peak if self.config.visited_deletion else self.visited_len
+        # peak is its final size: the seed plus every insert.
+        if self.config.visited_deletion:
+            peak, deletes = self.visited_peak, self.visited_deletes
+        else:
+            peak, deletes = inserts + 1, np.zeros_like(inserts)
         columns = zip(
             stats,
-            self.iterations.tolist(),
-            self.distance_computations.tolist(),
-            self.visited_inserts.tolist(),
+            iterations.tolist(),
+            np.sum(self.scored, axis=0).tolist(),
+            inserts.tolist(),
             peak.tolist(),
-            self.pops.tolist(),
-            self.stop_pops.tolist(),
-            self.visited_tests.tolist(),
-            self.visited_deletes.tolist(),
+            pops.tolist(),
+            np.sum(self.stops, axis=0).tolist(),
+            tests.tolist(),
+            deletes.tolist(),
         )
         for entry, iters, dists, inserts, peak, pops, stops, tests, deletes in columns:
             entry.iterations += iters

@@ -44,7 +44,6 @@ from __future__ import annotations
 # lint: hot-path
 
 import heapq
-import itertools
 import math
 from typing import List, Optional, Sequence, Tuple
 
@@ -113,22 +112,6 @@ def _select_neighbors(
     row, col = np.nonzero(spare & (rank < (m - count)[:, None]))
     kept[row, count[row] + rank[row, col]] = ids[row, col]
     return kept
-
-
-def _result_arrays(results: List[List[Tuple[float, int]]]):
-    """Search result lists as ``(R, C)`` id and distance arrays, ``PAD`` / inf padded."""
-    lengths = np.fromiter(map(len, results), dtype=np.int64, count=len(results))
-    pairs = itertools.chain.from_iterable(results)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(pairs), dtype=np.float64, count=2 * int(lengths.sum())
-    ).reshape(-1, 2)
-    width = max(1, int(lengths.max()))
-    filled = np.arange(width)[None, :] < lengths[:, None]
-    ids = np.full((len(results), width), PAD, dtype=np.int64)
-    dists = np.full((len(results), width), np.inf)
-    ids[filled] = flat[:, 1].astype(np.int64)
-    dists[filled] = flat[:, 0]
-    return ids, dists
 
 
 class HNSWIndex:
@@ -216,7 +199,7 @@ class HNSWIndex:
         entry point updates after the generation with the running-max
         rule.
         """
-        from repro.core.batched import BatchedSongSearcher
+        from repro.core.batched import BatchedSongSearcher, result_arrays
         from repro.core.config import SearchConfig
 
         old_top = self._levels[self.entry_point]
@@ -246,7 +229,7 @@ class HNSWIndex:
             if inserting.any():
                 idx = np.nonzero(inserting)[0]
                 searcher = BatchedSongSearcher(snapshot, data32)
-                ids, dists = _result_arrays(
+                ids, dists = result_arrays(
                     searcher.search_batch(queries[idx], config, entry_points=eps[idx])
                 )
                 self._link_generation(
@@ -309,9 +292,9 @@ class HNSWIndex:
         """Link a generation's new points ``vs`` on one layer from their results.
 
         ``ids`` / ``dists`` are the points' ascending search results
-        (:func:`_result_arrays`).  Every candidate is an old vertex, so
-        the forward selections are independent and run as one
-        :func:`_select_neighbors` call.  The reverse edges are then
+        (:func:`~repro.core.batched.result_arrays`).  Every candidate is an
+        old vertex, so the forward selections are independent and run as
+        one :func:`_select_neighbors` call.  The reverse edges are then
         appended in the order one-by-one insertion would make them: a
         stable sort by row ranks each row's appends, and wave ``t``
         appends every rank-``t`` edge and re-selects every row it pushed

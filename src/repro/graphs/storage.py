@@ -8,7 +8,7 @@ same amount of memory, which is what makes coalesced GPU reads possible.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,6 +58,7 @@ class FixedDegreeGraph:
         self.entry_point = entry_point
         self._adj = np.full((num_vertices, degree), PAD, dtype=np.int32)
         self._counts = np.zeros(num_vertices, dtype=np.int32)
+        self._repeat_free: Optional[bool] = None
 
     # -- construction --------------------------------------------------------
 
@@ -131,6 +132,7 @@ class FixedDegreeGraph:
                 raise ValueError("self-loops are not allowed")
             if _has_duplicate_edges(owners, ids, n):
                 raise ValueError("duplicate neighbors within a row")
+            graph._repeat_free = True
         adj[~valid] = PAD
         graph._adj = np.ascontiguousarray(adj)
         graph._counts = counts
@@ -152,6 +154,7 @@ class FixedDegreeGraph:
         if row:
             self._adj[vertex, : len(row)] = row
         self._counts[vertex] = len(row)
+        self._repeat_free = None
 
     # -- queries --------------------------------------------------------------
 
@@ -168,6 +171,22 @@ class FixedDegreeGraph:
     def neighbor_counts(self) -> np.ndarray:
         """``(num_vertices,)`` int32 count of real (non-PAD) slots per row."""
         return self._counts
+
+    @property
+    def repeat_free(self) -> bool:
+        """True when no adjacency row holds the same id twice (cached).
+
+        Read from the rows themselves with the duplicate check
+        :meth:`from_neighbor_array` validates with, once per graph: a
+        validated constructor sets it, :meth:`set_neighbors` (which
+        accepts repeats) clears it for the next read.
+        """
+        if self._repeat_free is None:
+            real = self._adj != PAD
+            owners = np.nonzero(real)[0]
+            duplicates = _has_duplicate_edges(owners, self._adj[real], self.num_vertices)
+            self._repeat_free = not duplicates
+        return self._repeat_free
 
     def num_edges(self) -> int:
         """Total directed edges stored."""

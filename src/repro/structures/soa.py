@@ -123,8 +123,8 @@ def pack_keys(dists: np.ndarray, ids: np.ndarray) -> np.ndarray:
 def unpack_distances(keys: np.ndarray) -> np.ndarray:
     """Recover the float32 distances from packed keys.
 
-    ``PAD_KEY`` slots decode to NaN; callers mask them via sizes/fill
-    state before use.
+    ``PAD_KEY`` slots decode to NaN; callers mask them (``keys !=
+    PAD_KEY``) before use.
     """
     mapped = (keys >> _SHIFT).astype(np.uint32)
     bits = np.where(mapped & _SIGN32, mapped & np.uint32(0x7FFFFFFF), ~mapped)
@@ -178,10 +178,6 @@ class BatchedTopK:
         full = tail != PAD_KEY
         return full, unpack_distances(tail)
 
-    def sizes(self) -> np.ndarray:
-        """Number of real entries per row."""
-        return (self.keys != PAD_KEY).sum(axis=1)
-
 
 class BatchedFrontier:
     """``(B, width)`` search frontiers, each row sorted ascending.
@@ -207,7 +203,6 @@ class BatchedFrontier:
         self.capacity = capacity
         width = capacity if capacity is not None else 1
         self.keys = np.full((batch, width), PAD_KEY, dtype=np.uint64)
-        self.sizes = np.zeros(batch, dtype=np.int64)
 
     @property
     def width(self) -> int:
@@ -216,15 +211,12 @@ class BatchedFrontier:
     def seed(self, keys: np.ndarray) -> None:
         """Initialize every row with one entry (the search entry point)."""
         self.keys[:, 0] = keys
-        self.sizes[:] = 1
 
     def window(self, steps: int) -> np.ndarray:
         """The first ``min(steps, width)`` columns (this round's pop window)."""
         return self.keys[:, :steps]
 
-    def merge(
-        self, n_pop: np.ndarray, new_keys: np.ndarray, n_new: np.ndarray
-    ) -> np.ndarray:
+    def merge(self, n_pop: np.ndarray, new_keys: np.ndarray) -> np.ndarray:
         """Retire the first ``n_pop[b]`` entries per row and insert candidates.
 
         Parameters
@@ -233,8 +225,6 @@ class BatchedFrontier:
             ``(B,)`` count of leading entries consumed by this round's pops.
         new_keys:
             ``(B, m)`` packed candidate keys, PAD_KEY where rejected.
-        n_new:
-            ``(B,)`` count of real keys per row of ``new_keys``.
 
         Returns the eviction tail: for a bounded frontier, every (real or
         PAD) key pushed beyond ``capacity`` — the serial queue's evictions,
@@ -246,11 +236,10 @@ class BatchedFrontier:
         head[np.arange(head.shape[1]) < n_pop[:, None]] = PAD_KEY
         combined = np.concatenate([self.keys, new_keys], axis=1)
         combined.sort(axis=1)
-        self.sizes = self.sizes - n_pop + n_new
         if self.capacity is not None:
             self.keys = np.ascontiguousarray(combined[:, : self.capacity])
-            np.minimum(self.sizes, self.capacity, out=self.sizes)
             return combined[:, self.capacity :]
-        width = max(1, int(self.sizes.max()) if len(self.sizes) else 1)
+        # As wide as the longest row: real keys are each row's prefix.
+        width = max(1, int((combined != PAD_KEY).sum(axis=1).max()))
         self.keys = np.ascontiguousarray(combined[:, :width])
         return combined[:, :0]

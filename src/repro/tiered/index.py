@@ -25,11 +25,11 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.annotations import arr, array_kernel
-from repro.core.batched import BatchedSongSearcher
+from repro.core.batched import BatchedSongSearcher, result_arrays
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats
 from repro.distances import get_metric
-from repro.graphs.storage import FixedDegreeGraph
+from repro.graphs.storage import PAD, FixedDegreeGraph
 from repro.simt.device import DeviceSpec, get_device
 from repro.simt.memory import CapacityLedger
 from repro.structures.soa import PAD_KEY, pack_keys, unpack_distances, unpack_ids
@@ -182,13 +182,9 @@ class TieredIndex:
     ) -> Tuple[List[List[Tuple[float, int]]], RerankPlan]:
         """Exact distances over the over-fetched panel; keep top ``k``."""
         num_lanes = len(candidates)
-        ids = np.zeros((num_lanes, kprime), dtype=np.int64)
-        valid = np.zeros((num_lanes, kprime), dtype=bool)
-        for lane, found in enumerate(candidates):
-            count = len(found)
-            if count:
-                ids[lane, :count] = [vertex for _, vertex in found]
-                valid[lane, :count] = True
+        ids = result_arrays(candidates, kprime)[0]
+        valid = ids != PAD
+        ids[~valid] = 0
         # Full-precision gather and exact score of the (B, k') panel.
         lanes = np.repeat(np.arange(num_lanes), kprime)
         dists = get_metric(config.metric).gather_many(
@@ -196,21 +192,23 @@ class TieredIndex:
         ).reshape(num_lanes, kprime)
         keys = rerank_sort_keys(dists, ids, valid)
         top = keys[:, : config.k]
-        top_dists = unpack_distances(top)
-        top_ids = unpack_ids(top)
-        results: List[List[Tuple[float, int]]] = []
-        page_lists: List[np.ndarray] = []
-        for lane in range(num_lanes):
-            real = top[lane] != PAD_KEY
-            results.append(
-                [
-                    (float(d), int(v))
-                    for d, v in zip(top_dists[lane][real], top_ids[lane][real])
-                ]
-            )
-            lane_pages = rowids_to_pages(ids[lane][valid[lane]], self.page_rows)
-            _, first = np.unique(lane_pages, return_index=True)
-            page_lists.append(lane_pages[np.sort(first)])
+        counts = (top != PAD_KEY).sum(axis=1).tolist()
+        top_dists = unpack_distances(top).tolist()
+        top_ids = unpack_ids(top).tolist()
+        results = [
+            list(zip(d[:c], v[:c])) for d, v, c in zip(top_dists, top_ids, counts)
+        ]
+        # Each lane's pages in first-occurrence order: a stable row sort
+        # puts every page's earliest slot first in its run.
+        pages = rowids_to_pages(ids, self.page_rows)
+        order = np.argsort(pages, axis=1, kind="stable")
+        ordered = np.take_along_axis(pages, order, axis=1)
+        run_start = np.ones(pages.shape, dtype=bool)
+        run_start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        first = np.empty(pages.shape, dtype=bool)
+        np.put_along_axis(first, order, run_start, axis=1)
+        first &= valid
+        page_lists = np.split(pages[first], np.cumsum(first.sum(axis=1))[:-1])
         plan = RerankPlan(
             candidate_counts=valid.sum(axis=1), page_lists=page_lists
         )

@@ -82,15 +82,20 @@ class TestDefaultRegistry:
         assert rule in {f.rule for f in findings}, [f.format() for f in findings]
 
     def test_sentinel_lookup_contract_is_live(self):
-        """PAD (-1) into the lockstep engine's ``(B, n + 1)`` bitmap is a
-        proven sentinel read; against a width-``n`` bitmap the same gather
-        would alias vertex ``n - 1`` and must not verify."""
+        """PAD (-1) into the lockstep engine's flat ``(B, n + 1)`` bitmap
+        is a proven sentinel read; against a flat ``(B, n)`` bitmap the
+        same gather would alias vertex ``n - 1`` and must not verify."""
         check_arrays()  # imports ANNOTATED_MODULES
         ann = get_annotation("repro.core.batched._unvisited")
         findings, proven = analyze_kernel(ann)
         assert findings == [] and any("sentinel" in p for p in proven), proven
         aliased = dataclasses.replace(
-            ann, args={**ann.args, "visited": arr("B", "n", dtype="bool")}
+            ann,
+            args={
+                **ann.args,
+                "visited": arr("B*n", dtype="bool"),
+                "base": arr("B", 1, lo=0, hi="(B-1)*n"),
+            },
         )
         findings, _ = analyze_kernel(aliased)
         assert "fancy-index-oob" in {f.rule for f in findings}, findings

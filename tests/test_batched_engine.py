@@ -102,12 +102,8 @@ def test_batched_topk_matches_bounded_heap_content(rng):
         topk.merge(pack_keys(dists, ids)[None, :])
         for d, v in zip(dists.tolist(), ids.tolist()):
             heap.push_bounded(d, v)
-    got = list(
-        zip(
-            unpack_distances(topk.keys[0, : int(topk.sizes()[0])]).tolist(),
-            unpack_ids(topk.keys[0, : int(topk.sizes()[0])]).tolist(),
-        )
-    )
+    real = topk.keys[0][topk.keys[0] != PAD_KEY]
+    got = list(zip(unpack_distances(real).tolist(), unpack_ids(real).tolist()))
     assert got == sorted(heap.to_sorted_list())
 
 
@@ -117,12 +113,10 @@ def test_batched_frontier_bounded_eviction(rng):
     ids = np.arange(6)
     frontier.seed(pack_keys(dists[:1], ids[:1]))
     new = pack_keys(dists[1:], ids[1:])[None, :]
-    evicted = frontier.merge(
-        np.zeros(1, dtype=np.int64), new, np.full(1, 5, dtype=np.int64)
-    )
+    evicted = frontier.merge(np.zeros(1, dtype=np.int64), new)
     kept = unpack_distances(frontier.keys[0]).tolist()
     assert kept == [pytest.approx(v) for v in [0.1, 0.2, 0.3, 0.5]]
-    assert int(frontier.sizes[0]) == 4
+    assert int((frontier.keys[0] != PAD_KEY).sum()) == 4
     gone = evicted[evicted != PAD_KEY]
     assert sorted(unpack_distances(gone).tolist()) == [
         pytest.approx(0.7),
@@ -611,6 +605,94 @@ def test_pad_sentinel_never_aliases_the_last_vertex(options):
         for name in SearchStats.__slots__:
             assert getattr(ser, name) == getattr(bat, name), (lane, name)
     assert any(5 in [v for _, v in lane] for lane in serial)
+
+
+REPEAT_OPTIONS = pytest.mark.parametrize(
+    "options",
+    [dict(), dict(selected_insertion=True, visited_deletion=True)],
+    ids=["plain", "selected-deletion"],
+)
+
+
+def _repeat_free_graph(rng, n=60, degree=6):
+    """A validated ``from_neighbor_array`` graph: rows never repeat an id,
+    and each ends in one PAD slot."""
+    rows = np.full((n, degree), -1)
+    for v in range(n):
+        rows[v, :-1] = rng.choice(np.delete(np.arange(n), v), size=degree - 1, replace=False)
+    return FixedDegreeGraph.from_neighbor_array(rows, entry_point=0)
+
+
+@REPEAT_OPTIONS
+def test_unvalidated_graph_with_repeats_keeps_the_dedupe(options):
+    """A ``validate=False`` graph whose rows repeat ids: at probe_steps=1
+    one row is the whole window, and the repeats must still be dropped."""
+    rng = np.random.default_rng(31)
+    n, degree = 60, 6
+    rows = rng.integers(1, n, size=(n, degree))
+    rows[:, 1] = rows[:, 0]  # every row repeats its first id
+    graph = FixedDegreeGraph.from_neighbor_array(rows, entry_point=0, validate=False)
+    assert not graph.repeat_free
+    data = rng.standard_normal((n, 8)).astype(np.float32)
+    queries = rng.standard_normal((9, 8)).astype(np.float32)
+    config = SearchConfig(k=4, queue_size=10, probe_steps=1, **options)
+    assert_results_and_records_match(SongSearcher(graph, data), queries, config)
+
+
+@REPEAT_OPTIONS
+def test_set_neighbors_clears_the_repeat_free_flag(options):
+    """Searched once as repeat-free, then given a row that repeats an id:
+    the next search must dedupe again (a stale flag would score the
+    repeat twice and miscount distance computations)."""
+    rng = np.random.default_rng(32)
+    graph = _repeat_free_graph(rng)
+    data = rng.standard_normal((graph.num_vertices, 8)).astype(np.float32)
+    queries = rng.standard_normal((9, 8)).astype(np.float32)
+    config = SearchConfig(k=4, queue_size=10, probe_steps=1, **options)
+    searcher = SongSearcher(graph, data)
+    assert graph.repeat_free
+    assert_results_and_records_match(searcher, queries, config)
+    entry_row = graph.neighbors(0).tolist()
+    graph.set_neighbors(0, entry_row + entry_row[:1])
+    assert not graph.repeat_free
+    stats = assert_results_and_records_match(searcher, queries, config)
+    # The entry's row is every lane's first round: the repeat is seen once.
+    assert all(s.visited_tests >= len(entry_row) + 1 for s in stats)
+
+
+def test_results_drop_a_repeated_pool_entry_in_the_serial_order():
+    """A visited-deletion search, then the same vertex twice in a pool:
+    ``results()`` returns it once, keeping the serial engine's order
+    (ascending, first appearance of each id, at most k)."""
+    from repro.core.batched import _LockstepState
+
+    rng = np.random.default_rng(33)
+    graph = _repeat_free_graph(rng)
+    data = rng.standard_normal((graph.num_vertices, 8)).astype(np.float32)
+    queries = rng.standard_normal((5, 8)).astype(np.float32)
+    config = SearchConfig(k=4, queue_size=8, visited_deletion=True, selected_insertion=True)
+    assert_results_and_records_match(SongSearcher(graph, data), queries, config)
+    state = _LockstepState(BatchedSongSearcher(graph, data), queries, config)
+    while state.round():
+        pass
+    keys = state.topk.keys
+    assert (keys != PAD_KEY).all()
+    # Lane 0 holds its best entry twice, lane 3 its third: the copies
+    # displace each pool's worst entry, as a re-admitted vertex would.
+    keys[0] = np.sort(np.concatenate([keys[0, :-1], keys[0, :1]]))
+    keys[3] = np.sort(np.concatenate([keys[3, :-1], keys[3, 2:3]]))
+    expected = []
+    for row in keys:
+        lane, seen = [], set()
+        for dist, vertex in zip(unpack_distances(row).tolist(), unpack_ids(row).tolist()):
+            if vertex not in seen:
+                seen.add(vertex)
+                lane.append((dist, vertex))
+        expected.append(lane[: config.k])
+    got = state.results()
+    assert got == expected
+    assert [v for _, v in got[0]] == [v for _, v in expected[0]]
+    assert len({v for _, v in got[0]}) == config.k
 
 
 @pytest.mark.parametrize("deletion", [False, True])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.verifier.invariants import (
+    _NeverEvicts,
     check_all_invariants,
     check_bounded_queue,
     check_search_invariants,
@@ -36,14 +37,6 @@ def _config(**overrides):
 
 
 # -- broken structure variants the refutation tests inject -----------------
-
-
-class _NeverEvicts(BoundedPriorityQueue):
-    """Ignores the capacity cap: |q| grows without bound."""
-
-    def push(self, dist, vertex):
-        self._heap.push(dist, vertex)
-        return None
 
 
 class _EvictsMin(BoundedPriorityQueue):
