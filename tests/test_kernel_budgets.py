@@ -2,10 +2,9 @@
 
 Each registered kernel declares ``shared_words``, the budget the
 sanitizer's OOB check enforces.  These tests pin the relationship: the
-traced shared footprint fits inside the declared budget, and shrinking
-the budget one word below the traced span makes the sanitizer fail (that
-the launch is clean at the declared budget is
-``tests/test_analysis_sanitizer.py::test_registry_kernel_is_clean``).  If someone grows a kernel's shared footprint
+traced launch is clean at the declared budget, its shared footprint fits
+inside it, and shrinking the budget one word below the traced span makes
+the sanitizer fail.  If someone grows a kernel's shared footprint
 without growing the declaration (or vice versa), this is the test that
 moves.
 """
@@ -34,6 +33,12 @@ def shared_span(spec):
 
 
 SHARED_USERS = [s for s in REGISTRY if shared_span(s) is not None]
+
+
+@pytest.mark.parametrize("spec", REGISTRY, ids=lambda s: s.name)
+def test_declared_budget_is_proven(spec):
+    findings = sanitize_kernel(spec)
+    assert findings == [], [f.format() for f in findings]
 
 
 @pytest.mark.parametrize("spec", REGISTRY, ids=lambda s: s.name)
