@@ -44,9 +44,9 @@ from repro.distances import get_metric
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
 from repro.graphs.nn_descent import _rank_within_groups
-from repro.graphs.storage import PAD, FixedDegreeGraph
+from repro.graphs.storage import FixedDegreeGraph
 from repro.simt.build_cost import KEY_BYTES, BuildCostRecorder, maybe_recorder
-from repro.structures.soa import pack_rowid, unpack_rowid
+from repro.structures.soa import pack_rowid
 
 __all__ = ["CagraBuilder", "build_cagra"]
 
@@ -67,6 +67,11 @@ _WALK_BYTES = 512 * 1024
 
 #: Ranks live in the scratch as int16 (``-1`` = not in the row).
 _MAX_INTERMEDIATE_DEGREE = 2**15 - 1
+
+#: The reverse merge packs (vertex, candidate, priority) into int64 keys
+#: below ``n**2 * (degree + k0)``: up to ``2**26`` points that holds at
+#: every ``degree <= 64`` and ``k0 <= 512``.
+_MAX_POINTS = 2**26
 
 
 @array_kernel(
@@ -104,75 +109,99 @@ def _detour_walk(
 
 
 @array_kernel(
-    params={"n": (3, 2**28), "k0": (2, 512), "degree": (2, 64)},
+    params={"n": (3, 2**26), "p": (4, 576)},
+    args={"keys": arr(lo=0, hi="n*n*p-1"), "n": scalar("n"), "p": scalar("p")},
+    returns=[arr(dtype="int64", lo=0, hi="n*n*p-1")],
+)
+def _vertex_major(keys: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Re-pack ``(w * n + c) * p + q`` keys as ``(w * p + q) * n + c``.
+
+    ``keys`` is overwritten (it ends up holding ``q``): one key-sized
+    temporary fewer than leaving it intact.
+    """
+    wc = keys // p
+    keys %= p
+    c = wc % n
+    wc //= n
+    wc *= p
+    wc += keys
+    wc *= n
+    wc += c
+    return wc
+
+
+@array_kernel(
+    params={"n": (3, 2**26), "k0": (2, 512), "degree": (2, 64)},
     args={
         "fwd_full": arr("n", "k0", lo=0, hi="n-1"),
         "degree": scalar("degree"),
     },
-    returns=[arr("n", "degree", dtype="int64", lo=-1, hi="n-1")],
+    returns=[arr("n", "degree", dtype="int64", lo=0, hi="n-1")],
 )
 def _merge_reverse_rows(fwd_full: np.ndarray, degree: int) -> np.ndarray:
     """Interleave forward and reverse edges into ``(n, degree)`` rows.
 
-    The candidate stream carries a per-``(vertex, candidate)``
-    priority: the strongest ``ceil(degree/2)`` forward edges first,
-    then up to ``floor(degree/2)`` reverse edges in source-rank
-    order, then forward and reverse backfill bands.  One lexsort
-    dedups, a second ranks each vertex's survivors, and a scatter
-    writes the rows — the whole merge is three sorts.
+    Every ``(vertex w, candidate c)`` pair carries a priority ``p``
+    below ``P = degree + k0``: the strongest ``ceil(degree/2)``
+    forward edges first, then up to ``floor(degree/2)`` reverse edges
+    in (source rank, source id) order, then the remaining forward
+    edges.  The pairs are packed as ``(w * n + c) * P + p`` and sorted
+    once: a pair's duplicates sit together and the first keeps the
+    strongest priority.  The survivors are re-packed as
+    ``(w * P + p) * n + c`` and sorted again, which ranks each
+    vertex's candidates; the first ``degree`` are its row.
 
-    The nested reverse-stream key ``(tgt * degree + s_rank) * n + src``
-    bounds the builder's capacity: it must fit ``int64``, which holds
-    for every ``n <= 2**28`` at ``degree <= 64`` (the declared ranges
-    the verifier proves this under).
+    Reverse edges past the first ``floor(degree/2)`` of a target are
+    dropped before the sort: they could only rank after the row's
+    ``k0 >= degree`` distinct forward candidates, all prioritised below
+    ``P``.  The same count fills every row, so no slot is left ``PAD``.
+
+    Precondition (what :func:`bootstrap_table` guarantees): ids lie in
+    ``[0, n)`` and no row holds an id twice.  The keys stay below
+    ``n**2 * P``, which fits ``int64`` for every ``n <= 2**26`` at
+    ``degree <= 64`` and ``k0 <= 512`` (the declared ranges the
+    verifier proves this under; :class:`CagraBuilder` checks ``n``).
     """
     n, k0 = fwd_full.shape
-    d_fwd = degree - degree // 2
-    d_rev = degree // 2
-    fwd = fwd_full[:, :degree]
+    width = degree + k0
+    d_fwd = (degree + 1) // 2
+
+    # reverse stream: every kept forward edge, transposed; per-target
+    # order follows (source rank, source id)
+    src = np.arange(n, dtype=np.int64)[:, None]
+    s_rank = np.arange(degree, dtype=np.int64)
+    rev = pack_rowid(fwd_full[:, :degree] * degree + s_rank, src, n).ravel()
+    rev.sort()
+    c_r = rev % n  # source
+    rev //= n * degree  # target
+    prio_r = d_fwd + _rank_within_groups(rev)
+    band = prio_r < degree
+    rev = pack_rowid(pack_rowid(rev[band], c_r[band], n), prio_r[band], width)
+    del c_r, prio_r, band
 
     # forward stream: candidate at reordered position s
     pos = np.arange(k0, dtype=np.int64)
     prio_f = np.where(pos < d_fwd, pos, degree + pos)
-    w_f = np.repeat(np.arange(n, dtype=np.int64), k0)
-    c_f = fwd_full.ravel()
-    p_f = np.tile(prio_f, n)
+    fwd = pack_rowid(pack_rowid(src, fwd_full, n), prio_f, width).ravel()
 
-    # reverse stream: every kept forward edge, transposed; per-target
-    # order follows (source rank, source id)
-    src = np.repeat(np.arange(n, dtype=np.int64), degree)
-    s_rank = np.tile(np.arange(degree, dtype=np.int64), n)
-    tgt = fwd.ravel()
-    comp = pack_rowid(tgt * degree + s_rank, src, n)
-    comp.sort()
-    outer, c_r = unpack_rowid(comp, n)
-    w_r = outer // degree
-    r_rank = _rank_within_groups(w_r)
-    p_r = np.where(r_rank < d_rev, d_fwd + r_rank, degree + k0 + r_rank)
-
-    w_all = np.concatenate([w_f, w_r])
-    c_all = np.concatenate([c_f, c_r])
-    p_all = np.concatenate([p_f, p_r])
-
-    # dedup by (vertex, candidate), keeping the strongest priority
-    vc = pack_rowid(w_all, c_all, n)
-    order = np.lexsort((p_all, vc))
-    vc_s = vc[order]
-    p_s = p_all[order]
-    keep = np.ones(len(vc_s), dtype=bool)
-    keep[1:] = vc_s[1:] != vc_s[:-1]
-    vc_s = vc_s[keep]
-    p_s = p_s[keep]
-    w_k, c_k = unpack_rowid(vc_s, n)
-    # rank each vertex's survivors by priority and keep the best
-    order = np.lexsort((p_s, w_k))
-    w_k = w_k[order]
-    c_k = c_k[order]
-    rank = _rank_within_groups(w_k)
-    sel = rank < degree
-    out = np.full((n, degree), PAD, dtype=np.int64)
-    out[w_k[sel], rank[sel]] = c_k[sel]
-    return out
+    keys = np.concatenate([fwd, rev])
+    del fwd, rev
+    keys.sort()
+    # the first key of each (vertex, candidate) run holds its best priority
+    pair = keys // width
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = pair[1:] != pair[:-1]
+    del pair
+    keys = _vertex_major(keys[first], n, width)
+    keys.sort()
+    c = keys % n
+    keys //= width * n
+    # every vertex keeps at least k0 >= degree candidates, so a key is
+    # among its vertex's first degree iff the key degree places back
+    # belongs to another vertex
+    sel = np.ones(len(keys), dtype=bool)
+    sel[degree:] = keys[degree:] != keys[:-degree]
+    return c[sel].reshape(n, degree)
 
 
 class CagraBuilder:
@@ -221,6 +250,10 @@ class CagraBuilder:
         if self.intermediate_degree > _MAX_INTERMEDIATE_DEGREE:
             raise ValueError(
                 f"intermediate_degree must be at most {_MAX_INTERMEDIATE_DEGREE}"
+            )
+        if len(self.data) > _MAX_POINTS:
+            raise ValueError(
+                f"at most {_MAX_POINTS} points fit the reverse merge's keys"
             )
         self.metric = get_metric(metric)
         self._knn_table = knn_table
@@ -283,12 +316,19 @@ class CagraBuilder:
         return counts
 
     def _reorder(self, table: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Rows reordered by ``(detour_count, rank)`` ascending."""
+        """Rows reordered by ``(detour_count, rank)`` ascending.
+
+        One row-wise value sort of ``(count * k0 + rank) * n + id`` keys:
+        the rank makes every row's keys distinct, and ``% n`` reads the
+        ids back out.
+        """
         n, k0 = table.shape
         priority = counts * np.int64(k0) + np.arange(k0, dtype=np.int64)
-        order = np.argsort(priority, axis=1, kind="stable")
+        keys = pack_rowid(priority, table, n)
+        keys.sort(axis=1)
         maybe_recorder(self.cost).record_sort(n, k0, "reorder")
-        return np.take_along_axis(table, order, axis=1)
+        keys %= n
+        return keys
 
     def _merge_reverse(self, fwd_full: np.ndarray) -> np.ndarray:
         """Reverse-edge merge (see :func:`_merge_reverse_rows`)."""

@@ -338,7 +338,7 @@ def _pack_lists(
     # single-key sort of the composite (vertex, candidate) id — cheaper
     # than a two-key lexsort, and dedup is one equality scan
     composite = pack_rowid(vertices, candidates, n)
-    composite.sort(kind="stable")
+    composite.sort()
     keep = np.ones(len(composite), dtype=bool)
     keep[1:] = composite[1:] != composite[:-1]
     composite = composite[keep]

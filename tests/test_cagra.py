@@ -9,6 +9,8 @@ whole pipeline is deterministic).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -297,3 +299,110 @@ class TestDetourCounts:
         heights = _force_block_rows(monkeypatch, n, k0, 1)
         assert np.array_equal(_detour_counts(table), _definition_counts(table))
         assert heights == [1] * n
+
+
+def _definition_rows(fwd_full, degree) -> np.ndarray:
+    """Oracle: CAGRA's reverse-edge merge as a per-vertex loop.
+
+    Row ``u`` takes its first ``ceil(degree/2)`` reordered forward edges,
+    then the first ``floor(degree/2)`` of its reverse edges — the ``v``
+    whose kept row ``fwd_full[v, :degree]`` holds ``u``, in (rank of
+    ``u`` there, ``v``) order — then its remaining forward edges, each
+    candidate once, until the row is full.
+    """
+    fwd = np.asarray(fwd_full).tolist()
+    n = len(fwd)
+    reverse = [[] for _ in range(n)]
+    for v, row in enumerate(fwd):
+        for rank, u in enumerate(row[:degree]):
+            reverse[u].append((rank, v))
+    out = np.empty((n, degree), dtype=np.int64)
+    for u in range(n):
+        d_fwd = degree - degree // 2
+        sources = [v for _, v in sorted(reverse[u])][: degree // 2]
+        row = []
+        for c in fwd[u][:d_fwd] + sources + fwd[u][d_fwd:]:
+            if c not in row and len(row) < degree:
+                row.append(c)
+        out[u] = row
+    return out
+
+
+def _with_hub(table, hub: int, seed: int) -> np.ndarray:
+    """``table`` with ``hub`` in every row, at a seeded random rank."""
+    table = np.array(table)
+    slots = np.random.default_rng(seed).integers(table.shape[1], size=len(table))
+    for u in range(len(table)):
+        if hub not in table[u]:
+            table[u, slots[u]] = hub
+    return table
+
+
+class TestReverseMerge:
+    """The packed two-sort merge builds exactly the loop's rows."""
+
+    @staticmethod
+    def check(table, degree):
+        table = np.ascontiguousarray(table, dtype=np.int64)
+        got = cagra_module._merge_reverse_rows(table, degree)
+        assert np.array_equal(got, _definition_rows(table, degree))
+
+    @pytest.mark.parametrize(
+        "n,k0,degree", [(40, 8, 5), (40, 8, 8), (40, 8, 2), (30, 12, 7), (9, 8, 8), (9, 8, 3)]
+    )
+    def test_random_distinct_tables(self, n, k0, degree):
+        self.check(_distinct_rows(n, k0, n + k0 + degree), degree)
+
+    @pytest.mark.parametrize("degree", [2, 5, 8])
+    def test_a_hub_in_every_row(self, degree):
+        # the hub's reverse list is every vertex, its own row included
+        self.check(_with_hub(_distinct_rows(40, 8, 11), 3, 12), degree)
+
+    @pytest.mark.parametrize("degree", [3, 6])
+    def test_rows_holding_their_own_index(self, degree):
+        table = _distinct_rows(30, 6, 13)
+        slots = np.random.default_rng(14).integers(6, size=30)
+        for u in range(30):
+            if u not in table[u]:
+                table[u, slots[u]] = u
+        self.check(table, degree)
+
+    @pytest.mark.parametrize("degree", [2, 5, 10])
+    def test_every_other_point_is_a_neighbor(self, degree):
+        # n = k0 + 1: every reverse candidate is also a forward one
+        n = 11
+        rng = np.random.default_rng(15)
+        table = np.array([rng.permutation(np.delete(np.arange(n), u)) for u in range(n)])
+        self.check(table, degree)
+
+    def test_exact_knn_table(self):
+        ds = make_dataset("sift", n=300, seed=2)
+        table = knn_neighbors(ds.data, 32, ds.metric)
+        builder = CagraBuilder(ds.data, degree=16)
+        self.check(builder._reorder(table, builder._detour_counts(table)), 16)
+
+    def test_peak_memory_is_a_few_tables(self):
+        # n = 4000, k0 = 64, degree 32: the merge's temporaries stay within
+        # 8x the table it reads, so no chain of full-length permutations
+        # and gathers creeps back in
+        n, k0 = 4000, 64
+        rng = np.random.default_rng(16)
+        offsets = rng.permuted(np.tile(np.arange(1, 2 * k0 + 1), (n, 1)), axis=1)[:, :k0]
+        table = (np.arange(n)[:, None] + offsets) % n
+        tracemalloc.start()
+        try:
+            cagra_module._merge_reverse_rows(table, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * table.nbytes
+
+
+class TestCapacity:
+    def test_points_past_the_packed_key_range_are_refused(self, monkeypatch):
+        data = np.zeros((40, 2), dtype=np.float32)
+        monkeypatch.setattr(cagra_module, "_MAX_POINTS", 39)
+        with pytest.raises(ValueError, match="39 points"):
+            CagraBuilder(data, degree=4)
+        monkeypatch.setattr(cagra_module, "_MAX_POINTS", 40)
+        CagraBuilder(data, degree=4)

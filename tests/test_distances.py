@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.distances.metrics as metrics_module
+from repro.data import ground_truth
 from repro.distances import Metric, get_metric
 
 finite_floats = st.floats(
@@ -69,6 +70,38 @@ class TestBatchConsistency:
     def test_batch_rejects_1d_points(self):
         with pytest.raises(ValueError, match="2-d"):
             get_metric("l2").batch(np.ones(3), np.ones(3))
+
+
+def _l2_expression(queries, points):
+    """``Metric.pairwise("l2")`` as one expression: the bytes it must keep."""
+    q_sq = np.einsum("ij,ij->i", queries, queries)[:, None]
+    p_sq = np.einsum("ij,ij->i", points, points)[None, :]
+    return np.maximum(q_sq + p_sq - 2.0 * (queries @ points.T), 0)
+
+
+class TestPairwiseL2Bytes:
+    """The l2 tile reuses its GEMM output in place; not one bit may move."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows,cols", [(1, 300), (64, 8000)])
+    def test_equals_the_expression(self, dtype, rows, cols):
+        rng = np.random.default_rng(rows)
+        queries = rng.standard_normal((rows, 24)).astype(dtype)
+        points = rng.standard_normal((cols, 24)).astype(dtype)
+        got = get_metric("l2").pairwise(queries, points)
+        want = _l2_expression(queries, points)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_tied_ground_truth_is_unchanged(self, monkeypatch):
+        # small integers tie at every distance: argpartition's cut among
+        # the ties must see the same bytes as before the rewrite
+        data = np.random.default_rng(5).integers(0, 3, size=(400, 6)).astype(np.float32)
+        got = ground_truth(data, data, 12, exclude_self=True)
+        monkeypatch.setattr(
+            Metric, "pairwise", lambda self, queries, points: _l2_expression(queries, points)
+        )
+        assert np.array_equal(got, ground_truth(data, data, 12, exclude_self=True))
 
 
 def _bits(values):
