@@ -1,28 +1,36 @@
-"""Mutant catalogue for the instruction-level layer (outside tier-1).
+"""Mutant catalogues for the instruction-level and serving layers
+(outside tier-1).
 
-Seeds one bug at a time into a *copy* of the source tree — the
-microkernels in ``simt/kernels.py`` and the cost constants they are
-checked against — and records which checkers fail on it:
+Seeds one bug at a time into a *copy* of the source tree and records
+which checkers fail on it.  Two catalogues, one table each:
 
-* ``sanitizer`` — ``python -m repro.analysis --engines sanitizer --strict``
-* ``verifier``  — ``python -m repro.analysis --engines verifier --strict``
-* ``tests``     — the tests that exercise the microkernels
-  (``TESTS`` below) plus ``benchmarks/bench_ablation_cost_model.py``.
+* **microkernels** — bugs in ``simt/kernels.py`` and the cost constants
+  they are checked against; checkers are the ``sanitizer`` and
+  ``verifier`` engines (``python -m repro.analysis --engines NAME
+  --strict``) and the tests that exercise the microkernels (``TESTS``
+  below) plus ``benchmarks/bench_ablation_cost_model.py``;
+* **serving** — bugs in ``serve/``'s coroutines, locks and clocks;
+  checkers are the ``aio`` engine (parent only), the ``lint`` and
+  ``arrays`` engines (``arrays``' nondeterminism sweep scans ``serve/``)
+  and the serving test files (``SERVE_TESTS``).
 
-Two trees are mutated: the working tree and the commit before the static
-kernel verifier was deleted (``PARENT``, exported with ``git archive``), so
-each row names its catchers before and after that deletion.  A mutant whose
-source snippet no longer matches as often as declared aborts the run
-instead of silently testing nothing.  The unmutated tree must be clean on every
-checker, or the run aborts too.
+Each catalogue mutates two trees: the working tree and the commit before
+the checker it judges was deleted (``PARENT`` for the static kernel
+verifier, ``SERVE_PARENT`` for the ``aio`` engine, exported with ``git
+archive``), so each row names its catchers before and after that
+deletion.  A mutant whose source snippet no longer matches as often as
+declared aborts the run instead of silently testing nothing.  The
+unmutated tree must be clean on every checker, or the run aborts too.
+A run that outlives ``STEP_TIMEOUT_S`` is killed and recorded as a hang:
+a hang counts as caught only because that bound turns it into a failure.
 
     python scripts/mutants.py                    # rewrite scripts/mutants.md
-    python scripts/mutants.py --out table.md     # write the table elsewhere
+    python scripts/mutants.py --out table.md     # write the tables elsewhere
 
-About two minutes on a 2-vCPU VM: the two trees run in parallel, one
-subprocess at a time each, every subprocess capped at 120 s and 2 GiB of
-address space.  The repository itself is never written to, apart from
-``--out``.
+About twenty minutes on a 2-vCPU VM: the four trees run two at a time,
+one subprocess at a time each, every subprocess capped at 120 s and
+2 GiB of address space.  The repository itself is never written to,
+apart from ``--out``.
 """
 
 from __future__ import annotations
@@ -41,13 +49,16 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 
 #: The commit the deletion of the static kernel verifier is measured
-#: against (its parent); the table's labels describe this commit.
+#: against (its parent); the kernel table's labels describe this commit.
 PARENT = "9f817304b82709f1e9b6b0044cece77474f49d88"
+
+#: The commit the deletion of the ``aio`` engine is measured against.
+SERVE_PARENT = "e80d0eacfed3b4310466b002fe371534c8d4344b"
 
 TESTS = [
     "tests/test_model_drift.py",
@@ -58,6 +69,20 @@ TESTS = [
     "benchmarks/bench_ablation_cost_model.py",
 ]
 
+#: Serving test files; a file absent from a tree is skipped there.
+SERVE_TESTS = [
+    "tests/test_batcher_deadline.py",
+    "tests/test_serve_clock.py",
+    "tests/test_serve_components.py",
+    "tests/test_serve_faults.py",
+    "tests/test_serve_golden.py",
+    "tests/test_serve_regressions.py",
+    "tests/test_serve_router.py",
+    "tests/test_serve_server.py",
+    "tests/test_serve_streams.py",
+    "tests/test_tiered_serve.py",
+]
+
 #: Directories a checker run needs from a tree.
 COPIED = ("src", "tests", "benchmarks", "scripts")
 
@@ -65,13 +90,19 @@ STEP_TIMEOUT_S = 120
 STEP_MEMORY_BYTES = 2 << 30
 
 KERNELS = "src/repro/simt/kernels.py"
+BATCHER = "src/repro/serve/batcher.py"
+ROUTER = "src/repro/serve/router.py"
+SERVER = "src/repro/serve/server.py"
+LOADGEN = "src/repro/serve/loadgen.py"
 
 
 @dataclass(frozen=True)
 class Mutant:
     """Replace ``old`` by ``new`` in ``path``, within the text that starts
     at ``scope`` and runs to the next top-level ``def`` (or the whole
-    file when ``scope`` is empty); ``old`` must occur ``count`` times."""
+    file when ``scope`` is empty); ``old`` must occur ``count`` times.
+    ``header`` is inserted after the module's ``__future__`` import;
+    ``pinned_by`` names the tests written to fail on the mutant."""
 
     mid: str
     title: str
@@ -80,6 +111,8 @@ class Mutant:
     new: str
     scope: str = ""
     count: int = 1
+    header: str = ""
+    pinned_by: Tuple[str, ...] = ()
 
 
 MUTANTS = [
@@ -175,7 +208,160 @@ INEXPRESSIBLE = [
      "is implicit at `EndIf` and loop exit, so there is nothing to drop"),
 ]
 
+SERVE_MUTANTS = [
+    Mutant(
+        "S1", "no device lock on a one-stream replica", ROUTER,
+        """                async with self._device_lock:
+                    outcome = self.engine.run_batch(queries, config)
+                    await asyncio.sleep(outcome.service_seconds)
+""",
+        """                outcome = self.engine.run_batch(queries, config)
+                await asyncio.sleep(outcome.service_seconds)
+""",
+    ),
+    Mutant(
+        "S2", "dispatch task not tracked in `_inflight`", BATCHER,
+        "            self._inflight[task] = None\n", "",
+        pinned_by=("test_stop_with_a_full_queue_resolves_everything_first",),
+    ),
+    Mutant(
+        "S3", "batcher slot released outside `finally`", BATCHER,
+        """        try:
+            await self._dispatch(batch)
+        finally:
+            self._slot_semaphore().release()
+""",
+        """        await self._dispatch(batch)
+        self._slot_semaphore().release()
+""",
+        pinned_by=("test_raising_dispatch_returns_its_slot",),
+    ),
+    Mutant(
+        "S4", "`admission.release_slot()` dropped (a `block` queue slot "
+        "never comes back)", SERVER,
+        "        for _ in batch:\n            self.admission.release_slot()\n",
+        "",
+        pinned_by=("test_block_policy_returns_every_queue_slot",),
+    ),
+    Mutant(
+        "S5", "arrival stamped with `time.monotonic()`", SERVER,
+        "            arrival_s=loop.time(),\n",
+        "            arrival_s=time.monotonic(),\n",
+        header="import time\n",
+    ),
+    Mutant(
+        "S6", "plain `asyncio.gather` in `DynamicBatcher.drain`", BATCHER,
+        "            await gather_all(*tuple(self._inflight))",
+        "            await asyncio.gather(*tuple(self._inflight))",
+        scope="    async def drain",
+        pinned_by=("test_drain_waits_for_every_dispatch_before_raising",),
+    ),
+    Mutant(
+        "S7", "seed-405 guard back to `timeout > 0`", BATCHER,
+        "if timeout > loop._clock_resolution:", "if timeout > 0:",
+    ),
+    Mutant(
+        "S8", "`pending_batches -= 1` moved out of `finally`", ROUTER,
+        """        self.pending_batches += 1
+        try:
+            if self.streams <= 1:
+                async with self._device_lock:
+                    outcome = self.engine.run_batch(queries, config)
+                    await asyncio.sleep(outcome.service_seconds)
+            else:
+                async with self._slots():
+                    outcome = self._run_streamed(queries, config)
+                    await asyncio.sleep(outcome.service_seconds)
+        finally:
+            self.pending_batches -= 1
+""",
+        """        self.pending_batches += 1
+        if self.streams <= 1:
+            async with self._device_lock:
+                outcome = self.engine.run_batch(queries, config)
+                await asyncio.sleep(outcome.service_seconds)
+        else:
+            async with self._slots():
+                outcome = self._run_streamed(queries, config)
+                await asyncio.sleep(outcome.service_seconds)
+        self.pending_batches -= 1
+""",
+        pinned_by=("test_fault_leaves_no_load_and_both_replicas_in_use",),
+    ),
+    Mutant(
+        "S9", "`stop()` does not await the run task", SERVER,
+        "        await self._run_task\n        self._run_task = None\n",
+        "        self._run_task = None\n",
+        pinned_by=("test_stop_with_a_full_queue_resolves_everything_first",),
+    ),
+    Mutant(
+        "S10", "the engine-fault path resolves no future", SERVER,
+        """                self.metrics.on_error()
+                request.resolve(
+                    ServeResponse(
+                        request_id=request.request_id,
+                        status="error",
+                        replica=replica.name,
+                        error=error,
+                    )
+                )
+""",
+        "                self.metrics.on_error()\n",
+    ),
+    Mutant(
+        "S11", "seedless RNG in `poisson_arrivals`", LOADGEN,
+        "rng = np.random.default_rng(seed)", "rng = np.random.default_rng()",
+    ),
+    Mutant(
+        "S12", "`drive_poisson` drops every 7th `create_task` handle", LOADGEN,
+        "        tasks.append(asyncio.create_task(server.submit(queries[qi], "
+        "ground_truth=gt)))\n",
+        """        if i % 7 == 6:
+            asyncio.create_task(server.submit(queries[qi], ground_truth=gt))
+        else:
+            tasks.append(asyncio.create_task(server.submit(queries[qi], ground_truth=gt)))
+""",
+    ),
+    Mutant(
+        "S13", "device lock released before the occupancy sleep", ROUTER,
+        """                    outcome = self.engine.run_batch(queries, config)
+                    await asyncio.sleep(outcome.service_seconds)
+""",
+        """                    outcome = self.engine.run_batch(queries, config)
+                await asyncio.sleep(outcome.service_seconds)
+""",
+    ),
+]
+
 CHECKERS = ("sanitizer", "verifier", "tests")
+
+#: Serving checkers by tree; the ``aio`` engine exists at the parent only.
+SERVE_CHECKERS = {
+    "parent": ("aio", "lint", "arrays", "tests"),
+    "change": ("lint", "arrays", "tests"),
+}
+
+
+@dataclass(frozen=True)
+class Catalogue:
+    """One table: mutants, the commit its ``parent`` columns are measured
+    at, the checkers run on each tree and the test files ``tests`` runs."""
+
+    commit: str
+    mutants: Sequence[Mutant]
+    checkers: Dict[str, Tuple[str, ...]]
+    tests: Sequence[str]
+
+
+CATALOGUES = {
+    "kernels": Catalogue(
+        PARENT, MUTANTS, {"parent": CHECKERS, "change": CHECKERS}, TESTS
+    ),
+    "serving": Catalogue(SERVE_PARENT, SERVE_MUTANTS, SERVE_CHECKERS, SERVE_TESTS),
+}
+
+#: ``stderr`` of a step killed at ``STEP_TIMEOUT_S``.
+HUNG = "timeout"
 
 
 def _limit_resources() -> None:
@@ -193,10 +379,12 @@ def _run(tree: Path, args: List[str]) -> subprocess.CompletedProcess:
             text=True, timeout=STEP_TIMEOUT_S, preexec_fn=_limit_resources,
         )
     except subprocess.TimeoutExpired:
-        return subprocess.CompletedProcess(args, -1, "", "timeout")
+        return subprocess.CompletedProcess(args, -1, "", HUNG)
 
 
 def _crash(proc: subprocess.CompletedProcess) -> str:
+    if proc.stderr == HUNG:
+        return "hang"
     lines = [l for l in proc.stderr.strip().splitlines() if l.strip()]
     last = lines[-1] if lines else f"exit {proc.returncode}"
     return "crash: " + last.split(":")[0].strip()
@@ -216,27 +404,40 @@ def _engine(tree: Path, engine: str) -> Optional[str]:
     return ", ".join(rules) if rules else _crash(proc)
 
 
-def _tests(tree: Path) -> Optional[str]:
-    proc = _run(tree, ["-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-                       "--benchmark-disable", *TESTS])
-    if proc.returncode == 0:
-        return None
-    failed = re.findall(r"^FAILED (\S+?)::", proc.stdout, flags=re.M)
-    counts: Dict[str, int] = {}
-    for path in failed:
-        name = Path(path).stem
-        counts[name] = counts.get(name, 0) + 1
-    if not counts:
-        return _crash(proc)
-    return ", ".join(f"{name} ({n})" for name, n in sorted(counts.items()))
-
-
-def _check(tree: Path) -> Dict[str, Optional[str]]:
+def _tests(tree: Path, tests: Sequence[str]) -> Dict:
+    """The verdict, the names of the failed test functions and the files
+    that hung.  Each file runs in its own process, so a file that hangs
+    is named and does not hide the failures of the others."""
+    verdicts, failed, hung = [], set(), []
+    for test in tests:
+        if not (tree / test).exists():
+            continue
+        proc = _run(tree, ["-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                           "--benchmark-disable", test])
+        if proc.returncode == 0:
+            continue
+        nodes = re.findall(r"^FAILED \S+?::(\S+)", proc.stdout, flags=re.M)
+        failed.update(node.split("::")[-1].split("[")[0] for node in nodes)
+        if proc.stderr == HUNG:
+            hung.append(test)
+        what = str(len(nodes)) if nodes else _crash(proc)
+        verdicts.append(f"{Path(test).stem} ({what})")
     return {
-        "sanitizer": _engine(tree, "sanitizer"),
-        "verifier": _engine(tree, "verifier"),
-        "tests": _tests(tree),
+        "tests": ", ".join(sorted(verdicts)) or None,
+        "failed": sorted(failed),
+        "hung": hung,
     }
+
+
+def _check(tree: Path, checkers: Sequence[str], tests: Sequence[str]) -> Dict:
+    """Checker name -> verdict, plus ``_tests``' ``failed`` and ``hung``."""
+    out: Dict = {}
+    for checker in checkers:
+        if checker == "tests":
+            out.update(_tests(tree, tests))
+        else:
+            out[checker] = _engine(tree, checker)
+    return out
 
 
 def _apply(tree: Path, mutant: Mutant) -> Tuple[Path, str]:
@@ -252,8 +453,13 @@ def _apply(tree: Path, mutant: Mutant) -> Tuple[Path, str]:
             f"{mutant.mid}: expected {mutant.count} match(es) of its snippet "
             f"in {mutant.path}, found {found}"
         )
-    mutated = region.replace(mutant.old, mutant.new)
-    path.write_text(original[:start] + mutated + original[end:])
+    mutated = original[:start] + region.replace(mutant.old, mutant.new) + original[end:]
+    if mutant.header:
+        future = "from __future__ import annotations\n"
+        if mutated.count(future) != 1:
+            raise SystemExit(f"{mutant.mid}: no single __future__ import in {mutant.path}")
+        mutated = mutated.replace(future, future + mutant.header)
+    path.write_text(mutated)
     return path, original
 
 
@@ -263,29 +469,32 @@ def _copy_worktree(dest: Path) -> None:
         shutil.copytree(REPO / name, dest / name, ignore=ignore)
 
 
-def _export_commit(dest: Path) -> None:
+def _export_commit(dest: Path, commit: str) -> None:
     blob = subprocess.run(
-        ["git", "archive", "--format=tar", PARENT, *COPIED], cwd=REPO,
+        ["git", "archive", "--format=tar", commit, *COPIED], cwd=REPO,
         capture_output=True, check=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(dest)
 
 
-def catalogue(tree: Path, label: str) -> Dict[str, Dict[str, Optional[str]]]:
-    """Run every mutant on ``tree`` (restoring each file afterwards)."""
-    baseline = _check(tree)
+def catalogue(tree: Path, name: str, label: str) -> Dict[str, Dict]:
+    """Run every mutant of catalogue ``name`` on ``tree`` (restoring each
+    file afterwards); ``label`` (``parent``/``change``) picks the checkers."""
+    cat = CATALOGUES[name]
+    checkers = cat.checkers[label]
+    baseline = _check(tree, checkers, cat.tests)
     dirty = {k: v for k, v in baseline.items() if v}
     if dirty:
-        raise SystemExit(f"{label}: unmutated tree is not clean: {dirty}")
+        raise SystemExit(f"{name}/{label}: unmutated tree is not clean: {dirty}")
     results = {}
-    for mutant in MUTANTS:
+    for mutant in cat.mutants:
         path, original = _apply(tree, mutant)
         try:
-            results[mutant.mid] = _check(tree)
+            results[mutant.mid] = _check(tree, checkers, cat.tests)
         finally:
             path.write_text(original)
-        print(f"{label} {mutant.mid}: {results[mutant.mid]}", file=sys.stderr)
+        print(f"{name}/{label} {mutant.mid}: {results[mutant.mid]}", file=sys.stderr)
     return results
 
 
@@ -351,20 +560,99 @@ def render(results: Dict[str, Dict]) -> str:
     return "\n".join(out) + "\n"
 
 
+def render_serving(results: Dict[str, Dict]) -> str:
+    parent, change = results["parent"], results["change"]
+    pcols, ccols = SERVE_CHECKERS["parent"], SERVE_CHECKERS["change"]
+    out = [
+        "# Mutant catalogue: the serving layer",
+        "",
+        "Generated by `python scripts/mutants.py` (do not edit by hand).",
+        f"`parent` is commit `{SERVE_PARENT[:12]}`, which still has the `aio`",
+        "static analyzer of `serve/`'s coroutines; `change` is the working",
+        "tree, where `serve/` is checked by its tests and the `lint` and",
+        "`arrays` engines.  ✓ = the checker fails on the mutant (with the rules",
+        "it reported, or the failing test files and counts, each file run in",
+        "its own process); `(hang)` = that file was still running at",
+        f"{STEP_TIMEOUT_S} s and was killed, which is the only way a hang counts",
+        "as caught (`scripts/ci.sh` bounds tier-1 with a timeout the same",
+        "way); ✗ = it passes.",
+        "`tests` = " + ", ".join(f"`{Path(t).name}`" for t in SERVE_TESTS)
+        + "; a file the tree lacks is skipped.",
+        "",
+        "| id | mutant | " + " | ".join(f"parent: {k}" for k in pcols) + " | "
+        + " | ".join(f"change: {k}" for k in ccols) + " |",
+        "|---|---|" + "---|" * (len(pcols) + len(ccols)),
+    ]
+    for m in SERVE_MUTANTS:
+        p, c = parent[m.mid], change[m.mid]
+        cells = [_cell(p[k]) for k in pcols] + [_cell(c[k]) for k in ccols]
+        out.append(f"| {m.mid} | {m.title} | " + " | ".join(cells) + " |")
+
+    def caught(row: Dict, cols: Sequence[str]) -> List[str]:
+        return [k for k in cols if row[k]]
+
+    def ids(pred) -> str:
+        return ", ".join(m.mid for m in SERVE_MUTANTS if pred(m)) or "none"
+
+    total = len(SERVE_MUTANTS)
+    n_parent = sum(bool(caught(parent[m.mid], pcols)) for m in SERVE_MUTANTS)
+    n_change = sum(bool(caught(change[m.mid], ccols)) for m in SERVE_MUTANTS)
+    out += [
+        "",
+        "## Reading",
+        "",
+        f"- Caught by some checker: {n_parent} of {total} at the parent, "
+        f"{n_change} of {total} at the change.",
+        "- Caught at the parent by `aio`: "
+        + ids(lambda m: parent[m.mid]["aio"]) + "; by `aio` alone: "
+        + ids(lambda m: caught(parent[m.mid], pcols) == ["aio"]) + ".",
+        "- Caught at the parent by nothing: "
+        + ids(lambda m: not caught(parent[m.mid], pcols)) + ".",
+        "- Caught at the parent by `aio` and by nothing at the change: "
+        + ids(lambda m: parent[m.mid]["aio"] and not caught(change[m.mid], ccols))
+        + ".",
+        "- Caught by nothing at the change: "
+        + ids(lambda m: not caught(change[m.mid], ccols)) + ".",
+        "- Caught at the change only through a killed hang: "
+        + ids(lambda m: caught(change[m.mid], ccols) == ["tests"]
+              and change[m.mid]["hung"] and not change[m.mid]["failed"]) + ".",
+        "",
+        "Tests written for a row, and whether they fail on it at the change:",
+        "",
+    ]
+    for m in SERVE_MUTANTS:
+        for test in m.pinned_by:
+            verdict = "fails" if test in change[m.mid]["failed"] else "PASSES"
+            out.append(f"- {m.mid}: `{test}` {verdict}.")
+    return "\n".join(out) + "\n"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=REPO / "scripts" / "mutants.md")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
-        _export_commit(trees["parent"])
-        _copy_worktree(trees["change"])
+        jobs = {}
+        for name, cat in CATALOGUES.items():
+            for label in ("parent", "change"):
+                tree = Path(tmp) / name / label
+                if label == "parent":
+                    _export_commit(tree, cat.commit)
+                else:
+                    _copy_worktree(tree)
+                jobs[name, label] = tree
         with ProcessPoolExecutor(max_workers=2) as pool:
-            futures = {label: pool.submit(catalogue, tree, label)
-                       for label, tree in trees.items()}
-            results = {label: f.result() for label, f in futures.items()}
-    args.out.write_text(render(results))
+            futures = {key: pool.submit(catalogue, tree, *key)
+                       for key, tree in jobs.items()}
+            results = {key: f.result() for key, f in futures.items()}
+    tables = {
+        name: {label: results[name, label] for label in ("parent", "change")}
+        for name in CATALOGUES
+    }
+    args.out.write_text(
+        render(tables["kernels"]) + "\n" + render_serving(tables["serving"])
+    )
     print(f"wrote {args.out}")
     return 0
 

@@ -1,6 +1,6 @@
 """Static/dynamic analysis for the repo's SIMT substrate and hot paths.
 
-Six engines, each selected with ``python -m repro.analysis --engines``
+Five engines, each selected with ``python -m repro.analysis --engines``
 and all gated in ``scripts/ci.sh``:
 
 * the **kernel sanitizer** (:mod:`repro.analysis.sanitizer`) replays
@@ -22,29 +22,17 @@ and all gated in ``scripts/ci.sh``:
   domain — proving packed-key dtype bounds (with smallest concrete
   counterexamples when they fail), broadcast compatibility, fancy-index
   bounds, scatter aliasing safety, and determinism of tie-breaking —
-  plus a syntactic nondeterminism sweep over hot modules and ``serve/``;
-* the **async-concurrency analyzer** (:mod:`repro.analysis.aio`, engine
-  ``aio``) statically checks the coroutine code of the serving
-  layer — atomicity of read-modify-writes across await points (with an
-  inferred field→lock protection map and ``# aio: guarded-by``
-  annotations), lock-order-inversion cycles, virtual-time determinism
-  (wall-clock reads, seedless RNG, set-ordered task spawns), and task
-  hygiene (unawaited
-  coroutines, dropped ``create_task`` handles, gather policy on
-  shutdown paths).
+  plus a syntactic nondeterminism sweep over hot modules and ``serve/``.
+
+No engine reads the serving layer's coroutines: ``tests/test_serve_faults.py``
+checks them by behaviour on the virtual clock, and the serving table of
+``scripts/mutants.md`` records which test catches each seeded bug.
 
 See DESIGN.md Section 9 for the hazard taxonomy and rule catalogue,
-Section 10 for the invariant encodings,
-Section 14 for the array verifier's domains and soundness caveats, and
-Section 15 for the aio engine's call-graph and checker semantics.
+Section 10 for the invariant encodings, and
+Section 14 for the array verifier's domains and soundness caveats.
 """
 
-from repro.analysis.aio import (
-    AIO_RULES,
-    analyze_source as analyze_aio_source,
-    build_call_graph,
-    check_aio,
-)
 from repro.analysis.arrays import (
     ANNOTATED_MODULES,
     ARRAY_RULES,
@@ -114,8 +102,4 @@ __all__ = [
     "check_arrays",
     "find_counterexample",
     "verify_array_kernels",
-    "AIO_RULES",
-    "analyze_aio_source",
-    "build_call_graph",
-    "check_aio",
 ]

@@ -1,6 +1,6 @@
 """CLI for the analysis engines: ``python -m repro.analysis``.
 
-Six engines share this entry point:
+Five engines share this entry point:
 
 * ``sanitizer`` — trace-based SIMT kernel sanitizer over every
   registered microkernel;
@@ -9,10 +9,7 @@ Six engines share this entry point:
 * ``streams`` — stream-program hazard checker over the device model;
 * ``arrays`` — array-program verifier (symbolic shapes, dtype lattice,
   value intervals, packed-key overflow proofs) plus the syntactic
-  nondeterminism sweep;
-* ``aio`` — async-concurrency analyzer over the serving layer
-  (atomicity across await, lock-order inversion, virtual-time
-  determinism, task hygiene; DESIGN.md Sec. 15).
+  nondeterminism sweep.
 
 ``--engines NAME[,NAME...]`` selects exactly the engines to run; without
 it the default set is sanitizer+lint.
@@ -51,7 +48,7 @@ from repro.analysis.registry import (
 )
 
 #: Engine names accepted by ``--engines``, in canonical run order.
-ENGINE_NAMES = ("sanitizer", "lint", "verifier", "streams", "arrays", "aio")
+ENGINE_NAMES = ("sanitizer", "lint", "verifier", "streams", "arrays")
 
 #: Seconds after which an engine's runtime warns on stderr.
 SLOW_ENGINE_S = 60.0
@@ -105,19 +102,12 @@ def _run_arrays(include_known_bad: bool, lint_root) -> List[Finding]:
     return check_arrays(include_known_bad=include_known_bad)
 
 
-def _run_aio(include_known_bad: bool, lint_root) -> List[Finding]:
-    from repro.analysis.aio import check_aio
-
-    return check_aio(include_known_bad=include_known_bad)
-
-
 _ENGINE_RUNNERS: Dict[str, Callable[..., List[Finding]]] = {
     "sanitizer": _run_sanitizer,
     "lint": _run_lint,
     "verifier": _run_verifier,
     "streams": _run_streams,
     "arrays": _run_arrays,
-    "aio": _run_aio,
 }
 
 
@@ -186,8 +176,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "analysis engines: SIMT sanitizer, hot-path lint, Theorem 1-3 "
-            "invariant verifier, stream hazards, array verifier, "
-            "async-concurrency (aio)"
+            "invariant verifier, stream hazards, array verifier"
         ),
     )
     parser.add_argument(

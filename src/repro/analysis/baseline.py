@@ -6,7 +6,7 @@ accepted findings for all engines, one section per engine::
     {
       "engines": {
         "arrays": {"suppress": [{"rule": "...", "location": "..."}]},
-        "aio":    {"suppress": []}
+        "lint":   {"suppress": []}
       }
     }
 

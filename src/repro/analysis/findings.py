@@ -46,7 +46,7 @@ class Finding:
         addresses, counts).
     engine:
         Which analysis engine produced the finding (``sanitizer``,
-        ``lint``, ``verifier``, ``streams``, ``arrays``, ``aio``).
+        ``lint``, ``verifier``, ``streams``, ``arrays``).
         Engines may leave it empty; the CLI stamps it when assembling a
         cross-engine report.
     """

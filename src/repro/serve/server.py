@@ -86,6 +86,7 @@ class SongServer:
             max_inflight=sum(getattr(r, "streams", 1) for r in replicas),
         )
         self._run_task: Optional[asyncio.Task] = None
+        self._stopped = False
         self._next_id = 0
 
     # -- lifecycle -------------------------------------------------------
@@ -97,9 +98,10 @@ class SongServer:
         self._run_task = asyncio.create_task(self.batcher.run())
 
     async def stop(self) -> None:
-        """Drain pending and in-flight work, then stop."""
+        """Drain pending and in-flight work, then stop; later submits raise."""
         if self._run_task is None:
             return
+        self._stopped = True
         self.batcher.stop()
         await self._run_task
         self._run_task = None
@@ -111,6 +113,10 @@ class SongServer:
         self, query: np.ndarray, ground_truth: Optional[np.ndarray] = None
     ) -> ServeResponse:
         """Serve one query; resolves when it completes or is shed."""
+        if self._stopped:
+            # Nothing would ever dispatch the request: refuse it before it
+            # counts as an arrival.
+            raise RuntimeError("server stopped")
         loop = asyncio.get_running_loop()
         request = ServeRequest(
             request_id=self._take_id(),

@@ -5,7 +5,7 @@ compressed store (sign-projection signatures or PQ codes) and the graph
 on device, traversing it with the lockstep batched engine, and
 re-ranking an over-fetched candidate set against the host-resident
 full-precision vectors with PCIe-metered, prefetch-overlapped page
-fetches.  See ``DESIGN.md`` Sec. 16.
+fetches.  See ``DESIGN.md`` Sec. 15.
 """
 
 from repro.tiered.cache import PageCache, rowids_to_pages

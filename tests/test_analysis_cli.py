@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.__main__ import main, run_engines
+from repro.analysis.__main__ import ENGINE_NAMES, main, run_engines
+from repro.analysis.baseline import apply_baseline, load_baseline_sections
+from repro.analysis.findings import Finding, Severity
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -175,15 +177,14 @@ GOLDEN_SCHEMA = {
 #: per engine: sanitizer/verifier/stream rules come from the known-bad
 #: fixtures (broken kernels, a queue that never evicts, a stream program
 #: missing its deps), lint from a seeded tree, arrays from the known-bad
-#: array kernels, aio from the known-bad coroutine fixtures.  Without
-#: the known-bad inputs the sanitizer's run is clean, asserted below.
+#: array kernels.  Without the known-bad inputs the sanitizer's run is
+#: clean, asserted below.
 ENGINE_SENTINEL_RULES = {
     "sanitizer": "shared-oob",
     "verifier": "invariant-bounded-queue",
     "streams": "stream-hazard",
     "lint": "hot-loop",
     "arrays": "packed-key-overflow",
-    "aio": "aio-atomicity",
 }
 
 
@@ -198,7 +199,7 @@ class TestGoldenJson:
             "--json",
             "--strict",
             "--engines",
-            "sanitizer,lint,verifier,streams,arrays,aio",
+            "sanitizer,lint,verifier,streams,arrays",
             "--include-known-bad",
             "--lint-root",
             str(lint_root),
@@ -265,12 +266,98 @@ class TestGoldenJson:
     def test_every_record_carries_its_engine(self, golden):
         _, records = golden
         engines = {r["engine"] for r in records}
-        assert engines <= {
-            "sanitizer", "lint", "verifier", "streams", "arrays", "aio",
-        }
-        assert {
-            "sanitizer", "lint", "verifier", "streams", "arrays", "aio",
-        } <= engines
+        assert engines == {"sanitizer", "lint", "verifier", "streams", "arrays"}
+
+
+class TestEnginesSelector:
+    def test_engines_rejects_unknown_name(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--engines", "nonsense"])
+        capsys.readouterr()
+
+    def test_engines_overrides_only_flags_conflict(self):
+        # Several engines in one launch, composed with --strict.
+        proc = run_cli("--engines", "sanitizer,streams", "--strict")
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_run_engines_rejects_unknown(self):
+        with pytest.raises(ValueError):
+            run_engines(["bogus"])
+
+    def test_engine_names_constant(self):
+        assert ENGINE_NAMES == ("sanitizer", "lint", "verifier", "streams", "arrays")
+
+    def test_findings_are_engine_stamped(self):
+        findings, code = run_engines(["streams"], include_known_bad=True)
+        assert code == 1
+        assert findings and all(f.engine == "streams" for f in findings)
+
+    def test_timings_recorded_per_engine(self):
+        timings = {}
+        run_engines(["streams", "sanitizer"], timings=timings)
+        assert set(timings) == {"streams", "sanitizer"}
+        assert all(t >= 0.0 for t in timings.values())
+
+    def test_text_report_includes_timings(self, capsys):
+        assert main(["--engines", "streams"]) == 0
+        out = capsys.readouterr().out
+        assert "streams=" in out and "s]" in out
+
+
+def _baseline(tmp_path, engines):
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({"engines": engines}))
+    return path
+
+
+class TestConsolidatedBaseline:
+    def test_flat_schema_is_rejected(self, tmp_path):
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({"suppress": [{"rule": "r", "location": "x.py:1"}]}))
+        with pytest.raises(ValueError, match="engines"):
+            load_baseline_sections(path)
+
+    def test_per_engine_sections_scope(self, tmp_path):
+        path = _baseline(
+            tmp_path, {"streams": {"suppress": [{"rule": "r", "location": "x.py:1"}]}}
+        )
+        sections = load_baseline_sections(path)
+        f = Finding("r", Severity.ERROR, "src/x.py:1", "m")
+        assert apply_baseline([f], sections, "streams") == []
+        kept = apply_baseline([f], sections, "arrays")
+        assert [k.rule for k in kept] == ["r"]
+
+    def test_stale_entry_surfaces_warning(self, tmp_path):
+        path = _baseline(
+            tmp_path, {"streams": {"suppress": [{"rule": "gone", "location": "y.py:9"}]}}
+        )
+        out = apply_baseline([], load_baseline_sections(path), "streams")
+        assert [f.rule for f in out] == ["stale-baseline"]
+        assert out[0].engine == "streams"
+
+    def test_committed_baseline_has_all_engine_sections(self):
+        sections = load_baseline_sections(
+            REPO_ROOT / "scripts" / "analysis_baseline.json"
+        )
+        assert set(ENGINE_NAMES) <= set(sections)
+        assert all(entries == [] for entries in sections.values())
+
+    def test_baseline_suppresses_finding_end_to_end(self, tmp_path):
+        # Suppress one specific known-bad finding and check it vanishes
+        # from the JSON report while the others stay.
+        proc = run_cli("--engines", "arrays", "--include-known-bad", "--json")
+        records = [json.loads(l) for l in proc.stdout.splitlines() if l.strip()]
+        target = next(r for r in records if r["rule"] == "broadcast-mismatch")
+        entry = {"rule": target["rule"], "location": target["location"]}
+        base = _baseline(tmp_path, {"arrays": {"suppress": [entry]}})
+        proc2 = run_cli(
+            "--engines", "arrays", "--include-known-bad", "--json",
+            "--baseline", str(base),
+        )
+        records2 = [json.loads(l) for l in proc2.stdout.splitlines() if l.strip()]
+        locs2 = {(r["rule"], r["location"]) for r in records2}
+        assert (target["rule"], target["location"]) not in locs2
+        assert any(r["rule"] == "packed-key-overflow" for r in records2)
 
 
 class TestModuleInvocation:
@@ -287,7 +374,7 @@ class TestModuleInvocation:
     def test_ci_script_invokes_strict_analysis(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
         assert "python -m repro.analysis" in ci
-        assert "--engines sanitizer,lint,verifier,streams,arrays,aio --strict" in ci
+        assert "--engines sanitizer,lint,verifier,streams,arrays --strict" in ci
         assert "ruff check" in ci
 
     def test_ci_script_gates_the_verifier(self):
@@ -295,5 +382,17 @@ class TestModuleInvocation:
         assert "verifier,streams" in ci
         # Negative control: CI runs the known-bad fixtures and requires
         # the gate to reject them, so a silently broken verifier fails CI.
-        assert "for engine in verifier streams arrays aio sanitizer" in ci
+        assert "for engine in verifier streams arrays sanitizer" in ci
         assert '--engines "$engine" --strict --include-known-bad' in ci
+
+    def test_exact_ci_gate_command_passes(self):
+        proc = run_cli(
+            "--engines", "sanitizer,lint,verifier,streams,arrays", "--strict",
+            "--baseline", "scripts/analysis_baseline.json",
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+
+    def test_exact_ci_negative_control_fails(self):
+        for engine in ("verifier", "streams", "arrays", "sanitizer"):
+            proc = run_cli("--engines", engine, "--strict", "--include-known-bad")
+            assert proc.returncode == 1, engine

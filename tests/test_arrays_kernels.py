@@ -191,12 +191,12 @@ class TestBaseline:
 class TestCIGate:
     def test_ci_runs_arrays_strict_with_baseline(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
-        assert "--engines sanitizer,lint,verifier,streams,arrays,aio --strict" in ci
+        assert "--engines sanitizer,lint,verifier,streams,arrays --strict" in ci
         assert "scripts/analysis_baseline.json" in ci
 
     def test_ci_has_arrays_negative_control(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
-        assert "for engine in verifier streams arrays aio" in ci
+        assert "for engine in verifier streams arrays sanitizer" in ci
         assert '--engines "$engine" --strict --include-known-bad' in ci
 
 
