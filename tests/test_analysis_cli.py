@@ -3,6 +3,7 @@ selection, JSON output, and the --strict gate."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -358,6 +359,52 @@ class TestConsolidatedBaseline:
         locs2 = {(r["rule"], r["location"]) for r in records2}
         assert (target["rule"], target["location"]) not in locs2
         assert any(r["rule"] == "packed-key-overflow" for r in records2)
+
+    def test_malformed_baseline_rejected(self, tmp_path):
+        # Each malformed shape is rejected in every engine's section, and
+        # the error names the section that holds it.
+        malformed = [
+            {"suppress": [{"rule": "r"}]},
+            {"suppress": [{"location": "x.py:1"}]},
+            {"suppress": ["r@x.py:1"]},
+            {"suppress": {"rule": "r", "location": "x.py:1"}},
+            ["r"],
+        ]
+        for engine in ENGINE_NAMES:
+            for section in malformed:
+                path = _baseline(tmp_path, {engine: section})
+                with pytest.raises(ValueError, match=engine):
+                    load_baseline_sections(path)
+
+
+def _ci_text():
+    # Shell line continuations joined, so one command reads as one line.
+    return (REPO_ROOT / "scripts" / "ci.sh").read_text().replace("\\\n", " ")
+
+
+class TestCiWiring:
+    """scripts/ci.sh stays in step with the engine registry."""
+
+    def test_ci_gates_every_engine_strict_with_baseline(self):
+        # The strict gate is one launch naming every registered engine,
+        # and that same launch carries the committed baseline.
+        gate = re.search(
+            r"python -m repro\.analysis\s+--engines (\S+) --strict([^\n]*)",
+            _ci_text(),
+        )
+        assert gate, "ci.sh has no strict multi-engine gate"
+        assert tuple(gate.group(1).split(",")) == ENGINE_NAMES
+        assert "--baseline scripts/analysis_baseline.json" in gate.group(2)
+
+    def test_ci_negative_control_covers_every_seedable_engine(self):
+        # Every engine with --include-known-bad fixtures (all but lint,
+        # whose seeded tree comes from --lint-root) is run on them in CI
+        # and must be rejected by the strict gate.
+        text = _ci_text()
+        loop = re.search(r"for engine in ([^;]+); do", text)
+        assert loop, "ci.sh has no negative-control loop"
+        assert set(loop.group(1).split()) == set(ENGINE_NAMES) - {"lint"}
+        assert '--engines "$engine" --strict --include-known-bad' in text
 
 
 class TestModuleInvocation:
