@@ -1,8 +1,8 @@
-"""Mutant catalogues for the instruction-level and serving layers
-(outside tier-1).
+"""Mutant catalogues for the instruction-level, serving and array-kernel
+layers (outside tier-1).
 
 Seeds one bug at a time into a *copy* of the source tree and records
-which checkers fail on it.  Two catalogues, one table each:
+which checkers fail on it.  Three catalogues, one table each:
 
 * **microkernels** — bugs in ``simt/kernels.py`` and the cost constants
   they are checked against; checkers are the ``sanitizer`` and
@@ -10,24 +10,29 @@ which checkers fail on it.  Two catalogues, one table each:
   --strict``) and the tests that exercise the microkernels (``TESTS``
   below) plus ``benchmarks/bench_ablation_cost_model.py``;
 * **serving** — bugs in ``serve/``'s coroutines, locks and clocks;
-  checkers are the ``aio`` engine (parent only), the ``lint`` and
-  ``arrays`` engines (``arrays``' nondeterminism sweep scans ``serve/``)
-  and the serving test files (``SERVE_TESTS``).
+  checkers are the ``aio`` engine (parent only), the ``lint`` engine
+  (its nondeterminism sweep scans ``serve/``), ``arrays`` (parent only)
+  and the serving test files (``SERVE_TESTS``);
+* **array kernels** — bugs in the vectorized host kernels (packed keys,
+  flat indices, tie-breaking) and the guards in front of them; checkers
+  are the ``arrays`` engine (parent only), ``lint`` and the test files
+  that exercise those kernels (``ARRAY_TESTS``).
 
 Each catalogue mutates two trees: the working tree and the commit before
 the checker it judges was deleted (``PARENT`` for the static kernel
-verifier, ``SERVE_PARENT`` for the ``aio`` engine, exported with ``git
-archive``), so each row names its catchers before and after that
-deletion.  A mutant whose source snippet no longer matches as often as
-declared aborts the run instead of silently testing nothing.  The
-unmutated tree must be clean on every checker, or the run aborts too.
-A run that outlives ``STEP_TIMEOUT_S`` is killed and recorded as a hang:
-a hang counts as caught only because that bound turns it into a failure.
+verifier, ``SERVE_PARENT`` for the ``aio`` engine, ``ARRAYS_PARENT`` for
+the ``arrays`` engine, exported with ``git archive``), so each row names
+its catchers before and after that deletion.  A mutant whose source
+snippet no longer matches as often as declared aborts the run instead of
+silently testing nothing.  The unmutated tree must be clean on every
+checker, or the run aborts too.  A run that outlives ``STEP_TIMEOUT_S``
+is killed and recorded as a hang: a hang counts as caught only because
+that bound turns it into a failure.
 
     python scripts/mutants.py                    # rewrite scripts/mutants.md
     python scripts/mutants.py --out table.md     # write the tables elsewhere
 
-About twenty minutes on a 2-vCPU VM: the four trees run two at a time,
+About thirty minutes on a 2-vCPU VM: the six trees run two at a time,
 one subprocess at a time each, every subprocess capped at 120 s and
 2 GiB of address space.  The repository itself is never written to,
 apart from ``--out``.
@@ -36,6 +41,7 @@ apart from ``--out``.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -60,6 +66,9 @@ PARENT = "9f817304b82709f1e9b6b0044cece77474f49d88"
 #: The commit the deletion of the ``aio`` engine is measured against.
 SERVE_PARENT = "e80d0eacfed3b4310466b002fe371534c8d4344b"
 
+#: The commit the deletion of the ``arrays`` engine is measured against.
+ARRAYS_PARENT = "5bc8260c55e02b3c7fd62879ddc04f38fb4cc94d"
+
 TESTS = [
     "tests/test_model_drift.py",
     "tests/test_simt_kernels.py",
@@ -83,6 +92,21 @@ SERVE_TESTS = [
     "tests/test_tiered_serve.py",
 ]
 
+#: Test files that exercise the vectorized host kernels and their guards.
+ARRAY_TESTS = [
+    "tests/test_batched_engine.py",
+    "tests/test_build_paths.py",
+    "tests/test_cagra.py",
+    "tests/test_dpg_ivfflat.py",
+    "tests/test_graph_quality.py",
+    "tests/test_graph_storage.py",
+    "tests/test_hashing.py",
+    "tests/test_hnsw.py",
+    "tests/test_knn_graphs.py",
+    "tests/test_nsg.py",
+    "tests/test_tiered.py",
+]
+
 #: Directories a checker run needs from a tree.
 COPIED = ("src", "tests", "benchmarks", "scripts")
 
@@ -94,6 +118,9 @@ BATCHER = "src/repro/serve/batcher.py"
 ROUTER = "src/repro/serve/router.py"
 SERVER = "src/repro/serve/server.py"
 LOADGEN = "src/repro/serve/loadgen.py"
+CAGRA = "src/repro/graphs/cagra.py"
+BATCHED = "src/repro/core/batched.py"
+SOA = "src/repro/structures/soa.py"
 
 
 @dataclass(frozen=True)
@@ -333,12 +360,116 @@ SERVE_MUTANTS = [
     ),
 ]
 
+ARRAY_MUTANTS = [
+    Mutant(
+        "A0", "`_detour_walk`: int32 row offsets (`u * n` wraps past 2^31)",
+        CAGRA,
+        "    u = np.arange(b, dtype=np.int64)[:, None]\n",
+        "    u = np.arange(b, dtype=np.int32)[:, None]\n",
+        scope="def _detour_walk",
+    ),
+    Mutant(
+        "A1", "`_ragged_arange`: int32 positions", "src/repro/graphs/nn_descent.py",
+        "    idx = np.arange(total, dtype=np.int64)\n",
+        "    idx = np.arange(total, dtype=np.int32)\n",
+        scope="def _ragged_arange",
+    ),
+    Mutant(
+        "A2", "`_vertex_major`: `(w * n + c)` narrowed to int32", CAGRA,
+        "    wc = keys // p\n", "    wc = (keys // p).astype(np.int32)\n",
+        scope="def _vertex_major",
+    ),
+    Mutant(
+        "A3", "`_undirect`: backfill band offset `np.int32(n * keep)`",
+        "src/repro/graphs/dpg.py",
+        "np.int64(n * keep)", "np.int32(n * keep)",
+        scope="def _undirect",
+    ),
+    Mutant(
+        "A4", "`_unvisited`: reads `visited[base + cand + 1]`", BATCHED,
+        "    return ~visited[base + cand]\n", "    return ~visited[base + cand + 1]\n",
+        scope="def _unvisited",
+    ),
+    Mutant(
+        "A5", "`_detour_walk`: `bincount` replaced by `out[key] += 1`", CAGRA,
+        "    return np.bincount(key, minlength=b * k0).reshape(b, k0)\n",
+        """    out = np.zeros(b * k0, dtype=np.int64)
+    out[key] += 1
+    return out.reshape(b, k0)
+""",
+        scope="def _detour_walk",
+    ),
+    Mutant(
+        "A6", "`_first_occurrence_mask`: argsort without `kind=\"stable\"`",
+        BATCHED,
+        '    order = np.argsort(keyed, axis=1, kind="stable")\n',
+        "    order = np.argsort(keyed, axis=1)\n",
+        scope="def _first_occurrence_mask",
+    ),
+    Mutant(
+        "A7", "`pack_keys`: distance shifted by 31, not 32", SOA,
+        "(mapped.astype(np.uint64) << _SHIFT)",
+        "(mapped.astype(np.uint64) << np.uint64(31))",
+        scope="def pack_keys",
+    ),
+    Mutant(
+        "A9", "`pack_rowid`'s `OverflowError` check dropped", SOA,
+        """        if int(rows.min()) < 0 or int(rows.max()) > (_INT64_MAX - (n - 1)) // n:
+            raise OverflowError("pack_rowid: row * n + id exceeds int64")
+""",
+        "",
+        scope="def pack_rowid",
+    ),
+    Mutant(
+        "A10", "CAGRA's `_MAX_POINTS` raised to 2^28", CAGRA,
+        "_MAX_POINTS = 2**26\n", "_MAX_POINTS = 2**28\n",
+    ),
+    Mutant(
+        "A11", "`(B, n)` visited bitmap: no PAD sentinel column, so PAD "
+        "reads the previous lane's last vertex", BATCHED,
+        """        self.stride = n + 1
+        self.base = lanes[:, None] * self.stride
+        self.visited = np.zeros(b * self.stride, dtype=bool)
+        self.visited[n :: self.stride] = True
+""",
+        """        self.stride = n
+        self.base = lanes[:, None] * self.stride
+        self.visited = np.zeros(b * self.stride, dtype=bool)
+""",
+    ),
+    Mutant(
+        "A12", "CAGRA build drops `attach_orphans`", CAGRA,
+        "        attach_orphans(adjacency, table, entry, self.data, self.metric)\n",
+        "",
+        scope="class CagraBuilder",
+    ),
+    Mutant(
+        "A13", "`_detour_walk` leaves its rank marks set (stale detour mark)",
+        CAGRA,
+        "    pos[u, rows] = -1\n", "",
+        scope="def _detour_walk",
+    ),
+]
+
+#: Array-kernel mutants not run, and why they cannot change behaviour.
+EQUIVALENT = [
+    ("A8", "`_best_candidates`: target id routed through uint32",
+     "every target is a vertex id below n < 2^31, so the uint32 round trip "
+     "is the identity"),
+]
+
 CHECKERS = ("sanitizer", "verifier", "tests")
 
-#: Serving checkers by tree; the ``aio`` engine exists at the parent only.
+#: Serving checkers by tree; ``aio`` and ``arrays`` exist at the parent only.
 SERVE_CHECKERS = {
     "parent": ("aio", "lint", "arrays", "tests"),
-    "change": ("lint", "arrays", "tests"),
+    "change": ("lint", "tests"),
+}
+
+#: Array-kernel checkers by tree; ``arrays`` exists at the parent only.
+ARRAY_CHECKERS = {
+    "parent": ("arrays", "lint", "tests"),
+    "change": ("lint", "tests"),
 }
 
 
@@ -358,6 +489,7 @@ CATALOGUES = {
         PARENT, MUTANTS, {"parent": CHECKERS, "change": CHECKERS}, TESTS
     ),
     "serving": Catalogue(SERVE_PARENT, SERVE_MUTANTS, SERVE_CHECKERS, SERVE_TESTS),
+    "arrays": Catalogue(ARRAYS_PARENT, ARRAY_MUTANTS, ARRAY_CHECKERS, ARRAY_TESTS),
 }
 
 #: ``stderr`` of a step killed at ``STEP_TIMEOUT_S``.
@@ -560,43 +692,56 @@ def render(results: Dict[str, Dict]) -> str:
     return "\n".join(out) + "\n"
 
 
+def _grid(mutants: Sequence[Mutant], results: Dict[str, Dict],
+          checkers: Dict[str, Tuple[str, ...]]) -> List[str]:
+    """Header and one row per mutant: parent's checkers, then change's."""
+    pcols, ccols = checkers["parent"], checkers["change"]
+    out = [
+        "| id | mutant | " + " | ".join(f"parent: {k}" for k in pcols) + " | "
+        + " | ".join(f"change: {k}" for k in ccols) + " |",
+        "|---|---|" + "---|" * (len(pcols) + len(ccols)),
+    ]
+    for m in mutants:
+        p, c = results["parent"][m.mid], results["change"][m.mid]
+        cells = [_cell(p[k]) for k in pcols] + [_cell(c[k]) for k in ccols]
+        out.append(f"| {m.mid} | {m.title} | " + " | ".join(cells) + " |")
+    return out
+
+
+def _caught(row: Dict, cols: Sequence[str]) -> List[str]:
+    return [k for k in cols if row[k]]
+
+
+def _ids(mutants: Sequence[Mutant], pred) -> str:
+    return ", ".join(m.mid for m in mutants if pred(m)) or "none"
+
+
 def render_serving(results: Dict[str, Dict]) -> str:
     parent, change = results["parent"], results["change"]
     pcols, ccols = SERVE_CHECKERS["parent"], SERVE_CHECKERS["change"]
+    ids = functools.partial(_ids, SERVE_MUTANTS)
     out = [
         "# Mutant catalogue: the serving layer",
         "",
         "Generated by `python scripts/mutants.py` (do not edit by hand).",
         f"`parent` is commit `{SERVE_PARENT[:12]}`, which still has the `aio`",
         "static analyzer of `serve/`'s coroutines; `change` is the working",
-        "tree, where `serve/` is checked by its tests and the `lint` and",
-        "`arrays` engines.  ✓ = the checker fails on the mutant (with the rules",
-        "it reported, or the failing test files and counts, each file run in",
-        "its own process); `(hang)` = that file was still running at",
+        "tree, where `serve/` is checked by its tests and the `lint` engine",
+        "(`arrays`, also parent only, swept `serve/` for nondeterminism).",
+        "✓ = the checker fails on the mutant (with the rules it reported, or",
+        "the failing test files and counts, each file run in its own",
+        "process); `(hang)` = that file was still running at",
         f"{STEP_TIMEOUT_S} s and was killed, which is the only way a hang counts",
         "as caught (`scripts/ci.sh` bounds tier-1 with a timeout the same",
         "way); ✗ = it passes.",
         "`tests` = " + ", ".join(f"`{Path(t).name}`" for t in SERVE_TESTS)
         + "; a file the tree lacks is skipped.",
         "",
-        "| id | mutant | " + " | ".join(f"parent: {k}" for k in pcols) + " | "
-        + " | ".join(f"change: {k}" for k in ccols) + " |",
-        "|---|---|" + "---|" * (len(pcols) + len(ccols)),
-    ]
-    for m in SERVE_MUTANTS:
-        p, c = parent[m.mid], change[m.mid]
-        cells = [_cell(p[k]) for k in pcols] + [_cell(c[k]) for k in ccols]
-        out.append(f"| {m.mid} | {m.title} | " + " | ".join(cells) + " |")
-
-    def caught(row: Dict, cols: Sequence[str]) -> List[str]:
-        return [k for k in cols if row[k]]
-
-    def ids(pred) -> str:
-        return ", ".join(m.mid for m in SERVE_MUTANTS if pred(m)) or "none"
+    ] + _grid(SERVE_MUTANTS, results, SERVE_CHECKERS)
 
     total = len(SERVE_MUTANTS)
-    n_parent = sum(bool(caught(parent[m.mid], pcols)) for m in SERVE_MUTANTS)
-    n_change = sum(bool(caught(change[m.mid], ccols)) for m in SERVE_MUTANTS)
+    n_parent = sum(bool(_caught(parent[m.mid], pcols)) for m in SERVE_MUTANTS)
+    n_change = sum(bool(_caught(change[m.mid], ccols)) for m in SERVE_MUTANTS)
     out += [
         "",
         "## Reading",
@@ -605,16 +750,16 @@ def render_serving(results: Dict[str, Dict]) -> str:
         f"{n_change} of {total} at the change.",
         "- Caught at the parent by `aio`: "
         + ids(lambda m: parent[m.mid]["aio"]) + "; by `aio` alone: "
-        + ids(lambda m: caught(parent[m.mid], pcols) == ["aio"]) + ".",
+        + ids(lambda m: _caught(parent[m.mid], pcols) == ["aio"]) + ".",
         "- Caught at the parent by nothing: "
-        + ids(lambda m: not caught(parent[m.mid], pcols)) + ".",
+        + ids(lambda m: not _caught(parent[m.mid], pcols)) + ".",
         "- Caught at the parent by `aio` and by nothing at the change: "
-        + ids(lambda m: parent[m.mid]["aio"] and not caught(change[m.mid], ccols))
+        + ids(lambda m: parent[m.mid]["aio"] and not _caught(change[m.mid], ccols))
         + ".",
         "- Caught by nothing at the change: "
-        + ids(lambda m: not caught(change[m.mid], ccols)) + ".",
+        + ids(lambda m: not _caught(change[m.mid], ccols)) + ".",
         "- Caught at the change only through a killed hang: "
-        + ids(lambda m: caught(change[m.mid], ccols) == ["tests"]
+        + ids(lambda m: _caught(change[m.mid], ccols) == ["tests"]
               and change[m.mid]["hung"] and not change[m.mid]["failed"]) + ".",
         "",
         "Tests written for a row, and whether they fail on it at the change:",
@@ -624,6 +769,54 @@ def render_serving(results: Dict[str, Dict]) -> str:
         for test in m.pinned_by:
             verdict = "fails" if test in change[m.mid]["failed"] else "PASSES"
             out.append(f"- {m.mid}: `{test}` {verdict}.")
+    return "\n".join(out) + "\n"
+
+
+def render_arrays(results: Dict[str, Dict]) -> str:
+    parent, change = results["parent"], results["change"]
+    pcols, ccols = ARRAY_CHECKERS["parent"], ARRAY_CHECKERS["change"]
+    ids = functools.partial(_ids, ARRAY_MUTANTS)
+    out = [
+        "# Mutant catalogue: the array kernels",
+        "",
+        "Generated by `python scripts/mutants.py` (do not edit by hand).",
+        f"`parent` is commit `{ARRAYS_PARENT[:12]}`, which still has the `arrays`",
+        "engine (an abstract interpreter over the `@array_kernel`-decorated",
+        "host kernels, plus a nondeterminism sweep); `change` is the working",
+        "tree, where the kernels are checked by their tests and the `lint`",
+        "engine (`narrow-int` and the `nondet-*` rules).  ✓ = the checker",
+        "fails on the mutant (with the rules it reported, or the failing test",
+        "files and counts, each file run in its own process); ✗ = it passes.",
+        "`tests` = " + ", ".join(f"`{Path(t).name}`" for t in ARRAY_TESTS) + ".",
+        "",
+    ] + _grid(ARRAY_MUTANTS, results, ARRAY_CHECKERS)
+    for mid, title, _ in EQUIVALENT:
+        out.append(f"| {mid} | {title} | " + " | ".join(["—"] * (len(pcols) + len(ccols)))
+                   + " |")
+    out += [""] + [f"{mid} is not run (equivalent): {why}." for mid, _, why in EQUIVALENT]
+
+    total = len(ARRAY_MUTANTS)
+    n_parent = sum(bool(_caught(parent[m.mid], pcols)) for m in ARRAY_MUTANTS)
+    n_change = sum(bool(_caught(change[m.mid], ccols)) for m in ARRAY_MUTANTS)
+    out += [
+        "",
+        "## Reading",
+        "",
+        f"- Caught by some checker: {n_parent} of {total} at the parent, "
+        f"{n_change} of {total} at the change (equivalent rows not counted).",
+        "- Caught at the parent by `arrays`: "
+        + ids(lambda m: parent[m.mid]["arrays"]) + "; by `arrays` alone: "
+        + ids(lambda m: _caught(parent[m.mid], pcols) == ["arrays"]) + ".",
+        "- Caught at the parent by `arrays` and by nothing at the change: "
+        + ids(lambda m: parent[m.mid]["arrays"] and not _caught(change[m.mid], ccols))
+        + ".",
+        "- Caught at the change by `narrow-int`: "
+        + ids(lambda m: "narrow-int" in (change[m.mid]["lint"] or "")) + ".",
+        "- Caught by nothing at the parent: "
+        + ids(lambda m: not _caught(parent[m.mid], pcols)) + ".",
+        "- Caught by nothing at the change: "
+        + ids(lambda m: not _caught(change[m.mid], ccols)) + ".",
+    ]
     return "\n".join(out) + "\n"
 
 
@@ -652,6 +845,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     args.out.write_text(
         render(tables["kernels"]) + "\n" + render_serving(tables["serving"])
+        + "\n" + render_arrays(tables["arrays"])
     )
     print(f"wrote {args.out}")
     return 0

@@ -1,6 +1,6 @@
 """Static/dynamic analysis for the repo's SIMT substrate and hot paths.
 
-Five engines, each selected with ``python -m repro.analysis --engines``
+Four engines, each selected with ``python -m repro.analysis --engines``
 and all gated in ``scripts/ci.sh``:
 
 * the **kernel sanitizer** (:mod:`repro.analysis.sanitizer`) replays
@@ -12,36 +12,29 @@ and all gated in ``scripts/ci.sh``:
   inputs range (heap occupancy, probe home slot) at the edges of that
   range;
 * the **hot-path linter** (:mod:`repro.analysis.lint`) enforces the
-  vectorization invariants in modules marked ``# lint: hot-path``;
+  vectorization invariants in modules marked ``# lint: hot-path``
+  (per-element loops, float64 upcasts of packed keys, integer types
+  narrower than 64 bits without a stated bound) and sweeps them and
+  ``serve/`` for nondeterminism (bare argsorts, unseeded RNGs, wall-clock
+  reads);
 * the **invariant verifier** (:mod:`repro.analysis.verifier`, engine
   ``verifier``) checks SONG's Theorem 1–3 data-structure invariants
   against the real bounded queue and search loop;
-* the **array-program verifier** (:mod:`repro.analysis.arrays`, engine
-  ``arrays``) abstractly interprets the vectorized *host* kernels
-  decorated ``@array_kernel`` over a symbolic-shape / dtype / interval
-  domain — proving packed-key dtype bounds (with smallest concrete
-  counterexamples when they fail), broadcast compatibility, fancy-index
-  bounds, scatter aliasing safety, and determinism of tie-breaking —
-  plus a syntactic nondeterminism sweep over hot modules and ``serve/``.
+* the **stream-hazard checker** (:mod:`repro.analysis.streams`) checks
+  the device model's multi-stream programs for missing event
+  dependencies.
 
 No engine reads the serving layer's coroutines: ``tests/test_serve_faults.py``
 checks them by behaviour on the virtual clock, and the serving table of
-``scripts/mutants.md`` records which test catches each seeded bug.
+``scripts/mutants.md`` records which test catches each seeded bug.  The
+vectorized host kernels have no engine of their own either: the tests
+that exercise them and ``narrow-int`` catch their seeded bugs (the
+array-kernel table there).
 
-See DESIGN.md Section 9 for the hazard taxonomy and rule catalogue,
-Section 10 for the invariant encodings, and
-Section 14 for the array verifier's domains and soundness caveats.
+See DESIGN.md Section 9 for the hazard taxonomy and rule catalogue and
+Section 10 for the invariant encodings.
 """
 
-from repro.analysis.arrays import (
-    ANNOTATED_MODULES,
-    ARRAY_RULES,
-    NONDET_RULES,
-    analyze_kernel,
-    check_arrays,
-    find_counterexample,
-    verify_array_kernels,
-)
 from repro.analysis.findings import Finding, Severity, split_by_severity, worst_severity
 from repro.analysis.lint import HOT_MARKER, LINT_RULES, lint_paths, lint_source, lint_tree
 from repro.analysis.registry import (
@@ -95,11 +88,4 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "lint_tree",
-    "ANNOTATED_MODULES",
-    "ARRAY_RULES",
-    "NONDET_RULES",
-    "analyze_kernel",
-    "check_arrays",
-    "find_counterexample",
-    "verify_array_kernels",
 ]

@@ -1,15 +1,12 @@
 """CLI for the analysis engines: ``python -m repro.analysis``.
 
-Five engines share this entry point:
+Four engines share this entry point:
 
 * ``sanitizer`` — trace-based SIMT kernel sanitizer over every
   registered microkernel;
-* ``lint`` — hot-path linter over ``src/repro``;
+* ``lint`` — hot-path linter and nondeterminism sweep over ``src/repro``;
 * ``verifier`` — the Theorem 1–3 search-invariant checks;
-* ``streams`` — stream-program hazard checker over the device model;
-* ``arrays`` — array-program verifier (symbolic shapes, dtype lattice,
-  value intervals, packed-key overflow proofs) plus the syntactic
-  nondeterminism sweep.
+* ``streams`` — stream-program hazard checker over the device model.
 
 ``--engines NAME[,NAME...]`` selects exactly the engines to run; without
 it the default set is sanitizer+lint.
@@ -48,7 +45,7 @@ from repro.analysis.registry import (
 )
 
 #: Engine names accepted by ``--engines``, in canonical run order.
-ENGINE_NAMES = ("sanitizer", "lint", "verifier", "streams", "arrays")
+ENGINE_NAMES = ("sanitizer", "lint", "verifier", "streams")
 
 #: Seconds after which an engine's runtime warns on stderr.
 SLOW_ENGINE_S = 60.0
@@ -96,18 +93,11 @@ def _run_streams(include_known_bad: bool, lint_root) -> List[Finding]:
     return check_stream_programs(include_known_bad=include_known_bad)
 
 
-def _run_arrays(include_known_bad: bool, lint_root) -> List[Finding]:
-    from repro.analysis.arrays import check_arrays
-
-    return check_arrays(include_known_bad=include_known_bad)
-
-
 _ENGINE_RUNNERS: Dict[str, Callable[..., List[Finding]]] = {
     "sanitizer": _run_sanitizer,
     "lint": _run_lint,
     "verifier": _run_verifier,
     "streams": _run_streams,
-    "arrays": _run_arrays,
 }
 
 
@@ -176,7 +166,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "analysis engines: SIMT sanitizer, hot-path lint, Theorem 1-3 "
-            "invariant verifier, stream hazards, array verifier"
+            "invariant verifier, stream hazards"
         ),
     )
     parser.add_argument(

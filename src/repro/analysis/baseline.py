@@ -5,8 +5,8 @@ accepted findings for all engines, one section per engine::
 
     {
       "engines": {
-        "arrays": {"suppress": [{"rule": "...", "location": "..."}]},
-        "lint":   {"suppress": []}
+        "lint":    {"suppress": [{"rule": "...", "location": "..."}]},
+        "streams": {"suppress": []}
       }
     }
 

@@ -1,6 +1,7 @@
-"""Shared finding/severity types for both analysis engines.
+"""Shared finding/severity types for every analysis engine.
 
-The kernel sanitizer and the hot-path linter report through one
+The kernel sanitizer, the hot-path linter, the invariant verifier and
+the stream-hazard checker report through one
 :class:`Finding` shape so the CLI, CI gate and tests can treat "a SIMT
 race at pc 7 of ``heap_push``" and "a per-element loop at
 ``batched.py:359``" uniformly: every finding names the rule that fired,
@@ -46,7 +47,7 @@ class Finding:
         addresses, counts).
     engine:
         Which analysis engine produced the finding (``sanitizer``,
-        ``lint``, ``verifier``, ``streams``, ``arrays``).
+        ``lint``, ``verifier``, ``streams``).
         Engines may leave it empty; the CLI stamps it when assembling a
         cross-engine report.
     """

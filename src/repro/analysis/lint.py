@@ -1,9 +1,10 @@
 """Hot-path lint: AST rules for the modules the searcher's inner loop runs.
 
-Files opt in with a ``# lint: hot-path`` marker comment (the four
-dataset-scale modules carry it: ``core/batched.py``, ``structures/soa.py``,
-``graphs/nn_descent.py``, ``distances/metrics.py``).  Marked files are
-held to the repo's vectorization invariants:
+Files opt in with a ``# lint: hot-path`` marker comment (the batched
+search engine, the packed-key structures, the distance kernels, the
+graph builders and the serving loop's batcher, engine and metrics
+carry it).  Marked files are held to the repo's vectorization
+invariants:
 
 ``hot-loop``
     No per-element Python ``for`` loop over a dataset-sized iterable:
@@ -20,10 +21,37 @@ held to the repo's vectorization invariants:
     of a packed key.  Names assigned from packing primitives are tracked
     through simple dataflow and flagged when they reach a ``BinOp``
     against a float constant.
+``narrow-int``
+    A signed or unsigned 8/16/32-bit integer type (``np.int32``,
+    ``np.uint16``, ... as ``dtype=``, ``.astype``, ``.view`` or a
+    constructor, or a dtype string such as ``"int32"`` / ``"u4"``) is
+    flagged: packed keys and flat indices here are products of dataset
+    sizes, and a narrow one wraps silently.  Its allow must name the
+    bound that keeps the values in range, as text after the closing
+    parenthesis, e.g. ``# lint: allow(narrow-int) ranks < k0 <= 2**15 - 1``.
 ``exports``
     A hot module must declare ``__all__``, every exported name must
     exist at module top level (error), and exported functions/classes
     plus the module itself must carry docstrings (warning).
+
+Three nondeterminism rules (warnings) run on marked files and on every
+module under ``serve/``, where run-to-run divergence breaks the
+reproducibility experiments and the serving replay tests:
+
+``nondet-sort``
+    ``argsort`` (function or method) without ``kind="stable"`` /
+    ``"mergesort"``: tie order under the default introsort depends on
+    the partition schedule.  ``lexsort`` is stable by contract and plain
+    value sorts are deterministic (ties are equal values); neither is
+    flagged.  A bare argsort over keys that cannot tie carries an allow
+    saying why.
+``nondet-rng``
+    The legacy global-state ``np.random.*`` API, and ``default_rng()``
+    without a seed.
+``nondet-clock``
+    Wall-clock reads (``time.time`` / ``perf_counter`` / ``monotonic``,
+    ``datetime.now`` / ``utcnow``): the serving layer routes time through
+    its event loop's clock so replay tests stay exact.
 
 Escape hatch: ``# lint: allow(<rule>[, <rule>...])`` on the flagged
 line, on the line directly above it, or on the ``def`` line of the
@@ -36,7 +64,7 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity
 
@@ -44,9 +72,32 @@ from repro.analysis.findings import Finding, Severity
 HOT_MARKER = "# lint: hot-path"
 
 #: Rule identifiers the allow() escape hatch accepts.
-LINT_RULES = ("hot-loop", "float64-upcast", "exports")
+LINT_RULES = (
+    "hot-loop", "float64-upcast", "narrow-int", "exports",
+    "nondet-sort", "nondet-rng", "nondet-clock",
+)
 
-_ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(\s*([a-zA-Z0-9_\-, ]+?)\s*\)")
+_ALLOW_RE = re.compile(r"#\s*lint:\s*allow\(\s*([a-zA-Z0-9_\-, ]+?)\s*\)(.*)")
+
+#: numpy integer types narrower than 64 bits, as attributes and dtype strings.
+_NARROW_INTS = {"int8", "int16", "int32", "uint8", "uint16", "uint32"}
+_NARROW_CODES = _NARROW_INTS | {"i1", "i2", "i4", "u1", "u2", "u4"}
+
+#: Sort kinds with a stability guarantee (ties keep input order).
+_STABLE_KINDS = {"stable", "mergesort"}
+
+#: Legacy np.random attributes backed by the shared global BitGenerator.
+_LEGACY_RNG = {
+    "rand", "randn", "randint", "random", "random_sample", "choice",
+    "shuffle", "permutation", "seed", "uniform", "normal", "standard_normal",
+}
+
+#: (module-ish name, attribute) pairs that read the wall clock.
+_CLOCK_READS = {
+    ("time", "time"), ("time", "perf_counter"), ("time", "monotonic"),
+    ("time", "process_time"), ("time", "clock_gettime"),
+    ("datetime", "now"), ("datetime", "utcnow"), ("date", "today"),
+}
 
 #: Callables whose results are packed uint64 keys (dataflow seeds).
 _PACK_SOURCES = {"pack_keys", "uint64"}
@@ -59,7 +110,11 @@ def _allow_map(lines: Sequence[str]) -> Dict[int, Set[str]]:
     for i, line in enumerate(lines, start=1):
         m = _ALLOW_RE.search(line)
         if m:
-            allows[i] = {part.strip() for part in m.group(1).split(",") if part.strip()}
+            rules = {part.strip() for part in m.group(1).split(",")} - {""}
+            # a narrow-int allow counts only with its bound after the ")"
+            if not m.group(2).strip(" :-—"):
+                rules.discard("narrow-int")
+            allows[i] = rules
     return allows
 
 
@@ -145,6 +200,81 @@ def _packed_names(tree: ast.Module) -> Set[str]:
     return packed
 
 
+def _narrow_ints(tree: ast.Module) -> Dict[int, str]:
+    """Line -> the first narrow integer type named on it."""
+    found: Dict[int, str] = {}
+    for node in ast.walk(tree):
+        name = None
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in _NARROW_INTS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            name = f"np.{node.attr}"
+        elif isinstance(node, ast.Call):
+            values = list(node.args) + [k.value for k in node.keywords if k.arg == "dtype"]
+            for value in values:
+                if (
+                    isinstance(value, ast.Constant)
+                    and isinstance(value.value, str)
+                    and value.value.lstrip("<>=|") in _NARROW_CODES
+                ):
+                    name = repr(value.value)
+                    break
+        if name is not None:
+            found.setdefault(node.lineno, name)
+    return found
+
+
+def _attr_chain(node: ast.AST) -> List[str]:
+    """``np.random.seed`` -> ["np", "random", "seed"]."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return list(reversed(parts))
+
+
+def _kind_is_stable(call: ast.Call) -> bool:
+    for kw in call.keywords:
+        if kw.arg == "kind":
+            return isinstance(kw.value, ast.Constant) and kw.value.value in _STABLE_KINDS
+    return False
+
+
+def _nondet(call: ast.Call) -> Optional[Tuple[str, str]]:
+    """``(rule, message)`` when ``call`` is a nondeterminism hazard."""
+    chain = _attr_chain(call.func)
+    if not chain:
+        return None
+    leaf = chain[-1]
+    if leaf == "argsort" and not _kind_is_stable(call):
+        return "nondet-sort", (
+            "argsort without kind='stable': tie order under the default sort "
+            "is backend-dependent; pass kind='stable', or allow it and say "
+            "why the keys cannot tie"
+        )
+    if leaf == "default_rng" and not call.args and not call.keywords:
+        return "nondet-rng", (
+            "default_rng() without a seed draws OS entropy; thread an "
+            "explicit seed through for reproducible builds"
+        )
+    if len(chain) >= 2 and chain[-2] == "random" and leaf in _LEGACY_RNG:
+        return "nondet-rng", (
+            f"legacy np.random.{leaf} uses shared global RNG state; "
+            "use a seeded np.random.default_rng(...) Generator"
+        )
+    if len(chain) >= 2 and (chain[-2], leaf) in _CLOCK_READS:
+        return "nondet-clock", (
+            f"wall-clock read {chain[-2]}.{leaf}(): route time through "
+            "the event loop's clock so serving runs replay exactly"
+        )
+    return None
+
+
 def _check_exports(tree: ast.Module, path: str) -> List[Finding]:
     findings: List[Finding] = []
     top_level: Dict[str, ast.AST] = {}
@@ -217,11 +347,13 @@ def _check_exports(tree: ast.Module, path: str) -> List[Finding]:
 
 
 def lint_source(source: str, path: str = "<string>") -> List[Finding]:
-    """Lint one file's text; returns findings (empty for unmarked files)."""
+    """Lint one file's text: every rule on a marked file, the nondet rules
+    only on an unmarked one under ``serve/``, nothing on any other."""
     lines = source.splitlines()
     # The marker must be a standalone comment line, so merely *mentioning*
     # it (docstrings, this module's own constant) does not opt a file in.
-    if not any(line.strip() == HOT_MARKER for line in lines):
+    hot = any(line.strip() == HOT_MARKER for line in lines)
+    if not hot and Path(path).parent.name != "serve":
         return []
     allows = _allow_map(lines)
     tree = ast.parse(source, filename=path)
@@ -235,6 +367,20 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
         return False
 
     findings: List[Finding] = []
+
+    for node in ast.walk(tree):
+        hazard = _nondet(node) if isinstance(node, ast.Call) else None
+        if hazard and not allowed(hazard[0], node.lineno):
+            findings.append(
+                Finding(
+                    rule=hazard[0],
+                    severity=Severity.WARNING,
+                    location=f"{path}:{node.lineno}",
+                    message=hazard[1],
+                )
+            )
+    if not hot:
+        return findings
 
     for node in ast.walk(tree):
         if isinstance(node, ast.For):
@@ -280,6 +426,21 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
                     )
                 )
 
+    for lineno, name in sorted(_narrow_ints(tree).items()):
+        if not allowed("narrow-int", lineno):
+            findings.append(
+                Finding(
+                    rule="narrow-int",
+                    severity=Severity.ERROR,
+                    location=f"{path}:{lineno}",
+                    message=(
+                        f"{name} is narrower than 64 bits in a hot module; "
+                        "annotate `# lint: allow(narrow-int) <bound>` naming "
+                        "what keeps its values in range"
+                    ),
+                )
+            )
+
     for finding in _check_exports(tree, path):
         lineno = int(finding.location.rsplit(":", 1)[1])
         if not allowed("exports", lineno):
@@ -288,7 +449,7 @@ def lint_source(source: str, path: str = "<string>") -> List[Finding]:
 
 
 def lint_paths(paths: Iterable[Path]) -> List[Finding]:
-    """Lint a set of files (non-Python and unmarked files contribute nothing)."""
+    """Lint a set of files (non-Python files contribute nothing)."""
     findings: List[Finding] = []
     for path in paths:
         p = Path(path)

@@ -72,7 +72,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel
 from repro.core.config import SearchConfig
 from repro.core.song import (
     EXACT_VISITED_BACKENDS,
@@ -121,15 +120,6 @@ def result_arrays(
     return ids, dists
 
 
-@array_kernel(
-    params={"n": (1, 2**31), "B": (1, 2**20), "L": (1, 2**16)},
-    args={
-        "visited": arr("B*(n+1)", dtype="bool"),
-        "base": arr("B", 1, lo=0, hi="(B-1)*(n+1)"),
-        "cand": arr("B", "L", lo=-1, hi="n-1"),
-    },
-    returns=[arr("B", "L", dtype="bool")],
-)
 def _unvisited(visited: np.ndarray, base: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """True where ``cand[b, j]`` is a vertex lane ``b`` has not visited.
 
@@ -145,14 +135,6 @@ def _unvisited(visited: np.ndarray, base: np.ndarray, cand: np.ndarray) -> np.nd
     return ~visited[base + cand]
 
 
-@array_kernel(
-    params={"n": (1, 2**31), "B": (1, 2**20), "L": (1, 2**16)},
-    args={
-        "cand": arr("B", "L", lo=-1, hi="n-1"),
-        "valid": arr("B", "L", dtype="bool"),
-    },
-    returns=[arr("B", "L", dtype="bool")],
-)
 def _first_occurrence_mask(cand: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Keep only each lane's first valid occurrence of every vertex id.
 

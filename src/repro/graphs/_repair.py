@@ -17,20 +17,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel, scalar
 from repro.graphs.storage import PAD
 
 __all__ = ["attach_orphans", "reachable_mask"]
 
 
-@array_kernel(
-    params={"n": (1, 2**31), "degree": (1, 512)},
-    args={
-        "adjacency": arr("n", "degree", lo=-1, hi="n-1"),
-        "entry": scalar(lo=0, hi="n-1"),
-    },
-    returns=[arr("n", dtype="bool")],
-)
 def reachable_mask(adjacency: np.ndarray, entry: int) -> np.ndarray:
     """Boolean reachability from ``entry`` by frontier-batched BFS."""
     n = len(adjacency)

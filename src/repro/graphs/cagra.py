@@ -39,7 +39,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel, scalar
 from repro.distances import get_metric
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
@@ -69,21 +68,13 @@ _WALK_BYTES = 512 * 1024
 _MAX_INTERMEDIATE_DEGREE = 2**15 - 1
 
 #: The reverse merge packs (vertex, candidate, priority) into int64 keys
-#: below ``n**2 * (degree + k0)``: up to ``2**26`` points that holds at
-#: every ``degree <= 64`` and ``k0 <= 512``.
+#: below ``n**2 * P``, ``P = degree + k0``.  :class:`CagraBuilder` refuses
+#: more than ``2**26`` points, and any input whose ``n**2 * P`` passes
+#: ``2**63`` (at ``n = 2**26``, every ``P > 2048``).
 _MAX_POINTS = 2**26
+_KEY_LIMIT = 2**63
 
 
-@array_kernel(
-    params={"n": (3, 2**28), "k0": (2, 512), "b": (1, 2**28)},
-    args={
-        "table": arr("n", "k0", lo=0, hi="n-1"),
-        "rows": arr("b", "k0", lo=0, hi="n-1"),
-        "pos": arr("b", "n", dtype="int16", lo=-1, hi=-1),
-        "later": arr("k0", "k0", dtype="int16", lo=0, hi="k0-1"),
-    },
-    returns=[arr("b", "k0", dtype="int64", lo=0, hi="k0*k0")],
-)
 def _detour_walk(
     table: np.ndarray, rows: np.ndarray, pos: np.ndarray, later: np.ndarray
 ) -> np.ndarray:
@@ -96,7 +87,7 @@ def _detour_walk(
     b, k0 = rows.shape
     n = len(table)
     u = np.arange(b, dtype=np.int64)[:, None]
-    pos[u, rows] = np.arange(k0, dtype=np.int16)
+    pos[u, rows] = np.arange(k0, dtype=np.int16)  # lint: allow(narrow-int) k0 <= 2**15 - 1
     # two[u, i, r] = table[table[u, i], r], shifted into row u's stripe
     two = table[rows]
     two += (u * n)[:, :, None]
@@ -108,11 +99,6 @@ def _detour_walk(
     return np.bincount(key, minlength=b * k0).reshape(b, k0)
 
 
-@array_kernel(
-    params={"n": (3, 2**26), "p": (4, 576)},
-    args={"keys": arr(lo=0, hi="n*n*p-1"), "n": scalar("n"), "p": scalar("p")},
-    returns=[arr(dtype="int64", lo=0, hi="n*n*p-1")],
-)
 def _vertex_major(keys: np.ndarray, n: int, p: int) -> np.ndarray:
     """Re-pack ``(w * n + c) * p + q`` keys as ``(w * p + q) * n + c``.
 
@@ -130,14 +116,6 @@ def _vertex_major(keys: np.ndarray, n: int, p: int) -> np.ndarray:
     return wc
 
 
-@array_kernel(
-    params={"n": (3, 2**26), "k0": (2, 512), "degree": (2, 64)},
-    args={
-        "fwd_full": arr("n", "k0", lo=0, hi="n-1"),
-        "degree": scalar("degree"),
-    },
-    returns=[arr("n", "degree", dtype="int64", lo=0, hi="n-1")],
-)
 def _merge_reverse_rows(fwd_full: np.ndarray, degree: int) -> np.ndarray:
     """Interleave forward and reverse edges into ``(n, degree)`` rows.
 
@@ -158,9 +136,7 @@ def _merge_reverse_rows(fwd_full: np.ndarray, degree: int) -> np.ndarray:
 
     Precondition (what :func:`bootstrap_table` guarantees): ids lie in
     ``[0, n)`` and no row holds an id twice.  The keys stay below
-    ``n**2 * P``, which fits ``int64`` for every ``n <= 2**26`` at
-    ``degree <= 64`` and ``k0 <= 512`` (the declared ranges the
-    verifier proves this under; :class:`CagraBuilder` checks ``n``).
+    ``n**2 * P``, which :class:`CagraBuilder` checks against ``2**63``.
     """
     n, k0 = fwd_full.shape
     width = degree + k0
@@ -251,9 +227,16 @@ class CagraBuilder:
             raise ValueError(
                 f"intermediate_degree must be at most {_MAX_INTERMEDIATE_DEGREE}"
             )
-        if len(self.data) > _MAX_POINTS:
+        n = len(self.data)
+        if n > _MAX_POINTS:
             raise ValueError(
                 f"at most {_MAX_POINTS} points fit the reverse merge's keys"
+            )
+        width = degree + self.intermediate_degree
+        if n * n * width > _KEY_LIMIT:
+            raise ValueError(
+                f"{n} points at degree + intermediate_degree = {width} "
+                "overflow the reverse merge's int64 keys (n**2 * P > 2**63)"
             )
         self.metric = get_metric(metric)
         self._knn_table = knn_table
@@ -303,8 +286,9 @@ class CagraBuilder:
 
         num_pairs = k0 * (k0 - 1) // 2
         block = min(n, max(1, _WALK_BYTES // (2 * n + 11 * k0 * k0)))
+        # lint: allow(narrow-int) ranks in [-1, k0), k0 <= 2**15 - 1
         pos = np.full((block, n), -1, dtype=np.int16)
-        ranks = np.arange(k0, dtype=np.int16)
+        ranks = np.arange(k0, dtype=np.int16)  # lint: allow(narrow-int) k0 <= 2**15 - 1
         later = np.maximum(ranks[:, None], ranks)
         counts = np.empty((n, k0), dtype=np.int64)
         a = 0

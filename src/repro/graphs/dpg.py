@@ -34,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel, opaque, scalar
 from repro.distances import get_metric
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
@@ -95,16 +94,6 @@ def _diversify(
     return out
 
 
-@array_kernel(
-    params={"n": (2, 2**28), "keep": (1, 64), "cap": (1, 512), "degree": (2, 64)},
-    args={
-        "fwd": arr("n", "keep", lo=0, hi="n-1"),
-        "table": arr("n", "cap", lo=0, hi="n-1"),
-        "degree": scalar("degree"),
-        "rec": opaque(),
-    },
-    returns=[arr("n", "degree", dtype="int64", lo=-1, hi="n-1")],
-)
 def _undirect(
     fwd: np.ndarray, table: np.ndarray, degree: int, rec
 ) -> np.ndarray:
@@ -131,7 +120,8 @@ def _undirect(
     # arrival order, so ranking each target's in-edges by that flat index
     # reproduces it
     comp = pack_rowid(c_f, np.arange(n * keep, dtype=np.int64), n * keep)
-    order = np.argsort(comp)  # comp is unique: flat index breaks every tie
+    # lint: allow(nondet-sort) comp cannot tie: its flat-index low part is unique
+    order = np.argsort(comp)
     w_r = c_f[order]
     c_r = w_f[order]
     p_r = keep + _rank_within_groups(w_r)

@@ -29,7 +29,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel, opaque, scalar
 from repro.distances import get_metric
 from repro.distances.metrics import Metric
 from repro.simt.build_cost import maybe_recorder
@@ -200,7 +199,7 @@ def nn_descent(
         if int(inserted.sum()) <= delta * n * k:
             break
 
-    return unpack_ids(keys).astype(np.int32)
+    return unpack_ids(keys).astype(np.int32)  # lint: allow(narrow-int) ids < n < 2**31
 
 
 def _init_pools(
@@ -301,21 +300,6 @@ def _merge_rows(
     return kept, comb_flags[:, :pool] & real, from_cand[:, :pool] & real
 
 
-@array_kernel(
-    params={"n": (2, 2**31), "E": (1, 2**40), "cap": (1, 2**31)},
-    args={
-        "vertices": arr("E", lo=0, hi="n-1"),
-        "candidates": arr("E", lo=0, hi="n-1"),
-        "n": scalar("n"),
-        "cap": scalar("cap"),
-        "rng": opaque(),
-    },
-    returns=[
-        arr(lo=0, hi="n-1"),
-        arr(lo=0, hi="n-1"),
-        arr("n", lo=0, hi="E"),
-    ],
-)
 def _pack_lists(
     vertices: np.ndarray,
     candidates: np.ndarray,
@@ -357,11 +341,6 @@ def _pack_lists(
     return v_s, u_s, counts
 
 
-@array_kernel(
-    params={"m": (1, 2**40)},
-    args={"sorted_groups": arr("m", sorted_=True)},
-    returns=[arr("m", lo=0, hi="m-1")],
-)
 def _rank_within_groups(sorted_groups: np.ndarray) -> np.ndarray:
     """0-based position of each element inside its run of equal values."""
     idx = np.arange(len(sorted_groups), dtype=np.int64)
@@ -370,11 +349,6 @@ def _rank_within_groups(sorted_groups: np.ndarray) -> np.ndarray:
     return idx - np.maximum.accumulate(np.where(is_start, idx, 0))
 
 
-@array_kernel(
-    params={"k": (1, 2**20)},
-    args={"reps": arr("k", lo=0)},
-    returns=[arr(lo=0)],
-)
 def _ragged_arange(reps: np.ndarray) -> np.ndarray:
     """``concatenate([arange(r) for r in reps])`` without the Python loop."""
     total = int(reps.sum())
@@ -470,16 +444,6 @@ def _pair_distances(
     return out
 
 
-@array_kernel(
-    params={"n": (1, 2**31), "k": (1, 512), "E": (1, 2**40)},
-    args={
-        "tgt": arr("E", lo=0, hi="n-1"),
-        "cand_keys": arr("E", dtype="uint64"),
-        "n": scalar("n"),
-        "k": scalar("k"),
-    },
-    returns=[arr("n", "k", dtype="uint64")],
-)
 def _best_candidates(
     tgt: np.ndarray, cand_keys: np.ndarray, n: int, k: int
 ) -> np.ndarray:

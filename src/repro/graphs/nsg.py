@@ -34,7 +34,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel, scalar
 from repro.distances import get_metric
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
@@ -49,21 +48,6 @@ __all__ = ["NSGBuilder", "build_nsg"]
 _POOL_CHUNK = 1024
 
 
-@array_kernel(
-    params={"n": (2, 2**31), "E": (1, 2**40)},
-    args={
-        "owner": arr("E", lo=0, hi="n-1"),
-        "cand": arr("E", lo=0, hi="n-1"),
-        "dist": arr("E", dtype="float64"),
-        "n": scalar("n"),
-    },
-    returns=[
-        arr(lo=0, hi="n-1"),
-        arr(lo=0, hi="n-1"),
-        arr(dtype="float64"),
-        arr(lo=0),
-    ],
-)
 def _dedup_pool_edges(
     owner: np.ndarray, cand: np.ndarray, dist: np.ndarray, n: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -260,7 +244,7 @@ class NSGBuilder:
         flops = self.metric.flops_per_distance(dim)
 
         # 0 = undecided, 1 = chosen, 2 = occluded (PAD slots start occluded)
-        state = np.zeros((n, width), dtype=np.int8)
+        state = np.zeros((n, width), dtype=np.int8)  # lint: allow(narrow-int) states 0..2
         state[ci == PAD] = 2
         chosen_cnt = np.zeros(n, dtype=np.int64)
         out = np.full((n, self.degree), PAD, dtype=np.int64)

@@ -12,20 +12,11 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel, scalar
 from repro.structures.soa import pack_rowid
 
 PAD = -1
 
 
-@array_kernel(
-    params={"n": (1, 2**31), "E": (0, 2**40)},
-    args={
-        "owners": arr("E", lo=0, hi="n-1"),
-        "ids": arr("E", lo=0, hi="n-1"),
-        "n": scalar("n"),
-    },
-)
 def _has_duplicate_edges(owners: np.ndarray, ids: np.ndarray, n: int) -> bool:
     """True when any ``(owner, id)`` edge appears twice in the flat lists."""
     comp = pack_rowid(owners, ids, n)

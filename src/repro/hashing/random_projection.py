@@ -12,14 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel
 
-
-@array_kernel(
-    params={"n": (1, 2**31), "w": (1, 64)},
-    args={"signs": arr("n", "32*w", dtype="bool")},
-    returns=[arr("n", "w", dtype="uint32", lo=0, hi=2**32 - 1)],
-)
 def pack_sign_bits(signs: np.ndarray) -> np.ndarray:
     """Pack ``(n, 32*w)`` sign bits into ``(n, w)`` uint32 words.
 

@@ -9,9 +9,8 @@ algorithm.  This module closes that gap: builders record the *bulk
 operations* their batched kernels would launch on a GPU — pair-distance
 tiles, packed-key row sorts/merges, scattered candidate gathers, adjacency
 writes — and a :class:`BuildCostRecorder` prices each as a uniform-warp
-kernel launch through the same roofline model searches use, plus a
-single-core CPU estimate from the same counted work.  That puts build time
-on the paper-shaped GPU/CPU comparison axis next to Figs. 13/15 instead of
+kernel launch through the same roofline model searches use.  That puts
+build time on the modeled device clock next to Figs. 13/15 instead of
 leaving it in interpreter-seconds.
 
 Every recorded phase maps one bulk numpy operation in the builder to one
@@ -51,8 +50,6 @@ class BuildPhaseCost:
     per_warp_cycles: float
     num_warps: int
     global_bytes: int
-    flops: float = 0.0
-    seq_ops: float = 0.0
 
 
 @dataclass
@@ -62,25 +59,15 @@ class BuildCostRecorder:
     Builders call the ``record_*`` methods at each vectorized step; the
     recorder meters one warp's share on a fresh :class:`Warp` and stores a
     :class:`BuildPhaseCost` per call.  :meth:`device_seconds` prices every
-    phase as its own kernel launch (uniform warps) and sums;
-    :meth:`cpu_seconds` prices the same flop/sequential/byte counts on a
-    single-core :class:`~repro.core.machine.CpuModel`.
+    phase as its own kernel launch (uniform warps) and sums.
     """
 
     device: str = "v100"
-    #: CPU pricing model; ``None`` resolves to
-    #: :data:`repro.core.machine.DEFAULT_CPU` (imported lazily — ``simt``
-    #: sits below ``core`` in the package graph).
-    cpu: Optional[object] = None
     phases: List[BuildPhaseCost] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         self.spec: DeviceSpec = get_device(self.device)
         self._cost = CostModel(self.spec)
-        if self.cpu is None:
-            from repro.core.machine import DEFAULT_CPU
-
-            self.cpu = DEFAULT_CPU
 
     # -- recording -----------------------------------------------------------
 
@@ -106,7 +93,6 @@ class BuildCostRecorder:
                 per_warp_cycles=warp.cycles,
                 num_warps=count,
                 global_bytes=count * vec_bytes,
-                flops=float(count) * flops_per_distance,
             )
         )
 
@@ -132,8 +118,6 @@ class BuildCostRecorder:
                 num_warps=rows,
                 # read + write-back of every key
                 global_bytes=rows * 2 * row_bytes,
-                # CPU comparison sort: n·log n compares per row
-                seq_ops=float(rows) * width * log_w,
             )
         )
 
@@ -142,7 +126,7 @@ class BuildCostRecorder:
 
         Modeled as a 4-pass LSD radix sort: every pass streams all keys
         through coalesced reads and writes (one warp moves 32 keys per
-        pass).  The CPU twin is an ``n·log n`` comparison sort.
+        pass).
         """
         if count <= 1:
             return
@@ -158,7 +142,6 @@ class BuildCostRecorder:
                 per_warp_cycles=warp.cycles,
                 num_warps=num_warps,
                 global_bytes=count * KEY_BYTES * 2 * passes,
-                seq_ops=float(count) * max(1, math.ceil(math.log2(count))),
             )
         )
 
@@ -207,7 +190,6 @@ class BuildCostRecorder:
                 per_warp_cycles=warp.cycles,
                 num_warps=num_warps,
                 global_bytes=count * bytes_per_element,
-                seq_ops=float(count),
             )
         )
 

@@ -22,8 +22,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel, scalar
-
 __all__ = [
     "PAD_KEY",
     "pack_keys",
@@ -38,31 +36,21 @@ __all__ = [
 #: Sentinel for an empty slot; sorts after every real packed key.
 PAD_KEY = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-_SIGN32 = np.uint32(0x80000000)
+_SIGN32 = np.uint32(0x80000000)  # lint: allow(narrow-int) the float32 sign bit
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT = np.uint64(32)
 
 _INT64_MAX = 9223372036854775807
 
 
-@array_kernel(
-    params={"n": (1, 2**31)},
-    args={
-        "rows": arr(lo=0, hi="n-1"),
-        "ids": arr(lo=0, hi="n-1"),
-        "n": scalar("n"),
-    },
-    returns=[arr(dtype="int64", lo=0, hi="n*n-1")],
-)
 def pack_rowid(rows: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     """Pack ``(row, id)`` pairs into the composite key ``row * n + id``.
 
     The single checked entry point for every composite row/id key in the
     batched builders.  ``ids`` must lie in ``[0, n)`` (so the key decodes
     uniquely) and the largest key must fit ``int64``; both bounds are
-    asserted here once — O(1) reductions next to O(m log m) sorts — and
-    proven statically by the array verifier for every declared parameter
-    range.  ``rows`` may exceed ``n`` (nested packs use a widened row
+    asserted here once — O(1) reductions next to O(m log m) sorts.
+    ``rows`` may exceed ``n`` (nested packs use a widened row
     coordinate); only the product bound matters.
     """
     rows = np.asarray(rows)
@@ -76,14 +64,6 @@ def pack_rowid(rows: np.ndarray, ids: np.ndarray, n: int) -> np.ndarray:
     return rows * np.int64(n) + ids
 
 
-@array_kernel(
-    params={"n": (1, 2**31)},
-    args={"keys": arr(lo=0, hi="n*n-1"), "n": scalar("n")},
-    returns=[
-        arr(dtype="int64", lo=0, hi="n-1"),
-        arr(dtype="int64", lo=0, hi="n-1"),
-    ],
-)
 def unpack_rowid(keys: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """Invert :func:`pack_rowid`: composite keys back to ``(rows, ids)``.
 
@@ -94,14 +74,6 @@ def unpack_rowid(keys: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.divmod(keys, np.int64(n))
 
 
-@array_kernel(
-    params={"n": (1, 2**32)},
-    args={
-        "dists": arr(dtype="float32"),
-        "ids": arr(lo=0, hi="n-1"),
-    },
-    returns=[arr(dtype="uint64")],
-)
 def pack_keys(dists: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Pack float32 distances and non-negative int ids into sortable uint64.
 
@@ -111,30 +83,24 @@ def pack_keys(dists: np.ndarray, ids: np.ndarray) -> np.ndarray:
     between the two zeros break on id, exactly like tuple comparison.
     """
     d = np.ascontiguousarray(dists, dtype=np.float32) + np.float32(0.0)
-    bits = d.view(np.uint32)
+    bits = d.view(np.uint32)  # lint: allow(narrow-int) a float32 bit pattern is 32 bits
     mapped = np.where(bits & _SIGN32, ~bits, bits | _SIGN32)
     return (mapped.astype(np.uint64) << _SHIFT) | ids.astype(np.uint64)
 
 
-@array_kernel(
-    args={"keys": arr(dtype="uint64")},
-    returns=[arr(dtype="float32")],
-)
 def unpack_distances(keys: np.ndarray) -> np.ndarray:
     """Recover the float32 distances from packed keys.
 
     ``PAD_KEY`` slots decode to NaN; callers mask them (``keys !=
     PAD_KEY``) before use.
     """
+    # lint: allow(narrow-int) a key's high word is 32 bits
     mapped = (keys >> _SHIFT).astype(np.uint32)
+    # lint: allow(narrow-int) a key's high word is 32 bits
     bits = np.where(mapped & _SIGN32, mapped & np.uint32(0x7FFFFFFF), ~mapped)
     return np.ascontiguousarray(bits).view(np.float32)
 
 
-@array_kernel(
-    args={"keys": arr(dtype="uint64")},
-    returns=[arr(dtype="int64", lo=0, hi=2**32 - 1)],
-)
 def unpack_ids(keys: np.ndarray) -> np.ndarray:
     """Recover the vertex ids from packed keys (``PAD_KEY`` -> 0xFFFFFFFF)."""
     return (keys & _LOW32).astype(np.int64)

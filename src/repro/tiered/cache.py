@@ -19,22 +19,15 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel, scalar
-
 __all__ = ["rowids_to_pages", "PageCache"]
 
 
-@array_kernel(
-    params={"n": (1, 2**31), "p": (1, 2**20)},
-    args={"rowids": arr(lo=0, hi="n-1"), "page_rows": scalar("p")},
-    returns=[arr(dtype="int64", lo=0, hi="n-1")],
-)
 def rowids_to_pages(rowids: np.ndarray, page_rows: int) -> np.ndarray:
     """Map candidate rowids to their page ids (``rowid // page_rows``).
 
     Dividing a rowid in ``[0, n)`` by a page size ≥ 1 keeps the result
-    in ``[0, n)`` — the bound the verifier proves so downstream page
-    bookkeeping can index page tables without re-checking.
+    in ``[0, n)``, so downstream page bookkeeping can index page tables
+    without re-checking.
     """
     return np.asarray(rowids, dtype=np.int64) // np.int64(page_rows)
 

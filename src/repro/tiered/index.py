@@ -24,7 +24,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.annotations import arr, array_kernel
 from repro.core.batched import BatchedSongSearcher, result_arrays
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats
@@ -40,15 +39,6 @@ from repro.tiered.config import TieredConfig
 __all__ = ["rerank_sort_keys", "RerankPlan", "TieredIndex"]
 
 
-@array_kernel(
-    params={"B": (1, 2**20), "L": (1, 2**16), "n": (1, 2**31)},
-    args={
-        "dists": arr("B", "L", dtype="float32"),
-        "ids": arr("B", "L", lo=0, hi="n-1"),
-        "valid": arr("B", "L", dtype="bool"),
-    },
-    returns=[arr("B", "L", dtype="uint64")],
-)
 def rerank_sort_keys(
     dists: np.ndarray, ids: np.ndarray, valid: np.ndarray
 ) -> np.ndarray:
@@ -56,8 +46,8 @@ def rerank_sort_keys(
 
     Invalid slots (lanes that found fewer candidates than the panel
     width) get :data:`~repro.structures.soa.PAD_KEY`, which sorts after
-    every real key; valid ids are proven ≤ 2³²−1 so they fit the key's
-    low word.
+    every real key; valid ids are rowids below 2³², so they fit the
+    key's low word.
     """
     keys = pack_keys(dists, ids)
     keys = np.where(valid, keys, PAD_KEY)

@@ -132,33 +132,27 @@ class TestVerifyEngine:
         assert first.stdout == second.stdout
 
 
-class TestArraysEngine:
-    def test_arrays_strict_on_registry_is_clean(self):
-        findings, code = run_engines(["arrays"], strict=True)
+class TestStreamsEngine:
+    def test_streams_strict_on_registry_is_clean(self):
+        findings, code = run_engines(["streams"], strict=True)
         assert code == 0, [f.format() for f in findings]
 
-    def test_known_bad_array_kernels_fail_the_gate(self):
+    def test_known_bad_stream_program_fails_the_gate(self):
         findings, code = run_engines(
-            ["arrays"], strict=True, include_known_bad=True
+            ["streams"], strict=True, include_known_bad=True
         )
         assert code == 1
-        got = {f.rule for f in findings}
-        assert {
-            "packed-key-overflow",
-            "inplace-aliasing",
-            "broadcast-mismatch",
-            "fancy-index-oob",
-            "nondet-sort",
-        } <= got
+        assert {f.rule for f in findings} == {"stream-hazard"}
+        assert all("known-bad" in f.location for f in findings)
 
-    def test_arrays_only_cli_flag(self):
-        proc = run_cli("--engines", "arrays", "--strict")
+    def test_streams_only_cli_flag(self):
+        proc = run_cli("--engines", "streams", "--strict")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
-    def test_arrays_baseline_flag(self):
+    def test_streams_baseline_flag(self):
         proc = run_cli(
             "--engines",
-            "arrays",
+            "streams",
             "--strict",
             "--baseline",
             "scripts/analysis_baseline.json",
@@ -177,15 +171,13 @@ GOLDEN_SCHEMA = {
 #: Rules every full --json run over the seeded inputs must mention, one
 #: per engine: sanitizer/verifier/stream rules come from the known-bad
 #: fixtures (broken kernels, a queue that never evicts, a stream program
-#: missing its deps), lint from a seeded tree, arrays from the known-bad
-#: array kernels.  Without the known-bad inputs the sanitizer's run is
-#: clean, asserted below.
+#: missing its deps), lint from a seeded tree.  Without the known-bad
+#: inputs the sanitizer's run is clean, asserted below.
 ENGINE_SENTINEL_RULES = {
     "sanitizer": "shared-oob",
     "verifier": "invariant-bounded-queue",
     "streams": "stream-hazard",
     "lint": "hot-loop",
-    "arrays": "packed-key-overflow",
 }
 
 
@@ -200,7 +192,7 @@ class TestGoldenJson:
             "--json",
             "--strict",
             "--engines",
-            "sanitizer,lint,verifier,streams,arrays",
+            "sanitizer,lint,verifier,streams",
             "--include-known-bad",
             "--lint-root",
             str(lint_root),
@@ -223,12 +215,10 @@ class TestGoldenJson:
             assert record["location"], record
 
     def test_file_line_locations_are_well_formed(self, golden):
-        # Engines that anchor to source (lint, arrays) emit file:line.
+        # The engine that anchors to source (lint) emits file:line.
         _, records = golden
         anchored = [
-            r
-            for r in records
-            if r["engine"] in {"lint", "arrays"} and ".py:" in r["location"]
+            r for r in records if r["engine"] == "lint" and ".py:" in r["location"]
         ]
         assert anchored
         for r in anchored:
@@ -267,7 +257,7 @@ class TestGoldenJson:
     def test_every_record_carries_its_engine(self, golden):
         _, records = golden
         engines = {r["engine"] for r in records}
-        assert engines == {"sanitizer", "lint", "verifier", "streams", "arrays"}
+        assert engines == {"sanitizer", "lint", "verifier", "streams"}
 
 
 class TestEnginesSelector:
@@ -286,7 +276,7 @@ class TestEnginesSelector:
             run_engines(["bogus"])
 
     def test_engine_names_constant(self):
-        assert ENGINE_NAMES == ("sanitizer", "lint", "verifier", "streams", "arrays")
+        assert ENGINE_NAMES == ("sanitizer", "lint", "verifier", "streams")
 
     def test_findings_are_engine_stamped(self):
         findings, code = run_engines(["streams"], include_known_bad=True)
@@ -325,7 +315,7 @@ class TestConsolidatedBaseline:
         sections = load_baseline_sections(path)
         f = Finding("r", Severity.ERROR, "src/x.py:1", "m")
         assert apply_baseline([f], sections, "streams") == []
-        kept = apply_baseline([f], sections, "arrays")
+        kept = apply_baseline([f], sections, "lint")
         assert [k.rule for k in kept] == ["r"]
 
     def test_stale_entry_surfaces_warning(self, tmp_path):
@@ -346,19 +336,20 @@ class TestConsolidatedBaseline:
     def test_baseline_suppresses_finding_end_to_end(self, tmp_path):
         # Suppress one specific known-bad finding and check it vanishes
         # from the JSON report while the others stay.
-        proc = run_cli("--engines", "arrays", "--include-known-bad", "--json")
+        proc = run_cli("--engines", "streams", "--include-known-bad", "--json")
         records = [json.loads(l) for l in proc.stdout.splitlines() if l.strip()]
-        target = next(r for r in records if r["rule"] == "broadcast-mismatch")
+        assert len(records) > 1, proc.stdout + proc.stderr
+        target = records[0]
         entry = {"rule": target["rule"], "location": target["location"]}
-        base = _baseline(tmp_path, {"arrays": {"suppress": [entry]}})
+        base = _baseline(tmp_path, {"streams": {"suppress": [entry]}})
         proc2 = run_cli(
-            "--engines", "arrays", "--include-known-bad", "--json",
+            "--engines", "streams", "--include-known-bad", "--json",
             "--baseline", str(base),
         )
         records2 = [json.loads(l) for l in proc2.stdout.splitlines() if l.strip()]
         locs2 = {(r["rule"], r["location"]) for r in records2}
         assert (target["rule"], target["location"]) not in locs2
-        assert any(r["rule"] == "packed-key-overflow" for r in records2)
+        assert records2 == records[1:]
 
     def test_malformed_baseline_rejected(self, tmp_path):
         # Each malformed shape is rejected in every engine's section, and
@@ -421,7 +412,7 @@ class TestModuleInvocation:
     def test_ci_script_invokes_strict_analysis(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
         assert "python -m repro.analysis" in ci
-        assert "--engines sanitizer,lint,verifier,streams,arrays --strict" in ci
+        assert "--engines sanitizer,lint,verifier,streams --strict" in ci
         assert "ruff check" in ci
 
     def test_ci_script_gates_the_verifier(self):
@@ -429,17 +420,17 @@ class TestModuleInvocation:
         assert "verifier,streams" in ci
         # Negative control: CI runs the known-bad fixtures and requires
         # the gate to reject them, so a silently broken verifier fails CI.
-        assert "for engine in verifier streams arrays sanitizer" in ci
+        assert "for engine in verifier streams sanitizer" in ci
         assert '--engines "$engine" --strict --include-known-bad' in ci
 
     def test_exact_ci_gate_command_passes(self):
         proc = run_cli(
-            "--engines", "sanitizer,lint,verifier,streams,arrays", "--strict",
+            "--engines", "sanitizer,lint,verifier,streams", "--strict",
             "--baseline", "scripts/analysis_baseline.json",
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_exact_ci_negative_control_fails(self):
-        for engine in ("verifier", "streams", "arrays", "sanitizer"):
+        for engine in ("verifier", "streams", "sanitizer"):
             proc = run_cli("--engines", engine, "--strict", "--include-known-bad")
             assert proc.returncode == 1, engine

@@ -4,7 +4,7 @@ and the clean bill for the repo's real hot modules."""
 import textwrap
 from pathlib import Path
 
-from repro.analysis import lint_paths, lint_source
+from repro.analysis import lint_paths, lint_source, lint_tree
 from repro.analysis.findings import Severity
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -163,6 +163,102 @@ class TestFloat64Upcast:
             def f(x):
                 return x * 2.0 + 1.5
         """), "mod.py") == []
+
+
+class TestNarrowInt:
+    def test_narrow_dtype_flagged(self):
+        findings = lint_source(src("""
+            __all__ = []
+            import numpy as np
+            def f(n):
+                a = np.arange(n, dtype=np.int32)
+                b = a.astype("uint16")
+                c = np.int8(n)
+                return np.zeros(n, dtype="<u4"), b, c
+        """), "mod.py")
+        assert [f.rule for f in findings] == ["narrow-int"] * 4
+        assert [int(f.location.rsplit(":", 1)[1]) for f in findings] == [7, 8, 9, 10]
+
+    def test_allow_naming_its_bound_passes(self):
+        assert lint_source(src("""
+            __all__ = []
+            import numpy as np
+            def f(k):
+                # lint: allow(narrow-int) k <= 2**15 - 1
+                return np.arange(k, dtype=np.int16)
+        """), "mod.py") == []
+
+    def test_allow_without_a_bound_does_not_count(self):
+        findings = lint_source(src("""
+            __all__ = []
+            import numpy as np
+            def f(k):
+                return np.arange(k, dtype=np.int16)  # lint: allow(narrow-int)
+        """), "mod.py")
+        assert rules(findings) == {"narrow-int"}
+
+    def test_64_bit_dtypes_are_clean(self):
+        assert lint_source(src("""
+            __all__ = []
+            import numpy as np
+            def f(n):
+                a = np.arange(n, dtype=np.int64)
+                return a.astype("uint64"), np.int64(n), a.view(np.float32)
+        """), "mod.py") == []
+
+    def test_unmarked_file_is_ignored(self):
+        source = '"""Doc."""\nimport numpy as np\nx = np.int32(3)\n'
+        assert lint_source(source, "mod.py") == []
+
+
+def nondet(body: str, path: str = "mod.py"):
+    """Lint ``body`` as a hot module; the rules of its findings."""
+    return [f.rule for f in lint_source(src("__all__ = []\n" + body), path)]
+
+
+class TestNondet:
+    def test_bare_argsort_flagged(self):
+        assert nondet("import numpy as np\n\ndef f(x):\n    return np.argsort(x)\n") == [
+            "nondet-sort"
+        ]
+
+    def test_stable_kind_passes(self):
+        assert nondet(
+            "import numpy as np\n\ndef f(x):\n    return np.argsort(x, kind='stable')\n"
+        ) == []
+
+    def test_seedless_default_rng_flagged(self):
+        assert nondet("import numpy as np\nrng = np.random.default_rng()\n") == ["nondet-rng"]
+
+    def test_seeded_default_rng_passes(self):
+        assert nondet("import numpy as np\nrng = np.random.default_rng(0)\n") == []
+
+    def test_legacy_global_rng_flagged(self):
+        assert nondet("import numpy as np\nnp.random.seed(0)\nx = np.random.rand(4)\n") == [
+            "nondet-rng",
+            "nondet-rng",
+        ]
+
+    def test_wall_clock_flagged(self):
+        assert nondet("import time\n\ndef g():\n    return time.perf_counter()\n") == [
+            "nondet-clock"
+        ]
+
+    def test_allow_comment_suppresses(self):
+        assert nondet(
+            "import numpy as np\n# lint: allow(nondet-sort)\norder = np.argsort([3, 1, 2])\n"
+        ) == []
+
+    def test_serve_modules_are_swept_unmarked(self, tmp_path):
+        serve = tmp_path / "serve"
+        serve.mkdir()
+        (serve / "clock.py").write_text("import time\nt = time.monotonic()\n")
+        (tmp_path / "other.py").write_text("import time\nt = time.monotonic()\n")
+        findings = lint_tree(tmp_path)
+        assert [(f.rule, Path(f.location).parent.name) for f in findings] == [
+            ("nondet-clock", "serve")
+        ]
+        assert findings[0].severity is Severity.WARNING
 
 
 class TestExports:

@@ -28,8 +28,10 @@ from repro.structures.soa import (
     BatchedFrontier,
     BatchedTopK,
     pack_keys,
+    pack_rowid,
     unpack_distances,
     unpack_ids,
+    unpack_rowid,
 )
 
 
@@ -89,6 +91,19 @@ def test_pack_unpack_roundtrip(rng):
     assert unpack_ids(keys).tolist() == ids.tolist()
     back = unpack_distances(keys)
     assert np.array_equal(back, dists + np.float32(0.0))
+
+
+def test_pack_rowid_refuses_what_int64_cannot_hold():
+    n = 2**31
+    top = (2**63 - 1 - (n - 1)) // n  # the largest row whose keys all fit
+    rows, ids = np.array([0, top]), np.array([5, n - 1])
+    assert [a.tolist() for a in unpack_rowid(pack_rowid(rows, ids, n), n)] == [
+        rows.tolist(), ids.tolist()
+    ]
+    with pytest.raises(OverflowError):
+        pack_rowid(np.array([top + 1]), np.array([0]), n)
+    with pytest.raises(ValueError):
+        pack_rowid(np.array([0]), np.array([n]), n)
 
 
 def test_batched_topk_matches_bounded_heap_content(rng):

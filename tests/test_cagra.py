@@ -406,3 +406,17 @@ class TestCapacity:
             CagraBuilder(data, degree=4)
         monkeypatch.setattr(cagra_module, "_MAX_POINTS", 40)
         CagraBuilder(data, degree=4)
+        monkeypatch.undo()
+        wide = np.broadcast_to(np.zeros((1, 2), dtype=np.float32), (2**26 + 1, 2))
+        with pytest.raises(ValueError, match=f"{2**26} points"):
+            CagraBuilder(wide, degree=2)
+
+    def test_widths_past_the_packed_key_range_are_refused(self):
+        # n**2 * (degree + k0) must stay within 2**63: at n = 2**26 that
+        # allows P = 2048 and refuses anything wider, before any bootstrap.
+        data = np.broadcast_to(np.zeros((1, 2), dtype=np.float32), (2**26, 2))
+        CagraBuilder(data, degree=16, intermediate_degree=2048 - 16)
+        with pytest.raises(ValueError, match="int64 keys"):
+            CagraBuilder(data, degree=16, intermediate_degree=2048 - 15)
+        with pytest.raises(ValueError, match="int64 keys"):
+            CagraBuilder(data, degree=16, intermediate_degree=4096)
