@@ -53,6 +53,10 @@ timeout 900 python -m pytest -x -q
 timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 0
 timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 1
 
+# The per-stage set-up memory table (scripts/setup_peaks.py) at a small
+# size, so the script keeps step with the builder it mirrors.
+timeout 120 python scripts/setup_peaks.py --dataset gist --n 2000 --queries 128 >/dev/null
+
 # Same lockstep loop underneath, same guard.
 timeout 300 python -m benchmarks.bench_serving --smoke
 timeout 300 python -m benchmarks.bench_outofcore --smoke

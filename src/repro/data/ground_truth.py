@@ -2,18 +2,44 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.distances import get_metric
+from repro.distances.metrics import PANEL_BYTES
 
-#: Bytes of float32 distances one tile of query rows may hold.  The tile —
-#: and ``argpartition``'s int64 index over it, twice as large — is the only
-#: dataset-sized temporary, so this bounds peak memory whatever ``n`` is.
-#: Measured at n = 4000–8000: 2 MiB tiles score 15 % slower and more, 8 MiB
-#: tiles no faster (and 6 % slower inside the benchmark's set-up).
+#: Bytes of float32 distances one tile of query rows may hold.  The tile is
+#: the only dataset-sized temporary: ``Metric.pairwise`` finishes it in place
+#: and the top-k selection walks it in blocks of ``PANEL_BYTES`` of int64
+#: index, so this bounds peak memory whatever ``n`` is.  Measured at
+#: n = 4000–8000: 2 MiB tiles score 15 % slower and more, 8 MiB tiles no
+#: faster (and 6 % slower inside the benchmark's set-up).
 TILE_BYTES = 4 << 20
+
+#: Bytes of float64 rows one chunk may hold where set-up widens float32 rows
+#: to float64 before reducing them (the dataset generators, the tier's sign
+#: projection): a quarter tile, so such a stage holds at most two chunks
+#: (2 MiB) beside its output whatever ``n`` is.
+CHUNK_BYTES = TILE_BYTES // 4
+
+
+def chunk_rows(row_bytes: int) -> int:
+    """Most rows of ``row_bytes`` bytes one :data:`CHUNK_BYTES` chunk holds."""
+    return max(1, CHUNK_BYTES // row_bytes)
+
+
+def row_chunks(total: int, row_bytes: int) -> Iterator[Tuple[int, int]]:
+    """``(lo, hi)`` ranges covering ``[0, total)`` in row order.
+
+    ``ceil(total / chunk_rows(row_bytes))`` near-equal parts, never a full
+    chunk plus a sliver, so a short input is one chunk and no chunk is
+    much shorter than another (a GEMM over a sliver of rows may take a
+    different kernel than over the whole, and round differently).
+    """
+    parts = max(1, -(-total // chunk_rows(row_bytes)))
+    for part in range(parts):
+        yield part * total // parts, (part + 1) * total // parts
 
 
 def ground_truth(
@@ -28,7 +54,9 @@ def ground_truth(
 
     Queries are scored a tile of rows at a time; ``block`` overrides the
     tile height otherwise worked out from ``len(data)`` under
-    :data:`TILE_BYTES` (the result does not depend on it).  With
+    :data:`TILE_BYTES` (the result does not depend on it).  Each tile's
+    ``argpartition`` / ``argsort`` selection runs a few rows at a time, so
+    its int64 index is ``PANEL_BYTES``, not tile-sized.  With
     ``exclude_self`` query ``i`` *is* ``data[i]`` and is left out of its own
     neighbors — the exact kNN graph.
     """
@@ -45,15 +73,21 @@ def ground_truth(
     # The pivot each caller has always partitioned around: which of several
     # points tied at the k-th distance make the cut depends on it.
     kth = k if exclude_self else k - 1
+    rows = max(1, PANEL_BYTES // (8 * n))
     out = np.empty((q, k), dtype=np.int64)
     for start in range(0, q, block):
         stop = min(start + block, q)
         d = m.pairwise(queries[start:stop], data)
         if exclude_self:
             d[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        idx = np.argpartition(d, kth, axis=1)[:, :k]
-        # order the k winners by distance for determinism
-        part = np.take_along_axis(d, idx, axis=1)
-        order = np.argsort(part, axis=1, kind="stable")
-        out[start:stop] = np.take_along_axis(idx, order, axis=1)
+        # each row's selection ignores the others, so a few rows at a time
+        # pick the same ids as the whole tile at once
+        for lo in range(0, stop - start, rows):
+            sub = d[lo : lo + rows]
+            idx = np.argpartition(sub, kth, axis=1)[:, :k]
+            # order the k winners by distance for determinism
+            part = np.take_along_axis(sub, idx, axis=1)
+            order = np.argsort(part, axis=1, kind="stable")
+            out[start + lo : start + lo + len(sub)] = np.take_along_axis(idx, order, axis=1)
+        del d, sub  # or the tile is still live while the next one is scored
     return out

@@ -21,6 +21,19 @@ from typing import Callable, Dict
 import numpy as np
 
 from repro.data.datasets import Dataset
+from repro.data.ground_truth import chunk_rows, row_chunks
+
+# Every generator draws and combines its rows a chunk at a time
+# (``row_chunks`` of float64 rows) and writes each chunk straight into its
+# one float32 ``(n + q, d)`` output, so its transients are a chunk or two
+# whatever ``n`` is.  The random stream is consumed in row order either
+# way: drawing a chunk at a time yields the bytes drawing every row at once
+# did.
+
+
+def _chunk_buffer(total: int, dim: int) -> np.ndarray:
+    """One chunk of float64 rows, drawn into again for every chunk."""
+    return np.empty((min(total, chunk_rows(8 * dim)), dim))
 
 
 def _zipf_sizes(n: int, num_clusters: int, exponent: float, rng) -> np.ndarray:
@@ -54,11 +67,16 @@ def clustered_dataset(
     centers = rng.standard_normal((num_clusters, dim))
     centers /= np.linalg.norm(centers, axis=1, keepdims=True)
     sizes = _zipf_sizes(n + num_queries, num_clusters, skew, rng)
-    points = []
+    all_points = np.empty((n + num_queries, dim), dtype=np.float32)
+    buf = _chunk_buffer(n + num_queries, dim)
+    start = 0
     for c, size in enumerate(sizes):
-        local = centers[c] + spread * rng.standard_normal((size, dim))
-        points.append(local)
-    all_points = np.vstack(points).astype(np.float32)
+        for lo, hi in row_chunks(int(size), 8 * dim):
+            local = rng.standard_normal(out=buf[: hi - lo])
+            local *= spread
+            local += centers[c]
+            all_points[start + lo : start + hi] = local
+        start += size
     rng.shuffle(all_points)
     return Dataset(
         name=name,
@@ -82,8 +100,13 @@ def diffuse_dataset(
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((num_clusters, dim))
     assignments = rng.integers(num_clusters, size=n + num_queries)
-    noise = spread * rng.standard_normal((n + num_queries, dim))
-    all_points = (centers[assignments] + noise).astype(np.float32)
+    all_points = np.empty((n + num_queries, dim), dtype=np.float32)
+    buf = _chunk_buffer(n + num_queries, dim)
+    for lo, hi in row_chunks(n + num_queries, 8 * dim):
+        noise = rng.standard_normal(out=buf[: hi - lo])
+        noise *= spread
+        noise += centers[assignments[lo:hi]]
+        all_points[lo:hi] = noise
     return Dataset(
         name=name,
         data=all_points[:n],
@@ -119,11 +142,15 @@ def lowrank_dataset(
         (n + num_queries, latent_dim)
     )
     embed = rng.standard_normal((latent_dim, dim)) / np.sqrt(latent_dim)
-    points = latent @ embed + ambient_noise * rng.standard_normal(
-        (n + num_queries, dim)
-    )
-    points /= np.linalg.norm(points, axis=1, keepdims=True)
-    points = points.astype(np.float32)
+    points = np.empty((n + num_queries, dim), dtype=np.float32)
+    buf = _chunk_buffer(n + num_queries, dim)
+    for lo, hi in row_chunks(n + num_queries, 8 * dim):
+        local = latent[lo:hi] @ embed
+        noise = rng.standard_normal(out=buf[: hi - lo])
+        noise *= ambient_noise
+        local += noise
+        local /= np.linalg.norm(local, axis=1, keepdims=True)
+        points[lo:hi] = local
     return Dataset(
         name=name,
         data=points[:n],
@@ -144,10 +171,21 @@ class DatasetSpec:
     kwargs: tuple = ()
 
     def make(self, n: int = None, num_queries: int = None, seed: int = 0) -> Dataset:
+        """Generate the dataset; ``None`` picks the spec's default size.
+
+        ``n`` must be at least 1 and ``num_queries`` at least 0 (a dataset
+        with no queries is legal); anything else raises ``ValueError``.
+        """
+        n = self.default_n if n is None else n
+        num_queries = self.default_queries if num_queries is None else num_queries
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        if num_queries < 0:
+            raise ValueError(f"num_queries must be at least 0, got {num_queries}")
         return self.generator(
-            n=n or self.default_n,
+            n=n,
             dim=self.dim,
-            num_queries=num_queries or self.default_queries,
+            num_queries=num_queries,
             seed=seed,
             name=self.name,
             **dict(self.kwargs),

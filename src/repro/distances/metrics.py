@@ -42,6 +42,8 @@ METRICS = ("l2", "ip", "cosine", "hamming")
 #: and 5-10 % worse at 320); half the gain is gone by 400 KiB and all of it
 #: by 800.  Sized for that machine, deliberately not a setting: a host with
 #: a smaller L2 wants a smaller constant, not a knob per search.
+#: :meth:`Metric.pairwise` finishes its output, and ``ground_truth`` selects
+#: from it, in row blocks of the same size.
 PANEL_BYTES = 192 * 1024
 
 
@@ -269,29 +271,40 @@ class Metric:
         return np.linalg.norm(np.asarray(points), axis=1)
 
     def pairwise(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """All-pairs distance matrix of shape ``(len(queries), len(points))``."""
+        """All-pairs distance matrix of shape ``(len(queries), len(points))``.
+
+        The GEMM's output is the result: L2's ``q_sq + p_sq - 2 cross``
+        and cosine's ``-dots / (|q| |p|)`` are evaluated into it a block
+        of ``PANEL_BYTES`` of rows at a time, so the output is the only
+        output-sized array and every block's operands are still in L2
+        when the next step reads them.  The bytes are those of the
+        whole-matrix expressions.
+        """
         self._vector_space_only("pairwise")
-        if self.name == "l2":
-            q_sq = np.einsum("ij,ij->i", queries, queries)[:, None]
-            p_sq = np.einsum("ij,ij->i", points, points)[None, :]
-            # the expression q_sq + p_sq - 2.0 * cross, with the GEMM's
-            # output reused for the product: the same bytes, one tile less
-            cross = queries @ points.T
-            cross *= 2.0
-            d = q_sq + p_sq
-            d -= cross
-            np.maximum(d, 0.0, out=d)
-            return d
+        d = queries @ points.T
         if self.name == "ip":
-            return -(queries @ points.T)
-        qn = np.linalg.norm(queries, axis=1)[:, None]
-        pn = np.linalg.norm(points, axis=1)[None, :]
-        denom = qn * pn
-        dots = queries @ points.T
-        out = np.zeros_like(dots)
-        nz = denom > 0
-        out[nz] = -dots[nz] / denom[nz]
-        return out
+            return np.negative(d, out=d)
+        if self.name == "l2":
+            left = np.einsum("ij,ij->i", queries, queries)[:, None]
+            right = np.einsum("ij,ij->i", points, points)[None, :]
+        else:
+            left = np.linalg.norm(queries, axis=1)[:, None]
+            right = np.linalg.norm(points, axis=1)[None, :]
+        step = max(1, PANEL_BYTES // (d.itemsize * max(1, d.shape[1])))
+        # lint: allow(hot-loop) — iterates row blocks (q / step of them), not rows
+        for lo in range(0, len(d), step):
+            block = d[lo : lo + step]
+            if self.name == "l2":
+                block *= 2.0
+                np.subtract(left[lo : lo + step] + right, block, out=block)
+                np.maximum(block, 0.0, out=block)
+            else:
+                denom = left[lo : lo + step] * right
+                nz = denom > 0
+                np.divide(block, denom, out=block, where=nz)
+                np.negative(block, out=block)
+                block[~nz] = 0.0
+        return d
 
     def _vector_space_only(self, evaluator: str) -> None:
         """Graph construction works on float vectors, not on signatures."""

@@ -77,7 +77,8 @@ def attach_orphans(
             # from its nearest reachable vertex by true distance
             child = int(missing[np.argmax(~has)])
             reached = np.nonzero(reach)[0]
-            d = metric.batch(data[child], data[reached])
+            lanes = np.zeros(len(reached), dtype=np.int64)
+            d = metric.gather_many(data[child][None, :], lanes, data, reached)
             bridge = int(reached[int(np.argmin(d))])
             keep_mask = has.copy()
             keep_mask[np.argmax(~has)] = True

@@ -36,9 +36,8 @@ _BOOTSTRAP_SAMPLE_RATE = 0.3
 def knn_neighbors(
     data: np.ndarray, k: int, metric: str = "l2", block: Optional[int] = None
 ) -> np.ndarray:
-    """Return an ``(n, k)`` array of each point's k nearest other points."""
-    nbrs = ground_truth(data, data, k, metric, block=block, exclude_self=True)
-    return nbrs.astype(np.int32)
+    """Return an ``(n, k)`` int64 array of each point's k nearest other points."""
+    return ground_truth(data, data, k, metric, block=block, exclude_self=True)
 
 
 def bootstrap_table(
@@ -67,7 +66,7 @@ def bootstrap_table(
     n = len(data)
     if knn_table is not None:
         source = "knn_table"
-        table = np.asarray(knn_table)
+        table = np.array(knn_table, dtype=np.int64)
         if table.shape != (n, k):
             raise ValueError(
                 f"knn_table must have shape ({n}, {k}), got {table.shape}"
@@ -81,7 +80,7 @@ def bootstrap_table(
             seed=seed,
             sample_rate=_BOOTSTRAP_SAMPLE_RATE,
             cost=cost,
-        )
+        ).astype(np.int64)
     else:
         source = "exact top-k table"
         table = knn_neighbors(data, k, metric)
@@ -90,7 +89,6 @@ def bootstrap_table(
         flops = get_metric(metric).flops_per_distance(dim)
         rec.record_distances(n * n, flops, dim, "bootstrap-exact")
         rec.record_sort(n, min(n, 4 * k), "bootstrap-topk")
-    table = table.astype(np.int64)
     by_id = np.sort(table, axis=1)
     if by_id[:, 0].min() < 0 or by_id[:, -1].max() >= n:
         raise ValueError(f"{source}: ids must lie in [0, {n})")
@@ -117,7 +115,14 @@ def build_knn_graph(
 
 
 def medoid(data: np.ndarray, metric: str = "l2") -> int:
-    """Index of the point nearest the dataset centroid."""
-    center = data.mean(axis=0)
-    dists = get_metric(metric).batch(center, data)
+    """Index of the point nearest the dataset centroid.
+
+    Scored through :meth:`~repro.distances.Metric.gather_many`'s tiles:
+    one ``PANEL_BYTES`` tile and the ``(n,)`` distances at a time, never
+    an ``(n, d)`` difference.
+    """
+    n = len(data)
+    center = data.mean(axis=0)[None, :]
+    lanes = np.zeros(n, dtype=np.int64)
+    dists = get_metric(metric).gather_many(center, lanes, data, np.arange(n))
     return int(np.argmin(dists))

@@ -254,6 +254,7 @@ class CagraBuilder:
         )
         counts = self._detour_counts(table)
         fwd_full = self._reorder(table, counts)
+        del counts
         adjacency = self._merge_reverse(fwd_full)
         entry = medoid(self.data, self.metric.name)
         attach_orphans(adjacency, table, entry, self.data, self.metric)

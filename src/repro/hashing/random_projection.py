@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data.ground_truth import row_chunks
+
 
 def pack_sign_bits(signs: np.ndarray) -> np.ndarray:
     """Pack ``(n, 32*w)`` sign bits into ``(n, w)`` uint32 words.
@@ -65,14 +67,22 @@ class SignRandomProjection:
         return self.num_bits // 32
 
     def transform(self, data: np.ndarray) -> np.ndarray:
-        """Hash ``(n, dim)`` floats into ``(n, num_words)`` uint32."""
-        data = np.atleast_2d(np.asarray(data, dtype=np.float64))
+        """Hash ``(n, dim)`` floats into ``(n, num_words)`` uint32.
+
+        Rows are widened to float64 and projected a chunk at a time
+        (:func:`~repro.data.ground_truth.row_chunks`), so the transient is
+        one chunk, never an ``(n, dim)`` float64 copy.
+        """
+        data = np.atleast_2d(np.asarray(data))
         if data.shape[1] != self.dim:
             raise ValueError(
                 f"expected dim {self.dim}, got {data.shape[1]}"
             )
-        signs = (data @ self._directions) >= 0  # (n, num_bits) bool
-        return pack_sign_bits(signs).reshape(len(data), self.num_words)
+        out = np.empty((len(data), self.num_words), dtype=np.uint32)
+        for lo, hi in row_chunks(len(data), 8 * self.dim):
+            rows = np.asarray(data[lo:hi], dtype=np.float64)
+            out[lo:hi] = pack_sign_bits((rows @ self._directions) >= 0)
+        return out
 
     def memory_bytes(self, n: int) -> int:
         """Storage for ``n`` signatures."""

@@ -1,10 +1,54 @@
 """Dataset generators and ground-truth tests."""
 
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
 from repro.data import DATASET_SPECS, Dataset, ground_truth, make_dataset
 from repro.data.synthetic import clustered_dataset, diffuse_dataset
+
+#: The ``repro.data.ground_truth`` module (the package re-exports the
+#: function under the same name).
+gt_module = sys.modules["repro.data.ground_truth"]
+
+#: sha256[:16] of the ``data`` and ``queries`` bytes of every spec at
+#: n = 3000, 40 queries, captured while the generators still drew all their
+#: rows at once.  3000 rows span several row chunks of every spec.
+GENERATOR_DIGESTS = {
+    ("nytimes", 3): ("21c1bfe10e6a35a7", "3082eb685e9e5cf1"),
+    ("sift", 3): ("0acc78724e9b7a89", "fb9cf4d6f4a0cb82"),
+    ("glove200", 3): ("549315cae29ad2f2", "36870e91a30a941a"),
+    ("uqv", 3): ("e834b97b01e52089", "32ea347037acb1d0"),
+    ("gist", 3): ("14cd5a2f9a70daac", "07093d243dee1c31"),
+    ("mnist8m", 3): ("501accb715ffb313", "a10cd4bd682b6cf4"),
+    ("nytimes", 2_147_483_647): ("5021b3b6c3a858cc", "4dffdf10f9e455a2"),
+    ("sift", 2_147_483_647): ("7ee95fa7f4660cc6", "38092d71c919c20b"),
+    ("glove200", 2_147_483_647): ("3b8d92fae843101b", "86c73f25f3b0750e"),
+    ("uqv", 2_147_483_647): ("e0c387aae24db9ad", "4c51d72db9caa434"),
+    ("gist", 2_147_483_647): ("365388e9bf95e0a4", "94cb43fc07e608d6"),
+    ("mnist8m", 2_147_483_647): ("d507dba6dfd966dd", "033d5e07841e154c"),
+}
+
+
+def _digests(ds):
+    return tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (ds.data, ds.queries))
+
+
+@pytest.mark.parametrize("name,seed", sorted(GENERATOR_DIGESTS))
+def test_generator_bytes_are_pinned(name, seed):
+    ds = make_dataset(name, n=3000, num_queries=40, seed=seed)
+    assert _digests(ds) == GENERATOR_DIGESTS[name, seed]
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 5000])
+def test_generator_bytes_do_not_depend_on_the_chunk(monkeypatch, chunk_bytes):
+    """One-row chunks, and chunks of a few rows, draw the pinned bytes."""
+    monkeypatch.setattr(gt_module, "CHUNK_BYTES", chunk_bytes)
+    for name in DATASET_SPECS:
+        ds = make_dataset(name, n=3000, num_queries=40, seed=3)
+        assert _digests(ds) == GENERATOR_DIGESTS[name, 3], name
 
 
 class TestGenerators:
@@ -15,6 +59,31 @@ class TestGenerators:
             assert ds.num_queries == 10
             assert ds.dim == DATASET_SPECS[name].dim
             assert ds.data.dtype == np.float32
+
+    def test_none_picks_the_default_sizes(self):
+        spec = DATASET_SPECS["sift"]
+        ds = make_dataset("sift")
+        assert (ds.num_data, ds.num_queries) == (spec.default_n, spec.default_queries)
+
+    def test_zero_points_are_refused(self):
+        # a zero used to fall back to the default size without a word
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0"):
+            make_dataset("sift", n=0, num_queries=0)
+
+    def test_negative_points_are_refused(self):
+        with pytest.raises(ValueError, match="^n must be at least 1, got -5"):
+            make_dataset("sift", n=-5, num_queries=3)
+
+    def test_negative_queries_are_refused(self):
+        with pytest.raises(ValueError, match="^num_queries must be at least 0, got -1"):
+            make_dataset("sift", n=50, num_queries=-1)
+
+    def test_zero_queries_are_legal(self):
+        for name in DATASET_SPECS:
+            ds = make_dataset(name, n=50, num_queries=0)
+            assert ds.num_data == 50
+            assert ds.queries.shape == (0, DATASET_SPECS[name].dim)
+        assert ds.ground_truth(5).shape == (0, 5)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -91,6 +160,15 @@ class TestGroundTruth:
             b = ground_truth(data, queries, k, block=100)
             np.testing.assert_array_equal(a, b)
             np.testing.assert_array_equal(a, ground_truth(data, queries, k))
+
+    def test_selection_blocks_do_not_move_ids(self, monkeypatch):
+        # small integers tie at every distance: each row's cut among the
+        # ties may not depend on how many rows share its argpartition
+        data = np.random.default_rng(10).integers(0, 3, size=(300, 4)).astype(np.float32)
+        want = ground_truth(data, data, 7, exclude_self=True)
+        for panel in (1, 5 * 300 * 8):
+            monkeypatch.setattr(gt_module, "PANEL_BYTES", panel)
+            assert np.array_equal(ground_truth(data, data, 7, exclude_self=True), want)
 
     def test_validation(self):
         data = np.zeros((5, 2), np.float32)

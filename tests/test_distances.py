@@ -104,6 +104,41 @@ class TestPairwiseL2Bytes:
         assert np.array_equal(got, ground_truth(data, data, 12, exclude_self=True))
 
 
+def _cosine_expression(queries, points):
+    """``Metric.pairwise("cosine")`` over the whole matrix at once."""
+    qn = np.linalg.norm(queries, axis=1)[:, None]
+    pn = np.linalg.norm(points, axis=1)[None, :]
+    denom = qn * pn
+    dots = queries @ points.T
+    out = np.zeros_like(dots)
+    nz = denom > 0
+    out[nz] = -dots[nz] / denom[nz]
+    return out
+
+
+WHOLE_MATRIX = {
+    "l2": _l2_expression,
+    "ip": lambda queries, points: -(queries @ points.T),
+    "cosine": _cosine_expression,
+}
+
+
+@pytest.mark.parametrize("metric", sorted(WHOLE_MATRIX))
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_pairwise_row_blocks_keep_the_bytes(monkeypatch, metric, block_rows):
+    """``pairwise`` finishes its output in row blocks of ``PANEL_BYTES``:
+    any block height gives the whole-matrix expression's bytes."""
+    rng = np.random.default_rng(11)
+    queries = rng.standard_normal((20, 24)).astype(np.float32)
+    points = rng.standard_normal((300, 24)).astype(np.float32)
+    queries[4] = 0.0  # zero norms: cosine's zero-denominator branch
+    points[7] = 0.0
+    if block_rows is not None:
+        monkeypatch.setattr(metrics_module, "PANEL_BYTES", block_rows * 300 * 4)
+    got = get_metric(metric).pairwise(queries, points)
+    assert got.tobytes() == WHOLE_MATRIX[metric](queries, points).tobytes()
+
+
 def _bits(values):
     assert values.dtype == np.float32
     return np.ascontiguousarray(values).view(np.uint32)

@@ -1,10 +1,13 @@
 """1-bit random projection and Hamming metric tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
 from repro.core.song import SongSearcher
+from repro.data import make_dataset
 from repro.distances import get_metric
 from repro.graphs.storage import FixedDegreeGraph
 from repro.hashing.random_projection import SignRandomProjection
@@ -37,6 +40,16 @@ class TestProjection:
     def test_dim_mismatch_rejected(self, rp):
         with pytest.raises(ValueError):
             rp.transform(np.zeros((2, 16)))
+
+    @pytest.mark.parametrize(
+        "name,digest", [("gist", "d9266671789762e4"), ("sift", "3bb5a6cd4df73cda")]
+    )
+    def test_signature_bytes_are_pinned(self, name, digest):
+        """sha256[:16] captured while ``transform`` widened all rows to
+        float64 at once; 3000 rows are several chunks now."""
+        data = make_dataset(name, n=3000, num_queries=40, seed=3).data
+        codes = SignRandomProjection(data.shape[1], num_bits=128, seed=0).transform(data)
+        assert hashlib.sha256(codes.tobytes()).hexdigest()[:16] == digest
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)

@@ -43,9 +43,14 @@ class TestExactKnn:
 
     def test_tile_memory_is_bounded(self):
         """The tile height follows from n under a byte budget: at n = 8192
-        a 4 MiB float32 tile and its 8 MiB int64 partition index, where
-        fixed 1024-row tiles traced 192 MiB."""
+        one 4 MiB float32 tile of distances, finished in place, beside the
+        result and a few ``PANEL_BYTES`` blocks (the int64 selection index
+        among them).  Fixed 1024-row tiles traced 192 MiB, and a tile-sized
+        int64 partition index beside a second distance tile 20.7 MiB."""
         import tracemalloc
+
+        from repro.data.ground_truth import TILE_BYTES
+        from repro.distances.metrics import PANEL_BYTES
 
         data = np.random.default_rng(4).normal(size=(8192, 16)).astype(np.float32)
         tracemalloc.start()
@@ -55,7 +60,7 @@ class TestExactKnn:
         finally:
             tracemalloc.stop()
         assert nbrs.shape == (8192, 10)
-        assert peak < 64 * 2**20
+        assert peak < TILE_BYTES + nbrs.nbytes + 4 * PANEL_BYTES
 
     def test_invalid_k(self, points):
         with pytest.raises(ValueError):
