@@ -53,6 +53,11 @@ timeout 900 python -m pytest -x -q
 timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 0
 timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 1
 
+# One parent/change pair of the benchmark at smoke scale, HEAD against the
+# working tree (scripts/pairs.py, about 25 s): it exits 1 when a run fails
+# or a modeled or count metric differs between the two sides.
+timeout 600 python scripts/pairs.py --scale smoke --pairs 1 --seconds 1
+
 # The per-stage set-up memory table (scripts/setup_peaks.py) at a small
 # size, so the script keeps step with the builder it mirrors.
 timeout 120 python scripts/setup_peaks.py --dataset gist --n 2000 --queries 128 >/dev/null

@@ -595,15 +595,19 @@ def _apply(tree: Path, mutant: Mutant) -> Tuple[Path, str]:
     return path, original
 
 
-def _copy_worktree(dest: Path) -> None:
+def _copy_worktree(dest: Path, names: Sequence[str] = COPIED) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".cache", "results", "*.pyc")
-    for name in COPIED:
-        shutil.copytree(REPO / name, dest / name, ignore=ignore)
+    for name in names:
+        if (REPO / name).is_dir():
+            shutil.copytree(REPO / name, dest / name, ignore=ignore)
+        else:
+            dest.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(REPO / name, dest / name)
 
 
-def _export_commit(dest: Path, commit: str) -> None:
+def _export_commit(dest: Path, commit: str, names: Sequence[str] = COPIED) -> None:
     blob = subprocess.run(
-        ["git", "archive", "--format=tar", commit, *COPIED], cwd=REPO,
+        ["git", "archive", "--format=tar", commit, *names], cwd=REPO,
         capture_output=True, check=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:

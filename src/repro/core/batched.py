@@ -67,7 +67,6 @@ from __future__ import annotations
 
 # lint: hot-path
 
-import itertools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,32 +91,26 @@ from repro.structures.soa import (
 )
 from repro.structures.visited import VisitedBackend
 
-__all__ = ["BatchedSongSearcher", "result_arrays"]
+__all__ = ["BatchedSongSearcher", "LaneResults"]
 
 
-def result_arrays(
-    results: List[List[Tuple[float, int]]], width: Optional[int] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Search result lists as ``(R, width)`` id and distance arrays.
+class LaneResults(list):
+    """Per-lane top-``k`` ``(distance, id)`` lists, ascending, of one batch,
+    with the ``(B, w)`` arrays they were decoded from.
 
-    Ids are ``PAD`` and distances ``inf`` past each list's end; ``width``
-    defaults to the longest list (at least 1).  One conversion of the
-    engine's Python return shape for every caller that continues in
-    arrays (HNSW linking, the tier's re-rank).
+    ``ids`` is ``PAD`` and ``dists`` ``inf`` past each lane's list.  A
+    caller that continues in arrays (HNSW linking, the tier's re-rank)
+    reads those two instead of re-packing the lists; every other caller
+    sees a plain list of lists.
     """
-    lengths = np.fromiter(map(len, results), dtype=np.int64, count=len(results))
-    pairs = itertools.chain.from_iterable(results)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(pairs), dtype=np.float64, count=2 * int(lengths.sum())
-    ).reshape(-1, 2)
-    if width is None:
-        width = max(1, int(lengths.max()))
-    filled = np.arange(width)[None, :] < lengths[:, None]
-    ids = np.full((len(results), width), PAD, dtype=np.int64)
-    dists = np.full((len(results), width), np.inf)
-    ids[filled] = flat[:, 1].astype(np.int64)
-    dists[filled] = flat[:, 0]
-    return ids, dists
+
+    def __init__(self, ids: np.ndarray, dists: np.ndarray) -> None:
+        counts = (ids != PAD).sum(axis=1).tolist()
+        super().__init__(
+            list(zip(d[:c], i[:c]))
+            for d, i, c in zip(dists.tolist(), ids.tolist(), counts)
+        )
+        self.ids, self.dists = ids, dists
 
 
 def _unvisited(visited: np.ndarray, base: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -200,7 +193,7 @@ class BatchedSongSearcher:
         queries: np.ndarray,
         config: SearchConfig,
         entry_points: Optional[np.ndarray] = None,
-    ) -> Tuple[List[List[Tuple[float, int]]], List[SearchStats]]:
+    ) -> Tuple[LaneResults, List[SearchStats]]:
         """Batch search returning ``(results, per-lane stats)``.
 
         Convenience for callers that always want the records — the
@@ -221,8 +214,12 @@ class BatchedSongSearcher:
         meter=None,
         stats: Optional[Sequence[SearchStats]] = None,
         entry_points: Optional[np.ndarray] = None,
-    ) -> List[List[Tuple[float, int]]]:
+    ) -> LaneResults:
         """Top-``config.k`` neighbors for every row of ``queries``.
+
+        The per-lane ``(distance, id)`` lists, which also carry the
+        ``(B, w)`` id and distance arrays they were decoded from
+        (:class:`LaneResults`).
 
         Parameters
         ----------
@@ -261,7 +258,10 @@ class BatchedSongSearcher:
             )
         num_queries = len(queries)
         if num_queries == 0:
-            return []
+            width = min(config.k, config.queue_size)
+            return LaneResults(
+                np.empty((0, width), dtype=np.int64), np.empty((0, width), np.float32)
+            )
         if entry_points is not None:
             entry_points = np.asarray(entry_points, dtype=np.int64)
             if entry_points.shape != (num_queries,):
@@ -448,13 +448,14 @@ class _LockstepState:
 
     # -- result extraction ----------------------------------------------------
 
-    def results(self) -> List[List[Tuple[float, int]]]:
-        """Per-lane top-``k`` lists, ascending, deduplicated by id.
+    def results(self) -> LaneResults:
+        """Per-lane top-``k`` lists, ascending, deduplicated by id, with the
+        ``(B, min(k, pool))`` arrays they are decoded from.
 
         Visited deletion can bring a vertex back into a pool that still
         holds it; the second copy is the same ``(distance, id)`` key, so it
         sits next to the first in the sorted row and is dropped there.
-        O(B·pool) array work plus one ``tolist`` per decoded block.
+        O(B·pool) array work plus one ``tolist`` per array.
         """
         keys = self.topk.keys
         keep = keys != PAD_KEY
@@ -462,10 +463,11 @@ class _LockstepState:
         # Kept slots first, in row order: the first k of them are the lane's.
         order = np.argsort(~keep, axis=1, kind="stable")[:, : self.k]
         top = np.take_along_axis(keys, order, axis=1)
-        counts = np.minimum(keep.sum(axis=1), self.k).tolist()
-        dists = unpack_distances(top).tolist()
-        ids = unpack_ids(top).tolist()
-        return [list(zip(d[:c], i[:c])) for d, i, c in zip(dists, ids, counts)]
+        filled = np.take_along_axis(keep, order, axis=1)
+        return LaneResults(
+            np.where(filled, unpack_ids(top), PAD),
+            np.where(filled, unpack_distances(top), np.float32(np.inf)),
+        )
 
     def fill_stats(self, stats: Sequence[SearchStats]) -> None:  # lint: allow(hot-loop)
         """Reduce the round log into caller-provided stats (O(rounds·B)).

@@ -63,9 +63,23 @@ def coerce_float32(arr: np.ndarray, label: str = "array") -> np.ndarray:
     return a
 
 
+def require_finite(rows: np.ndarray, label: str) -> None:
+    """Raise ``ValueError`` naming the first row of ``rows`` that holds a
+    NaN or an infinity.
+
+    Such a row makes the engines disagree without an error (a NaN
+    distance orders differently in the serial heaps and the packed
+    keys), so float rows are refused at the door.  Two reductions over
+    the rows and no temporary unless one fails.
+    """
+    if rows.size and not (np.isfinite(rows.min()) and np.isfinite(rows.max())):
+        bad = int(np.flatnonzero(~np.isfinite(rows).all(axis=1))[0])
+        raise ValueError(f"{label} row {bad} is not finite (NaN or infinity)")
+
+
 def searchable_data(graph: FixedDegreeGraph, data: np.ndarray, label: str) -> np.ndarray:
     """``data`` as either engine stores it: one 2-d float32 or packed
-    uint32 row per vertex of ``graph``."""
+    uint32 row per vertex of ``graph``, float rows all finite."""
     if graph.num_vertices != len(data):
         raise ValueError(
             f"graph has {graph.num_vertices} vertices but data has "
@@ -78,6 +92,8 @@ def searchable_data(graph: FixedDegreeGraph, data: np.ndarray, label: str) -> np
             f"signatures for metric='hamming'; got {data.dtype} with "
             f"{data.ndim} dimension(s)"
         )
+    if data.dtype == np.float32:
+        require_finite(data, f"{label} data")
     return data
 
 
@@ -86,10 +102,11 @@ def checked_queries(data: np.ndarray, queries: np.ndarray, metric: str) -> np.nd
 
     The one validation behind both engines and every index wrapper:
     packed uint32 data is searched under ``"hamming"`` and nothing else,
-    by packed uint32 queries; float data by float queries (coerced to
-    float32); and a query is as wide as a data row.  Anything else would
-    compute *something* — wraparound subtraction over signature words, a
-    narrow query broadcast across the row — so it raises instead.
+    by packed uint32 queries; float data by finite float queries
+    (coerced to float32); and a query is as wide as a data row.  Anything
+    else would compute *something* — wraparound subtraction over
+    signature words, a narrow query broadcast across the row, NaN
+    distances the two engines order differently — so it raises instead.
     """
     packed = data.dtype == np.uint32
     if packed != (get_metric(metric).name == "hamming"):
@@ -107,7 +124,10 @@ def checked_queries(data: np.ndarray, queries: np.ndarray, metric: str) -> np.nd
         raise ValueError(
             f"queries have dim {queries.shape[-1]} but data has dim {data.shape[1]}"
         )
-    return coerce_float32(queries, "queries")
+    queries = coerce_float32(queries, "queries")
+    if not packed:
+        require_finite(queries, "query")
+    return queries
 
 
 class SearchStats:

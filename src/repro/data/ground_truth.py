@@ -74,10 +74,17 @@ def ground_truth(
     # points tied at the k-th distance make the cut depends on it.
     kth = k if exclude_self else k - 1
     rows = max(1, PANEL_BYTES // (8 * n))
+    # the dataset's side of every tile, reduced once
+    if m.name == "l2":
+        norms = m.point_sq_norms(data)
+    elif m.name == "cosine":
+        norms = m.point_norms(data)
+    else:
+        norms = None
     out = np.empty((q, k), dtype=np.int64)
     for start in range(0, q, block):
         stop = min(start + block, q)
-        d = m.pairwise(queries[start:stop], data)
+        d = m.pairwise(queries[start:stop], data, norms)
         if exclude_self:
             d[np.arange(stop - start), np.arange(start, stop)] = np.inf
         # each row's selection ignores the others, so a few rows at a time

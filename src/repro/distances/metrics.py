@@ -270,7 +270,9 @@ class Metric:
         self._vector_space_only("point_norms")
         return np.linalg.norm(np.asarray(points), axis=1)
 
-    def pairwise(self, queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+    def pairwise(
+        self, queries: np.ndarray, points: np.ndarray, norms: np.ndarray = None
+    ) -> np.ndarray:
         """All-pairs distance matrix of shape ``(len(queries), len(points))``.
 
         The GEMM's output is the result: L2's ``q_sq + p_sq - 2 cross``
@@ -278,7 +280,12 @@ class Metric:
         of ``PANEL_BYTES`` of rows at a time, so the output is the only
         output-sized array and every block's operands are still in L2
         when the next step reads them.  The bytes are those of the
-        whole-matrix expressions.
+        whole-matrix expressions.  ``norms`` optionally carries the
+        cached per-point values, :meth:`point_sq_norms` for L2 and
+        :meth:`point_norms` for cosine (ignored for inner product), for a
+        caller that scores the same points tile after tile; the
+        reduction is per row, so cached values are the bytes recomputing
+        them would give.
         """
         self._vector_space_only("pairwise")
         d = queries @ points.T
@@ -286,10 +293,13 @@ class Metric:
             return np.negative(d, out=d)
         if self.name == "l2":
             left = np.einsum("ij,ij->i", queries, queries)[:, None]
-            right = np.einsum("ij,ij->i", points, points)[None, :]
+            if norms is None:
+                norms = self.point_sq_norms(points)
         else:
             left = np.linalg.norm(queries, axis=1)[:, None]
-            right = np.linalg.norm(points, axis=1)[None, :]
+            if norms is None:
+                norms = self.point_norms(points)
+        right = norms[None, :]
         step = max(1, PANEL_BYTES // (d.itemsize * max(1, d.shape[1])))
         # lint: allow(hot-loop) — iterates row blocks (q / step of them), not rows
         for lo in range(0, len(d), step):

@@ -19,7 +19,10 @@ runs the heuristic for every new point of the (layer, generation) in
 lockstep over candidate columns, scoring only the candidate-to-kept
 pairs it reads.  The reverse edges then land in append waves: wave
 ``t`` gives every row its ``t``-th new neighbor and re-selects, in one
-more lockstep call, every row that overflowed.  Both steps are exact:
+more call of the same column loop, every row that overflowed.  Those
+calls read their pairs from a panel: the (layer, generation) keeps
+each re-selected row's pair distances, so a row re-selected again in
+the same call scores only its new neighbor.  Both steps are exact:
 a new point's selection reads only its own search results, and an
 append or re-selection touches only its own row, so the graph is, bit
 for bit, the one that linking the generation's points one at a time
@@ -29,12 +32,14 @@ Points within a generation search pre-generation snapshots and do not
 see each other.  That costs recall at small ``ef`` — layer-0 recall@10 at
 queue 64 reads 0.90–0.97 on the sift analogue (n = 500–4000) where
 one-point-at-a-time insertion reads 0.93–0.99 — and buys build time:
-0.38 / 0.54 / 1.1 / 2.1 s at those sizes (m = 8, ef = 48, one BLAS
-thread, 2-core x86 VM, median of three alternating runs), where linking
-each point by itself read 0.53 / 1.0 / 2.4 / 4.3 s.  Unlike NSW
-(:mod:`repro.graphs.nsw`), HNSW rows are degree-capped as they grow, so
-a generation's fixed-degree snapshot carries almost no padding and the
-lockstep engine is not wasted on it.  Search recall is held to
+0.23 / 0.46 / 0.94 / 1.9 s at those sizes (m = 8, ef = 48, one BLAS
+thread, 2-core x86 VM, median of three runs alternated with the same
+build without the re-selection pair reuse, which read 0.35 / 0.64 /
+1.1 / 2.1 s).  On an earlier occasion linking each point by itself
+read 0.53 / 1.0 / 2.4 / 4.3 s where batched linking read 0.38 / 0.54 /
+1.1 / 2.1 s.  Unlike NSW (:mod:`repro.graphs.nsw`), HNSW rows are
+degree-capped as they grow, so a generation's fixed-degree snapshot
+carries almost no padding and the lockstep engine is not wasted on it.  Search recall is held to
 brute-force ground truth in ``tests/test_graph_quality.py``; the graph
 itself is pinned layer by layer in ``tests/test_build_paths.py``.
 """
@@ -63,7 +68,12 @@ _INSERT_BATCH = 512
 
 
 def _select_neighbors(
-    metric: Metric, data: np.ndarray, ids: np.ndarray, dists: np.ndarray, m: int
+    metric: Metric,
+    data: np.ndarray,
+    ids: np.ndarray,
+    dists: np.ndarray,
+    m: int,
+    pairs: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """HNSW's diverse-neighbor selection (Algorithm 4) for ``R`` rows at once.
 
@@ -75,43 +85,107 @@ def _select_neighbors(
     ids in candidate order, then the backfill, ``PAD`` after
     ``min(m, candidates)`` entries.
 
-    Rows run in lockstep over candidate columns.  Step ``c`` scores every
-    live row's ``c``-th candidate against the at most ``m`` neighbors that
-    row has kept, in one :meth:`~repro.distances.metrics.Metric.gather_many`
-    call, so a row costs at most ``C·m`` pair distances, not the ``C²`` of
-    a full pairwise panel.  Pairs are scored candidate-as-query in the
-    subtract-and-square form, which is what makes every bit match the
-    one-row-at-a-time rule.
+    Rows run in lockstep over candidate columns.  Step ``c`` compares
+    every live row's ``c``-th candidate with the at most ``m`` neighbors
+    that row has kept.  Without ``pairs`` it scores those pairs in one
+    :meth:`~repro.distances.metrics.Metric.gather_many` call, so a row
+    costs at most ``C·m`` pair distances, not the ``C²`` of a full
+    pairwise panel; with the ``(R, C, C)`` panel ``pairs[r, i, j]`` (the
+    distance between candidates ``i`` and ``j`` of row ``r``) it reads
+    them and scores nothing.  Either way a pair's value is the one a
+    one-row-at-a-time rule would score: ``gather_many`` values do not
+    depend on the call that computes them, and the vector-space
+    distances are bitwise symmetric in their two rows.
     """
     rows, width = ids.shape
-    kept = np.full((rows, m), PAD, dtype=np.int64)
-    count = np.zeros(rows, dtype=np.int64)
     valid = ids != PAD
     picked = np.zeros((rows, width), dtype=bool)
+    count = np.zeros(rows, dtype=np.int64)
+    if pairs is not None:
+        far = ~(pairs >= dists[:, :, None])  # far[r, c, j]: kept j rejects c
     # lint: allow(hot-loop) — iterates candidate columns (≤ ef), all rows at once
     for col in range(width):
-        live = np.nonzero(valid[:, col] & (count < m))[0]
-        if not len(live):
-            continue
-        win = live
-        chosen = kept[live, : count[live].max()]
-        if chosen.shape[1]:
-            real = chosen != PAD
-            lane = np.nonzero(real)[0]
-            cand = ids[live, col]
-            pair = metric.gather_many(data, cand[lane], data, chosen[real])
-            ok = np.ones(chosen.shape, dtype=bool)
-            ok[real] = pair >= dists[live, col][lane]
-            win = live[ok.all(axis=1)]
-        kept[win, count[win]] = ids[win, col]
-        picked[win, col] = True
-        count[win] += 1
+        live = valid[:, col] & (count < m)
+        if col and live.any():
+            # a live row keeps its candidate unless a kept neighbor is closer
+            if pairs is None:
+                row, j = np.nonzero(picked[:, :col] & live[:, None])
+                pair = metric.gather_many(data, ids[row, col], data, ids[row, j])
+                live[row[~(pair >= dists[row, col])]] = False
+            else:
+                live &= ~(picked[:, :col] & far[:, col, :col]).any(axis=1)
+        picked[:, col] = live
+        count += live
+    kept = np.full((rows, m), PAD, dtype=np.int64)
+    row, col = np.nonzero(picked)
+    kept[row, np.cumsum(picked, axis=1)[row, col] - 1] = ids[row, col]
     # backfill: the nearest rejected candidates, in candidate order
     spare = valid & ~picked
     rank = np.cumsum(spare, axis=1) - 1
     row, col = np.nonzero(spare & (rank < (m - count)[:, None]))
     kept[row, count[row] + rank[row, col]] = ids[row, col]
     return kept
+
+
+class _PairReuse:
+    """The pair distances one :meth:`HNSWIndex._link_generation` call scored.
+
+    Every owner the call may re-select gets a slot.  A slot, once filled,
+    holds the owner's distances to the members of its current row and
+    the members' ``(max_deg, max_deg)`` pair block, both in row order: a
+    re-selected row stays full, so each later wave that reaches the owner
+    only adds one neighbor to the row the slot describes.  Every value
+    was scored on the index's own ``data`` here, never taken from a
+    search (which scores float32 copies).
+    """
+
+    def __init__(
+        self, metric: Metric, data: np.ndarray, owners: np.ndarray, max_deg: int
+    ) -> None:
+        self.metric, self.data = metric, data
+        self.slot = np.full(len(data), -1, dtype=np.int64)
+        self.slot[owners] = np.arange(len(owners))
+        self.scored = np.zeros(len(owners), dtype=bool)
+        self.size = (len(owners), max_deg)
+        self.left, self.right = np.triu_indices(max_deg, 1)
+        self.owner_d: Optional[np.ndarray] = None
+        self.pairs: Optional[np.ndarray] = None
+
+    def lookup(self, owners: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """The slots of ``owners`` whose full rows are ``members``.
+
+        Fills the slots not filled yet: each such owner scores its
+        ``max_deg`` member distances and ``max_deg (max_deg - 1) / 2``
+        member pairs, all in one
+        :meth:`~repro.distances.metrics.Metric.gather_many` call.
+        """
+        slots = self.slot[owners]
+        cold = ~self.scored[slots]
+        if cold.any():
+            owners, members = owners[cold], members[cold]
+            left, right = members[:, self.left], members[:, self.right]
+            scores = self.metric.gather_many(
+                self.data,
+                np.concatenate([np.repeat(owners, self.size[1]), left.ravel()]),
+                self.data,
+                np.concatenate([members.ravel(), right.ravel()]),
+            )
+            owner_d, between = np.split(scores, [members.size])
+            pairs = np.zeros(members.shape + members.shape[1:], dtype=scores.dtype)
+            pairs[:, self.left, self.right] = pairs[:, self.right, self.left] = (
+                between.reshape(len(owners), -1)
+            )
+            self.store(slots[cold], owner_d.reshape(members.shape), pairs)
+        return slots
+
+    def store(self, slots: np.ndarray, owner_d: np.ndarray, pairs: np.ndarray) -> None:
+        """Describe the owners' new rows: member distances and pair blocks."""
+        if self.owner_d is None:
+            self.owner_d = np.empty(self.size, dtype=owner_d.dtype)
+            self.pairs = np.empty(self.size + self.size[1:], dtype=pairs.dtype)
+        self.owner_d[slots] = owner_d
+        self.pairs[slots] = pairs
+        self.scored[slots] = True
 
 
 class HNSWIndex:
@@ -199,7 +273,7 @@ class HNSWIndex:
         entry point updates after the generation with the running-max
         rule.
         """
-        from repro.core.batched import BatchedSongSearcher, result_arrays
+        from repro.core.batched import BatchedSongSearcher
         from repro.core.config import SearchConfig
 
         old_top = self._levels[self.entry_point]
@@ -229,9 +303,8 @@ class HNSWIndex:
             if inserting.any():
                 idx = np.nonzero(inserting)[0]
                 searcher = BatchedSongSearcher(snapshot, data32)
-                ids, dists = result_arrays(
-                    searcher.search_batch(queries[idx], config, entry_points=eps[idx])
-                )
+                lists = searcher.search_batch(queries[idx], config, entry_points=eps[idx])
+                ids, dists = lists.ids, lists.dists
                 self._link_generation(
                     batch[inserting], ids, dists, l, self.m0 if l == 0 else self.m
                 )
@@ -292,13 +365,16 @@ class HNSWIndex:
         """Link a generation's new points ``vs`` on one layer from their results.
 
         ``ids`` / ``dists`` are the points' ascending search results
-        (:func:`~repro.core.batched.result_arrays`).  Every candidate is an
-        old vertex, so the forward selections are independent and run as
-        one :func:`_select_neighbors` call.  The reverse edges are then
-        appended in the order one-by-one insertion would make them: a
-        stable sort by row ranks each row's appends, and wave ``t``
-        appends every rank-``t`` edge and re-selects every row it pushed
-        past ``max_deg``.
+        (:class:`~repro.core.batched.LaneResults` arrays).
+        Every candidate is an old vertex, so the forward selections are
+        independent and run as one :func:`_select_neighbors` call.  The
+        reverse edges are then appended in the order one-by-one insertion
+        would make them: a stable sort by row ranks each row's appends,
+        and wave ``t`` appends every rank-``t`` edge and re-selects every
+        row it pushed past ``max_deg``.  A row that overflows once
+        overflows at every later wave that reaches it, so the call keeps
+        what each re-selection scored (:class:`_PairReuse`) and scores
+        every pair at most once.
         """
         adj = self._layers[layer]
         forward = _select_neighbors(self.metric, self.data, ids, dists, self.m)
@@ -311,6 +387,14 @@ class HNSWIndex:
         owners, sources = owners[order], sources[order]
         rank = np.arange(len(owners)) - np.searchsorted(owners, owners)
         waves = int(rank.max()) + 1 if len(rank) else 0
+        # the rows whose appends outgrow them: the only ones re-selected
+        grows, appends = np.unique(owners, return_counts=True)
+        reuse = _PairReuse(
+            self.metric,
+            self.data,
+            grows[(adj[grows] != PAD).sum(axis=1) + appends > max_deg],
+            max_deg,
+        )
         # lint: allow(hot-loop) — iterates append waves (the most appends one row takes)
         for wave in range(waves):
             now = rank == wave
@@ -321,24 +405,51 @@ class HNSWIndex:
             full = rows[~room]
             if len(full):
                 grown = np.concatenate([adj[full], new[~room, None]], axis=1)
-                adj[full] = self._reselect(full, grown, max_deg)
+                adj[full] = self._reselect(full, grown, max_deg, reuse)
 
     def _reselect(
-        self, owners: np.ndarray, rows: np.ndarray, max_deg: int
+        self, owners: np.ndarray, rows: np.ndarray, max_deg: int, reuse: _PairReuse
     ) -> np.ndarray:
-        """Trim overfull rows (one per owner) with the heuristic, all at once."""
-        width = rows.shape[1]
-        d = self.metric.gather_many(
-            self.data, np.repeat(owners, width), self.data, rows.ravel()
-        ).reshape(rows.shape)
+        """Trim overfull rows (one per owner) with the heuristic, all at once.
+
+        ``rows`` are ``(R, max_deg + 1)``: each owner's full row, then the
+        neighbor that overflowed it.  ``reuse`` holds the owner and pair
+        distances of the full rows, so this call scores only the new
+        neighbor against the owner and the members, in one
+        :meth:`~repro.distances.metrics.Metric.gather_many` call, and the
+        selection reads the assembled ``(R, W, W)`` panel.
+        """
+        count, width = rows.shape
+        members, new = rows[:, :-1], rows[:, -1]
+        slots = reuse.lookup(owners, members)
+        fresh = self.metric.gather_many(
+            self.data,
+            np.concatenate([owners, np.repeat(new, max_deg)]),
+            self.data,
+            np.concatenate([new, members.ravel()]),
+        )
+        d = np.empty(rows.shape, dtype=fresh.dtype)
+        d[:, :-1] = reuse.owner_d[slots]
+        d[:, -1] = fresh[:count]
+        panel = np.zeros((count, width, width), dtype=fresh.dtype)
+        panel[:, :-1, :-1] = reuse.pairs[slots]
+        panel[:, -1, :-1] = panel[:, :-1, -1] = fresh[count:].reshape(members.shape)
         order = np.lexsort((rows, d))  # per row: by distance, ties by id
-        return _select_neighbors(
+        at = np.arange(count)[:, None]
+        kept = _select_neighbors(
             self.metric,
             self.data,
-            np.take_along_axis(rows, order, axis=1),
-            np.take_along_axis(d, order, axis=1),
+            rows[at, order],
+            d[at, order],
             max_deg,
+            panel[at[:, :, None], order[:, :, None], order[:, None, :]],
         )
+        # the kept row's members, as positions in ``rows``: its ids are distinct
+        pos = (rows[:, None, :] == kept[:, :, None]).argmax(axis=2)
+        reuse.store(
+            slots, d[at, pos], panel[at[:, :, None], pos[:, :, None], pos[:, None, :]]
+        )
+        return kept
 
     def _neighbors(self, layer: int, v: int) -> List[int]:
         """Vertex ``v``'s row on one layer (empty above its level)."""

@@ -24,9 +24,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.batched import BatchedSongSearcher, result_arrays
+from repro.core.batched import BatchedSongSearcher
 from repro.core.config import SearchConfig
-from repro.core.song import SearchStats
+from repro.core.song import SearchStats, require_finite
 from repro.distances import get_metric
 from repro.graphs.storage import PAD, FixedDegreeGraph
 from repro.simt.device import DeviceSpec, get_device
@@ -103,6 +103,7 @@ class TieredIndex:
         self.data = np.ascontiguousarray(
             np.atleast_2d(np.asarray(data, dtype=np.float32))
         )
+        require_finite(self.data, "TieredIndex data")
         self.tier = tier
         self.device: DeviceSpec = get_device(device)
         self.store = make_store(self.data, tier)
@@ -156,25 +157,25 @@ class TieredIndex:
         the plan carries the re-rank stage's fetch/compute demand.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+        require_finite(queries, "query")
         tcfg = self.traversal_config(config)
         candidates, stats = self.searcher.search_batch_with_stats(
             self.store.encode_queries(queries), tcfg
         )
-        results, plan = self._rerank(queries, candidates, config, tcfg.k)
+        results, plan = self._rerank(queries, candidates.ids, config)
         return results, stats, plan
 
     def _rerank(
         self,
         queries: np.ndarray,
-        candidates: List[List[Tuple[float, int]]],
+        candidates: np.ndarray,
         config: SearchConfig,
-        kprime: int,
     ) -> Tuple[List[List[Tuple[float, int]]], RerankPlan]:
-        """Exact distances over the over-fetched panel; keep top ``k``."""
-        num_lanes = len(candidates)
-        ids = result_arrays(candidates, kprime)[0]
-        valid = ids != PAD
-        ids[~valid] = 0
+        """Exact distances over the over-fetched ``(B, k')`` id panel
+        (``PAD``-tailed); keep top ``k``."""
+        num_lanes, kprime = candidates.shape
+        valid = candidates != PAD
+        ids = np.where(valid, candidates, 0)
         # Full-precision gather and exact score of the (B, k') panel.
         lanes = np.repeat(np.arange(num_lanes), kprime)
         dists = get_metric(config.metric).gather_many(

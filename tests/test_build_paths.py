@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.data import make_dataset
-from repro.distances import get_metric
+from repro.distances import Metric, get_metric
 from repro.graphs import (
     HNSWIndex,
     build_cagra,
@@ -81,7 +81,36 @@ HNSW_LAYERS = {
             "bc85a63578de8af0",
         ],
     ),
+    # Captured before re-selection reused its pair distances.  "jitter"
+    # is the ties data plus 1e-9 noise in float64: the search scores
+    # float32 copies, where the noise is gone, and linking scores the
+    # float64 rows, where it breaks the ties.
+    "hub m=4 ip": (
+        141,
+        [
+            "ddd4b0ba42f8bf05",
+            "a8a22328590ae231",
+            "b1c67040271cbf46",
+            "da368b6acf1f7f78",
+            "251941c68a174d61",
+        ],
+    ),
+    "jitter m=4 l2 float64": (
+        259,
+        [
+            "e11857642bfc9a89",
+            "7b297dbe9f2da2e1",
+            "fb24322cb952f86f",
+            "0f9389cfa4aa59dd",
+            "bc85a63578de8af0",
+        ],
+    ),
 }
+
+#: Rows ``Metric.gather_many`` scored (search and linking together) in
+#: ``HNSWIndex(data, m=8, ef_construction=48, seed=1).build()`` on the
+#: ``data`` fixture, before re-selection reused its pair distances.
+HNSW_ROWS_BEFORE_REUSE = 464_751
 
 #: ``(name, num_warps)`` of every phase ``build_cagra(data, degree=16)``
 #: recorded at 4197dc3; the first two are the bootstrap's.
@@ -135,7 +164,7 @@ class TestGoldens:
         assert index.entry_point == 61
         assert _hnsw_layers(index) == HNSW_LAYERS["m=8 l2"]
 
-    @pytest.mark.parametrize("metric", ["l2", "cosine"])
+    @pytest.mark.parametrize("metric", ["l2", "cosine", "ip"])
     def test_hnsw_hub(self, metric):
         index = HNSWIndex(_hub_data(), m=4, ef_construction=32, metric=metric, seed=2)
         assert _hnsw_layers(index.build()) == HNSW_LAYERS[f"hub m=4 {metric}"]
@@ -144,6 +173,27 @@ class TestGoldens:
         grid = np.random.default_rng(11).integers(0, 3, size=(500, 6)).astype(np.float32)
         index = HNSWIndex(grid, m=4, ef_construction=32, seed=4).build()
         assert _hnsw_layers(index) == HNSW_LAYERS["ties m=4 l2"]
+
+    def test_hnsw_float64(self):
+        grid = np.random.default_rng(11).integers(0, 3, size=(500, 6)).astype(np.float64)
+        grid += np.random.default_rng(12).standard_normal(grid.shape) * 1e-9
+        index = HNSWIndex(grid, m=4, ef_construction=32, seed=4).build()
+        assert index.data.dtype == np.float64
+        assert _hnsw_layers(index) == HNSW_LAYERS["jitter m=4 l2 float64"]
+
+    def test_hnsw_scores_each_pair_once_per_generation(self, data, monkeypatch):
+        """Work guard: re-selection reuses what it scored within a call."""
+        rows = []
+        gather_many = Metric.gather_many
+
+        def counting(self, queries, lanes, points, ids, norms=None):
+            rows.append(ids.size)
+            return gather_many(self, queries, lanes, points, ids, norms)
+
+        monkeypatch.setattr(Metric, "gather_many", counting)
+        index = HNSWIndex(data, m=8, ef_construction=48, seed=1).build()
+        assert _hnsw_layers(index) == HNSW_LAYERS["m=8 l2"]
+        assert sum(rows) <= 0.7 * HNSW_ROWS_BEFORE_REUSE
 
     def test_cagra(self, data):
         graph = build_cagra(data, degree=16)

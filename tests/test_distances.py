@@ -99,7 +99,9 @@ class TestPairwiseL2Bytes:
         data = np.random.default_rng(5).integers(0, 3, size=(400, 6)).astype(np.float32)
         got = ground_truth(data, data, 12, exclude_self=True)
         monkeypatch.setattr(
-            Metric, "pairwise", lambda self, queries, points: _l2_expression(queries, points)
+            Metric,
+            "pairwise",
+            lambda self, queries, points, norms=None: _l2_expression(queries, points),
         )
         assert np.array_equal(got, ground_truth(data, data, 12, exclude_self=True))
 
@@ -371,3 +373,20 @@ class TestMetricObject:
         m = get_metric("cosine")
         assert get_metric(m) is m
 
+
+@pytest.mark.parametrize("metric", sorted(WHOLE_MATRIX))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pairwise_cached_norms_keep_the_bytes(metric, dtype):
+    """``ground_truth`` hands ``pairwise`` the dataset's norms once: the
+    output is byte-equal with and without them."""
+    rng = np.random.default_rng(13)
+    queries = rng.standard_normal((20, 24)).astype(dtype)
+    points = rng.standard_normal((300, 24)).astype(dtype)
+    queries[4] = 0.0
+    points[7] = 0.0
+    m = get_metric(metric)
+    cached = {"l2": m.point_sq_norms, "cosine": m.point_norms}
+    norms = cached[metric](points) if metric in cached else None
+    got = m.pairwise(queries, points, norms)
+    assert got.tobytes() == m.pairwise(queries, points).tobytes()
+    assert got.tobytes() == WHOLE_MATRIX[metric](queries, points).tobytes()

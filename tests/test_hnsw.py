@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.distances import OpCounter, get_metric
-from repro.graphs.hnsw import HNSWIndex, _select_neighbors
+from repro.graphs.hnsw import HNSWIndex, _PairReuse, _select_neighbors
 from repro.graphs.storage import PAD
 from tests.test_build_paths import _hub_data
 
@@ -212,6 +212,41 @@ class TestSelectNeighbors:
         assert got[0, 0] == ids[0, 0]
 
 
+def _by_owner_distance(metric, data, owners, rows):
+    """Each row's ids and owner distances, ascending, ties by id (oracle input)."""
+    d = np.stack([metric.batch(data[u], data[row]) for u, row in zip(owners, rows)])
+    order = np.lexsort((rows, d))
+    return np.take_along_axis(rows, order, axis=1), np.take_along_axis(d, order, axis=1)
+
+
+class TestReselect:
+    """Re-selection from the reused pair panel against the sequential rule.
+
+    Cold: the first re-selection of an owner in a call scores its whole
+    row.  Warm: the same owners again in the same call, with one more
+    neighbor each, read the kept rows' pairs back from the reuse.
+    """
+
+    @pytest.mark.parametrize("name", ["l2", "cosine", "ip"])
+    @pytest.mark.parametrize("max_deg", [4, 8])
+    def test_cold_then_warm_equals_sequential_oracle(self, name, max_deg):
+        metric, data = get_metric(name), _grid_data()
+        index = HNSWIndex(data, m=4, metric=name)
+        rng = np.random.default_rng(max_deg)
+        owners = np.array([7, 5, 6, 0, 11, 30, 42, 79])  # 7 is the NaN row
+        picks = [rng.permutation(np.delete(np.arange(len(data)), u)) for u in owners]
+        rows = np.stack([p[: max_deg + 1] for p in picks])
+        reuse = _PairReuse(metric, data, owners, max_deg)
+        for wave in range(3):
+            got = index._reselect(owners, rows, max_deg, reuse)
+            ids, dists = _by_owner_distance(metric, data, owners, rows)
+            np.testing.assert_array_equal(got, _oracle(metric, data, ids, dists, max_deg))
+            assert reuse.scored.all()
+            # the next wave: each kept row grows by a point it does not hold
+            new = [next(v for v in p if v not in set(r)) for p, r in zip(picks, got)]
+            rows = np.concatenate([got, np.array(new)[:, None]], axis=1)
+
+
 def test_hub_rows_take_several_append_waves(monkeypatch):
     """The hub golden case re-selects one row more often than its cap in a generation."""
     counts = collections.Counter()
@@ -222,9 +257,9 @@ def test_hub_rows_take_several_append_waves(monkeypatch):
         caps.append(max_deg)
         return link(self, vs, ids, dists, layer, max_deg)
 
-    def spy_reselect(self, owners, rows, max_deg):
+    def spy_reselect(self, owners, *rest):
         counts.update((len(caps), int(u)) for u in owners)
-        return reselect(self, owners, rows, max_deg)
+        return reselect(self, owners, *rest)
 
     monkeypatch.setattr(HNSWIndex, "_link_generation", spy_link)
     monkeypatch.setattr(HNSWIndex, "_reselect", spy_reselect)
