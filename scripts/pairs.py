@@ -2,24 +2,26 @@
 
 Exports two trees into a temporary directory with ``scripts/mutants.py``'s
 copy helpers: the parent commit (``git archive``) and the change (the
-working tree, or a second commit).  Then, per workload, it runs
+working tree).  Then, per workload, it runs
 ``benchmarks/e2e/run.py --workload W --seed S --trace T`` in each tree,
 one process per run, parent and change alternating (the side that runs
 first flips every pair), for N pairs with seeds 1..N.  Per metric it
 prints the clock, both medians with their min–max, the distance
 between the parent's quartiles, the change's move against the parent
-median, the pairs the change won, and, for
-``modeled`` and ``count`` metrics, whether both sides read the same
-value on every seed.
+median, the pairs the change won (for the metrics ``BENCHMARK.json``
+ranks; its ``extra`` views are left blank), and, for ``modeled`` and
+``count`` metrics, whether both sides read the same value on every seed.
+Values are read at full precision from ``run.py``'s closing JSON line.
 
     python scripts/pairs.py --workload build_index            # 10 pairs
     python scripts/pairs.py --workload build_index --trace 1   # per-layer
-    python scripts/pairs.py --parent HEAD~1 --change HEAD      # two commits
     python scripts/pairs.py --scale smoke --pairs 1 --seconds 1
 
-Without ``--workload`` it runs every workload of ``BENCHMARK.json``.  A
-full-scale pair costs about twice ``--seconds`` plus set-up (≈ 30 s at the
-default 12 s).  Exits 1 when a run fails or a ``modeled`` / ``count``
+To compare two commits, check out the later one and pass the earlier as
+``--parent``.  Without ``--workload`` it runs every workload of
+``BENCHMARK.json``; without ``--seconds`` each run lasts as long as
+``run.py``'s own default.  A full-scale pair costs about twice the run
+length plus set-up (≈ 30 s at 12 s runs).  Exits 1 when a run fails or a ``modeled`` / ``count``
 metric differs on some seed, unless that metric is named with
 ``--may-move``; 0 otherwise.  The repository itself is never written to.
 
@@ -66,9 +68,10 @@ def run_once(tree: Path, workload: str, seed: int, args) -> Dict:
     """One ``run.py`` process: ``{"values", "clocks", "failed", "error"}``."""
     command = [
         sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(args.seconds),
-        "--trace", str(args.trace), "--scale", args.scale,
+        "--seed", str(seed), "--trace", str(args.trace), "--scale", args.scale,
     ]
+    if args.seconds is not None:
+        command += ["--seconds", str(args.seconds)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)
     try:
@@ -79,19 +82,20 @@ def run_once(tree: Path, workload: str, seed: int, args) -> Dict:
     except subprocess.TimeoutExpired:
         return {"values": {}, "clocks": {}, "failed": 1, "error": "timeout"}
     lines = proc.stdout.strip().splitlines()
-    values: Dict[str, float] = {}
+    # the clock is only in the table; the values come from the JSON line,
+    # which the table rounds to six decimals
     clocks: Dict[str, str] = {}
     for line in lines[1:]:
         parts = line.split()
         if len(parts) == 4 and not line.startswith("{"):
-            values[parts[0]] = float(parts[1])
             clocks[parts[0]] = parts[3]
     try:
         result = json.loads(lines[-1])
         extra = json.loads(lines[-2])["extra"]
-    except (IndexError, KeyError, json.JSONDecodeError):
+        values = {name: float(m["value"]) for name, m in result["metrics"].items()}
+    except (IndexError, KeyError, TypeError, json.JSONDecodeError):
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
-        return {"values": values, "clocks": clocks, "failed": 1, "error": tail[0]}
+        return {"values": {}, "clocks": clocks, "failed": 1, "error": tail[0]}
     # run.py's own views of its host clock (items/s, the tick, ...)
     for name, value in extra.items():
         if isinstance(value, (int, float)) and name not in values:
@@ -105,7 +109,7 @@ def run_pairs(trees: Dict[str, Path], workload: str, args) -> List[Dict[str, Dic
     """``args.pairs`` pairs, seeds 1..N; the first side flips every pair."""
     pairs = []
     for i in range(args.pairs):
-        seed = args.first_seed + i
+        seed = i + 1
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {side: run_once(trees[side], workload, seed, args) for side in order}
         pairs.append(pair)
@@ -143,8 +147,11 @@ def report(workload: str, pairs: List[Dict[str, Dict]], better: Dict[str, str],
         if not both:
             continue
         parent, change = [a for a, _ in both], [b for _, b in both]
-        direction = better.get(name, "lower")
-        wins = sum((b < a) if direction == "lower" else (b > a) for a, b in both)
+        direction = better.get(name)
+        wins = ""
+        if direction is not None:
+            won = sum((b < a) if direction == "lower" else (b > a) for a, b in both)
+            wins = f"{won} of {len(both)}"
         base = statistics.median(parent)
         shift = (statistics.median(change) - base) / base if base else 0.0
         same = ""
@@ -153,7 +160,7 @@ def report(workload: str, pairs: List[Dict[str, Dict]], better: Dict[str, str],
             if same == "no" and name not in may_move:
                 moved.append(name)
         print(f"| {workload} | {name} | {clock} | {_span(parent)} | {_iqr(parent):.6g} "
-              f"| {_span(change)} | {shift:+.1%} | {wins} of {len(both)} | {same} |")
+              f"| {_span(change)} | {shift:+.1%} | {wins} | {same} |")
     return moved
 
 
@@ -162,12 +169,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workload", action="append",
                         help="repeatable; default: every workload of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=12)
+    parser.add_argument("--seconds", type=int,
+                        help="run length passed to run.py (default: run.py's own)")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", choices=("full", "smoke"), default="full")
     parser.add_argument("--parent", default="HEAD", help="commit to export (default HEAD)")
-    parser.add_argument("--change", help="commit to export (default: the working tree)")
     parser.add_argument("--may-move", nargs="*", default=[],
                         help="modeled / count metrics the change means to move")
     args = parser.parse_args(argv)
@@ -181,13 +187,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
         _export_commit(trees["parent"], args.parent, TREE)
-        if args.change:
-            _export_commit(trees["change"], args.change, TREE)
-        else:
-            _copy_worktree(trees["change"], TREE)
-        print(f"parent {args.parent}, change {args.change or 'working tree'}, "
-              f"{args.pairs} pair(s), seeds {args.first_seed}..{args.first_seed + args.pairs - 1}, "
-              f"--seconds {args.seconds} --trace {args.trace} --scale {args.scale}")
+        _copy_worktree(trees["change"], TREE)
+        seconds = "run.py's default" if args.seconds is None else args.seconds
+        print(f"parent {args.parent}, change: the working tree, {args.pairs} pair(s), "
+              f"seeds 1..{args.pairs}, --seconds {seconds} --trace {args.trace} "
+              f"--scale {args.scale}")
         print("| workload | metric | clock | parent median [min, max] | parent IQR "
               "| change median [min, max] | change | change better in | identical per seed |")
         print("|---|---|---|---|---|---|---|---|---|")
@@ -196,7 +200,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             for i, pair in enumerate(pairs):
                 for side, run in pair.items():
                     if run["failed"]:
-                        failed.append(f"{workload} seed {args.first_seed + i} {side}: "
+                        failed.append(f"{workload} seed {i + 1} {side}: "
                                       f"{run['error']}")
             if all(p[s]["values"] for p in pairs for s in SIDES):
                 moved += [f"{workload} {name}"

@@ -75,12 +75,7 @@ def ground_truth(
     kth = k if exclude_self else k - 1
     rows = max(1, PANEL_BYTES // (8 * n))
     # the dataset's side of every tile, reduced once
-    if m.name == "l2":
-        norms = m.point_sq_norms(data)
-    elif m.name == "cosine":
-        norms = m.point_norms(data)
-    else:
-        norms = None
+    norms = m.pairwise_norms(data)
     out = np.empty((q, k), dtype=np.int64)
     for start in range(0, q, block):
         stop = min(start + block, q)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 # lint: hot-path
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -57,8 +57,8 @@ class Metric:
         product), ``"cosine"`` (negative cosine similarity) or
         ``"hamming"`` (differing bits of packed ``uint32`` signatures —
         a search metric only: the construction-side evaluators
-        :meth:`pair_many`, :meth:`pairwise`, :meth:`point_norms` and
-        :meth:`point_sq_norms` raise for it).
+        :meth:`pair_many`, :meth:`pairwise`, :meth:`pairwise_norms`,
+        :meth:`point_norms` and :meth:`point_sq_norms` raise for it).
     """
 
     def __init__(self, name: str):
@@ -270,8 +270,22 @@ class Metric:
         self._vector_space_only("point_norms")
         return np.linalg.norm(np.asarray(points), axis=1)
 
+    def pairwise_norms(self, points: np.ndarray) -> Optional[np.ndarray]:
+        """The per-point values :meth:`pairwise` reduces ``points`` to:
+        :meth:`point_sq_norms` for L2, :meth:`point_norms` for cosine,
+        ``None`` for inner product, which needs none."""
+        if self.name == "l2":
+            return self.point_sq_norms(points)
+        if self.name == "cosine":
+            return self.point_norms(points)
+        self._vector_space_only("pairwise_norms")
+        return None
+
     def pairwise(
-        self, queries: np.ndarray, points: np.ndarray, norms: np.ndarray = None
+        self,
+        queries: np.ndarray,
+        points: np.ndarray,
+        norms: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """All-pairs distance matrix of shape ``(len(queries), len(points))``.
 
@@ -280,12 +294,10 @@ class Metric:
         of ``PANEL_BYTES`` of rows at a time, so the output is the only
         output-sized array and every block's operands are still in L2
         when the next step reads them.  The bytes are those of the
-        whole-matrix expressions.  ``norms`` optionally carries the
-        cached per-point values, :meth:`point_sq_norms` for L2 and
-        :meth:`point_norms` for cosine (ignored for inner product), for a
-        caller that scores the same points tile after tile; the
-        reduction is per row, so cached values are the bytes recomputing
-        them would give.
+        whole-matrix expressions.  ``norms`` optionally carries
+        :meth:`pairwise_norms` of ``points``, for a caller that scores the
+        same points tile after tile; the reduction is per row, so cached
+        values are the bytes recomputing them would give.
         """
         self._vector_space_only("pairwise")
         d = queries @ points.T
@@ -293,12 +305,10 @@ class Metric:
             return np.negative(d, out=d)
         if self.name == "l2":
             left = np.einsum("ij,ij->i", queries, queries)[:, None]
-            if norms is None:
-                norms = self.point_sq_norms(points)
         else:
             left = np.linalg.norm(queries, axis=1)[:, None]
-            if norms is None:
-                norms = self.point_norms(points)
+        if norms is None:
+            norms = self.pairwise_norms(points)
         right = norms[None, :]
         step = max(1, PANEL_BYTES // (d.itemsize * max(1, d.shape[1])))
         # lint: allow(hot-loop) — iterates row blocks (q / step of them), not rows

@@ -232,8 +232,18 @@ class HNSWIndex:
     # -- construction ----------------------------------------------------
 
     def build(self) -> "HNSWIndex":
-        """Insert every data point, one generation batch at a time."""
+        """Insert every data point, one generation batch at a time.
+
+        Raises ``ValueError`` naming the first row that holds a NaN or an
+        infinity once cast to float32.
+        """
+        from repro.core.batched import BatchedSongSearcher
+        from repro.core.song import require_finite
+
         n = len(self.data)
+        data32 = np.ascontiguousarray(self.data, dtype=np.float32)
+        # before the searcher's own check, so the error names this index
+        require_finite(data32, "HNSWIndex data")
         # one draw per point, in insertion order
         levels = [self._random_level() for _ in range(n)]
         self._levels = levels
@@ -244,13 +254,21 @@ class HNSWIndex:
             ]
             # the first point founds every layer up to its level
             self.entry_point = 0
-            data32 = np.ascontiguousarray(self.data, dtype=np.float32)
+            # one searcher for the whole build, pointed at each (layer,
+            # generation)'s snapshot in turn: the O(n d) validation of
+            # the dataset (and cosine's norms) happens once, not per search
+            searcher = BatchedSongSearcher(
+                FixedDegreeGraph.from_neighbor_array(
+                    self._layers[0][:, :1], entry_point=0, validate=False
+                ),
+                data32,
+            )
             lvl_arr = np.asarray(levels, dtype=np.int64)
             pos = 1
             while pos < n:
                 size = min(n - pos, max(_MIN_GENERATION, pos), _INSERT_BATCH)
                 batch = np.arange(pos, pos + size, dtype=np.int64)
-                self._insert_generation(batch, lvl_arr[batch], data32)
+                self._insert_generation(batch, lvl_arr[batch], searcher)
                 pos += size
         self.built = True
         return self
@@ -258,9 +276,7 @@ class HNSWIndex:
     def _random_level(self) -> int:
         return int(-math.log(max(self._rng.random(), 1e-12)) * self._mult)
 
-    def _insert_generation(
-        self, batch: np.ndarray, lvls: np.ndarray, data32: np.ndarray
-    ) -> None:
+    def _insert_generation(self, batch: np.ndarray, lvls: np.ndarray, searcher) -> None:
         """Insert one generation, batched per layer.
 
         Every lane descends the upper hierarchy in a lockstep vectorized
@@ -271,11 +287,12 @@ class HNSWIndex:
         :meth:`_link_generation`.  Lanes within a generation search
         pre-generation snapshots, so they do not see each other; the
         entry point updates after the generation with the running-max
-        rule.
+        rule.  ``searcher`` is the build's one lockstep searcher over the
+        float32 data.
         """
-        from repro.core.batched import BatchedSongSearcher
         from repro.core.config import SearchConfig
 
+        data32 = searcher.data
         old_top = self._levels[self.entry_point]
         eps = np.full(len(batch), self.entry_point, dtype=np.int64)
         queries = data32[batch]
@@ -302,7 +319,7 @@ class HNSWIndex:
                 )
             if inserting.any():
                 idx = np.nonzero(inserting)[0]
-                searcher = BatchedSongSearcher(snapshot, data32)
+                searcher.graph = snapshot
                 lists = searcher.search_batch(queries[idx], config, entry_points=eps[idx])
                 ids, dists = lists.ids, lists.dists
                 self._link_generation(

@@ -385,8 +385,6 @@ def test_pairwise_cached_norms_keep_the_bytes(metric, dtype):
     queries[4] = 0.0
     points[7] = 0.0
     m = get_metric(metric)
-    cached = {"l2": m.point_sq_norms, "cosine": m.point_norms}
-    norms = cached[metric](points) if metric in cached else None
-    got = m.pairwise(queries, points, norms)
+    got = m.pairwise(queries, points, m.pairwise_norms(points))
     assert got.tobytes() == m.pairwise(queries, points).tobytes()
     assert got.tobytes() == WHOLE_MATRIX[metric](queries, points).tobytes()

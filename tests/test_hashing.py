@@ -126,11 +126,12 @@ class TestHamming:
             searcher.search(np.zeros(2, dtype=np.uint64), config)
 
     @pytest.mark.parametrize(
-        "evaluator", ["pairwise", "pair_many", "point_norms", "point_sq_norms"]
+        "evaluator",
+        ["pairwise", "pair_many", "point_norms", "point_sq_norms", "pairwise_norms"],
     )
     def test_construction_evaluators_refuse_signatures(self, evaluator):
         """They used to fall through to their cosine branch."""
         sigs = np.arange(12, dtype=np.uint32).reshape(6, 2)
-        args = (sigs,) if evaluator.startswith("point") else (sigs, sigs)
+        args = (sigs,) if "norms" in evaluator else (sigs, sigs)
         with pytest.raises(ValueError, match="hamming"):
             getattr(hamming, evaluator)(*args)

@@ -13,7 +13,7 @@ from repro.core.batched import BatchedSongSearcher
 from repro.core.config import SearchConfig
 from repro.core.song import SongSearcher
 from repro.data import make_dataset
-from repro.graphs import build_cagra
+from repro.graphs import HNSWIndex, build_cagra
 from repro.tiered import TieredConfig, TieredIndex
 
 CONFIG = SearchConfig(k=10, queue_size=32)
@@ -73,6 +73,14 @@ class TestData:
         data = _spoiled(ds.data, 17, value)
         with pytest.raises(ValueError, match="TieredIndex data row 17 is not finite"):
             TieredIndex(graph, data, TieredConfig(num_bits=64))
+
+    def test_hnsw_build_names_the_index(self, sift, value):
+        """Before any generation search runs, so the error names the
+        index the caller built rather than a searcher it makes inside."""
+        ds, _ = sift
+        data = _spoiled(ds.data, slice(23, 30), value)
+        with pytest.raises(ValueError, match="HNSWIndex data row 23 is not finite"):
+            HNSWIndex(data, m=8, ef_construction=32, seed=1).build()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
