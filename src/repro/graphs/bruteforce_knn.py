@@ -103,8 +103,13 @@ def build_knn_graph(
     """Exact kNN graph as a :class:`FixedDegreeGraph`.
 
     The entry point defaults to the medoid (point closest to the mean),
-    which is also how NSG picks its navigating node.
+    which is also how NSG picks its navigating node.  Raises
+    ``ValueError`` naming the first row that holds a NaN or an infinity
+    once cast to float32.
     """
+    from repro.core.song import require_finite
+
+    require_finite(np.asarray(data, dtype=np.float32), "build_knn_graph data")
     nbrs = knn_neighbors(data, k, metric)
     if entry_point is None:
         entry_point = medoid(data, metric)

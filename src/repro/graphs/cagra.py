@@ -244,7 +244,14 @@ class CagraBuilder:
         self.cost = cost
 
     def build(self) -> FixedDegreeGraph:
-        """Run bootstrap → reorder → reverse merge; returns the graph."""
+        """Run bootstrap → reorder → reverse merge; returns the graph.
+
+        Raises ``ValueError`` naming the first row that holds a NaN or an
+        infinity once cast to float32.
+        """
+        from repro.core.song import require_finite
+
+        require_finite(np.asarray(self.data, dtype=np.float32), "CagraBuilder data")
         n = len(self.data)
         k0 = self.intermediate_degree
         if n <= k0:

@@ -35,11 +35,12 @@ from typing import Optional
 import numpy as np
 
 from repro.distances import get_metric
+from repro.graphs._prune import dedup_pool_edges
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
 from repro.graphs.storage import PAD, FixedDegreeGraph
 from repro.simt.build_cost import maybe_recorder
-from repro.structures.soa import pack_rowid, unpack_rowid
+from repro.structures.soa import pack_rowid
 
 __all__ = ["build_dpg"]
 
@@ -102,9 +103,10 @@ def _undirect(
     Every stream entry carries a priority: diversified forward edges
     first (their pick order), then reverse edges in arrival order
     (source vertex, then source slot), then each vertex's
-    remaining kNN candidates in rank order.  One lexsort dedups each
-    ``(vertex, candidate)`` to its strongest band, a second ranks each
-    vertex's survivors, and a scatter writes the rows.
+    remaining kNN candidates in rank order.
+    :func:`~repro.graphs._prune.dedup_pool_edges` (NSG's pool dedup)
+    keeps each ``(vertex, candidate)`` at its strongest band and ranks
+    each vertex's survivors, and a scatter writes the rows.
     """
     from repro.graphs.nn_descent import _rank_within_groups
 
@@ -138,17 +140,9 @@ def _undirect(
     p_all = np.concatenate([p_f, p_r, p_b])
     rec.record_flat_sort(len(w_all), "undirect")
 
-    # dedup each (vertex, candidate) to its strongest band
-    vc = pack_rowid(w_all, c_all, n)
-    order = np.lexsort((p_all, vc))
-    vc_s, p_s = vc[order], p_all[order]
-    first = np.ones(len(vc_s), dtype=bool)
-    first[1:] = vc_s[1:] != vc_s[:-1]
-    vc_s, p_s = vc_s[first], p_s[first]
-    w_k, c_k = unpack_rowid(vc_s, n)
-    order = np.lexsort((p_s, w_k))
-    w_k, c_k = w_k[order], c_k[order]
-    rank = _rank_within_groups(w_k)
+    # dedup each (vertex, candidate) to its strongest band; a vertex's
+    # priorities are distinct, so the candidate tie-break never decides
+    w_k, c_k, _, rank = dedup_pool_edges(w_all, c_all, p_all, n)
     sel = rank < degree
     out = np.full((n, degree), PAD, dtype=np.int64)
     out[w_k[sel], rank[sel]] = c_k[sel]
@@ -179,16 +173,21 @@ def build_dpg(
     cost:
         Optional :class:`~repro.simt.build_cost.BuildCostRecorder`;
         every bulk kernel of the build is recorded on it.
+
+    Raises ``ValueError`` naming the first row that holds a NaN or an
+    infinity once cast to float32.
     """
+    from repro.core.song import require_finite
+
     data = np.asarray(data)
+    data32 = np.ascontiguousarray(data, dtype=np.float32)
+    require_finite(data32, "build_dpg data")
     if degree < 2:
         raise ValueError("degree must be at least 2")
     knn = knn or 2 * degree
     table = bootstrap_table(data, knn, metric, knn_table, cost=cost)
     rec = maybe_recorder(cost)
-    fwd = _diversify(
-        np.ascontiguousarray(data, dtype=np.float32), table, max(1, degree // 2), rec
-    )
+    fwd = _diversify(data32, table, max(1, degree // 2), rec)
     adjacency = _undirect(fwd, table, degree, rec)
     entry = medoid(data, metric)
     attach_orphans(adjacency, table, entry, data, get_metric(metric))

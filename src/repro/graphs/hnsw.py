@@ -14,10 +14,12 @@ as one lockstep :class:`~repro.core.batched.BatchedSongSearcher` sweep
 seeded per-lane from the descent.  Generations are capped at the
 inserted prefix (doubling schedule) and at ``_INSERT_BATCH``.
 
-Linking is batched the same way.  One :func:`_select_neighbors` call
-runs the heuristic for every new point of the (layer, generation) in
-lockstep over candidate columns, scoring only the candidate-to-kept
-pairs it reads.  The reverse edges then land in append waves: wave
+Linking is batched the same way.  One
+:func:`~repro.graphs._prune.occlusion_select` call — the column loop
+NSG prunes with too — runs the heuristic, with its nearest-rejected
+backfill, for every new point of the (layer, generation) in lockstep
+over candidate columns, scoring only the candidate-to-kept pairs it
+reads.  The reverse edges then land in append waves: wave
 ``t`` gives every row its ``t``-th new neighbor and re-selects, in one
 more call of the same column loop, every row that overflowed.  Those
 calls read their pairs from a panel: the (layer, generation) keeps
@@ -55,6 +57,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.distances import Metric, OpCounter, get_metric
+from repro.graphs._prune import occlusion_select
 from repro.graphs.storage import PAD, FixedDegreeGraph
 
 __all__ = ["HNSWIndex"]
@@ -65,66 +68,6 @@ _MIN_GENERATION = 8
 #: Hard cap on one generation's size (bounds the lockstep searcher's
 #: per-batch frontier/visited state).
 _INSERT_BATCH = 512
-
-
-def _select_neighbors(
-    metric: Metric,
-    data: np.ndarray,
-    ids: np.ndarray,
-    dists: np.ndarray,
-    m: int,
-    pairs: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """HNSW's diverse-neighbor selection (Algorithm 4) for ``R`` rows at once.
-
-    Row ``r`` of the ``(R, C)`` ``ids`` lists one point's candidates in
-    ascending ``dists`` order, ``PAD`` after the last.  A candidate is
-    kept when no already-kept neighbor is closer to it than the point
-    is; when the candidates run out before ``m`` are kept, the nearest
-    rejected ones backfill the row.  The result is ``(R, m)``: the kept
-    ids in candidate order, then the backfill, ``PAD`` after
-    ``min(m, candidates)`` entries.
-
-    Rows run in lockstep over candidate columns.  Step ``c`` compares
-    every live row's ``c``-th candidate with the at most ``m`` neighbors
-    that row has kept.  Without ``pairs`` it scores those pairs in one
-    :meth:`~repro.distances.metrics.Metric.gather_many` call, so a row
-    costs at most ``C·m`` pair distances, not the ``C²`` of a full
-    pairwise panel; with the ``(R, C, C)`` panel ``pairs[r, i, j]`` (the
-    distance between candidates ``i`` and ``j`` of row ``r``) it reads
-    them and scores nothing.  Either way a pair's value is the one a
-    one-row-at-a-time rule would score: ``gather_many`` values do not
-    depend on the call that computes them, and the vector-space
-    distances are bitwise symmetric in their two rows.
-    """
-    rows, width = ids.shape
-    valid = ids != PAD
-    picked = np.zeros((rows, width), dtype=bool)
-    count = np.zeros(rows, dtype=np.int64)
-    if pairs is not None:
-        far = ~(pairs >= dists[:, :, None])  # far[r, c, j]: kept j rejects c
-    # lint: allow(hot-loop) — iterates candidate columns (≤ ef), all rows at once
-    for col in range(width):
-        live = valid[:, col] & (count < m)
-        if col and live.any():
-            # a live row keeps its candidate unless a kept neighbor is closer
-            if pairs is None:
-                row, j = np.nonzero(picked[:, :col] & live[:, None])
-                pair = metric.gather_many(data, ids[row, col], data, ids[row, j])
-                live[row[~(pair >= dists[row, col])]] = False
-            else:
-                live &= ~(picked[:, :col] & far[:, col, :col]).any(axis=1)
-        picked[:, col] = live
-        count += live
-    kept = np.full((rows, m), PAD, dtype=np.int64)
-    row, col = np.nonzero(picked)
-    kept[row, np.cumsum(picked, axis=1)[row, col] - 1] = ids[row, col]
-    # backfill: the nearest rejected candidates, in candidate order
-    spare = valid & ~picked
-    rank = np.cumsum(spare, axis=1) - 1
-    row, col = np.nonzero(spare & (rank < (m - count)[:, None]))
-    kept[row, count[row] + rank[row, col]] = ids[row, col]
-    return kept
 
 
 class _PairReuse:
@@ -384,7 +327,8 @@ class HNSWIndex:
         ``ids`` / ``dists`` are the points' ascending search results
         (:class:`~repro.core.batched.LaneResults` arrays).
         Every candidate is an old vertex, so the forward selections are
-        independent and run as one :func:`_select_neighbors` call.  The
+        independent and run as one
+        :func:`~repro.graphs._prune.occlusion_select` call.  The
         reverse edges are then appended in the order one-by-one insertion
         would make them: a stable sort by row ranks each row's appends,
         and wave ``t`` appends every rank-``t`` edge and re-selects every
@@ -394,7 +338,7 @@ class HNSWIndex:
         every pair at most once.
         """
         adj = self._layers[layer]
-        forward = _select_neighbors(self.metric, self.data, ids, dists, self.m)
+        forward = occlusion_select(self.metric, self.data, ids, dists, self.m)
         adj[vs, : self.m] = forward
         owners = forward.ravel()
         real = owners != PAD
@@ -453,7 +397,7 @@ class HNSWIndex:
         panel[:, -1, :-1] = panel[:, :-1, -1] = fresh[count:].reshape(members.shape)
         order = np.lexsort((rows, d))  # per row: by distance, ties by id
         at = np.arange(count)[:, None]
-        kept = _select_neighbors(
+        kept = occlusion_select(
             self.metric,
             self.data,
             rows[at, order],

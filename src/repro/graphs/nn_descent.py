@@ -122,11 +122,8 @@ def nn_descent(
     data = np.ascontiguousarray(np.asarray(data), dtype=np.float32)
     rng = np.random.default_rng(seed)
     m = get_metric(metric)
-    norms = m.point_norms(data) if m.name == "cosine" else None
-    if m.name == "l2":
-        pair_cache: Optional[np.ndarray] = m.point_sq_norms(data)
-    else:
-        pair_cache = norms  # cosine norms; None for ip
+    pair_cache = m.pairwise_norms(data)
+    norms = pair_cache if m.name == "cosine" else None  # batch_many's cache
     if max_candidates is not None and max_candidates <= 0:
         raise ValueError("max_candidates must be positive")
     if stats is not None:
@@ -430,8 +427,8 @@ def _pair_distances(
 ) -> np.ndarray:
     """Distances of a flat pair list, evaluated in fused ``pair_many`` tiles.
 
-    ``norm_cache`` holds the dataset's per-row cache for the metric
-    (squared norms for L2, norms for cosine, ``None`` for ip).
+    ``norm_cache`` holds the dataset's
+    :meth:`~repro.distances.metrics.Metric.pairwise_norms`.
     """
     out = np.empty(len(p1), dtype=np.float32)
     for start in range(0, len(p1), _PAIR_TILE):  # lint: allow(hot-loop) — tile loop

@@ -12,12 +12,14 @@ The bootstrap table comes from
 :func:`~repro.graphs.bruteforce_knn.bootstrap_table` (exact up to 2^15
 points).  Candidate pools for *every* vertex come from lockstep
 :class:`~repro.core.batched.BatchedSongSearcher` sweeps over the
-table-as-graph; pools are merged, deduplicated and distance-sorted with
-flat lexsorts; the monotonic-RNG prune runs as a generation-batched
-occlusion fixpoint — each round every still-active vertex accepts its
-first unresolved candidate, then one fused
-:meth:`~repro.distances.metrics.Metric.pair_many` tile occludes the
-dominated remainder — the accept/occlude decisions of NSG Algorithm 2,
+table-as-graph, read straight from the sweeps'
+:class:`~repro.core.batched.LaneResults` arrays; each vertex's own kNN
+row joins its pool, scored by
+:meth:`~repro.distances.metrics.Metric.gather_many` like the search
+scores; :func:`~repro.graphs._prune.dedup_pool_edges` dedups and
+distance-sorts the pools in flat lexsorts; the monotonic-RNG prune is
+:func:`~repro.graphs._prune.occlusion_select`, HNSW's column loop
+without its backfill — the accept/occlude decisions of NSG Algorithm 2,
 taken for all rows at once; and
 :func:`~repro.graphs._repair.attach_orphans` restores reachability.
 
@@ -35,42 +37,17 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.distances import get_metric
+from repro.graphs._prune import dedup_pool_edges, occlusion_select
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
 from repro.graphs.storage import PAD, FixedDegreeGraph
 from repro.simt.build_cost import maybe_recorder
-from repro.structures.soa import pack_rowid, unpack_rowid
 
 __all__ = ["NSGBuilder", "build_nsg"]
 
 #: Queries per lockstep candidate-pool sweep (bounds the searcher's
 #: per-batch frontier/visited state).
 _POOL_CHUNK = 1024
-
-
-def _dedup_pool_edges(
-    owner: np.ndarray, cand: np.ndarray, dist: np.ndarray, n: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dedup flat pool edges and rank them per owner by distance.
-
-    Each ``(owner, cand)`` pair keeps its smallest distance, survivors
-    are sorted per owner by ``(distance, cand)``, and ``rank`` is each
-    edge's 0-based position within its owner's run — ready for a
-    ``pool[owner, rank]`` scatter.
-    """
-    from repro.graphs.nn_descent import _rank_within_groups
-
-    vc = pack_rowid(owner, cand, n)
-    order = np.lexsort((dist, vc))
-    vc_s, dist_s = vc[order], dist[order]
-    keep = np.ones(len(vc_s), dtype=bool)
-    keep[1:] = vc_s[1:] != vc_s[:-1]
-    vc_s, dist_s = vc_s[keep], dist_s[keep]
-    owner_k, cand_k = unpack_rowid(vc_s, n)
-    order = np.lexsort((cand_k, dist_s, owner_k))
-    owner_k, cand_k, dist_s = owner_k[order], cand_k[order], dist_s[order]
-    rank = _rank_within_groups(owner_k)
-    return owner_k, cand_k, dist_s, rank
 
 
 class NSGBuilder:
@@ -117,24 +94,36 @@ class NSGBuilder:
         self.cost = cost
 
     def build(self) -> FixedDegreeGraph:
-        """Run the full NSG pipeline and return the fixed-degree graph."""
+        """Run the full NSG pipeline and return the fixed-degree graph.
+
+        Raises ``ValueError`` naming the first row that holds a NaN or an
+        infinity once cast to float32.
+        """
+        from repro.core.song import require_finite
+
         n = len(self.data)
+        data32 = np.ascontiguousarray(self.data, dtype=np.float32)
+        require_finite(data32, "NSGBuilder data")
         if n <= self.knn:
             raise ValueError("dataset too small for the requested knn")
         table = bootstrap_table(
             self.data, self.knn, self.metric.name, self._knn_table, cost=self.cost
         )
         nav = medoid(self.data, self.metric.name)
-        ci, cd = self._gather_pools(table, nav)
-        adjacency = self._occlusion_prune(ci, cd)
+        ci, cd = self._gather_pools(data32, table, nav)
+        adjacency = occlusion_select(
+            self.metric, data32, ci, cd, self.degree, backfill=False, cost=self.cost
+        )
+        rec = maybe_recorder(self.cost)
+        rec.record_sort(n, ci.shape[1], "prune-rank")
         attach_orphans(adjacency, table, nav, self.data, self.metric)
-        maybe_recorder(self.cost).record_graph_write(adjacency.size)
+        rec.record_graph_write(adjacency.size)
         return FixedDegreeGraph.from_neighbor_array(
             adjacency, entry_point=nav, validate=False
         )
 
     def _gather_pools(
-        self, table: np.ndarray, nav: int
+        self, data32: np.ndarray, table: np.ndarray, nav: int
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Distance-sorted candidate pools for every vertex at once.
 
@@ -147,11 +136,10 @@ class NSGBuilder:
         """
         from repro.core.batched import BatchedSongSearcher
         from repro.core.config import SearchConfig
-        from repro.graphs.nn_descent import _pair_distances, _ragged_arange
+
         rec = maybe_recorder(self.cost)
         n, knn = table.shape
-        dim = self.data.shape[1]
-        data32 = np.ascontiguousarray(self.data, dtype=np.float32)
+        dim = data32.shape[1]
         knn_graph = FixedDegreeGraph.from_neighbor_array(
             table, entry_point=nav, validate=False
         )
@@ -162,22 +150,16 @@ class NSGBuilder:
             metric=self.metric.name,
         )
         width = self.search_len + knn
-        pool_ids = np.full((n, width), PAD, dtype=np.int64)
-        pool_d = np.full((n, width), np.inf, dtype=np.float64)
+        # every slot is written: sweep results are search_len wide, PAD-tailed
+        pool_ids = np.empty((n, width), dtype=np.int64)
+        pool_d = np.empty((n, width), dtype=np.float32)
         flops = self.metric.flops_per_distance(dim)
         a = 0
         while a < n:
             b = min(n, a + _POOL_CHUNK)
             results, stats = searcher.search_batch_with_stats(data32[a:b], config)
-            lens = np.fromiter((len(r) for r in results), np.int64, count=b - a)
-            flat = np.asarray(
-                [p for r in results for p in r], dtype=np.float64
-            ).reshape(-1, 2)
-            if len(flat):
-                owners = np.repeat(np.arange(a, b, dtype=np.int64), lens)
-                slots = _ragged_arange(lens)
-                pool_d[owners, slots] = flat[:, 0]
-                pool_ids[owners, slots] = flat[:, 1].astype(np.int64)
+            pool_ids[a:b, : self.search_len] = results.ids
+            pool_d[a:b, : self.search_len] = results.dists
             rec.record_search(
                 iterations=sum(s.iterations for s in stats),
                 distances=sum(s.distance_computations for s in stats),
@@ -189,19 +171,13 @@ class NSGBuilder:
             )
             a = b
 
-        # merge each vertex's own kNN row into its pool
-        if self.metric.name == "l2":
-            pair_cache = self.metric.point_sq_norms(data32)
-        elif self.metric.name == "cosine":
-            pair_cache = self.metric.point_norms(data32)
-        else:
-            pair_cache = None
-        knn_owner = np.repeat(np.arange(n, dtype=np.int64), knn)
-        knn_flat = table.ravel().astype(np.int64)
-        knn_d = _pair_distances(data32, knn_owner, knn_flat, self.metric, pair_cache)
-        rec.record_distances(len(knn_flat), flops, dim, "pool-knn")
+        # each vertex's own kNN row joins its pool
+        owner = np.repeat(np.arange(n, dtype=np.int64), knn)
         pool_ids[:, self.search_len :] = table
-        pool_d[:, self.search_len :] = knn_d.reshape(n, knn)
+        pool_d[:, self.search_len :] = self.metric.gather_many(
+            data32, owner, data32, table.ravel()
+        ).reshape(n, knn)
+        rec.record_distances(n * knn, flops, dim, "pool-knn")
 
         # drop self-references, then dedup + sort the flat pool
         owner = np.repeat(np.arange(n, dtype=np.int64), width)
@@ -209,68 +185,14 @@ class NSGBuilder:
         dist = pool_d.ravel()
         valid = (cand >= 0) & (cand != owner)
         owner, cand, dist = owner[valid], cand[valid], dist[valid]
-        owner_k, cand_k, dist_s, rank = _dedup_pool_edges(owner, cand, dist, n)
+        owner_k, cand_k, dist_s, rank = dedup_pool_edges(owner, cand, dist, n)
         rec.record_flat_sort(len(owner), "pool-dedup")
 
         ci = np.full((n, width), PAD, dtype=np.int64)
-        cd = np.full((n, width), np.inf, dtype=np.float64)
+        cd = np.full((n, width), np.inf, dtype=np.float32)
         ci[owner_k, rank] = cand_k
         cd[owner_k, rank] = dist_s
         return ci, cd
-
-    def _occlusion_prune(self, ci: np.ndarray, cd: np.ndarray) -> np.ndarray:
-        """Monotonic-RNG selection as a generation-batched fixpoint.
-
-        Invariant per round: in every active row all undecided
-        candidates sit *after* the first one (pools are distance-sorted
-        and earlier slots are already chosen or occluded), so accepting
-        the first undecided candidate is exactly a sequential scan's next
-        accept.  The new pick then occludes every remaining undecided
-        candidate it dominates — one fused ``pair_many`` tile for the
-        whole generation, the batched twin of NSG Algorithm 2's inner
-        loop.
-        """
-        from repro.graphs.nn_descent import _pair_distances
-        rec = maybe_recorder(self.cost)
-        n, width = ci.shape
-        dim = self.data.shape[1]
-        data32 = np.ascontiguousarray(self.data, dtype=np.float32)
-        if self.metric.name == "l2":
-            pair_cache = self.metric.point_sq_norms(data32)
-        elif self.metric.name == "cosine":
-            pair_cache = self.metric.point_norms(data32)
-        else:
-            pair_cache = None
-        flops = self.metric.flops_per_distance(dim)
-
-        # 0 = undecided, 1 = chosen, 2 = occluded (PAD slots start occluded)
-        state = np.zeros((n, width), dtype=np.int8)  # lint: allow(narrow-int) states 0..2
-        state[ci == PAD] = 2
-        chosen_cnt = np.zeros(n, dtype=np.int64)
-        out = np.full((n, self.degree), PAD, dtype=np.int64)
-        while True:
-            undecided = state == 0
-            active = np.nonzero(undecided.any(axis=1) & (chosen_cnt < self.degree))[0]
-            if not len(active):
-                break
-            first = np.argmax(undecided[active], axis=1)
-            picked = ci[active, first]
-            out[active, chosen_cnt[active]] = picked
-            state[active, first] = 1
-            chosen_cnt[active] += 1
-            rows_u, cols_u = np.nonzero(state[active] == 0)
-            if not len(rows_u):
-                continue
-            owner_rows = active[rows_u]
-            d_cu = _pair_distances(
-                data32, picked[rows_u], ci[owner_rows, cols_u],
-                self.metric, pair_cache,
-            )
-            occluded = d_cu < cd[owner_rows, cols_u]
-            state[owner_rows[occluded], cols_u[occluded]] = 2
-            rec.record_distances(len(rows_u), flops, dim, "occlude")
-        rec.record_sort(n, width, "prune-rank")
-        return out
 
 
 def build_nsg(

@@ -84,7 +84,14 @@ class NSWBuilder:
         self._order: List[int] = []
 
     def build(self) -> FixedDegreeGraph:
-        """Insert every point and export the fixed-degree graph."""
+        """Insert every point and export the fixed-degree graph.
+
+        Raises ``ValueError`` naming the first row that holds a NaN or an
+        infinity once cast to float32.
+        """
+        from repro.core.song import require_finite
+
+        require_finite(np.asarray(self.data, dtype=np.float32), "NSWBuilder data")
         n = len(self.data)
         if n == 0:
             raise ValueError("cannot build a graph over an empty dataset")

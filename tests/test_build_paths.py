@@ -42,6 +42,18 @@ GOLDEN = {
     "dpg (build_engine='batched', exact table)": "c3b319234fdbd925",
 }
 
+#: ``(entry point, adjacency digest)`` of NSG and DPG builds under the
+#: other metrics and on small-integer data, captured while NSG still
+#: pruned with its own occlusion fixpoint and scored pairs through the
+#: norm identity.  "ties" is the HNSW ties grid: equal distances and
+#: duplicate rows everywhere, so the pool order's id tie-break decides.
+PRUNE_PINS = {
+    "nsg cosine": (466, "510fca557f5732ca"),
+    "nsg ip": (390, "d4c9ca9cdbc9ed81"),
+    "nsg ties": (203, "f049605b528735d7"),
+    "dpg cosine": (466, "b614e6e594c56598"),
+}
+
 #: Per-layer digests (layer 0 first) and entry point of whole HNSW
 #: indexes, captured before generation-wide linking replaced per-vertex
 #: linking.  "hub" is clustered data at m=4: within one generation a
@@ -216,6 +228,22 @@ class TestGoldens:
         # below 2^15 points the default bootstrap *is* the exact table
         default = build_nsg(data, degree=16, knn=16)
         assert np.array_equal(default.adjacency_array, over_table.adjacency_array)
+
+    @pytest.mark.parametrize("metric", ["cosine", "ip"])
+    def test_nsg_other_metrics(self, data, metric):
+        graph = build_nsg(data, degree=16, knn=16, metric=metric)
+        pin = (graph.entry_point, _digest(graph.adjacency_array))
+        assert pin == PRUNE_PINS[f"nsg {metric}"]
+
+    def test_nsg_ties(self):
+        grid = np.random.default_rng(11).integers(0, 3, size=(500, 6)).astype(np.float32)
+        graph = build_nsg(grid, degree=8, knn=8)
+        assert (graph.entry_point, _digest(graph.adjacency_array)) == PRUNE_PINS["nsg ties"]
+
+    def test_dpg_cosine(self, data):
+        graph = build_dpg(data, degree=16, metric="cosine")
+        pin = (graph.entry_point, _digest(graph.adjacency_array))
+        assert pin == PRUNE_PINS["dpg cosine"]
 
     def test_dpg(self, data):
         # no vertex of this build was unreachable at 4197dc3, so the

@@ -1,12 +1,14 @@
 """HNSW index tests."""
 
 import collections
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.distances import OpCounter, get_metric
-from repro.graphs.hnsw import HNSWIndex, _PairReuse, _select_neighbors
+from repro.graphs._prune import occlusion_select
+from repro.graphs.hnsw import HNSWIndex, _PairReuse
 from repro.graphs.storage import PAD
 from tests.test_build_paths import _hub_data
 
@@ -112,13 +114,14 @@ class TestExport:
         assert g.entry_point == index.entry_point
 
 
-def _select_indices(dists, pair, m):
-    """Sequential HNSW neighbor selection, one row at a time (oracle).
+def _select_indices(dists, pair, m, backfill=True):
+    """Sequential occlusion selection, one row at a time (oracle).
 
     Algorithm 4 in index space over a full pairwise matrix (``dists``
     ascending, ``pair[i, j]`` the distance from candidate ``i`` to
-    candidate ``j``), then backfill with the nearest rejected candidates.
-    This is the loop :func:`_select_neighbors` runs in lockstep.
+    candidate ``j``), then, with ``backfill`` (HNSW; NSG has none), the
+    nearest rejected candidates.  This is the loop
+    :func:`~repro.graphs._prune.occlusion_select` runs in lockstep.
     """
     chosen = []
     for i in range(len(dists)):
@@ -127,7 +130,7 @@ def _select_indices(dists, pair, m):
         d = dists[i]
         if all(pair[i, j] >= d for j in chosen):
             chosen.append(i)
-    if len(chosen) < m:  # backfill with nearest rejected candidates
+    if backfill and len(chosen) < m:  # backfill with nearest rejected candidates
         picked = set(chosen)
         for i in range(len(dists)):
             if len(chosen) >= m:
@@ -137,13 +140,13 @@ def _select_indices(dists, pair, m):
     return chosen
 
 
-def _oracle(metric, data, ids, dists, m):
+def _oracle(metric, data, ids, dists, m, backfill=True):
     out = np.full((len(ids), m), PAD, dtype=np.int64)
     for r, (row, d) in enumerate(zip(ids, dists)):
         row = row[row != PAD]
         vecs = data[row]
         pair = metric.batch_many(vecs, np.broadcast_to(vecs[None], (len(row),) + vecs.shape))
-        keep = _select_indices(d[: len(row)], pair, m)
+        keep = _select_indices(d[: len(row)], pair, m, backfill)
         out[r, : len(keep)] = row[keep]
     return out
 
@@ -179,25 +182,34 @@ class TestSelectNeighbors:
     @pytest.mark.parametrize("rows", [1, 512])
     def test_equals_sequential_oracle(self, name, rows):
         metric, data = get_metric(name), _grid_data()
-        for m in (2, 4, 8):
+        for m, backfill in itertools.product((2, 4, 8), (True, False)):
             ids, dists = _cases(metric, data, rows, width=24, seed=rows + m)
-            got = _select_neighbors(metric, data, ids, dists, m)
-            np.testing.assert_array_equal(got, _oracle(metric, data, ids, dists, m))
+            got = occlusion_select(metric, data, ids, dists, m, backfill=backfill)
+            want = _oracle(metric, data, ids, dists, m, backfill)
+            np.testing.assert_array_equal(got, want)
 
     def test_fewer_candidates_than_m(self):
         # C < m for the whole batch, with empty and one-id rows among them
         metric, data = get_metric("l2"), _grid_data(1)
         ids, dists = _cases(metric, data, 64, width=3, seed=9)
         assert (ids == PAD).all(axis=1).any() and ((ids != PAD).sum(axis=1) == 1).any()
-        got = _select_neighbors(metric, data, ids, dists, 8)
+        offered = (ids != PAD).sum(axis=1)
+        got = occlusion_select(metric, data, ids, dists, 8)
         np.testing.assert_array_equal(got, _oracle(metric, data, ids, dists, 8))
         # short rows are backfilled to their full candidate count
-        assert ((got != PAD).sum(axis=1) == (ids != PAD).sum(axis=1)).all()
+        assert ((got != PAD).sum(axis=1) == offered).all()
+        got = occlusion_select(metric, data, ids, dists, 8, backfill=False)
+        np.testing.assert_array_equal(got, _oracle(metric, data, ids, dists, 8, False))
+        # without backfill a row keeps what survives the rule, its first
+        # candidate always
+        filled = (got != PAD).sum(axis=1)
+        assert (filled <= offered).all() and (filled < offered).any()
+        assert (filled[offered > 0] >= 1).all()
 
     def test_no_candidates(self):
         metric, data = get_metric("l2"), _grid_data()
         ids = np.empty((3, 0), dtype=np.int64)
-        got = _select_neighbors(metric, data, ids, np.empty((3, 0)), 4)
+        got = occlusion_select(metric, data, ids, np.empty((3, 0)), 4)
         assert got.shape == (3, 4) and (got == PAD).all()
 
     def test_nan_distances_rejected_like_the_oracle(self):
@@ -207,7 +219,7 @@ class TestSelectNeighbors:
         dists[0, 0] = np.nan  # nothing kept yet: kept, as all([]) is true
         dists[1, 3] = np.nan  # compared with kept neighbors: rejected
         dists[2, :] = np.nan
-        got = _select_neighbors(metric, data, ids, dists, 4)
+        got = occlusion_select(metric, data, ids, dists, 4)
         np.testing.assert_array_equal(got, _oracle(metric, data, ids, dists, 4))
         assert got[0, 0] == ids[0, 0]
 

@@ -1,4 +1,5 @@
-"""Non-finite inputs are refused at the door, by every search path.
+"""Non-finite inputs are refused at the door, by every search path and
+every graph builder.
 
 A NaN or infinite component gives NaN distances, which the serial heaps
 and the lockstep engine's packed keys order differently: unchecked, the
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core.batched import BatchedSongSearcher
-from repro.core.config import SearchConfig
+from repro.core.config import GRAPH_TYPES, SearchConfig
 from repro.core.song import SongSearcher
 from repro.data import make_dataset
-from repro.graphs import HNSWIndex, build_cagra
+from repro.graphs import HNSWIndex, build_cagra, build_graph
 from repro.tiered import TieredConfig, TieredIndex
 
 CONFIG = SearchConfig(k=10, queue_size=32)
@@ -59,7 +60,18 @@ class TestQueries:
             tier.search_batch_with_stats(_spoiled(ds.queries, 4, value), CONFIG)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf])
+#: The name each graph family's builder gives its data in the error.
+BUILDER_LABELS = {
+    "nsw": "NSWBuilder",
+    "hnsw": "HNSWIndex",
+    "nsg": "NSGBuilder",
+    "dpg": "build_dpg",
+    "cagra": "CagraBuilder",
+    "knn": "build_knn_graph",
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 class TestData:
     def test_searchers(self, sift, value):
         ds, graph = sift
@@ -81,6 +93,17 @@ class TestData:
         data = _spoiled(ds.data, slice(23, 30), value)
         with pytest.raises(ValueError, match="HNSWIndex data row 23 is not finite"):
             HNSWIndex(data, m=8, ef_construction=32, seed=1).build()
+
+    @pytest.mark.parametrize("family", GRAPH_TYPES)
+    def test_every_builder_names_itself(self, family, value):
+        """Each builder refuses the row before any work: unchecked, NSW
+        made a NaN row a hub, DPG, CAGRA and kNN built without a word, and
+        NSG failed inside the searcher it makes."""
+        data = _spoiled(np.random.default_rng(0).standard_normal((300, 8)), 17, value)
+        label = BUILDER_LABELS[family]
+        with pytest.raises(ValueError, match=f"^{label} data row 17 is not finite"):
+            build_graph(data, family, degree=8)
+
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
