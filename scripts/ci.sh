@@ -58,6 +58,14 @@ timeout 300 python3 benchmarks/e2e/run.py --smoke --trace 1
 # or a modeled or count metric differs between the two sides.
 timeout 600 python scripts/pairs.py --scale smoke --pairs 1 --seconds 1
 
+# Fig. 15 is the figure the single-thread accounting decides: both of
+# its sides are priced by one function (cpu_song.price_records), under
+# two named CpuModels.  Regenerate it and fail if the reports differ from
+# the committed ones, so a change to that accounting cannot move the
+# figure silently.  About 15 s (8 s with a warm graph cache).
+timeout 600 python -m pytest benchmarks/bench_fig15_cpu_song.py --benchmark-only -q
+git diff --exit-code -- benchmarks/results/fig15_nytimes.txt benchmarks/results/fig15_uqv.txt
+
 # The per-stage set-up memory table (scripts/setup_peaks.py) at a small
 # size, so the script keeps step with the builder it mirrors.
 timeout 120 python scripts/setup_peaks.py --dataset gist --n 2000 --queries 128 >/dev/null

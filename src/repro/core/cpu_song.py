@@ -3,17 +3,16 @@
 The same 3-stage search as the GPU kernel, priced by a CPU machine model
 instead of warp costs: search (through the searcher's one dispatch,
 :meth:`SongSearcher.search_batch <repro.core.song.SongSearcher.search_batch>`)
-with an operation record, then :func:`record_ops` turns the record into
-the work units :meth:`~repro.core.machine.CpuModel.seconds` prices — the
-mirror of ``GpuSongIndex.search_batch``.  Its edge over plain HNSW search comes
-from exactly what the paper engineered: batched distance evaluation
-(SIMD friendly) and the bounded data structures.
+with an operation record, then :func:`price_records` prices it, as it
+prices HNSW's queries — the mirror of ``GpuSongIndex.search_batch``.
+Beyond the search itself only the constants differ: ``TUNED_CPU`` here
+stands for what the paper engineered, HNSW runs under ``DEFAULT_CPU``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import astuple, dataclass
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -47,6 +46,18 @@ def record_ops(record: SearchStats, degree: int, flops_per_distance: int) -> OpC
         ),
         hops=record.frontier_pops,
     )
+
+
+def price_records(
+    records: Iterable[Tuple[SearchStats, int]], dim: int, metric: str, model: CpuModel
+) -> Tuple[OpCounter, float]:
+    """Work units and ``model`` seconds of finished records, each paired
+    with the width of the rows its searches fetched (one pair per graph:
+    an HNSW query hands in one per layer)."""
+    flops = get_metric(metric).flops_per_distance(dim)
+    units = [astuple(record_ops(record, degree, flops)) for record, degree in records]
+    counter = OpCounter(*map(sum, zip(*units)))
+    return counter, model.seconds(counter, bytes_read=4 * dim * counter.vector_reads)
 
 
 @dataclass
@@ -85,14 +96,7 @@ class CpuSongIndex:
         results = self.searcher.search_batch(
             queries, config, stats=[record] * len(queries)
         )
-        counter, seconds = self._price(record, config)
-        return CpuBatchResult(results=results, seconds=seconds, counter=counter)
-
-    def _price(self, record: SearchStats, config: SearchConfig) -> Tuple[OpCounter, float]:
-        """Work units and modelled seconds of a finished operation record."""
-        dim = self.data.shape[1]
-        counter = record_ops(
-            record, self.graph.degree, get_metric(config.metric).flops_per_distance(dim)
+        counter, seconds = price_records(
+            [(record, self.graph.degree)], self.data.shape[1], config.metric, self.model
         )
-        seconds = self.model.seconds(counter, bytes_read=4 * dim * counter.vector_reads)
-        return counter, seconds
+        return CpuBatchResult(results=results, seconds=seconds, counter=counter)

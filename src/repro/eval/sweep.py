@@ -14,13 +14,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import SearchConfig
-from repro.core.cpu_song import CpuSongIndex
+from repro.core.cpu_song import CpuSongIndex, price_records
 from repro.core.gpu_kernel import GpuSongIndex
 from repro.core.machine import DEFAULT_CPU, CpuModel
-from repro.core.song import SongSearcher
+from repro.core.song import SearchStats, SongSearcher
 from repro.baselines.ivfpq import IVFPQIndex
 from repro.data.datasets import Dataset
-from repro.distances import OpCounter
 from repro.eval.recall import batch_recall
 from repro.graphs.hnsw import HNSWIndex
 
@@ -140,17 +139,15 @@ def sweep_hnsw(
     k: int = 10,
     model: CpuModel = DEFAULT_CPU,
 ) -> List[SweepPoint]:
-    """Single-thread HNSW across ``ef``; time from the CPU work model."""
+    """Single-thread HNSW across ``ef``; its records priced as CPU SONG's."""
     gt = dataset.ground_truth(k)
-    dim = dataset.dim
     points = []
     for ef in _effective_queue_sizes(efs, k):
-        counter = OpCounter()
-        results = [
-            index.search(q, k, ef=ef, counter=counter)
-            for q in dataset.queries
-        ]
-        seconds = model.seconds(counter, bytes_read=4 * dim * counter.vector_reads)
+        records = [SearchStats() for _ in index.layer_degrees]
+        results = index.search_batch(dataset.queries, k, ef=ef, stats=records)
+        _, seconds = price_records(
+            zip(records, index.layer_degrees), dataset.dim, index.metric.name, model
+        )
         points.append(
             SweepPoint(
                 param=ef,

@@ -6,6 +6,10 @@ search at layer 0, and the heuristic neighbor-selection rule (keep a
 candidate only if it is closer to the inserted point than to every
 already-kept neighbor) that gives HNSW its pruned, diverse edges.
 
+Queries run on the lockstep engine too (:meth:`HNSWIndex.search_batch`),
+so their work lands in the records every single-thread method is
+priced from.
+
 Construction inserts points in generation batches, batched per (layer,
 generation): levels are pre-drawn (one RNG draw per point, in insertion
 order), every lane descends the upper hierarchy in a vectorized lockstep
@@ -50,15 +54,18 @@ from __future__ import annotations
 
 # lint: hot-path
 
-import heapq
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.distances import Metric, OpCounter, get_metric
+from repro.distances import Metric, get_metric
 from repro.graphs._prune import occlusion_select
 from repro.graphs.storage import PAD, FixedDegreeGraph
+
+if TYPE_CHECKING:
+    from repro.core.batched import LaneResults
+    from repro.core.song import SearchStats
 
 __all__ = ["HNSWIndex"]
 
@@ -284,24 +291,32 @@ class HNSWIndex:
         queries: np.ndarray,
         eps: np.ndarray,
         data32: np.ndarray,
+        stats: Optional[SearchStats] = None,
     ) -> np.ndarray:
         """Vectorized greedy hill-climb for many lanes on one layer.
 
         Each round gathers every active lane's current adjacency row,
         evaluates the whole panel with one fused
         :meth:`~repro.distances.metrics.Metric.batch_many`, and moves
-        lanes to their best neighbor while it improves — the lockstep
-        twin of :meth:`_greedy_closest` (same local-minimum guarantee,
-        possibly a different climb path).
+        lanes to their best neighbor while it improves, down to a local
+        minimum.  Insertion and queries (:meth:`search_batch`) descend
+        through it alike; a query passes ``stats``, which counts every
+        lane's seed distance, each row it fetches and a distance per
+        neighbor in the row.
         """
         cur = eps.astype(np.int64, copy=True)
         if not len(cur):
             return cur
         cur_d = self.metric.batch_many(queries, data32[cur][:, None, :])[:, 0]
+        if stats is not None:
+            stats.distance_computations += len(cur)
         active = np.ones(len(cur), dtype=bool)
         while active.any():
             act_idx = np.nonzero(active)[0]
             rows = adj[cur[act_idx]]
+            if stats is not None:
+                stats.rows_fetched += len(act_idx)
+                stats.distance_computations += int((rows != PAD).sum())
             panel = data32[np.maximum(rows, 0)]
             d = self.metric.batch_many(queries[act_idx], panel)
             d = np.where(rows < 0, np.inf, d)
@@ -412,110 +427,62 @@ class HNSWIndex:
         )
         return kept
 
-    def _neighbors(self, layer: int, v: int) -> List[int]:
-        """Vertex ``v``'s row on one layer (empty above its level)."""
-        row = self._layers[layer][v].tolist()
-        return row[: row.index(PAD)] if PAD in row else row
-
-    def _search_layer(
-        self,
-        query: np.ndarray,
-        entry_points: Sequence[int],
-        ef: int,
-        layer: int,
-        counter: Optional[OpCounter] = None,
-    ) -> List[Tuple[float, int]]:
-        """ef-bounded best-first search on one layer; ascending result."""
-        visited = set()
-        frontier: List[Tuple[float, int]] = []
-        results: List[Tuple[float, int]] = []
-        dim = self.data.shape[1]
-        for ep in entry_points:
-            if ep in visited:
-                continue
-            visited.add(ep)
-            d = self.metric.single(query, self.data[ep])
-            if counter is not None:
-                counter.distance_calls += 1
-                counter.distance_flops += self.metric.flops_per_distance(dim)
-                counter.vector_reads += 1
-            heapq.heappush(frontier, (d, ep))
-            heapq.heappush(results, (-d, ep))
-        while frontier:
-            dist, v = heapq.heappop(frontier)
-            if counter is not None:
-                counter.hops += 1
-                counter.queue_ops += 1
-            if len(results) >= ef and dist > -results[0][0]:
-                break
-            for u in self._neighbors(layer, v):
-                if counter is not None:
-                    counter.graph_reads += 1
-                    counter.hash_ops += 1
-                if u in visited:
-                    continue
-                visited.add(u)
-                d = self.metric.single(query, self.data[u])
-                if counter is not None:
-                    counter.distance_calls += 1
-                    counter.distance_flops += self.metric.flops_per_distance(dim)
-                    counter.vector_reads += 1
-                if len(results) < ef or d < -results[0][0]:
-                    heapq.heappush(frontier, (d, u))
-                    heapq.heappush(results, (-d, u))
-                    if counter is not None:
-                        counter.queue_ops += 2
-                    if len(results) > ef:
-                        heapq.heappop(results)
-        return sorted((-nd, v) for nd, v in results)
-
     # -- queries -----------------------------------------------------------
 
-    def search(
-        self, query: np.ndarray, k: int, ef: int = None, counter: OpCounter = None
-    ) -> List[Tuple[float, int]]:
-        """Top-``k`` nearest neighbors of ``query`` (ascending distance).
+    @property
+    def layer_degrees(self) -> Tuple[int, ...]:
+        """Row width of every layer, layer 0 first: ``2 m``, then ``m`` each."""
+        return tuple(layer.shape[1] for layer in self._layers)
 
-        ``counter``, when given, accumulates the work performed — this is
-        what the evaluation harness converts into single-thread CPU time.
+    def search_batch(
+        self,
+        queries: np.ndarray,
+        k: int,
+        ef: Optional[int] = None,
+        stats: Optional[Sequence[SearchStats]] = None,
+    ) -> LaneResults:
+        """Top-``k`` neighbors of every row of ``queries`` (ascending distance).
+
+        Every lane descends the upper layers by the build's hill-climb
+        (:meth:`_greedy_batch`), then searches layer 0 from there in one
+        lockstep :class:`~repro.core.batched.BatchedSongSearcher` call
+        under HNSW's ef search: queue = pool = ``max(ef, k)``, a candidate
+        entering only below the worst result (selected insertion).
+
+        ``stats``, when given, holds one :class:`~repro.core.song.SearchStats`
+        per layer, layer 0 first, and each accumulates every lane's work
+        on its layer; a climb's record counts only rows and distances.
         """
+        from repro.core.batched import BatchedSongSearcher, LaneResults
+        from repro.core.config import SearchConfig
+        from repro.core.song import checked_queries
+
         if not self.built:
             raise RuntimeError("index not built; call build() first")
         if k <= 0:
             raise ValueError("k must be positive")
+        if stats is not None and len(stats) != len(self._layers):
+            raise ValueError(
+                f"stats has {len(stats)} entries for {len(self._layers)} layers"
+            )
         ef = max(ef or k, k)
-        ep = self.entry_point
-        q = np.asarray(query)
-        for l in range(len(self._layers) - 1, 0, -1):  # lint: allow(hot-loop)
-            ep = self._greedy_closest(q, ep, l, counter)
-        cands = self._search_layer(q, [ep], ef, 0, counter)
-        return cands[:k]
-
-    def _greedy_closest(
-        self, query: np.ndarray, ep: int, layer: int, counter: Optional[OpCounter]
-    ) -> int:
-        """Hill-climb to the local minimum on one layer."""
-        cur = ep
-        dim = self.data.shape[1]
-        cur_d = self.metric.single(query, self.data[cur])
-        if counter is not None:
-            counter.distance_calls += 1
-            counter.distance_flops += self.metric.flops_per_distance(dim)
-            counter.vector_reads += 1
-        improved = True
-        while improved:
-            improved = False
-            for u in self._neighbors(layer, cur):
-                d = self.metric.single(query, self.data[u])
-                if counter is not None:
-                    counter.distance_calls += 1
-                    counter.distance_flops += self.metric.flops_per_distance(dim)
-                    counter.vector_reads += 1
-                    counter.graph_reads += 1
-                if d < cur_d:
-                    cur, cur_d = u, d
-                    improved = True
-        return cur
+        data32 = np.ascontiguousarray(self.data, dtype=np.float32)
+        queries = checked_queries(data32, queries, self.metric.name)
+        eps = np.full(len(queries), self.entry_point, dtype=np.int64)
+        for l in range(len(self._layers) - 1, 0, -1):  # lint: allow(hot-loop) — iterates layers
+            eps = self._greedy_batch(
+                self._layers[l], queries, eps, data32, None if stats is None else stats[l]
+            )
+        config = SearchConfig(
+            k=ef, queue_size=ef, selected_insertion=True, metric=self.metric.name
+        )
+        found = BatchedSongSearcher(self.base_layer_graph(), data32).search_batch(
+            queries,
+            config,
+            stats=None if stats is None else [stats[0]] * len(queries),
+            entry_points=eps,
+        )
+        return LaneResults(found.ids[:, :k], found.dists[:, :k])
 
     # -- export ---------------------------------------------------------------
 

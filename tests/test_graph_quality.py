@@ -85,5 +85,5 @@ class TestHNSW:
     def test_recall_floor(self, quality_data):
         data, queries, gt = quality_data
         index = HNSWIndex(data, m=8, ef_construction=48, seed=1).build()
-        results = [index.search(q, K, ef=64) for q in queries]
+        results = index.search_batch(queries, K, ef=64)
         assert batch_recall(results, gt) >= 0.96

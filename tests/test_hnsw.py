@@ -6,11 +6,16 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.distances import OpCounter, get_metric
+from repro.core.cpu_song import price_records
+from repro.core.machine import DEFAULT_CPU
+from repro.core.song import SearchStats
+from repro.data import make_dataset
+from repro.distances import get_metric
+from repro.eval import batch_recall
 from repro.graphs._prune import occlusion_select
 from repro.graphs.hnsw import HNSWIndex, _PairReuse
 from repro.graphs.storage import PAD
-from tests.test_build_paths import _hub_data
+from tests.test_build_paths import _digest, _hub_data
 
 
 @pytest.fixture(scope="module")
@@ -58,51 +63,102 @@ class TestConstruction:
     def test_search_before_build_raises(self, points):
         idx = HNSWIndex(points, m=4)
         with pytest.raises(RuntimeError):
-            idx.search(points[0], 5)
+            idx.search_batch(points[:1], 5)
+
+
+def _truth(points, queries, k):
+    d = ((points[None, :, :] - queries[:, None, :]) ** 2).sum(axis=2)
+    return np.argsort(d, axis=1, kind="stable")[:, :k]
 
 
 class TestSearch:
     def test_self_query_finds_self(self, index, points):
-        for v in (0, 10, 99):
-            res = index.search(points[v], 1, ef=32)
-            assert res[0][1] == v
+        res = index.search_batch(points[[0, 10, 99]], 1, ef=32)
+        assert res.ids[:, 0].tolist() == [0, 10, 99]
 
     def test_recall_high_with_large_ef(self, index, points):
-        hits = 0
-        for q in range(25):
-            d = ((points - points[q]) ** 2).sum(axis=1)
-            truth = set(np.argsort(d, kind="stable")[:10].tolist())
-            res = index.search(points[q], 10, ef=80)
-            hits += len(truth & {v for _, v in res})
-        assert hits / 250 > 0.9
+        res = index.search_batch(points[:25], 10, ef=80)
+        assert batch_recall(res, _truth(points, points[:25], 10)) > 0.9
 
     def test_results_sorted_ascending(self, index, points):
-        res = index.search(points[3], 10, ef=40)
-        ds = [d for d, _ in res]
-        assert ds == sorted(ds)
+        res = index.search_batch(points[3], 10, ef=40)
+        ds = [d for d, _ in res[0]]
+        assert len(ds) == 10 and ds == sorted(ds)
 
     def test_larger_ef_never_smaller_recall_on_average(self, index, points):
+        truth = _truth(points, points[:20], 10)
+
         def recall(ef):
-            hits = 0
-            for q in range(20):
-                d = ((points - points[q]) ** 2).sum(axis=1)
-                truth = set(np.argsort(d, kind="stable")[:10].tolist())
-                res = index.search(points[q], 10, ef=ef)
-                hits += len(truth & {v for _, v in res})
-            return hits / 200
+            return batch_recall(index.search_batch(points[:20], 10, ef=ef), truth)
 
         assert recall(100) >= recall(10) - 0.02
 
-    def test_counter_records_work(self, index, points):
-        c = OpCounter()
-        index.search(points[0], 10, ef=50, counter=c)
-        assert c.distance_calls > 10
-        assert c.distance_flops > 0
-        assert c.hops >= 1
+    def test_records_price_the_descent(self, index, points):
+        """The priced counts include the upper layers' climb, each of its
+        rows at the layer's own width, and charge it no queue or visited
+        work: a climb has neither."""
+        assert index.layer_degrees == (index.m0,) + (index.m,) * (len(index._layers) - 1)
+        records = [SearchStats() for _ in index.layer_degrees]
+        index.search_batch(points[:4], 10, ef=50, stats=records)
+        upper = records[1:]
+        assert all(r.rows_fetched >= 4 for r in upper)
+        # every lane's seed, then at least one row of real neighbors
+        assert all(r.distance_computations > 4 for r in upper)
+        dim = points.shape[1]
+        priced, seconds = price_records(
+            zip(records, index.layer_degrees), dim, "l2", DEFAULT_CPU
+        )
+        base, base_seconds = price_records(
+            [(records[0], index.m0)], dim, "l2", DEFAULT_CPU
+        )
+        climbed = sum(r.distance_computations for r in upper)
+        assert priced.distance_calls == base.distance_calls + climbed
+        assert priced.vector_reads == base.vector_reads + climbed
+        assert priced.graph_reads == base.graph_reads + index.m * sum(
+            r.rows_fetched for r in upper
+        )
+        assert (priced.queue_ops, priced.hash_ops, priced.hops) == (
+            base.queue_ops, base.hash_ops, base.hops
+        )
+        assert seconds > base_seconds
+
+    def test_stats_take_one_record_per_layer(self, index, points):
+        with pytest.raises(ValueError, match="layers"):
+            index.search_batch(points[:2], 10, stats=[SearchStats()])
 
     def test_invalid_k(self, index, points):
         with pytest.raises(ValueError):
-            index.search(points[0], 0)
+            index.search_batch(points[:1], 0)
+
+
+#: Digests of the ids the serial heap search that queries ran through
+#: before the lockstep path returned, per ``(dataset, ef, k)``: sift's
+#: whole ``ef`` lists, and every dataset's top-10.  Float32 near-ties in
+#: the longer lists of glove200 and gist order differently under the two
+#: scorers, so only their top-10 is pinned.
+SERIAL_IDS = {
+    ("sift", 10, 10): "14e3b8a38085a838",
+    ("sift", 40, 40): "d7bb457bd8b43b1a",
+    ("sift", 160, 160): "d0eaea8c366adabd",
+    ("sift", 40, 10): "c627735a68af937f",
+    ("sift", 160, 10): "17a3ffc0c371e96d",
+    ("glove200", 10, 10): "0793142437128d35",
+    ("glove200", 40, 10): "e35cc2a0900aaf5f",
+    ("glove200", 160, 10): "c6fa9178ed072670",
+    ("gist", 10, 10): "3ce1cb73130753b6",
+    ("gist", 40, 10): "74c34e3825ed447d",
+    ("gist", 160, 10): "465ab3125c3499c7",
+}
+
+
+@pytest.mark.parametrize("name", ["sift", "glove200", "gist"])
+def test_ids_equal_the_serial_search(name):
+    """The figure benches' HNSW (m 8, ef_construction 48, seed 1) at n = 600."""
+    ds = make_dataset(name, n=600, num_queries=32, seed=0)
+    index = HNSWIndex(ds.data, m=8, ef_construction=48, seed=1).build()
+    for (dataset, ef, k), digest in SERIAL_IDS.items():
+        if dataset == name:
+            assert _digest(index.search_batch(ds.queries, k, ef=ef).ids) == digest
 
 
 class TestExport:
