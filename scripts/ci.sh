@@ -10,23 +10,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-# All four analysis engines in one launch, warnings failing too
+# All three analysis engines in one launch, warnings failing too
 # (--strict), against the committed findings baseline (currently empty):
-# kernel sanitizer (every registered microkernel, traced), hot-path
-# lint (vectorization, narrow integer types, and a nondeterminism sweep
-# that also scans serve/), the Theorem 1-3 search-invariant verifier and
-# the stream-hazard checker.
+# hot-path lint (vectorization, narrow integer types, and a
+# nondeterminism sweep that also scans serve/), the Theorem 1-3
+# search-invariant verifier and the stream-hazard checker.
 # The text report prints per-engine wall times; any engine over 60 s
 # warns on stderr.
 python -m repro.analysis \
-    --engines sanitizer,lint,verifier,streams --strict \
+    --engines lint,verifier,streams --strict \
     --baseline scripts/analysis_baseline.json
 
-# Negative controls: every engine that ships known-bad fixtures (broken
-# kernels, a queue that never evicts, a stream program missing its event
-# deps) must FAIL the strict gate on them, or its obligations are not
-# actually being checked.
-for engine in verifier streams sanitizer; do
+# Negative controls: every engine that ships known-bad fixtures (a queue
+# that never evicts, a stream program missing its event deps) must FAIL
+# the strict gate on them, or its obligations are not actually being
+# checked.
+for engine in verifier streams; do
     if python -m repro.analysis --engines "$engine" --strict --include-known-bad \
             >/dev/null 2>&1; then
         echo "ci: $engine accepted its known-bad fixtures — gate is broken" >&2

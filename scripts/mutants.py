@@ -5,10 +5,12 @@ Seeds one bug at a time into a *copy* of the source tree and records
 which checkers fail on it.  Three catalogues, one table each:
 
 * **microkernels** — bugs in ``simt/kernels.py`` and the cost constants
-  they are checked against; checkers are the ``sanitizer`` and
-  ``verifier`` engines (``python -m repro.analysis --engines NAME
-  --strict``) and the tests that exercise the microkernels (``TESTS``
-  below) plus ``benchmarks/bench_ablation_cost_model.py``;
+  they are checked against; checkers are the ``sanitizer`` engine
+  (``python -m repro.analysis --engines sanitizer --strict``, parent
+  only) and the test files in ``TESTS``: the ones that exercise the
+  microkernels, plus ``benchmarks/bench_ablation_cost_model.py`` at the
+  parent and the calibration pin ``tests/test_simt_calibration.py`` at
+  the change;
 * **serving** — bugs in ``serve/``'s coroutines, locks and clocks;
   checkers are the ``aio`` engine (parent only), the ``lint`` engine
   (its nondeterminism sweep scans ``serve/``), ``arrays`` (parent only)
@@ -19,13 +21,13 @@ which checkers fail on it.  Three catalogues, one table each:
   that exercise those kernels (``ARRAY_TESTS``).
 
 Each catalogue mutates two trees: the working tree and the commit before
-the checker it judges was deleted (``PARENT`` for the static kernel
-verifier, ``SERVE_PARENT`` for the ``aio`` engine, ``ARRAYS_PARENT`` for
-the ``arrays`` engine, exported with ``git archive``), so each row names
-its catchers before and after that deletion.  A mutant whose source
-snippet no longer matches as often as declared aborts the run instead of
-silently testing nothing.  The unmutated tree must be clean on every
-checker, or the run aborts too.  A run that outlives ``STEP_TIMEOUT_S``
+the checker it judges was deleted (``PARENT`` for the ``sanitizer``
+engine, ``SERVE_PARENT`` for the ``aio`` engine,
+``ARRAYS_PARENT`` for the ``arrays`` engine, exported with ``git
+archive``), so each row names its catchers before and after that
+deletion.  A mutant whose source snippet no longer matches as often as
+declared aborts the run instead of silently testing nothing.  The
+unmutated tree must be clean on every checker, or the run aborts too.  A run that outlives ``STEP_TIMEOUT_S``
 is killed and recorded as a hang: a hang counts as caught only because
 that bound turns it into a failure.
 
@@ -59,9 +61,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 REPO = Path(__file__).resolve().parent.parent
 
-#: The commit the deletion of the static kernel verifier is measured
-#: against (its parent); the kernel table's labels describe this commit.
-PARENT = "9f817304b82709f1e9b6b0044cece77474f49d88"
+#: The commit the deletion of the ``sanitizer`` engine (and of the
+#: cost-model ablation bench) is measured against (its parent); the
+#: kernel table's labels describe this commit.
+PARENT = "325074a0dfc0b5d6af9a59217df8807ff80788be"
 
 #: The commit the deletion of the ``aio`` engine is measured against.
 SERVE_PARENT = "e80d0eacfed3b4310466b002fe371534c8d4344b"
@@ -69,7 +72,10 @@ SERVE_PARENT = "e80d0eacfed3b4310466b002fe371534c8d4344b"
 #: The commit the deletion of the ``arrays`` engine is measured against.
 ARRAYS_PARENT = "5bc8260c55e02b3c7fd62879ddc04f38fb4cc94d"
 
+#: Kernel-catalogue test files; a file absent from a tree is skipped, so
+#: the parent lacks the calibration pin and the change the ablation bench.
 TESTS = [
+    "tests/test_simt_calibration.py",
     "tests/test_model_drift.py",
     "tests/test_simt_kernels.py",
     "tests/test_isa_simulator.py",
@@ -458,7 +464,8 @@ EQUIVALENT = [
      "is the identity"),
 ]
 
-CHECKERS = ("sanitizer", "verifier", "tests")
+#: Kernel checkers by tree; the ``sanitizer`` exists at the parent only.
+CHECKERS = {"parent": ("sanitizer", "tests"), "change": ("tests",)}
 
 #: Serving checkers by tree; ``aio`` and ``arrays`` exist at the parent only.
 SERVE_CHECKERS = {
@@ -485,9 +492,7 @@ class Catalogue:
 
 
 CATALOGUES = {
-    "kernels": Catalogue(
-        PARENT, MUTANTS, {"parent": CHECKERS, "change": CHECKERS}, TESTS
-    ),
+    "kernels": Catalogue(PARENT, MUTANTS, CHECKERS, TESTS),
     "serving": Catalogue(SERVE_PARENT, SERVE_MUTANTS, SERVE_CHECKERS, SERVE_TESTS),
     "arrays": Catalogue(ARRAYS_PARENT, ARRAY_MUTANTS, ARRAY_CHECKERS, ARRAY_TESTS),
 }
@@ -596,7 +601,7 @@ def _apply(tree: Path, mutant: Mutant) -> Tuple[Path, str]:
 
 
 def _copy_worktree(dest: Path, names: Sequence[str] = COPIED) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".cache", "results", "*.pyc")
+    ignore = shutil.ignore_patterns("__pycache__", ".cache", "*.pyc")
     for name in names:
         if (REPO / name).is_dir():
             shutil.copytree(REPO / name, dest / name, ignore=ignore)
@@ -640,58 +645,44 @@ def _cell(verdict: Optional[str]) -> str:
 
 def render(results: Dict[str, Dict]) -> str:
     parent, change = results["parent"], results["change"]
+    pcols, ccols = CHECKERS["parent"], CHECKERS["change"]
+    ids = functools.partial(_ids, MUTANTS)
     out = [
         "# Mutant catalogue: the instruction-level layer",
         "",
         "Generated by `python scripts/mutants.py` (do not edit by hand).",
-        f"`parent` is commit `{PARENT[:12]}`, which still has the static",
-        "kernel verifier (abstract interpreter) inside the `verifier` engine;",
-        "`change` is the working tree, where `verifier` runs only the",
-        "Theorem 1–3 invariant checks.  ✓ = the checker fails on the mutant",
-        "(with the rules it reported, or the failing test files and counts);",
-        "`crash: X` = the engine itself raised `X`, so the gate fails with a",
-        "traceback instead of a finding; ✗ = it passes.",
-        "`tests` = " + ", ".join(f"`{Path(t).name}`" for t in TESTS) + ".",
+        f"`parent` is commit `{PARENT[:12]}`, which still has the `sanitizer`",
+        "engine (lane-accurate trace checks over every registered",
+        "microkernel); `change` is the working tree, where the microkernels",
+        "are checked by their tests and the analytic model is also held to",
+        "the simulator's committed measurements",
+        "(`benchmarks/results/simt_ratios.txt`) by `test_simt_calibration.py`.",
+        "✓ = the checker fails on the mutant (with the rules it reported, or",
+        "the failing test files and counts); `crash: X` = the engine itself",
+        "raised `X`, so the gate fails with a traceback instead of a finding;",
+        "✗ = it passes.",
+        "`tests` = " + ", ".join(f"`{Path(t).name}`" for t in TESTS)
+        + "; a file the tree lacks is skipped.",
         "",
-        "| id | mutant | parent: sanitizer | parent: verifier | parent: tests "
-        "| change: sanitizer | change: verifier | change: tests |",
-        "|---|---|---|---|---|---|---|---|",
-    ]
-    for m in MUTANTS:
-        p, c = parent[m.mid], change[m.mid]
-        cells = [_cell(p[k]) for k in CHECKERS] + [_cell(c[k]) for k in CHECKERS]
-        out.append(f"| {m.mid} | {m.title} | " + " | ".join(cells) + " |")
+    ] + _grid(MUTANTS, results, CHECKERS)
     for mid, title, why in INEXPRESSIBLE:
-        out.append(f"| {mid} | {title} | " + " | ".join(["—"] * 6) + " |")
+        out.append(f"| {mid} | {title} | " + " | ".join(["—"] * (len(pcols) + len(ccols)))
+                   + " |")
     out += [""] + [f"{mid} is not run: {why}." for mid, _, why in INEXPRESSIBLE]
-    sole = []
-    for m in MUTANTS:
-        catchers = [k for k in CHECKERS if change[m.mid][k]]
-        if len(catchers) == 1:
-            sole.append(f"{m.mid} ({catchers[0]})")
-
-    verifier_only = [
-        m.mid for m in MUTANTS
-        if parent[m.mid]["verifier"] and not parent[m.mid]["sanitizer"]
-    ]
-    lost = [
-        m.mid for m in MUTANTS
-        if any(parent[m.mid][k] for k in ("sanitizer", "verifier"))
-        and not any(change[m.mid][k] for k in CHECKERS)
-    ]
-    uncaught = [m.mid for m in MUTANTS if not any(change[m.mid][k] for k in CHECKERS)]
     out += [
         "",
         "## Reading",
         "",
-        "- Caught at the parent by the static kernel verifier and not by the "
-        "sanitizer: " + (", ".join(verifier_only) or "none") + ".",
-        "- Caught at the parent by an analysis engine and by nothing at the "
-        "change: " + (", ".join(lost) or "none") + ".",
-        "- Caught by nothing at the change: " + (", ".join(uncaught) or "none")
+        "- Caught at the parent by nothing: "
+        + ids(lambda m: not _caught(parent[m.mid], pcols)) + ".",
+        "- Caught at the parent by the sanitizer and by nothing at the change: "
+        + ids(lambda m: parent[m.mid]["sanitizer"]
+              and not _caught(change[m.mid], ccols)) + ".",
+        "- Caught at the change by `test_simt_calibration.py`: "
+        + ids(lambda m: "test_simt_calibration" in (change[m.mid]["tests"] or ""))
         + ".",
-        "- Caught by exactly one checker at the change: "
-        + (", ".join(sole) or "none") + ".",
+        "- Caught by nothing at the change: "
+        + ids(lambda m: not _caught(change[m.mid], ccols)) + ".",
     ]
     return "\n".join(out) + "\n"
 

@@ -1,16 +1,8 @@
-"""Static/dynamic analysis for the repo's SIMT substrate and hot paths.
+"""Static analysis for the repo's hot paths, search invariants and streams.
 
-Four engines, each selected with ``python -m repro.analysis --engines``
+Three engines, each selected with ``python -m repro.analysis --engines``
 and all gated in ``scripts/ci.sh``:
 
-* the **kernel sanitizer** (:mod:`repro.analysis.sanitizer`) replays
-  lane-accurate :class:`TraceRecorder` streams from the
-  :class:`~repro.simt.simulator.WarpSimulator` and flags SIMT hazards —
-  shared-memory races, OOB accesses, uninitialized-register reads,
-  divergence violations and analytic-model drift — over every microkernel
-  in the :mod:`repro.analysis.registry`, launching the kernels whose
-  inputs range (heap occupancy, probe home slot) at the edges of that
-  range;
 * the **hot-path linter** (:mod:`repro.analysis.lint`) enforces the
   vectorization invariants in modules marked ``# lint: hot-path``
   (per-element loops, float64 upcasts of packed keys, integer types
@@ -29,7 +21,10 @@ checks them by behaviour on the virtual clock, and the serving table of
 ``scripts/mutants.md`` records which test catches each seeded bug.  The
 vectorized host kernels have no engine of their own either: the tests
 that exercise them and ``narrow-int`` catch their seeded bugs (the
-array-kernel table there).
+array-kernel table there).  The trace sanitizer of the instruction-level
+SIMT microkernels is retired: their tests check them, and
+``tests/test_simt_calibration.py`` holds the analytic cost model to the
+simulator's committed measurements (``benchmarks/results/simt_ratios.txt``).
 
 See DESIGN.md Section 9 for the hazard taxonomy and rule catalogue and
 Section 10 for the invariant encodings.
@@ -37,22 +32,10 @@ Section 10 for the invariant encodings.
 
 from repro.analysis.findings import Finding, Severity, split_by_severity, worst_severity
 from repro.analysis.lint import HOT_MARKER, LINT_RULES, lint_paths, lint_source, lint_tree
-from repro.analysis.registry import (
-    KernelSpec,
-    iter_kernel_specs,
-    iter_known_bad_specs,
-    sanitize_kernel,
-)
 from repro.analysis.verifier import (
     check_all_invariants,
     check_bounded_queue,
     check_search_invariants,
-)
-from repro.analysis.sanitizer import (
-    DriftExpectation,
-    check_drift,
-    sanitize_program,
-    sanitize_trace,
 )
 from repro.analysis.streams import (
     STREAM_RULES,
@@ -60,22 +43,12 @@ from repro.analysis.streams import (
     check_stream_programs,
     iter_stream_programs,
 )
-from repro.analysis.trace import TraceRecorder
 
 __all__ = [
     "Finding",
     "Severity",
     "worst_severity",
     "split_by_severity",
-    "TraceRecorder",
-    "DriftExpectation",
-    "sanitize_program",
-    "sanitize_trace",
-    "check_drift",
-    "KernelSpec",
-    "iter_kernel_specs",
-    "iter_known_bad_specs",
-    "sanitize_kernel",
     "check_all_invariants",
     "check_bounded_queue",
     "check_search_invariants",

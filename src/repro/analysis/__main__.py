@@ -1,22 +1,21 @@
 """CLI for the analysis engines: ``python -m repro.analysis``.
 
-Four engines share this entry point:
+Three engines share this entry point:
 
-* ``sanitizer`` — trace-based SIMT kernel sanitizer over every
-  registered microkernel;
 * ``lint`` — hot-path linter and nondeterminism sweep over ``src/repro``;
 * ``verifier`` — the Theorem 1–3 search-invariant checks;
 * ``streams`` — stream-program hazard checker over the device model.
 
 ``--engines NAME[,NAME...]`` selects exactly the engines to run; without
-it the default set is sanitizer+lint.
+it every engine runs.
 
 Exit status: 1 if any ``error``-severity finding is present; with
 ``--strict``, ``warning`` findings also fail (the CI setting).
 
 ``--baseline FILE`` points at the consolidated baseline
 (``scripts/analysis_baseline.json``) whose per-engine ``suppress``
-sections drop accepted findings; stale entries surface as warnings.
+sections drop accepted findings; stale entries surface as warnings, and
+a section that names no engine raises ``ValueError``.
 ``--json`` emits machine-readable findings (one object per line, with an
 ``engine`` key) in a deterministic cross-engine order.
 ``--include-known-bad`` adds each engine's deliberately broken fixtures
@@ -38,14 +37,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 from repro.analysis.baseline import apply_baseline, load_baseline_sections
 from repro.analysis.findings import Finding, split_by_severity
 from repro.analysis.lint import lint_tree
-from repro.analysis.registry import (
-    iter_kernel_specs,
-    iter_known_bad_specs,
-    sanitize_kernel,
-)
 
 #: Engine names accepted by ``--engines``, in canonical run order.
-ENGINE_NAMES = ("sanitizer", "lint", "verifier", "streams")
+ENGINE_NAMES = ("lint", "verifier", "streams")
 
 #: Seconds after which an engine's runtime warns on stderr.
 SLOW_ENGINE_S = 60.0
@@ -67,16 +61,6 @@ def _finding_sort_key(f: Finding):
     )
 
 
-def _run_sanitizer(include_known_bad: bool, lint_root) -> List[Finding]:
-    out: List[Finding] = []
-    for spec in iter_kernel_specs():
-        out.extend(sanitize_kernel(spec))
-    if include_known_bad:
-        for spec in iter_known_bad_specs():
-            out.extend(sanitize_kernel(spec))
-    return out
-
-
 def _run_lint(include_known_bad: bool, lint_root) -> List[Finding]:
     return lint_tree(lint_root or _default_lint_root())
 
@@ -94,7 +78,6 @@ def _run_streams(include_known_bad: bool, lint_root) -> List[Finding]:
 
 
 _ENGINE_RUNNERS: Dict[str, Callable[..., List[Finding]]] = {
-    "sanitizer": _run_sanitizer,
     "lint": _run_lint,
     "verifier": _run_verifier,
     "streams": _run_streams,
@@ -122,6 +105,12 @@ def run_engines(
                 f"unknown engine {name!r}; expected one of {ENGINE_NAMES}"
             )
     sections = load_baseline_sections(baseline) if baseline else {}
+    for name in sections:
+        if name not in _ENGINE_RUNNERS:
+            raise ValueError(
+                f"baseline section {name!r} names no engine; expected one of "
+                f"{ENGINE_NAMES}"
+            )
     findings: List[Finding] = []
     for name in ENGINE_NAMES:
         if name not in engines:
@@ -165,8 +154,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "analysis engines: SIMT sanitizer, hot-path lint, Theorem 1-3 "
-            "invariant verifier, stream hazards"
+            "analysis engines: hot-path lint, Theorem 1-3 invariant "
+            "verifier, stream hazards"
         ),
     )
     parser.add_argument(
@@ -180,10 +169,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--engines",
         type=_parse_engines,
-        default=["sanitizer", "lint"],
+        default=list(ENGINE_NAMES),
         metavar="NAME[,NAME...]",
         help="run exactly these engines "
-        f"({','.join(ENGINE_NAMES)}); default sanitizer,lint",
+        f"({','.join(ENGINE_NAMES)}); default all",
     )
     parser.add_argument(
         "--baseline",

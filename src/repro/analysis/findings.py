@@ -1,11 +1,10 @@
 """Shared finding/severity types for every analysis engine.
 
-The kernel sanitizer, the hot-path linter, the invariant verifier and
-the stream-hazard checker report through one
-:class:`Finding` shape so the CLI, CI gate and tests can treat "a SIMT
-race at pc 7 of ``heap_push``" and "a per-element loop at
-``batched.py:359``" uniformly: every finding names the rule that fired,
-where it fired, and how severe it is.
+The hot-path linter, the invariant verifier and the stream-hazard
+checker report through one :class:`Finding` shape so the CLI, CI gate
+and tests can treat "a per-element loop at ``batched.py:359``" and "a
+copy racing a kernel in a stream program" uniformly: every finding
+names the rule that fired, where it fired, and how severe it is.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ class Severity(enum.Enum):
     """How a finding gates CI.
 
     ``ERROR`` fails every run; ``WARNING`` fails only under ``--strict``
-    (advisory hazards like imperfect coalescing that a kernel may waive).
+    (advisory hazards, such as an unordered write in a stream program).
     """
 
     WARNING = "warning"
@@ -36,18 +35,18 @@ class Finding:
     Attributes
     ----------
     rule:
-        Stable rule identifier (``shared-race``, ``hot-loop``, ...).
+        Stable rule identifier (``hot-loop``, ``stream-hazard``, ...).
     severity:
         :class:`Severity` of the violation.
     location:
-        Where it fired — ``kernel:<name> pc=<n> <Op>`` for sanitizer
-        findings, ``<path>:<line>`` for lint findings.
+        Where it fired — ``<path>:<line>`` for lint findings, the
+        program or check name for the other engines.
     message:
         Human-readable explanation with the concrete evidence (lanes,
         addresses, counts).
     engine:
-        Which analysis engine produced the finding (``sanitizer``,
-        ``lint``, ``verifier``, ``streams``).
+        Which analysis engine produced the finding (``lint``,
+        ``verifier``, ``streams``).
         Engines may leave it empty; the CLI stamps it when assembling a
         cross-engine report.
     """

@@ -27,8 +27,8 @@ inputs (e.g. the graph already on the device) and are not flagged.
 :func:`check_stream_programs` runs the check over a registry of
 representative programs from the serving stack — including, under
 ``include_known_bad=True``, a deliberately broken copy-stream program
-that must fail (the CI negative control, matching the sanitizer and
-verifier fixtures).
+that must fail (the CI negative control, matching the verifier's
+fixtures).
 """
 
 from __future__ import annotations

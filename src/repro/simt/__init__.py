@@ -14,6 +14,15 @@ maintenance, shared-memory occupancy limits, and PCIe transfers.
   and kernel-time estimation.
 - :class:`~repro.simt.profiler.StageProfiler` — HtoD / kernel / DtoH and
   per-stage (locate / distance / maintain) breakdowns.
+
+Every search, build, serve and tier path prices work with this analytic
+model.  Its constants (transactions per read, ``shfl_down`` steps,
+``seq_op_cycles``, the latency-overlap factor) were measured on the
+instruction-level simulator (:mod:`repro.simt.simulator` running the
+:mod:`repro.simt.kernels` microkernels, written in :mod:`repro.simt.isa`),
+which only its tests run and which this package does not import;
+``benchmarks/results/simt_ratios.txt`` keeps those measurements and
+``tests/test_simt_calibration.py`` holds the model to them.
 """
 
 from repro.simt.device import DEVICE_PRESETS, DeviceSpec, get_device
@@ -23,7 +32,6 @@ from repro.simt.kernel import KernelLauncher, KernelResult
 from repro.simt.cost import CostModel
 from repro.simt.build_cost import BuildCostRecorder, BuildPhaseCost
 from repro.simt.profiler import StageProfiler
-from repro.simt.simulator import SMSimulator, WarpSimulator
 from repro.simt.streams import (
     BatchSchedule,
     ChunkWork,
@@ -40,8 +48,6 @@ __all__ = [
     "StreamOp",
     "StreamScheduler",
     "StreamTimeline",
-    "WarpSimulator",
-    "SMSimulator",
     "DeviceSpec",
     "DEVICE_PRESETS",
     "get_device",

@@ -96,8 +96,8 @@ class WarpSimulator:
         self.clock = 0
         self.stats = WarpStats()
         self.done = False
-        #: Optional event sink (see :class:`repro.analysis.TraceRecorder`).
-        #: Duck-typed: any object with the ``on_*`` hooks works.
+        #: Optional event sink, duck-typed: any object with the ``on_*``
+        #: hooks called below works.
         self.tracer = tracer
 
     # -- setup helpers ------------------------------------------------------

@@ -249,20 +249,14 @@ class StreamScheduler:
     num_streams:
         Streams available to :meth:`schedule_chunks` (chunk ``i`` goes to
         stream ``i % num_streams``).  :meth:`schedule` takes the stream
-        assignment from the ops themselves.
-    device:
-        Optional :class:`~repro.simt.device.DeviceSpec` or preset name,
-        recorded for reports; the offline schedule itself is in seconds
+        assignment from the ops themselves.  The schedule is in seconds
         and needs no hardware parameters.
     """
 
-    def __init__(self, num_streams: int = 1, device=None) -> None:
+    def __init__(self, num_streams: int = 1) -> None:
         if num_streams <= 0:
             raise ValueError("num_streams must be positive")
         self.num_streams = int(num_streams)
-        self.device: Optional[DeviceSpec] = (
-            get_device(device) if device is not None else None
-        )
 
     def schedule(self, ops: Sequence[StreamOp]) -> StreamTimeline:
         """Schedule ``ops`` (in submission order) onto streams + engines.

@@ -215,7 +215,7 @@ class TieredServeEngine:
             queries, config, max_chunks=max_chunks
         )
         if len(chunks) > 1:
-            timeline = StreamScheduler(num_streams=2, device=self.device).schedule_chunks(chunks)
+            timeline = StreamScheduler(num_streams=2).schedule_chunks(chunks)
             seconds = timeline.makespan
             detail["overlap_gain"] = timeline.overlap_gain()
         else:

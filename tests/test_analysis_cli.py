@@ -39,7 +39,7 @@ def run_cli(*args):
 
 class TestRunAnalysis:
     def test_repo_is_clean_under_strict(self):
-        findings, code = run_engines(["sanitizer", "lint"], strict=True)
+        findings, code = run_engines(list(ENGINE_NAMES), strict=True)
         assert code == 0, [f.format() for f in findings]
 
     def test_seeded_lint_error_fails(self, tmp_path):
@@ -67,9 +67,9 @@ class TestMainEntryPoint:
         out = capsys.readouterr().out
         assert "[hot-loop]" in out and "FAIL" in out
 
-    def test_sanitize_only_ignores_lint_tree(self, tmp_path):
+    def test_streams_only_ignores_lint_tree(self, tmp_path):
         (tmp_path / "bad.py").write_text(BAD_HOT_MODULE)
-        assert main(["--engines", "sanitizer", "--lint-root", str(tmp_path)]) == 0
+        assert main(["--engines", "streams", "--lint-root", str(tmp_path)]) == 0
 
     def test_json_output_is_parseable(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(BAD_HOT_MODULE)
@@ -90,14 +90,11 @@ class TestVerifyEngine:
 
     def test_known_bad_kernels_fail_the_gate(self):
         findings, code = run_engines(
-            ["sanitizer", "verifier", "streams"], strict=True,
-            include_known_bad=True,
+            ["verifier", "streams"], strict=True, include_known_bad=True,
         )
         assert code == 1
         got = {f.rule for f in findings}
-        assert {
-            "shared-oob", "divergent-shuffle", "invariant-bounded-queue",
-        } <= got
+        assert {"invariant-bounded-queue", "stream-hazard"} <= got
 
     def test_findings_are_sorted_deterministically(self):
         findings, _ = run_engines(
@@ -111,7 +108,7 @@ class TestVerifyEngine:
 
     def test_verify_json_schema_round_trips(self):
         proc = run_cli(
-            "--engines", "sanitizer,verifier,streams", "--include-known-bad", "--json"
+            "--engines", "verifier,streams", "--include-known-bad", "--json"
         )
         assert proc.returncode == 1
         records = [
@@ -126,7 +123,7 @@ class TestVerifyEngine:
         assert locations == sorted(locations)  # all error-severity here
 
     def test_verify_json_is_byte_stable(self):
-        args = ("--engines", "sanitizer,verifier,streams", "--include-known-bad", "--json")
+        args = ("--engines", "verifier,streams", "--include-known-bad", "--json")
         first = run_cli(*args)
         second = run_cli(*args)
         assert first.stdout == second.stdout
@@ -169,12 +166,10 @@ GOLDEN_SCHEMA = {
 }
 
 #: Rules every full --json run over the seeded inputs must mention, one
-#: per engine: sanitizer/verifier/stream rules come from the known-bad
-#: fixtures (broken kernels, a queue that never evicts, a stream program
-#: missing its deps), lint from a seeded tree.  Without the known-bad
-#: inputs the sanitizer's run is clean, asserted below.
+#: per engine: verifier/stream rules come from the known-bad fixtures (a
+#: queue that never evicts, a stream program missing its deps), lint from
+#: a seeded tree.
 ENGINE_SENTINEL_RULES = {
-    "sanitizer": "shared-oob",
     "verifier": "invariant-bounded-queue",
     "streams": "stream-hazard",
     "lint": "hot-loop",
@@ -192,7 +187,7 @@ class TestGoldenJson:
             "--json",
             "--strict",
             "--engines",
-            "sanitizer,lint,verifier,streams",
+            ",".join(ENGINE_NAMES),
             "--include-known-bad",
             "--lint-root",
             str(lint_root),
@@ -231,11 +226,6 @@ class TestGoldenJson:
         for engine, rule in ENGINE_SENTINEL_RULES.items():
             assert rule in seen, (engine, sorted(seen))
 
-    def test_sanitizer_golden_run_is_clean(self):
-        proc = run_cli("--engines", "sanitizer", "--strict", "--json")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert proc.stdout.strip() == ""
-
     def test_known_bad_inputs_fail_the_gate(self, golden):
         proc, _ = golden
         assert proc.returncode == 1
@@ -257,7 +247,7 @@ class TestGoldenJson:
     def test_every_record_carries_its_engine(self, golden):
         _, records = golden
         engines = {r["engine"] for r in records}
-        assert engines == {"sanitizer", "lint", "verifier", "streams"}
+        assert engines == {"lint", "verifier", "streams"}
 
 
 class TestEnginesSelector:
@@ -268,7 +258,7 @@ class TestEnginesSelector:
 
     def test_engines_overrides_only_flags_conflict(self):
         # Several engines in one launch, composed with --strict.
-        proc = run_cli("--engines", "sanitizer,streams", "--strict")
+        proc = run_cli("--engines", "verifier,streams", "--strict")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_run_engines_rejects_unknown(self):
@@ -276,7 +266,7 @@ class TestEnginesSelector:
             run_engines(["bogus"])
 
     def test_engine_names_constant(self):
-        assert ENGINE_NAMES == ("sanitizer", "lint", "verifier", "streams")
+        assert ENGINE_NAMES == ("lint", "verifier", "streams")
 
     def test_findings_are_engine_stamped(self):
         findings, code = run_engines(["streams"], include_known_bad=True)
@@ -285,8 +275,8 @@ class TestEnginesSelector:
 
     def test_timings_recorded_per_engine(self):
         timings = {}
-        run_engines(["streams", "sanitizer"], timings=timings)
-        assert set(timings) == {"streams", "sanitizer"}
+        run_engines(["streams", "verifier"], timings=timings)
+        assert set(timings) == {"streams", "verifier"}
         assert all(t >= 0.0 for t in timings.values())
 
     def test_text_report_includes_timings(self, capsys):
@@ -330,8 +320,22 @@ class TestConsolidatedBaseline:
         sections = load_baseline_sections(
             REPO_ROOT / "scripts" / "analysis_baseline.json"
         )
-        assert set(ENGINE_NAMES) <= set(sections)
+        assert set(sections) == set(ENGINE_NAMES)
         assert all(entries == [] for entries in sections.values())
+
+    def test_unknown_engine_section_raises(self, tmp_path):
+        # A section for an engine that does not exist (a typo, or one left
+        # behind by a retired engine) is an error that names it, from the
+        # library call and from the CLI alike.
+        entry = {"rule": "hot-loop", "location": "x.py:1"}
+        path = _baseline(
+            tmp_path, {"lint": {"suppress": []}, "lnit": {"suppress": [entry]}}
+        )
+        with pytest.raises(ValueError, match="'lnit'"):
+            run_engines(["lint"], strict=True, baseline=path)
+        proc = run_cli("--engines", "lint", "--strict", "--baseline", str(path))
+        assert proc.returncode != 0
+        assert "lnit" in proc.stderr
 
     def test_baseline_suppresses_finding_end_to_end(self, tmp_path):
         # Suppress one specific known-bad finding and check it vanishes
@@ -412,7 +416,7 @@ class TestModuleInvocation:
     def test_ci_script_invokes_strict_analysis(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
         assert "python -m repro.analysis" in ci
-        assert "--engines sanitizer,lint,verifier,streams --strict" in ci
+        assert "--engines lint,verifier,streams --strict" in ci
         assert "ruff check" in ci
 
     def test_ci_script_gates_the_verifier(self):
@@ -420,17 +424,17 @@ class TestModuleInvocation:
         assert "verifier,streams" in ci
         # Negative control: CI runs the known-bad fixtures and requires
         # the gate to reject them, so a silently broken verifier fails CI.
-        assert "for engine in verifier streams sanitizer" in ci
+        assert "for engine in verifier streams" in ci
         assert '--engines "$engine" --strict --include-known-bad' in ci
 
     def test_exact_ci_gate_command_passes(self):
         proc = run_cli(
-            "--engines", "sanitizer,lint,verifier,streams", "--strict",
+            "--engines", "lint,verifier,streams", "--strict",
             "--baseline", "scripts/analysis_baseline.json",
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_exact_ci_negative_control_fails(self):
-        for engine in ("verifier", "streams", "sanitizer"):
+        for engine in ("verifier", "streams"):
             proc = run_cli("--engines", engine, "--strict", "--include-known-bad")
             assert proc.returncode == 1, engine

@@ -104,6 +104,28 @@ class TestIRHeapPush:
 
         assert cycles_for(31) > cycles_for(3)
 
+    def test_full_heap_push_is_a_noop(self):
+        """The capacity guard: a push against a full heap writes nothing
+        (unguarded, it wrote one word past the heap's allocation)."""
+        dists = np.sort(np.linspace(0.5, 3.0, 8))
+        ids = np.arange(8, dtype=np.float64)
+        out_d, out_i, new_size, _ = run_heap_push(
+            dists, ids, size=8, new_dist=0.25, new_id=99, capacity=8
+        )
+        assert new_size == 8
+        np.testing.assert_array_equal(out_d, dists)
+        assert 99 not in out_i
+
+    def test_non_full_push_still_works(self):
+        dists = np.sort(np.linspace(0.5, 3.0, 5))
+        ids = np.arange(5, dtype=np.float64)
+        out_d, out_i, new_size, _ = run_heap_push(
+            dists, ids, size=5, new_dist=0.25, new_id=99, capacity=8
+        )
+        assert new_size == 6
+        assert out_d[0] == pytest.approx(0.25)
+        assert out_i[0] == 99
+
 
 class TestCosineKernel:
     def test_matches_numpy(self):

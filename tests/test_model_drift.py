@@ -24,7 +24,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.analysis import TraceRecorder
 from repro.simt import isa
 from repro.simt.cost import CostModel
 from repro.simt.device import get_device
@@ -45,8 +44,28 @@ DEVICE = get_device("v100")
 SEQ_RATIO_LOW, SEQ_RATIO_HIGH = 1.0, 2.0
 
 
+class OpCounter:
+    """Simulator tracer that tallies issued instructions by opcode; the
+    simulator's other ``on_*`` hooks are accepted and ignored."""
+
+    def __init__(self):
+        self.issued = []
+
+    def on_instruction(self, pc, ins, mask):
+        self.issued.append(ins)
+
+    def __getattr__(self, name):
+        if name.startswith("on_"):
+            return lambda *args, **kwargs: None
+        raise AttributeError(name)
+
+    def count_ops(self, op_type):
+        """Issued instructions of one ISA opcode type."""
+        return sum(1 for ins in self.issued if isinstance(ins, op_type))
+
+
 def run_distance(program, dim):
-    recorder = TraceRecorder()
+    recorder = OpCounter()
     rng = np.random.default_rng(3)
     shared = np.zeros(max(dim, WARP_SIZE))
     shared[:dim] = rng.standard_normal(dim)
