@@ -3,11 +3,12 @@
 A search workload's set-up makes a dataset, builds a CAGRA graph over it and
 takes the queries' exact top-k.  This script runs those steps one stage at a
 time under ``tracemalloc``, in the order ``CagraBuilder.build`` runs them, and
-prints three figures per stage, in MB (10^6 bytes) of traced Python/numpy
+prints four figures per stage, in MB (10^6 bytes) of traced Python/numpy
 allocations:
 
 - ``base``: what is live when the stage starts;
 - ``peak``: the most that is live while it runs;
+- ``transient``: ``peak - base``, what the stage itself adds at its peak;
 - ``retained``: what is still live when it returns.
 
 The last line names the stage that sets the set-up's peak.
@@ -46,9 +47,7 @@ def stage_peaks(dataset: str, n: int, queries: int, degree: int, k: int, seed: i
         builder = CagraBuilder(ds.data, degree=degree, metric=ds.metric)
         k0 = builder.intermediate_degree
         table = stage("bootstrap", lambda: bootstrap_table(ds.data, k0, ds.metric))
-        counts = stage("detour", lambda: builder._detour_counts(table))
-        fwd_full = stage("reorder", lambda: builder._reorder(table, counts))
-        del counts
+        fwd_full = stage("detour+reorder", lambda: builder._reorder(table))
         adjacency = stage("merge", lambda: builder._merge_reverse(fwd_full))
         del fwd_full
         entry = stage("medoid", lambda: medoid(ds.data, ds.metric))
@@ -76,9 +75,12 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     rows = stage_peaks(args.dataset, args.n, args.queries, args.degree, args.k, args.seed)
     print(f"{args.dataset} n={args.n} queries={args.queries} degree={args.degree} k={args.k}")
-    print(f"{'stage':<14}{'base MB':>10}{'peak MB':>10}{'retained MB':>13}")
+    print(f"{'stage':<16}{'base MB':>10}{'peak MB':>10}{'transient MB':>14}{'retained MB':>13}")
     for name, base, peak, retained in rows:
-        print(f"{name:<14}{base / MB:>10.1f}{peak / MB:>10.1f}{retained / MB:>13.1f}")
+        print(
+            f"{name:<16}{base / MB:>10.1f}{peak / MB:>10.1f}"
+            f"{(peak - base) / MB:>14.1f}{retained / MB:>13.1f}"
+        )
     top = max(rows, key=lambda row: row[2])
     print(f"set-up peak: {top[2] / MB:.1f} MB, in {top[0]}")
     return 0

@@ -39,13 +39,13 @@ from typing import Optional
 
 import numpy as np
 
+from repro.data.ground_truth import TILE_BYTES
 from repro.distances import get_metric
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
-from repro.graphs.nn_descent import _rank_within_groups
+from repro.graphs.nn_descent import _ragged_arange
 from repro.graphs.storage import FixedDegreeGraph
 from repro.simt.build_cost import KEY_BYTES, BuildCostRecorder, maybe_recorder
-from repro.structures.soa import pack_rowid
 
 __all__ = ["CagraBuilder", "build_cagra"]
 
@@ -99,21 +99,47 @@ def _detour_walk(
     return np.bincount(key, minlength=b * k0).reshape(b, k0)
 
 
+def _detour_counts(table: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Detours per edge of source rows ``[lo, hi)``, as ``(hi - lo, k0)``.
+
+    ``counts[u - lo, j]`` is the number of ranks ``i < j`` whose vertex
+    ``table[u, i]`` holds ``table[u, j]`` at a rank below ``j`` in its
+    own row, counted by the 2-hop walk of the module docstring a block of
+    source rows at a time (:func:`_detour_walk`, block height from
+    ``_WALK_BYTES``): O(rows * k0^2) a block whatever ``n`` is, because
+    only the marks a row wrote are cleared.
+
+    Precondition (what :func:`bootstrap_table` guarantees): ids lie in
+    ``[0, n)`` and no row holds an id twice — a row's map has one rank
+    per id.  A row may hold its own index.
+    """
+    n, k0 = table.shape
+    block = min(hi - lo, max(1, _WALK_BYTES // (2 * n + 11 * k0 * k0)))
+    # lint: allow(narrow-int) ranks in [-1, k0), k0 <= 2**15 - 1
+    pos = np.full((block, n), -1, dtype=np.int16)
+    ranks = np.arange(k0, dtype=np.int16)  # lint: allow(narrow-int) k0 <= 2**15 - 1
+    later = np.maximum(ranks[:, None], ranks)
+    counts = np.empty((hi - lo, k0), dtype=np.int64)
+    for a in range(lo, hi, block):  # lint: allow(hot-loop) — walk blocks, not rows
+        b = min(hi, a + block)
+        counts[a - lo : b - lo] = _detour_walk(table, table[a:b], pos[: b - a], later)
+    return counts
+
+
 def _vertex_major(keys: np.ndarray, n: int, p: int) -> np.ndarray:
     """Re-pack ``(w * n + c) * p + q`` keys as ``(w * p + q) * n + c``.
 
-    ``keys`` is overwritten (it ends up holding ``q``): one key-sized
-    temporary fewer than leaving it intact.
+    In place, with one key-sized temporary: ``q * n + (w * n + c)`` plus
+    ``w * n * (p - 1)`` is the vertex-major key.
     """
     wc = keys // p
     keys %= p
-    c = wc % n
+    keys *= n
+    keys += wc
     wc //= n
-    wc *= p
-    wc += keys
-    wc *= n
-    wc += c
-    return wc
+    wc *= n * (p - 1)
+    keys += wc
+    return keys
 
 
 def _merge_reverse_rows(fwd_full: np.ndarray, degree: int) -> np.ndarray:
@@ -123,52 +149,95 @@ def _merge_reverse_rows(fwd_full: np.ndarray, degree: int) -> np.ndarray:
     below ``P = degree + k0``: the strongest ``ceil(degree/2)``
     forward edges first, then up to ``floor(degree/2)`` reverse edges
     in (source rank, source id) order, then the remaining forward
-    edges.  The pairs are packed as ``(w * n + c) * P + p`` and sorted
-    once: a pair's duplicates sit together and the first keeps the
-    strongest priority.  The survivors are re-packed as
-    ``(w * P + p) * n + c`` and sorted again, which ranks each
-    vertex's candidates; the first ``degree`` are its row.
+    edges.  The reverse edges come from one sorted stream of every kept
+    forward edge, transposed — O(n * degree), the output's size.  The
+    vertices are then merged a block at a time (:func:`_merge_block`),
+    the block's keys and their temporaries one ``TILE_BYTES`` tile.
 
     Reverse edges past the first ``floor(degree/2)`` of a target are
-    dropped before the sort: they could only rank after the row's
-    ``k0 >= degree`` distinct forward candidates, all prioritised below
-    ``P``.  The same count fills every row, so no slot is left ``PAD``.
+    never packed: they could only rank after the row's ``k0 >= degree``
+    distinct forward candidates, all prioritised below ``P``.  The same
+    count fills every row, so no slot is left ``PAD``.
 
     Precondition (what :func:`bootstrap_table` guarantees): ids lie in
-    ``[0, n)`` and no row holds an id twice.  The keys stay below
-    ``n**2 * P``, which :class:`CagraBuilder` checks against ``2**63``.
+    ``[0, n)`` and no row holds an id twice.  The reverse stream's keys
+    stay below ``n**2 * degree``, the block keys below ``n**2 * P``,
+    which :class:`CagraBuilder` checks against ``2**63``.
     """
     n, k0 = fwd_full.shape
     width = degree + k0
-    d_fwd = (degree + 1) // 2
 
-    # reverse stream: every kept forward edge, transposed; per-target
-    # order follows (source rank, source id)
-    src = np.arange(n, dtype=np.int64)[:, None]
-    s_rank = np.arange(degree, dtype=np.int64)
-    rev = pack_rowid(fwd_full[:, :degree] * degree + s_rank, src, n).ravel()
+    # reverse stream: (target * degree + source rank) * n + source keys,
+    # packed in place and sorted; target w's run starts at starts[w]
+    rev = fwd_full[:, :degree] * degree
+    rev += np.arange(degree, dtype=np.int64)
+    rev *= n
+    rev += np.arange(n, dtype=np.int64)[:, None]
+    rev = rev.ravel()
     rev.sort()
-    c_r = rev % n  # source
-    rev //= n * degree  # target
-    prio_r = d_fwd + _rank_within_groups(rev)
-    band = prio_r < degree
-    rev = pack_rowid(pack_rowid(rev[band], c_r[band], n), prio_r[band], width)
-    del c_r, prio_r, band
+    starts = np.searchsorted(rev, np.arange(n + 1, dtype=np.int64) * (degree * n))
 
-    # forward stream: candidate at reordered position s
+    # a block row holds at most P keys, and beside them the dedupe holds one
+    # key-sized temporary and a bool mask: 17 P bytes of one tile
+    block = max(1, TILE_BYTES // (17 * width))
+    out = np.empty((n, degree), dtype=np.int64)
+    for a in range(0, n, block):  # lint: allow(hot-loop) — vertex blocks, not rows
+        b = min(n, a + block)
+        out[a:b] = _merge_block(fwd_full[a:b], rev, starts[a : b + 1], degree)
+    return out
+
+
+def _merge_block(rows: np.ndarray, rev: np.ndarray, starts: np.ndarray, degree: int) -> np.ndarray:
+    """Merged rows of one block of vertices ``[a, a + len(rows))``.
+
+    ``rows`` is the block's slice of the reordered table, ``rev`` the
+    whole sorted reverse stream and ``starts`` its run starts for targets
+    ``a .. a + len(rows)``.  The block's pairs are packed as block-local
+    ``((w - a) * n + c) * P + p`` keys and sorted once: a pair's
+    duplicates sit together and the first keeps the strongest priority.
+    The survivors are re-packed as ``((w - a) * P + p) * n + c`` and
+    sorted again, which ranks each vertex's candidates; the first
+    ``degree`` are its row.
+    """
+    b, k0 = rows.shape
+    n = len(rev) // degree
+    width = degree + k0
+    d_fwd = (degree + 1) // 2
+    w = np.arange(b, dtype=np.int64)
+    # each target's first floor(degree/2) reverse edges
+    took = np.minimum(np.diff(starts), degree // 2)
+    rank = _ragged_arange(took)
+    keys = np.empty(b * k0 + len(rank), dtype=np.int64)
+
+    # forward pairs: the candidate at reordered position s has priority
+    # s below d_fwd, degree + s from there on
     pos = np.arange(k0, dtype=np.int64)
-    prio_f = np.where(pos < d_fwd, pos, degree + pos)
-    fwd = pack_rowid(pack_rowid(src, fwd_full, n), prio_f, width).ravel()
+    fwd = keys[: b * k0].reshape(b, k0)
+    np.multiply(w[:, None], n, out=fwd)
+    fwd += rows
+    fwd *= width
+    fwd += np.where(pos < d_fwd, pos, degree + pos)
 
-    keys = np.concatenate([fwd, rev])
-    del fwd, rev
+    # reverse pairs: the source (key % n) at priority d_fwd + rank
+    rev_keys = keys[b * k0 :]
+    np.take(rev, np.repeat(starts[:-1], took) + rank, out=rev_keys)
+    rev_keys %= n
+    rev_keys += np.repeat(w * n, took)
+    rev_keys *= width
+    rev_keys += rank
+    rev_keys += d_fwd
+    # fwd and rev_keys are views: they would keep the keys alive past the dedupe
+    del fwd, rev_keys, rank
+
     keys.sort()
     # the first key of each (vertex, candidate) run holds its best priority
     pair = keys // width
     first = np.ones(len(keys), dtype=bool)
     first[1:] = pair[1:] != pair[:-1]
     del pair
-    keys = _vertex_major(keys[first], n, width)
+    keys = keys[first]  # frees the sorted keys before the re-pack's temporary
+    del first
+    keys = _vertex_major(keys, n, width)
     keys.sort()
     c = keys % n
     keys //= width * n
@@ -177,7 +246,7 @@ def _merge_reverse_rows(fwd_full: np.ndarray, degree: int) -> np.ndarray:
     # belongs to another vertex
     sel = np.ones(len(keys), dtype=bool)
     sel[degree:] = keys[degree:] != keys[:-degree]
-    return c[sel].reshape(n, degree)
+    return c[sel].reshape(b, degree)
 
 
 class CagraBuilder:
@@ -259,9 +328,7 @@ class CagraBuilder:
         table = bootstrap_table(
             self.data, k0, self.metric.name, self._knn_table, self.seed, self.cost
         )
-        counts = self._detour_counts(table)
-        fwd_full = self._reorder(table, counts)
-        del counts
+        fwd_full = self._reorder(table)
         adjacency = self._merge_reverse(fwd_full)
         entry = medoid(self.data, self.metric.name)
         attach_orphans(adjacency, table, entry, self.data, self.metric)
@@ -273,54 +340,35 @@ class CagraBuilder:
 
     # -- stages ----------------------------------------------------------------
 
-    def _detour_counts(self, table: np.ndarray) -> np.ndarray:
-        """Detours per edge: ``counts[u, j]`` over mids at rank ``i < j``.
+    def _reorder(self, table: np.ndarray) -> np.ndarray:
+        """Rows reordered by ``(detour_count, rank)`` ascending.
 
-        ``counts[u, j]`` is the number of ranks ``i < j`` whose vertex
-        ``table[u, i]`` holds ``table[u, j]`` at a rank below ``j`` in its
-        own row, counted by the 2-hop walk of the module docstring a
-        block of source rows at a time (:func:`_detour_walk`, block
-        height from ``_WALK_BYTES``): O(rows * k0^2) a block whatever
-        ``n`` is, because only the marks a row wrote are cleared.
-
-        Precondition (what :func:`bootstrap_table` guarantees): ids lie
-        in ``[0, n)`` and no row holds an id twice — a row's map has one
-        rank per id.  A row may hold its own index.
+        A ``TILE_BYTES`` tile of source rows at a time: the tile's detour
+        counts (:func:`_detour_counts`) become ``(count * k0 + rank) * n +
+        id`` keys in place, one row-wise value sort orders them — the rank
+        makes every row's keys distinct — and ``% n`` writes the ids into
+        the output.  Counts are at most ``k0``, so the keys stay below
+        ``(k0 + 1) * k0 * n``.
         """
         n, k0 = table.shape
         rec = maybe_recorder(self.cost)
         # the modeled device builds each row's id -> rank map by sorting it
         rec.record_sort(n, k0, "rank-index")
-
-        num_pairs = k0 * (k0 - 1) // 2
-        block = min(n, max(1, _WALK_BYTES // (2 * n + 11 * k0 * k0)))
-        # lint: allow(narrow-int) ranks in [-1, k0), k0 <= 2**15 - 1
-        pos = np.full((block, n), -1, dtype=np.int16)
-        ranks = np.arange(k0, dtype=np.int16)  # lint: allow(narrow-int) k0 <= 2**15 - 1
-        later = np.maximum(ranks[:, None], ranks)
-        counts = np.empty((n, k0), dtype=np.int64)
-        a = 0
-        while a < n:
-            b = min(n, a + block)
-            counts[a:b] = _detour_walk(table, table[a:b], pos[: b - a], later)
-            a = b
-        rec.record_gather(n * num_pairs, KEY_BYTES, "detour-rank")
-        return counts
-
-    def _reorder(self, table: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Rows reordered by ``(detour_count, rank)`` ascending.
-
-        One row-wise value sort of ``(count * k0 + rank) * n + id`` keys:
-        the rank makes every row's keys distinct, and ``% n`` reads the
-        ids back out.
-        """
-        n, k0 = table.shape
-        priority = counts * np.int64(k0) + np.arange(k0, dtype=np.int64)
-        keys = pack_rowid(priority, table, n)
-        keys.sort(axis=1)
-        maybe_recorder(self.cost).record_sort(n, k0, "reorder")
-        keys %= n
-        return keys
+        ranks = np.arange(k0, dtype=np.int64)
+        out = np.empty((n, k0), dtype=np.int64)
+        tile = max(1, TILE_BYTES // (8 * k0))
+        for a in range(0, n, tile):  # lint: allow(hot-loop) — row tiles, not rows
+            b = min(n, a + tile)
+            keys = _detour_counts(table, a, b)
+            keys *= k0
+            keys += ranks
+            keys *= n
+            keys += table[a:b]
+            keys.sort(axis=1)
+            np.remainder(keys, n, out=out[a:b])
+        rec.record_gather(n * (k0 * (k0 - 1) // 2), KEY_BYTES, "detour-rank")
+        rec.record_sort(n, k0, "reorder")
+        return out
 
     def _merge_reverse(self, fwd_full: np.ndarray) -> np.ndarray:
         """Reverse-edge merge (see :func:`_merge_reverse_rows`)."""

@@ -17,6 +17,7 @@ import pytest
 from repro.core.config import SearchConfig
 from repro.core.song import SongSearcher
 from repro.data import make_dataset
+from repro.data.ground_truth import TILE_BYTES
 from repro.eval import batch_recall
 from repro.graphs import build_cagra, build_nsg
 from repro.graphs import cagra as cagra_module
@@ -137,13 +138,46 @@ class TestClusteredData:
 
 
 def _detour_counts(table) -> np.ndarray:
-    """The builder's detour counts of a bootstrap table (no dataset needed)."""
+    """The builder's detour counts of a whole bootstrap table, as one tile."""
+    table = np.asarray(table, dtype=np.int64)
+    return cagra_module._detour_counts(table, 0, len(table))
+
+
+def _reorder(table) -> np.ndarray:
+    """The builder's reordered rows of a bootstrap table (no dataset needed)."""
     table = np.asarray(table, dtype=np.int64)
     n, k0 = table.shape
     builder = CagraBuilder(
         np.zeros((n, 1), dtype=np.float32), degree=k0, intermediate_degree=k0
     )
-    return builder._detour_counts(table)
+    return builder._reorder(table)
+
+
+def _force_tile_rows(monkeypatch, rows: int, row_bytes: int) -> None:
+    """Make a ``TILE_BYTES`` tile ``rows`` rows of ``row_bytes`` (and half
+    a row to spare: the tile need not be a whole number of rows)."""
+    monkeypatch.setattr(cagra_module, "TILE_BYTES", rows * row_bytes + row_bytes // 2)
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record every call of ``cagra_module.<name>``: its arguments and a
+    copy of its result (the caller may overwrite the result in place)."""
+    calls = []
+    kernel = getattr(cagra_module, name)
+
+    def spy(*args):
+        result = kernel(*args)
+        calls.append((args, result.copy()))
+        return result
+
+    monkeypatch.setattr(cagra_module, name, spy)
+    return calls
+
+
+def _assert_blocks(heights, n: int, rows: int) -> None:
+    """Blocks of ``rows`` rows cover ``[0, n)``, the last one short."""
+    assert max(heights) == rows and sum(heights) == n
+    assert heights[-1] == (n % rows or rows)
 
 
 def _searchsorted_counts(table, upto=None) -> np.ndarray:
@@ -338,6 +372,13 @@ def _with_hub(table, hub: int, seed: int) -> np.ndarray:
     return table
 
 
+def _ring_table(n: int, k0: int, seed: int) -> np.ndarray:
+    """A ``(n, k0)`` int64 table of distinct ids drawn near each row's own."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.permuted(np.tile(np.arange(1, 2 * k0 + 1), (n, 1)), axis=1)[:, :k0]
+    return (np.arange(n)[:, None] + offsets) % n
+
+
 class TestReverseMerge:
     """The packed two-sort merge builds exactly the loop's rows."""
 
@@ -379,23 +420,94 @@ class TestReverseMerge:
         ds = make_dataset("sift", n=300, seed=2)
         table = knn_neighbors(ds.data, 32, ds.metric)
         builder = CagraBuilder(ds.data, degree=16)
-        self.check(builder._reorder(table, builder._detour_counts(table)), 16)
+        self.check(builder._reorder(table), 16)
+
+    @pytest.mark.parametrize("rows,degree", [(1, 5), (3, 2), (7, 8)])
+    def test_block_height_changes_nothing(self, monkeypatch, rows, degree):
+        # 40 is a multiple of neither 3 nor 7; the hub's reverse list
+        # holds a source in every block
+        n, k0 = 40, 8
+        table = _with_hub(_distinct_rows(n, k0, 19), 6, 20)
+        _force_tile_rows(monkeypatch, rows, 17 * (degree + k0))
+        calls = _spy(monkeypatch, "_merge_block")
+        self.check(table, degree)
+        _assert_blocks([len(args[0]) for args, _ in calls], n, rows)
 
     def test_peak_memory_is_a_few_tables(self):
-        # n = 4000, k0 = 64, degree 32: the merge's temporaries stay within
-        # 8x the table it reads, so no chain of full-length permutations
-        # and gathers creeps back in
-        n, k0 = 4000, 64
-        rng = np.random.default_rng(16)
-        offsets = rng.permuted(np.tile(np.arange(1, 2 * k0 + 1), (n, 1)), axis=1)[:, :k0]
-        table = (np.arange(n)[:, None] + offsets) % n
+        # n = 12000, k0 = 64, degree 32: beside its output and the sorted
+        # reverse stream, the merge holds about one tile, not the 5x the
+        # table the whole-array merge held (31.7 MB here)
+        n, k0, degree = 12000, 64, 32
+        table = _ring_table(n, k0, 16)
         tracemalloc.start()
         try:
-            cagra_module._merge_reverse_rows(table, 32)
+            cagra_module._merge_reverse_rows(table, degree)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * table.nbytes
+        out_and_stream = 2 * n * degree * 8
+        assert peak <= out_and_stream + 2 * TILE_BYTES
+
+
+class TestReorder:
+    """The tiled reorder sorts exactly as one whole-array row sort."""
+
+    @staticmethod
+    def whole_array(table, counts) -> np.ndarray:
+        n, k0 = table.shape
+        keys = (counts * k0 + np.arange(k0)) * n + table
+        keys.sort(axis=1)
+        return keys % n
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_tile_height_changes_nothing(self, monkeypatch, rows):
+        # 50 is a multiple of neither 3 nor 7; the hub is a mid in every tile
+        n, k0 = 50, 6
+        table = _with_hub(_distinct_rows(n, k0, 17), 4, 18)
+        counts = _definition_counts(table)
+        _force_tile_rows(monkeypatch, rows, 8 * k0)
+        calls = _spy(monkeypatch, "_detour_counts")
+        assert np.array_equal(_reorder(table), self.whole_array(table, counts))
+        assert np.array_equal(np.concatenate([c for _, c in calls]), counts)
+        _assert_blocks([hi - lo for (_, lo, hi), _ in calls], n, rows)
+
+    def test_tiles_and_walk_blocks_nest(self, monkeypatch):
+        # walk blocks of 3 rows inside tiles of 7: each tile restarts its
+        # walk, so the last block of a tile is short
+        n, k0 = 50, 6
+        table = _distinct_rows(n, k0, 21)
+        want = self.whole_array(table, _searchsorted_counts(table))
+        _force_tile_rows(monkeypatch, 7, 8 * k0)
+        heights = _force_block_rows(monkeypatch, n, k0, 3)
+        assert np.array_equal(_reorder(table), want)
+        assert heights == [3, 3, 1] * 7 + [1]
+
+    def test_exact_knn_table(self):
+        ds = make_dataset("glove200", n=400, seed=3)
+        table = knn_neighbors(ds.data, 24, ds.metric)
+        want = self.whole_array(table, _searchsorted_counts(table))
+        assert np.array_equal(_reorder(table), want)
+
+
+class TestBuildMemory:
+    def test_peak_past_the_bootstrap_is_a_tile_above_its_tables(self):
+        # Given its table, the build holds the bootstrap's copy of it, the
+        # reordered table, the adjacency and the merge's reverse stream,
+        # plus about one tile, where the whole-array stages held 7.2x the
+        # table (44.0 MB)
+        n, k0, degree = 12000, 64, 32
+        table = _ring_table(n, k0, 22)
+        data = np.random.default_rng(23).standard_normal((n, 4)).astype(np.float32)
+        builder = CagraBuilder(data, degree=degree, knn_table=table)
+        tracemalloc.start()
+        try:
+            graph = builder.build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.adjacency_array.shape == (n, degree)
+        tables = 2 * table.nbytes + 2 * n * degree * 8
+        assert peak <= tables + 2 * TILE_BYTES
 
 
 class TestCapacity:

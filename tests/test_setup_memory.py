@@ -66,7 +66,7 @@ def test_setup_peaks_reports_every_stage():
     spec.loader.exec_module(script)
     rows = script.stage_peaks("sift", n=300, queries=8, degree=8, k=5, seed=1)
     assert [row[0] for row in rows] == [
-        "make_dataset", "bootstrap", "detour", "reorder",
+        "make_dataset", "bootstrap", "detour+reorder",
         "merge", "medoid", "orphans", "ground truth",
     ]  # fmt: skip
     for _, base, peak, retained in rows:
