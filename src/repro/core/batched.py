@@ -39,7 +39,9 @@ marks and packs the flat list and scatters the keys back into a
 are masked out like inactive SIMT lanes until the whole batch drains.
 A round does only the search: the per-lane operation record is a log of
 the ``(B,)`` vectors each round computed anyway, reduced once when the
-batch has drained, and the results leave as arrays decoded once.
+batch has drained, and the results leave as ``(B, k)`` arrays, as
+SONG's leave the device in one copy: a lane becomes ``(distance, id)``
+tuples only while a caller reads it (:class:`LaneResults`).
 
 Correctness bar: under an exact visited backend the engine returns results
 **bit-identical** to :meth:`repro.core.song.SongSearcher.search`.  The
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 # lint: hot-path
 
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -91,26 +94,147 @@ from repro.structures.soa import (
 )
 from repro.structures.visited import VisitedBackend
 
-__all__ = ["BatchedSongSearcher", "LaneResults"]
+__all__ = ["BatchedSongSearcher", "LaneResults", "LaneView"]
 
 
-class LaneResults(list):
-    """Per-lane top-``k`` ``(distance, id)`` lists, ascending, of one batch,
-    with the ``(B, w)`` arrays they were decoded from.
+class _ListView(list):
+    """A read-only list whose items are built on every read.
 
-    ``ids`` is ``PAD`` and ``dists`` ``inf`` past each lane's list.  A
-    caller that continues in arrays (HNSW linking, the tier's re-rank)
-    reads those two instead of re-packing the lists; every other caller
-    sees a plain list of lists.
+    Subclasses give ``_items()``, the plain list the view stands for,
+    ``__len__`` and ``__iter__``; every other list read goes to
+    ``_items()``, so the view compares, slices, reprs and JSON-encodes as
+    that list and keeps none of it.  It subclasses ``list`` only so that
+    code keyed on ``isinstance(x, list)`` (``json``, list comparison)
+    reads it as one: its own list storage stays empty, and every method
+    that would write it raises ``TypeError``.
     """
 
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        return self._items()[index]
+
+    def __reversed__(self):
+        return reversed(self._items())
+
+    def __contains__(self, item) -> bool:
+        return item in self._items()
+
+    def __repr__(self) -> str:
+        return repr(self._items())
+
+    # Through the operators, so that a view on the other side answers
+    # with its items rather than with its empty list storage.
+    def __eq__(self, other):
+        return self._items() == other
+
+    def __ne__(self, other):
+        return self._items() != other
+
+    def __lt__(self, other):
+        return self._items() < other
+
+    def __le__(self, other):
+        return self._items() <= other
+
+    def __gt__(self, other):
+        return self._items() > other
+
+    def __ge__(self, other):
+        return self._items() >= other
+
+    def __add__(self, other):
+        return self._items() + other
+
+    def __radd__(self, other):
+        return other + self._items()
+
+    def __mul__(self, times):
+        return self._items() * times
+
+    __rmul__ = __mul__
+
+    def copy(self) -> list:
+        return self._items()
+
+    def index(self, *args) -> int:
+        return self._items().index(*args)
+
+    def count(self, item) -> int:
+        return self._items().count(item)
+
+    def __reduce__(self):
+        return list, (self._items(),)
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+
+class LaneView(_ListView):
+    """Lane ``lane`` of a :class:`LaneResults`: its ``(distance, id)``
+    list, decoded from the batch's arrays on every read and never kept."""
+
+    __slots__ = ("batch", "lane")
+
+    def __init__(self, batch: "LaneResults", lane: int) -> None:
+        self.batch, self.lane = batch, lane
+
+    def __iter__(self):
+        ids = self.batch.ids[self.lane].tolist()
+        del ids[len(ids) - ids.count(PAD) :]  # PAD only ever trails a lane
+        return zip(self.batch.dists[self.lane].tolist(), ids)
+
+    def _items(self) -> List[Tuple[float, int]]:
+        return list(self.__iter__())
+
+    def __len__(self) -> int:
+        ids = self.batch.ids[self.lane].tolist()
+        return len(ids) - ids.count(PAD)
+
+
+class LaneResults(_ListView):
+    """Per-lane top-``k`` ``(distance, id)`` lists, ascending, of one
+    batch, held as the ``(B, w)`` ``ids`` / ``dists`` arrays.
+
+    ``ids`` is ``PAD`` and ``dists`` ``inf`` past each lane's list.  A
+    caller that continues in arrays (HNSW linking, NSG's pools, the
+    tier's re-rank) reads those two; every other caller reads a list of
+    lists: ``results[i]`` is a :class:`LaneView` that decodes lane ``i``
+    only while it is read, so building a batch's results allocates
+    nothing per lane.
+    """
+
+    __slots__ = ("ids", "dists")
+
     def __init__(self, ids: np.ndarray, dists: np.ndarray) -> None:
-        counts = (ids != PAD).sum(axis=1).tolist()
-        super().__init__(
-            list(zip(d[:c], i[:c]))
-            for d, i, c in zip(dists.tolist(), ids.tolist(), counts)
-        )
         self.ids, self.dists = ids, dists
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, filled: np.ndarray) -> "LaneResults":
+        """Results from packed ``(B, w)`` keys, ``filled`` where a slot holds
+        a result (every lane's filled slots first)."""
+        return cls(
+            np.where(filled, unpack_ids(keys), PAD),
+            np.where(filled, unpack_distances(keys), np.float32(np.inf)),
+        )
+
+    def _items(self) -> List[LaneView]:
+        return [LaneView(self, lane) for lane in range(len(self))]
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._items()[index]
+        # A range indexes as a list does: negative lanes, IndexError.
+        return LaneView(self, range(len(self.ids))[index])
+
+    def __iter__(self):
+        return map(LaneView, repeat(self), range(len(self)))
 
 
 def _unvisited(visited: np.ndarray, base: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -217,8 +341,8 @@ class BatchedSongSearcher:
     ) -> LaneResults:
         """Top-``config.k`` neighbors for every row of ``queries``.
 
-        The per-lane ``(distance, id)`` lists, which also carry the
-        ``(B, w)`` id and distance arrays they were decoded from
+        The per-lane ``(distance, id)`` lists, held as the ``(B, w)`` id
+        and distance arrays and decoded lane by lane as they are read
         (:class:`LaneResults`).
 
         Parameters
@@ -449,13 +573,13 @@ class _LockstepState:
     # -- result extraction ----------------------------------------------------
 
     def results(self) -> LaneResults:
-        """Per-lane top-``k`` lists, ascending, deduplicated by id, with the
-        ``(B, min(k, pool))`` arrays they are decoded from.
+        """Per-lane top-``k`` results, ascending, deduplicated by id, as
+        ``(B, min(k, pool))`` arrays.
 
         Visited deletion can bring a vertex back into a pool that still
         holds it; the second copy is the same ``(distance, id)`` key, so it
         sits next to the first in the sorted row and is dropped there.
-        O(B·pool) array work plus one ``tolist`` per array.
+        O(B·pool) array work; no lane is decoded here.
         """
         keys = self.topk.keys
         keep = keys != PAD_KEY
@@ -463,11 +587,7 @@ class _LockstepState:
         # Kept slots first, in row order: the first k of them are the lane's.
         order = np.argsort(~keep, axis=1, kind="stable")[:, : self.k]
         top = np.take_along_axis(keys, order, axis=1)
-        filled = np.take_along_axis(keep, order, axis=1)
-        return LaneResults(
-            np.where(filled, unpack_ids(top), PAD),
-            np.where(filled, unpack_distances(top), np.float32(np.inf)),
-        )
+        return LaneResults.from_keys(top, np.take_along_axis(keep, order, axis=1))
 
     def fill_stats(self, stats: Sequence[SearchStats]) -> None:  # lint: allow(hot-loop)
         """Reduce the round log into caller-provided stats (O(rounds·B)).

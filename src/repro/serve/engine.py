@@ -34,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.batched import LaneResults
 from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex
 from repro.core.song import SearchStats
@@ -51,9 +52,12 @@ class BatchServiceResult:
     ``service_seconds`` is what the device is busy for (the replica
     serializes batches on it); ``detail`` carries engine-specific
     attribution (kernel/transfer split, stream schedule, tier stats).
+    ``results`` holds one ``(distance, id)`` list per query: the
+    engines here hand over the lockstep engine's
+    :class:`~repro.core.batched.LaneResults`.
     """
 
-    results: List[List[Tuple[float, int]]]
+    results: Sequence[Sequence[Tuple[float, int]]]
     service_seconds: float
     detail: Dict[str, object] = field(default_factory=dict)
 
@@ -190,7 +194,7 @@ class SimulatedGpuEngine:
         config: SearchConfig,
         num_chunks: Optional[int] = None,
         max_chunks: int = 1,
-    ) -> Tuple[List[List[Tuple[float, int]]], List[ChunkWork], Dict[str, object]]:
+    ) -> Tuple[LaneResults, List[ChunkWork], Dict[str, object]]:
         """Search a batch and return per-chunk priced work for streaming.
 
         The multi-stream replica path: results come from the lockstep

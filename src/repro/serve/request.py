@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,20 +52,22 @@ class ServeRequest:
             self.future.set_result(response)
 
 
-@dataclass
+@dataclass(slots=True)
 class ServeResponse:
     """Terminal record of one request.
 
     ``status`` is ``"ok"`` for served requests, ``"shed"`` for load
     shedding (with a ``shed_reason`` and no results), or ``"error"``
-    when the request's batch raised in its engine (with the exception
-    text in ``error`` and no results).
+    when the request's batch raised in its engine or while its response
+    was built (with the exception text in ``error`` and no results).
+    A served request's ``results`` is its lane of the batch's
+    :class:`~repro.core.batched.LaneResults`, decoded when read.
     Latencies are in (simulated or wall) seconds.
     """
 
     request_id: int
     status: str
-    results: List[Tuple[float, int]] = field(default_factory=list)
+    results: Sequence[Tuple[float, int]] = field(default_factory=list)
     tier: int = 0
     ef: int = 0
     queue_wait_s: float = 0.0

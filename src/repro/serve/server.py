@@ -15,8 +15,9 @@ internally the request flows through
 
 Serving is read-only: the index a replica holds is built offline and
 never changes while it serves.  A batch whose engine raises resolves
-every one of its requests with ``status="error"``; the server keeps
-serving the batches after it.
+every one of its requests with ``status="error"``, and so does a request
+whose own result cannot be read back; the server keeps serving the
+batches after it.
 
 Every stage reports into a :class:`~repro.serve.metrics.ServeMetrics`
 instance exported as JSON via :meth:`SongServer.metrics_dict`.
@@ -112,11 +113,20 @@ class SongServer:
     async def submit(
         self, query: np.ndarray, ground_truth: Optional[np.ndarray] = None
     ) -> ServeResponse:
-        """Serve one query; resolves when it completes or is shed."""
+        """Serve one query; resolves when it completes or is shed.
+
+        ``ground_truth``, when given, is the query's exact neighbour ids
+        (1-D) for recall-under-load accounting.
+        """
         if self._stopped:
             # Nothing would ever dispatch the request: refuse it before it
             # counts as an arrival.
             raise RuntimeError("server stopped")
+        if ground_truth is not None and np.ndim(ground_truth) != 1:
+            raise ValueError(
+                f"ground_truth must be 1-D neighbour ids, got shape "
+                f"{np.shape(ground_truth)}"
+            )
         loop = asyncio.get_running_loop()
         request = ServeRequest(
             request_id=self._take_id(),
@@ -175,37 +185,25 @@ class SongServer:
             request.dispatch_s = now
         try:
             outcome = await replica.run_batch(queries, cfg)
+            service = outcome.service_seconds
+            self._observe_device(outcome)
         except Exception as exc:
             # Resolve every caller: an unresolved future would park its
             # submit() forever, and re-raising would only orphan the
             # exception on a dispatch task nobody awaits for a result.
-            error = f"{type(exc).__name__}: {exc}"
-            for request in batch:
-                self.metrics.on_error()
-                request.resolve(
-                    ServeResponse(
-                        request_id=request.request_id,
-                        status="error",
-                        replica=replica.name,
-                        error=error,
-                    )
-                )
+            self._fail(batch, replica.name, exc)
             return
         done = loop.time()
-        service = outcome.service_seconds
-        self._observe_device(outcome)
         for i, request in enumerate(batch):
             total = done - request.arrival_s
             wait = max(0.0, total - service)
-            recall = _recall_of(
-                outcome.results[i], request.ground_truth, self.config.base.k
-            )
-            self.metrics.on_complete(tier, wait, service, recall)
-            request.resolve(
-                ServeResponse(
+            try:
+                results = outcome.results[i]
+                recall = _recall_of(results, request.ground_truth, self.config.base.k)
+                response = ServeResponse(
                     request_id=request.request_id,
                     status="ok",
-                    results=outcome.results[i],
+                    results=results,
                     tier=tier,
                     ef=cfg.queue_size,
                     queue_wait_s=wait,
@@ -215,7 +213,13 @@ class SongServer:
                     replica=replica.name,
                     recall=recall,
                 )
-            )
+                self.metrics.on_complete(tier, wait, service, recall)
+            except Exception as exc:
+                # The same contract for a request whose own result cannot
+                # be read: it errors, its batch mates still complete.
+                self._fail([request], replica.name, exc)
+                continue
+            request.resolve(response)
         observation = BatchObservation(
             batch_size=len(batch),
             service_seconds=service,
@@ -226,6 +230,20 @@ class SongServer:
         self.batcher.controller.observe(
             len(batch), service, self.batcher.queue_depth
         )
+
+    def _fail(self, requests: List[ServeRequest], replica: str, exc: Exception) -> None:
+        """Resolve ``requests`` with ``status="error"`` naming ``exc``."""
+        error = f"{type(exc).__name__}: {exc}"
+        for request in requests:
+            self.metrics.on_error()
+            request.resolve(
+                ServeResponse(
+                    request_id=request.request_id,
+                    status="error",
+                    replica=replica,
+                    error=error,
+                )
+            )
 
     def _observe_device(self, outcome) -> None:
         """Feed device-side stream accounting into the metrics."""

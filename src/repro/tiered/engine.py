@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.batched import LaneResults
 from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import DistanceProfile
 from repro.core.song import SearchStats
@@ -101,7 +102,7 @@ class TieredServeEngine:
         config: SearchConfig,
         num_chunks: Optional[int] = None,
         max_chunks: int = 1,
-    ) -> Tuple[List[List[Tuple[float, int]]], List[ChunkWork], Dict[str, object]]:
+    ) -> Tuple[LaneResults, List[ChunkWork], Dict[str, object]]:
         """Search a batch; price it as fetch-overlapped pipeline chunks.
 
         Each chunk carries (HtoD) its queries' packed signatures plus

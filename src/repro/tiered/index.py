@@ -24,14 +24,14 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.batched import BatchedSongSearcher
+from repro.core.batched import BatchedSongSearcher, LaneResults
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, require_finite
 from repro.distances import get_metric
 from repro.graphs.storage import PAD, FixedDegreeGraph
 from repro.simt.device import DeviceSpec, get_device
 from repro.simt.memory import CapacityLedger
-from repro.structures.soa import PAD_KEY, pack_keys, unpack_distances, unpack_ids
+from repro.structures.soa import PAD_KEY, pack_keys
 from repro.tiered.cache import rowids_to_pages
 from repro.tiered.codes import make_store
 from repro.tiered.config import TieredConfig
@@ -149,7 +149,7 @@ class TieredIndex:
 
     def search_batch_with_stats(
         self, queries: np.ndarray, config: SearchConfig
-    ) -> Tuple[List[List[Tuple[float, int]]], List[SearchStats], RerankPlan]:
+    ) -> Tuple[LaneResults, List[SearchStats], RerankPlan]:
         """Full tier pipeline: ``(results, traversal stats, rerank plan)``.
 
         ``stats`` are the per-lane operation records of the *compressed*
@@ -170,7 +170,7 @@ class TieredIndex:
         queries: np.ndarray,
         candidates: np.ndarray,
         config: SearchConfig,
-    ) -> Tuple[List[List[Tuple[float, int]]], RerankPlan]:
+    ) -> Tuple[LaneResults, RerankPlan]:
         """Exact distances over the over-fetched ``(B, k')`` id panel
         (``PAD``-tailed); keep top ``k``."""
         num_lanes, kprime = candidates.shape
@@ -181,14 +181,8 @@ class TieredIndex:
         dists = get_metric(config.metric).gather_many(
             queries, lanes, self.data, ids.reshape(-1)
         ).reshape(num_lanes, kprime)
-        keys = rerank_sort_keys(dists, ids, valid)
-        top = keys[:, : config.k]
-        counts = (top != PAD_KEY).sum(axis=1).tolist()
-        top_dists = unpack_distances(top).tolist()
-        top_ids = unpack_ids(top).tolist()
-        results = [
-            list(zip(d[:c], v[:c])) for d, v, c in zip(top_dists, top_ids, counts)
-        ]
+        top = rerank_sort_keys(dists, ids, valid)[:, : config.k]
+        results = LaneResults.from_keys(top, top != PAD_KEY)
         # Each lane's pages in first-occurrence order: a stable row sort
         # puts every page's earliest slot first in its run.
         pages = rowids_to_pages(ids, self.page_rows)

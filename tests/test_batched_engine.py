@@ -9,6 +9,11 @@ packed-key machinery the structure-of-arrays state rests on.
 
 from __future__ import annotations
 
+import gc
+import json
+import operator
+import pickle
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -16,13 +21,19 @@ import numpy as np
 import pytest
 
 import repro.distances.metrics as metrics_module
-from repro.core.batched import BatchedSongSearcher, _first_occurrence_mask
+from repro.core.batched import (
+    BatchedSongSearcher,
+    LaneResults,
+    LaneView,
+    _first_occurrence_mask,
+)
 from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, SongSearcher
 from repro.distances import Metric, get_metric
 from repro.graphs import build_nsg, build_nsw
-from repro.graphs.storage import FixedDegreeGraph
+from repro.graphs.storage import PAD, FixedDegreeGraph
 from repro.hashing import SignRandomProjection
+from repro.serve import ServerConfig, build_server, drive_poisson, run_virtual
 from repro.structures.soa import (
     PAD_KEY,
     BatchedFrontier,
@@ -237,7 +248,131 @@ def test_empty_batch():
     graph = build_nsw(data + np.arange(10, dtype=np.float32)[:, None], m=4, seed=0)
     searcher = SongSearcher(graph, np.ascontiguousarray(data + np.arange(10, dtype=np.float32)[:, None]))
     config = SearchConfig(k=2, queue_size=4)
-    assert searcher.search_batch(np.zeros((0, 4), dtype=np.float32), config) == []
+    empty = np.zeros((0, 4), dtype=np.float32)
+    assert searcher.search_batch(empty, config) == []
+    results = searcher.batched().search_batch(empty, config)
+    assert results.ids.shape == results.dists.shape == (0, 2)
+    assert results == [] and not results and results[:] == [] and repr(results) == "[]"
+    with pytest.raises(IndexError):
+        results[0]
+
+
+# -- lazy results: lanes stay arrays until read --------------------------------
+
+
+@pytest.fixture(scope="module")
+def short_lane_searcher():
+    """Ten points whose entry component holds four (a 4-cycle; the other
+    six form their own ring): at k = 6 every lane ends two slots short,
+    in ``PAD``."""
+    rng = np.random.default_rng(5)
+    data = rng.standard_normal((10, 4)).astype(np.float32)
+    graph = FixedDegreeGraph(10, 2, entry_point=0)
+    for v in range(4):
+        graph.set_neighbors(v, [(v + 1) % 4, (v + 3) % 4])
+    for v in range(4, 10):
+        graph.set_neighbors(v, [4 + (v - 3) % 6])
+    return SongSearcher(graph, data), rng.standard_normal((5, 4)).astype(np.float32)
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_lazy_lanes_equal_the_serial_lists(short_lane_searcher, k):
+    searcher, queries = short_lane_searcher
+    config = SearchConfig(k=k, queue_size=8)
+    serial = searcher.search_batch(queries, config, engine="serial")
+    batched = searcher.search_batch(queries, config, engine="batched")
+    assert isinstance(batched, LaneResults) and len(batched) == len(serial)
+    for lane, expected in zip(batched, serial):
+        assert isinstance(lane, LaneView)
+        assert lane == expected and expected == lane and not lane != expected
+        assert list(lane) == expected and len(lane) == len(expected) == min(k, 4)
+    assert (batched.ids[:, 4:] == PAD).all() and np.isinf(batched.dists[:, 4:]).all()
+
+
+def test_lanes_index_slice_and_repr_as_lists(short_lane_searcher):
+    searcher, queries = short_lane_searcher
+    results = searcher.batched().search_batch(queries, SearchConfig(k=6, queue_size=8))
+    plain = [list(lane) for lane in results]
+    for i in range(-len(plain), len(plain)):
+        lane = results[i]
+        assert lane == plain[i] and repr(lane) == repr(plain[i])
+        assert lane[-1] == plain[i][-1] and lane[1:3] == plain[i][1:3]
+        with pytest.raises(IndexError):
+            lane[len(plain[i])]
+    for part in (slice(1, 3), slice(None, None, -2), slice(-2, None), slice(7, 9)):
+        assert results[part] == plain[part]
+    assert repr(results) == repr(plain) and str(results) == str(plain)
+    assert json.dumps(results) == json.dumps(plain)
+    assert pickle.loads(pickle.dumps(results)) == plain
+    for bad in (len(plain), -len(plain) - 1):
+        with pytest.raises(IndexError):
+            results[bad]
+    with pytest.raises(TypeError, match="read-only"):
+        results[0].append((0.0, 0))
+    with pytest.raises(TypeError, match="read-only"):
+        results[0] = []
+
+
+def test_every_list_read_answers_as_the_plain_list(short_lane_searcher):
+    """A view's own list storage is empty: any read it did not route to
+    its items would answer for an empty list."""
+    searcher, queries = short_lane_searcher
+    results = searcher.batched().search_batch(queries, SearchConfig(k=6, queue_size=8))
+    plain = [list(lane) for lane in results]
+    for view, ref in ((results, plain), (results[0], plain[0])):
+        item = ref[-1]
+        assert item in view and ("x", -1) not in view
+        assert view.index(item) == ref.index(item) and view.count(item) == 1
+        assert list(reversed(view)) == ref[::-1]
+        assert view.copy() == ref and type(view.copy()) is list
+        assert view + [None] == ref + [None] and [None] + view == [None] + ref
+        assert view * 2 == ref * 2 and 2 * view == 2 * ref
+    for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne):
+        expected = op(plain[0], plain[1])
+        assert op(results[0], results[1]) == op(plain[0], results[1]) == expected
+
+
+def test_building_lane_results_allocates_nothing_per_lane():
+    lanes, width = 4096, 10
+    ids = np.tile(np.arange(width, dtype=np.int64), (lanes, 1))
+    dists = np.ones((lanes, width), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        results = LaneResults(ids, dists)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == lanes and len(results[-1]) == width
+    # One object; decoding every lane into tuples would take ~5 MB.
+    assert peak < 1024
+
+
+def test_a_served_response_holds_a_lane_not_its_tuples(small_dataset, small_graph):
+    """Bytes the responses of 300 served requests keep alive, per response:
+    the response, its lane view and its share of the batch's arrays.  A
+    response that held its decoded ``(distance, id)`` list kept ≈ 1.3 kB."""
+
+    async def main():
+        server = build_server(
+            small_graph, small_dataset.data, ServerConfig(base=SearchConfig(k=10, queue_size=32))
+        )
+        await server.start()
+        tracemalloc.start()
+        try:
+            responses = await drive_poisson(server, small_dataset.queries, 20_000, 300, seed=2)
+            await server.stop()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            served = sum(r.ok for r in responses)
+            del responses
+            gc.collect()
+            return (held - tracemalloc.get_traced_memory()[0]) / served, served
+        finally:
+            tracemalloc.stop()
+
+    per_response, served = run_virtual(main())
+    assert served == 300
+    assert per_response < 768
 
 
 # -- dispatch and operation records ------------------------------------------

@@ -103,6 +103,58 @@ class TestEngineFault:
         assert balanced(server.metrics.counters)
 
 
+    def test_unreadable_result_errors_only_its_request(self):
+        """The engine returns one result list too few, so the fault comes
+        after ``run_batch`` returned: the last request of each batch reads
+        past the list.  That request resolves as an error and its batch
+        mates complete, where the whole batch used to park its callers."""
+
+        class ShortEngine(StubEngine):
+            def run_batch(self, queries, config):
+                outcome = super().run_batch(queries, config)
+                outcome.results = outcome.results[:-1]
+                return outcome
+
+        async def scenario():
+            baseline = asyncio.all_tasks()
+            server = make_server(ShortEngine("gpu0"))
+            await server.start()
+            responses = await asyncio.gather(*(server.submit(q) for q in QUERIES))
+            await server.stop()
+            return responses, dict(server.metrics.counters), started_since(baseline)
+
+        responses, counters, leftover = bounded(scenario())
+        assert [r.status for r in responses] == (["ok"] * 3 + ["error"]) * 2
+        assert all(r.error.startswith("IndexError") for r in responses[3::4])
+        assert all(r.results == [] for r in responses[3::4])
+        assert counters["completed"] == 6 and counters["errors"] == 2
+        assert balanced(counters)
+        assert leftover == []
+
+    def test_ground_truth_must_be_one_dimensional(self):
+        """``ground_truth`` is caller input: a scalar or a 2-D array raises
+        ``ValueError`` from ``submit`` before the request counts as an
+        arrival, instead of failing in the dispatch; serving goes on."""
+
+        async def scenario():
+            server = make_server(StubEngine("gpu0"))
+            await server.start()
+            for truth in (np.int64(3), np.zeros((2, 5), dtype=np.int64)):
+                with pytest.raises(ValueError, match="1-D"):
+                    await server.submit(QUERIES[0], ground_truth=truth)
+            served = await asyncio.gather(
+                *(server.submit(q, ground_truth=np.arange(5)) for q in QUERIES[:4])
+            )
+            await server.stop()
+            return served, dict(server.metrics.counters)
+
+        served, counters = bounded(scenario())
+        assert [r.status for r in served] == ["ok"] * 4
+        assert [r.recall for r in served] == [0.2, 0.2, 0.2, 0.2]
+        assert counters["arrived"] == counters["completed"] == 4
+        assert balanced(counters)
+
+
 class TestBackpressure:
     def test_block_policy_returns_every_queue_slot(self):
         """Under ``block`` a caller waits for one of ``max_queue`` slots;
