@@ -4,13 +4,16 @@ layers (outside tier-1).
 Seeds one bug at a time into a *copy* of the source tree and records
 which checkers fail on it.  Three catalogues, one table each:
 
-* **microkernels** — bugs in ``simt/kernels.py`` and the cost constants
-  they are checked against; checkers are the ``sanitizer`` engine
+* **microkernels** — bugs in the instruction-level layer's
+  ``simt/kernels.py`` and in the cost constants and transaction rounding
+  the analytic pricer charges; checkers are the ``sanitizer`` engine
   (``python -m repro.analysis --engines sanitizer --strict``, parent
-  only) and the test files in ``TESTS``: the ones that exercise the
-  microkernels, plus ``benchmarks/bench_ablation_cost_model.py`` at the
-  parent and the calibration pin ``tests/test_simt_calibration.py`` at
-  the change;
+  only) and the test files in ``TESTS``: the ones that exercised the
+  microkernels plus ``benchmarks/bench_ablation_cost_model.py`` at the
+  parent, and the calibration pin ``tests/test_simt_calibration.py`` and
+  the pricing golden ``tests/test_pricing_golden.py`` at the change.
+  The layer is deleted at the change, so a mutant of one of its files
+  is reported there as ``deleted``;
 * **serving** — bugs in ``serve/``'s coroutines, locks and clocks;
   checkers are the ``aio`` engine (parent only), the ``lint`` engine
   (its nondeterminism sweep scans ``serve/``), ``arrays`` (parent only)
@@ -26,7 +29,8 @@ engine, ``SERVE_PARENT`` for the ``aio`` engine,
 ``ARRAYS_PARENT`` for the ``arrays`` engine, exported with ``git
 archive``), so each row names its catchers before and after that
 deletion.  A mutant whose source snippet no longer matches as often as
-declared aborts the run instead of silently testing nothing.  The
+declared aborts the run instead of silently testing nothing; one whose
+file the tree no longer has is recorded as ``deleted``.  The
 unmutated tree must be clean on every checker, or the run aborts too.  A run that outlives ``STEP_TIMEOUT_S``
 is killed and recorded as a hang: a hang counts as caught only because
 that bound turns it into a failure.
@@ -73,9 +77,11 @@ SERVE_PARENT = "e80d0eacfed3b4310466b002fe371534c8d4344b"
 ARRAYS_PARENT = "5bc8260c55e02b3c7fd62879ddc04f38fb4cc94d"
 
 #: Kernel-catalogue test files; a file absent from a tree is skipped, so
-#: the parent lacks the calibration pin and the change the ablation bench.
+#: the parent lacks the calibration pin and the pricing golden, and the
+#: change the ablation bench and the instruction-level layer's tests.
 TESTS = [
     "tests/test_simt_calibration.py",
+    "tests/test_pricing_golden.py",
     "tests/test_model_drift.py",
     "tests/test_simt_kernels.py",
     "tests/test_isa_simulator.py",
@@ -135,7 +141,9 @@ class Mutant:
     at ``scope`` and runs to the next top-level ``def`` (or the whole
     file when ``scope`` is empty); ``old`` must occur ``count`` times.
     ``header`` is inserted after the module's ``__future__`` import;
-    ``pinned_by`` names the tests written to fail on the mutant."""
+    ``pinned_by`` names the tests written to fail on the mutant;
+    ``change_path`` is where the snippet lives in the working tree when
+    it moved there from ``path``."""
 
     mid: str
     title: str
@@ -146,6 +154,7 @@ class Mutant:
     count: int = 1
     header: str = ""
     pinned_by: Tuple[str, ...] = ()
+    change_path: str = ""
 
 
 MUTANTS = [
@@ -195,11 +204,12 @@ MUTANTS = [
         "    seq_op_cycles: int = 20\n", "    seq_op_cycles: int = 60\n",
     ),
     Mutant(
-        "M7", "`read_coalesced` rounds up one extra transaction at exact "
+        "M7", "transaction rounding adds one extra transaction at exact "
         "multiples of 128 B", "src/repro/simt/memory.py",
-        "return count * -(-num_bytes // COALESCED_TRANSACTION_BYTES)",
-        "return count * ((num_bytes + COALESCED_TRANSACTION_BYTES) "
+        "-(-num_bytes // COALESCED_TRANSACTION_BYTES)",
+        "((num_bytes + COALESCED_TRANSACTION_BYTES) "
         "// COALESCED_TRANSACTION_BYTES)",
+        change_path="src/repro/simt/cost.py",
     ),
     Mutant(
         "M8", "accumulator written by lanes 0–15 only, then read by all "
@@ -500,6 +510,9 @@ CATALOGUES = {
 #: ``stderr`` of a step killed at ``STEP_TIMEOUT_S``.
 HUNG = "timeout"
 
+#: A catalogue result for a mutant whose file the tree no longer has.
+DELETED = "deleted"
+
 
 def _limit_resources() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (STEP_MEMORY_BYTES, STEP_MEMORY_BYTES))
@@ -577,8 +590,12 @@ def _check(tree: Path, checkers: Sequence[str], tests: Sequence[str]) -> Dict:
     return out
 
 
-def _apply(tree: Path, mutant: Mutant) -> Tuple[Path, str]:
-    path = tree / mutant.path
+def _mutant_path(mutant: Mutant, label: str) -> str:
+    return mutant.change_path if label == "change" and mutant.change_path else mutant.path
+
+
+def _apply(tree: Path, mutant: Mutant, rel: str) -> Tuple[Path, str]:
+    path = tree / rel
     original = path.read_text()
     start = original.index(mutant.scope) if mutant.scope else 0
     end = original.find("\ndef ", start + 1) if mutant.scope else -1
@@ -588,13 +605,13 @@ def _apply(tree: Path, mutant: Mutant) -> Tuple[Path, str]:
     if found != mutant.count:
         raise SystemExit(
             f"{mutant.mid}: expected {mutant.count} match(es) of its snippet "
-            f"in {mutant.path}, found {found}"
+            f"in {rel}, found {found}"
         )
     mutated = original[:start] + region.replace(mutant.old, mutant.new) + original[end:]
     if mutant.header:
         future = "from __future__ import annotations\n"
         if mutated.count(future) != 1:
-            raise SystemExit(f"{mutant.mid}: no single __future__ import in {mutant.path}")
+            raise SystemExit(f"{mutant.mid}: no single __future__ import in {rel}")
         mutated = mutated.replace(future, future + mutant.header)
     path.write_text(mutated)
     return path, original
@@ -630,7 +647,12 @@ def catalogue(tree: Path, name: str, label: str) -> Dict[str, Dict]:
         raise SystemExit(f"{name}/{label}: unmutated tree is not clean: {dirty}")
     results = {}
     for mutant in cat.mutants:
-        path, original = _apply(tree, mutant)
+        rel = _mutant_path(mutant, label)
+        if not (tree / rel).exists():
+            results[mutant.mid] = DELETED
+            print(f"{name}/{label} {mutant.mid}: {DELETED}", file=sys.stderr)
+            continue
+        path, original = _apply(tree, mutant, rel)
         try:
             results[mutant.mid] = _check(tree, checkers, cat.tests)
         finally:
@@ -653,14 +675,15 @@ def render(results: Dict[str, Dict]) -> str:
         "Generated by `python scripts/mutants.py` (do not edit by hand).",
         f"`parent` is commit `{PARENT[:12]}`, which still has the `sanitizer`",
         "engine (lane-accurate trace checks over every registered",
-        "microkernel); `change` is the working tree, where the microkernels",
-        "are checked by their tests and the analytic model is also held to",
-        "the simulator's committed measurements",
-        "(`benchmarks/results/simt_ratios.txt`) by `test_simt_calibration.py`.",
+        "microkernel) and the instruction-level layer; `change` is the",
+        "working tree, where that layer is deleted and the analytic pricer",
+        "is held to the simulator's committed measurements",
+        "(`benchmarks/results/simt_ratios.txt`) by `test_simt_calibration.py`",
+        "and to its own earlier output by `test_pricing_golden.py`.",
         "✓ = the checker fails on the mutant (with the rules it reported, or",
         "the failing test files and counts); `crash: X` = the engine itself",
         "raised `X`, so the gate fails with a traceback instead of a finding;",
-        "✗ = it passes.",
+        "✗ = it passes; `deleted` = the tree no longer has the mutated file.",
         "`tests` = " + ", ".join(f"`{Path(t).name}`" for t in TESTS)
         + "; a file the tree lacks is skipped.",
         "",
@@ -675,14 +698,15 @@ def render(results: Dict[str, Dict]) -> str:
         "",
         "- Caught at the parent by nothing: "
         + ids(lambda m: not _caught(parent[m.mid], pcols)) + ".",
-        "- Caught at the parent by the sanitizer and by nothing at the change: "
-        + ids(lambda m: parent[m.mid]["sanitizer"]
-              and not _caught(change[m.mid], ccols)) + ".",
+        "- Deleted at the change with the layer: "
+        + ids(lambda m: change[m.mid] == DELETED) + ".",
         "- Caught at the change by `test_simt_calibration.py`: "
-        + ids(lambda m: "test_simt_calibration" in (change[m.mid]["tests"] or ""))
-        + ".",
-        "- Caught by nothing at the change: "
-        + ids(lambda m: not _caught(change[m.mid], ccols)) + ".",
+        + ids(lambda m: _caught_by(change[m.mid], "test_simt_calibration")) + ".",
+        "- Caught at the change by `test_pricing_golden.py`: "
+        + ids(lambda m: _caught_by(change[m.mid], "test_pricing_golden")) + ".",
+        "- Run at the change and caught by nothing: "
+        + ids(lambda m: change[m.mid] != DELETED
+              and not _caught(change[m.mid], ccols)) + ".",
     ]
     return "\n".join(out) + "\n"
 
@@ -698,13 +722,21 @@ def _grid(mutants: Sequence[Mutant], results: Dict[str, Dict],
     ]
     for m in mutants:
         p, c = results["parent"][m.mid], results["change"][m.mid]
-        cells = [_cell(p[k]) for k in pcols] + [_cell(c[k]) for k in ccols]
+        cells = [_row_cell(p, k) for k in pcols] + [_row_cell(c, k) for k in ccols]
         out.append(f"| {m.mid} | {m.title} | " + " | ".join(cells) + " |")
     return out
 
 
+def _row_cell(row, checker: str) -> str:
+    return DELETED if row == DELETED else _cell(row[checker])
+
+
 def _caught(row: Dict, cols: Sequence[str]) -> List[str]:
-    return [k for k in cols if row[k]]
+    return [] if row == DELETED else [k for k in cols if row[k]]
+
+
+def _caught_by(row, test: str) -> bool:
+    return row != DELETED and test in (row["tests"] or "")
 
 
 def _ids(mutants: Sequence[Mutant], pred) -> str:

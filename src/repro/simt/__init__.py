@@ -17,10 +17,8 @@ maintenance, shared-memory occupancy limits, and PCIe transfers.
 
 Every search, build, serve and tier path prices work with this analytic
 model.  Its constants (transactions per read, ``shfl_down`` steps,
-``seq_op_cycles``, the latency-overlap factor) were measured on the
-instruction-level simulator (:mod:`repro.simt.simulator` running the
-:mod:`repro.simt.kernels` microkernels, written in :mod:`repro.simt.isa`),
-which only its tests run and which this package does not import;
+``seq_op_cycles``, the latency-overlap factor) were measured once on an
+instruction-level simulator, since deleted;
 ``benchmarks/results/simt_ratios.txt`` keeps those measurements and
 ``tests/test_simt_calibration.py`` holds the model to them.
 """
