@@ -13,8 +13,9 @@ from repro import GpuSongIndex, build_nsw
 from repro.core.config import SearchConfig
 from repro.eval import batch_recall, format_curve, sweep_gpu_song
 from repro.eval.report import format_table
+from repro.simt.cost import CostModel
 from repro.simt.device import get_device
-from repro.simt.warp import Warp
+from repro.simt.memory import SCATTERED_SECTOR_BYTES
 from repro.structures.visited import VisitedBackend
 
 
@@ -119,15 +120,16 @@ def test_ablation_coalescing(benchmark):
     coalesced ones — the rule behind the fixed-degree layout."""
 
     def run():
-        dev = get_device("v100")
+        cost = CostModel(get_device("v100"))
         rows = []
         for words in (32, 256, 1024):
-            wc, ws = Warp(dev), Warp(dev)
-            wc.global_read_coalesced(4 * words)
-            ws.global_read_scattered(words)
+            # One warp-wide read of consecutive words moves their bytes;
+            # each scattered 4-byte read moves a whole sector.
+            coalesced = cost.coalesced_read(4 * words)
+            scattered = cost.scattered_read(words)
             rows.append(
-                [words, wc.memory.total_global_bytes, ws.memory.total_global_bytes,
-                 f"{ws.cycles / max(wc.cycles, 1e-9):.1f}x"]
+                [words, 4 * words, SCATTERED_SECTOR_BYTES * words,
+                 f"{scattered / max(coalesced, 1e-9):.1f}x"]
             )
         emit_report(
             "ablation_coalescing",

@@ -65,6 +65,14 @@ timeout 600 python scripts/pairs.py --scale smoke --pairs 1 --seconds 1
 timeout 600 python -m pytest benchmarks/bench_fig15_cpu_song.py --benchmark-only -q
 git diff --exit-code -- benchmarks/results/fig15_nytimes.txt benchmarks/results/fig15_uqv.txt
 
+# Fig. 10 is the GPU side's stage split: HtoD / kernel / DtoH and the
+# locate / distance / maintain cycle sums, all out of one pricer
+# (core/gpu_kernel.py::price_block).  Regenerate it and fail if the
+# reports differ from the committed ones, so a pricer change cannot move
+# the figure silently.  About 10 s with a warm graph cache.
+timeout 600 python -m pytest benchmarks/bench_fig10_time_breakdown.py --benchmark-only -q
+git diff --exit-code -- benchmarks/results/fig10_*.txt
+
 # The per-stage set-up memory table (scripts/setup_peaks.py) at a small
 # size, so the script keeps step with the builder it mirrors.
 timeout 120 python scripts/setup_peaks.py --dataset gist --n 2000 --queries 128 >/dev/null

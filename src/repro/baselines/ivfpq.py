@@ -5,8 +5,9 @@ codes of the *residuals* (vector minus its centroid), exactly the Faiss
 ``IVFPQ`` layout.  Search visits the ``nprobe`` nearest lists and ranks
 their codes with ADC tables.
 
-``gpu_search_batch`` runs the same search while metering warp costs, so
-QPS-vs-recall curves come from the same simulated device as SONG's.  The
+``gpu_search_batch`` runs the same search and prices it with the
+per-event charges SONG's lanes are priced with, so QPS-vs-recall curves
+come from the same simulated device as SONG's.  The
 quantization structure is what produces the paper's characteristic Faiss
 behaviour: very fast per-candidate work, but a recall ceiling set by code
 quality — visible on clustered datasets (NYTimes/GloVe analogues).
@@ -20,9 +21,8 @@ import numpy as np
 
 from repro.baselines.kmeans import kmeans
 from repro.baselines.pq import ProductQuantizer
-from repro.simt.device import DeviceSpec, get_device
-from repro.simt.kernel import KernelLauncher, KernelResult
-from repro.simt.warp import Warp
+from repro.simt.cost import CostModel, KernelResult
+from repro.simt.device import get_device
 
 
 class IVFPQIndex:
@@ -113,6 +113,12 @@ class IVFPQIndex:
         self, query: np.ndarray, k: int, nprobe: int = 1
     ) -> List[Tuple[float, int]]:
         """Top-``k`` by ADC over the ``nprobe`` nearest lists."""
+        return self._search(query, k, nprobe)[0]
+
+    def _search(
+        self, query: np.ndarray, k: int, nprobe: int
+    ) -> Tuple[List[Tuple[float, int]], int]:
+        """:meth:`search`'s results and the number of codes it scanned."""
         if not self.trained or self.ntotal == 0:
             raise RuntimeError("index empty; train() and add() first")
         if k <= 0:
@@ -124,8 +130,10 @@ class IVFPQIndex:
 
         all_ids: List[np.ndarray] = []
         all_d: List[np.ndarray] = []
+        scanned = 0
         for c in probe_order:
             ids = self.lists[int(c)]
+            scanned += len(ids)
             if not len(ids):
                 continue
             # ADC on the residual: table built against (query - centroid).
@@ -134,13 +142,13 @@ class IVFPQIndex:
             all_ids.append(ids)
             all_d.append(d)
         if not all_ids:
-            return []
+            return [], scanned
         ids = np.concatenate(all_ids)
         dists = np.concatenate(all_d)
         take = min(k, len(ids))
         top = np.argpartition(dists, take - 1)[:take]
         order = np.argsort(dists[top], kind="stable")
-        return [(float(dists[top[i]]), int(ids[top[i]])) for i in order]
+        return [(float(dists[top[i]]), int(ids[top[i]])) for i in order], scanned
 
     # -- simulated-GPU search ------------------------------------------------
 
@@ -151,50 +159,54 @@ class IVFPQIndex:
         nprobe: int = 1,
         device: str = "v100",
     ) -> Tuple[List[List[Tuple[float, int]]], KernelResult]:
-        """Metered batch search on the SIMT simulator.
+        """Batch search priced on the SIMT simulator.
 
-        Charges per query: coarse distances (``nlist × dim`` flops,
-        coalesced centroid reads), ``nprobe`` ADC tables (``ksub × dim``
-        flops each) and the list scans (``m`` lookups/adds per code,
-        coalesced code reads) plus a k-selection pass.
+        Charges per query, one warp each: coarse distances (``nlist ×
+        dim`` flops, coalesced centroid reads), ``nprobe`` ADC tables
+        (``ksub × dim`` flops each) and the list scans (``m``
+        lookups/adds per code, coalesced code reads) plus a k-selection
+        pass over the scanned codes.
         """
-        dev: DeviceSpec = get_device(device)
-        launcher = KernelLauncher(dev)
+        cost = CostModel(get_device(device))
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         pq = self.pq
-
-        def kernel(q_index: int, warp: Warp):
-            query = queries[q_index]
-            warp.set_stage("distance")
+        outputs, scanned = [], []
+        for query in queries:
+            result, codes = self._search(query, k, nprobe)
+            outputs.append(result)
+            scanned.append(codes)
+        scanned = np.array(scanned, dtype=np.int64)
+        probes = min(max(1, nprobe), self.nlist)
+        distance = (
             # Coarse quantizer scan.
-            warp.global_read_coalesced(self.nlist * self.dim * 4)
-            warp.simd_compute(self.nlist * 3 * self.dim)
-            warp.warp_reduce(self.nlist)
-            coarse = ((self.centroids - query) ** 2).sum(axis=1)
-            order = np.argsort(coarse, kind="stable")[: min(nprobe, self.nlist)]
-            scanned = 0
-            for c in order:
-                # ADC table build: ksub × dsub per sub-space.
-                warp.simd_compute(pq.m * pq.ksub * 3 * pq.dsub)
-                warp.shared_access(pq.m * pq.ksub)
-                scanned += len(self.lists[int(c)])
+            cost.coalesced_read(self.nlist * self.dim * 4)
+            + cost.simd(self.nlist * 3 * self.dim) + cost.reduce(self.nlist)
+            # ADC table build per probed list: ksub × dsub per sub-space,
+            # written to shared memory.
+            + probes * (cost.simd(pq.m * pq.ksub * 3 * pq.dsub) + pq.m * pq.ksub)
             # List scan: m lookups + adds per stored code.
-            warp.global_read_coalesced(scanned * pq.m)
-            warp.simd_compute(scanned * 2 * pq.m)
-            warp.set_stage("maintain")
-            # k-selection over scanned candidates (warp bitonic-ish pass).
-            warp.sequential(max(1, scanned.bit_length()) * k)
-            return self.search(query, k, nprobe)
-
-        shared = pq.m * pq.ksub * 4 + self.dim * 4  # ADC table + query vector
-        result = launcher.launch(
-            kernel,
-            num_queries=len(queries),
-            htod_bytes=int(queries.nbytes),
-            dtoh_bytes=len(queries) * k * 8,
-            shared_bytes_per_warp=shared,
+            + cost.coalesced_read(scanned * pq.m) + cost.simd(scanned * 2 * pq.m)
         )
-        return result.outputs, result
+        # k-selection over scanned candidates (warp bitonic-ish pass).
+        selection = [max(1, int(codes).bit_length()) * k for codes in scanned]
+        maintain = cost.sequential(np.array(selection, dtype=np.int64))
+        warp_cycles = (distance + maintain).tolist()
+        total_bytes = len(queries) * self.nlist * self.dim * 4 + int(scanned.sum()) * pq.m
+        shared = pq.m * pq.ksub * 4 + self.dim * 4  # ADC table + query vector
+        result = KernelResult(
+            outputs=outputs,
+            kernel_seconds=cost.kernel_time(warp_cycles, total_bytes, shared),
+            htod_seconds=cost.transfer_time(int(queries.nbytes)),
+            dtoh_seconds=cost.transfer_time(len(queries) * k * 8),
+            stage_cycles={
+                "distance": float(distance.sum()),
+                "maintain": float(maintain.sum()),
+            },
+            total_global_bytes=total_bytes,
+            occupancy_warps_per_sm=cost.occupancy_warps_per_sm(shared),
+            warp_cycles=warp_cycles,
+        )
+        return outputs, result
 
     # -- accounting -------------------------------------------------------------
 

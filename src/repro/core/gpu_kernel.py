@@ -2,14 +2,14 @@
 
 A search is priced from its lanes' operation records
 (:class:`~repro.core.song.SearchStats`), never from a live event stream:
-:func:`meter_lane` charges one record onto a
-:class:`~repro.simt.warp.Warp` under a :class:`DistanceProfile`, and
-:meth:`GpuSongIndex.price` launches it over a batch of records.  The
-metered index, the serving engines and both stages of the out-of-core
-tier all go through these two, so their times agree by construction.
+:func:`price_block` prices a ``(B, 11)`` block of record counts under a
+:class:`DistanceProfile`, and :meth:`GpuSongIndex.price` turns a batch
+of records into that block.  The metered index, the serving engines and
+both stages of the out-of-core tier all go through these two, so their
+times agree by construction.
 
-:class:`WarpMeter` is the event → warp-primitive table
-:func:`meter_lane` reads (Section II/III of the paper):
+Each count maps to the warp work of the paper's three stages (Section
+II/III, Fig. 10), charged by :class:`~repro.simt.cost.CostModel`:
 
 - bulk distance → lock-step SIMD lanes + ``shfl_down`` warp reduction,
   coalesced vector reads;
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,16 +38,19 @@ from repro.core.config import SearchConfig
 from repro.core.song import SearchStats, SongSearcher
 from repro.distances import get_metric
 from repro.graphs.storage import FixedDegreeGraph
+from repro.simt.cost import CostModel, KernelResult
 from repro.simt.device import DeviceSpec, get_device
-from repro.simt.kernel import KernelLauncher, KernelResult
-from repro.simt.memory import CapacityLedger, SharedMemoryBudget
+from repro.simt.memory import (
+    SCATTERED_SECTOR_BYTES,
+    CapacityLedger,
+    SharedMemoryBudget,
+)
 from repro.simt.profiler import (
     STAGE_DISTANCE,
     STAGE_LOCATE,
     STAGE_MAINTAIN,
     StageProfiler,
 )
-from repro.simt.warp import Warp
 from repro.structures.visited import VisitedBackend, VisitedSet
 
 
@@ -94,135 +98,144 @@ class DistanceProfile:
         return cls(get_metric(metric).flops_per_distance, dim, 4 * dim)
 
 
-class WarpMeter:
-    """The event → warp-primitive table: what each kind of search
-    operation costs a :class:`~repro.simt.warp.Warp`.
-
-    Never attached to a running search — :func:`meter_lane` charges a
-    finished operation record through it, one call per count.
-    """
-
-    def __init__(
-        self,
-        warp: Warp,
-        config: SearchConfig,
-        placement: Placement,
-        flops_per_distance: Callable[[int], int],
-    ) -> None:
-        self.warp = warp
-        self.config = config
-        self.placement = placement
-        self._flops = flops_per_distance
-        self._queue_depth = max(2, int(math.log2(config.queue_size)) + 1)
-        self._visited_steps = _VISITED_OP_STEPS[config.visited_backend]
-
-    def stage(self, name: str) -> None:
-        self.warp.set_stage(name)
-
-    # -- frontier / topk -------------------------------------------------
-
-    def pop_frontier(self, n: int = 1) -> None:
-        self.warp.sequential(
-            n * self._queue_depth, in_shared=self.placement.frontier_in_shared
-        )
-
-    def push_frontier(self, n: int = 1) -> None:
-        self.warp.sequential(
-            n * self._queue_depth, in_shared=self.placement.frontier_in_shared
-        )
-
-    def topk_update(self, n: int = 1) -> None:
-        self.warp.sequential(
-            n * self._queue_depth, in_shared=self.placement.topk_in_shared
-        )
-
-    # -- graph / visited -------------------------------------------------------
-
-    def read_graph_row(self, degree_slots: int, rows: int = 1) -> None:
-        if self.config.multi_query > 1:
-            # Several queries pull unrelated rows at once: no coalescing.
-            self.warp.global_read_scattered(rows * degree_slots)
-        else:
-            self.warp.global_read_coalesced(4 * degree_slots, count=rows)
-
-    def visited_test(self, n: int = 1) -> None:
-        self.warp.sequential(
-            n * self._visited_steps, in_shared=self.placement.visited_in_shared
-        )
-
-    def visited_insert(self, n: int = 1) -> None:
-        self.warp.sequential(
-            n * self._visited_steps, in_shared=self.placement.visited_in_shared
-        )
-
-    def visited_delete(self, n: int = 1) -> None:
-        self.warp.sequential(
-            n * self._visited_steps, in_shared=self.placement.visited_in_shared
-        )
-
-    # -- distances ---------------------------------------------------------------
-
-    def bulk_distance(self, num_candidates: int, dim: int) -> None:
-        warp = self.warp
-        lanes = max(1, warp.device.warp_size // self.config.multi_query)
-        warps_per_block = max(1, self.config.block_size // warp.device.warp_size)
-        total_bytes = 4 * dim * num_candidates
-        if warps_per_block == 1:
-            warp.global_read_coalesced(total_bytes)
-        else:
-            # The block's warps fetch disjoint dimension slices in
-            # parallel: the group's critical path sees 1/warps of the
-            # transactions, while the full traffic still counts against
-            # device bandwidth.
-            per_warp = -(-total_bytes // warps_per_block)
-            warp.global_read_coalesced(per_warp)
-            warp.memory.read_coalesced(total_bytes - per_warp)
-        total_ops = num_candidates * self._flops(dim)
-        # The block's warps split the dimensions: the per-group critical
-        # path shrinks by the warp count (paper Sec. VI: "all threads in
-        # the block are involved in this stage").
-        warp.simd_compute(-(-total_ops // warps_per_block), active_lanes=lanes)
-        warp.warp_reduce(num_candidates)
-        if warps_per_block > 1:
-            # Cross-warp aggregation goes through shared memory, then
-            # thread 0 folds the per-warp partials.
-            warp.shared_access(num_candidates * warps_per_block)
-            warp.sequential(num_candidates * (warps_per_block - 1))
-        warp.shared_access(num_candidates)  # dist buffer writes
+#: A record block's columns, one per :class:`SearchStats` count.
+RECORD_COLUMNS = SearchStats.__slots__
+_read_record = attrgetter(*RECORD_COLUMNS)
 
 
-def meter_lane(
-    warp: Warp,
-    record: SearchStats,
+def record_block(records: Sequence[SearchStats]) -> np.ndarray:
+    """``(B, 11)`` int64 block of ``records``' counts, columns in
+    :data:`RECORD_COLUMNS` order."""
+    block = np.array(list(map(_read_record, records)), dtype=np.int64)
+    return block.reshape(len(records), len(RECORD_COLUMNS))
+
+
+def price_block(
+    block: np.ndarray,
     config: SearchConfig,
     placement: Placement,
     profile,
     degree: int,
-) -> None:
-    """Charge one lane's operation record onto ``warp``.
+    device: DeviceSpec,
+    profiler: Optional[StageProfiler] = None,
+) -> KernelResult:
+    """Launch timing of a batch whose lanes did ``block``'s work.
 
-    The one function from operation counts to cycles: every count is
-    charged through :class:`WarpMeter` in the paper's three stages
-    (Fig. 10).  Adjacency fetches are charged per row; the vector reads
-    of the bulk-distance stage coalesce over the lane's total bytes.
-    ``profile`` is a :class:`DistanceProfile` or a compressed store.
+    The one function from operation counts to cycles: each row is one
+    lane's record (:func:`record_block`), priced in the paper's three
+    stages (Fig. 10) as column arithmetic over
+    :class:`~repro.simt.cost.CostModel`'s per-event charges.
+    Adjacency fetches are charged per row; the vector reads of the
+    bulk-distance stage coalesce over the lane's total bytes.
+    ``config.multi_query`` consecutive lanes share a warp, and a warp
+    group spans ``block_size / warp_size`` warps.  ``profile`` is a
+    :class:`DistanceProfile` or a compressed store.  The query upload is
+    ``profile.query_device_bytes`` per lane, the download ``config.k``
+    8-byte results per lane.
     """
-    meter = WarpMeter(warp, config, placement, profile.flops_per_distance)
+    block = np.asarray(block)
+    if block.ndim != 2 or block.shape[1] != len(RECORD_COLUMNS):
+        raise ValueError(f"block must be (B, {len(RECORD_COLUMNS)}), not {block.shape}")
+    if not len(block):  # an empty batch launches nothing
+        return KernelResult([], 0.0, 0.0, 0.0, {}, 0, 0)
+    if block.min() < 0:
+        raise ValueError("operation counts must be non-negative")
+    cost = CostModel(device)
+    count = dict(zip(RECORD_COLUMNS, block.T))
+    searches, pops, rows = count["searches"], count["frontier_pops"], count["rows_fetched"]
+    tests, inserts = count["visited_tests"], count["visited_inserts"]
+    deletes, topk = count["visited_deletes"], count["topk_updates"]
+    pushes = count["frontier_pushes"]
     words = profile.cost_dim
-    meter.stage(STAGE_LOCATE)
-    # Each search stages its query into shared memory once.
-    warp.global_read_coalesced(4 * words, count=record.searches)
-    warp.shared_access(words * record.searches)
-    meter.pop_frontier(record.frontier_pops)
-    meter.read_graph_row(degree, rows=record.rows_fetched)
-    meter.visited_test(record.visited_tests)
-    meter.stage(STAGE_DISTANCE)
-    meter.bulk_distance(record.distance_computations + record.searches, words)
-    meter.stage(STAGE_MAINTAIN)
-    meter.topk_update(record.topk_updates)
-    meter.visited_insert(record.visited_inserts + record.searches)
-    meter.push_frontier(record.frontier_pushes)
-    meter.visited_delete(record.visited_deletes)
+    depth = max(2, int(math.log2(config.queue_size)) + 1)  # queue op steps
+    steps = _VISITED_OP_STEPS[config.visited_backend]
+    frontier, visited = placement.frontier_in_shared, placement.visited_in_shared
+    warps = max(1, config.block_size // device.warp_size)
+
+    # Locate: each search stages its query into shared memory once, then
+    # pops, fetches adjacency rows and tests visited.
+    if config.multi_query > 1:
+        # Several queries pull unrelated rows at once: no coalescing.
+        graph_cycles = cost.scattered_read(rows * degree)
+        graph_bytes = SCATTERED_SECTOR_BYTES * rows * degree
+    else:
+        graph_cycles = cost.coalesced_read(4 * degree, rows)
+        graph_bytes = 4 * degree * rows
+    locate = (
+        cost.coalesced_read(4 * words, searches) + words * searches
+        + cost.sequential(pops * depth, frontier) + graph_cycles
+        + cost.sequential(tests * steps, visited)
+    )
+
+    # Bulk distance, including each search's entry-point seed.
+    candidates = count["distance_computations"] + searches
+    vector_bytes = 4 * words * candidates
+    # The block's warps fetch disjoint dimension slices in parallel and
+    # split the arithmetic: the group's critical path sees 1/warps of the
+    # transactions and operations (paper Sec. VI: "all threads in the
+    # block are involved in this stage"), while the full traffic still
+    # counts against device bandwidth.
+    ops = candidates * profile.flops_per_distance(words)
+    lanes = max(1, device.warp_size // config.multi_query)
+    distance = (
+        cost.coalesced_read(-(-vector_bytes // warps))
+        + cost.simd(-(-ops // warps), lanes) + cost.reduce(candidates)
+        + candidates  # dist buffer writes, one shared access each
+    )
+    if warps > 1:
+        # Cross-warp aggregation goes through shared memory, then thread
+        # 0 folds the per-warp partials.
+        distance = distance + candidates * warps + cost.sequential(candidates * (warps - 1))
+
+    # Maintain: top-k updates, visited inserts (seed included), frontier
+    # pushes and visited deletions.
+    maintain = (
+        cost.sequential(topk * depth, placement.topk_in_shared)
+        + cost.sequential((inserts + searches) * steps, visited)
+        + cost.sequential(pushes * depth, frontier)
+        + cost.sequential(deletes * steps, visited)
+    )
+
+    # A spilled structure's every op is also a scattered global read.
+    spilled_ops = (
+        (0 if frontier else (pops + pushes) * depth)
+        + (0 if placement.topk_in_shared else topk * depth)
+        + (0 if visited else (tests + inserts + searches + deletes) * steps)
+    )
+    lane_bytes = (
+        4 * words * searches + graph_bytes + vector_bytes
+        + SCATTERED_SECTOR_BYTES * spilled_ops
+    )
+    lane_cycles = locate + distance + maintain
+    warp_cycles = np.add.reduceat(
+        lane_cycles, np.arange(0, len(block), config.multi_query)
+    ).tolist()
+    total_bytes = int(lane_bytes.sum())
+    shared = placement.shared_bytes_per_warp
+    kernel_seconds = cost.kernel_time(
+        warp_cycles, total_bytes, shared, warps_per_group=warps
+    )
+    htod = cost.transfer_time(len(block) * profile.query_device_bytes)
+    dtoh = cost.transfer_time(len(block) * config.k * 8)
+    stage_cycles = {
+        STAGE_LOCATE: float(locate.sum()),
+        STAGE_DISTANCE: float(distance.sum()),
+        STAGE_MAINTAIN: float(maintain.sum()),
+    }
+    if profiler is not None:
+        profiler.add_transfer(htod=htod, dtoh=dtoh)
+        profiler.add_kernel(kernel_seconds)
+        profiler.add_stage_cycles(stage_cycles)
+    return KernelResult(
+        outputs=[],
+        kernel_seconds=kernel_seconds,
+        htod_seconds=htod,
+        dtoh_seconds=dtoh,
+        stage_cycles=stage_cycles,
+        total_global_bytes=total_bytes,
+        occupancy_warps_per_sm=cost.occupancy_warps_per_sm(shared),
+        warp_cycles=warp_cycles,
+    )
 
 
 class GpuSongIndex:
@@ -269,7 +282,6 @@ class GpuSongIndex:
         self.data = data
         self.device: DeviceSpec = get_device(device)
         self.searcher = SongSearcher(graph, self.data)
-        self.launcher = KernelLauncher(self.device)
         if resident_bytes is None:
             resident_bytes = self.index_memory_bytes() + self.dataset_memory_bytes()
         self.resident_bytes = int(resident_bytes)
@@ -359,29 +371,11 @@ class GpuSongIndex:
         profile,
         profiler: Optional[StageProfiler] = None,
     ) -> KernelResult:
-        """Launch timing of a batch whose lanes did ``records``' work.
-
-        One :func:`meter_lane` per record, ``config.multi_query`` lanes
-        to a warp; the query upload is ``profile.query_device_bytes``
-        per lane, the download ``config.k`` 8-byte results per lane.
-        """
-        if not len(records):  # an empty batch launches nothing
-            return KernelResult([], 0.0, 0.0, 0.0, {}, 0, 0)
-        placement = self.placement(config)
-        degree = self.graph.degree
-
-        def kernel(lane: int, warp: Warp) -> None:
-            meter_lane(warp, records[lane], config, placement, profile, degree)
-
-        return self.launcher.launch(
-            kernel,
-            num_queries=len(records),
-            htod_bytes=len(records) * profile.query_device_bytes,
-            dtoh_bytes=len(records) * config.k * 8,
-            shared_bytes_per_warp=placement.shared_bytes_per_warp,
-            queries_per_warp=config.multi_query,
-            warps_per_query=max(1, config.block_size // self.device.warp_size),
-            profiler=profiler,
+        """Launch timing of a batch whose lanes did ``records``' work:
+        :func:`price_block` over their :func:`record_block`."""
+        return price_block(
+            record_block(records), config, self.placement(config), profile,
+            self.graph.degree, self.device, profiler,
         )
 
     def search_batch(

@@ -13,7 +13,8 @@ Each iteration:
 
 The implementation is functional and machine-agnostic: it fills one
 operation record (:class:`SearchStats`), which a machine model prices
-afterwards — :func:`repro.core.gpu_kernel.meter_lane` into GPU cycles,
+afterwards — :func:`repro.core.gpu_kernel.price_block` into GPU cycles
+(a batch's records as one block of counts),
 :func:`repro.core.cpu_song.record_ops` into CPU work units.
 
 :meth:`SongSearcher.search_batch` is the one place a batch search picks
@@ -133,7 +134,8 @@ def checked_queries(data: np.ndarray, queries: np.ndarray, metric: str) -> np.nd
 class SearchStats:
     """One lane's operation record: what the experiments report, and all
     that a machine model prices a search from
-    (:func:`repro.core.gpu_kernel.meter_lane` on the GPU,
+    (:func:`repro.core.gpu_kernel.price_block` on the GPU, one row of
+    :func:`~repro.core.gpu_kernel.record_block` per record,
     :func:`repro.core.cpu_song.record_ops` on the CPU).
 
     Counts accumulate over the searches a record is handed to.

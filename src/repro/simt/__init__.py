@@ -2,16 +2,19 @@
 
 The paper runs CUDA kernels on NVIDIA V100/P40/TITAN X hardware.  This
 environment has none, so SONG's kernel is executed *functionally* in
-Python while a warp-level cost model meters every abstract operation the
-paper reasons about: lock-step 32-lane compute, coalesced vs. scattered
+Python and priced afterwards by a warp-level cost model that charges
+every abstract operation the paper reasons about: lock-step 32-lane compute, coalesced vs. scattered
 global-memory transactions, single-lane sequential data-structure
 maintenance, shared-memory occupancy limits, and PCIe transfers.
 
 - :class:`~repro.simt.device.DeviceSpec` — hardware parameters, with
   V100 / P40 / TITAN X presets.
-- :class:`~repro.simt.warp.Warp` — per-warp cycle and byte accounting.
-- :class:`~repro.simt.kernel.KernelLauncher` — block scheduling, occupancy
-  and kernel-time estimation.
+- :class:`~repro.simt.cost.CostModel` — the per-event charges (cycles of
+  one kind of warp work, on scalars or integer arrays) and the
+  roofline that turns warp cycles, traffic and occupancy into kernel
+  seconds; :class:`~repro.simt.cost.KernelResult` is one launch's
+  outcome.  :func:`repro.core.gpu_kernel.price_block` prices a batch of
+  search lanes with it.
 - :class:`~repro.simt.profiler.StageProfiler` — HtoD / kernel / DtoH and
   per-stage (locate / distance / maintain) breakdowns.
 
@@ -24,10 +27,8 @@ instruction-level simulator, since deleted;
 """
 
 from repro.simt.device import DEVICE_PRESETS, DeviceSpec, get_device
-from repro.simt.memory import MemorySpace, SharedMemoryBudget
-from repro.simt.warp import Warp
-from repro.simt.kernel import KernelLauncher, KernelResult
-from repro.simt.cost import CostModel
+from repro.simt.memory import SharedMemoryBudget
+from repro.simt.cost import CostModel, KernelResult
 from repro.simt.build_cost import BuildCostRecorder, BuildPhaseCost
 from repro.simt.profiler import StageProfiler
 from repro.simt.streams import (
@@ -49,10 +50,7 @@ __all__ = [
     "DeviceSpec",
     "DEVICE_PRESETS",
     "get_device",
-    "MemorySpace",
     "SharedMemoryBudget",
-    "Warp",
-    "KernelLauncher",
     "KernelResult",
     "CostModel",
     "BuildCostRecorder",

@@ -1,9 +1,8 @@
 """Construction-side SIMT cost accounting.
 
 Search time already flows through :class:`~repro.simt.cost.CostModel`
-(every lane's operation record is charged onto a
-:class:`~repro.simt.warp.Warp` by
-:func:`repro.core.gpu_kernel.meter_lane`).  Construction, until now, only
+(every lane's operation record is priced by
+:func:`repro.core.gpu_kernel.price_block`).  Construction, until now, only
 reported wall clock, which measures the Python interpreter rather than the
 algorithm.  This module closes that gap: builders record the *bulk
 operations* their batched kernels would launch on a GPU — pair-distance
@@ -15,7 +14,7 @@ leaving it in interpreter-seconds.
 
 Every recorded phase maps one bulk numpy operation in the builder to one
 hypothetical kernel: the warp-level cost of a *unit* of work (one pair,
-one row) is metered on a representative :class:`Warp`, and
+one row) is charged with :class:`CostModel`'s per-event charges, and
 :meth:`CostModel.kernel_time_uniform` scales it to the launch width.
 """
 
@@ -27,7 +26,6 @@ from typing import List, Optional
 
 from repro.simt.cost import CostModel
 from repro.simt.device import DeviceSpec, get_device
-from repro.simt.warp import Warp
 
 __all__ = [
     "BuildCostRecorder",
@@ -57,7 +55,7 @@ class BuildCostRecorder:
     """Accumulates a build's bulk-kernel work and prices it.
 
     Builders call the ``record_*`` methods at each vectorized step; the
-    recorder meters one warp's share on a fresh :class:`Warp` and stores a
+    recorder charges one warp's share and stores a
     :class:`BuildPhaseCost` per call.  :meth:`device_seconds` prices every
     phase as its own kernel launch (uniform warps) and sums.
     """
@@ -82,15 +80,16 @@ class BuildCostRecorder:
         """
         if count <= 0:
             return
-        warp = Warp(self.spec)
+        cost = self._cost
         vec_bytes = 2 * dim * FLOAT_BYTES
-        warp.global_read_coalesced(vec_bytes)
-        warp.simd_compute(flops_per_distance)
-        warp.warp_reduce(1)
+        cycles = (
+            cost.coalesced_read(vec_bytes) + cost.simd(flops_per_distance)
+            + cost.reduce(1)
+        )
         self.phases.append(
             BuildPhaseCost(
                 name=name,
-                per_warp_cycles=warp.cycles,
+                per_warp_cycles=cycles,
                 num_warps=count,
                 global_bytes=count * vec_bytes,
             )
@@ -105,16 +104,17 @@ class BuildCostRecorder:
         """
         if rows <= 0 or width <= 1:
             return
-        warp = Warp(self.spec)
+        cost = self._cost
         row_bytes = width * KEY_BYTES
-        warp.global_read_coalesced(row_bytes)
         log_w = max(1, math.ceil(math.log2(width)))
-        warp.simd_compute(width * log_w * log_w)
-        warp.shared_access(width * log_w)
+        cycles = (
+            cost.coalesced_read(row_bytes) + cost.simd(width * log_w * log_w)
+            + width * log_w  # shared accesses, one cycle each
+        )
         self.phases.append(
             BuildPhaseCost(
                 name=name,
-                per_warp_cycles=warp.cycles,
+                per_warp_cycles=cycles,
                 num_warps=rows,
                 # read + write-back of every key
                 global_bytes=rows * 2 * row_bytes,
@@ -131,15 +131,16 @@ class BuildCostRecorder:
         if count <= 1:
             return
         passes = 4
-        warp = Warp(self.spec)
         chunk = self.spec.warp_size
-        warp.global_read_coalesced(chunk * KEY_BYTES * passes)
-        warp.simd_compute(chunk * passes)
+        cycles = (
+            self._cost.coalesced_read(chunk * KEY_BYTES * passes)
+            + self._cost.simd(chunk * passes)
+        )
         num_warps = (count + chunk - 1) // chunk
         self.phases.append(
             BuildPhaseCost(
                 name=name,
-                per_warp_cycles=warp.cycles,
+                per_warp_cycles=cycles,
                 num_warps=num_warps,
                 global_bytes=count * KEY_BYTES * 2 * passes,
             )
@@ -161,8 +162,8 @@ class BuildCostRecorder:
         bulk-distance kernel for every computed distance, a scattered
         adjacency-row gather per popped vertex, and one bounded-queue
         merge (row sort of ``queue_width`` keys) per iteration — the same
-        three stages :class:`~repro.core.gpu_kernel.WarpMeter` charges at
-        query time.
+        three stages :func:`~repro.core.gpu_kernel.price_block` charges
+        at query time.
         """
         if iterations <= 0:
             return
@@ -180,14 +181,12 @@ class BuildCostRecorder:
         """
         if count <= 0:
             return
-        warp = Warp(self.spec)
         accesses = self.spec.warp_size
-        warp.global_read_scattered(accesses)
         num_warps = (count + accesses - 1) // accesses
         self.phases.append(
             BuildPhaseCost(
                 name=name,
-                per_warp_cycles=warp.cycles,
+                per_warp_cycles=self._cost.scattered_read(accesses),
                 num_warps=num_warps,
                 global_bytes=count * bytes_per_element,
             )
@@ -197,14 +196,12 @@ class BuildCostRecorder:
         """Coalesced write-back of the packed adjacency rows."""
         if edges <= 0:
             return
-        warp = Warp(self.spec)
         row_bytes = self.spec.warp_size * FLOAT_BYTES
-        warp.global_read_coalesced(row_bytes)
         num_warps = (edges + self.spec.warp_size - 1) // self.spec.warp_size
         self.phases.append(
             BuildPhaseCost(
                 name=name,
-                per_warp_cycles=warp.cycles,
+                per_warp_cycles=self._cost.coalesced_read(row_bytes),
                 num_warps=num_warps,
                 global_bytes=edges * FLOAT_BYTES,
             )

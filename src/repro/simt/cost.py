@@ -1,7 +1,23 @@
-"""Kernel-time estimation from warp meters.
+"""What an operation costs the device, and what a launch costs in seconds.
 
-The launcher aggregates per-warp cycle counts and global-memory traffic;
-this module turns them into a kernel time using a roofline-style model:
+:class:`CostModel` holds both halves of the analytic model.  Its
+per-event charges (:meth:`~CostModel.coalesced_read`,
+:meth:`~CostModel.scattered_read`, :meth:`~CostModel.simd`,
+:meth:`~CostModel.reduce`, :meth:`~CostModel.sequential`) give the cycles
+of one kind of warp work; each is linear in its count and takes integer
+arrays as well as scalars, so a batch of lanes is priced as column
+arithmetic (:func:`repro.core.gpu_kernel.price_block`):
+
+``simd``             lock-step arithmetic across active lanes
+``reduce``           ``shfl_down`` tree reduction (log2(32) = 5 steps)
+``*_read``           global-memory traffic (coalesced or scattered)
+``sequential``       single-lane work — the other 31 lanes idle, which is
+                     exactly the warp-divergence cost the paper's
+                     maintenance stage pays
+
+Shared-memory accesses cost one cycle each (bank-conflict free).  The
+launch half turns per-warp cycle counts and global traffic into a kernel
+time with a roofline-style model:
 
 * **issue-bound time** — total warp-cycles divided by the device's warp
   issue throughput, scaled down when too few warps are resident to fill
@@ -15,17 +31,115 @@ profiler around the kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+import math
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence
 
 from repro.simt.device import DeviceSpec
+from repro.simt.memory import COALESCED_TRANSACTION_BYTES
+
+
+def transactions(num_bytes):
+    """Coalesced transactions one warp-wide read of ``num_bytes``
+    consecutive bytes takes: separate reads do not share a cache line,
+    so each rounds up on its own."""
+    return -(-num_bytes // COALESCED_TRANSACTION_BYTES)
+
+
+@dataclass
+class KernelResult:
+    """Outcome of one simulated kernel launch.
+
+    Attributes
+    ----------
+    outputs:
+        Per-query results, when the launch searched.
+    kernel_seconds:
+        Estimated kernel execution time.
+    htod_seconds / dtoh_seconds:
+        PCIe transfer times around the kernel.
+    stage_cycles:
+        Cycles per named stage summed over all warps.
+    total_global_bytes:
+        Global-memory traffic of the whole launch.
+    occupancy_warps_per_sm:
+        Resident warps per SM the shared-memory budget allowed.
+    """
+
+    outputs: List[object]
+    kernel_seconds: float
+    htod_seconds: float
+    dtoh_seconds: float
+    stage_cycles: Dict[str, float]
+    total_global_bytes: int
+    occupancy_warps_per_sm: int
+    warp_cycles: List[float] = field(default_factory=list)
+
+    @property
+    def total_seconds(self) -> float:
+        return self.htod_seconds + self.kernel_seconds + self.dtoh_seconds
+
+    def qps(self, num_queries: int) -> float:
+        """Queries per second implied by the total launch time."""
+        if self.total_seconds == 0:
+            return float("inf")
+        return num_queries / self.total_seconds
 
 
 @dataclass
 class CostModel:
-    """Analytic timing model for one kernel launch on ``device``."""
+    """Analytic cost model of warp work and kernel launches on ``device``."""
 
     device: DeviceSpec
+
+    # -- per-event charges (cycles) -------------------------------------
+
+    def latency(self, spilled: bool = False) -> float:
+        """Effective cycles per global transaction after latency hiding.
+
+        Streaming (coalesced/candidate) reads overlap deeply across the
+        resident warps; a spilled data structure's dependent accesses
+        (probe chains, heap sifts) cannot be prefetched and hide far
+        less.  The streaming factor is charged whatever the residency.
+        """
+        hide = 4.0 if spilled else 16.0
+        return self.device.global_latency_cycles / hide
+
+    def coalesced_read(self, num_bytes, count=1):
+        """``count`` warp-wide reads of ``num_bytes`` consecutive bytes."""
+        return count * transactions(num_bytes) * self.latency()
+
+    def scattered_read(self, accesses):
+        """Independent 4-byte reads from arbitrary addresses, one
+        transaction each (no coalescing)."""
+        return accesses * self.latency()
+
+    def simd(self, total_ops, lanes: int = 0):
+        """``total_ops`` scalar operations in lock-step over ``lanes``
+        active lanes (default: the whole warp); the idle lanes are the
+        divergence waste."""
+        warp = self.device.warp_size
+        lanes = max(1, min(lanes or warp, warp))
+        return -(-total_ops // lanes)
+
+    def reduce(self, count=1):
+        """``count`` ``shfl_down`` tree reductions over the warp."""
+        return count * int(math.log2(self.device.warp_size))
+
+    def sequential(self, ops, in_shared: bool = True):
+        """Single-lane data-structure work; 31 lanes idle.
+
+        ``in_shared=False`` marks a structure that spilled to global
+        memory: each op then also pays an uncovered memory round-trip
+        (a scattered read), which is how the model reproduces the
+        paper's "hashtable-sel runs out of memory and collapses".
+        """
+        per_op = self.device.seq_op_cycles
+        if not in_shared:
+            per_op += self.latency(spilled=True)
+        return ops * per_op
+
+    # -- launches (seconds) ---------------------------------------------
 
     def occupancy_warps_per_sm(self, shared_bytes_per_warp: int) -> int:
         """Resident warps one SM can hold given each warp's shared usage."""

@@ -1,12 +1,13 @@
 """Memory-hierarchy modelling for the SIMT simulator.
 
-Two concerns live here:
+Three concerns live here:
 
-* **Traffic accounting** (:class:`MemorySpace`): how many bytes move
-  through global memory, and whether accesses coalesce.  A warp reading 32
-  consecutive 4-byte words produces one 128-byte transaction; 32 scattered
-  words produce 32 transactions of a 32-byte sector each — an 8× waste that
-  the cost model charges for.
+* **Traffic accounting** (:data:`COALESCED_TRANSACTION_BYTES`,
+  :data:`SCATTERED_SECTOR_BYTES`): how many bytes move through global
+  memory, and whether accesses coalesce.  A warp reading 32 consecutive
+  4-byte words produces one 128-byte transaction; 32 scattered words
+  produce 32 transactions of a 32-byte sector each — an 8× waste that
+  the cost model charges for (:mod:`repro.simt.cost`).
 
 * **Shared-memory budgeting** (:class:`SharedMemoryBudget`): SONG keeps the
   query vector, candidate/dist arrays, both priority queues and (with the
@@ -98,47 +99,11 @@ SCATTERED_SECTOR_BYTES = 32
 
 
 @dataclass
-class MemorySpace:
-    """Byte/transaction tally for one kernel execution."""
-
-    coalesced_bytes: int = 0
-    scattered_accesses: int = 0
-    shared_accesses: int = 0
-
-    def read_coalesced(self, num_bytes: int, count: int = 1) -> int:
-        """``count`` warp-wide sequential reads of ``num_bytes`` each.
-
-        Returns the transactions generated: separate reads do not share
-        a cache line, so each rounds up on its own.
-        """
-        if num_bytes < 0 or count < 0:
-            raise ValueError("num_bytes and count must be non-negative")
-        self.coalesced_bytes += count * num_bytes
-        return count * -(-num_bytes // COALESCED_TRANSACTION_BYTES)
-
-    def read_scattered(self, num_accesses: int) -> int:
-        """Independent 4-byte reads from random addresses."""
-        if num_accesses < 0:
-            raise ValueError("num_accesses must be non-negative")
-        self.scattered_accesses += num_accesses
-        return num_accesses
-
-    def access_shared(self, num_accesses: int = 1) -> None:
-        """Shared-memory traffic (fast; tracked for completeness)."""
-        self.shared_accesses += num_accesses
-
-    @property
-    def total_global_bytes(self) -> int:
-        """Bus traffic including the waste of scattered sectors."""
-        return self.coalesced_bytes + self.scattered_accesses * SCATTERED_SECTOR_BYTES
-
-
-@dataclass
 class SharedMemoryBudget:
     """Per-query shared-memory plan for the SONG kernel.
 
     Every size is in bytes.  ``fits(limit)`` says whether the plan fits a
-    per-SM allocation; the kernel launcher uses the total to compute
+    per-SM allocation; the pricer uses the total to compute
     occupancy, and the searcher marks structures that overflow as living
     in global memory (slower sequential ops).
     """

@@ -2,7 +2,7 @@
 
 :class:`TieredServeEngine` is the replica-facing engine: results come
 from the :class:`~repro.tiered.index.TieredIndex` pipeline, and both
-kernels of a chunk are priced from operation records by the one launch
+kernels of a chunk are priced from operation records by the one pricer
 every engine uses (:meth:`GpuSongIndex.price
 <repro.core.gpu_kernel.GpuSongIndex.price>`); only the distance profile
 differs.  Traversal is a :class:`~repro.serve.engine.SimulatedGpuEngine`
@@ -33,6 +33,7 @@ from repro.core.gpu_kernel import DistanceProfile
 from repro.core.song import SearchStats
 from repro.graphs.storage import FixedDegreeGraph
 from repro.serve.engine import BatchServiceResult, SimulatedGpuEngine
+from repro.simt.cost import CostModel
 from repro.simt.pipeline import split_counts
 from repro.simt.streams import ChunkWork, StreamScheduler
 from repro.tiered.cache import PageCache
@@ -130,7 +131,7 @@ class TieredServeEngine:
         # Priced under the store's own profile: nothing is read from the
         # queries, so they need no second encoding here.
         chunks, detail = self.traversal.chunk_work(queries, tcfg, stats, num_chunks)
-        cost = self.traversal.index.launcher.cost_model
+        cost = CostModel(self.device)
         exact = DistanceProfile.for_metric(
             config.metric, int(self.tiered.data.shape[1])
         )

@@ -1,15 +1,32 @@
-"""SIMT simulator tests: device specs, memory model, warp, cost model."""
+"""SIMT simulator tests: device specs, memory model, per-event charges, cost model."""
 
+import numpy as np
 import pytest
 
-from repro.simt.cost import CostModel
+from repro.core.config import SearchConfig
+from repro.core.gpu_kernel import (
+    RECORD_COLUMNS,
+    DistanceProfile,
+    Placement,
+    price_block,
+)
+from repro.simt.cost import CostModel, transactions
 from repro.simt.device import DEVICE_PRESETS, get_device
 from repro.simt.memory import (
     COALESCED_TRANSACTION_BYTES,
-    MemorySpace,
+    SCATTERED_SECTOR_BYTES,
     SharedMemoryBudget,
 )
-from repro.simt.warp import Warp
+
+
+def _price_lane(multi_query=1, **counts):
+    """One lane's record, priced on a V100 with everything in shared memory."""
+    block = np.array([[counts.get(name, 0) for name in RECORD_COLUMNS]], dtype=np.int64)
+    config = SearchConfig(k=10, queue_size=32, multi_query=multi_query)
+    return price_block(
+        block, config, Placement(True, True, True, 0),
+        DistanceProfile.for_metric("l2", 64), 16, get_device("v100"),
+    )
 
 
 class TestDevice:
@@ -48,30 +65,29 @@ class TestDevice:
 
 class TestMemorySpace:
     def test_coalesced_transactions(self):
-        mem = MemorySpace()
-        t = mem.read_coalesced(256)
-        assert t == 256 // COALESCED_TRANSACTION_BYTES
-        assert mem.coalesced_bytes == 256
+        assert transactions(256) == 256 // COALESCED_TRANSACTION_BYTES
+        # Integer arrays price elementwise.
+        assert transactions(np.array([0, 1, 128, 129])).tolist() == [0, 1, 1, 2]
 
     def test_scattered_wastes_sectors(self):
-        mem = MemorySpace()
-        mem.read_scattered(32)
-        # 32 scattered 4-byte reads move 32 sectors of 32B = 1 KiB
-        assert mem.total_global_bytes == 32 * 32
+        # Two 16-slot rows pulled by a multi-query warp: 32 scattered
+        # 4-byte reads move 32 sectors of 32B = 1 KiB.
+        priced = _price_lane(multi_query=2, rows_fetched=2)
+        assert priced.total_global_bytes == 32 * SCATTERED_SECTOR_BYTES == 1024
 
     def test_scattered_costs_more_than_coalesced(self):
         """The coalescing rule the paper's layout decisions rely on."""
-        a, b = MemorySpace(), MemorySpace()
-        a.read_coalesced(32 * 4)  # one warp-wide read of 32 words
-        b.read_scattered(32)  # same words, scattered
-        assert b.total_global_bytes > a.total_global_bytes
+        cost = CostModel(get_device("v100"))
+        # One warp-wide read of 32 words against the same words scattered.
+        assert cost.scattered_read(32) > cost.coalesced_read(32 * 4)
+        one, two = _price_lane(rows_fetched=2), _price_lane(multi_query=2, rows_fetched=2)
+        assert two.total_global_bytes > one.total_global_bytes
 
     def test_negative_rejected(self):
-        mem = MemorySpace()
         with pytest.raises(ValueError):
-            mem.read_coalesced(-1)
+            _price_lane(rows_fetched=-1)
         with pytest.raises(ValueError):
-            mem.read_scattered(-1)
+            _price_lane(frontier_pops=-1)
 
 
 class TestSharedBudget:
@@ -93,41 +109,28 @@ class TestSharedBudget:
 
 class TestWarp:
     def test_simd_compute_divides_by_lanes(self):
-        dev = get_device("v100")
-        w1, w2 = Warp(dev), Warp(dev)
-        w1.simd_compute(320, active_lanes=32)
-        w2.simd_compute(320, active_lanes=8)
-        assert w1.cycles == 10
-        assert w2.cycles == 40
+        cost = CostModel(get_device("v100"))
+        assert cost.simd(320, 32) == 10
+        assert cost.simd(320, 8) == 40
+        assert cost.simd(320) == 10  # the whole warp by default
 
     def test_warp_reduce_log_steps(self):
-        w = Warp(get_device("v100"))
-        w.warp_reduce(3)
-        assert w.cycles == 3 * 5  # log2(32) = 5
+        assert CostModel(get_device("v100")).reduce(3) == 3 * 5  # log2(32) = 5
 
     def test_sequential_spill_costs_more(self):
-        dev = get_device("v100")
-        shared, spilled = Warp(dev), Warp(dev)
-        shared.sequential(10, in_shared=True)
-        spilled.sequential(10, in_shared=False)
-        assert spilled.cycles > shared.cycles
+        cost = CostModel(get_device("v100"))
+        assert cost.sequential(10, in_shared=False) > cost.sequential(10, in_shared=True)
 
     def test_stage_attribution(self):
-        w = Warp(get_device("v100"))
-        w.set_stage("locate")
-        w.sequential(5)
-        w.set_stage("distance")
-        w.simd_compute(64)
-        assert set(w.stage_cycles) == {"locate", "distance"}
-        assert sum(w.stage_cycles.values()) == pytest.approx(w.cycles)
+        priced = _price_lane(searches=1, frontier_pops=5, distance_computations=64)
+        assert set(priced.stage_cycles) == {"locate", "distance", "maintain"}
+        assert sum(priced.stage_cycles.values()) == pytest.approx(priced.warp_cycles[0])
 
     def test_zero_ops_free(self):
-        w = Warp(get_device("v100"))
-        w.simd_compute(0)
-        w.sequential(0)
-        w.warp_reduce(0)
-        w.shared_access(0)
-        assert w.cycles == 0
+        cost = CostModel(get_device("v100"))
+        assert cost.simd(0) == cost.sequential(0) == cost.reduce(0) == 0
+        assert cost.coalesced_read(0) == cost.scattered_read(0) == 0
+        assert _price_lane().warp_cycles == [0.0]
 
 
 class TestCostModel:

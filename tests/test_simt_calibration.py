@@ -1,12 +1,13 @@
 """The analytic SIMT cost model held to the simulator's committed measurements.
 
 ``benchmarks/results/simt_ratios.txt`` holds what the instruction-level
-simulator measured at commit 325074a for every constant the analytic
-:class:`~repro.simt.warp.Warp` assumes.  These tests recompute each row's
-analytic charge from the live model (:class:`~repro.simt.memory.MemorySpace`,
-``Warp``, :class:`~repro.core.gpu_kernel.WarpMeter`) for every
-``DeviceSpec`` preset and compare it with the simulated value by the row's
-kind:
+simulator (since deleted) measured at commit 325074a for every constant
+the analytic model assumes.  These tests recompute each row's analytic
+charge from the live per-event charges of
+:class:`~repro.simt.cost.CostModel` (distances through
+:func:`~repro.core.gpu_kernel.price_block`, the pricer every search
+uses) for every ``DeviceSpec`` preset and compare it with the simulated
+value by the row's kind:
 
 * ``exact`` — counts (transactions, ``shfl_down`` issues, bank-conflict
   cycles) match with tolerance 0;
@@ -21,14 +22,20 @@ Arithmetic only: nothing here simulates.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.gpu_kernel import Placement, WarpMeter
-from repro.distances import get_metric
+from repro.core.gpu_kernel import (
+    RECORD_COLUMNS,
+    DistanceProfile,
+    Placement,
+    price_block,
+)
+from repro.simt import cost as cost_module
+from repro.simt.cost import CostModel, transactions
 from repro.simt.device import DEVICE_PRESETS
-from repro.simt.memory import COALESCED_TRANSACTION_BYTES, MemorySpace
-from repro.simt.warp import Warp
+from repro.simt.memory import COALESCED_TRANSACTION_BYTES
 
 TABLE = Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "simt_ratios.txt"
 
@@ -51,49 +58,49 @@ def read_table() -> dict:
     return rows
 
 
-def analytic_charges(device, memory=MemorySpace) -> dict:
+def analytic_charges(device) -> dict:
     """Row name -> the live analytic model's charge for that row."""
+    cost = CostModel(device)
+    config = SearchConfig()
 
-    def meter(metric="l2"):
-        warp = Warp(device, memory=memory())
-        placement = Placement(True, True, True, 0)
-        return WarpMeter(warp, SearchConfig(), placement, get_metric(metric).flops_per_distance)
+    def lane(count, metric="l2", words=64):
+        """Stage cycles of a lane whose record holds one ``count``."""
+        block = np.zeros((1, len(RECORD_COLUMNS)), dtype=np.int64)
+        block[0, RECORD_COLUMNS.index(count)] = 1
+        priced = price_block(
+            block, config, Placement(True, True, True, 0),
+            DistanceProfile.for_metric(metric, words), 16, device,
+        )
+        return priced.stage_cycles
 
     def distance(metric, words):
-        m = meter(metric)
-        m.bulk_distance(1, words)
-        return m.warp.cycles
+        """Cycles of one bulk distance: a lane that scored one candidate."""
+        return lane("distance_computations", metric, words)["distance"]
 
-    def reduce(count):
-        warp = Warp(device, memory=memory())
-        warp.warp_reduce(count)
-        return warp.cycles
-
-    probe = meter()
-    probe.visited_test(1)
     lanes = device.warp_size
-    hide = device.global_latency_cycles / Warp(device)._overlapped_latency()
+    hide = device.global_latency_cycles / cost.latency()
     charges = {
-        "scan.cycles_per_op": device.seq_op_cycles,
-        "heap_push.cycles_per_level": 3 * device.seq_op_cycles,
-        "probe.cycles": probe.warp.cycles,
+        "scan.cycles_per_op": cost.sequential(1),
+        "heap_push.cycles_per_level": cost.sequential(3),
+        "probe.cycles": lane("visited_tests")["locate"],
         "hamming128.cycles": distance("hamming", 4),
         "float784.cycles": distance("l2", 784),
         "float784_over_hamming128": distance("l2", 784) / distance("hamming", 4),
     }
     for metric, dim in (("l2", 32), ("l2", 48), ("l2", 64), ("l2", 128),
                         ("ip", 64), ("cosine", 64), ("hamming", 8)):
-        charges[f"{metric}.d{dim}.transactions"] = memory().read_coalesced(4 * dim)
+        charges[f"{metric}.d{dim}.transactions"] = cost_module.transactions(4 * dim)
     for metric, dim, count in (("l2", 64, 1), ("ip", 64, 1), ("hamming", 8, 1),
                                ("cosine", 64, 3)):
-        charges[f"{metric}.d{dim}.shfl_down"] = reduce(count)
+        charges[f"{metric}.d{dim}.shfl_down"] = cost.reduce(count)
     for dim in (32, 48, 64, 128):
         # Shared accesses are charged conflict-free.
         charges[f"l2.d{dim}.bank_conflict_cycles"] = 0
     for stride in (1, 2, 4, 32):
+        # A scattered read is one transaction per access.
         charges[f"stride{stride}.transactions"] = (
-            memory().read_scattered(lanes) if stride == lanes
-            else memory().read_coalesced(4 * lanes * stride)
+            cost.scattered_read(lanes) / cost.latency() if stride == lanes
+            else cost_module.transactions(4 * lanes * stride)
         )
     for n in (1, 4, 16, 32):
         charges[f"warps{n}.cycles_per_warp"] = distance("l2", 128)
@@ -101,10 +108,10 @@ def analytic_charges(device, memory=MemorySpace) -> dict:
     return charges
 
 
-def violations(device, memory=MemorySpace) -> dict:
+def violations(device) -> dict:
     """Row name -> message, for each row whose simulated value breaks its
     kind's rule against the live charge on ``device``."""
-    charges = analytic_charges(device, memory)
+    charges = analytic_charges(device)
     out = {}
     for name, (kind, simulated, _) in read_table().items():
         analytic = charges[name]
@@ -120,12 +127,10 @@ def violations(device, memory=MemorySpace) -> dict:
     return out
 
 
-class _ExtraTransaction(MemorySpace):
+def _extra_transaction(num_bytes):
     """Counts one extra transaction per read at exact 128-byte multiples."""
-
-    def read_coalesced(self, num_bytes: int, count: int = 1) -> int:
-        extra = count if num_bytes % COALESCED_TRANSACTION_BYTES == 0 else 0
-        return super().read_coalesced(num_bytes, count) + extra
+    extra = np.asarray(num_bytes) % COALESCED_TRANSACTION_BYTES == 0
+    return transactions(num_bytes) + extra.astype(np.int64)
 
 
 def test_every_row_has_a_kind_and_a_charge():
@@ -170,8 +175,9 @@ class TestKnownBadModels:
             "scan.cycles_per_op", "heap_push.cycles_per_level", "probe.cycles",
         } <= set(violations(tripled))
 
-    def test_extra_transaction_at_128_byte_multiples_is_caught(self):
-        bad = violations(DEVICE_PRESETS["v100"], memory=_ExtraTransaction)
+    def test_extra_transaction_at_128_byte_multiples_is_caught(self, monkeypatch):
+        monkeypatch.setattr(cost_module, "transactions", _extra_transaction)
+        bad = violations(DEVICE_PRESETS["v100"])
         assert {
             "l2.d32.transactions", "l2.d64.transactions", "l2.d128.transactions",
             "stride1.transactions", "stride4.transactions",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import SearchConfig
-from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex, meter_lane
+from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex
 from repro.core.song import SearchStats
 from repro.data import make_dataset
 from repro.distances import get_metric
@@ -17,7 +17,6 @@ from repro.simt.device import get_device
 from repro.serve.engine import SimulatedGpuEngine
 from repro.simt.memory import CapacityLedger, DeviceMemoryExceeded
 from repro.simt.pipeline import split_counts
-from repro.simt.warp import Warp
 from repro.structures.soa import PAD_KEY
 from repro.tiered import (
     BitCodeStore,
@@ -367,15 +366,15 @@ class TestOnePricingPath:
         exact = DistanceProfile.for_metric(config.metric, ds.data.shape[1])
         records = [rerank_record(c, config.k) for c in (0, 7, 80)]
         priced = gpu.price(records, config, exact)
+        assert gpu.placement(config).topk_in_shared
         for record, cycles in zip(records, priced.warp_cycles):
-            warp = Warp(gpu.device)
-            meter_lane(
-                warp, record, config, gpu.placement(config), exact, graph.degree
-            )
-            assert warp.cycles == cycles
+            # Each lane is its own warp, priced as if launched alone.
+            lane = gpu.price([record], config, exact)
+            assert lane.warp_cycles == [cycles]
             # A re-rank is no search: nothing staged, seeded or probed.
-            assert warp.stage_cycles.get("locate", 0.0) == 0.0
-            assert warp.memory.coalesced_bytes == (
+            assert lane.stage_cycles["locate"] == 0.0
+            # Its only global traffic is the fetched candidates' vectors.
+            assert lane.total_global_bytes == (
                 4 * ds.data.shape[1] * record.distance_computations
             )
 
