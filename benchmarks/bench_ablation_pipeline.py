@@ -5,10 +5,9 @@ to ~12% at small K and Fig. 11 shows transfer overhead hurting small
 batches.  Double-buffered streams overlap copies with compute; this
 ablation measures the gain across chunk counts.
 
-Scheduling runs through :class:`repro.simt.streams.StreamScheduler`
-(the general N-stream device model); with one stream per chunk it must
-reproduce the classic :func:`repro.simt.pipeline.pipelined_time`
-recurrence *bit-for-bit*, which the test pins as a regression gate.
+Scheduling runs through :class:`repro.simt.streams.StreamScheduler`, one
+stream per chunk; ``tests/test_streams.py`` pins that schedule to the
+closed-form copy/compute recurrence bit-for-bit.
 """
 
 import numpy as np
@@ -16,8 +15,7 @@ import numpy as np
 from _common import emit_report
 from repro.core.config import SearchConfig
 from repro.eval.report import format_table
-from repro.simt.pipeline import pipeline_batch, pipelined_time, synchronous_time
-from repro.simt.streams import StreamScheduler
+from repro.simt.streams import pipeline_batch
 
 
 def _run(assets):
@@ -27,21 +25,10 @@ def _run(assets):
     cfg = SearchConfig(
         k=50, queue_size=50, selected_insertion=True, visited_deletion=True
     )
-    rows, gains, pins = [], {}, {}
+    rows, gains = [], {}
     for chunks in (1, 2, 4, 8):
         _, timing = pipeline_batch(gpu, queries, cfg, num_chunks=chunks)
         gains[chunks] = timing["overlap_gain"]
-        # Regression pin inputs: the StreamScheduler schedule vs the
-        # legacy recurrence and vs a single serial stream.
-        chunk_timings = timing["chunks"]
-        pins[chunks] = {
-            "scheduled": timing["pipelined_seconds"],
-            "recurrence": pipelined_time(chunk_timings),
-            "one_stream": StreamScheduler(num_streams=1)
-            .schedule_chunks(chunk_timings)
-            .makespan,
-            "synchronous": synchronous_time(chunk_timings),
-        }
         rows.append(
             [
                 chunks,
@@ -58,24 +45,11 @@ def _run(assets):
             rows,
         ),
     )
-    return gains, pins
+    return gains
 
 
 def test_ablation_pipeline(benchmark, assets):
-    gains, pins = benchmark.pedantic(_run, args=(assets,), rounds=1, iterations=1)
+    gains = benchmark.pedantic(_run, args=(assets,), rounds=1, iterations=1)
     assert gains[1] == 1.0  # one chunk cannot overlap anything
     assert gains[4] > 1.0  # overlap recovers some of the transfer cost
     assert gains[4] >= gains[2] - 1e-9
-    for chunks, pin in pins.items():
-        # Exact regression pin: the stream scheduler with one stream per
-        # chunk IS the legacy pipelined_time recurrence, bit-for-bit.
-        assert pin["scheduled"] == pin["recurrence"], chunks
-        # A single stream serializes every op — the synchronous model
-        # (equal as a schedule; summation order differs, hence approx).
-        assert pin["one_stream"] == pytest_approx(pin["synchronous"])
-
-
-def pytest_approx(value):
-    import pytest
-
-    return pytest.approx(value, rel=1e-12, abs=1e-15)

@@ -14,7 +14,7 @@ from repro import GpuSongIndex, SearchConfig, build_nsw
 from repro.core.sharding import ShardedSongIndex
 from repro.data import make_dataset
 from repro.eval import batch_recall
-from repro.simt.pipeline import pipeline_batch
+from repro.simt.streams import pipeline_batch
 
 
 def main() -> None:

@@ -10,22 +10,20 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-# All three analysis engines in one launch, warnings failing too
-# (--strict), against the committed findings baseline (currently empty):
-# hot-path lint (vectorization, narrow integer types, and a
-# nondeterminism sweep that also scans serve/), the Theorem 1-3
-# search-invariant verifier and the stream-hazard checker.
+# Both analysis engines in one launch, warnings failing too (--strict),
+# against the committed findings baseline (currently empty): hot-path
+# lint (vectorization, narrow integer types, and a nondeterminism sweep
+# that also scans serve/) and the Theorem 1-3 search-invariant verifier.
 # The text report prints per-engine wall times; any engine over 60 s
 # warns on stderr.
 python -m repro.analysis \
-    --engines lint,verifier,streams --strict \
+    --engines lint,verifier --strict \
     --baseline scripts/analysis_baseline.json
 
-# Negative controls: every engine that ships known-bad fixtures (a queue
-# that never evicts, a stream program missing its event deps) must FAIL
-# the strict gate on them, or its obligations are not actually being
-# checked.
-for engine in verifier streams; do
+# Negative control: the engine that ships known-bad fixtures (a queue
+# that never evicts) must FAIL the strict gate on them, or its
+# obligations are not actually being checked.
+for engine in verifier; do
     if python -m repro.analysis --engines "$engine" --strict --include-known-bad \
             >/dev/null 2>&1; then
         echo "ci: $engine accepted its known-bad fixtures — gate is broken" >&2

@@ -1,8 +1,8 @@
-"""Mutant catalogues for the instruction-level, serving and array-kernel
-layers (outside tier-1).
+"""Mutant catalogues for the instruction-level, serving, array-kernel and
+stream-scheduling layers (outside tier-1).
 
 Seeds one bug at a time into a *copy* of the source tree and records
-which checkers fail on it.  Three catalogues, one table each:
+which checkers fail on it.  Four catalogues, one table each:
 
 * **microkernels** — bugs in the instruction-level layer's
   ``simt/kernels.py`` and in the cost constants and transaction rounding
@@ -21,16 +21,21 @@ which checkers fail on it.  Three catalogues, one table each:
 * **array kernels** — bugs in the vectorized host kernels (packed keys,
   flat indices, tie-breaking) and the guards in front of them; checkers
   are the ``arrays`` engine (parent only), ``lint`` and the test files
-  that exercise those kernels (``ARRAY_TESTS``).
+  that exercise those kernels (``ARRAY_TESTS``);
+* **streams** — bugs in the device model's two chunk schedulers
+  (``simt/streams.py``: ``StreamScheduler`` and ``DeviceTimeline``);
+  checkers are the ``streams`` hazard analyzer (parent only) and the
+  stream, serving and tier test files (``STREAMS_TESTS``).
 
 Each catalogue mutates two trees: the working tree and the commit before
 the checker it judges was deleted (``PARENT`` for the ``sanitizer``
 engine, ``SERVE_PARENT`` for the ``aio`` engine,
-``ARRAYS_PARENT`` for the ``arrays`` engine, exported with ``git
-archive``), so each row names its catchers before and after that
-deletion.  A mutant whose source snippet no longer matches as often as
-declared aborts the run instead of silently testing nothing; one whose
-file the tree no longer has is recorded as ``deleted``.  The
+``ARRAYS_PARENT`` for the ``arrays`` engine, ``STREAMS_PARENT`` for the
+``streams`` engine, exported with ``git archive``), so each row names
+its catchers before and after that deletion.  A mutant whose source
+snippet no longer matches as often as declared aborts the run instead
+of silently testing nothing; one whose file, or whose code, the tree no
+longer has is recorded as ``deleted``.  The
 unmutated tree must be clean on every checker, or the run aborts too.  A run that outlives ``STEP_TIMEOUT_S``
 is killed and recorded as a hang: a hang counts as caught only because
 that bound turns it into a failure.
@@ -38,7 +43,7 @@ that bound turns it into a failure.
     python scripts/mutants.py                    # rewrite scripts/mutants.md
     python scripts/mutants.py --out table.md     # write the tables elsewhere
 
-About thirty minutes on a 2-vCPU VM: the six trees run two at a time,
+About forty minutes on a 2-vCPU VM: the eight trees run two at a time,
 one subprocess at a time each, every subprocess capped at 120 s and
 2 GiB of address space.  The repository itself is never written to,
 apart from ``--out``.
@@ -75,6 +80,10 @@ SERVE_PARENT = "e80d0eacfed3b4310466b002fe371534c8d4344b"
 
 #: The commit the deletion of the ``arrays`` engine is measured against.
 ARRAYS_PARENT = "5bc8260c55e02b3c7fd62879ddc04f38fb4cc94d"
+
+#: The commit the deletion of the ``streams`` engine (and of the stream-op
+#: program layer it checked) is measured against.
+STREAMS_PARENT = "15b358ed2e15ad9b14b4d696937118e58ff4d0f6"
 
 #: Kernel-catalogue test files; a file absent from a tree is skipped, so
 #: the parent lacks the calibration pin and the pricing golden, and the
@@ -119,6 +128,16 @@ ARRAY_TESTS = [
     "tests/test_tiered.py",
 ]
 
+#: Stream, serving and tier test files; a file absent from a tree is
+#: skipped, so the change lacks the two stream files it folded or deleted.
+STREAMS_TESTS = [
+    "tests/test_streams.py",
+    "tests/test_pipeline.py",
+    "tests/test_analysis_streams.py",
+    *SERVE_TESTS,
+    "tests/test_tiered.py",
+]
+
 #: Directories a checker run needs from a tree.
 COPIED = ("src", "tests", "benchmarks", "scripts")
 
@@ -133,6 +152,11 @@ LOADGEN = "src/repro/serve/loadgen.py"
 CAGRA = "src/repro/graphs/cagra.py"
 BATCHED = "src/repro/core/batched.py"
 SOA = "src/repro/structures/soa.py"
+STREAMS = "src/repro/simt/streams.py"
+
+#: A catalogue result for a mutant whose file, or whose code, the tree no
+#: longer has.
+DELETED = "deleted"
 
 
 @dataclass(frozen=True)
@@ -143,7 +167,9 @@ class Mutant:
     ``header`` is inserted after the module's ``__future__`` import;
     ``pinned_by`` names the tests written to fail on the mutant;
     ``change_path`` is where the snippet lives in the working tree when
-    it moved there from ``path``."""
+    it moved there from ``path``; ``change_old``/``change_new`` are the
+    snippet and its replacement there when the code was rewritten
+    (``change_old=DELETED``: the working tree no longer has the code)."""
 
     mid: str
     title: str
@@ -155,6 +181,8 @@ class Mutant:
     header: str = ""
     pinned_by: Tuple[str, ...] = ()
     change_path: str = ""
+    change_old: str = ""
+    change_new: str = ""
 
 
 MUTANTS = [
@@ -467,6 +495,82 @@ ARRAY_MUTANTS = [
     ),
 ]
 
+STREAMS_MUTANTS = [
+    Mutant(
+        "T1", "`DeviceTimeline` kernel starts at its HtoD's start (at the "
+        "parent its `StreamOp` also drops the event dependency)", STREAMS,
+        """            k_start = h_end
+            k_end, slowdown = self._kernel_finish(k_start, chunk.kernel, warps)
+            self._commit_kernel(k_start, k_end, warps)
+            worst_slowdown = max(worst_slowdown, slowdown)
+            k_op = StreamOp(
+                self._op_id,
+                KERNEL,
+                chunk.kernel,
+                stream,
+                warps=warps,
+                deps=(h_op.op_id,),
+""",
+        """            k_start = h_start
+            k_end, slowdown = self._kernel_finish(k_start, chunk.kernel, warps)
+            self._commit_kernel(k_start, k_end, warps)
+            worst_slowdown = max(worst_slowdown, slowdown)
+            k_op = StreamOp(
+                self._op_id,
+                KERNEL,
+                chunk.kernel,
+                stream,
+                warps=warps,
+                deps=(),
+""",
+        change_old="            k_start = h_end\n",
+        change_new="            k_start = h_start\n",
+    ),
+    Mutant(
+        "T2", "`DeviceTimeline` DtoH does not wait for its kernel", STREAMS,
+        "            d_start = max(k_end, self._dtoh_free)\n",
+        "            d_start = max(h_end, self._dtoh_free)\n",
+    ),
+    Mutant(
+        "T3", "`StreamScheduler` ignores its stream's previous op", STREAMS,
+        "            ready = stream_free.get(op.stream, 0.0)\n",
+        "            ready = 0.0\n",
+        change_old="            htod_free = max(stream_free[stream], htod_free) "
+        "+ chunk.htod\n",
+        change_new="            htod_free = htod_free + chunk.htod\n",
+    ),
+    Mutant(
+        "T4", "`StreamScheduler` kernel does not wait for the previous kernel "
+        "(compute engine not exclusive)", STREAMS,
+        "            start = max(ready, engine_free[op.kind])\n",
+        "            start = ready if op.kind == KERNEL else max(ready, "
+        "engine_free[op.kind])\n",
+        change_old="            kernel_free = max(htod_free, kernel_free) "
+        "+ chunk.kernel\n",
+        change_new="            kernel_free = htod_free + chunk.kernel\n",
+    ),
+    Mutant(
+        "T5", "`_pick_stream` returns the busiest stream", STREAMS,
+        "            if self._stream_free[s] < self._stream_free[best]:\n",
+        "            if self._stream_free[s] > self._stream_free[best]:\n",
+    ),
+    Mutant(
+        "T6", "`DeviceTimeline`'s kernel `StreamOp` recorded on another "
+        "stream with no dependency (metadata only)", STREAMS,
+        """                chunk.kernel,
+                stream,
+                warps=warps,
+                deps=(h_op.op_id,),
+""",
+        """                chunk.kernel,
+                (stream + 1) % self.num_streams,
+                warps=warps,
+                deps=(),
+""",
+        change_old=DELETED,
+    ),
+]
+
 #: Array-kernel mutants not run, and why they cannot change behaviour.
 EQUIVALENT = [
     ("A8", "`_best_candidates`: target id routed through uint32",
@@ -489,6 +593,9 @@ ARRAY_CHECKERS = {
     "change": ("lint", "tests"),
 }
 
+#: Stream-scheduler checkers by tree; ``streams`` exists at the parent only.
+STREAMS_CHECKERS = {"parent": ("streams", "tests"), "change": ("tests",)}
+
 
 @dataclass(frozen=True)
 class Catalogue:
@@ -505,13 +612,13 @@ CATALOGUES = {
     "kernels": Catalogue(PARENT, MUTANTS, CHECKERS, TESTS),
     "serving": Catalogue(SERVE_PARENT, SERVE_MUTANTS, SERVE_CHECKERS, SERVE_TESTS),
     "arrays": Catalogue(ARRAYS_PARENT, ARRAY_MUTANTS, ARRAY_CHECKERS, ARRAY_TESTS),
+    "streams": Catalogue(
+        STREAMS_PARENT, STREAMS_MUTANTS, STREAMS_CHECKERS, STREAMS_TESTS
+    ),
 }
 
 #: ``stderr`` of a step killed at ``STEP_TIMEOUT_S``.
 HUNG = "timeout"
-
-#: A catalogue result for a mutant whose file the tree no longer has.
-DELETED = "deleted"
 
 
 def _limit_resources() -> None:
@@ -594,20 +701,28 @@ def _mutant_path(mutant: Mutant, label: str) -> str:
     return mutant.change_path if label == "change" and mutant.change_path else mutant.path
 
 
-def _apply(tree: Path, mutant: Mutant, rel: str) -> Tuple[Path, str]:
+def _snippet(mutant: Mutant, label: str) -> Tuple[str, str]:
+    """``(old, new)`` on the tree labelled ``label``."""
+    if label == "change" and mutant.change_old:
+        return mutant.change_old, mutant.change_new
+    return mutant.old, mutant.new
+
+
+def _apply(tree: Path, mutant: Mutant, rel: str, label: str) -> Tuple[Path, str]:
     path = tree / rel
     original = path.read_text()
+    old, new = _snippet(mutant, label)
     start = original.index(mutant.scope) if mutant.scope else 0
     end = original.find("\ndef ", start + 1) if mutant.scope else -1
     end = len(original) if end < 0 else end
     region = original[start:end]
-    found = region.count(mutant.old)
+    found = region.count(old)
     if found != mutant.count:
         raise SystemExit(
             f"{mutant.mid}: expected {mutant.count} match(es) of its snippet "
             f"in {rel}, found {found}"
         )
-    mutated = original[:start] + region.replace(mutant.old, mutant.new) + original[end:]
+    mutated = original[:start] + region.replace(old, new) + original[end:]
     if mutant.header:
         future = "from __future__ import annotations\n"
         if mutated.count(future) != 1:
@@ -648,11 +763,11 @@ def catalogue(tree: Path, name: str, label: str) -> Dict[str, Dict]:
     results = {}
     for mutant in cat.mutants:
         rel = _mutant_path(mutant, label)
-        if not (tree / rel).exists():
+        if not (tree / rel).exists() or _snippet(mutant, label)[0] == DELETED:
             results[mutant.mid] = DELETED
             print(f"{name}/{label} {mutant.mid}: {DELETED}", file=sys.stderr)
             continue
-        path, original = _apply(tree, mutant, rel)
+        path, original = _apply(tree, mutant, rel, label)
         try:
             results[mutant.mid] = _check(tree, checkers, cat.tests)
         finally:
@@ -847,6 +962,48 @@ def render_arrays(results: Dict[str, Dict]) -> str:
     return "\n".join(out) + "\n"
 
 
+def render_streams(results: Dict[str, Dict]) -> str:
+    parent, change = results["parent"], results["change"]
+    pcols, ccols = STREAMS_CHECKERS["parent"], STREAMS_CHECKERS["change"]
+    ids = functools.partial(_ids, STREAMS_MUTANTS)
+    out = [
+        "# Mutant catalogue: the stream schedulers",
+        "",
+        "Generated by `python scripts/mutants.py` (do not edit by hand).",
+        f"`parent` is commit `{STREAMS_PARENT[:12]}`, which still has the",
+        "`streams` engine (a happens-before hazard check over the `StreamOp`",
+        "programs the device model emitted) and that program layer; `change`",
+        "is the working tree, where `StreamScheduler.schedule_chunks` is the",
+        "direct copy/compute recurrence, `DeviceTimeline` records no ops, and",
+        "the schedulers are checked by their tests.  ✓ = the checker fails on",
+        "the mutant (with the rules it reported, or the failing test files",
+        "and counts, each file run in its own process); ✗ = it passes;",
+        "`deleted` = the tree no longer has the mutated code.",
+        "`tests` = " + ", ".join(f"`{Path(t).name}`" for t in STREAMS_TESTS)
+        + "; a file the tree lacks is skipped.",
+        "",
+    ] + _grid(STREAMS_MUTANTS, results, STREAMS_CHECKERS)
+    out += [
+        "",
+        "## Reading",
+        "",
+        "- Caught at the parent by `streams`: "
+        + ids(lambda m: parent[m.mid]["streams"]) + "; by `streams` alone: "
+        + ids(lambda m: _caught(parent[m.mid], pcols) == ["streams"]) + ".",
+        "- Caught at the parent by nothing: "
+        + ids(lambda m: not _caught(parent[m.mid], pcols)) + ".",
+        "- Deleted at the change with the program layer: "
+        + ids(lambda m: change[m.mid] == DELETED) + ".",
+        "- Caught at the parent and by nothing at the change: "
+        + ids(lambda m: change[m.mid] != DELETED and _caught(parent[m.mid], pcols)
+              and not _caught(change[m.mid], ccols)) + ".",
+        "- Run at the change and caught by nothing: "
+        + ids(lambda m: change[m.mid] != DELETED
+              and not _caught(change[m.mid], ccols)) + ".",
+    ]
+    return "\n".join(out) + "\n"
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=REPO / "scripts" / "mutants.md")
@@ -873,6 +1030,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.out.write_text(
         render(tables["kernels"]) + "\n" + render_serving(tables["serving"])
         + "\n" + render_arrays(tables["arrays"])
+        + "\n" + render_streams(tables["streams"])
     )
     print(f"wrote {args.out}")
     return 0

@@ -82,7 +82,7 @@ def roots(tmp: str) -> list:
         + [[PY, "-m", f"benchmarks.{b}", "--smoke"] for b in ("bench_serving", "bench_outofcore")]
         + [[PY, "-m", "repro", *args] for args in cli]
         + [[PY, path] for path in sorted(glob.glob("examples/*.py"))]
-        + [analysis + ["lint,verifier,streams",
+        + [analysis + ["lint,verifier",
                        "--baseline", "scripts/analysis_baseline.json"]]
     )  # fmt: skip
 

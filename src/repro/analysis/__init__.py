@@ -1,6 +1,6 @@
-"""Static analysis for the repo's hot paths, search invariants and streams.
+"""Static analysis for the repo's hot paths and search invariants.
 
-Three engines, each selected with ``python -m repro.analysis --engines``
+Two engines, each selected with ``python -m repro.analysis --engines``
 and all gated in ``scripts/ci.sh``:
 
 * the **hot-path linter** (:mod:`repro.analysis.lint`) enforces the
@@ -11,10 +11,7 @@ and all gated in ``scripts/ci.sh``:
   reads);
 * the **invariant verifier** (:mod:`repro.analysis.verifier`, engine
   ``verifier``) checks SONG's Theorem 1–3 data-structure invariants
-  against the real bounded queue and search loop;
-* the **stream-hazard checker** (:mod:`repro.analysis.streams`) checks
-  the device model's multi-stream programs for missing event
-  dependencies.
+  against the real bounded queue and search loop.
 
 No engine reads the serving layer's coroutines: ``tests/test_serve_faults.py``
 checks them by behaviour on the virtual clock, and the serving table of
@@ -37,12 +34,6 @@ from repro.analysis.verifier import (
     check_bounded_queue,
     check_search_invariants,
 )
-from repro.analysis.streams import (
-    STREAM_RULES,
-    check_stream_ops,
-    check_stream_programs,
-    iter_stream_programs,
-)
 
 __all__ = [
     "Finding",
@@ -52,10 +43,6 @@ __all__ = [
     "check_all_invariants",
     "check_bounded_queue",
     "check_search_invariants",
-    "STREAM_RULES",
-    "check_stream_ops",
-    "check_stream_programs",
-    "iter_stream_programs",
     "HOT_MARKER",
     "LINT_RULES",
     "lint_source",

@@ -1,10 +1,9 @@
 """CLI for the analysis engines: ``python -m repro.analysis``.
 
-Three engines share this entry point:
+Two engines share this entry point:
 
 * ``lint`` — hot-path linter and nondeterminism sweep over ``src/repro``;
-* ``verifier`` — the Theorem 1–3 search-invariant checks;
-* ``streams`` — stream-program hazard checker over the device model.
+* ``verifier`` — the Theorem 1–3 search-invariant checks.
 
 ``--engines NAME[,NAME...]`` selects exactly the engines to run; without
 it every engine runs.
@@ -39,7 +38,7 @@ from repro.analysis.findings import Finding, split_by_severity
 from repro.analysis.lint import lint_tree
 
 #: Engine names accepted by ``--engines``, in canonical run order.
-ENGINE_NAMES = ("lint", "verifier", "streams")
+ENGINE_NAMES = ("lint", "verifier")
 
 #: Seconds after which an engine's runtime warns on stderr.
 SLOW_ENGINE_S = 60.0
@@ -71,16 +70,9 @@ def _run_verifier(include_known_bad: bool, lint_root) -> List[Finding]:
     return check_all_invariants(include_known_bad=include_known_bad)
 
 
-def _run_streams(include_known_bad: bool, lint_root) -> List[Finding]:
-    from repro.analysis.streams import check_stream_programs
-
-    return check_stream_programs(include_known_bad=include_known_bad)
-
-
 _ENGINE_RUNNERS: Dict[str, Callable[..., List[Finding]]] = {
     "lint": _run_lint,
     "verifier": _run_verifier,
-    "streams": _run_streams,
 }
 
 
@@ -154,8 +146,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "analysis engines: hot-path lint, Theorem 1-3 invariant "
-            "verifier, stream hazards"
+            "analysis engines: hot-path lint, Theorem 1-3 invariant verifier"
         ),
     )
     parser.add_argument(

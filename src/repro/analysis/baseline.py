@@ -5,8 +5,8 @@ accepted findings for all engines, one section per engine::
 
     {
       "engines": {
-        "lint":    {"suppress": [{"rule": "...", "location": "..."}]},
-        "streams": {"suppress": []}
+        "lint":     {"suppress": [{"rule": "...", "location": "..."}]},
+        "verifier": {"suppress": []}
       }
     }
 

@@ -1,10 +1,10 @@
 """Shared finding/severity types for every analysis engine.
 
-The hot-path linter, the invariant verifier and the stream-hazard
-checker report through one :class:`Finding` shape so the CLI, CI gate
-and tests can treat "a per-element loop at ``batched.py:359``" and "a
-copy racing a kernel in a stream program" uniformly: every finding
-names the rule that fired, where it fired, and how severe it is.
+The hot-path linter and the invariant verifier report through one
+:class:`Finding` shape so the CLI, CI gate and tests can treat "a
+per-element loop at ``batched.py:359``" and "a queue that never evicts"
+uniformly: every finding names the rule that fired, where it fired, and
+how severe it is.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ class Severity(enum.Enum):
     """How a finding gates CI.
 
     ``ERROR`` fails every run; ``WARNING`` fails only under ``--strict``
-    (advisory hazards, such as an unordered write in a stream program).
+    (advisory findings, such as a stale baseline entry).
     """
 
     WARNING = "warning"
@@ -35,7 +35,7 @@ class Finding:
     Attributes
     ----------
     rule:
-        Stable rule identifier (``hot-loop``, ``stream-hazard``, ...).
+        Stable rule identifier (``hot-loop``, ``invariant-bounded-queue``, ...).
     severity:
         :class:`Severity` of the violation.
     location:
@@ -45,8 +45,8 @@ class Finding:
         Human-readable explanation with the concrete evidence (lanes,
         addresses, counts).
     engine:
-        Which analysis engine produced the finding (``lint``,
-        ``verifier``, ``streams``).
+        Which analysis engine produced the finding (``lint`` or
+        ``verifier``).
         Engines may leave it empty; the CLI stamps it when assembling a
         cross-engine report.
     """

@@ -39,8 +39,7 @@ from repro.core.config import SearchConfig
 from repro.core.gpu_kernel import DistanceProfile, GpuSongIndex
 from repro.core.song import SearchStats
 from repro.graphs.storage import FixedDegreeGraph
-from repro.simt.pipeline import split_counts
-from repro.simt.streams import ChunkWork
+from repro.simt.streams import ChunkWork, split_counts
 
 __all__ = ["BatchServiceResult", "SimulatedGpuEngine"]
 
@@ -143,10 +142,10 @@ class SimulatedGpuEngine:
         profile = self.profile
         if profile is None:
             profile = DistanceProfile.for_metric(config.metric, int(queries.shape[1]))
-        counts = split_counts(len(stats), num_chunks) if len(stats) else [0]
+        counts = split_counts(len(stats), num_chunks)
         chunks: List[ChunkWork] = []
         start = 0
-        for i, count in enumerate(counts):  # lint: allow(hot-loop) — O(chunks), not O(lanes)
+        for count in counts:  # lint: allow(hot-loop) — O(chunks), not O(lanes)
             priced = self.index.price(stats[start : start + count], config, profile)
             start += count
             chunks.append(
@@ -155,7 +154,6 @@ class SimulatedGpuEngine:
                     kernel=priced.kernel_seconds,
                     dtoh=priced.dtoh_seconds,
                     warps=max(1, self.index.warp_demand(config, count)),
-                    label=f"chunk{i}",
                 )
             )
         detail = {

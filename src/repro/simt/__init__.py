@@ -35,18 +35,14 @@ from repro.simt.streams import (
     BatchSchedule,
     ChunkWork,
     DeviceTimeline,
-    StreamOp,
     StreamScheduler,
-    StreamTimeline,
 )
 
 __all__ = [
     "BatchSchedule",
     "ChunkWork",
     "DeviceTimeline",
-    "StreamOp",
     "StreamScheduler",
-    "StreamTimeline",
     "DeviceSpec",
     "DEVICE_PRESETS",
     "get_device",

@@ -1,19 +1,14 @@
 """Multi-stream device occupancy: CUDA-stream scheduling of copies and kernels.
 
-:mod:`repro.simt.pipeline` models double buffering analytically with a
-closed-form recurrence (one copy engine per direction, one compute
-engine, chunks pipelined in order).  That form cannot express what the
-serving layer needs: several *batches* in flight on one device at once,
-with kernels genuinely sharing SM capacity and transfers contending for
-the copy engines.  This module generalizes it into an explicit stream
-model:
+Fig. 10 of the paper shows HtoD taking up to ~12% of small-batch runs and
+Fig. 11 shows small batches underusing the device.  The standard CUDA
+remedy is double buffering: split a batch into chunks on separate
+streams so chunk ``i+1``'s host-to-device copy and chunk ``i-1``'s
+device-to-host copy overlap chunk ``i``'s kernel.  The device model
+here has:
 
-- **Streams** are FIFO queues of operations: two ops on the same stream
-  never overlap, exactly as on hardware.  Cross-stream ordering exists
-  only through explicit event dependencies (``StreamOp.deps``) — a
-  kernel consuming a buffer staged by an HtoD on *another* stream must
-  name that HtoD as a dependency, or the schedule has a hazard (the
-  :mod:`repro.analysis.streams` checker flags exactly this).
+- **Streams**: FIFO queues of a chunk's HtoD → kernel → DtoH chain; two
+  ops on the same stream never overlap, exactly as on hardware.
 - **Engines**: one HtoD copy engine, one DtoH copy engine, and the SM
   array — the resources every discrete NVIDIA part since Fermi exposes.
   Copy engines serve their ops *in submission order*; this keeps the
@@ -30,13 +25,13 @@ model:
   (the paper's Fig. 11 underutilization), so they overlap almost freely;
   saturating kernels serialize.
 
-Two entry points share the op model:
+Two schedulers, one per thing the model prices:
 
-- :class:`StreamScheduler` — *offline*: schedule a fixed op list (e.g. a
-  double-buffered chunk split) from ``t = 0`` with an exclusive compute
-  engine.  With one chunk per stream it reproduces
-  :func:`repro.simt.pipeline.pipelined_time` bit-for-bit — the
-  regression pin the ablation benchmark carries.
+- :class:`StreamScheduler` — *offline*: the makespan of one batch's
+  chunk split from ``t = 0`` with an exclusive compute engine (the
+  out-of-core tier and :func:`pipeline_batch`, the double-buffer
+  ablation).  With one chunk per stream it is the classic copy/compute
+  pipeline recurrence.
 - :class:`DeviceTimeline` — *online*: a persistent per-replica ledger in
   event-loop time.  Batches are committed as they are dispatched; a
   newly submitted kernel is slowed by the kernels already resident
@@ -44,14 +39,16 @@ Two entry points share the op model:
   one-sided, which keeps the model causal and the virtual-clock replay
   bit-identical across runs).
 
-Every schedule is a deterministic function of the submitted ops: no
+Every schedule is a deterministic function of the submitted chunks: no
 randomness, no wall clock, stable tie-breaking by submission order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.simt.device import DeviceSpec, get_device
 
@@ -61,12 +58,9 @@ __all__ = [
     "DTOH",
     "ENGINE_KINDS",
     "ChunkWork",
-    "StreamOp",
-    "OpSchedule",
-    "StreamTimeline",
     "StreamScheduler",
-    "double_buffer_ops",
-    "copy_stream_ops",
+    "split_counts",
+    "pipeline_batch",
     "BatchSchedule",
     "DeviceTimeline",
 ]
@@ -80,177 +74,44 @@ ENGINE_KINDS = (HTOD, KERNEL, DTOH)
 class ChunkWork:
     """One chunk's priced work: transfer and kernel seconds plus warp demand.
 
-    Field names match :class:`repro.simt.pipeline.ChunkTiming`, so either
-    type schedules interchangeably; ``warps`` is the kernel's resident
-    warp demand (the SM-capacity-sharing input, defaulting to one warp).
+    ``warps`` is the kernel's resident warp demand (the SM-capacity-sharing
+    input of :class:`DeviceTimeline`, defaulting to one warp).
     """
 
     htod: float
     kernel: float
     dtoh: float
     warps: int = 1
-    label: str = ""
 
 
-@dataclass(frozen=True)
-class StreamOp:
-    """One operation on one stream.
+def split_counts(total: int, num_chunks: int) -> List[int]:
+    """Split ``total`` queries into ``num_chunks`` near-equal chunks.
 
-    ``deps`` are event dependencies on earlier ops (by ``op_id``) —
-    the cross-stream ordering edges.  ``reads``/``writes`` name the
-    buffers the op touches; the stream-hazard checker uses them to prove
-    every consumer is ordered after its producer.
+    Never more chunks than queries, and one empty chunk for an empty
+    batch, so every batch prices at least one launch.
     """
-
-    op_id: int
-    kind: str
-    seconds: float
-    stream: int
-    warps: int = 1
-    deps: Tuple[int, ...] = ()
-    reads: Tuple[str, ...] = ()
-    writes: Tuple[str, ...] = ()
-    label: str = ""
-
-
-@dataclass(frozen=True)
-class OpSchedule:
-    """A scheduled op: when it started and finished."""
-
-    op: StreamOp
-    start: float
-    finish: float
-
-
-@dataclass
-class StreamTimeline:
-    """A complete schedule: per-op times plus derived occupancy views."""
-
-    ops: List[OpSchedule]
-    makespan: float
-    engine_busy: Dict[str, float]
-    stream_busy: Dict[int, float]
-
-    @property
-    def serial_seconds(self) -> float:
-        """What the schedule would cost with zero overlap (sum of busy)."""
-        return sum(self.engine_busy.values())
-
-    def overlap_gain(self) -> float:
-        """Serial time over makespan — the double-buffering speedup."""
-        if self.makespan <= 0.0:
-            return 1.0
-        return self.serial_seconds / self.makespan
-
-
-def double_buffer_ops(
-    chunks: Sequence, num_streams: int, base_op_id: int = 0
-) -> List[StreamOp]:
-    """The canonical double-buffer program: chunk ``i`` on stream ``i % S``.
-
-    Each chunk is an HtoD → kernel → DtoH chain on one stream with
-    explicit event deps (the chain is hazard-free by construction:
-    producers and consumers share a stream *and* carry the event edge).
-    ``chunks`` is any sequence with ``htod``/``kernel``/``dtoh`` fields
-    (:class:`ChunkWork` or :class:`~repro.simt.pipeline.ChunkTiming`).
-    """
-    if num_streams <= 0:
-        raise ValueError("num_streams must be positive")
-    ops: List[StreamOp] = []
-    oid = base_op_id
-    for i, chunk in enumerate(chunks):
-        stream = i % num_streams
-        staged, result = f"chunk{i}.queries", f"chunk{i}.topk"
-        htod = StreamOp(
-            oid, HTOD, chunk.htod, stream, writes=(staged,), label=f"htod[{i}]"
-        )
-        kernel = StreamOp(
-            oid + 1,
-            KERNEL,
-            chunk.kernel,
-            stream,
-            warps=getattr(chunk, "warps", 1),
-            deps=(htod.op_id,),
-            reads=(staged,),
-            writes=(result,),
-            label=f"kernel[{i}]",
-        )
-        dtoh = StreamOp(
-            oid + 2,
-            DTOH,
-            chunk.dtoh,
-            stream,
-            deps=(kernel.op_id,),
-            reads=(result,),
-            label=f"dtoh[{i}]",
-        )
-        ops.extend((htod, kernel, dtoh))
-        oid += 3
-    return ops
-
-
-def copy_stream_ops(
-    chunks: Sequence, num_streams: int, with_events: bool = True
-) -> List[StreamOp]:
-    """A dedicated-copy-stream program: transfers on stream 0, kernels on 1+.
-
-    The classic CUDA structure where one stream feeds the copy engines
-    and compute streams consume via events.  With ``with_events=False``
-    the kernels drop their event dependency on the cross-stream HtoD —
-    the textbook stream hazard the analysis checker must flag (this is
-    the known-bad fixture shape).
-    """
-    if num_streams < 2:
-        raise ValueError("copy-stream layout needs at least two streams")
-    ops: List[StreamOp] = []
-    oid = 0
-    for i, chunk in enumerate(chunks):
-        compute_stream = 1 + i % (num_streams - 1)
-        staged, result = f"chunk{i}.queries", f"chunk{i}.topk"
-        htod = StreamOp(
-            oid, HTOD, chunk.htod, 0, writes=(staged,), label=f"htod[{i}]"
-        )
-        kernel = StreamOp(
-            oid + 1,
-            KERNEL,
-            chunk.kernel,
-            compute_stream,
-            warps=getattr(chunk, "warps", 1),
-            deps=(htod.op_id,) if with_events else (),
-            reads=(staged,),
-            writes=(result,),
-            label=f"kernel[{i}]",
-        )
-        dtoh = StreamOp(
-            oid + 2,
-            DTOH,
-            chunk.dtoh,
-            0,
-            deps=(kernel.op_id,),
-            reads=(result,),
-            label=f"dtoh[{i}]",
-        )
-        ops.extend((htod, kernel, dtoh))
-        oid += 3
-    return ops
+    if num_chunks <= 0:
+        raise ValueError("num_chunks must be positive")
+    num_chunks = max(1, min(num_chunks, total))
+    base = total // num_chunks
+    rem = total % num_chunks
+    return [base + (1 if i < rem else 0) for i in range(num_chunks)]
 
 
 class StreamScheduler:
-    """Offline event-ordered scheduling of a stream program from ``t = 0``.
+    """Offline schedule of a double-buffered chunk split from ``t = 0``.
 
     Engines are in-order (each serves its ops in submission order) and
     the compute engine is exclusive — one kernel at a time — which is
-    the conservative model the double-buffer ablation and its regression
-    pins use.  Capacity-shared concurrency lives in
-    :class:`DeviceTimeline`.
+    the conservative model the tier and the pipeline ablation use.
+    Capacity-shared concurrency lives in :class:`DeviceTimeline`.
 
     Parameters
     ----------
     num_streams:
-        Streams available to :meth:`schedule_chunks` (chunk ``i`` goes to
-        stream ``i % num_streams``).  :meth:`schedule` takes the stream
-        assignment from the ops themselves.  The schedule is in seconds
-        and needs no hardware parameters.
+        Streams the chunks are spread over (chunk ``i`` goes to stream
+        ``i % num_streams``).  The schedule is in seconds and needs no
+        hardware parameters.
     """
 
     def __init__(self, num_streams: int = 1) -> None:
@@ -258,54 +119,77 @@ class StreamScheduler:
             raise ValueError("num_streams must be positive")
         self.num_streams = int(num_streams)
 
-    def schedule(self, ops: Sequence[StreamOp]) -> StreamTimeline:
-        """Schedule ``ops`` (in submission order) onto streams + engines.
+    def schedule_chunks(self, chunks: Sequence) -> float:
+        """Makespan of ``chunks`` as HtoD → kernel → DtoH chains.
 
-        Start rule for op ``o``: after its stream's previous op, after
-        every event dependency, and after the previous op on its engine
-        (in-order engines).  Deterministic; raises on negative durations,
-        unknown kinds, or forward/unknown dependencies.
+        Chunk ``i``'s HtoD starts after its stream's previous op and the
+        previous HtoD; its kernel after its HtoD and the previous kernel;
+        its DtoH after its kernel and the previous DtoH.  With
+        ``num_streams >= len(chunks)`` this is the classic copy/compute
+        pipeline recurrence; with one stream every op serializes (the
+        paper's synchronous execution).  ``chunks`` carry
+        ``htod``/``kernel``/``dtoh`` seconds; negative durations raise.
         """
-        engine_free: Dict[str, float] = {kind: 0.0 for kind in ENGINE_KINDS}
-        stream_free: Dict[int, float] = {}
-        finish_at: Dict[int, float] = {}
-        engine_busy: Dict[str, float] = {kind: 0.0 for kind in ENGINE_KINDS}
-        stream_busy: Dict[int, float] = {}
-        scheduled: List[OpSchedule] = []
-        makespan = 0.0
-        for op in ops:
-            if op.kind not in ENGINE_KINDS:
-                raise ValueError(f"unknown op kind {op.kind!r}")
-            if op.seconds < 0:
-                raise ValueError("op durations must be non-negative")
-            if op.op_id in finish_at:
-                raise ValueError(f"duplicate op_id {op.op_id}")
-            ready = stream_free.get(op.stream, 0.0)
-            for dep in op.deps:
-                if dep not in finish_at:
-                    raise ValueError(
-                        f"op {op.op_id} depends on unknown/later op {dep}"
-                    )
-                ready = max(ready, finish_at[dep])
-            start = max(ready, engine_free[op.kind])
-            finish = start + op.seconds
-            engine_free[op.kind] = finish
-            stream_free[op.stream] = finish
-            finish_at[op.op_id] = finish
-            engine_busy[op.kind] += op.seconds
-            stream_busy[op.stream] = stream_busy.get(op.stream, 0.0) + op.seconds
-            makespan = max(makespan, finish)
-            scheduled.append(OpSchedule(op, start, finish))
-        return StreamTimeline(scheduled, makespan, engine_busy, stream_busy)
+        stream_free = [0.0] * self.num_streams
+        htod_free = kernel_free = dtoh_free = 0.0
+        for i, chunk in enumerate(chunks):
+            if chunk.htod < 0 or chunk.kernel < 0 or chunk.dtoh < 0:
+                raise ValueError("chunk durations must be non-negative")
+            stream = i % self.num_streams
+            htod_free = max(stream_free[stream], htod_free) + chunk.htod
+            kernel_free = max(htod_free, kernel_free) + chunk.kernel
+            dtoh_free = max(kernel_free, dtoh_free) + chunk.dtoh
+            stream_free[stream] = dtoh_free
+        return dtoh_free
 
-    def schedule_chunks(self, chunks: Sequence) -> StreamTimeline:
-        """Schedule a double-buffered chunk split over ``num_streams``.
 
-        With ``num_streams >= len(chunks)`` this is bit-identical to
-        :func:`repro.simt.pipeline.pipelined_time`; with one stream every
-        op serializes (the paper's synchronous execution).
-        """
-        return self.schedule(double_buffer_ops(chunks, self.num_streams))
+def pipeline_batch(
+    index, queries, config, num_chunks: int = 4
+) -> Tuple[list, dict]:
+    """Run ``index.search_batch`` chunk-wise and schedule the overlap.
+
+    The chunks go one per stream on :class:`StreamScheduler`, so chunk
+    ``i+1``'s HtoD and chunk ``i-1``'s DtoH overlap chunk ``i``'s
+    kernel — the double buffering ablated in
+    ``benchmarks/bench_ablation_pipeline.py``.
+
+    Parameters
+    ----------
+    index:
+        A :class:`~repro.core.gpu_kernel.GpuSongIndex`.
+    queries:
+        ``(b, d)`` query batch.
+    config:
+        :class:`~repro.core.config.SearchConfig`.
+    num_chunks:
+        Chunks to split the batch into.
+
+    Returns
+    -------
+    ``(results, timing)`` where timing holds pipelined and synchronous
+    makespans, the implied QPS and the per-chunk :class:`ChunkWork`.
+    """
+    queries = np.atleast_2d(np.asarray(queries))
+    results: list = []
+    chunks: List[ChunkWork] = []
+    start = 0
+    for count in split_counts(len(queries), num_chunks):
+        out, kr = index.search_batch(queries[start : start + count], config)
+        start += count
+        results.extend(out)
+        chunks.append(
+            ChunkWork(htod=kr.htod_seconds, kernel=kr.kernel_seconds, dtoh=kr.dtoh_seconds)
+        )
+    piped = StreamScheduler(num_streams=len(chunks)).schedule_chunks(chunks)
+    sync = sum(c.htod + c.kernel + c.dtoh for c in chunks)
+    timing = {
+        "pipelined_seconds": piped,
+        "synchronous_seconds": sync,
+        "overlap_gain": sync / piped if piped > 0 else float("inf"),
+        "qps": len(queries) / piped if piped > 0 else float("inf"),
+        "chunks": chunks,
+    }
+    return results, timing
 
 
 @dataclass
@@ -319,7 +203,6 @@ class BatchSchedule:
     dtoh_s: float
     kernel_slowdown: float
     streams: Tuple[int, ...]
-    ops: List[OpSchedule] = field(default_factory=list)
 
     @property
     def makespan_s(self) -> float:
@@ -369,7 +252,6 @@ class DeviceTimeline:
         self._dtoh_free = 0.0
         self._stream_free = [0.0] * self.num_streams
         self._resident: List[Tuple[float, float, int]] = []
-        self._op_id = 0
         # Occupancy accounting.
         self.batches = 0
         self._busy: Dict[str, float] = {kind: 0.0 for kind in ENGINE_KINDS}
@@ -443,9 +325,10 @@ class DeviceTimeline:
     ) -> BatchSchedule:
         """Schedule one batch's chunk chains starting no earlier than ``now``.
 
-        ``chunks`` carry ``htod``/``kernel``/``dtoh`` seconds and
-        ``warps`` demand.  Returns the committed :class:`BatchSchedule`; the caller sleeps
-        until ``finish_s``.
+        ``chunks`` are :class:`ChunkWork` (seconds per engine plus warp
+        demand); ``label`` names the batch for the caller and does not
+        enter the schedule.  Returns the committed
+        :class:`BatchSchedule`; the caller sleeps until ``finish_s``.
         """
         if now < 0.0:
             raise ValueError("now must be non-negative")
@@ -453,65 +336,28 @@ class DeviceTimeline:
             self._first_submit = now
         # Kernels that ended before ``now`` can never overlap new work.
         self._resident = [(s, e, w) for (s, e, w) in self._resident if e > now]
-        ops: List[OpSchedule] = []
         streams_used: List[int] = []
         htod_sum = kernel_sum = dtoh_sum = 0.0
         worst_slowdown = 1.0
         finish = now
-        for i, chunk in enumerate(chunks):
-            warps = int(getattr(chunk, "warps", 1))
+        for chunk in chunks:
+            warps = int(chunk.warps)
             stream = self._pick_stream()
             streams_used.append(stream)
-            staged = f"{label}.chunk{i}.queries"
-            result = f"{label}.chunk{i}.topk"
             stream_ready = max(now, self._stream_free[stream])
 
             h_start = max(stream_ready, self._htod_free)
             h_end = h_start + chunk.htod
             self._htod_free = h_end
-            h_op = StreamOp(
-                self._op_id,
-                HTOD,
-                chunk.htod,
-                stream,
-                writes=(staged,),
-                label=f"{label}.htod[{i}]",
-            )
-            self._op_id += 1
-            ops.append(OpSchedule(h_op, h_start, h_end))
 
             k_start = h_end
             k_end, slowdown = self._kernel_finish(k_start, chunk.kernel, warps)
             self._commit_kernel(k_start, k_end, warps)
             worst_slowdown = max(worst_slowdown, slowdown)
-            k_op = StreamOp(
-                self._op_id,
-                KERNEL,
-                chunk.kernel,
-                stream,
-                warps=warps,
-                deps=(h_op.op_id,),
-                reads=(staged,),
-                writes=(result,),
-                label=f"{label}.kernel[{i}]",
-            )
-            self._op_id += 1
-            ops.append(OpSchedule(k_op, k_start, k_end))
 
             d_start = max(k_end, self._dtoh_free)
             d_end = d_start + chunk.dtoh
             self._dtoh_free = d_end
-            d_op = StreamOp(
-                self._op_id,
-                DTOH,
-                chunk.dtoh,
-                stream,
-                deps=(k_op.op_id,),
-                reads=(result,),
-                label=f"{label}.dtoh[{i}]",
-            )
-            self._op_id += 1
-            ops.append(OpSchedule(d_op, d_start, d_end))
 
             self._stream_free[stream] = d_end
             self._stream_busy[stream] += chunk.htod + (k_end - k_start) + chunk.dtoh
@@ -532,7 +378,6 @@ class DeviceTimeline:
             dtoh_s=dtoh_sum,
             kernel_slowdown=worst_slowdown,
             streams=tuple(streams_used),
-            ops=ops,
         )
 
     # -- observability ---------------------------------------------------

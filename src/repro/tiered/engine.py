@@ -34,8 +34,7 @@ from repro.core.song import SearchStats
 from repro.graphs.storage import FixedDegreeGraph
 from repro.serve.engine import BatchServiceResult, SimulatedGpuEngine
 from repro.simt.cost import CostModel
-from repro.simt.pipeline import split_counts
-from repro.simt.streams import ChunkWork, StreamScheduler
+from repro.simt.streams import ChunkWork, StreamScheduler, split_counts
 from repro.tiered.cache import PageCache
 from repro.tiered.config import TieredConfig
 from repro.tiered.index import TieredIndex
@@ -135,7 +134,7 @@ class TieredServeEngine:
         exact = DistanceProfile.for_metric(
             config.metric, int(self.tiered.data.shape[1])
         )
-        counts = split_counts(len(stats), len(chunks)) if len(stats) else [0]
+        counts = split_counts(len(stats), len(chunks))
         out_chunks: List[ChunkWork] = []
         kernel_total = htod_total = dtoh_total = 0.0
         fetch_bytes_total = 0
@@ -180,7 +179,6 @@ class TieredServeEngine:
                     kernel=kernel,
                     dtoh=rerank.dtoh_seconds,
                     warps=chunk.warps,
-                    label=chunk.label,
                 )
             )
             kernel_total += kernel
@@ -216,10 +214,5 @@ class TieredServeEngine:
         results, chunks, detail = self.chunked_batch(
             queries, config, max_chunks=max_chunks
         )
-        if len(chunks) > 1:
-            timeline = StreamScheduler(num_streams=2).schedule_chunks(chunks)
-            seconds = timeline.makespan
-            detail["overlap_gain"] = timeline.overlap_gain()
-        else:
-            seconds = sum(c.htod + c.kernel + c.dtoh for c in chunks)
+        seconds = StreamScheduler(num_streams=2).schedule_chunks(chunks)
         return BatchServiceResult(results, seconds, detail)

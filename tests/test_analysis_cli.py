@@ -67,9 +67,9 @@ class TestMainEntryPoint:
         out = capsys.readouterr().out
         assert "[hot-loop]" in out and "FAIL" in out
 
-    def test_streams_only_ignores_lint_tree(self, tmp_path):
+    def test_verifier_only_ignores_lint_tree(self, tmp_path):
         (tmp_path / "bad.py").write_text(BAD_HOT_MODULE)
-        assert main(["--engines", "streams", "--lint-root", str(tmp_path)]) == 0
+        assert main(["--engines", "verifier", "--lint-root", str(tmp_path)]) == 0
 
     def test_json_output_is_parseable(self, tmp_path, capsys):
         (tmp_path / "bad.py").write_text(BAD_HOT_MODULE)
@@ -85,21 +85,18 @@ class TestMainEntryPoint:
 
 class TestVerifyEngine:
     def test_verify_strict_on_registry_is_clean(self):
-        findings, code = run_engines(["verifier", "streams"], strict=True)
+        findings, code = run_engines(["verifier"], strict=True)
         assert code == 0, [f.format() for f in findings]
 
     def test_known_bad_kernels_fail_the_gate(self):
         findings, code = run_engines(
-            ["verifier", "streams"], strict=True, include_known_bad=True,
+            ["verifier"], strict=True, include_known_bad=True,
         )
         assert code == 1
-        got = {f.rule for f in findings}
-        assert {"invariant-bounded-queue", "stream-hazard"} <= got
+        assert {f.rule for f in findings} == {"invariant-bounded-queue"}
 
     def test_findings_are_sorted_deterministically(self):
-        findings, _ = run_engines(
-            ["verifier", "streams"], include_known_bad=True
-        )
+        findings, _ = run_engines(["verifier"], include_known_bad=True)
         keys = [
             (f.severity.value != "error", f.location, f.rule, f.message)
             for f in findings
@@ -107,9 +104,7 @@ class TestVerifyEngine:
         assert keys == sorted(keys)
 
     def test_verify_json_schema_round_trips(self):
-        proc = run_cli(
-            "--engines", "verifier,streams", "--include-known-bad", "--json"
-        )
+        proc = run_cli("--engines", "verifier", "--include-known-bad", "--json")
         assert proc.returncode == 1
         records = [
             json.loads(line) for line in proc.stdout.splitlines() if line.strip()
@@ -123,38 +118,10 @@ class TestVerifyEngine:
         assert locations == sorted(locations)  # all error-severity here
 
     def test_verify_json_is_byte_stable(self):
-        args = ("--engines", "verifier,streams", "--include-known-bad", "--json")
+        args = ("--engines", "verifier", "--include-known-bad", "--json")
         first = run_cli(*args)
         second = run_cli(*args)
         assert first.stdout == second.stdout
-
-
-class TestStreamsEngine:
-    def test_streams_strict_on_registry_is_clean(self):
-        findings, code = run_engines(["streams"], strict=True)
-        assert code == 0, [f.format() for f in findings]
-
-    def test_known_bad_stream_program_fails_the_gate(self):
-        findings, code = run_engines(
-            ["streams"], strict=True, include_known_bad=True
-        )
-        assert code == 1
-        assert {f.rule for f in findings} == {"stream-hazard"}
-        assert all("known-bad" in f.location for f in findings)
-
-    def test_streams_only_cli_flag(self):
-        proc = run_cli("--engines", "streams", "--strict")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-
-    def test_streams_baseline_flag(self):
-        proc = run_cli(
-            "--engines",
-            "streams",
-            "--strict",
-            "--baseline",
-            "scripts/analysis_baseline.json",
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 GOLDEN_SCHEMA = {
@@ -166,12 +133,10 @@ GOLDEN_SCHEMA = {
 }
 
 #: Rules every full --json run over the seeded inputs must mention, one
-#: per engine: verifier/stream rules come from the known-bad fixtures (a
-#: queue that never evicts, a stream program missing its deps), lint from
-#: a seeded tree.
+#: per engine: the verifier's comes from its known-bad fixture (a queue
+#: that never evicts), lint's from a seeded tree.
 ENGINE_SENTINEL_RULES = {
     "verifier": "invariant-bounded-queue",
-    "streams": "stream-hazard",
     "lint": "hot-loop",
 }
 
@@ -247,7 +212,7 @@ class TestGoldenJson:
     def test_every_record_carries_its_engine(self, golden):
         _, records = golden
         engines = {r["engine"] for r in records}
-        assert engines == {"lint", "verifier", "streams"}
+        assert engines == {"lint", "verifier"}
 
 
 class TestEnginesSelector:
@@ -258,7 +223,7 @@ class TestEnginesSelector:
 
     def test_engines_overrides_only_flags_conflict(self):
         # Several engines in one launch, composed with --strict.
-        proc = run_cli("--engines", "verifier,streams", "--strict")
+        proc = run_cli("--engines", "lint,verifier", "--strict")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_run_engines_rejects_unknown(self):
@@ -266,23 +231,23 @@ class TestEnginesSelector:
             run_engines(["bogus"])
 
     def test_engine_names_constant(self):
-        assert ENGINE_NAMES == ("lint", "verifier", "streams")
+        assert ENGINE_NAMES == ("lint", "verifier")
 
     def test_findings_are_engine_stamped(self):
-        findings, code = run_engines(["streams"], include_known_bad=True)
+        findings, code = run_engines(["verifier"], include_known_bad=True)
         assert code == 1
-        assert findings and all(f.engine == "streams" for f in findings)
+        assert findings and all(f.engine == "verifier" for f in findings)
 
     def test_timings_recorded_per_engine(self):
         timings = {}
-        run_engines(["streams", "verifier"], timings=timings)
-        assert set(timings) == {"streams", "verifier"}
+        run_engines(["verifier", "lint"], timings=timings)
+        assert set(timings) == {"lint", "verifier"}
         assert all(t >= 0.0 for t in timings.values())
 
     def test_text_report_includes_timings(self, capsys):
-        assert main(["--engines", "streams"]) == 0
+        assert main(["--engines", "verifier"]) == 0
         out = capsys.readouterr().out
-        assert "streams=" in out and "s]" in out
+        assert "verifier=" in out and "s]" in out
 
 
 def _baseline(tmp_path, engines):
@@ -300,21 +265,21 @@ class TestConsolidatedBaseline:
 
     def test_per_engine_sections_scope(self, tmp_path):
         path = _baseline(
-            tmp_path, {"streams": {"suppress": [{"rule": "r", "location": "x.py:1"}]}}
+            tmp_path, {"verifier": {"suppress": [{"rule": "r", "location": "x.py:1"}]}}
         )
         sections = load_baseline_sections(path)
         f = Finding("r", Severity.ERROR, "src/x.py:1", "m")
-        assert apply_baseline([f], sections, "streams") == []
+        assert apply_baseline([f], sections, "verifier") == []
         kept = apply_baseline([f], sections, "lint")
         assert [k.rule for k in kept] == ["r"]
 
     def test_stale_entry_surfaces_warning(self, tmp_path):
         path = _baseline(
-            tmp_path, {"streams": {"suppress": [{"rule": "gone", "location": "y.py:9"}]}}
+            tmp_path, {"verifier": {"suppress": [{"rule": "gone", "location": "y.py:9"}]}}
         )
-        out = apply_baseline([], load_baseline_sections(path), "streams")
+        out = apply_baseline([], load_baseline_sections(path), "verifier")
         assert [f.rule for f in out] == ["stale-baseline"]
-        assert out[0].engine == "streams"
+        assert out[0].engine == "verifier"
 
     def test_committed_baseline_has_all_engine_sections(self):
         sections = load_baseline_sections(
@@ -338,18 +303,20 @@ class TestConsolidatedBaseline:
         assert "lnit" in proc.stderr
 
     def test_baseline_suppresses_finding_end_to_end(self, tmp_path):
-        # Suppress one specific known-bad finding and check it vanishes
-        # from the JSON report while the others stay.
-        proc = run_cli("--engines", "streams", "--include-known-bad", "--json")
+        # Suppress one specific finding of a seeded tree and check it
+        # vanishes from the JSON report while the others stay.
+        seeded = tmp_path / "seeded"
+        seeded.mkdir()
+        for name in ("a.py", "b.py"):
+            (seeded / name).write_text(BAD_HOT_MODULE)
+        lint = ("--engines", "lint", "--lint-root", str(seeded), "--json")
+        proc = run_cli(*lint)
         records = [json.loads(l) for l in proc.stdout.splitlines() if l.strip()]
         assert len(records) > 1, proc.stdout + proc.stderr
         target = records[0]
         entry = {"rule": target["rule"], "location": target["location"]}
-        base = _baseline(tmp_path, {"streams": {"suppress": [entry]}})
-        proc2 = run_cli(
-            "--engines", "streams", "--include-known-bad", "--json",
-            "--baseline", str(base),
-        )
+        base = _baseline(tmp_path, {"lint": {"suppress": [entry]}})
+        proc2 = run_cli(*lint, "--baseline", str(base))
         records2 = [json.loads(l) for l in proc2.stdout.splitlines() if l.strip()]
         locs2 = {(r["rule"], r["location"]) for r in records2}
         assert (target["rule"], target["location"]) not in locs2
@@ -410,31 +377,30 @@ class TestModuleInvocation:
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_verify_strict_exits_zero(self):
-        proc = run_cli("--engines", "verifier,streams", "--strict")
+        proc = run_cli("--engines", "verifier", "--strict")
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_ci_script_invokes_strict_analysis(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
         assert "python -m repro.analysis" in ci
-        assert "--engines lint,verifier,streams --strict" in ci
+        assert "--engines lint,verifier --strict" in ci
         assert "ruff check" in ci
 
     def test_ci_script_gates_the_verifier(self):
         ci = (REPO_ROOT / "scripts" / "ci.sh").read_text()
-        assert "verifier,streams" in ci
+        assert "lint,verifier" in ci
         # Negative control: CI runs the known-bad fixtures and requires
         # the gate to reject them, so a silently broken verifier fails CI.
-        assert "for engine in verifier streams" in ci
+        assert "for engine in verifier; do" in ci
         assert '--engines "$engine" --strict --include-known-bad' in ci
 
     def test_exact_ci_gate_command_passes(self):
         proc = run_cli(
-            "--engines", "lint,verifier,streams", "--strict",
+            "--engines", "lint,verifier", "--strict",
             "--baseline", "scripts/analysis_baseline.json",
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
 
     def test_exact_ci_negative_control_fails(self):
-        for engine in ("verifier", "streams"):
-            proc = run_cli("--engines", engine, "--strict", "--include-known-bad")
-            assert proc.returncode == 1, engine
+        proc = run_cli("--engines", "verifier", "--strict", "--include-known-bad")
+        assert proc.returncode == 1

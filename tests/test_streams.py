@@ -1,65 +1,122 @@
 """Stream scheduler and device-timeline tests.
 
-Covers the pinned equivalences (StreamScheduler with one stream per
-chunk == the legacy ``pipelined_time`` recurrence, bit-for-bit), the
-monotonicity/lower-bound properties from the issue, and the online
-:class:`DeviceTimeline` contention model.
+Covers the pinned equivalences (``StreamScheduler.schedule_chunks`` with
+one stream per chunk == the closed-form copy/compute recurrence below,
+bit-for-bit; with one stream == the synchronous sum), the monotonicity
+and lower-bound properties, the chunk split and ``pipeline_batch``, and
+the online :class:`DeviceTimeline` contention model.
 """
 
 import numpy as np
 import pytest
 
-from repro.simt.pipeline import ChunkTiming, pipelined_time, synchronous_time
+from repro.core.config import SearchConfig
+from repro.core.gpu_kernel import GpuSongIndex
 from repro.simt.streams import (
-    DTOH,
-    HTOD,
-    KERNEL,
     ChunkWork,
     DeviceTimeline,
-    StreamOp,
     StreamScheduler,
-    copy_stream_ops,
-    double_buffer_ops,
+    pipeline_batch,
+    split_counts,
 )
 
 
+def pipelined_time(chunks):
+    """Oracle: the closed-form copy/compute pipeline recurrence.
+
+    One copy engine per direction and one compute engine.  Chunk ``i``'s
+    kernel starts once its HtoD and the previous kernel finished; its
+    DtoH once its kernel and the previous DtoH finished.
+    """
+    htod_free = kernel_free = dtoh_free = 0.0
+    for c in chunks:
+        htod_free += c.htod
+        kernel_free = max(kernel_free, htod_free) + c.kernel
+        dtoh_free = max(dtoh_free, kernel_free) + c.dtoh
+    return dtoh_free
+
+
+def synchronous_time(chunks):
+    """Makespan without any overlap (the paper's execution model)."""
+    return sum(c.htod + c.kernel + c.dtoh for c in chunks)
+
+
+def pipelined(chunks):
+    """``schedule_chunks`` with one stream per chunk."""
+    return StreamScheduler(num_streams=len(chunks)).schedule_chunks(chunks)
+
+
 def random_chunks(rng, n):
-    return [ChunkTiming(*rng.uniform(0.01, 2.0, size=3)) for _ in range(n)]
+    return [ChunkWork(*rng.uniform(0.01, 2.0, size=3)) for _ in range(n)]
 
 
 class TestSchedulerEquivalences:
     def test_one_stream_per_chunk_is_pipelined_time_bitwise(self):
         """The exact regression pin: with >= one stream per chunk, the
-        scheduler reproduces the legacy recurrence bit-for-bit."""
+        scheduler reproduces the recurrence bit-for-bit."""
         rng = np.random.default_rng(11)
         for _ in range(100):
             chunks = random_chunks(rng, int(rng.integers(1, 9)))
             expect = pipelined_time(chunks)
             for extra in (0, 1, 3):
-                timeline = StreamScheduler(
+                makespan = StreamScheduler(
                     num_streams=len(chunks) + extra
                 ).schedule_chunks(chunks)
-                assert timeline.makespan == expect  # bitwise, no tolerance
+                assert makespan == expect  # bitwise, no tolerance
 
     def test_single_stream_serializes_to_synchronous(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             chunks = random_chunks(rng, 6)
-            timeline = StreamScheduler(num_streams=1).schedule_chunks(chunks)
-            assert timeline.makespan == pytest.approx(
-                synchronous_time(chunks), rel=1e-12
-            )
+            makespan = StreamScheduler(num_streams=1).schedule_chunks(chunks)
+            # Equal as a schedule; the summation order differs.
+            assert makespan == pytest.approx(synchronous_time(chunks), rel=1e-12)
 
     def test_empty(self):
-        timeline = StreamScheduler(num_streams=2).schedule_chunks([])
-        assert timeline.makespan == 0.0
-        assert timeline.ops == []
+        assert StreamScheduler(num_streams=2).schedule_chunks([]) == 0.0
+        assert pipelined_time([]) == 0.0
+
+
+class TestSchedule:
+    def test_single_chunk_no_gain(self):
+        chunks = [ChunkWork(htod=1.0, kernel=5.0, dtoh=0.5)]
+        assert pipelined(chunks) == pytest.approx(6.5)
+        # The tier prices every batch on two streams, one chunk included:
+        # that is the serial sum, bit for bit.
+        assert StreamScheduler(num_streams=2).schedule_chunks(chunks) == (
+            synchronous_time(chunks)
+        )
+
+    def test_perfect_overlap_kernel_bound(self):
+        """With kernels >> transfers, total ≈ first HtoD + all kernels +
+        last DtoH."""
+        chunks = [ChunkWork(htod=0.1, kernel=5.0, dtoh=0.1)] * 4
+        assert pipelined(chunks) == pytest.approx(0.1 + 4 * 5.0 + 0.1)
+        assert synchronous_time(chunks) == pytest.approx(4 * 5.2)
+
+    def test_transfer_bound_pipelines_to_copy_engine(self):
+        chunks = [ChunkWork(htod=5.0, kernel=0.1, dtoh=0.1)] * 3
+        assert pipelined(chunks) == pytest.approx(15.0 + 0.2, abs=0.05)
+
+    def test_never_worse_than_synchronous(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            chunks = random_chunks(rng, 6)
+            assert pipelined(chunks) <= synchronous_time(chunks) + 1e-12
+
+    def test_never_better_than_critical_engine(self):
+        rng = np.random.default_rng(1)
+        for _ in range(50):
+            chunks = random_chunks(rng, 6)
+            t = pipelined(chunks)
+            assert t >= sum(c.kernel for c in chunks) - 1e-12
+            assert t >= sum(c.htod for c in chunks) - 1e-12
 
 
 class TestSchedulerProperties:
     def test_makespan_monotone_in_streams_and_lower_bounded(self):
         """Makespan never increases with more streams and never beats
-        the busiest engine (the issue's property test)."""
+        the busiest engine."""
         rng = np.random.default_rng(13)
         for _ in range(60):
             chunks = random_chunks(rng, int(rng.integers(1, 10)))
@@ -70,10 +127,8 @@ class TestSchedulerProperties:
             )
             prev = None
             for streams in range(1, 9):
-                makespan = (
-                    StreamScheduler(num_streams=streams)
-                    .schedule_chunks(chunks)
-                    .makespan
+                makespan = StreamScheduler(num_streams=streams).schedule_chunks(
+                    chunks
                 )
                 assert makespan >= bound - 1e-12
                 if prev is not None:
@@ -85,17 +140,7 @@ class TestSchedulerProperties:
         chunks = random_chunks(rng, 7)
         a = StreamScheduler(num_streams=3).schedule_chunks(chunks)
         b = StreamScheduler(num_streams=3).schedule_chunks(chunks)
-        assert [(o.start, o.finish) for o in a.ops] == [
-            (o.start, o.finish) for o in b.ops
-        ]
-
-    def test_engine_busy_and_occupancy_views(self):
-        chunks = [ChunkTiming(htod=0.1, kernel=1.0, dtoh=0.1)] * 4
-        timeline = StreamScheduler(num_streams=4).schedule_chunks(chunks)
-        assert timeline.engine_busy[KERNEL] == pytest.approx(4.0)
-        assert timeline.overlap_gain() > 1.0
-        assert set(timeline.stream_busy) == {0, 1, 2, 3}
-        assert all(0.0 < v <= timeline.makespan for v in timeline.stream_busy.values())
+        assert a == b
 
 
 class TestSchedulerValidation:
@@ -104,53 +149,30 @@ class TestSchedulerValidation:
             StreamScheduler(num_streams=0)
 
     def test_rejects_negative_duration(self):
+        for bad in (
+            ChunkWork(htod=-1.0, kernel=1.0, dtoh=1.0),
+            ChunkWork(htod=1.0, kernel=-1.0, dtoh=1.0),
+            ChunkWork(htod=1.0, kernel=1.0, dtoh=-1.0),
+        ):
+            with pytest.raises(ValueError):
+                StreamScheduler().schedule_chunks([bad])
+
+
+class TestSplit:
+    def test_even_split(self):
+        assert split_counts(100, 4) == [25, 25, 25, 25]
+
+    def test_remainder_spread(self):
+        assert split_counts(10, 3) == [4, 3, 3]
+
+    def test_more_chunks_than_items(self):
+        assert split_counts(2, 5) == [1, 1]
+        # An empty batch is one empty chunk: one launch, priced at zero.
+        assert split_counts(0, 4) == [0]
+
+    def test_invalid(self):
         with pytest.raises(ValueError):
-            StreamScheduler().schedule(
-                [StreamOp(0, KERNEL, -1.0, stream=0)]
-            )
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            StreamScheduler().schedule([StreamOp(0, "memset", 1.0, stream=0)])
-
-    def test_rejects_forward_dependency(self):
-        ops = [StreamOp(0, KERNEL, 1.0, stream=0, deps=(1,))]
-        with pytest.raises(ValueError):
-            StreamScheduler().schedule(ops)
-
-    def test_rejects_duplicate_op_id(self):
-        ops = [
-            StreamOp(0, HTOD, 1.0, stream=0),
-            StreamOp(0, DTOH, 1.0, stream=0),
-        ]
-        with pytest.raises(ValueError):
-            StreamScheduler().schedule(ops)
-
-
-class TestOpBuilders:
-    def test_double_buffer_chain_structure(self):
-        chunks = [ChunkWork(0.1, 0.5, 0.1, warps=4)] * 3
-        ops = double_buffer_ops(chunks, num_streams=2)
-        assert len(ops) == 9
-        for i in range(3):
-            htod, kernel, dtoh = ops[3 * i : 3 * i + 3]
-            assert (htod.kind, kernel.kind, dtoh.kind) == (HTOD, KERNEL, DTOH)
-            assert htod.stream == kernel.stream == dtoh.stream == i % 2
-            assert kernel.deps == (htod.op_id,)
-            assert dtoh.deps == (kernel.op_id,)
-            assert kernel.reads == htod.writes
-            assert kernel.warps == 4
-
-    def test_copy_stream_layout(self):
-        chunks = [ChunkWork(0.1, 0.5, 0.1)] * 4
-        ops = copy_stream_ops(chunks, num_streams=3)
-        transfers = [op for op in ops if op.kind != KERNEL]
-        kernels = [op for op in ops if op.kind == KERNEL]
-        assert all(op.stream == 0 for op in transfers)
-        assert all(op.stream in (1, 2) for op in kernels)
-        assert all(op.deps for op in kernels)
-        with pytest.raises(ValueError):
-            copy_stream_ops(chunks, num_streams=1)
+            split_counts(10, 0)
 
 
 class TestDeviceTimeline:
@@ -200,9 +222,11 @@ class TestDeviceTimeline:
         b = timeline.submit_batch(
             [ChunkWork(htod=1.0, kernel=0.1, dtoh=0.0)], now=0.0
         )
-        # One HtoD engine: the second batch's copy waits for the first.
-        assert a.ops[0].finish == pytest.approx(1.0)
-        assert b.ops[0].start == pytest.approx(1.0)
+        # One HtoD engine: the second batch's copy waits for the first,
+        # though it has a stream of its own.
+        assert a.finish_s == pytest.approx(1.1)
+        assert b.streams != a.streams
+        assert b.finish_s == pytest.approx(2.1)
 
     def test_deterministic_and_validates(self):
         def run():
@@ -235,25 +259,50 @@ class TestDeviceTimeline:
         assert 0.0 <= stats["transfer_hidden_fraction"] <= 1.0
 
 
+class TestPipelineBatch:
+    def test_results_identical_to_sync(self, small_dataset, small_graph):
+        index = GpuSongIndex(small_graph, small_dataset.data)
+        cfg = SearchConfig(k=10, queue_size=40)
+        empty = np.empty((0, small_dataset.queries.shape[1]), np.float32)
+        for queries in (small_dataset.queries, empty):
+            piped, timing = pipeline_batch(index, queries, cfg, num_chunks=4)
+            sync, _ = index.search_batch(queries, cfg)
+            assert [[v for _, v in r] for r in piped] == [
+                [v for _, v in r] for r in sync
+            ]
+            assert timing["overlap_gain"] >= 1.0
+        # The last input was the empty batch: one empty chunk, no time.
+        assert piped == [] and timing["pipelined_seconds"] == 0.0
+        assert len(timing["chunks"]) == 1
+
+    def test_gain_reported(self, small_dataset, small_graph):
+        index = GpuSongIndex(small_graph, small_dataset.data)
+        cfg = SearchConfig(k=10, queue_size=40)
+        _, timing = pipeline_batch(index, small_dataset.queries, cfg, num_chunks=4)
+        assert timing["pipelined_seconds"] <= timing["synchronous_seconds"]
+        assert timing["qps"] > 0
+        assert len(timing["chunks"]) == 4
+
+
 class TestPipelineIntegration:
     def test_pipeline_batch_scheduled_through_streams(
         self, small_dataset, small_graph
     ):
-        from repro.core.config import SearchConfig
-        from repro.core.gpu_kernel import GpuSongIndex
-        from repro.simt.pipeline import pipeline_batch
-
+        """The ablation's pins on priced chunks: one stream per chunk is
+        the recurrence bit-for-bit, one stream is the synchronous sum."""
         index = GpuSongIndex(small_graph, small_dataset.data)
-        cfg = SearchConfig(k=10, queue_size=40)
-        _, timing = pipeline_batch(index, small_dataset.queries, cfg, num_chunks=4)
-        assert timing["num_streams"] == 4
-        # The reported makespan is exactly the legacy recurrence.
-        assert timing["pipelined_seconds"] == pipelined_time(timing["chunks"])
-        assert timing["timeline"].makespan == timing["pipelined_seconds"]
-        # Fewer streams than chunks: still a valid (slower or equal) plan.
-        _, constrained = pipeline_batch(
-            index, small_dataset.queries, cfg, num_chunks=4, num_streams=2
+        cfg = SearchConfig(
+            k=10, queue_size=40, selected_insertion=True, visited_deletion=True
         )
-        assert (
-            constrained["pipelined_seconds"] >= timing["pipelined_seconds"] - 1e-15
-        )
+        for num_chunks in (1, 2, 4, 8):
+            _, timing = pipeline_batch(
+                index, small_dataset.queries, cfg, num_chunks=num_chunks
+            )
+            chunks = timing["chunks"]
+            assert len(chunks) == num_chunks
+            assert timing["pipelined_seconds"] == pipelined_time(chunks)
+            assert timing["synchronous_seconds"] == synchronous_time(chunks)
+            one_stream = StreamScheduler(num_streams=1).schedule_chunks(chunks)
+            assert one_stream == pytest.approx(
+                timing["synchronous_seconds"], rel=1e-12, abs=1e-15
+            )

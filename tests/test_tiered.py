@@ -16,7 +16,7 @@ from repro.graphs import build_nsw
 from repro.simt.device import get_device
 from repro.serve.engine import SimulatedGpuEngine
 from repro.simt.memory import CapacityLedger, DeviceMemoryExceeded
-from repro.simt.pipeline import split_counts
+from repro.simt.streams import split_counts
 from repro.structures.soa import PAD_KEY
 from repro.tiered import (
     BitCodeStore,
