@@ -78,6 +78,11 @@ class TestSchedulerEquivalences:
 
 
 class TestSchedule:
+    def test_empty(self):
+        assert pipelined_time([]) == 0.0
+        assert synchronous_time([]) == 0.0
+        assert StreamScheduler(num_streams=1).schedule_chunks([]) == 0.0
+
     def test_single_chunk_no_gain(self):
         chunks = [ChunkWork(htod=1.0, kernel=5.0, dtoh=0.5)]
         assert pipelined(chunks) == pytest.approx(6.5)
@@ -111,6 +116,10 @@ class TestSchedule:
             t = pipelined(chunks)
             assert t >= sum(c.kernel for c in chunks) - 1e-12
             assert t >= sum(c.htod for c in chunks) - 1e-12
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            pipelined([ChunkWork(htod=-1, kernel=1, dtoh=1)])
 
 
 class TestSchedulerProperties:
