@@ -19,6 +19,7 @@ The last line names the stage that sets the set-up's peak.
 from __future__ import annotations
 
 import argparse
+import time
 import tracemalloc
 
 from repro.data import DATASET_SPECS, make_dataset
@@ -27,6 +28,25 @@ from repro.graphs.bruteforce_knn import bootstrap_table, medoid
 from repro.graphs.cagra import CagraBuilder
 
 MB = 1e6
+
+
+def run_stages(stage, dataset: str, n: int, queries: int, degree: int, k: int, seed: int):
+    """The set-up, one ``stage(name, step)`` call per stage: ``step()``
+    runs the stage and ``stage`` returns its result."""
+    ds = stage("make_dataset", lambda: make_dataset(dataset, n, queries, seed))
+    builder = CagraBuilder(ds.data, degree=degree, metric=ds.metric)
+    k0 = builder.intermediate_degree
+    table = stage("bootstrap", lambda: bootstrap_table(ds.data, k0, ds.metric))
+    fwd_full = stage("detour+reorder", lambda: builder._reorder(table))
+    adjacency = stage("merge", lambda: builder._merge_reverse(fwd_full))
+    del fwd_full
+    entry = stage("medoid", lambda: medoid(ds.data, ds.metric))
+    stage(
+        "orphans",
+        lambda: attach_orphans(adjacency, table, entry, ds.data, builder.metric),
+    )
+    del table
+    stage("ground truth", lambda: ds.ground_truth(k))
 
 
 def stage_peaks(dataset: str, n: int, queries: int, degree: int, k: int, seed: int):
@@ -43,23 +63,24 @@ def stage_peaks(dataset: str, n: int, queries: int, degree: int, k: int, seed: i
 
     tracemalloc.start()
     try:
-        ds = stage("make_dataset", lambda: make_dataset(dataset, n, queries, seed))
-        builder = CagraBuilder(ds.data, degree=degree, metric=ds.metric)
-        k0 = builder.intermediate_degree
-        table = stage("bootstrap", lambda: bootstrap_table(ds.data, k0, ds.metric))
-        fwd_full = stage("detour+reorder", lambda: builder._reorder(table))
-        adjacency = stage("merge", lambda: builder._merge_reverse(fwd_full))
-        del fwd_full
-        entry = stage("medoid", lambda: medoid(ds.data, ds.metric))
-        stage(
-            "orphans",
-            lambda: attach_orphans(adjacency, table, entry, ds.data, builder.metric),
-        )
-        del table
-        stage("ground truth", lambda: ds.ground_truth(k))
+        run_stages(stage, dataset, n, queries, degree, k, seed)
     finally:
         tracemalloc.stop()
     return rows
+
+
+def stage_seconds(dataset: str, n: int, queries: int, degree: int, k: int, seed: int):
+    """``{stage: wall seconds}``, untraced."""
+    seconds = {}
+
+    def stage(name, step):
+        start = time.perf_counter()
+        result = step()
+        seconds[name] = time.perf_counter() - start
+        return result
+
+    run_stages(stage, dataset, n, queries, degree, k, seed)
+    return seconds
 
 
 def main(argv=None) -> int:
@@ -73,16 +94,22 @@ def main(argv=None) -> int:
     p.add_argument("--k", type=int, default=10, help="ground-truth depth")
     p.add_argument("--seed", type=int, default=5)
     args = p.parse_args(argv)
-    rows = stage_peaks(args.dataset, args.n, args.queries, args.degree, args.k, args.seed)
+    sizes = (args.dataset, args.n, args.queries, args.degree, args.k, args.seed)
+    seconds = stage_seconds(*sizes)
+    rows = stage_peaks(*sizes)
     print(f"{args.dataset} n={args.n} queries={args.queries} degree={args.degree} k={args.k}")
-    print(f"{'stage':<16}{'base MB':>10}{'peak MB':>10}{'transient MB':>14}{'retained MB':>13}")
+    print(
+        f"{'stage':<16}{'base MB':>10}{'peak MB':>10}{'transient MB':>14}"
+        f"{'retained MB':>13}{'wall s':>9}"
+    )
     for name, base, peak, retained in rows:
         print(
             f"{name:<16}{base / MB:>10.1f}{peak / MB:>10.1f}"
-            f"{(peak - base) / MB:>14.1f}{retained / MB:>13.1f}"
+            f"{(peak - base) / MB:>14.1f}{retained / MB:>13.1f}{seconds[name]:>9.3f}"
         )
     top = max(rows, key=lambda row: row[2])
     print(f"set-up peak: {top[2] / MB:.1f} MB, in {top[0]}")
+    print(f"set-up wall: {sum(seconds.values()):.3f} s")
     return 0
 
 

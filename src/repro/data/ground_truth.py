@@ -6,7 +6,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.distances import get_metric
+from repro.distances import Metric, get_metric
 from repro.distances.metrics import PANEL_BYTES
 
 #: Bytes of float32 distances one tile of query rows may hold.  The tile is
@@ -54,9 +54,8 @@ def ground_truth(
 
     Queries are scored a tile of rows at a time; ``block`` overrides the
     tile height otherwise worked out from ``len(data)`` under
-    :data:`TILE_BYTES` (the result does not depend on it).  Each tile's
-    ``argpartition`` / ``argsort`` selection runs a few rows at a time, so
-    its int64 index is ``PANEL_BYTES``, not tile-sized.  With
+    :data:`TILE_BYTES` (the result does not depend on it), and each tile
+    goes through :func:`band_top_k`.  With
     ``exclude_self`` query ``i`` *is* ``data[i]`` and is left out of its own
     neighbors — the exact kNN graph.
     """
@@ -70,26 +69,54 @@ def ground_truth(
         block = max(1, TILE_BYTES // (4 * n))
     m = get_metric(metric)
     q = len(queries)
-    # The pivot each caller has always partitioned around: which of several
-    # points tied at the k-th distance make the cut depends on it.
-    kth = k if exclude_self else k - 1
-    rows = max(1, PANEL_BYTES // (8 * n))
     # the dataset's side of every tile, reduced once
     norms = m.pairwise_norms(data)
     out = np.empty((q, k), dtype=np.int64)
     for start in range(0, q, block):
         stop = min(start + block, q)
-        d = m.pairwise(queries[start:stop], data, norms)
-        if exclude_self:
-            d[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        # each row's selection ignores the others, so a few rows at a time
-        # pick the same ids as the whole tile at once
-        for lo in range(0, stop - start, rows):
-            sub = d[lo : lo + rows]
-            idx = np.argpartition(sub, kth, axis=1)[:, :k]
-            # order the k winners by distance for determinism
-            part = np.take_along_axis(sub, idx, axis=1)
-            order = np.argsort(part, axis=1, kind="stable")
-            out[start + lo : start + lo + len(sub)] = np.take_along_axis(idx, order, axis=1)
-        del d, sub  # or the tile is still live while the next one is scored
+        own = np.arange(start, stop) if exclude_self else None
+        out[start:stop] = band_top_k(m, queries[start:stop], data, norms, k, own)
+    return out
+
+
+def band_top_k(
+    m: Metric,
+    band: np.ndarray,
+    data: np.ndarray,
+    norms: Optional[np.ndarray],
+    k: int,
+    own: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Exact top-``k`` ids of each row of ``band`` against ``data``.
+
+    The one selection every exact table goes through: ``band`` is scored
+    in one :meth:`~repro.distances.Metric.pairwise` call (``norms`` is its
+    :meth:`~repro.distances.Metric.pairwise_norms` of ``data``), and each
+    row's ``argpartition`` / ``argsort`` runs a few rows at a time, so the
+    int64 index is ``PANEL_BYTES``, not tile-sized.  ``own[r]``, when
+    given, is the id of ``band[r]`` in ``data``: that point is left out of
+    its own row.  Rows tied at the cut or within the top ``k`` come out in
+    the order this selection gives them.  numpy sends a one-row product
+    to GEMV, whose bits differ from the GEMM's (any two or more rows
+    match), so a caller that must reproduce another band's bits passes
+    two rows or more.
+    """
+    d = m.pairwise(band, data, norms)
+    # The pivot each caller has always partitioned around: which of several
+    # points tied at the k-th distance make the cut depends on it.
+    kth = k - 1
+    if own is not None:
+        d[np.arange(len(band)), own] = np.inf
+        kth = k
+    rows = max(1, PANEL_BYTES // (8 * len(data)))
+    out = np.empty((len(band), k), dtype=np.int64)
+    # each row's selection ignores the others, so a few rows at a time pick
+    # the same ids as the whole tile at once
+    for lo in range(0, len(band), rows):
+        sub = d[lo : lo + rows]
+        idx = np.argpartition(sub, kth, axis=1)[:, :k]
+        # order the k winners by distance for determinism
+        part = np.take_along_axis(sub, idx, axis=1)
+        order = np.argsort(part, axis=1, kind="stable")
+        out[lo : lo + len(sub)] = np.take_along_axis(idx, order, axis=1)
     return out

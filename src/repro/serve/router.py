@@ -72,7 +72,6 @@ class Replica:
                     "dispatch (needs chunked_batch)"
                 )
             self.timeline = DeviceTimeline(engine.device, self.streams)
-        self._submitted = 0
         self.pending_batches = 0
         self.batches_served = 0
         self.busy_seconds = 0.0
@@ -90,8 +89,7 @@ class Replica:
             queries, config, num_chunks=None, max_chunks=self.streams
         )
         now = asyncio.get_running_loop().time()
-        sched = self.timeline.submit_batch(chunks, now, label=f"b{self._submitted}")
-        self._submitted += 1
+        sched = self.timeline.submit_batch(chunks, now)
         detail = dict(detail)
         detail["schedule"] = sched.to_dict()
         return BatchServiceResult(results, sched.finish_s - now, detail)

@@ -185,8 +185,9 @@ def pipeline_batch(
     timing = {
         "pipelined_seconds": piped,
         "synchronous_seconds": sync,
-        "overlap_gain": sync / piped if piped > 0 else float("inf"),
-        "qps": len(queries) / piped if piped > 0 else float("inf"),
+        # an empty batch takes no time: no overlap to gain, no queries served
+        "overlap_gain": sync / piped if piped > 0 else 1.0,
+        "qps": len(queries) / piped if piped > 0 else 0.0,
         "chunks": chunks,
     }
     return results, timing
@@ -317,18 +318,12 @@ class DeviceTimeline:
         else:
             self._compute_watermark = max(self._compute_watermark, finish)
 
-    def submit_batch(
-        self,
-        chunks: Sequence,
-        now: float,
-        label: str = "batch",
-    ) -> BatchSchedule:
+    def submit_batch(self, chunks: Sequence, now: float) -> BatchSchedule:
         """Schedule one batch's chunk chains starting no earlier than ``now``.
 
         ``chunks`` are :class:`ChunkWork` (seconds per engine plus warp
-        demand); ``label`` names the batch for the caller and does not
-        enter the schedule.  Returns the committed
-        :class:`BatchSchedule`; the caller sleeps until ``finish_s``.
+        demand).  Returns the committed :class:`BatchSchedule`; the caller
+        sleeps until ``finish_s``.
         """
         if now < 0.0:
             raise ValueError("now must be non-negative")

@@ -280,8 +280,10 @@ class TestPipelineBatch:
                 [v for _, v in r] for r in sync
             ]
             assert timing["overlap_gain"] >= 1.0
-        # The last input was the empty batch: one empty chunk, no time.
+        # The last input was the empty batch: one empty chunk, no time,
+        # no overlap to gain and nothing served.
         assert piped == [] and timing["pipelined_seconds"] == 0.0
+        assert timing["overlap_gain"] == 1.0 and timing["qps"] == 0.0
         assert len(timing["chunks"]) == 1
 
     def test_gain_reported(self, small_dataset, small_graph):
