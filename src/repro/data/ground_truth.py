@@ -54,8 +54,9 @@ def ground_truth(
 
     Queries are scored a tile of rows at a time; ``block`` overrides the
     tile height otherwise worked out from ``len(data)`` under
-    :data:`TILE_BYTES` (the result does not depend on it), and each tile
-    goes through :func:`band_top_k`.  With
+    :data:`TILE_BYTES`, and each tile goes through :func:`band_top_k`.  The
+    result does not depend on it unless a tile is one row long, which
+    numpy scores by GEMV.  With
     ``exclude_self`` query ``i`` *is* ``data[i]`` and is left out of its own
     neighbors — the exact kNN graph.
     """
