@@ -417,6 +417,7 @@ ARRAY_MUTANTS = [
         "    idx = np.arange(total, dtype=np.int64)\n",
         "    idx = np.arange(total, dtype=np.int32)\n",
         scope="def _ragged_arange",
+        change_path="src/repro/graphs/_prune.py",
     ),
     Mutant(
         "A2", "`_vertex_major`: `(w * n + c)` narrowed to int32", CAGRA,
@@ -571,11 +572,12 @@ STREAMS_MUTANTS = [
     ),
 ]
 
-#: Array-kernel mutants not run, and why they cannot change behaviour.
+#: Array-kernel mutants not run, why they cannot change behaviour, and
+#: their cells at the change (``DELETED`` once the code is gone).
 EQUIVALENT = [
     ("A8", "`_best_candidates`: target id routed through uint32",
      "every target is a vertex id below n < 2^31, so the uint32 round trip "
-     "is the identity"),
+     "is the identity", DELETED),
 ]
 
 #: Kernel checkers by tree; the ``sanitizer`` exists at the parent only.
@@ -928,14 +930,15 @@ def render_arrays(results: Dict[str, Dict]) -> str:
         "tree, where the kernels are checked by their tests and the `lint`",
         "engine (`narrow-int` and the `nondet-*` rules).  ✓ = the checker",
         "fails on the mutant (with the rules it reported, or the failing test",
-        "files and counts, each file run in its own process); ✗ = it passes.",
+        "files and counts, each file run in its own process); ✗ = it passes;",
+        "`deleted` = the tree no longer has the mutated code.",
         "`tests` = " + ", ".join(f"`{Path(t).name}`" for t in ARRAY_TESTS) + ".",
         "",
     ] + _grid(ARRAY_MUTANTS, results, ARRAY_CHECKERS)
-    for mid, title, _ in EQUIVALENT:
-        out.append(f"| {mid} | {title} | " + " | ".join(["—"] * (len(pcols) + len(ccols)))
-                   + " |")
-    out += [""] + [f"{mid} is not run (equivalent): {why}." for mid, _, why in EQUIVALENT]
+    for mid, title, _, cell in EQUIVALENT:
+        out.append(f"| {mid} | {title} | "
+                   + " | ".join(["—"] * len(pcols) + [cell] * len(ccols)) + " |")
+    out += [""] + [f"{mid} is not run (equivalent): {why}." for mid, _, why, _ in EQUIVALENT]
 
     total = len(ARRAY_MUTANTS)
     n_parent = sum(bool(_caught(parent[m.mid], pcols)) for m in ARRAY_MUTANTS)

@@ -11,9 +11,8 @@ invariants:
     ``for .. in range(<non-constant>)``, ``for .. in enumerate(..)`` and
     ``for .. in <x>.tolist()`` are flagged.  Loops over constant literal
     ranges (unrolled small factors) and ``while`` loops are exempt; the
-    batch-level loops the design permits (per-batch result assembly, the
-    bounded NN-descent iteration loop, tile loops) carry explicit
-    allows.
+    batch-level loops the design permits (per-batch result assembly,
+    tile loops) carry explicit allows.
 ``float64-upcast``
     Packed-key arrays (``uint64`` from ``pack_keys`` / ``PAD_KEY``) must
     not meet raw Python float literals in arithmetic — numpy silently
@@ -55,8 +54,7 @@ reproducibility experiments and the serving replay tests:
 
 Escape hatch: ``# lint: allow(<rule>[, <rule>...])`` on the flagged
 line, on the line directly above it, or on the ``def`` line of the
-enclosing function (a function-level waiver, used e.g. for the serial
-NN-descent reference engine that exists precisely to stay readable).
+enclosing function (a function-level waiver).
 """
 
 from __future__ import annotations

@@ -54,9 +54,11 @@ def ground_truth(
 
     Queries are scored a tile of rows at a time; ``block`` overrides the
     tile height otherwise worked out from ``len(data)`` under
-    :data:`TILE_BYTES`, and each tile goes through :func:`band_top_k`.  The
-    result does not depend on it unless a tile is one row long, which
-    numpy scores by GEMV.  With
+    :data:`TILE_BYTES`, and each tile goes through :func:`band_top_k`.  No
+    tile is one row long (numpy would score it by GEMV, whose bits differ
+    from the GEMM's): a one-row last tile joins the one before it, and a
+    lone query is scored as a two-row tile of itself twice.  So the result
+    does not depend on ``block``.  With
     ``exclude_self`` query ``i`` *is* ``data[i]`` and is left out of its own
     neighbors — the exact kNN graph.
     """
@@ -67,14 +69,21 @@ def ground_truth(
     if k > candidates:
         raise ValueError(f"k={k} exceeds the {candidates} points a query can be matched to")
     if block is None:
-        block = max(1, TILE_BYTES // (4 * n))
+        block = TILE_BYTES // (4 * n)
+    block = max(2, block)
     m = get_metric(metric)
     q = len(queries)
     # the dataset's side of every tile, reduced once
     norms = m.pairwise_norms(data)
     out = np.empty((q, k), dtype=np.int64)
-    for start in range(0, q, block):
-        stop = min(start + block, q)
+    if q == 1:
+        own = np.zeros(2, dtype=np.int64) if exclude_self else None
+        out[:] = band_top_k(m, queries[[0, 0]], data, norms, k, own)[:1]
+        return out
+    starts = list(range(0, q, block))
+    if starts and q - starts[-1] == 1:
+        del starts[-1]
+    for start, stop in zip(starts, starts[1:] + [q]):
         own = np.arange(start, stop) if exclude_self else None
         out[start:stop] = band_top_k(m, queries[start:stop], data, norms, k, own)
     return out

@@ -211,8 +211,7 @@ class Metric:
     ) -> np.ndarray:
         """Row-paired distances: ``out[i] = dist(left[i], right[i])``.
 
-        The construction-side bulk evaluator: a flat candidate-pair list
-        (NN-descent's local join) reduces through one row-wise ``einsum``
+        A flat candidate-pair list reduces through one row-wise ``einsum``
         instead of a ``(T, 1, d)`` panel gather.  ``left_norms`` /
         ``right_norms`` carry cached per-row values of
         :meth:`point_sq_norms` for L2 and :meth:`point_norms` for cosine

@@ -7,7 +7,6 @@ This package implements all of them from scratch:
 - :class:`~repro.graphs.storage.FixedDegreeGraph` — the flat fixed-degree
   adjacency array SONG keeps in GPU global memory.
 - :func:`~repro.graphs.bruteforce_knn.build_knn_graph` — exact kNN graph.
-- :func:`~repro.graphs.nn_descent.nn_descent` — approximate kNN graph.
 - :class:`~repro.graphs.nsw.NSWBuilder` — navigable small-world graph
   (sequential insertion).
 - :class:`~repro.graphs.hnsw.HNSWIndex` — hierarchical NSW with heuristic
@@ -29,7 +28,6 @@ import numpy as np
 
 from repro.graphs.storage import FixedDegreeGraph
 from repro.graphs.bruteforce_knn import build_knn_graph
-from repro.graphs.nn_descent import graph_recall, nn_descent
 from repro.graphs.nsw import NSWBuilder, build_nsw
 from repro.graphs.hnsw import HNSWIndex
 from repro.graphs.nsg import NSGBuilder, build_nsg
@@ -46,8 +44,6 @@ __all__ = [
     "CagraBuilder",
     "FixedDegreeGraph",
     "build_knn_graph",
-    "nn_descent",
-    "graph_recall",
     "NSWBuilder",
     "build_nsw",
     "HNSWIndex",
@@ -125,7 +121,6 @@ def build_graph(
             data,
             degree=degree,
             metric=metric,
-            seed=seed,
             cost=cost,
             **kwargs,
         )

@@ -3,7 +3,9 @@
 :func:`occlusion_select` is the distance-based occlusion rule that
 HNSW's neighbor selection and NSG's monotonic-RNG prune both apply;
 :func:`dedup_pool_edges` ranks the candidate pools of NSG (by distance)
-and DPG (by band priority).
+and DPG (by band priority).  Two ragged-index helpers ride along:
+:func:`_rank_within_groups` (that ranking, and DPG's reverse band) and
+:func:`_ragged_arange` (CAGRA's reverse merge).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.distances import Metric
-from repro.graphs.nn_descent import _rank_within_groups
 from repro.graphs.storage import PAD
 from repro.simt.build_cost import maybe_recorder
 from repro.structures.soa import pack_rowid, unpack_rowid
@@ -116,3 +117,19 @@ def dedup_pool_edges(
     owner_k, cand_k, prio_s = owner_k[order], cand_k[order], prio_s[order]
     rank = _rank_within_groups(owner_k)
     return owner_k, cand_k, prio_s, rank
+
+
+def _rank_within_groups(sorted_groups: np.ndarray) -> np.ndarray:
+    """0-based position of each element inside its run of equal values."""
+    idx = np.arange(len(sorted_groups), dtype=np.int64)
+    is_start = np.ones(len(sorted_groups), dtype=bool)
+    is_start[1:] = sorted_groups[1:] != sorted_groups[:-1]
+    return idx - np.maximum.accumulate(np.where(is_start, idx, 0))
+
+
+def _ragged_arange(reps: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(r) for r in reps])`` without the Python loop."""
+    total = int(reps.sum())
+    idx = np.arange(total, dtype=np.int64)
+    starts = np.repeat(np.cumsum(reps) - reps, reps)
+    return idx - starts

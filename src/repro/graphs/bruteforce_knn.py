@@ -19,24 +19,8 @@ import numpy as np
 from repro.data.ground_truth import TILE_BYTES, band_top_k, ground_truth
 from repro.distances import get_metric
 from repro.distances.metrics import PANEL_BYTES
-from repro.graphs.nn_descent import nn_descent
 from repro.graphs.storage import FixedDegreeGraph
 from repro.simt.build_cost import maybe_recorder
-
-#: Up to this many points :func:`bootstrap_table` computes the exact
-#: table: the self-join's GEMM tiles, n^2 / 2 pair distances each scored
-#: once, beat the round-structured descent until the quadratic term
-#: dominates (well above every bench size here), and they are just as
-#: batch-shaped.
-_EXACT_BOOTSTRAP_MAX = 1 << 15
-
-#: NN-descent join sample rate above that size.  Join cost grows with
-#: the square of the list length, so at the ``2 * degree`` widths the
-#: refinement builders ask for the default 0.6 wastes most of its
-#: pairs: 0.3 converges to the same recall (within 1e-4 on uniform
-#: data) in a third of the time.
-_BOOTSTRAP_SAMPLE_RATE = 0.3
-
 
 #: Rows per GEMM when a tile is scored.  The BLAS packs the rows of one
 #: product into a work buffer that stays resident: whole 1000-row tiles
@@ -234,18 +218,15 @@ def bootstrap_table(
     k: int,
     metric: str = "l2",
     knn_table: Optional[np.ndarray] = None,
-    seed: int = 0,
     cost=None,
 ) -> np.ndarray:
     """The ``(n, k)`` int64 kNN table NSG, DPG and CAGRA refine.
 
     Rows are sorted ascending by distance (position = rank).  The
-    caller's ``knn_table`` wins when given; otherwise the source follows
-    the input size: the exact self-join (:func:`knn_neighbors`) up to
-    ``_EXACT_BOOTSTRAP_MAX`` points, NN-descent (seeded by ``seed``) above
-    it.  ``cost`` (a
-    :class:`~repro.simt.build_cost.BuildCostRecorder`) receives the
-    bootstrap's kernels either way.
+    caller's ``knn_table`` wins when given; otherwise it is the exact
+    self-join (:func:`knn_neighbors`) at every size, whose kernels
+    ``cost`` (a :class:`~repro.simt.build_cost.BuildCostRecorder`)
+    receives.
 
     Whatever the source, the table returned has shape ``(n, k)``, every
     id in ``[0, n)`` and no id twice in a row (a row may hold its own
@@ -261,16 +242,6 @@ def bootstrap_table(
             raise ValueError(
                 f"knn_table must have shape ({n}, {k}), got {table.shape}"
             )
-    elif n > _EXACT_BOOTSTRAP_MAX:
-        source = "nn_descent table"
-        table = nn_descent(
-            data,
-            k,
-            metric=metric,
-            seed=seed,
-            sample_rate=_BOOTSTRAP_SAMPLE_RATE,
-            cost=cost,
-        ).astype(np.int64)
     else:
         source = "exact top-k table"
         table = knn_neighbors(data, k, metric)
@@ -303,10 +274,7 @@ def build_knn_graph(
     nbrs = knn_neighbors(data, k, metric)
     if entry_point is None:
         entry_point = medoid(data, metric)
-    graph = FixedDegreeGraph(len(data), k, entry_point)
-    for v in range(len(data)):
-        graph.set_neighbors(v, nbrs[v])
-    return graph
+    return FixedDegreeGraph.from_neighbor_array(nbrs, entry_point)
 
 
 def medoid(data: np.ndarray, metric: str = "l2") -> int:

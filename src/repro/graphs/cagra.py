@@ -5,7 +5,7 @@ entirely from batch operations — no per-vertex search-and-prune loop:
 
 1. **Bootstrap** an intermediate kNN table
    (:func:`~repro.graphs.bruteforce_knn.bootstrap_table`: the caller's,
-   else exact blocked top-k up to 2^15 points, else NN-descent).
+   else the exact kNN self-join).
 2. **Rank-based reordering**: for every directed edge ``(u, t)`` at rank
    ``j`` of u's list, count its *detours* — vertices ``m`` earlier in the
    list (rank ``i < j``) whose own list reaches ``t`` at a rank below
@@ -41,9 +41,9 @@ import numpy as np
 
 from repro.data.ground_truth import TILE_BYTES
 from repro.distances import get_metric
+from repro.graphs._prune import _ragged_arange
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
-from repro.graphs.nn_descent import _ragged_arange
 from repro.graphs.storage import FixedDegreeGraph
 from repro.simt.build_cost import KEY_BYTES, BuildCostRecorder, maybe_recorder
 
@@ -266,10 +266,8 @@ class CagraBuilder:
     knn_table:
         Optional precomputed ``(n, k0)`` bootstrap table whose rows are
         sorted ascending by distance (position = rank).  When omitted
-        :func:`~repro.graphs.bruteforce_knn.bootstrap_table` picks the
-        source from the dataset size.
-    seed:
-        Seed forwarded to NN-descent (large datasets only).
+        :func:`~repro.graphs.bruteforce_knn.bootstrap_table` computes
+        the exact one.
     cost:
         Optional :class:`~repro.simt.build_cost.BuildCostRecorder`; every
         bulk kernel of the build is recorded on it.
@@ -282,7 +280,6 @@ class CagraBuilder:
         intermediate_degree: Optional[int] = None,
         metric: str = "l2",
         knn_table: Optional[np.ndarray] = None,
-        seed: int = 0,
         cost: Optional[BuildCostRecorder] = None,
     ) -> None:
         if degree <= 1:
@@ -309,7 +306,6 @@ class CagraBuilder:
             )
         self.metric = get_metric(metric)
         self._knn_table = knn_table
-        self.seed = seed
         self.cost = cost
 
     def build(self) -> FixedDegreeGraph:
@@ -326,7 +322,7 @@ class CagraBuilder:
         if n <= k0:
             raise ValueError("dataset too small for the intermediate degree")
         table = bootstrap_table(
-            self.data, k0, self.metric.name, self._knn_table, self.seed, self.cost
+            self.data, k0, self.metric.name, self._knn_table, self.cost
         )
         fwd_full = self._reorder(table)
         adjacency = self._merge_reverse(fwd_full)
@@ -384,7 +380,6 @@ def build_cagra(
     intermediate_degree: Optional[int] = None,
     metric: str = "l2",
     knn_table: Optional[np.ndarray] = None,
-    seed: int = 0,
     cost: Optional[BuildCostRecorder] = None,
 ) -> FixedDegreeGraph:
     """One-call CAGRA construction (see :class:`CagraBuilder`)."""
@@ -394,6 +389,5 @@ def build_cagra(
         intermediate_degree=intermediate_degree,
         metric=metric,
         knn_table=knn_table,
-        seed=seed,
         cost=cost,
     ).build()

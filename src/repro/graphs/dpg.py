@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from repro.distances import get_metric
-from repro.graphs._prune import dedup_pool_edges
+from repro.graphs._prune import _rank_within_groups, dedup_pool_edges
 from repro.graphs._repair import attach_orphans
 from repro.graphs.bruteforce_knn import bootstrap_table, medoid
 from repro.graphs.storage import PAD, FixedDegreeGraph
@@ -108,8 +108,6 @@ def _undirect(
     keeps each ``(vertex, candidate)`` at its strongest band and ranks
     each vertex's survivors, and a scatter writes the rows.
     """
-    from repro.graphs.nn_descent import _rank_within_groups
-
     n, keep = fwd.shape
     cap = table.shape[1]
 

@@ -66,8 +66,8 @@ class NSGBuilder:
     metric:
         Distance measure name.
     knn_table:
-        Optional precomputed ``(n, knn)`` neighbor table (e.g. from
-        NN-descent); overrides the bootstrap stage when given.
+        Optional precomputed ``(n, knn)`` neighbor table; overrides the
+        bootstrap stage when given.
     cost:
         Optional :class:`~repro.simt.build_cost.BuildCostRecorder`;
         every bulk kernel of the build is recorded on it.

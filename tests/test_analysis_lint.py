@@ -299,7 +299,7 @@ class TestRepoHotModules:
     HOT = [
         REPO_SRC / "core" / "batched.py",
         REPO_SRC / "structures" / "soa.py",
-        REPO_SRC / "graphs" / "nn_descent.py",
+        REPO_SRC / "graphs" / "_prune.py",
         REPO_SRC / "distances" / "metrics.py",
     ]
 

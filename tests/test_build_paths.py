@@ -23,7 +23,6 @@ from repro.graphs import (
     build_graph,
     build_nsg,
     build_nsw,
-    nn_descent,
 )
 from repro.graphs import bruteforce_knn
 from repro.graphs._repair import reachable_mask
@@ -37,7 +36,6 @@ GOLDEN = {
     "hnsw layer 0 (build_engine='batched')": "77f6ee8e1c759c0c",
     "hnsw levels": "0be4566c57099460",
     "cagra (build_engine='batched')": "dec1bfbdd6c05fb1",
-    "nn_descent (build_engine='batched')": "c662d47112a47cd6",
     "nsg (build_engine='batched', exact table)": "a61175c4aef7017d",
     "dpg (build_engine='batched', exact table)": "c3b319234fdbd925",
 }
@@ -213,10 +211,6 @@ class TestGoldens:
             _digest(graph.adjacency_array) == GOLDEN["cagra (build_engine='batched')"]
         )
 
-    def test_nn_descent(self, data):
-        table = nn_descent(data, 10, seed=0)
-        assert _digest(table) == GOLDEN["nn_descent (build_engine='batched')"]
-
     def test_nsg(self, data):
         over_table = build_nsg(
             data, degree=16, knn=16, knn_table=knn_neighbors(data, 16)
@@ -225,7 +219,7 @@ class TestGoldens:
             _digest(over_table.adjacency_array)
             == GOLDEN["nsg (build_engine='batched', exact table)"]
         )
-        # below 2^15 points the default bootstrap *is* the exact table
+        # the default bootstrap *is* the exact table
         default = build_nsg(data, degree=16, knn=16)
         assert np.array_equal(default.adjacency_array, over_table.adjacency_array)
 
@@ -293,10 +287,6 @@ class TestBootstrapTable:
         monkeypatch.setattr(bruteforce_knn, "knn_neighbors", broken)
         with pytest.raises(ValueError, match="exact top-k table"):
             bootstrap_table(data, 8)
-        monkeypatch.setattr(bruteforce_knn, "nn_descent", broken)
-        monkeypatch.setattr(bruteforce_knn, "_EXACT_BOOTSTRAP_MAX", len(data) - 1)
-        with pytest.raises(ValueError, match="nn_descent table"):
-            bootstrap_table(data, 8)
 
     def test_exact_up_to_threshold(self, data):
         n, dim = data.shape
@@ -307,14 +297,6 @@ class TestBootstrapTable:
         expected.record_distances(n * n, flops, dim, "bootstrap-exact")
         expected.record_sort(n, 32, "bootstrap-topk")
         assert rec.phases == expected.phases
-
-    def test_nn_descent_above_threshold(self, data, monkeypatch):
-        monkeypatch.setattr(bruteforce_knn, "_EXACT_BOOTSTRAP_MAX", len(data) - 1)
-        rec, expected = BuildCostRecorder(), BuildCostRecorder()
-        table = bootstrap_table(data, 8, seed=3, cost=rec)
-        direct = nn_descent(data, 8, seed=3, sample_rate=0.3, cost=expected)
-        assert np.array_equal(table, direct)
-        assert rec.phases == expected.phases and len(rec.phases) > 0
 
     def test_cagra_records_the_phases_it_always_did(self, data):
         rec = BuildCostRecorder()

@@ -43,7 +43,7 @@ def cagra_data():
 @pytest.fixture(scope="module")
 def cagra_graph(cagra_data):
     data, _, _ = cagra_data
-    return build_cagra(data, degree=DEGREE, seed=0)
+    return build_cagra(data, degree=DEGREE)
 
 
 def _search_recall(graph, data, queries, ground_truth) -> float:
@@ -132,7 +132,7 @@ class TestClusteredData:
         a = rng.standard_normal((300, 8)).astype(np.float32)
         b = rng.standard_normal((300, 8)).astype(np.float32) + 80.0
         data = np.concatenate([a, b])
-        graph = build_cagra(data, degree=8, seed=0)
+        graph = build_cagra(data, degree=8)
         adj = graph.adjacency_array.astype(np.int64)
         assert reachable_mask(adj, graph.entry_point).all()
 

@@ -170,6 +170,46 @@ class TestGroundTruth:
             monkeypatch.setattr(gt_module, "PANEL_BYTES", panel)
             assert np.array_equal(ground_truth(data, data, 7, exclude_self=True), want)
 
+    @pytest.mark.parametrize("default_block", [False, True])
+    @pytest.mark.parametrize("bands", [0, 1, 2])
+    def test_no_band_is_one_row(self, monkeypatch, bands, default_block):
+        """numpy scores a one-row product by GEMV, whose bits differ from
+        the GEMM's: q = 1, block + 1 and 2 * block + 1 queries leave no
+        band one row long, with or without ``exclude_self``."""
+        data = np.random.default_rng(12).normal(size=(40, 6)).astype(np.float32)
+        block = 8
+        if default_block:  # the height worked out from TILE_BYTES
+            monkeypatch.setattr(gt_module, "TILE_BYTES", 4 * len(data) * block)
+        q = bands * block + 1
+        want = ground_truth(data, data[:q], 5, block=100)
+        seen = []
+        select = gt_module.band_top_k
+
+        def spy(m, band, points, norms, k, own=None):
+            seen.append(len(band))
+            return select(m, band, points, norms, k, own)
+
+        monkeypatch.setattr(gt_module, "band_top_k", spy)
+        for exclude_self in (False, True):
+            got = ground_truth(
+                data, data[:q], 5, block=None if default_block else block,
+                exclude_self=exclude_self,
+            )
+            if not exclude_self:
+                np.testing.assert_array_equal(got, want)
+        assert min(seen) >= 2 and sum(seen) == 2 * max(q, 2)
+
+    def test_row_alone_equals_its_band(self):
+        """A query scored alone gets the ids it gets inside a band.  While
+        a lone query was scored by numpy's one-row GEMV, three of these
+        rows' top-100 came out in another order under OpenBLAS."""
+        ds = make_dataset("mnist8m", n=3000, num_queries=65, seed=0)
+        queries = ds.queries.astype(np.float32)
+        whole = ground_truth(ds.data, queries, 100, ds.metric)
+        for i in range(len(queries)):
+            alone = ground_truth(ds.data, queries[i : i + 1], 100, ds.metric)
+            np.testing.assert_array_equal(alone[0], whole[i])
+
     def test_validation(self):
         data = np.zeros((5, 2), np.float32)
         q = np.zeros((1, 2), np.float32)

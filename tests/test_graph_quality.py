@@ -1,9 +1,8 @@
 """Graph-quality regression floors for every builder.
 
 Each family has one construction path, and the oracle it is held to is
-not a second builder but the exact answer: the brute-force kNN table
-for NN-descent, brute-force ground truth (search recall@10) for the
-navigable graphs.
+not a second builder but the exact answer: brute-force ground truth
+(search recall@10) for the navigable graphs.
 
 Floors are set ~0.03 under measured values at this seed/config
 (everything lands at 0.98+).
@@ -18,8 +17,6 @@ from repro.core.config import SearchConfig
 from repro.core.song import SongSearcher
 from repro.eval import batch_recall
 from repro.graphs import HNSWIndex, build_dpg, build_nsg, build_nsw
-from repro.graphs.bruteforce_knn import knn_neighbors
-from repro.graphs.nn_descent import graph_recall, nn_descent
 
 N, DIM, NUM_QUERIES, K = 1000, 16, 100, 10
 
@@ -38,13 +35,6 @@ def _search_recall(graph, data, queries, ground_truth) -> float:
     config = SearchConfig(k=K, queue_size=64)
     results = SongSearcher(graph, data).search_batch(queries, config)
     return batch_recall(results, ground_truth)
-
-
-class TestNNDescent:
-    def test_recall_floor(self, quality_data):
-        data, _, _ = quality_data
-        table = nn_descent(data, K, seed=0)
-        assert graph_recall(table, knn_neighbors(data, K)) >= 0.95
 
 
 class TestNSW:

@@ -50,7 +50,7 @@ def _records(index, queries, config, engine="auto"):
 @pytest.fixture(scope="module")
 def world():
     ds = make_dataset("sift", n=400, num_queries=16, seed=0)
-    graphs = {d: build_cagra(ds.data, degree=d, seed=0) for d in (16, 32)}
+    graphs = {d: build_cagra(ds.data, degree=d) for d in (16, 32)}
     return ds, graphs
 
 
